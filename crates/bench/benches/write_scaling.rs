@@ -1,5 +1,5 @@
-//! Criterion micro-benchmarks for the front-door write path: the pipelined
-//! commit (default) vs the serial grouped commit vs the legacy serialized path,
+//! Criterion micro-benchmarks for the front-door write path: the commit
+//! pipeline at its default group caps vs ungrouped (`max_group_batches = 1`),
 //! single-threaded and under a small concurrent burst. The full sweep with
 //! fsyncs lives in the `fig_write_scaling` binary; these benches track
 //! per-write overhead.
@@ -10,12 +10,11 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use triad_core::{Db, Options};
 
-/// `(label, group_commit.enabled, group_commit.pipelined)` for the three
-/// write-path generations.
-const MODES: [(&str, bool, bool); 3] =
-    [("pipelined", true, true), ("grouped", true, false), ("legacy", false, false)];
+/// `(label, group_commit.max_group_batches override)`: the default caps and the
+/// in-run baseline where every batch is its own commit group.
+const MODES: [(&str, Option<usize>); 2] = [("pipelined", None), ("ungrouped", Some(1))];
 
-fn bench_db(name: &str, enabled: bool, pipelined: bool) -> (Arc<Db>, std::path::PathBuf) {
+fn bench_db(name: &str, max_group_batches: Option<usize>) -> (Arc<Db>, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("triad-bench-ws-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut options = Options {
@@ -23,14 +22,15 @@ fn bench_db(name: &str, enabled: bool, pipelined: bool) -> (Arc<Db>, std::path::
         max_log_size: 512 * 1024 * 1024,
         ..Options::default()
     };
-    options.group_commit.enabled = enabled;
-    options.group_commit.pipelined = pipelined;
+    if let Some(cap) = max_group_batches {
+        options.group_commit.max_group_batches = cap;
+    }
     (Arc::new(Db::open(&dir, options).unwrap()), dir)
 }
 
 fn bench_single_thread(c: &mut Criterion) {
-    for (label, enabled, pipelined) in MODES {
-        let (db, dir) = bench_db(&format!("single-{label}"), enabled, pipelined);
+    for (label, max_group_batches) in MODES {
+        let (db, dir) = bench_db(&format!("single-{label}"), max_group_batches);
         let value = vec![0x5au8; 200];
         let mut i = 0u64;
         c.bench_function(&format!("write/{label}_1_thread_put"), |b| {
@@ -48,8 +48,8 @@ fn bench_single_thread(c: &mut Criterion) {
 fn bench_concurrent_burst(c: &mut Criterion) {
     const THREADS: usize = 4;
     const OPS_PER_THREAD: u64 = 64;
-    for (label, enabled, pipelined) in MODES {
-        let (db, dir) = bench_db(&format!("burst-{label}"), enabled, pipelined);
+    for (label, max_group_batches) in MODES {
+        let (db, dir) = bench_db(&format!("burst-{label}"), max_group_batches);
         let mut round = 0u64;
         c.bench_function(&format!("write/{label}_4_thread_burst_256_puts"), |b| {
             b.iter(|| {

@@ -1,11 +1,15 @@
-//! Sweeps writer threads 1→16 under NoSync and SyncEveryWrite across the three
-//! write-path generations — `legacy` (serialized), `grouped` (PR 3 commit
-//! groups, fsync under the WAL lock) and `pipelined` (append decoupled from the
-//! sync stage) — and emits the perf-trajectory file `BENCH_write_scaling.json`
-//! with all three sets of numbers plus the acceptance gate.
+//! Sweeps writer threads 1→16 under NoSync and SyncEveryWrite through the commit
+//! pipeline — at one and four shards, plus an `ungrouped` (`max_group_batches =
+//! 1`) in-run baseline row at one shard — and emits the perf-trajectory file
+//! `BENCH_write_scaling.json` with the baseline-free acceptance gate.
 //!
 //! Flags: `--full` for paper-scale op counts (default is a quick CI-scale run;
 //! `--quick` is accepted and is the default), `--out PATH` to redirect the JSON.
+//!
+//! The binary validates its own output — sweep rows present and fed, the gate
+//! (< 1 fsync per acknowledged batch, overlapped syncs observed, every batch
+//! acknowledged through a commit group at 8 synced writers) and every JSON
+//! section — and exits non-zero on violations, which is what CI relies on.
 
 use std::path::PathBuf;
 
@@ -24,28 +28,26 @@ fn out_path() -> PathBuf {
 
 fn main() {
     let scale = Scale::from_args();
-    let (_table, points, acceptance, shard_scaling) =
+    let (_table, points, gate, shard_scaling) =
         write_scaling::run(scale).expect("write-scaling sweep failed");
     let path = out_path();
-    write_scaling::write_json(&path, scale, &points, &acceptance, &shard_scaling)
-        .expect("writing BENCH_write_scaling.json failed");
+    let json = write_scaling::to_json(scale, &points, &gate, &shard_scaling);
+    std::fs::write(&path, &json).expect("writing BENCH_write_scaling.json failed");
     println!("\nwrote {}", path.display());
-    if !acceptance.holds() {
-        // The gate is recorded in the JSON either way; a quick-scale run on a
-        // noisy machine should not hard-fail CI smoke.
-        eprintln!(
-            "warning: acceptance gate not met in this run ({:.2}x vs legacy, {:.2}x vs grouped, \
-             {:.3} fsyncs/batch, {} overlapped)",
-            acceptance.speedup,
-            acceptance.pipelined_vs_grouped,
-            acceptance.fsyncs_per_batch,
-            acceptance.overlapped_syncs
-        );
-    }
     if !shard_scaling.holds() {
+        // A throughput ratio against an in-run baseline: too noisy at quick
+        // scale to fail on, so it is recorded in the JSON and only warned about.
         eprintln!(
             "warning: shard-scaling gate not met ({} shards at {} writers: {:.2}x vs 1 shard)",
             shard_scaling.shards, shard_scaling.threads, shard_scaling.speedup
         );
+    }
+
+    let errors = write_scaling::validate(&points, &gate, &json);
+    if !errors.is_empty() {
+        for error in &errors {
+            eprintln!("write-scaling validation failed: {error}");
+        }
+        std::process::exit(1);
     }
 }

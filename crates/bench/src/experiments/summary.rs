@@ -131,7 +131,7 @@ pub fn run(scale: Scale) -> triad_common::Result<(Table, Vec<Comparison>)> {
         &pipeline,
         "not a paper figure: repository-side instrumentation of the pipelined \
          leader/follower write path (*sampled sums, 1 in 16 groups timed; see \
-         fig_write_scaling for the dedicated three-mode sweep)",
+         fig_write_scaling for the dedicated writer-scaling sweep)",
     );
     Ok((table, comparisons))
 }

@@ -1,45 +1,39 @@
-//! Write-scaling: pipelined vs grouped vs legacy front-door write paths.
+//! Write-scaling: the front-door write path under 1→16 concurrent writers.
 //!
 //! This is not a figure from the paper — it is the repository's own perf
-//! trajectory for the front-door write path. The sweep runs a put-only workload
-//! at 1→16 writer threads under `SyncMode::NoSync` and `SyncMode::SyncEveryWrite`,
-//! across the three generations of the commit path:
+//! trajectory for the commit pipeline. The sweep runs a put-only workload at
+//! 1→16 writer threads under `SyncMode::NoSync` and `SyncMode::SyncEveryWrite`.
+//! Every write commits through the one pipeline (`pipelined` rows): the append
+//! stage releases the WAL lock before the sync stage runs, so group N+1 appends
+//! (and inserts) while group N's fsync is in flight, and one fsync retires every
+//! group it covered (`overlapped` counts groups that needed no fsync of their
+//! own). The single-shard grid adds one in-run baseline row per cell,
+//! `ungrouped`: the same pipeline with `max_group_batches = 1`, so every batch
+//! is its own commit group and nothing amortizes *inside* a group — what is
+//! left is the watermark's cross-group overlap.
 //!
-//! * `legacy` — the serialized pre-group-commit path (`group_commit.enabled =
-//!   false`): every record encoded, appended, counted and inserted under the WAL
-//!   mutex with its own flush/fsync.
-//! * `grouped` — PR 3's leader/follower commit groups (`pipelined = false`): one
-//!   buffered append and one flush/fsync per group, but the WAL lock is held
-//!   across the fsync, so groups serialize end-to-end.
-//! * `pipelined` — the current default: the append stage releases the lock
-//!   before the sync stage runs, so group N+1 appends (and inserts) while group
-//!   N's fsync is in flight, and one fsync retires every group it covered
-//!   (`overlapped` counts groups that needed no fsync of their own).
-//!
-//! The acceptance gate, evaluated at 8 writers under `SyncEveryWrite`: pipelined
-//! beats legacy ≥ 2×, issues < 1 fsync per acknowledged batch, is at least as
-//! fast as grouped on the same host, and demonstrably overlapped
-//! (`overlapped > 0`).
+//! The gate is baseline-free, evaluated on the `pipelined` row at 8 writers
+//! under `SyncEveryWrite`: < 1 fsync per acknowledged batch, demonstrable
+//! overlap (`overlapped > 0`), and every acknowledged batch accounted for by a
+//! commit group. [`validate`] turns a violated gate, a hole in the sweep grid
+//! or a missing JSON section into errors the binary exits non-zero on.
 //!
 //! Every point also records a per-commit latency histogram (p50/p99/p999, in
-//! microseconds, via `triad_common::LatencyHistogram`): group commit and the
-//! pipeline buy their throughput by parking followers behind a leader, and the
-//! histogram is where that trade shows up — the ROADMAP's open item on
-//! pipeline latency vs throughput.
+//! microseconds, via `triad_common::LatencyHistogram`): the pipeline buys its
+//! throughput by parking followers behind a leader, and the histogram is where
+//! that trade shows up.
 //!
-//! Reading the NoSync side: group commit amortizes the flush and parallelizes
-//! memtable inserts across member threads, so its NoSync gains need real cores.
-//! On a single-core host the sweep instead charges the pipeline for its
-//! leader→follower hand-offs while the legacy mutex convoy runs as a tight
-//! serial loop. The adaptive spin-then-park wake-up (followers poll a readiness
-//! flag briefly before touching the condvar) trims that hand-off on multi-core
-//! hosts; on one core the spin cannot succeed — the producer cannot run — so
-//! grouped/pipelined NoSync numbers there still reflect scheduler wake-up cost,
-//! not the pipeline's multi-core behaviour. The durable sweep is meaningful on
-//! any host: an fsync blocks the leader, the scheduler runs the next one, and
-//! the overlap machinery does its work.
+//! Reading the NoSync side: group commit parallelizes memtable inserts across
+//! member threads, so its NoSync gains need real cores. On a single-core host
+//! the sweep instead charges the pipeline for its leader→follower hand-offs.
+//! The adaptive spin-then-park wake-up (followers poll a readiness flag briefly
+//! before touching the condvar) trims that hand-off on multi-core hosts; on one
+//! core the spin cannot succeed — the producer cannot run — so NoSync numbers
+//! there reflect scheduler wake-up cost, not the pipeline's multi-core
+//! behaviour. The durable sweep is meaningful on any host: an fsync blocks the
+//! leader, the scheduler runs the next one, and the overlap machinery does its
+//! work.
 
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -49,46 +43,10 @@ use triad_core::{Db, Options, ShardConfig, SyncMode};
 use crate::report::{print_table, Table};
 use crate::runner::Scale;
 
-/// Which generation of the write path a sweep point measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineMode {
-    /// Serialized pre-group-commit path (`group_commit.enabled = false`).
-    Legacy,
-    /// PR 3 commit groups with the fsync under the WAL lock (`pipelined = false`).
-    Grouped,
-    /// The pipelined commit: append stage decoupled from the sync stage.
-    Pipelined,
-}
-
-impl PipelineMode {
-    /// Every mode, in the order the sweep runs them.
-    pub fn all() -> [PipelineMode; 3] {
-        [PipelineMode::Legacy, PipelineMode::Grouped, PipelineMode::Pipelined]
-    }
-
-    /// The label used in tables and JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            PipelineMode::Legacy => "legacy",
-            PipelineMode::Grouped => "grouped",
-            PipelineMode::Pipelined => "pipelined",
-        }
-    }
-
-    fn apply(self, options: &mut Options) {
-        match self {
-            PipelineMode::Legacy => options.group_commit.enabled = false,
-            PipelineMode::Grouped => {
-                options.group_commit.enabled = true;
-                options.group_commit.pipelined = false;
-            }
-            PipelineMode::Pipelined => {
-                options.group_commit.enabled = true;
-                options.group_commit.pipelined = true;
-            }
-        }
-    }
-}
+/// Row label of the default configuration.
+const PIPELINED: &str = "pipelined";
+/// Row label of the `max_group_batches = 1` in-run baseline.
+const UNGROUPED: &str = "ungrouped";
 
 /// One measured configuration of the sweep.
 #[derive(Debug, Clone)]
@@ -99,7 +57,7 @@ pub struct WriteScalingPoint {
     pub threads: usize,
     /// Number of keyspace shards the database ran with.
     pub shards: usize,
-    /// `"pipelined"`, `"grouped"` or `"legacy"`.
+    /// `"pipelined"` (default group caps) or `"ungrouped"` (`max_group_batches = 1`).
     pub pipeline: &'static str,
     /// Thousands of acknowledged single-put batches per second.
     pub kops: f64,
@@ -109,8 +67,10 @@ pub struct WriteScalingPoint {
     pub wal_syncs: u64,
     /// `wal_syncs / acked_batches` — group commit drives this below 1.
     pub fsyncs_per_batch: f64,
-    /// Commit groups formed (0 on the legacy pipeline).
+    /// Commit groups formed.
     pub write_groups: u64,
+    /// Batches the engine counted as riding in those groups.
+    pub write_group_batches: u64,
     /// Mean batches per commit group.
     pub avg_group_batches: f64,
     /// Largest commit group observed, in batches.
@@ -129,36 +89,17 @@ pub struct WriteScalingPoint {
     pub max_us: f64,
 }
 
-/// The PR's acceptance numbers, computed from the sweep itself.
-#[derive(Debug, Clone)]
-pub struct WriteScalingAcceptance {
-    /// Writer threads the gate is evaluated at.
-    pub threads: usize,
-    /// Legacy throughput at the gate point (kops).
-    pub legacy_kops: f64,
-    /// Grouped (serial group commit) throughput at the gate point (kops).
-    pub grouped_kops: f64,
-    /// Pipelined throughput at the gate point (kops).
-    pub pipelined_kops: f64,
-    /// `pipelined_kops / legacy_kops`.
-    pub speedup: f64,
-    /// `pipelined_kops / grouped_kops` — the marginal win of this PR.
-    pub pipelined_vs_grouped: f64,
-    /// Pipelined fsyncs per acknowledged batch at the gate point.
-    pub fsyncs_per_batch: f64,
-    /// Overlapped syncs observed at the gate point (must be > 0: the fsync was
-    /// demonstrably overlapped with later appends).
-    pub overlapped_syncs: u64,
-}
+/// Writer threads the gate is evaluated at (single shard, `SyncEveryWrite`).
+pub const GATE_THREADS: usize = 8;
 
-impl WriteScalingAcceptance {
-    /// Whether the PR's perf gate holds: ≥ 2× over legacy, < 1 fsync/batch, no
-    /// regression against the serial grouped commit, and observed overlap.
-    pub fn holds(&self) -> bool {
-        self.speedup >= 2.0
-            && self.fsyncs_per_batch < 1.0
-            && self.pipelined_vs_grouped >= 1.0
-            && self.overlapped_syncs > 0
+impl WriteScalingPoint {
+    /// The baseline-free gate: fsyncs amortize below one per acknowledged
+    /// batch, at least one group retired on a neighbour's fsync, and every
+    /// acknowledged batch rode in exactly one commit group.
+    pub fn meets_gate(&self) -> bool {
+        self.fsyncs_per_batch < 1.0
+            && self.wal_syncs_overlapped > 0
+            && self.write_group_batches == self.acked_batches
     }
 }
 
@@ -209,14 +150,14 @@ pub fn thread_sweep() -> [usize; 5] {
     [1, 2, 4, 8, 16]
 }
 
-/// Shard counts the sweep covers. Every pipeline mode runs at one shard (the
-/// pre-sharding configuration); the pipelined default additionally runs the
-/// whole threads × sync grid at the sharded counts.
+/// Shard counts the sweep covers. The `ungrouped` baseline runs at one shard
+/// only; the default configuration runs the whole threads × sync grid at
+/// every count.
 pub fn shard_sweep() -> [usize; 2] {
     [1, 4]
 }
 
-fn bench_db_options(sync_mode: SyncMode, mode: PipelineMode, shards: usize) -> Options {
+fn bench_db_options(sync_mode: SyncMode, ungrouped: bool, shards: usize) -> Options {
     // The sweep measures the write *path*, not flush/compaction: keep the
     // memory component large enough that no rotation fires during a point.
     let mut options = Options {
@@ -226,7 +167,9 @@ fn bench_db_options(sync_mode: SyncMode, mode: PipelineMode, shards: usize) -> O
         shards: ShardConfig::with_count(shards),
         ..Options::default()
     };
-    mode.apply(&mut options);
+    if ungrouped {
+        options.group_commit.max_group_batches = 1;
+    }
     options
 }
 
@@ -234,31 +177,26 @@ fn run_point(
     scale: Scale,
     sync_mode: SyncMode,
     threads: usize,
-    mode: PipelineMode,
+    ungrouped: bool,
     shards: usize,
 ) -> triad_common::Result<WriteScalingPoint> {
+    let pipeline = if ungrouped { UNGROUPED } else { PIPELINED };
     let ops_per_thread = match sync_mode {
         // An fsync costs ~100 µs on commodity SSD-backed filesystems; keep the
         // synced points short so the full sweep stays CI-friendly.
         SyncMode::SyncEveryWrite => scale.ops(400, 5_000),
         _ => scale.ops(10_000, 200_000),
     };
-    let label = format!(
-        "write-scaling-{}-{}t-{}s-{}",
-        sync_label(sync_mode),
-        threads,
-        shards,
-        mode.label()
-    );
+    let label = format!("write-scaling-{}-{threads}t-{shards}s-{pipeline}", sync_label(sync_mode));
     let dir = std::env::temp_dir().join(format!("triad-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let db = Arc::new(Db::open(&dir, bench_db_options(sync_mode, mode, shards))?);
+    let db = Arc::new(Db::open(&dir, bench_db_options(sync_mode, ungrouped, shards))?);
 
     let before = db.stats();
     // Per-acknowledged-commit latency, recorded in nanoseconds by every writer
     // into one shared HDR-style histogram (recording is a relaxed fetch_add, so
     // sharing does not serialize the writers). This is the pipeline trade the
-    // ROADMAP asks to quantify: grouping/pipelining buys throughput by making
+    // ROADMAP asks to quantify: the pipeline buys throughput by making
     // some writers wait on a leader, which shows up here as tail latency.
     let latency = Arc::new(LatencyHistogram::new());
     let started = Instant::now();
@@ -292,12 +230,13 @@ fn run_point(
         sync_mode: sync_label(sync_mode),
         threads,
         shards,
-        pipeline: mode.label(),
+        pipeline,
         kops: acked_batches as f64 / elapsed.as_secs_f64() / 1_000.0,
         acked_batches,
         wal_syncs: delta.wal_syncs,
         fsyncs_per_batch: delta.wal_syncs as f64 / acked_batches as f64,
         write_groups: delta.write_groups,
+        write_group_batches: delta.write_group_batches,
         avg_group_batches: delta.avg_write_group_batches(),
         max_group_batches: delta.write_group_max_size,
         wal_syncs_overlapped: delta.wal_syncs_overlapped,
@@ -309,26 +248,19 @@ fn run_point(
     })
 }
 
-/// Runs the full sweep and returns (table, points, acceptance-at-8-threads,
-/// shard scaling at 4 writers NoSync).
+/// Runs the full sweep and returns (table, points, the gate point, shard
+/// scaling at 4 writers NoSync).
 pub fn run(
     scale: Scale,
-) -> triad_common::Result<(Table, Vec<WriteScalingPoint>, WriteScalingAcceptance, ShardScaling)> {
+) -> triad_common::Result<(Table, Vec<WriteScalingPoint>, WriteScalingPoint, ShardScaling)> {
     let mut points = Vec::new();
-    for sync_mode in [SyncMode::NoSync, SyncMode::SyncEveryWrite] {
-        for threads in thread_sweep() {
-            for mode in PipelineMode::all() {
-                points.push(run_point(scale, sync_mode, threads, mode, 1)?);
-            }
-        }
-    }
-    // The shard-count sweep: the pipelined default across the same threads ×
-    // sync grid at every sharded count, so the trajectory file records
-    // {shards} × {writers} × {sync mode}.
-    for shards in shard_sweep().into_iter().filter(|&s| s > 1) {
+    for shards in shard_sweep() {
         for sync_mode in [SyncMode::NoSync, SyncMode::SyncEveryWrite] {
             for threads in thread_sweep() {
-                points.push(run_point(scale, sync_mode, threads, PipelineMode::Pipelined, shards)?);
+                if shards == 1 {
+                    points.push(run_point(scale, sync_mode, threads, true, shards)?);
+                }
+                points.push(run_point(scale, sync_mode, threads, false, shards)?);
             }
         }
     }
@@ -368,52 +300,27 @@ pub fn run(
         ]);
     }
 
-    let gate_threads = 8;
-    let find = |pipeline: &str| {
+    let find = |sync_mode: &str, threads: usize, shards: usize| {
         points
             .iter()
             .find(|p| {
-                p.sync_mode == "SyncEveryWrite"
-                    && p.threads == gate_threads
-                    && p.pipeline == pipeline
-                    && p.shards == 1
+                p.sync_mode == sync_mode
+                    && p.threads == threads
+                    && p.shards == shards
+                    && p.pipeline == PIPELINED
             })
-            .expect("the sweep always covers the gate point")
+            .expect("the sweep always covers its gate points")
             .clone()
     };
-    let legacy = find("legacy");
-    let grouped = find("grouped");
-    let pipelined = find("pipelined");
-    let acceptance = WriteScalingAcceptance {
-        threads: gate_threads,
-        legacy_kops: legacy.kops,
-        grouped_kops: grouped.kops,
-        pipelined_kops: pipelined.kops,
-        speedup: pipelined.kops / legacy.kops.max(1e-9),
-        pipelined_vs_grouped: pipelined.kops / grouped.kops.max(1e-9),
-        fsyncs_per_batch: pipelined.fsyncs_per_batch,
-        overlapped_syncs: pipelined.wal_syncs_overlapped,
-    };
+    let gate = find("SyncEveryWrite", GATE_THREADS, 1);
 
-    // Shard scaling: the pipelined NoSync comparison at 4 writers, one shard
-    // vs the largest sharded count. Asserted only on hosts with the cores to
-    // show it; recorded everywhere.
+    // Shard scaling: the NoSync comparison at 4 writers, one shard vs the
+    // largest sharded count. Asserted only on hosts with the cores to show
+    // it; recorded everywhere.
     let shard_gate_threads = 4;
     let sharded_count = *shard_sweep().last().expect("sweep is non-empty");
-    let find_sharded = |shards: usize| {
-        points
-            .iter()
-            .find(|p| {
-                p.sync_mode == "NoSync"
-                    && p.threads == shard_gate_threads
-                    && p.pipeline == "pipelined"
-                    && p.shards == shards
-            })
-            .expect("the sweep always covers the shard gate point")
-            .clone()
-    };
-    let single = find_sharded(1);
-    let sharded = find_sharded(sharded_count);
+    let single = find("NoSync", shard_gate_threads, 1);
+    let sharded = find("NoSync", shard_gate_threads, sharded_count);
     let shard_scaling = ShardScaling {
         host_parallelism: std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
         threads: shard_gate_threads,
@@ -424,18 +331,17 @@ pub fn run(
     };
 
     print_table(
-        "Write scaling: pipelined vs grouped vs legacy serialized writes (put-only)",
+        "Write scaling: the commit pipeline under concurrent writers (put-only)",
         &table,
         &format!(
-            "gate at {} writers, SyncEveryWrite: {:.2}x over legacy (need >= 2x), \
-             {:.2}x over grouped (need >= 1x), {:.3} fsyncs/batch (need < 1), \
-             {} overlapped syncs (need > 0); shard gate at {} writers, NoSync: \
-             {} shards at {:.2}x vs one shard ({})",
-            acceptance.threads,
-            acceptance.speedup,
-            acceptance.pipelined_vs_grouped,
-            acceptance.fsyncs_per_batch,
-            acceptance.overlapped_syncs,
+            "gate at {GATE_THREADS} writers, SyncEveryWrite: {:.3} fsyncs/batch (need < 1), \
+             {} overlapped syncs (need > 0), {} of {} acked batches in commit groups \
+             (need all); shard gate at {} writers, NoSync: {} shards at {:.2}x vs one \
+             shard ({})",
+            gate.fsyncs_per_batch,
+            gate.wal_syncs_overlapped,
+            gate.write_group_batches,
+            gate.acked_batches,
             shard_scaling.threads,
             shard_scaling.shards,
             shard_scaling.speedup,
@@ -446,17 +352,65 @@ pub fn run(
             }
         ),
     );
-    Ok((table, points, acceptance, shard_scaling))
+    Ok((table, points, gate, shard_scaling))
 }
 
-/// Serializes the sweep to the JSON trajectory file (`BENCH_write_scaling.json`).
-pub fn write_json(
-    path: &Path,
+/// Sections every emitted trajectory file must carry.
+const REQUIRED_JSON_KEYS: [&str; 6] = [
+    "\"meta\"",
+    "\"available_parallelism\"",
+    "\"results\"",
+    "\"latency_us\"",
+    "\"acceptance\"",
+    "\"shard_scaling\"",
+];
+
+/// Checks the sweep and its rendered JSON: every row has a fed latency
+/// histogram, the sweep carries its `pipelined`, `ungrouped` and sharded rows,
+/// the gate holds and no JSON section is missing. Returns one message per
+/// violation; the binary exits non-zero when any come back.
+pub fn validate(points: &[WriteScalingPoint], gate: &WriteScalingPoint, json: &str) -> Vec<String> {
+    let mut errors = Vec::new();
+    for p in points.iter().filter(|p| p.max_us <= 0.0) {
+        errors.push(format!(
+            "{}/{} writers/{} shards/{}: latency histogram is empty",
+            p.sync_mode, p.threads, p.shards, p.pipeline
+        ));
+    }
+    for (row, present) in [
+        (PIPELINED, points.iter().any(|p| p.pipeline == PIPELINED)),
+        (UNGROUPED, points.iter().any(|p| p.pipeline == UNGROUPED)),
+        ("sharded", points.iter().any(|p| p.shards > 1)),
+    ] {
+        if !present {
+            errors.push(format!("the sweep has no {row} row"));
+        }
+    }
+    if !gate.meets_gate() {
+        errors.push(format!(
+            "gate violated at {GATE_THREADS} writers, SyncEveryWrite: {:.3} fsyncs/batch \
+             (need < 1), {} overlapped syncs (need > 0), {} of {} acked batches in commit groups",
+            gate.fsyncs_per_batch,
+            gate.wal_syncs_overlapped,
+            gate.write_group_batches,
+            gate.acked_batches
+        ));
+    }
+    for key in REQUIRED_JSON_KEYS {
+        if !json.contains(key) {
+            errors.push(format!("JSON section {key} is missing"));
+        }
+    }
+    errors
+}
+
+/// Renders the sweep as the JSON trajectory file (`BENCH_write_scaling.json`).
+pub fn to_json(
     scale: Scale,
     points: &[WriteScalingPoint],
-    acceptance: &WriteScalingAcceptance,
+    gate: &WriteScalingPoint,
     shard_scaling: &ShardScaling,
-) -> std::io::Result<()> {
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"experiment\": \"write_scaling\",\n");
@@ -502,22 +456,14 @@ pub fn write_json(
     }
     out.push_str("  ],\n");
     out.push_str("  \"acceptance\": {\n");
-    out.push_str(&format!("    \"threads\": {},\n", acceptance.threads));
+    out.push_str(&format!("    \"threads\": {},\n", gate.threads));
     out.push_str("    \"sync_mode\": \"SyncEveryWrite\",\n");
-    out.push_str(&format!("    \"legacy_kops\": {:.2},\n", acceptance.legacy_kops));
-    out.push_str(&format!("    \"grouped_kops\": {:.2},\n", acceptance.grouped_kops));
-    out.push_str(&format!("    \"pipelined_kops\": {:.2},\n", acceptance.pipelined_kops));
-    out.push_str(&format!("    \"speedup_vs_legacy\": {:.3},\n", acceptance.speedup));
-    out.push_str(&format!(
-        "    \"pipelined_vs_grouped\": {:.3},\n",
-        acceptance.pipelined_vs_grouped
-    ));
-    out.push_str(&format!(
-        "    \"pipelined_fsyncs_per_batch\": {:.4},\n",
-        acceptance.fsyncs_per_batch
-    ));
-    out.push_str(&format!("    \"overlapped_syncs\": {},\n", acceptance.overlapped_syncs));
-    out.push_str(&format!("    \"meets_gate\": {}\n", acceptance.holds()));
+    out.push_str(&format!("    \"pipelined_kops\": {:.2},\n", gate.kops));
+    out.push_str(&format!("    \"pipelined_fsyncs_per_batch\": {:.4},\n", gate.fsyncs_per_batch));
+    out.push_str(&format!("    \"overlapped_syncs\": {},\n", gate.wal_syncs_overlapped));
+    out.push_str(&format!("    \"acked_batches\": {},\n", gate.acked_batches));
+    out.push_str(&format!("    \"grouped_batches\": {},\n", gate.write_group_batches));
+    out.push_str(&format!("    \"meets_gate\": {}\n", gate.meets_gate()));
     out.push_str("  },\n");
     out.push_str("  \"shard_scaling\": {\n");
     out.push_str("    \"sync_mode\": \"NoSync\",\n");
@@ -531,5 +477,5 @@ pub fn write_json(
     out.push_str(&format!("    \"meets_gate\": {}\n", shard_scaling.holds()));
     out.push_str("  }\n");
     out.push_str("}\n");
-    std::fs::write(path, out)
+    out
 }

@@ -151,8 +151,8 @@ impl Stats {
         /// Records commit groups committed by the group-commit write pipeline (one
         /// leader-driven WAL append + flush/sync per group).
         write_groups => add_write_groups, write_groups;
-        /// Records write batches that were carried by a commit group (equals the
-        /// number of acknowledged `write` calls on the grouped pipeline).
+        /// Records write batches that were carried by a commit group (every
+        /// acknowledged non-empty batch rides in exactly one, per shard).
         write_group_batches => add_write_group_batches, write_group_batches;
         /// Records fsyncs *avoided* by group commit: for a synced group of `k`
         /// batches, `k - 1` batches became durable without their own fsync.

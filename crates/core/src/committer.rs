@@ -3,19 +3,20 @@
 //! Concurrent [`write`](crate::Db::write) callers enqueue a [`WriterSlot`] here.
 //! The first writer to arrive while no leader is active becomes the **leader**:
 //! it drains the queue (up to the configured caps) into one *commit group*,
-//! performs a single batched WAL append and flush/fsync for everyone, and then
-//! every group member — leader and followers alike — applies its own batch to
-//! the sharded memtable in parallel, outside the WAL lock. A follower that
-//! received an insert ticket acknowledges itself the moment its inserts land
-//! (only group-wide failures, which arrive *instead of* a ticket, need the
-//! leader to deliver a result); the leader publishes `last_seqno` once the
-//! whole group is appended, durable per the sync policy and inserted, then
-//! hands leadership to the next waiting writer.
+//! performs a single batched WAL append for everyone and hands leadership to
+//! the next waiting writer the moment the append lock is released. Every group
+//! member — leader and followers alike — then applies its own batch to the
+//! sharded memtable in parallel, outside the WAL lock. A follower of a group
+//! that owes no fsync acknowledges itself the moment its inserts land (only
+//! group-wide failures, which arrive *instead of* a ticket, need the leader to
+//! deliver a result); a follower of a durable group parks a second time for
+//! the leader's post-fsync verdict. The leader publishes the group's seqno
+//! range once the group is appended, durable per the sync policy and inserted.
 //!
 //! This module owns the queueing, hand-off and wake-up protocol; the actual WAL
-//! and memtable work lives in `db.rs` (`DbInner::lead_commit_group`). It also
-//! hosts the [`PublicationSequencer`] the *pipelined* commit path uses to retire
-//! in-flight groups in append order.
+//! and memtable work lives in `commit.rs` (`DbInner::write_batch`). It also
+//! hosts the [`PublicationSequencer`] that retires in-flight groups in append
+//! order.
 //!
 //! Lock ordering (deadlock freedom): the WAL mutex may be held while taking the
 //! commit queue or the commit gate; the queue lock may be held while taking a
@@ -26,7 +27,7 @@
 //! atomic readiness flag for a bounded number of spin iterations before falling
 //! back to a `Condvar` wait. Under a multi-core NoSync workload the direction
 //! usually arrives within the spin window, skipping the scheduler round-trip the
-//! `BENCH_write_scaling.json` sweep charged the grouped pipeline for; on a
+//! `BENCH_write_scaling.json` sweep charged the pipeline for; on a
 //! single core the spin burns a few hundred nanoseconds and then parks exactly
 //! as before.
 
@@ -78,10 +79,8 @@ pub(crate) struct InsertTicket {
     pub(crate) barrier: Arc<InsertBarrier>,
     /// Whether the member may acknowledge its write the moment its inserts land.
     ///
-    /// `true` on the grouped path (the group's WAL write was already as durable
-    /// as promised when the ticket was issued) and for pipelined `NoSync`
-    /// groups. `false` for pipelined groups that still owe an fsync: the member
-    /// must park again for the leader's `Done` — a sync-required write never
+    /// `true` exactly when the group owes no fsync. Otherwise the member must
+    /// park again for the leader's `Done` — a sync-required write never
     /// acknowledges before the durability watermark passes its end offset.
     pub(crate) acked_on_insert: bool,
 }
@@ -247,7 +246,7 @@ struct CommitQueue {
     pending: VecDeque<Arc<WriterSlot>>,
     /// `true` while some writer holds leadership (it may not be in `pending`).
     leader_active: bool,
-    /// `true` while a pipelined commit group's fsync is in flight. Writers that
+    /// `true` while a commit group's fsync is in flight. Writers that
     /// arrive in that window queue up instead of leading: their bytes could not
     /// become durable before the *next* fsync anyway, so leading a tiny group
     /// each would only multiply per-group overhead. When the fsync completes,
@@ -285,13 +284,13 @@ impl Committer {
         }
     }
 
-    /// Marks a pipelined fsync as in flight: writers arriving from now on
+    /// Marks an fsync as in flight: writers arriving from now on
     /// accumulate in the queue instead of leading their own groups.
     pub(crate) fn begin_sync(&self) {
         self.queue.lock().expect("commit queue poisoned").sync_in_flight = true;
     }
 
-    /// Marks the pipelined fsync complete and, if the accumulation left queued
+    /// Marks the fsync complete and, if the accumulation left queued
     /// writers without a leader, promotes the oldest to lead them as one group.
     pub(crate) fn end_sync(&self) {
         let mut queue = self.queue.lock().expect("commit queue poisoned");
@@ -342,9 +341,9 @@ impl Committer {
     }
 }
 
-/// Retires pipelined commit groups in append order — without ever parking.
+/// Retires commit groups in append order — without ever parking.
 ///
-/// The pipelined path decouples appending from publication: group N+1 may finish
+/// The commit pipeline decouples appending from publication: group N+1 may finish
 /// its memtable inserts (and even its fsync) while group N is still in flight.
 /// `last_seqno` must nevertheless move monotonically through contiguous group
 /// ranges, so every group takes a ticket (its *group index*, assigned under the
@@ -489,7 +488,7 @@ mod tests {
 
     #[test]
     fn a_slot_can_park_twice_for_insert_then_done() {
-        // The pipelined sync path: an insert ticket first, the final result
+        // The durable-group path: an insert ticket first, the final result
         // second. The readiness flag must re-arm between the two directions.
         let committer = Committer::new();
         let (_leader, _) = committer.join(batch_of(4), WriteOptions::default());

@@ -1,4 +1,6 @@
-//! The database engine: write path, read path, recovery and background scheduling.
+//! The database engine: recovery, the `Db` facade, rotation, the read path,
+//! garbage collection and background scheduling. The write path — how a batch
+//! commits — lives in `commit.rs`.
 //!
 //! # File lifetime
 //!
@@ -32,18 +34,16 @@ use triad_sstable::{
 };
 use triad_wal::{
     log_file_name, log_file_path, parse_log_file_name, BatchEncoder, BatchStamp, LogReader,
-    LogRecord, LogSyncHandle, LogWriter,
+    LogRecord, LogWriter,
 };
 
-use crate::batch::{BatchOp, WriteBatch, WriteOptions};
+use crate::batch::{WriteBatch, WriteOptions};
 use crate::block_cache::BlockCache;
-use crate::committer::{
-    Committer, Direction, InsertBarrier, InsertTicket, PublicationSequencer, WriterSlot,
-};
-use crate::durability::{DurabilityWatermark, SyncOutcome};
+use crate::committer::{Committer, PublicationSequencer};
+use crate::durability::DurabilityWatermark;
 use crate::iterator::DbIterator;
 use crate::manifest::VersionSet;
-use crate::options::{BackgroundIoMode, Options, SyncMode};
+use crate::options::{BackgroundIoMode, Options};
 use crate::shard::{Shard, ShardRouter};
 use crate::snapshot::Snapshot;
 use crate::table_cache::TableCache;
@@ -66,7 +66,7 @@ pub(crate) struct WalState {
     /// small-flush log rewrites). Living here puts it under the WAL lock, which
     /// is exactly when it may be used.
     pub(crate) encoder: BatchEncoder,
-    /// Publication ticket of the next pipelined commit group, assigned under the
+    /// Publication ticket of the next commit group, assigned under the
     /// append lock so tickets follow append order exactly.
     pub(crate) next_group_index: u64,
 }
@@ -208,34 +208,32 @@ pub(crate) struct DbInner {
     pub(crate) options: Options,
     pub(crate) stats: Arc<Stats>,
     pub(crate) failpoints: FailpointRegistry,
-    /// Guards the active commit log. On the grouped write path only the current
-    /// group leader (plus flush hot write-back, rotation and close) takes it; it
-    /// no longer serialises per-record encoding, stats or memtable inserts.
+    /// Guards the active commit log. Only the current commit-group leader (for
+    /// its append stage), flush hot write-back, rotation, capture and close
+    /// take it; encoding aside, no per-record work happens under it.
     pub(crate) wal: RankedMutex<WalState>,
     /// The group-commit queue: leader election and writer hand-off.
     pub(crate) committer: Committer,
-    /// Retires pipelined commit groups in append order: `last_seqno` may only
+    /// Retires commit groups in append order: `last_seqno` may only
     /// move through contiguous group ranges even when a later group's inserts
     /// (or fsync) finish first.
     pub(crate) publisher: PublicationSequencer,
-    /// Which appended commit-log bytes are durable; the pipelined sync stage.
+    /// Which appended commit-log bytes are durable; the commit's sync stage.
     pub(crate) watermark: DurabilityWatermark,
     /// Commit groups currently in flight (appended, not yet complete). Feeds the
     /// `wal_pipeline_max_depth` high-water mark.
-    pipeline_depth: AtomicU64,
-    /// Size of the active commit log as of the last pipelined append, so the
+    pub(crate) pipeline_depth: AtomicU64,
+    /// Size of the active commit log as of the last group append, so the
     /// per-group rotation check can stay off the append lock; re-verified under
     /// the lock before any actual rotation.
-    wal_size_hint: AtomicU64,
+    pub(crate) wal_size_hint: AtomicU64,
     /// Held shared (after the WAL lock, never the other way) by every commit
     /// group from its WAL append until its publication. Scan captures, forced
     /// rotations and the leader-side rotation take it exclusively to drain the
     /// pipeline: a scan must never observe half a write batch, and a rotation
     /// must never seal a memtable a group is still inserting into (its entries
     /// would be flushed from an incomplete snapshot while the WAL records that
-    /// back them are retired). On the non-pipelined grouped path the write side
-    /// also takes it exclusively, which is what serialized groups end-to-end
-    /// before the pipelined commit existed.
+    /// back them are retired).
     pub(crate) commit_gate: RankedRwLock<()>,
     /// The active memory component.
     pub(crate) mem: RankedRwLock<Arc<Memtable>>,
@@ -866,8 +864,13 @@ impl Db {
     /// there). Returns the current [`last_seqno`](Db::last_seqno) for an empty
     /// batch. Used by tests and tooling that audit commit ordering.
     ///
-    /// On a sharded database sequence numbers are per shard; for a batch that
-    /// spans shards this returns the largest per-shard commit seqno.
+    /// On a sharded database every shard runs its own sequence space, so the
+    /// returned seqno is **not comparable across keys on different shards**:
+    /// it orders this write only against other writes to the same shard, and
+    /// must not be used to decide whether the write is visible to a
+    /// [`Snapshot`] (whose [`seqno`](Snapshot::seqno) is a maximum across
+    /// shards — compare against an external logical clock instead). For a
+    /// batch that spans shards this returns the largest per-shard commit seqno.
     pub fn write_committed(&self, batch: WriteBatch, opts: WriteOptions) -> Result<SeqNo> {
         self.write_routed(batch, opts)
     }
@@ -945,15 +948,17 @@ impl Db {
     ///
     /// Publication is per commit group and completion-based: a group member's
     /// `write` call may return a moment before the group's range is applied
-    /// here (the member's own writes are already readable, and on the pipelined
-    /// path a group whose predecessor is still in flight registers its range
-    /// and moves on), so compare against seqnos returned by
+    /// here (the member's own writes are already readable, and a group whose
+    /// predecessor is still in flight registers its range and moves on), so
+    /// compare against seqnos returned by
     /// [`write_committed`](Db::write_committed) only after concurrent writers
     /// have quiesced.
     ///
     /// On a sharded database each shard runs its own sequence space and this
-    /// returns the largest published seqno across shards (advisory — shards
-    /// advance independently).
+    /// returns the largest published seqno across shards. That maximum is
+    /// **not comparable across keys on different shards**: a write on another
+    /// shard may carry a smaller seqno and still be newer. Do not use it to
+    /// order writes against each other or against snapshots.
     pub fn last_seqno(&self) -> SeqNo {
         self.shards
             .iter()
@@ -1269,61 +1274,6 @@ impl Drop for Db {
     }
 }
 
-/// The outcome of a commit group's WAL phase, handed from the leader's locked
-/// section to the (unlocked) insert phase.
-struct WalPhase<'a> {
-    /// The memory component that was active while the group was appended.
-    mem: Arc<Memtable>,
-    /// Id of the commit log the group went into.
-    log_id: u64,
-    /// First sequence number of the group (slot 0's first operation).
-    first_seqno: SeqNo,
-    /// Last sequence number of the group — published once inserts complete.
-    group_end: SeqNo,
-    /// Per-slot absolute record offsets, parallel to the group vector.
-    slot_offsets: Vec<Vec<u64>>,
-    /// Whether the group was fsynced (vs only flushed to the OS).
-    synced: bool,
-    /// Total framed bytes appended for the group.
-    wal_bytes: u64,
-    /// Holds scans and forced rotations out of the insert phase. Acquired under
-    /// the WAL lock and released only after `last_seqno` is published. Exclusive
-    /// on this (non-pipelined) path: groups stay serialized end-to-end.
-    gate: triad_common::lockrank::RankedRwLockWriteGuard<'a, ()>,
-}
-
-/// The outcome of a pipelined commit group's append stage. Unlike [`WalPhase`],
-/// the group is *not yet* as durable as the sync policy demands when this is
-/// handed out — durability is the sync stage's job, tracked by the watermark.
-struct PipelinedPhase<'a> {
-    /// The memory component that was active while the group was appended.
-    mem: Arc<Memtable>,
-    /// Id of the commit log the group went into.
-    log_id: u64,
-    /// First sequence number of the group (slot 0's first operation).
-    first_seqno: SeqNo,
-    /// Last sequence number of the group — published once the group retires.
-    group_end: SeqNo,
-    /// Per-slot absolute record offsets, parallel to the group vector.
-    slot_offsets: Vec<Vec<u64>>,
-    /// Whether this group must be fsynced before anyone acknowledges it.
-    need_sync: bool,
-    /// The group's durability target: the cumulative appended watermark right
-    /// after its append.
-    sync_target: u64,
-    /// Fsyncs the appended-to log without the append lock.
-    sync_handle: LogSyncHandle,
-    /// Total framed bytes appended for the group.
-    wal_bytes: u64,
-    /// Publication ticket; groups retire strictly in this order.
-    group_index: u64,
-    /// Whether this group was picked for wall-clock timing (sampled counters).
-    timed: bool,
-    /// Shared pipeline membership: held from the append until publication, so
-    /// an exclusive gate acquisition means "the pipeline is drained".
-    gate: triad_common::lockrank::RankedRwLockReadGuard<'a, ()>,
-}
-
 impl DbInner {
     /// The file names this shard expects in its directory for its current
     /// state (relative to the shard root). See [`Db::expected_live_files`].
@@ -1348,659 +1298,14 @@ impl DbInner {
         names
     }
 
-    /// Applies a batch: append to the commit log, insert into the active
-    /// memtable, then decide whether a rotation is needed. Returns the sequence
-    /// number of the batch's last operation.
-    ///
-    /// On the default (grouped) pipeline, concurrent callers are combined into
-    /// commit groups: one writer becomes the leader, appends and flushes/fsyncs
-    /// the whole group's records with a single buffered WAL write, and every
-    /// member then inserts its own batch into the sharded memtable in parallel,
-    /// outside the WAL lock (see the [`committer`](crate::committer) module).
-    /// With `group_commit.enabled = false` the legacy serialized path runs
-    /// instead — kept as the measured baseline for the write-scaling benchmark.
-    pub(crate) fn write_batch(&self, batch: WriteBatch, opts: WriteOptions) -> Result<SeqNo> {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return Err(Error::ShuttingDown);
-        }
-        if batch.is_empty() {
-            return Ok(self.last_seqno.load(Ordering::Acquire));
-        }
-        self.failpoints.check("write.before_wal_append")?;
-        if !self.options.group_commit.enabled {
-            return self.write_batch_serial(batch, opts);
-        }
-
-        let (slot, is_leader) = self.committer.join(batch, opts);
-        if is_leader {
-            return self.lead_commit_group(slot);
-        }
-        match slot.wait_for_direction() {
-            Direction::Lead => self.lead_commit_group(slot),
-            Direction::Insert(ticket) => {
-                Self::apply_group_inserts(&slot, &ticket);
-                let end = ticket.first_seqno + slot.batch.ops.len() as u64 - 1;
-                let acked_on_insert = ticket.acked_on_insert;
-                ticket.barrier.arrive();
-                if acked_on_insert {
-                    // No second park: the group's WAL write was already as
-                    // durable as promised when the ticket was issued, so a
-                    // follower can only complete successfully from here
-                    // (group-wide failures arrive as `Done` *instead of* a
-                    // ticket). The leader publishes `last_seqno` and releases
-                    // the commit gate once the whole group has arrived; until
-                    // then the batch is readable by this thread (its inserts
-                    // are done) but a scan capture still waits on the gate,
-                    // preserving batch atomicity.
-                    Ok(end)
-                } else {
-                    // Pipelined sync group: the fsync is still in flight, and a
-                    // sync-required write must never acknowledge before the
-                    // durability watermark passes its end offset. Park again
-                    // for the leader's verdict.
-                    match slot.wait_for_direction() {
-                        Direction::Done(result) => result,
-                        _ => unreachable!("a second direction can only be Done"),
-                    }
-                }
-            }
-            Direction::Done(result) => result,
-        }
-    }
-
-    /// Drives one commit group as its leader, then hands leadership over.
-    fn lead_commit_group(&self, own: Arc<WriterSlot>) -> Result<SeqNo> {
-        if self.options.group_commit.pipelined {
-            // The pipelined path hands leadership off the moment its append
-            // stage releases the append lock, not when the group retires.
-            return self.commit_group_pipelined(own);
-        }
-        let result = self.commit_group(own);
-        // Leadership must transfer even when the group failed, or every queued
-        // writer would park forever.
-        self.committer.handoff();
-        result
-    }
-
-    /// The leader's work for one commit group: WAL phase under the lock, then
-    /// parallel memtable inserts, publication and result delivery.
-    fn commit_group(&self, own: Arc<WriterSlot>) -> Result<SeqNo> {
-        let mut group: Vec<Arc<WriterSlot>> = vec![own];
-        let phase = match self.group_wal_phase(&mut group) {
-            Ok(phase) => phase,
-            Err(e) => return self.fail_group(&group, e),
-        };
-
-        // Stats are batched: one add per counter for the whole group, after the
-        // WAL lock is gone.
-        self.record_group_stats(&group, phase.wal_bytes);
-        if phase.synced {
-            self.stats.add_wal_syncs(1);
-            self.stats.add_wal_syncs_amortized(group.len() as u64 - 1);
-        }
-
-        // The crash window the recovery tests probe: the group is appended (and
-        // durable per the sync policy) but nothing has reached the memtable. An
-        // injected failure acknowledges nothing; recovery replaying the appended
-        // records is the permitted "unacknowledged writes may commit" outcome.
-        if let Err(e) = self.failpoints.check("commit.after_group_wal_append") {
-            return self.fail_group(&group, e);
-        }
-
-        // Insert phase: every member applies its own batch concurrently, outside
-        // the WAL lock. Seqnos were pre-assigned contiguously in queue order.
-        // Followers acknowledge themselves once their inserts land (they can only
-        // succeed from here on), so the leader wakes each exactly once.
-        let barrier = InsertBarrier::new(group.len());
-        let mut own_end = phase.group_end;
-        let mut next_first = phase.first_seqno;
-        let mut offsets = phase.slot_offsets.into_iter();
-        for (index, slot) in group.iter().enumerate() {
-            let first = next_first;
-            next_first += slot.batch.ops.len() as u64;
-            let ticket = InsertTicket {
-                log_id: phase.log_id,
-                first_seqno: first,
-                offsets: offsets.next().expect("one offset vector per slot"),
-                mem: Arc::clone(&phase.mem),
-                barrier: Arc::clone(&barrier),
-                // The WAL phase already flushed/fsynced per the sync policy, so
-                // a follower may acknowledge as soon as its inserts land.
-                acked_on_insert: true,
-            };
-            if index == 0 {
-                // The leader's own batch, applied on this thread.
-                own_end = next_first - 1;
-                Self::apply_group_inserts(slot, &ticket);
-                ticket.barrier.arrive();
-            } else {
-                slot.begin_insert(ticket);
-            }
-        }
-        barrier.wait_drained();
-
-        // Publication rule: `last_seqno` moves only after the group's records are
-        // appended (and as durable as the sync policy promises) *and* visible in
-        // the memtable, so no published seqno can ever outrun the WAL prefix that
-        // backs it. The gate opens afterwards, releasing any scan capture or
-        // forced rotation that was waiting out the insert phase.
-        self.last_seqno.store(phase.group_end, Ordering::Release);
-        drop(phase.gate);
-
-        // Rotation check, leader-side only (this also keeps TRIAD-MEM's
-        // small-flush-skip rewrite off follower threads). The gate is released
-        // first: rotation re-takes the WAL lock, and a forced rotation blocked on
-        // the gate while holding that lock would deadlock against us.
-        self.maybe_rotate()?;
-        Ok(own_end)
-    }
-
-    /// Leader-side rotation check shared by the grouped and pipelined commit
-    /// paths: a lock-free pre-check against the memtable's size and the
-    /// `wal_size_hint` (maintained by both WAL phases), then — only when a
-    /// trigger fires — re-verification and rotation under the WAL lock (another
-    /// leader may have rotated first). Keeping the common no-rotation case off
-    /// the WAL lock matters on the pipelined path, where the next group's
-    /// leader is appending under it right now.
-    fn maybe_rotate(&self) -> Result<()> {
-        if self.mem.read().approximate_size() < self.options.memtable_size
-            && (self.wal_size_hint.load(Ordering::Relaxed) as usize) < self.options.max_log_size
-        {
-            return Ok(());
-        }
-        let mut wal = self.wal.lock();
-        let mem = self.mem.read().clone();
-        let mem_size = mem.approximate_size();
-        if mem_size >= self.options.memtable_size
-            || wal.writer.size() as usize >= self.options.max_log_size
-        {
-            self.rotate_locked(&mut wal, &mem, mem_size)?;
-        }
-        Ok(())
-    }
-
-    /// Delivers a group-wide failure: followers get a wrapped copy, the leader
-    /// (the caller) propagates the original.
-    fn fail_group(&self, group: &[Arc<WriterSlot>], error: Error) -> Result<SeqNo> {
-        for slot in group.iter().skip(1) {
-            slot.finish(Err(Error::Background(format!("group commit failed: {error}"))));
-        }
-        Err(error)
-    }
-
-    /// Batched per-group statistics, shared by the grouped and pipelined paths:
-    /// one add per counter for the whole group, after the WAL lock is gone.
-    fn record_group_stats(&self, group: &[Arc<WriterSlot>], wal_bytes: u64) {
-        let mut user_bytes = 0u64;
-        let mut puts = 0u64;
-        let mut deletes = 0u64;
-        let mut records = 0u64;
-        for slot in group {
-            records += slot.batch.ops.len() as u64;
-            for BatchOp { kind, key, value } in &slot.batch.ops {
-                user_bytes += (key.len() + value.len()) as u64;
-                match kind {
-                    ValueKind::Put => puts += 1,
-                    ValueKind::Delete => deletes += 1,
-                }
-            }
-        }
-        self.stats.add_wal_appends(records);
-        self.stats.add_wal_bytes_written(wal_bytes);
-        self.stats.add_user_bytes_written(user_bytes);
-        self.stats.add_user_writes(puts);
-        self.stats.add_user_deletes(deletes);
-        self.stats.add_write_groups(1);
-        self.stats.add_write_group_batches(group.len() as u64);
-        self.stats.record_write_group_size(group.len() as u64);
-    }
-
-    /// The locked section of a commit group: drain the queue, pre-assign the
-    /// seqno range, encode everything into the reusable buffer, append it with
-    /// one buffered write, and flush or fsync once for the whole group.
-    fn group_wal_phase<'a>(&'a self, group: &mut Vec<Arc<WriterSlot>>) -> Result<WalPhase<'a>> {
-        let config = &self.options.group_commit;
-        let mut wal = self.wal.lock();
-        self.committer.drain(group, config.max_group_batches, config.max_group_bytes);
-        let mem = self.mem.read().clone();
-        let first_seqno = wal.next_seqno;
-
-        wal.encoder.clear();
-        let mut seqno = first_seqno;
-        let mut slot_offsets: Vec<Vec<u64>> = Vec::with_capacity(group.len());
-        for slot in group.iter() {
-            if let Some(stamp) = &slot.batch.stamp {
-                // The stamped record below is this shard's durable evidence of
-                // a cross-shard batch: keep its log on disk until every
-                // shard's slice graduates (see `stamps.rs`).
-                self.stamps.note_slice(self.shard_index, wal.id, stamp);
-            }
-            let mut rel = Vec::with_capacity(slot.batch.ops.len());
-            for (op_index, BatchOp { kind, key, value }) in slot.batch.ops.iter().enumerate() {
-                // A cross-shard slice's stamp rides on its first record only.
-                let stamp = if op_index == 0 { slot.batch.stamp } else { None };
-                rel.push(wal.encoder.add_parts_stamped(seqno, *kind, key, value, stamp)?);
-                seqno += 1;
-            }
-            slot_offsets.push(rel);
-        }
-        let group_end = seqno - 1;
-        let wal_bytes = wal.encoder.encoded_bytes();
-        // Consume the range *before* attempting the append: a failed `write_all`
-        // can still leave complete frames durable in the file, and re-issuing
-        // those seqnos to different data would let recovery (which keeps the
-        // first record it sees at a given (key, seqno)) prefer the dead group's
-        // values over later acknowledged writes. A gap in the seqno space on
-        // failure is harmless. The writer additionally poisons itself after a
-        // failed write, because its offset accounting is no longer trustworthy.
-        wal.next_seqno = group_end + 1;
-        let WalState { writer, encoder, .. } = &mut *wal;
-        let start = writer.append_batch(encoder)?;
-        for rel in &mut slot_offsets {
-            for offset in rel.iter_mut() {
-                *offset += start;
-            }
-        }
-
-        wal.writes_since_sync += group_end + 1 - first_seqno;
-        let force_sync = group.iter().any(|slot| slot.opts.sync);
-        let synced = match self.options.sync_mode {
-            SyncMode::SyncEveryWrite => true,
-            SyncMode::SyncEvery(n) => force_sync || wal.writes_since_sync >= n,
-            SyncMode::NoSync => force_sync,
-        };
-        if synced {
-            wal.writer.sync()?;
-            wal.writes_since_sync = 0;
-        } else {
-            wal.writer.flush()?;
-        }
-        self.wal_size_hint.store(wal.writer.size(), Ordering::Relaxed);
-
-        // Take the insert gate *before* releasing the WAL lock, so no rotation or
-        // scan capture can slip between the group's append and its inserts. Gate
-        // holders always acquire WAL-then-gate, so nothing can be mid-acquisition
-        // while we hold the WAL lock; at most the previous group still holds it
-        // through its insert phase.
-        let log_id = wal.id;
-        let gate = self.commit_gate.write();
-        drop(wal);
-        Ok(WalPhase { mem, log_id, first_seqno, group_end, slot_offsets, synced, wal_bytes, gate })
-    }
-
-    /// The append stage of a pipelined commit group — the only part under the
-    /// append (WAL) lock, and deliberately free of durable I/O: drain the queue,
-    /// pre-assign the seqno range, encode, append with one buffered write, flush
-    /// to the OS, record the durability target and take a pipeline membership on
-    /// the gate. The moment this returns, the next group's leader can append —
-    /// this group's fsync (if any) happens behind the released lock.
-    ///
-    /// The markers below delimit the region CI grep-guards against fsync calls:
-    /// holding the append lock across one would re-serialize the commit path.
-    fn pipelined_append_phase<'a>(
-        &'a self,
-        group: &mut Vec<Arc<WriterSlot>>,
-    ) -> Result<PipelinedPhase<'a>> {
-        let config = &self.options.group_commit;
-        // PIPELINE-APPEND-STAGE-BEGIN (no durable-sync calls in this region)
-        let mut wal = self.wal.lock();
-        self.committer.drain(group, config.max_group_batches, config.max_group_bytes);
-        let mem = self.mem.read().clone();
-        let first_seqno = wal.next_seqno;
-
-        wal.encoder.clear();
-        let mut seqno = first_seqno;
-        let mut slot_offsets: Vec<Vec<u64>> = Vec::with_capacity(group.len());
-        for slot in group.iter() {
-            if let Some(stamp) = &slot.batch.stamp {
-                // The stamped record below is this shard's durable evidence of
-                // a cross-shard batch: keep its log on disk until every
-                // shard's slice graduates (see `stamps.rs`).
-                self.stamps.note_slice(self.shard_index, wal.id, stamp);
-            }
-            let mut rel = Vec::with_capacity(slot.batch.ops.len());
-            for (op_index, BatchOp { kind, key, value }) in slot.batch.ops.iter().enumerate() {
-                // A cross-shard slice's stamp rides on its first record only.
-                let stamp = if op_index == 0 { slot.batch.stamp } else { None };
-                rel.push(wal.encoder.add_parts_stamped(seqno, *kind, key, value, stamp)?);
-                seqno += 1;
-            }
-            slot_offsets.push(rel);
-        }
-        let group_end = seqno - 1;
-        let wal_bytes = wal.encoder.encoded_bytes();
-        // Consume the range *before* attempting the append, exactly as on the
-        // grouped path: a failed write can leave complete frames durable, and a
-        // re-issued range could let recovery prefer dead data over a later
-        // acknowledged write. A seqno gap on failure is harmless.
-        wal.next_seqno = group_end + 1;
-        let WalState { writer, encoder, .. } = &mut *wal;
-        let start = writer.append_batch(encoder)?;
-        for rel in &mut slot_offsets {
-            for offset in rel.iter_mut() {
-                *offset += start;
-            }
-        }
-        // Push the frames to the OS now: a concurrent group's fsync covers every
-        // byte the OS has, so ours can retire on another group's watermark
-        // advance without any further I/O from this thread.
-        wal.writer.flush()?;
-
-        wal.writes_since_sync += group_end + 1 - first_seqno;
-        let force_sync = group.iter().any(|slot| slot.opts.sync);
-        let need_sync = match self.options.sync_mode {
-            SyncMode::SyncEveryWrite => true,
-            SyncMode::SyncEvery(n) => force_sync || wal.writes_since_sync >= n,
-            SyncMode::NoSync => force_sync,
-        };
-        if need_sync {
-            wal.writes_since_sync = 0;
-        }
-        let sync_target = self.watermark.record_append(wal.id, wal_bytes);
-        self.wal_size_hint.store(wal.writer.size(), Ordering::Relaxed);
-        let group_index = wal.next_group_index;
-        wal.next_group_index += 1;
-        let depth = self.pipeline_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stats.record_pipeline_depth(depth);
-        let log_id = wal.id;
-        let sync_handle = wal.writer.sync_handle();
-        // Pipeline membership before the append lock goes: an exclusive gate
-        // acquisition (scan capture, rotation) means every in-flight group has
-        // published. Never blocks here — every exclusive acquirer holds the WAL
-        // lock first, and we hold it.
-        let gate = self.commit_gate.read();
-        drop(wal);
-        // PIPELINE-APPEND-STAGE-END
-        Ok(PipelinedPhase {
-            mem,
-            log_id,
-            first_seqno,
-            group_end,
-            slot_offsets,
-            need_sync,
-            sync_target,
-            sync_handle,
-            wal_bytes,
-            group_index,
-            timed: false,
-            gate,
-        })
-    }
-
-    /// Drives one pipelined commit group: short append stage, immediate
-    /// leadership hand-off, then parallel inserts, the durability watermark and
-    /// in-order publication — all without an engine-wide lock.
-    fn commit_group_pipelined(&self, own: Arc<WriterSlot>) -> Result<SeqNo> {
-        let mut group: Vec<Arc<WriterSlot>> = vec![own];
-        let timed = self.stats.sample_timing();
-        let append_started = timed.then(std::time::Instant::now);
-        let mut phase = match self.pipelined_append_phase(&mut group) {
-            Ok(phase) => phase,
-            Err(e) => {
-                self.committer.handoff();
-                return self.fail_group(&group, e);
-            }
-        };
-        phase.timed = timed;
-        if let Some(started) = append_started {
-            self.stats.add_wal_append_us(started.elapsed().as_micros() as u64);
-        }
-        // The append lock is free: hand leadership over *now*, so the next
-        // group's leader appends behind us while this group is still syncing,
-        // inserting and publishing. This is the overlap the pipeline exists for.
-        self.committer.handoff();
-
-        // The crash windows the recovery tests probe. First: the group is
-        // appended (and OS-flushed) but nothing has reached the memtable.
-        if let Err(e) = self.failpoints.check("commit.after_group_wal_append") {
-            return self.abandon_group(phase, &group, e);
-        }
-        // Second, for durable groups only: appended but not yet fsynced — the
-        // window a machine crash may lose, which must never cover an acked write.
-        if phase.need_sync {
-            if let Err(e) = self.failpoints.check("commit.before_group_wal_sync") {
-                return self.abandon_group(phase, &group, e);
-            }
-        }
-
-        // Insert phase: every member applies its own batch concurrently. NoSync
-        // members acknowledge themselves the moment their inserts land; members
-        // of a durable group park again for the post-fsync verdict.
-        let barrier = InsertBarrier::new(group.len());
-        let mut own_end = phase.group_end;
-        let mut next_first = phase.first_seqno;
-        let mut offsets = std::mem::take(&mut phase.slot_offsets).into_iter();
-        for (index, slot) in group.iter().enumerate() {
-            let first = next_first;
-            next_first += slot.batch.ops.len() as u64;
-            let ticket = InsertTicket {
-                log_id: phase.log_id,
-                first_seqno: first,
-                offsets: offsets.next().expect("one offset vector per slot"),
-                mem: Arc::clone(&phase.mem),
-                barrier: Arc::clone(&barrier),
-                acked_on_insert: !phase.need_sync,
-            };
-            if index == 0 {
-                // The leader's own batch, applied on this thread.
-                own_end = next_first - 1;
-                Self::apply_group_inserts(slot, &ticket);
-                ticket.barrier.arrive();
-            } else {
-                slot.begin_insert(ticket);
-            }
-        }
-
-        // Durability stage, overlapping the followers' inserts — and, crucially,
-        // the *next* group's append. Either the watermark already passed our end
-        // offset (an in-flight neighbour's fsync covered us: the overlapped
-        // case) or we queue for the fsync lock and issue one fsync that retires
-        // every group appended so far.
-        let mut sync_failure: Option<Error> = None;
-        if phase.need_sync {
-            let sync_started = phase.timed.then(std::time::Instant::now);
-            match self.watermark.ensure_durable(
-                phase.log_id,
-                phase.sync_target,
-                &phase.sync_handle,
-                &self.committer,
-            ) {
-                Ok(SyncOutcome::Synced) => {
-                    self.stats.add_wal_syncs(1);
-                    self.stats.add_wal_syncs_amortized(group.len() as u64 - 1);
-                }
-                Ok(SyncOutcome::AlreadyDurable) => {
-                    self.stats.add_wal_syncs_overlapped(1);
-                    self.stats.add_wal_syncs_amortized(group.len() as u64);
-                }
-                Err(e) => sync_failure = Some(e),
-            }
-            if let Some(started) = sync_started {
-                self.stats.add_wal_sync_wait_us(started.elapsed().as_micros() as u64);
-            }
-        }
-        barrier.wait_drained();
-
-        if let Some(e) = sync_failure {
-            // The inserts are in the memtable but nothing was acknowledged or
-            // published — the standard contract that an unacknowledged write may
-            // or may not survive. The parked followers get the failure verdict.
-            return self.abandon_group(phase, &group, e);
-        }
-
-        // Stats are recorded only for groups that made it past every failure
-        // window: an abandoned group acknowledged nothing, so counting its
-        // batches would inflate throughput counters and unbalance the
-        // `wal_syncs + wal_syncs_amortized == batches` books.
-        self.record_group_stats(&group, phase.wal_bytes);
-
-        // Durable-group followers parked after inserting; release them now that
-        // the watermark has passed the whole group. A sync-required write is
-        // never acknowledged before this point.
-        if phase.need_sync {
-            let mut first = phase.first_seqno;
-            for (index, slot) in group.iter().enumerate() {
-                let end = first + slot.batch.ops.len() as u64 - 1;
-                first = end + 1;
-                if index > 0 {
-                    slot.finish(Ok(end));
-                }
-            }
-        }
-
-        // Publication: strictly in append order, even when this group finished
-        // before an earlier one — `last_seqno` moves through contiguous group
-        // ranges only, so a published seqno never outruns the WAL-and-memtable
-        // prefix that backs it. Completion-based: if a predecessor is still in
-        // flight this just registers our group end and moves on (the
-        // predecessor applies it when it retires); nobody parks here. The gate
-        // membership is released afterwards, letting a draining rotation or
-        // scan capture proceed — by the time such a drain wins the gate, every
-        // membered group has completed, so the ready set is fully applied.
-        self.publisher.complete(phase.group_index, Some(phase.group_end), |group_end| {
-            self.last_seqno.store(group_end, Ordering::Release);
-        });
-        // Depth counts *physically* in-flight groups (appended, not yet done),
-        // so it decrements on completion — not on in-order retirement, which
-        // can lag arbitrarily behind a slow head-of-line group and would turn
-        // the metric into a publication-backlog gauge.
-        self.pipeline_depth.fetch_sub(1, Ordering::Relaxed);
-        drop(phase.gate);
-
-        // Rotation check, leader-side only. `rotate_locked` drains the pipeline
-        // (exclusive gate) before sealing, so in-flight groups always finish
-        // into the memtable they appended against.
-        self.maybe_rotate()?;
-        Ok(own_end)
-    }
-
-    /// Abandons a pipelined group after its append stage: the seqno range and
-    /// the publication ticket are consumed (the appended records may be replayed
-    /// by recovery, so neither may ever be re-issued), nothing is published, and
-    /// every follower is failed.
-    fn abandon_group(
-        &self,
-        phase: PipelinedPhase<'_>,
-        group: &[Arc<WriterSlot>],
-        error: Error,
-    ) -> Result<SeqNo> {
-        // Retire our publication ticket without publishing, or every later
-        // group's seqno would wait forever on the gap. Draining may still apply
-        // *successors'* pending publications, so the closure publishes those.
-        self.publisher.complete(phase.group_index, None, |group_end| {
-            self.last_seqno.store(group_end, Ordering::Release);
-        });
-        self.pipeline_depth.fetch_sub(1, Ordering::Relaxed);
-        let need_sync = phase.need_sync;
-        drop(phase.gate);
-        // The append stage reset `writes_since_sync` on the promise that this
-        // group's sync stage would run; it never did. Re-arm the SyncEvery(n)
-        // deadline so the next group syncs immediately — otherwise a transient
-        // fsync failure would silently stretch the durability interval to up to
-        // 2n-1 writes. (Taken after the gate is released: WAL-then-gate is the
-        // global order, so the WAL lock must never be acquired while holding a
-        // gate membership.)
-        if need_sync {
-            if let SyncMode::SyncEvery(n) = self.options.sync_mode {
-                let mut wal = self.wal.lock();
-                wal.writes_since_sync = wal.writes_since_sync.max(n);
-            }
-        }
-        self.fail_group(group, error)
-    }
-
-    /// Applies one group member's batch to the memtable. Runs on the member's own
-    /// thread, without the WAL lock; `insert_versioned` keeps a straggling older
-    /// update of a key from clobbering a newer one applied by a faster member.
-    fn apply_group_inserts(slot: &WriterSlot, ticket: &InsertTicket) {
-        let ops_with_offsets = slot.batch.ops.iter().zip(&ticket.offsets);
-        for (seqno, (op, offset)) in (ticket.first_seqno..).zip(ops_with_offsets) {
-            ticket.mem.insert_versioned(
-                &op.key,
-                &op.value,
-                seqno,
-                op.kind,
-                LogPosition { log_id: ticket.log_id, offset: *offset },
-            );
-        }
-    }
-
-    /// The legacy serialized write path: everything — encode, append, stats,
-    /// memtable insert, sync — under the WAL mutex, one record at a time. Kept
-    /// behind `group_commit.enabled = false` as the in-run baseline the
-    /// write-scaling benchmark measures the grouped pipeline against.
-    fn write_batch_serial(&self, batch: WriteBatch, opts: WriteOptions) -> Result<SeqNo> {
-        let mut wal = self.wal.lock();
-        let mem = self.mem.read().clone();
-        if let Some(stamp) = &batch.stamp {
-            // Same evidence bookkeeping as the grouped paths; see `stamps.rs`.
-            self.stamps.note_slice(self.shard_index, wal.id, stamp);
-        }
-        let mut seqno = wal.next_seqno - 1;
-        for (op_index, BatchOp { kind, key, value }) in batch.ops.iter().enumerate() {
-            seqno += 1;
-            let record = LogRecord {
-                seqno,
-                kind: *kind,
-                key: key.clone(),
-                value: value.clone(),
-                stamp: if op_index == 0 { batch.stamp } else { None },
-            };
-            let offset = wal.writer.append(&record)?;
-            let record_bytes = triad_wal::RECORD_HEADER_LEN as u64 + record.encoded_len() as u64;
-            self.stats.add_wal_appends(1);
-            self.stats.add_wal_bytes_written(record_bytes);
-            self.stats.add_user_bytes_written((key.len() + value.len()) as u64);
-            match kind {
-                ValueKind::Put => self.stats.add_user_writes(1),
-                ValueKind::Delete => self.stats.add_user_deletes(1),
-            }
-            mem.insert(key, value, seqno, *kind, LogPosition { log_id: wal.id, offset });
-        }
-        wal.next_seqno = seqno + 1;
-        wal.writes_since_sync += batch.ops.len() as u64;
-        let force_sync = opts.sync;
-        match self.options.sync_mode {
-            SyncMode::SyncEveryWrite => {
-                wal.writer.sync()?;
-                self.stats.add_wal_syncs(1);
-                wal.writes_since_sync = 0;
-            }
-            SyncMode::SyncEvery(n) if wal.writes_since_sync >= n => {
-                wal.writer.sync()?;
-                self.stats.add_wal_syncs(1);
-                wal.writes_since_sync = 0;
-            }
-            _ => {
-                if force_sync {
-                    wal.writer.sync()?;
-                    self.stats.add_wal_syncs(1);
-                    wal.writes_since_sync = 0;
-                } else {
-                    wal.writer.flush()?;
-                }
-            }
-        }
-        self.last_seqno.store(seqno, Ordering::Release);
-
-        let mem_size = mem.approximate_size();
-        let wal_size = wal.writer.size();
-        if mem_size >= self.options.memtable_size || wal_size as usize >= self.options.max_log_size
-        {
-            self.rotate_locked(&mut wal, &mem, mem_size)?;
-        }
-        Ok(seqno)
-    }
-
     /// Rotates the commit log and (usually) seals the memtable. Must be called
     /// with the WAL lock held, with `mem` the active memtable already captured by
     /// the caller (every caller holds a clone; re-reading `self.mem` here would
     /// be a second lock acquisition for the same value).
     ///
-    /// On the grouped pipeline only a commit-group leader (after its group fully
-    /// inserted) or a forced rotation reaches this, so the TRIAD-MEM small-flush
-    /// rewrite below never runs on a follower thread and never races a group's
-    /// in-flight inserts.
+    /// Only a commit-group leader (after its group retired) or a forced rotation
+    /// reaches this, so the TRIAD-MEM small-flush rewrite below never runs on a
+    /// follower thread and never races a group's in-flight inserts.
     pub(crate) fn rotate_locked(
         &self,
         wal: &mut WalState,
@@ -2013,8 +1318,7 @@ impl DbInner {
         // never need the WAL lock we hold (their fsync goes through a shared
         // handle, publication through the sequencer), so they always progress to
         // publication and release their gate membership; new groups cannot enter
-        // because appending needs the WAL lock. On the non-pipelined paths the
-        // gate is always free here, so this is a no-op acquisition.
+        // because appending needs the WAL lock.
         let _drain = self.commit_gate.write();
         let triad = &self.options.triad;
 
@@ -2050,7 +1354,7 @@ impl DbInner {
             // copy of sync-acknowledged keys, and it is about to be deleted. The
             // rewrite must be on disk before its predecessor goes — this is also
             // what entitles `note_rotation` to treat the rotation as a durable
-            // boundary for the pipelined watermark.
+            // boundary for the durability watermark.
             new_writer.sync()?;
             let old_id = wal.id;
             let old_writer = std::mem::replace(&mut wal.writer, new_writer);

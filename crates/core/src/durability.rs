@@ -1,6 +1,6 @@
-//! The durability watermark of the pipelined commit.
+//! The durability watermark of the commit pipeline.
 //!
-//! The pipelined write path splits a commit into an *append stage* (under the
+//! The write path (`commit.rs`) splits a commit into an *append stage* (under the
 //! short append lock: encode, `append_batch`, flush to the OS) and a *sync
 //! stage* that runs with no engine-wide lock held. This module is the sync
 //! stage's bookkeeping: a monotonic byte watermark over everything commit

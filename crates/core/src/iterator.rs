@@ -56,13 +56,13 @@ impl DbIterator {
         let mut sources: Vec<EntryIter> = Vec::new();
 
         // Capture the memory component under the WAL lock plus an exclusive
-        // acquisition of the commit gate. The WAL lock serialises rotations, the
-        // serialized write path and the flush hot-write-back; the gate (always
-        // taken after the WAL lock, never before) drains the commit pipeline —
+        // acquisition of the commit gate. The WAL lock serialises rotations,
+        // group appends and the flush hot-write-back; the gate (always taken
+        // after the WAL lock, never before) drains the commit pipeline —
         // every in-flight group holds a shared gate membership from its WAL
-        // append until its publication, and on the grouped pipeline memtable
-        // inserts run *outside* the WAL lock, so the lock alone no longer
-        // guarantees a batch-atomic capture. With both held, no write batch can
+        // append until its publication, and memtable inserts run *outside*
+        // the WAL lock, so the lock alone does not guarantee a batch-atomic
+        // capture. With both held, no write batch can
         // be half-applied while the active memtable is materialised, and the
         // sealed list captured alongside is consistent with it. (Sealed
         // memtables are immutable, so their contents can be materialised after

@@ -39,6 +39,7 @@
 pub mod batch;
 pub mod block_cache;
 mod checkpoint;
+mod commit;
 mod committer;
 mod compaction;
 mod db;

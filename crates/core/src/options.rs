@@ -24,30 +24,20 @@ pub enum SyncMode {
 
 /// Configuration of the group-commit write pipeline.
 ///
-/// Concurrent writers hand their batches to a *leader* that appends the whole
-/// group to the commit log with one buffered write and one flush/fsync, then all
-/// group members insert into the sharded memtable in parallel, outside the WAL
-/// lock. The caps bound how much one leader may absorb before it commits, keeping
-/// tail latency in check under extreme fan-in.
+/// Every write commits through one pipeline. Concurrent writers hand their
+/// batches to a *leader* that appends the whole group to the commit log with
+/// one buffered write in a short *append stage*, then all group members insert
+/// into the sharded memtable in parallel, outside the WAL lock. Durability is a
+/// decoupled *sync stage* tracked by a watermark: group N+1's leader appends
+/// the moment group N releases the append lock — while group N's fsync is still
+/// in flight — and one fsync retires every group it covered.
 ///
-/// With [`pipelined`](GroupCommitConfig::pipelined) set (the default), the commit
-/// is further split into a short *append stage* and a decoupled *sync stage*
-/// tracked by a durability watermark: group N+1's leader appends the moment
-/// group N releases the append lock — while group N's fsync is still in flight —
-/// and one fsync retires every group it covered. Clearing the flag keeps the
-/// serial grouped commit (append + fsync under one lock hold) as an in-run
-/// baseline for the write-scaling benchmark.
+/// The caps bound how much one leader may absorb before it commits, keeping
+/// tail latency in check under extreme fan-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommitConfig {
-    /// `false` selects the legacy serialized write path (every batch encoded,
-    /// appended, counted and inserted under the WAL mutex, with its own
-    /// flush/fsync). Kept as the in-run baseline for the write-scaling benchmark.
-    pub enabled: bool,
-    /// `true` overlaps group N+1's WAL append with group N's fsync (the append
-    /// lock is never held across an fsync); `false` keeps the serial grouped
-    /// commit of the previous generation. Ignored when `enabled` is `false`.
-    pub pipelined: bool,
-    /// Maximum number of write batches one commit group may carry.
+    /// Maximum number of write batches one commit group may carry. `1` makes
+    /// every batch its own group (no fsync amortization inside a group).
     pub max_group_batches: usize,
     /// Maximum total key+value bytes one commit group may carry. The leader's own
     /// batch always joins regardless, so oversized single batches still commit.
@@ -56,12 +46,7 @@ pub struct GroupCommitConfig {
 
 impl Default for GroupCommitConfig {
     fn default() -> Self {
-        GroupCommitConfig {
-            enabled: true,
-            pipelined: true,
-            max_group_batches: 64,
-            max_group_bytes: 1024 * 1024,
-        }
+        GroupCommitConfig { max_group_batches: 64, max_group_bytes: 1024 * 1024 }
     }
 }
 
@@ -397,13 +382,11 @@ impl Options {
         if self.l0_compaction_trigger == 0 {
             return Err(Error::InvalidArgument("l0_compaction_trigger must be non-zero".into()));
         }
-        if self.group_commit.enabled {
-            if self.group_commit.max_group_batches == 0 {
-                return Err(Error::InvalidArgument("max_group_batches must be non-zero".into()));
-            }
-            if self.group_commit.max_group_bytes == 0 {
-                return Err(Error::InvalidArgument("max_group_bytes must be non-zero".into()));
-            }
+        if self.group_commit.max_group_batches == 0 {
+            return Err(Error::InvalidArgument("max_group_batches must be non-zero".into()));
+        }
+        if self.group_commit.max_group_bytes == 0 {
+            return Err(Error::InvalidArgument("max_group_bytes must be non-zero".into()));
         }
         if self.shards.count == 0 {
             return Err(Error::InvalidArgument("shards.count must be non-zero".into()));
@@ -524,16 +507,11 @@ mod tests {
         let mut options = Options::default();
         options.group_commit.max_group_bytes = 0;
         assert!(options.validate().is_err());
-        // The caps are irrelevant when the grouped pipeline is off.
-        options.group_commit.enabled = false;
-        options.validate().unwrap();
     }
 
     #[test]
-    fn group_commit_defaults_are_enabled_and_bounded() {
+    fn group_commit_defaults_are_bounded() {
         let config = GroupCommitConfig::default();
-        assert!(config.enabled, "the grouped pipeline is the default write path");
-        assert!(config.pipelined, "the pipelined commit is the default sync strategy");
         assert!(config.max_group_batches >= 2, "a group must be able to amortize");
         assert!(config.max_group_bytes >= 64 * 1024);
     }

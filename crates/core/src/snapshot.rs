@@ -180,8 +180,15 @@ impl Snapshot {
 
     /// The snapshot's sequence number: the largest seqno whose effects are
     /// visible through this handle. Always a commit-group boundary; on a
-    /// sharded database, the largest of the per-shard boundary seqnos
-    /// (advisory — bounded reads use each shard's own seqno).
+    /// sharded database, the largest of the per-shard boundary seqnos.
+    ///
+    /// Shards run independent sequence spaces, so on a sharded database this
+    /// maximum is **not comparable across keys on different shards** and must
+    /// not be used to order writes against the snapshot: with shard A at
+    /// seqno 10 and shard B at 4 the snapshot reports 10, yet B's next write
+    /// (seqno 5) is *not* visible to it. Bounded reads use each shard's own
+    /// captured seqno; callers that need "was this write before the
+    /// snapshot?" must keep their own logical clock.
     pub fn seqno(&self) -> SeqNo {
         self.seqno
     }

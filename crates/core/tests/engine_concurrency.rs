@@ -130,17 +130,28 @@ fn readers_run_concurrently_with_writers_and_background_work() {
 /// The core group-commit contract, audited end to end: N threads interleave
 /// multi-op batches; (a) every acknowledged batch owns a contiguous seqno range,
 /// the ranges are globally dense (no gaps, no duplicates) and per-thread ordered;
-/// (b) a reopened database recovers every acknowledged write.
+/// (b) a reopened database recovers every acknowledged write. Run at the default
+/// group caps and *ungrouped* (`max_group_batches = 1` under `SyncEveryWrite`,
+/// the write-scaling bench's in-run baseline row), where additionally every
+/// group carries exactly one batch and the sync books still balance.
 #[test]
 fn group_commit_seqnos_are_dense_ordered_and_recoverable() {
+    seqnos_are_dense_ordered_and_recoverable("group-seqnos", false);
+    seqnos_are_dense_ordered_and_recoverable("ungrouped-seqnos", true);
+}
+
+fn seqnos_are_dense_ordered_and_recoverable(name: &str, ungrouped: bool) {
     let threads = 8u64;
     let batches_per_thread = 250u64;
-    let (db, dir) = open_small("group-seqnos", |options| {
+    let (db, dir) = open_small(name, |options| {
         common::single_shard(options); // seqno density is a per-shard property
         options.l0_compaction_trigger = 2;
+        if ungrouped {
+            options.group_commit.max_group_batches = 1;
+            options.sync_mode = SyncMode::SyncEveryWrite;
+        }
     });
     let options = db.options().clone();
-    assert!(options.group_commit.enabled, "the grouped pipeline must be the default");
     let db = Arc::new(db);
 
     // Each thread issues batches of varying size over its own key slice and
@@ -207,6 +218,18 @@ fn group_commit_seqnos_are_dense_ordered_and_recoverable() {
     );
     assert!(stats.write_groups >= 1);
     assert!(stats.write_group_max_size >= 1);
+    if ungrouped {
+        let batches = threads * batches_per_thread;
+        assert_eq!(stats.write_group_max_size, 1, "a group cap of 1 admits no follower");
+        assert_eq!(stats.write_groups, batches, "every batch is its own commit group");
+        assert_eq!(
+            stats.wal_syncs + stats.wal_syncs_amortized,
+            batches,
+            "sync accounting must balance (syncs={}, amortized={})",
+            stats.wal_syncs,
+            stats.wal_syncs_amortized
+        );
+    }
 
     // (b) every acknowledged write survives a reopen.
     db.close().unwrap();
@@ -311,7 +334,6 @@ fn pipelined_sync_writers_overlap_fsyncs_and_publish_in_order() {
         options.max_log_size = 64 * 1024 * 1024;
     });
     let options = db.options().clone();
-    assert!(options.group_commit.pipelined, "the pipelined commit must be the default");
     let db = Arc::new(db);
 
     // Overlap needs two groups racing through append↔fsync at the right moment;
@@ -377,46 +399,6 @@ fn pipelined_sync_writers_overlap_fsyncs_and_publish_in_order() {
             );
         }
     }
-    db.close().unwrap();
-}
-
-/// The non-pipelined grouped path (PR 3's serial commit) stays selectable as the
-/// in-run baseline and keeps its invariants: batches ride groups, fsyncs
-/// amortize, and — because append and fsync share one lock hold — nothing ever
-/// overlaps.
-#[test]
-fn grouped_mode_without_pipelining_stays_serial_and_correct() {
-    let threads = 4u64;
-    let batches_per_thread = 100u64;
-    let (db, _dir) = open_small("grouped-serial", |options| {
-        common::single_shard(options); // fsync counting assumes one commit log
-        options.sync_mode = SyncMode::SyncEveryWrite;
-        options.group_commit.pipelined = false;
-        options.memtable_size = 64 * 1024 * 1024;
-        options.max_log_size = 64 * 1024 * 1024;
-    });
-    let db = Arc::new(db);
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let db = Arc::clone(&db);
-        handles.push(thread::spawn(move || {
-            for i in 0..batches_per_thread {
-                db.put(key_for(t * 1_000 + i % 50), format!("v{i}").into_bytes()).unwrap();
-            }
-        }));
-    }
-    for handle in handles {
-        handle.join().unwrap();
-    }
-    let stats = db.stats();
-    let total_batches = threads * batches_per_thread;
-    assert_eq!(stats.write_group_batches, total_batches);
-    assert_eq!(stats.wal_syncs + stats.wal_syncs_amortized, total_batches);
-    assert_eq!(
-        stats.wal_syncs_overlapped, 0,
-        "the serial grouped commit can never overlap an fsync"
-    );
-    assert_eq!(db.last_seqno(), total_batches);
     db.close().unwrap();
 }
 

@@ -368,7 +368,6 @@ fn crash_between_pipelined_append_and_fsync_loses_nothing_acknowledged() {
     let dir = temp_dir("pipelined-crash-window");
     let mut options = small_single_shard();
     options.sync_mode = SyncMode::SyncEveryWrite;
-    assert!(options.group_commit.pipelined, "this probes the pipelined window");
     let failpoints = FailpointRegistry::new();
     let failed_key = key_for(5);
     let acked_after_failure;

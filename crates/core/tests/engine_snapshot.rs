@@ -329,7 +329,6 @@ fn snapshot_in_the_pipelined_sync_window_never_sees_nondurable_data() {
     let dir = common::temp_dir("snapshot-crash-window");
     let mut options = Options::small_for_tests();
     options.sync_mode = SyncMode::SyncEveryWrite;
-    assert!(options.group_commit.pipelined, "this probes the pipelined window");
     let failpoints = FailpointRegistry::new();
     {
         let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();

@@ -1,7 +1,7 @@
 //! `triad-lint`: the workspace's in-tree invariant checker.
 //!
 //! The engine's correctness rests on invariants that used to live in prose
-//! and in fragile shell greps in CI: no fsync under the pipelined append
+//! and in fragile shell greps in CI: no fsync under the commit append
 //! lock, unbounded (`u64::MAX`) probes on the hot read path, no resurrection
 //! of the stale-version retry hack, a global lock acquisition order. This
 //! crate turns each of those into a versioned rule with file:line

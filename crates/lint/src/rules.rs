@@ -24,7 +24,7 @@ pub const RULES: &[Rule] = &[
     Rule { id: "region-markers", summary: "invariant region markers exist and are balanced" },
     Rule {
         id: "append-stage-no-fsync",
-        summary: "no durable-sync calls inside the pipelined append stage",
+        summary: "no durable-sync calls inside the commit append stage",
     },
     Rule {
         id: "hot-read-newest-unbounded",
@@ -176,29 +176,39 @@ fn region_tokens(file: &SourceFile, range: (u32, u32)) -> impl Iterator<Item = (
 // region-markers
 // ---------------------------------------------------------------------------
 
-/// The invariant regions that must exist in crates/core/src/db.rs. Deleting
-/// a marker (accidentally or to dodge a rule) is itself a violation — this
-/// replaces the "markers vanished" arms of the old CI greps.
-const DB_REGIONS: &[(&str, &str)] = &[
-    ("PIPELINE-APPEND-STAGE-BEGIN", "PIPELINE-APPEND-STAGE-END"),
-    ("HOT-READ-NEWEST-BEGIN", "HOT-READ-NEWEST-END"),
-];
+/// A mandatory invariant region: the file it lives in and its marker pair.
+type Region = (&'static str, &'static str, &'static str);
+
+/// The commit pipeline's append stage (under the WAL lock) in the write-path
+/// module, checked by `append-stage-no-fsync`.
+const APPEND_STAGE: Region =
+    ("crates/core/src/commit.rs", "PIPELINE-APPEND-STAGE-BEGIN", "PIPELINE-APPEND-STAGE-END");
+
+/// The read-newest fast path of `DbInner::get`, checked by
+/// `hot-read-newest-unbounded`.
+const HOT_READ: Region = ("crates/core/src/db.rs", "HOT-READ-NEWEST-BEGIN", "HOT-READ-NEWEST-END");
+
+/// The line range of a mandatory region, when `file` is the file that owns it and
+/// its markers are intact.
+fn owned_region(file: &SourceFile, (path, begin, end): Region) -> Option<(u32, u32)> {
+    (file.path == path).then(|| find_region(file, begin, end)).flatten()
+}
 
 fn region_markers(file: &SourceFile, ctx: &mut Ctx) {
-    if file.path == "crates/core/src/db.rs" {
-        for (begin, end) in DB_REGIONS {
-            if find_region(file, begin, end).is_none() {
-                ctx.emit(
-                    file,
-                    "region-markers",
-                    1,
-                    format!(
-                        "the {begin}/{end} markers must appear exactly once each, \
-                         begin before end; the invariant region they delimit is \
-                         rule-checked and must not vanish"
-                    ),
-                );
-            }
+    // Deleting a marker (accidentally or to dodge a rule) is itself a
+    // violation — this replaces the "markers vanished" arms of the old CI greps.
+    for (path, begin, end) in [APPEND_STAGE, HOT_READ] {
+        if file.path == path && find_region(file, begin, end).is_none() {
+            ctx.emit(
+                file,
+                "region-markers",
+                1,
+                format!(
+                    "the {begin}/{end} markers must appear exactly once each, \
+                     begin before end; the invariant region they delimit is \
+                     rule-checked and must not vanish"
+                ),
+            );
         }
     }
     if file.path == "crates/core/src/snapshot.rs"
@@ -264,10 +274,7 @@ fn region_markers(file: &SourceFile, ctx: &mut Ctx) {
 // ---------------------------------------------------------------------------
 
 fn append_stage_no_fsync(file: &SourceFile, ctx: &mut Ctx) {
-    if file.path != "crates/core/src/db.rs" {
-        return;
-    }
-    let Some(range) = find_region(file, DB_REGIONS[0].0, DB_REGIONS[0].1) else { return };
+    let Some(range) = owned_region(file, APPEND_STAGE) else { return };
     let toks = &file.tokens;
     let flagged: Vec<(u32, String)> = region_tokens(file, range)
         .filter_map(|(i, t)| {
@@ -276,7 +283,7 @@ fn append_stage_no_fsync(file: &SourceFile, ctx: &mut Ctx) {
             }
             let call = |name: &str| {
                 format!(
-                    "`{name}` inside the pipelined append stage: the append (WAL) lock \
+                    "`{name}` inside the commit append stage: the append (WAL) lock \
                      must never be held across a durable sync — durability belongs to \
                      the watermark's sync stage behind it"
                 )
@@ -301,10 +308,7 @@ fn append_stage_no_fsync(file: &SourceFile, ctx: &mut Ctx) {
 // ---------------------------------------------------------------------------
 
 fn hot_read_newest_unbounded(file: &SourceFile, ctx: &mut Ctx) {
-    if file.path != "crates/core/src/db.rs" {
-        return;
-    }
-    let Some(range) = find_region(file, DB_REGIONS[1].0, DB_REGIONS[1].1) else { return };
+    let Some(range) = owned_region(file, HOT_READ) else { return };
     let toks = &file.tokens;
     let mut saw_unbounded = false;
     let mut flagged: Vec<(u32, String)> = Vec::new();

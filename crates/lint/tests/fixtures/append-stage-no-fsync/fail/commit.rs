@@ -1,4 +1,4 @@
-// lint-fixture: crates/core/src/db.rs
+// lint-fixture: crates/core/src/commit.rs
 // An fsync crept under the append lock: both the raw handle sync and the
 // watermark's ensure_durable are named inside the region.
 
@@ -9,9 +9,3 @@ fn append_stage(&self) {
     self.watermark.ensure_durable(log_id, target, &handle, &self.committer);
 }
 // PIPELINE-APPEND-STAGE-END
-
-// HOT-READ-NEWEST-BEGIN
-fn hot_read(&self, key: &[u8]) {
-    let hit = memtable.get(key, u64::MAX);
-}
-// HOT-READ-NEWEST-END

@@ -1,4 +1,4 @@
-// lint-fixture: crates/core/src/db.rs
+// lint-fixture: crates/core/src/commit.rs
 // The append stage only encodes, appends and OS-flushes; durability happens
 // elsewhere, so nothing here names a durable-sync call.
 
@@ -9,9 +9,3 @@ fn append_stage(&self) {
     wal.writer.flush();
 }
 // PIPELINE-APPEND-STAGE-END
-
-// HOT-READ-NEWEST-BEGIN
-fn hot_read(&self, key: &[u8]) {
-    let hit = memtable.get(key, u64::MAX);
-}
-// HOT-READ-NEWEST-END

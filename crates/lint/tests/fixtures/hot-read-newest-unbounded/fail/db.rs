@@ -2,12 +2,6 @@
 // The hot read path was rewritten to bound by a just-loaded seqno: the
 // unbounded probe is gone and a snapshot-style bounded call appeared.
 
-// PIPELINE-APPEND-STAGE-BEGIN
-fn append_stage(&self) {
-    let start = wal.writer.append_batch(encoder);
-}
-// PIPELINE-APPEND-STAGE-END
-
 // HOT-READ-NEWEST-BEGIN
 fn hot_read(&self, key: &[u8]) {
     let ceiling = self.last_seqno.load(Ordering::Acquire);

@@ -1,12 +1,6 @@
 // lint-fixture: crates/core/src/db.rs
 // The hot read path probes with the unbounded u64::MAX ceiling.
 
-// PIPELINE-APPEND-STAGE-BEGIN
-fn append_stage(&self) {
-    let start = wal.writer.append_batch(encoder);
-}
-// PIPELINE-APPEND-STAGE-END
-
 // HOT-READ-NEWEST-BEGIN
 fn hot_read(&self, key: &[u8]) {
     let hit = memtable.get(key, u64::MAX);

@@ -1,12 +1,10 @@
-// lint-fixture: crates/core/src/db.rs
+// lint-fixture: crates/core/src/commit.rs
 // The append-stage markers vanished entirely, and the generic region below is
 // opened but never closed.
 
-// HOT-READ-NEWEST-BEGIN
-fn hot_read(&self, key: &[u8]) {
-    let hit = memtable.get(key, u64::MAX);
+fn append_stage(&self) {
+    let written = wal.writer.append_batch(encoder);
 }
-// HOT-READ-NEWEST-END
 
 // LINT-REGION: dangling-invariant
 fn custom(&self) {}

@@ -1,12 +1,6 @@
 // lint-fixture: crates/core/src/db.rs
-// Both mandatory db.rs regions present exactly once, begin before end, plus a
+// The mandatory db.rs region present exactly once, begin before end, plus a
 // balanced generic region.
-
-// PIPELINE-APPEND-STAGE-BEGIN
-fn append_stage(&self) {
-    let written = wal.writer.append_batch(encoder);
-}
-// PIPELINE-APPEND-STAGE-END
 
 // HOT-READ-NEWEST-BEGIN
 fn hot_read(&self, key: &[u8]) {

@@ -1,13 +1,18 @@
 //! Property-based tests: the engine behaves like a `BTreeMap` under arbitrary
 //! operation sequences, for every TRIAD configuration, including across a restart —
 //! and every open MVCC snapshot behaves like the *versioned* reference model
-//! (key → list of `(seqno, value)`) frozen at the snapshot's sequence number.
+//! (key → list of `(clock, value)`) frozen at the moment the snapshot was taken.
+//!
+//! The versioned model runs on its own logical clock, one tick per committed
+//! write. Engine seqnos cannot play that role: on a sharded database they are
+//! per-shard sequence spaces and `Snapshot::seqno()` is a maximum across
+//! shards, so neither orders a write on one shard against a snapshot.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use triad::{Db, Options, Snapshot, TriadConfig, WriteBatch, WriteOptions};
+use triad::{Db, Options, Snapshot, TriadConfig};
 
 /// A single operation in a generated test program.
 #[derive(Debug, Clone)]
@@ -132,25 +137,30 @@ fn versioned_op_strategy() -> impl Strategy<Value = VersionedOp> {
     ]
 }
 
-/// One committed version of a key: its seqno and value (`None` = tombstone).
+/// One committed version of a key: the model clock at its commit and its
+/// value (`None` = tombstone).
 type KeyHistory = Vec<(u64, Option<Vec<u8>>)>;
 
 /// The versioned reference model: every key's full committed history as
-/// `(seqno, value)` pairs, ascending by seqno; `None` is a tombstone.
+/// `(clock, value)` pairs, ascending by clock; `None` is a tombstone.
 #[derive(Default)]
 struct VersionedModel {
+    /// Logical time: the number of writes committed so far.
+    clock: u64,
     history: BTreeMap<Vec<u8>, KeyHistory>,
 }
 
 impl VersionedModel {
-    fn record(&mut self, key: Vec<u8>, seqno: u64, value: Option<Vec<u8>>) {
-        self.history.entry(key).or_default().push((seqno, value));
+    /// Records one committed write, advancing the clock.
+    fn record(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
+        self.clock += 1;
+        self.history.entry(key).or_default().push((self.clock, value));
     }
 
-    /// The value `key` had at snapshot seqno `at` (newest version `<= at`).
+    /// The value `key` had at model time `at` (newest version `<= at`).
     fn value_at(&self, key: &[u8], at: u64) -> Option<&Vec<u8>> {
         let versions = self.history.get(key)?;
-        versions.iter().rev().find(|(seqno, _)| *seqno <= at).and_then(|(_, v)| v.as_ref())
+        versions.iter().rev().find(|(clock, _)| *clock <= at).and_then(|(_, v)| v.as_ref())
     }
 
     /// The live value of `key` (newest version overall).
@@ -158,7 +168,7 @@ impl VersionedModel {
         self.value_at(key, u64::MAX)
     }
 
-    /// The full `(key, value)` listing visible at snapshot seqno `at`.
+    /// The full `(key, value)` listing visible at model time `at`.
     fn listing_at(&self, at: u64) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.history
             .keys()
@@ -167,9 +177,16 @@ impl VersionedModel {
     }
 }
 
-/// Checks one snapshot's point reads and scan against the model at its seqno.
-fn assert_snapshot_matches_model(snap: &Snapshot, model: &VersionedModel, full_scan: bool) {
-    let at = snap.seqno();
+/// An open snapshot and the model clock at which it was taken.
+type ClockedSnapshot = (Snapshot, u64);
+
+/// Checks one snapshot's point reads and scan against the model at the time
+/// the snapshot was taken.
+fn assert_snapshot_matches_model(
+    &(ref snap, at): &ClockedSnapshot,
+    model: &VersionedModel,
+    full_scan: bool,
+) {
     for key in 0u16..200 {
         let key = key_bytes(key);
         assert_eq!(
@@ -188,23 +205,19 @@ fn apply_versioned_ops(
     db: &Db,
     ops: &[VersionedOp],
     model: &mut VersionedModel,
-    snapshots: &mut Vec<Snapshot>,
+    snapshots: &mut Vec<ClockedSnapshot>,
 ) {
     for op in ops {
         match op {
             VersionedOp::Put(key, value) => {
                 let key = key_bytes(*key);
-                let mut batch = WriteBatch::new();
-                batch.put(key.clone(), value.clone());
-                let seqno = db.write_committed(batch, WriteOptions::default()).unwrap();
-                model.record(key, seqno, Some(value.clone()));
+                db.put(&key, value).unwrap();
+                model.record(key, Some(value.clone()));
             }
             VersionedOp::Delete(key) => {
                 let key = key_bytes(*key);
-                let mut batch = WriteBatch::new();
-                batch.delete(key.clone());
-                let seqno = db.write_committed(batch, WriteOptions::default()).unwrap();
-                model.record(key, seqno, None);
+                db.delete(&key).unwrap();
+                model.record(key, None);
             }
             VersionedOp::Get(key) => {
                 let key = key_bytes(*key);
@@ -219,7 +232,7 @@ fn apply_versioned_ops(
                 if snapshots.len() >= 4 {
                     snapshots.remove(0);
                 }
-                snapshots.push(db.snapshot());
+                snapshots.push((db.snapshot(), model.clock));
             }
             VersionedOp::DropSnapshot => {
                 if !snapshots.is_empty() {
@@ -250,7 +263,7 @@ proptest! {
     }
 
     /// Every open snapshot behaves exactly like the versioned reference model
-    /// frozen at its seqno, under randomized interleavings of writes, deletes,
+    /// frozen at the moment it was taken, under randomized interleavings of writes, deletes,
     /// snapshot opens/drops, flushes and forced compactions — for every TRIAD
     /// configuration.
     fn snapshots_match_versioned_model(
@@ -260,10 +273,10 @@ proptest! {
         let dir = unique_dir("mvcc");
         let db = Db::open(&dir, tiny_options(triad)).unwrap();
         let mut model = VersionedModel::default();
-        let mut snapshots: Vec<Snapshot> = Vec::new();
+        let mut snapshots: Vec<ClockedSnapshot> = Vec::new();
         apply_versioned_ops(&db, &ops, &mut model, &mut snapshots);
         // Final deep check: every snapshot still open gets point reads *and* a
-        // full scan against the model at its seqno, after one more round of
+        // full scan against the model at its capture time, after one more round of
         // background churn.
         db.flush().unwrap();
         db.wait_for_compactions().unwrap();
