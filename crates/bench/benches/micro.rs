@@ -2,11 +2,24 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+use triad_common::checksum;
 use triad_common::types::{InternalKey, ValueKind};
 use triad_hll::{hash64, overlap_ratio, HyperLogLog};
 use triad_memtable::{LogPosition, Memtable};
 use triad_sstable::{BloomFilter, Table, TableBuilder, TableBuilderOptions};
 use triad_wal::{LogRecord, LogWriter};
+
+fn bench_checksum(c: &mut Criterion) {
+    // One data block verified on a block-cache miss, and one WAL record framed
+    // per put (the sizes the engine checksums most often).
+    let block: Vec<u8> = (0..4096usize).map(|i| (i * 31) as u8).collect();
+    c.bench_function("checksum/crc32c_4KiB", |b| {
+        b.iter(|| black_box(checksum::crc32c(black_box(&block))))
+    });
+    c.bench_function("checksum/crc32c_263B", |b| {
+        b.iter(|| black_box(checksum::crc32c(black_box(&block[..263]))))
+    });
+}
 
 fn bench_hash_and_hll(c: &mut Criterion) {
     let keys: Vec<Vec<u8>> = (0..10_000u64).map(|i| format!("key-{i:08}").into_bytes()).collect();
@@ -149,6 +162,6 @@ fn configure() -> Criterion {
 criterion_group! {
     name = benches;
     config = configure();
-    targets = bench_hash_and_hll, bench_bloom, bench_memtable, bench_wal, bench_sstable
+    targets = bench_checksum, bench_hash_and_hll, bench_bloom, bench_memtable, bench_wal, bench_sstable
 }
 criterion_main!(benches);

@@ -186,27 +186,35 @@ impl BlockFileReader {
     }
 
     /// Reads and checksum-verifies the block at `handle`.
+    ///
+    /// The payload is verified in the read buffer, which is then truncated to
+    /// the payload and returned, so a block costs one allocation and no copy.
     pub fn read_block(&self, handle: BlockHandle) -> Result<Vec<u8>> {
-        let total = handle.size as usize + BLOCK_TRAILER_LEN;
-        if handle.offset + total as u64 > self.len {
+        // `handle` comes from disk: a corrupt size must not wrap the arithmetic.
+        let end = handle
+            .size
+            .checked_add(BLOCK_TRAILER_LEN as u64)
+            .and_then(|total| handle.offset.checked_add(total));
+        let size = usize::try_from(handle.size).ok().filter(|_| end.is_some_and(|e| e <= self.len));
+        let Some(size) = size else {
             return Err(Error::corruption_at(
                 format!("block handle {handle:?} extends past end of file"),
                 &self.path,
             ));
-        }
-        let mut buf = vec![0u8; total];
+        };
+        let mut buf = vec![0u8; size + BLOCK_TRAILER_LEN];
         self.file.read_exact_at(&mut buf, handle.offset).map_err(|e| {
             Error::io(format!("reading block at {} in {}", handle.offset, self.path.display()), e)
         })?;
-        let (payload, trailer) = buf.split_at(handle.size as usize);
-        let stored = checksum::unmask(u32::from_le_bytes(trailer.try_into().expect("4 bytes")));
-        if checksum::crc32c(payload) != stored {
+        let stored = checksum::unmask(u32::from_le_bytes(buf[size..].try_into().expect("4 bytes")));
+        if checksum::crc32c(&buf[..size]) != stored {
             return Err(Error::corruption_at(
                 format!("checksum mismatch for block at offset {}", handle.offset),
                 &self.path,
             ));
         }
-        Ok(payload.to_vec())
+        buf.truncate(size);
+        Ok(buf)
     }
 
     /// Reads and validates the footer.
@@ -306,6 +314,11 @@ mod tests {
         writer.finish(&Footer { index: handle, bloom: handle, properties: handle }).unwrap();
         let reader = BlockFileReader::open(&path).unwrap();
         assert!(reader.read_block(BlockHandle::new(10_000, 100)).is_err());
+        // A corrupt size near u64::MAX must not wrap `size + trailer`.
+        for size in [u64::MAX, u64::MAX - BLOCK_TRAILER_LEN as u64 + 1] {
+            assert!(reader.read_block(BlockHandle::new(0, size)).unwrap_err().is_corruption());
+        }
+        assert!(reader.read_block(BlockHandle::new(u64::MAX, 1)).unwrap_err().is_corruption());
     }
 
     #[test]

@@ -36,21 +36,22 @@ pub enum TailStatus {
 /// Used by bulk consumers (CL-SSTable iteration during compaction) that read the
 /// whole sealed log once instead of issuing one positioned read per record.
 pub fn decode_record_in_buffer(buffer: &[u8], offset: u64) -> Result<LogRecord> {
+    // `offset` and the length field come from disk: checked arithmetic keeps a
+    // corrupt value from wrapping past the bounds checks.
     let offset =
         usize::try_from(offset).map_err(|_| Error::corruption("record offset overflows usize"))?;
-    if offset + RECORD_HEADER_LEN > buffer.len() {
-        return Err(Error::corruption("record header extends past end of log buffer"));
-    }
-    let header = &buffer[offset..offset + RECORD_HEADER_LEN];
+    let payload_start = offset
+        .checked_add(RECORD_HEADER_LEN)
+        .filter(|&start| start <= buffer.len())
+        .ok_or_else(|| Error::corruption("record header extends past end of log buffer"))?;
+    let header = &buffer[offset..payload_start];
     let stored_crc =
         checksum::unmask(u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")));
     let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-    let payload_start = offset + RECORD_HEADER_LEN;
-    let payload_end = payload_start + len;
-    if payload_end > buffer.len() {
-        return Err(Error::corruption("record payload extends past end of log buffer"));
-    }
-    let payload = &buffer[payload_start..payload_end];
+    let payload = payload_start
+        .checked_add(len)
+        .and_then(|end| buffer.get(payload_start..end))
+        .ok_or_else(|| Error::corruption("record payload extends past end of log buffer"))?;
     let mut crc = checksum::crc32c(&header[4..8]);
     crc = checksum::extend(crc, payload);
     if crc != stored_crc {
@@ -373,6 +374,11 @@ mod tests {
         // Out-of-bounds and corrupt offsets are rejected.
         assert!(super::decode_record_in_buffer(&buffer, buffer.len() as u64).is_err());
         assert!(super::decode_record_in_buffer(&buffer, offsets[1] + 1).is_err());
+        // A corrupt offset near u64::MAX must not wrap `offset + header`.
+        for offset in [u64::MAX, u64::MAX - RECORD_HEADER_LEN as u64 + 1] {
+            let err = super::decode_record_in_buffer(&buffer, offset).unwrap_err();
+            assert!(err.is_corruption(), "offset {offset}");
+        }
     }
 
     #[test]
