@@ -49,12 +49,12 @@ pub fn run_write_amplification(scale: Scale) -> triad_common::Result<Table> {
             run_experiment(&config)
         };
         let baseline = run_one(TriadConfig::baseline())?;
-        let mut row = vec![label.clone(), format!("{:.2}", baseline.write_amplification)];
+        let mut row = vec![label.clone(), format!("{:.2}", baseline.stats.write_amplification())];
         for triad in configs.clone() {
             let result = run_one(triad)?;
             row.push(format!(
                 "{:.2}",
-                result.write_amplification / baseline.write_amplification.max(1e-9)
+                result.stats.write_amplification() / baseline.stats.write_amplification().max(1e-9)
             ));
         }
         table.add_row(row);
@@ -95,12 +95,12 @@ pub fn run_read_amplification(scale: Scale) -> triad_common::Result<Table> {
         .with_ops_per_thread(ops_per_thread(scale));
         let result = run_experiment(&config)?;
         if label == "RocksDB" {
-            baseline_ra = Some(result.read_amplification);
+            baseline_ra = Some(result.stats.read_amplification());
         }
         if label == "TRIAD" {
-            triad_ra = Some(result.read_amplification);
+            triad_ra = Some(result.stats.read_amplification());
         }
-        table.add_row(vec![label, format!("{:.2}", result.read_amplification)]);
+        table.add_row(vec![label, format!("{:.2}", result.stats.read_amplification())]);
     }
     if let (Some(baseline), Some(triad)) = (baseline_ra, triad_ra) {
         table.add_row(vec![

@@ -43,8 +43,8 @@ pub fn run(scale: Scale) -> triad_common::Result<Table> {
             format!("{:.4}", baseline.compacted_gb()),
             format!("{:.4}", triad.compacted_gb()),
             reduction,
-            format!("{:.0}%", baseline.background_time_fraction * 100.0),
-            format!("{:.0}%", triad.background_time_fraction * 100.0),
+            format!("{:.0}%", baseline.background_time_fraction() * 100.0),
+            format!("{:.0}%", triad.background_time_fraction() * 100.0),
         ]);
     }
     print_table(

@@ -91,11 +91,12 @@ pub fn print_write_amplification(points: &[GridPoint]) -> Table {
             point.skew.label().to_string(),
             point.mix.label(),
             point.threads.to_string(),
-            format!("{:.2}", point.baseline.write_amplification),
-            format!("{:.2}", point.triad.write_amplification),
+            format!("{:.2}", point.baseline.stats.write_amplification()),
+            format!("{:.2}", point.triad.stats.write_amplification()),
             format!(
                 "{:.2}x",
-                point.baseline.write_amplification / point.triad.write_amplification.max(1e-9)
+                point.baseline.stats.write_amplification()
+                    / point.triad.stats.write_amplification().max(1e-9)
             ),
         ]);
     }

@@ -26,20 +26,20 @@ impl Comparison {
 
     /// WA reduction factor.
     pub fn wa_reduction(&self) -> f64 {
-        self.baseline.write_amplification / self.triad.write_amplification.max(1e-9)
+        self.baseline.stats.write_amplification() / self.triad.stats.write_amplification().max(1e-9)
     }
 
     /// Background-bytes reduction factor (flush + compaction).
     pub fn io_reduction(&self) -> f64 {
-        let baseline = (self.baseline.flushed_bytes + self.baseline.compacted_bytes) as f64;
-        let triad = (self.triad.flushed_bytes + self.triad.compacted_bytes) as f64;
+        let baseline = self.baseline.stats.background_bytes_written() as f64;
+        let triad = self.triad.stats.background_bytes_written() as f64;
         baseline / triad.max(1.0)
     }
 
     /// Relative reduction in time spent on background work, in percent.
     pub fn background_time_reduction_pct(&self) -> f64 {
-        let baseline = self.baseline.background_time_fraction;
-        let triad = self.triad.background_time_fraction;
+        let baseline = self.baseline.background_time_fraction();
+        let triad = self.triad.background_time_fraction();
         if baseline <= 0.0 {
             0.0
         } else {
@@ -107,16 +107,11 @@ pub fn run(scale: Scale) -> triad_common::Result<(Table, Vec<Comparison>)> {
         "sync wait µs*",
     ]);
     for comparison in &comparisons {
-        let r = &comparison.triad;
-        let avg = if r.write_groups == 0 {
-            0.0
-        } else {
-            r.write_group_batches as f64 / r.write_groups as f64
-        };
+        let r = &comparison.triad.stats;
         pipeline.add_row(vec![
             comparison.workload.clone(),
             r.write_groups.to_string(),
-            format!("{avg:.2}"),
+            format!("{:.2}", r.avg_write_group_batches()),
             r.write_group_max_size.to_string(),
             r.wal_pipeline_max_depth.to_string(),
             r.wal_syncs.to_string(),

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use triad_common::LatencyHistogram;
-use triad_core::{Db, Options, ShardConfig, SyncMode};
+use triad_core::{Db, Options, ShardConfig, StatSnapshot, SyncMode};
 
 use crate::report::{print_table, Table};
 use crate::runner::Scale;
@@ -63,22 +63,8 @@ pub struct WriteScalingPoint {
     pub kops: f64,
     /// Acknowledged write batches (every one a single put here).
     pub acked_batches: u64,
-    /// WAL fsyncs issued during the timed phase.
-    pub wal_syncs: u64,
-    /// `wal_syncs / acked_batches` — group commit drives this below 1.
-    pub fsyncs_per_batch: f64,
-    /// Commit groups formed.
-    pub write_groups: u64,
-    /// Batches the engine counted as riding in those groups.
-    pub write_group_batches: u64,
-    /// Mean batches per commit group.
-    pub avg_group_batches: f64,
-    /// Largest commit group observed, in batches.
-    pub max_group_batches: u64,
-    /// Groups that needed durability but retired on a neighbour's fsync.
-    pub wal_syncs_overlapped: u64,
-    /// Deepest commit pipeline observed (groups in flight at once).
-    pub pipeline_max_depth: u64,
+    /// Engine counters over the timed phase (the delta of `Db::stats`).
+    pub stats: StatSnapshot,
     /// Median acknowledged-commit latency, in microseconds.
     pub p50_us: f64,
     /// 99th-percentile commit latency, in microseconds.
@@ -93,13 +79,18 @@ pub struct WriteScalingPoint {
 pub const GATE_THREADS: usize = 8;
 
 impl WriteScalingPoint {
+    /// WAL fsyncs per acknowledged batch — group commit drives this below 1.
+    pub fn fsyncs_per_batch(&self) -> f64 {
+        self.stats.wal_syncs as f64 / self.acked_batches as f64
+    }
+
     /// The baseline-free gate: fsyncs amortize below one per acknowledged
     /// batch, at least one group retired on a neighbour's fsync, and every
     /// acknowledged batch rode in exactly one commit group.
     pub fn meets_gate(&self) -> bool {
-        self.fsyncs_per_batch < 1.0
-            && self.wal_syncs_overlapped > 0
-            && self.write_group_batches == self.acked_batches
+        self.fsyncs_per_batch() < 1.0
+            && self.stats.wal_syncs_overlapped > 0
+            && self.stats.write_group_batches == self.acked_batches
     }
 }
 
@@ -221,7 +212,7 @@ fn run_point(
         handle.join().expect("writer thread panicked")?;
     }
     let elapsed = started.elapsed();
-    let delta = db.stats().delta_since(&before);
+    let stats = db.stats().delta_since(&before);
     db.close()?;
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -233,14 +224,7 @@ fn run_point(
         pipeline,
         kops: acked_batches as f64 / elapsed.as_secs_f64() / 1_000.0,
         acked_batches,
-        wal_syncs: delta.wal_syncs,
-        fsyncs_per_batch: delta.wal_syncs as f64 / acked_batches as f64,
-        write_groups: delta.write_groups,
-        write_group_batches: delta.write_group_batches,
-        avg_group_batches: delta.avg_write_group_batches(),
-        max_group_batches: delta.write_group_max_size,
-        wal_syncs_overlapped: delta.wal_syncs_overlapped,
-        pipeline_max_depth: delta.wal_pipeline_max_depth,
+        stats,
         p50_us: latency.percentile(50.0) as f64 / 1_000.0,
         p99_us: latency.percentile(99.0) as f64 / 1_000.0,
         p999_us: latency.percentile(99.9) as f64 / 1_000.0,
@@ -291,12 +275,12 @@ pub fn run(
             format!("{:.1}", point.p50_us),
             format!("{:.1}", point.p99_us),
             format!("{:.1}", point.p999_us),
-            format!("{:.3}", point.fsyncs_per_batch),
-            point.write_groups.to_string(),
-            format!("{:.2}", point.avg_group_batches),
-            point.max_group_batches.to_string(),
-            point.wal_syncs_overlapped.to_string(),
-            point.pipeline_max_depth.to_string(),
+            format!("{:.3}", point.fsyncs_per_batch()),
+            point.stats.write_groups.to_string(),
+            format!("{:.2}", point.stats.avg_write_group_batches()),
+            point.stats.write_group_max_size.to_string(),
+            point.stats.wal_syncs_overlapped.to_string(),
+            point.stats.wal_pipeline_max_depth.to_string(),
         ]);
     }
 
@@ -338,9 +322,9 @@ pub fn run(
              {} overlapped syncs (need > 0), {} of {} acked batches in commit groups \
              (need all); shard gate at {} writers, NoSync: {} shards at {:.2}x vs one \
              shard ({})",
-            gate.fsyncs_per_batch,
-            gate.wal_syncs_overlapped,
-            gate.write_group_batches,
+            gate.fsyncs_per_batch(),
+            gate.stats.wal_syncs_overlapped,
+            gate.stats.write_group_batches,
             gate.acked_batches,
             shard_scaling.threads,
             shard_scaling.shards,
@@ -390,9 +374,9 @@ pub fn validate(points: &[WriteScalingPoint], gate: &WriteScalingPoint, json: &s
         errors.push(format!(
             "gate violated at {GATE_THREADS} writers, SyncEveryWrite: {:.3} fsyncs/batch \
              (need < 1), {} overlapped syncs (need > 0), {} of {} acked batches in commit groups",
-            gate.fsyncs_per_batch,
-            gate.wal_syncs_overlapped,
-            gate.write_group_batches,
+            gate.fsyncs_per_batch(),
+            gate.stats.wal_syncs_overlapped,
+            gate.stats.write_group_batches,
             gate.acked_batches
         ));
     }
@@ -440,13 +424,13 @@ pub fn to_json(
             p.pipeline,
             p.kops,
             p.acked_batches,
-            p.wal_syncs,
-            p.fsyncs_per_batch,
-            p.write_groups,
-            p.avg_group_batches,
-            p.max_group_batches,
-            p.wal_syncs_overlapped,
-            p.pipeline_max_depth,
+            p.stats.wal_syncs,
+            p.fsyncs_per_batch(),
+            p.stats.write_groups,
+            p.stats.avg_write_group_batches(),
+            p.stats.write_group_max_size,
+            p.stats.wal_syncs_overlapped,
+            p.stats.wal_pipeline_max_depth,
             p.p50_us,
             p.p99_us,
             p.p999_us,
@@ -459,10 +443,10 @@ pub fn to_json(
     out.push_str(&format!("    \"threads\": {},\n", gate.threads));
     out.push_str("    \"sync_mode\": \"SyncEveryWrite\",\n");
     out.push_str(&format!("    \"pipelined_kops\": {:.2},\n", gate.kops));
-    out.push_str(&format!("    \"pipelined_fsyncs_per_batch\": {:.4},\n", gate.fsyncs_per_batch));
-    out.push_str(&format!("    \"overlapped_syncs\": {},\n", gate.wal_syncs_overlapped));
+    out.push_str(&format!("    \"pipelined_fsyncs_per_batch\": {:.4},\n", gate.fsyncs_per_batch()));
+    out.push_str(&format!("    \"overlapped_syncs\": {},\n", gate.stats.wal_syncs_overlapped));
     out.push_str(&format!("    \"acked_batches\": {},\n", gate.acked_batches));
-    out.push_str(&format!("    \"grouped_batches\": {},\n", gate.write_group_batches));
+    out.push_str(&format!("    \"grouped_batches\": {},\n", gate.stats.write_group_batches));
     out.push_str(&format!("    \"meets_gate\": {}\n", gate.meets_gate()));
     out.push_str("  },\n");
     out.push_str("  \"shard_scaling\": {\n");

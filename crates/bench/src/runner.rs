@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use triad_core::{Db, Options};
+use triad_core::{Db, Options, StatSnapshot};
 use triad_workload::{Operation, WorkloadGenerator, WorkloadSpec};
 
 /// How large an experiment to run.
@@ -103,56 +103,28 @@ pub struct ExperimentResult {
     pub elapsed: Duration,
     /// Throughput in thousands of operations per second.
     pub kops: f64,
-    /// Write amplification (paper definition: flushed + compacted over flushed).
-    pub write_amplification: f64,
-    /// Read amplification (table probes per read).
-    pub read_amplification: f64,
-    /// Bytes written by flushes during the run.
-    pub flushed_bytes: u64,
-    /// Bytes written by compactions during the run.
-    pub compacted_bytes: u64,
-    /// Bytes appended to the commit log during the run.
-    pub wal_bytes: u64,
-    /// Number of flushes.
-    pub flushes: u64,
-    /// Number of compactions.
-    pub compactions: u64,
-    /// Number of compactions TRIAD-DISK deferred.
-    pub compactions_deferred: u64,
-    /// Share of wall-clock time spent in flush + compaction (may exceed 1.0 with
-    /// several background threads).
-    pub background_time_fraction: f64,
+    /// Engine counters over the run: the delta of [`Db::stats`] across the
+    /// timed phase and, when enabled, the background drain.
+    pub stats: StatSnapshot,
     /// Files per level after the run.
     pub files_per_level: Vec<usize>,
-    /// Commit groups formed by the group-commit write pipeline.
-    pub write_groups: u64,
-    /// Write batches carried by those groups (= acknowledged grouped writes).
-    pub write_group_batches: u64,
-    /// Largest commit group observed, in batches.
-    pub write_group_max_size: u64,
-    /// WAL fsyncs during the run.
-    pub wal_syncs: u64,
-    /// Fsyncs avoided because a group fsync covered additional batches.
-    pub wal_syncs_amortized: u64,
-    /// Durable groups retired by a neighbour's fsync (pipelined overlap).
-    pub wal_syncs_overlapped: u64,
-    /// Deepest commit pipeline observed (groups in flight at once).
-    pub wal_pipeline_max_depth: u64,
-    /// Sampled microseconds spent in the append stage (1-in-16 groups timed).
-    pub wal_append_us: u64,
-    /// Sampled microseconds spent waiting on group durability (same sampling).
-    pub wal_sync_wait_us: u64,
 }
 
 impl ExperimentResult {
+    /// Share of the timed phase's wall clock spent in flush + compaction (may
+    /// exceed 1.0 with several background threads).
+    pub fn background_time_fraction(&self) -> f64 {
+        self.stats.background_time_fraction(self.elapsed)
+    }
+
     /// Total background gigabytes written (flush + compaction).
     pub fn background_gb(&self) -> f64 {
-        (self.flushed_bytes + self.compacted_bytes) as f64 / 1e9
+        self.stats.background_bytes_written() as f64 / 1e9
     }
 
     /// Compacted gigabytes (the metric of Figure 9D, left).
     pub fn compacted_gb(&self) -> f64 {
-        self.compacted_bytes as f64 / 1e9
+        self.stats.bytes_compacted_written as f64 / 1e9
     }
 }
 
@@ -220,8 +192,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> triad_common::Result<Experim
         db.flush()?;
         db.wait_for_compactions()?;
     }
-    let after = db.stats();
-    let delta = after.delta_since(&before);
+    let stats = db.stats().delta_since(&before);
     let files_per_level = db.files_per_level();
     // Facade stats are merged across shards; the per-shard breakdown is
     // opt-in because it is noisy in multi-experiment sweeps.
@@ -249,25 +220,8 @@ pub fn run_experiment(config: &ExperimentConfig) -> triad_common::Result<Experim
         total_ops,
         elapsed,
         kops,
-        write_amplification: delta.write_amplification(),
-        read_amplification: delta.read_amplification(),
-        flushed_bytes: delta.bytes_flushed,
-        compacted_bytes: delta.bytes_compacted_written,
-        wal_bytes: delta.wal_bytes_written,
-        flushes: delta.flush_count,
-        compactions: delta.compaction_count,
-        compactions_deferred: delta.compactions_deferred,
-        background_time_fraction: delta.background_time_fraction(elapsed),
+        stats,
         files_per_level,
-        write_groups: delta.write_groups,
-        write_group_batches: delta.write_group_batches,
-        write_group_max_size: delta.write_group_max_size,
-        wal_syncs: delta.wal_syncs,
-        wal_syncs_amortized: delta.wal_syncs_amortized,
-        wal_syncs_overlapped: delta.wal_syncs_overlapped,
-        wal_pipeline_max_depth: delta.wal_pipeline_max_depth,
-        wal_append_us: delta.wal_append_us,
-        wal_sync_wait_us: delta.wal_sync_wait_us,
     })
 }
 
@@ -291,7 +245,7 @@ mod tests {
         let result = run_experiment(&tiny_config("runner-sanity", options)).unwrap();
         assert_eq!(result.total_ops, 4_000);
         assert!(result.kops > 0.0);
-        assert!(result.write_amplification >= 1.0);
+        assert!(result.stats.write_amplification() >= 1.0);
         assert!(result.elapsed > Duration::ZERO);
         assert!(!result.files_per_level.is_empty());
         assert!(result.background_gb() >= 0.0);
@@ -310,8 +264,8 @@ mod tests {
         assert!(triad_result.kops > 0.0);
         // Under heavy skew TRIAD must not write more background bytes than the baseline.
         assert!(
-            triad_result.flushed_bytes + triad_result.compacted_bytes
-                <= baseline_result.flushed_bytes + baseline_result.compacted_bytes
+            triad_result.stats.background_bytes_written()
+                <= baseline_result.stats.background_bytes_written()
         );
     }
 

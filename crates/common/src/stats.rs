@@ -6,6 +6,17 @@
 //! background work. Every component of the engine increments counters in a shared
 //! [`Stats`] instance; the benchmark harness snapshots it before and after a run and
 //! derives the figures reported in the paper.
+//!
+//! # Adding a counter
+//!
+//! Every counter is declared once, as one row of the `counters!` table below:
+//! its doc comment, its name, its kind and the name of its recorder. A `Sum`
+//! counter accumulates (`fetch_add`); a `Max` counter is a high-water mark
+//! (`fetch_max`). The table generates the atomic field, the recorder, the
+//! getter, the [`StatSnapshot`] field, the counter's part of
+//! [`Stats::snapshot`], [`Stats::absorb`], [`StatSnapshot::delta_since`] and
+//! [`StatSnapshot::merge`], and the row the table-driven test walks. Adding a
+//! counter is one row plus its increment sites.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -16,89 +27,109 @@ use crate::hist::LatencyHistogram;
 /// `wal_append_us` / `wal_sync_wait_us` counters (see [`Stats::sample_timing`]).
 pub const TIMING_SAMPLE_EVERY: u64 = 16;
 
+/// The per-kind semantics of one counter: how a recorded value folds into the
+/// atomic, how a later snapshot relates to an earlier one, and how the
+/// snapshots of two engines combine.
+macro_rules! by_kind {
+    (Sum, record, $cell:expr, $value:expr) => {
+        $cell.fetch_add($value, Ordering::Relaxed)
+    };
+    (Max, record, $cell:expr, $value:expr) => {
+        $cell.fetch_max($value, Ordering::Relaxed)
+    };
+    (Sum, delta, $later:expr, $earlier:expr) => {
+        $later.saturating_sub($earlier)
+    };
+    (Max, delta, $later:expr, $earlier:expr) => {
+        $later
+    };
+    (Sum, merge, $a:expr, $b:expr) => {
+        $a.saturating_add($b)
+    };
+    (Max, merge, $a:expr, $b:expr) => {
+        $a.max($b)
+    };
+}
+
+/// Generates everything per-counter from the one table of rows
+/// `/// doc` `name: Kind => recorder;` (see the module docs).
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident: $kind:ident => $record:ident;)*) => {
+        /// One relaxed atomic per counter.
+        #[derive(Debug, Default)]
+        struct Counters {
+            $($name: AtomicU64,)*
+        }
+
+        impl Stats {
+            $(
+                $(#[$doc])*
+                pub fn $record(&self, value: u64) {
+                    by_kind!($kind, record, self.counters.$name, value);
+                }
+
+                #[doc = concat!("Returns the current value of `", stringify!($name), "`.")]
+                pub fn $name(&self) -> u64 {
+                    self.counters.$name.load(Ordering::Relaxed)
+                }
+            )*
+
+            /// Takes a point-in-time copy of every counter.
+            pub fn snapshot(&self) -> StatSnapshot {
+                StatSnapshot { $($name: self.$name(),)* }
+            }
+
+            /// Records every counter of `snap` here, each by its kind.
+            fn record_snapshot(&self, snap: &StatSnapshot) {
+                $(self.$record(snap.$name);)*
+            }
+        }
+
+        /// A point-in-time copy of the [`Stats`] counters, with derived-metric helpers.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl StatSnapshot {
+            /// Computes the delta between this snapshot and an earlier one: `Sum`
+            /// counters subtract (saturating at zero), while `Max` counters are
+            /// high-water marks and carry this snapshot's value verbatim.
+            pub fn delta_since(&self, earlier: &StatSnapshot) -> StatSnapshot {
+                StatSnapshot { $($name: by_kind!($kind, delta, self.$name, earlier.$name),)* }
+            }
+
+            /// Combines two snapshots taken from different engine instances (one
+            /// per shard): `Sum` counters add (saturating), while `Max` counters
+            /// take the larger value — the deepest pipeline of any shard, not a
+            /// meaningless sum of maxima.
+            pub fn merge(&self, other: &StatSnapshot) -> StatSnapshot {
+                StatSnapshot { $($name: by_kind!($kind, merge, self.$name, other.$name),)* }
+            }
+        }
+
+        /// Every row of the table, for the table-driven test.
+        #[cfg(test)]
+        const COUNTER_ROWS: &[tests::CounterRow] = &[$(tests::CounterRow {
+            name: stringify!($name),
+            kind: tests::Kind::$kind,
+            record: Stats::$record,
+            get: Stats::$name,
+            field: |snap| &mut snap.$name,
+        },)*];
+    };
+}
+
 /// Shared, thread-safe statistics registry.
 ///
-/// All counters are monotonically increasing; derive rates or deltas by snapshotting
-/// with [`Stats::snapshot`] and subtracting.
+/// Every counter is monotonic; derive rates or deltas by snapshotting with
+/// [`Stats::snapshot`] and calling [`StatSnapshot::delta_since`].
 #[derive(Debug, Default)]
 pub struct Stats {
-    // Logical (user-issued) traffic.
-    user_writes: AtomicU64,
-    user_deletes: AtomicU64,
-    user_reads: AtomicU64,
-    user_read_hits: AtomicU64,
-    user_bytes_written: AtomicU64,
-
-    // Commit log traffic.
-    wal_bytes_written: AtomicU64,
-    wal_appends: AtomicU64,
-    wal_syncs: AtomicU64,
-    wal_rotations: AtomicU64,
-
-    // Group-commit pipeline.
-    write_groups: AtomicU64,
-    write_group_batches: AtomicU64,
-    write_group_max_size: AtomicU64,
-    wal_syncs_amortized: AtomicU64,
-
-    // Pipelined commit (append / sync stage decoupling).
-    wal_syncs_overlapped: AtomicU64,
-    wal_pipeline_max_depth: AtomicU64,
-    wal_append_us: AtomicU64,
-    wal_sync_wait_us: AtomicU64,
+    counters: Counters,
     /// Round-robin tick deciding which commit groups get timed; not a metric
     /// itself and deliberately absent from [`StatSnapshot`].
     timing_tick: AtomicU64,
-
-    // Flushing.
-    flush_count: AtomicU64,
-    small_flush_skips: AtomicU64,
-    bytes_flushed: AtomicU64,
-    logical_bytes_flushed: AtomicU64,
-    entries_flushed: AtomicU64,
-    hot_entries_retained: AtomicU64,
-    flush_micros: AtomicU64,
-
-    // Compaction.
-    compaction_count: AtomicU64,
-    compactions_deferred: AtomicU64,
-    bytes_compacted_read: AtomicU64,
-    bytes_compacted_written: AtomicU64,
-    entries_compacted: AtomicU64,
-    entries_dropped: AtomicU64,
-    compaction_micros: AtomicU64,
-
-    // Read path.
-    memtable_probes: AtomicU64,
-    table_probes: AtomicU64,
-    block_reads: AtomicU64,
-    bloom_negatives: AtomicU64,
-    snapshots_created: AtomicU64,
-    table_cache_hits: AtomicU64,
-    table_cache_misses: AtomicU64,
-
-    // The shared block cache (one cache across all keyspace shards; each
-    // probe charges the stats registry of the shard that issued it, so the
-    // per-shard counters still sum to the cache-wide totals under `merge`).
-    block_cache_hits: AtomicU64,
-    block_cache_misses: AtomicU64,
-    block_cache_evictions: AtomicU64,
-    block_cache_inserted_bytes: AtomicU64,
-
-    // Garbage collection of obsolete files.
-    gc_files_deleted: AtomicU64,
-    gc_logs_deleted: AtomicU64,
-    gc_delete_failures: AtomicU64,
-
-    // Crash recovery.
-    recovery_torn_batches: AtomicU64,
-
-    // Checkpoints and replication.
-    checkpoints_created: AtomicU64,
-    checkpoint_files_linked: AtomicU64,
-    checkpoint_files_copied: AtomicU64,
-    replica_records_applied: AtomicU64,
-
     // Read-path latency distributions (nanoseconds). Cumulative histograms,
     // not counters: they are read through [`Stats::get_latency`] /
     // [`Stats::scan_latency`] and deliberately absent from [`StatSnapshot`],
@@ -107,172 +138,163 @@ pub struct Stats {
     scan_latency: LatencyHistogram,
 }
 
-macro_rules! counter_methods {
-    ($($(#[$doc:meta])* $name:ident => $add:ident, $get:ident;)*) => {
-        $(
-            $(#[$doc])*
-            pub fn $add(&self, delta: u64) {
-                self.$name.fetch_add(delta, Ordering::Relaxed);
-            }
+counters! {
+    // Logical (user-issued) traffic.
+    /// User-issued put operations.
+    user_writes: Sum => add_user_writes;
+    /// User-issued delete operations.
+    user_deletes: Sum => add_user_deletes;
+    /// User-issued read operations.
+    user_reads: Sum => add_user_reads;
+    /// Reads that found a live value.
+    user_read_hits: Sum => add_user_read_hits;
+    /// Logical bytes written by the application (key + value sizes).
+    user_bytes_written: Sum => add_user_bytes_written;
 
-            #[doc = concat!("Returns the current value of `", stringify!($name), "`.")]
-            pub fn $get(&self) -> u64 {
-                self.$name.load(Ordering::Relaxed)
-            }
-        )*
-    };
+    // Commit log traffic.
+    /// Bytes appended to the commit log.
+    wal_bytes_written: Sum => add_wal_bytes_written;
+    /// Commit log append operations.
+    wal_appends: Sum => add_wal_appends;
+    /// Commit log fsync operations.
+    wal_syncs: Sum => add_wal_syncs;
+    /// Commit log rotations (new log installed).
+    wal_rotations: Sum => add_wal_rotations;
+
+    // Group-commit pipeline.
+    /// Commit groups committed by the group-commit write pipeline (one
+    /// leader-driven WAL append + flush/sync per group).
+    write_groups: Sum => add_write_groups;
+    /// Write batches carried by a commit group (every acknowledged non-empty
+    /// batch rides in exactly one, per shard).
+    write_group_batches: Sum => add_write_group_batches;
+    /// Largest commit group observed, in batches — a high-water mark.
+    write_group_max_size: Max => record_write_group_size;
+    /// Fsyncs *avoided* by group commit: for a synced group of `k` batches,
+    /// `k - 1` batches became durable without their own fsync.
+    wal_syncs_amortized: Sum => add_wal_syncs_amortized;
+
+    // Pipelined commit (append / sync stage decoupling).
+    /// Commit groups that required durability but found the watermark already
+    /// past their end offset — another in-flight group's fsync covered them
+    /// while they were appending or inserting. Strictly positive only when the
+    /// pipelined commit actually overlapped an fsync with later work.
+    wal_syncs_overlapped: Sum => add_wal_syncs_overlapped;
+    /// Deepest commit pipeline observed, in groups simultaneously in flight
+    /// (appended but not yet complete) — a high-water mark. Depth > 1 is the
+    /// direct evidence that group N+1 appended while group N was in flight.
+    wal_pipeline_max_depth: Max => record_pipeline_depth;
+    /// *Sampled* microseconds spent inside the append stage of the pipelined
+    /// commit (drain + encode + buffered append, under the append lock). One in
+    /// [`TIMING_SAMPLE_EVERY`] groups is timed, so this is an observability
+    /// signal, not a total.
+    wal_append_us: Sum => add_wal_append_us;
+    /// *Sampled* microseconds a commit group spent waiting for (or issuing) the
+    /// fsync that made it durable — the log-induced stall the pipeline hides
+    /// behind the next group's append. Same sampling as `wal_append_us`.
+    wal_sync_wait_us: Sum => add_wal_sync_wait_us;
+
+    // Flushing.
+    /// Completed flushes of the memory component.
+    flush_count: Sum => add_flush_count;
+    /// Flushes avoided by the TRIAD-MEM small-memtable rule.
+    small_flush_skips: Sum => add_small_flush_skips;
+    /// Bytes physically written to L0 by flushes (for CL-SSTables this is only
+    /// the index, which is the point of TRIAD-LOG).
+    bytes_flushed: Sum => add_bytes_flushed;
+    /// Logical bytes installed at L0 by flushes. For regular flushes this equals
+    /// `bytes_flushed`; for CL-SSTables it also counts the key/value data the
+    /// index references in the sealed commit log. Write amplification is computed
+    /// against this counter, matching how the paper reports WA for TRIAD.
+    logical_bytes_flushed: Sum => add_logical_bytes_flushed;
+    /// Entries written to L0 by flushes.
+    entries_flushed: Sum => add_entries_flushed;
+    /// Hot entries retained in memory by TRIAD-MEM instead of being flushed.
+    hot_entries_retained: Sum => add_hot_entries_retained;
+    /// Microseconds spent inside flush operations.
+    flush_micros: Sum => add_flush_micros;
+
+    // Compaction.
+    /// Completed compactions.
+    compaction_count: Sum => add_compaction_count;
+    /// Compactions deferred by TRIAD-DISK.
+    compactions_deferred: Sum => add_compactions_deferred;
+    /// Bytes read by compactions.
+    bytes_compacted_read: Sum => add_bytes_compacted_read;
+    /// Bytes written by compactions.
+    bytes_compacted_written: Sum => add_bytes_compacted_written;
+    /// Entries processed by compactions.
+    entries_compacted: Sum => add_entries_compacted;
+    /// Obsolete entries discarded by compactions.
+    entries_dropped: Sum => add_entries_dropped;
+    /// Microseconds spent inside compaction operations.
+    compaction_micros: Sum => add_compaction_micros;
+    /// Background flush or compaction attempts that failed. The worker retries
+    /// them; a blocking flush or compaction wait gives up with the last error
+    /// after a few failures in a row.
+    background_errors: Sum => add_background_errors;
+
+    // Read path.
+    /// Memtable probes performed by reads.
+    memtable_probes: Sum => add_memtable_probes;
+    /// SSTable probes performed by reads (the unit of read amplification).
+    table_probes: Sum => add_table_probes;
+    /// Data-block reads performed by table probes.
+    block_reads: Sum => add_block_reads;
+    /// Table probes skipped thanks to a bloom-filter negative.
+    bloom_negatives: Sum => add_bloom_negatives;
+    /// MVCC snapshots opened via `Db::snapshot`.
+    snapshots_created: Sum => add_snapshots_created;
+    /// Table-cache probes that found the table handle already open.
+    table_cache_hits: Sum => add_table_cache_hits;
+    /// Table-cache probes that had to open the table from disk.
+    table_cache_misses: Sum => add_table_cache_misses;
+
+    // The shared block cache (one cache across all keyspace shards; each probe
+    // charges the stats registry of the shard that issued it, so the per-shard
+    // counters still sum to the cache-wide totals under `merge`).
+    /// Block-cache probes served from a cached decoded block (including probes
+    /// that joined an in-flight single-flight load).
+    block_cache_hits: Sum => add_block_cache_hits;
+    /// Block-cache probes that had to read the block from disk.
+    block_cache_misses: Sum => add_block_cache_misses;
+    /// Blocks evicted from the cache to stay under the byte budget.
+    block_cache_evictions: Sum => add_block_cache_evictions;
+    /// Decoded bytes inserted into the block cache.
+    block_cache_inserted_bytes: Sum => add_block_cache_inserted_bytes;
+
+    // Garbage collection of obsolete files.
+    /// Obsolete table files (SSTables and CL indexes) physically deleted.
+    gc_files_deleted: Sum => add_gc_files_deleted;
+    /// Obsolete commit logs physically deleted.
+    gc_logs_deleted: Sum => add_gc_logs_deleted;
+    /// Failed deletions of obsolete files (e.g. permission errors); the file
+    /// stays queued and the next GC pass retries, so a non-zero value means disk
+    /// space is leaking observably rather than silently.
+    gc_delete_failures: Sum => add_gc_delete_failures;
+
+    // Crash recovery.
+    /// Cross-shard batches crash recovery found partially durable and dropped
+    /// wholesale (torn-batch detection over the shards' stray logs).
+    recovery_torn_batches: Sum => add_recovery_torn_batches;
+
+    // Checkpoints and replication.
+    /// Crash-consistent checkpoints completed via `Db::checkpoint`.
+    checkpoints_created: Sum => add_checkpoints_created;
+    /// Checkpoint files captured by hard link (shared storage with the primary's
+    /// immutable files).
+    checkpoint_files_linked: Sum => add_checkpoint_files_linked;
+    /// Checkpoint files captured by byte copy — log prefixes, manifests, and any
+    /// file whose hard link failed (e.g. a cross-filesystem target).
+    checkpoint_files_copied: Sum => add_checkpoint_files_copied;
+    /// Shipped WAL records a replica applied through its local engine.
+    replica_records_applied: Sum => add_replica_records_applied;
 }
 
 impl Stats {
     /// Creates a zeroed statistics registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    counter_methods! {
-        /// Records user-issued put operations.
-        user_writes => add_user_writes, user_writes;
-        /// Records user-issued delete operations.
-        user_deletes => add_user_deletes, user_deletes;
-        /// Records user-issued read operations.
-        user_reads => add_user_reads, user_reads;
-        /// Records reads that found a live value.
-        user_read_hits => add_user_read_hits, user_read_hits;
-        /// Records logical bytes written by the application (key + value sizes).
-        user_bytes_written => add_user_bytes_written, user_bytes_written;
-        /// Records bytes appended to the commit log.
-        wal_bytes_written => add_wal_bytes_written, wal_bytes_written;
-        /// Records commit log append operations.
-        wal_appends => add_wal_appends, wal_appends;
-        /// Records commit log fsync operations.
-        wal_syncs => add_wal_syncs, wal_syncs;
-        /// Records commit log rotations (new log installed).
-        wal_rotations => add_wal_rotations, wal_rotations;
-        /// Records commit groups committed by the group-commit write pipeline (one
-        /// leader-driven WAL append + flush/sync per group).
-        write_groups => add_write_groups, write_groups;
-        /// Records write batches that were carried by a commit group (every
-        /// acknowledged non-empty batch rides in exactly one, per shard).
-        write_group_batches => add_write_group_batches, write_group_batches;
-        /// Records fsyncs *avoided* by group commit: for a synced group of `k`
-        /// batches, `k - 1` batches became durable without their own fsync.
-        wal_syncs_amortized => add_wal_syncs_amortized, wal_syncs_amortized;
-        /// Records commit groups that required durability but found the watermark
-        /// already past their end offset — another in-flight group's fsync covered
-        /// them while they were appending or inserting. Strictly positive only
-        /// when the pipelined commit actually overlapped an fsync with later work.
-        wal_syncs_overlapped => add_wal_syncs_overlapped, wal_syncs_overlapped;
-        /// Records *sampled* microseconds spent inside the append stage of the
-        /// pipelined commit (drain + encode + buffered append, under the append
-        /// lock). One in [`TIMING_SAMPLE_EVERY`] groups is timed, so this is an
-        /// observability signal, not a total.
-        wal_append_us => add_wal_append_us, wal_append_us;
-        /// Records *sampled* microseconds a commit group spent waiting for (or
-        /// issuing) the fsync that made it durable — the log-induced stall the
-        /// pipeline hides behind the next group's append. Same sampling as
-        /// `wal_append_us`.
-        wal_sync_wait_us => add_wal_sync_wait_us, wal_sync_wait_us;
-        /// Records completed flushes of the memory component.
-        flush_count => add_flush_count, flush_count;
-        /// Records flushes avoided by the TRIAD-MEM small-memtable rule.
-        small_flush_skips => add_small_flush_skips, small_flush_skips;
-        /// Records bytes physically written to L0 by flushes (for CL-SSTables this is
-        /// only the index, which is the point of TRIAD-LOG).
-        bytes_flushed => add_bytes_flushed, bytes_flushed;
-        /// Records the logical bytes installed at L0 by flushes. For regular flushes
-        /// this equals `bytes_flushed`; for CL-SSTables it also counts the key/value
-        /// data the index references in the sealed commit log. Write amplification is
-        /// computed against this counter, matching how the paper reports WA for TRIAD.
-        logical_bytes_flushed => add_logical_bytes_flushed, logical_bytes_flushed;
-        /// Records entries written to L0 by flushes.
-        entries_flushed => add_entries_flushed, entries_flushed;
-        /// Records hot entries retained in memory by TRIAD-MEM instead of being flushed.
-        hot_entries_retained => add_hot_entries_retained, hot_entries_retained;
-        /// Records microseconds spent inside flush operations.
-        flush_micros => add_flush_micros, flush_micros;
-        /// Records completed compactions.
-        compaction_count => add_compaction_count, compaction_count;
-        /// Records compactions deferred by TRIAD-DISK.
-        compactions_deferred => add_compactions_deferred, compactions_deferred;
-        /// Records bytes read by compactions.
-        bytes_compacted_read => add_bytes_compacted_read, bytes_compacted_read;
-        /// Records bytes written by compactions.
-        bytes_compacted_written => add_bytes_compacted_written, bytes_compacted_written;
-        /// Records entries processed by compactions.
-        entries_compacted => add_entries_compacted, entries_compacted;
-        /// Records obsolete entries discarded by compactions.
-        entries_dropped => add_entries_dropped, entries_dropped;
-        /// Records microseconds spent inside compaction operations.
-        compaction_micros => add_compaction_micros, compaction_micros;
-        /// Records memtable probes performed by reads.
-        memtable_probes => add_memtable_probes, memtable_probes;
-        /// Records SSTable probes performed by reads (the unit of read amplification).
-        table_probes => add_table_probes, table_probes;
-        /// Records data-block reads performed by table probes.
-        block_reads => add_block_reads, block_reads;
-        /// Records table probes skipped thanks to a bloom-filter negative.
-        bloom_negatives => add_bloom_negatives, bloom_negatives;
-        /// Records MVCC snapshots opened via `Db::snapshot`.
-        snapshots_created => add_snapshots_created, snapshots_created;
-        /// Records table-cache probes that found the table handle already open.
-        table_cache_hits => add_table_cache_hits, table_cache_hits;
-        /// Records table-cache probes that had to open the table from disk.
-        table_cache_misses => add_table_cache_misses, table_cache_misses;
-        /// Records block-cache probes served from a cached decoded block
-        /// (including probes that joined an in-flight single-flight load).
-        block_cache_hits => add_block_cache_hits, block_cache_hits;
-        /// Records block-cache probes that had to read the block from disk.
-        block_cache_misses => add_block_cache_misses, block_cache_misses;
-        /// Records blocks evicted from the cache to stay under the byte budget.
-        block_cache_evictions => add_block_cache_evictions, block_cache_evictions;
-        /// Records decoded bytes inserted into the block cache.
-        block_cache_inserted_bytes => add_block_cache_inserted_bytes, block_cache_inserted_bytes;
-        /// Records obsolete table files (SSTables and CL indexes) physically deleted.
-        gc_files_deleted => add_gc_files_deleted, gc_files_deleted;
-        /// Records obsolete commit logs physically deleted.
-        gc_logs_deleted => add_gc_logs_deleted, gc_logs_deleted;
-        /// Records failed deletions of obsolete files (e.g. permission errors); the
-        /// file stays queued and the next GC pass retries, so a non-zero value means
-        /// disk space is leaking observably rather than silently.
-        gc_delete_failures => add_gc_delete_failures, gc_delete_failures;
-        /// Records cross-shard batches crash recovery found partially durable and
-        /// dropped wholesale (torn-batch detection over the shards' stray logs).
-        recovery_torn_batches => add_recovery_torn_batches, recovery_torn_batches;
-        /// Records crash-consistent checkpoints completed via `Db::checkpoint`.
-        checkpoints_created => add_checkpoints_created, checkpoints_created;
-        /// Records checkpoint files captured by hard link (shared storage with the
-        /// primary's immutable files).
-        checkpoint_files_linked => add_checkpoint_files_linked, checkpoint_files_linked;
-        /// Records checkpoint files captured by byte copy — log prefixes, manifests,
-        /// and any file whose hard link failed (e.g. a cross-filesystem target).
-        checkpoint_files_copied => add_checkpoint_files_copied, checkpoint_files_copied;
-        /// Records shipped WAL records a replica applied through its local engine.
-        replica_records_applied => add_replica_records_applied, replica_records_applied;
-    }
-
-    /// Records the size (in batches) of one commit group, keeping the running
-    /// maximum. A high-water mark rather than a sum, so it gets a dedicated
-    /// `fetch_max` instead of the additive counter macro.
-    pub fn record_write_group_size(&self, batches: u64) {
-        self.write_group_max_size.fetch_max(batches, Ordering::Relaxed);
-    }
-
-    /// Returns the largest commit group observed so far, in batches.
-    pub fn write_group_max_size(&self) -> u64 {
-        self.write_group_max_size.load(Ordering::Relaxed)
-    }
-
-    /// Records the number of commit groups simultaneously in flight (appended
-    /// but not yet complete — still syncing, inserting or registering their
-    /// publication), keeping the running maximum. Depth > 1 is the direct
-    /// evidence that group N+1 appended while group N was still in flight.
-    pub fn record_pipeline_depth(&self, depth: u64) {
-        self.wal_pipeline_max_depth.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Returns the deepest commit pipeline observed so far, in groups.
-    pub fn wal_pipeline_max_depth(&self) -> u64 {
-        self.wal_pipeline_max_depth.load(Ordering::Relaxed)
     }
 
     /// Records one point-lookup latency, in nanoseconds. Used by the engine's
@@ -314,328 +336,20 @@ impl Stats {
         self.add_compaction_micros(elapsed.as_micros() as u64);
     }
 
-    /// Folds another registry into this one: additive counters sum, the
-    /// high-water marks (`write_group_max_size`, `wal_pipeline_max_depth`)
-    /// take the maximum, and the cumulative latency histograms merge bucket
-    /// by bucket. The sharded `Db` façade uses this to aggregate per-shard
-    /// engine stats into one database-wide view; `other` keeps recording
-    /// independently and is not modified.
+    /// Folds another registry into this one: every counter records the other's
+    /// value by its kind (`Sum` adds, `Max` keeps the maximum), and the
+    /// cumulative latency histograms merge bucket by bucket. The sharded `Db`
+    /// façade uses this to aggregate per-shard engine stats into one
+    /// database-wide view; `other` keeps recording independently and is not
+    /// modified.
     pub fn absorb(&self, other: &Stats) {
-        let snap = other.snapshot();
-        macro_rules! fold {
-            ($($field:ident => $add:ident),* $(,)?) => {
-                $(self.$add(snap.$field);)*
-            };
-        }
-        fold!(
-            user_writes => add_user_writes,
-            user_deletes => add_user_deletes,
-            user_reads => add_user_reads,
-            user_read_hits => add_user_read_hits,
-            user_bytes_written => add_user_bytes_written,
-            wal_bytes_written => add_wal_bytes_written,
-            wal_appends => add_wal_appends,
-            wal_syncs => add_wal_syncs,
-            wal_rotations => add_wal_rotations,
-            write_groups => add_write_groups,
-            write_group_batches => add_write_group_batches,
-            wal_syncs_amortized => add_wal_syncs_amortized,
-            wal_syncs_overlapped => add_wal_syncs_overlapped,
-            wal_append_us => add_wal_append_us,
-            wal_sync_wait_us => add_wal_sync_wait_us,
-            flush_count => add_flush_count,
-            small_flush_skips => add_small_flush_skips,
-            bytes_flushed => add_bytes_flushed,
-            logical_bytes_flushed => add_logical_bytes_flushed,
-            entries_flushed => add_entries_flushed,
-            hot_entries_retained => add_hot_entries_retained,
-            flush_micros => add_flush_micros,
-            compaction_count => add_compaction_count,
-            compactions_deferred => add_compactions_deferred,
-            bytes_compacted_read => add_bytes_compacted_read,
-            bytes_compacted_written => add_bytes_compacted_written,
-            entries_compacted => add_entries_compacted,
-            entries_dropped => add_entries_dropped,
-            compaction_micros => add_compaction_micros,
-            memtable_probes => add_memtable_probes,
-            table_probes => add_table_probes,
-            block_reads => add_block_reads,
-            bloom_negatives => add_bloom_negatives,
-            snapshots_created => add_snapshots_created,
-            table_cache_hits => add_table_cache_hits,
-            table_cache_misses => add_table_cache_misses,
-            block_cache_hits => add_block_cache_hits,
-            block_cache_misses => add_block_cache_misses,
-            block_cache_evictions => add_block_cache_evictions,
-            block_cache_inserted_bytes => add_block_cache_inserted_bytes,
-            gc_files_deleted => add_gc_files_deleted,
-            gc_logs_deleted => add_gc_logs_deleted,
-            gc_delete_failures => add_gc_delete_failures,
-            recovery_torn_batches => add_recovery_torn_batches,
-            checkpoints_created => add_checkpoints_created,
-            checkpoint_files_linked => add_checkpoint_files_linked,
-            checkpoint_files_copied => add_checkpoint_files_copied,
-            replica_records_applied => add_replica_records_applied,
-        );
-        self.record_write_group_size(snap.write_group_max_size);
-        self.record_pipeline_depth(snap.wal_pipeline_max_depth);
+        self.record_snapshot(&other.snapshot());
         self.get_latency.merge_from(other.get_latency());
         self.scan_latency.merge_from(other.scan_latency());
     }
-
-    /// Takes a point-in-time copy of every counter.
-    pub fn snapshot(&self) -> StatSnapshot {
-        StatSnapshot {
-            user_writes: self.user_writes(),
-            user_deletes: self.user_deletes(),
-            user_reads: self.user_reads(),
-            user_read_hits: self.user_read_hits(),
-            user_bytes_written: self.user_bytes_written(),
-            wal_bytes_written: self.wal_bytes_written(),
-            wal_appends: self.wal_appends(),
-            wal_syncs: self.wal_syncs(),
-            wal_rotations: self.wal_rotations(),
-            write_groups: self.write_groups(),
-            write_group_batches: self.write_group_batches(),
-            write_group_max_size: self.write_group_max_size(),
-            wal_syncs_amortized: self.wal_syncs_amortized(),
-            wal_syncs_overlapped: self.wal_syncs_overlapped(),
-            wal_pipeline_max_depth: self.wal_pipeline_max_depth(),
-            wal_append_us: self.wal_append_us(),
-            wal_sync_wait_us: self.wal_sync_wait_us(),
-            flush_count: self.flush_count(),
-            small_flush_skips: self.small_flush_skips(),
-            bytes_flushed: self.bytes_flushed(),
-            logical_bytes_flushed: self.logical_bytes_flushed(),
-            entries_flushed: self.entries_flushed(),
-            hot_entries_retained: self.hot_entries_retained(),
-            flush_micros: self.flush_micros(),
-            compaction_count: self.compaction_count(),
-            compactions_deferred: self.compactions_deferred(),
-            bytes_compacted_read: self.bytes_compacted_read(),
-            bytes_compacted_written: self.bytes_compacted_written(),
-            entries_compacted: self.entries_compacted(),
-            entries_dropped: self.entries_dropped(),
-            compaction_micros: self.compaction_micros(),
-            memtable_probes: self.memtable_probes(),
-            table_probes: self.table_probes(),
-            block_reads: self.block_reads(),
-            bloom_negatives: self.bloom_negatives(),
-            snapshots_created: self.snapshots_created(),
-            table_cache_hits: self.table_cache_hits(),
-            table_cache_misses: self.table_cache_misses(),
-            block_cache_hits: self.block_cache_hits(),
-            block_cache_misses: self.block_cache_misses(),
-            block_cache_evictions: self.block_cache_evictions(),
-            block_cache_inserted_bytes: self.block_cache_inserted_bytes(),
-            gc_files_deleted: self.gc_files_deleted(),
-            gc_logs_deleted: self.gc_logs_deleted(),
-            gc_delete_failures: self.gc_delete_failures(),
-            recovery_torn_batches: self.recovery_torn_batches(),
-            checkpoints_created: self.checkpoints_created(),
-            checkpoint_files_linked: self.checkpoint_files_linked(),
-            checkpoint_files_copied: self.checkpoint_files_copied(),
-            replica_records_applied: self.replica_records_applied(),
-        }
-    }
-}
-
-/// A point-in-time copy of the [`Stats`] counters, with derived-metric helpers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // Field names mirror the counters documented on `Stats`.
-pub struct StatSnapshot {
-    pub user_writes: u64,
-    pub user_deletes: u64,
-    pub user_reads: u64,
-    pub user_read_hits: u64,
-    pub user_bytes_written: u64,
-    pub wal_bytes_written: u64,
-    pub wal_appends: u64,
-    pub wal_syncs: u64,
-    pub wal_rotations: u64,
-    pub write_groups: u64,
-    pub write_group_batches: u64,
-    /// Largest commit group observed, in batches — a high-water mark, not a sum.
-    pub write_group_max_size: u64,
-    pub wal_syncs_amortized: u64,
-    pub wal_syncs_overlapped: u64,
-    /// Deepest commit pipeline observed, in groups — a high-water mark, not a sum.
-    pub wal_pipeline_max_depth: u64,
-    /// Sampled microseconds in the append stage (1 in [`TIMING_SAMPLE_EVERY`] groups).
-    pub wal_append_us: u64,
-    /// Sampled microseconds waiting on group durability (same sampling).
-    pub wal_sync_wait_us: u64,
-    pub flush_count: u64,
-    pub small_flush_skips: u64,
-    pub bytes_flushed: u64,
-    pub logical_bytes_flushed: u64,
-    pub entries_flushed: u64,
-    pub hot_entries_retained: u64,
-    pub flush_micros: u64,
-    pub compaction_count: u64,
-    pub compactions_deferred: u64,
-    pub bytes_compacted_read: u64,
-    pub bytes_compacted_written: u64,
-    pub entries_compacted: u64,
-    pub entries_dropped: u64,
-    pub compaction_micros: u64,
-    pub memtable_probes: u64,
-    pub table_probes: u64,
-    pub block_reads: u64,
-    pub bloom_negatives: u64,
-    pub snapshots_created: u64,
-    pub table_cache_hits: u64,
-    pub table_cache_misses: u64,
-    pub block_cache_hits: u64,
-    pub block_cache_misses: u64,
-    pub block_cache_evictions: u64,
-    pub block_cache_inserted_bytes: u64,
-    pub gc_files_deleted: u64,
-    pub gc_logs_deleted: u64,
-    pub gc_delete_failures: u64,
-    pub recovery_torn_batches: u64,
-    pub checkpoints_created: u64,
-    pub checkpoint_files_linked: u64,
-    pub checkpoint_files_copied: u64,
-    pub replica_records_applied: u64,
 }
 
 impl StatSnapshot {
-    /// Computes the delta between this snapshot and an earlier one.
-    ///
-    /// Every counter is subtracted except `write_group_max_size` and
-    /// `wal_pipeline_max_depth`, which are high-water marks: the delta carries the
-    /// later snapshot's maxima verbatim.
-    pub fn delta_since(&self, earlier: &StatSnapshot) -> StatSnapshot {
-        macro_rules! sub {
-            ($($field:ident),* $(,)?) => {
-                StatSnapshot {
-                    write_group_max_size: self.write_group_max_size,
-                    wal_pipeline_max_depth: self.wal_pipeline_max_depth,
-                    $($field: self.$field.saturating_sub(earlier.$field)),*
-                }
-            };
-        }
-        sub!(
-            user_writes,
-            user_deletes,
-            user_reads,
-            user_read_hits,
-            user_bytes_written,
-            wal_bytes_written,
-            wal_appends,
-            wal_syncs,
-            wal_rotations,
-            write_groups,
-            write_group_batches,
-            wal_syncs_amortized,
-            wal_syncs_overlapped,
-            wal_append_us,
-            wal_sync_wait_us,
-            flush_count,
-            small_flush_skips,
-            bytes_flushed,
-            logical_bytes_flushed,
-            entries_flushed,
-            hot_entries_retained,
-            flush_micros,
-            compaction_count,
-            compactions_deferred,
-            bytes_compacted_read,
-            bytes_compacted_written,
-            entries_compacted,
-            entries_dropped,
-            compaction_micros,
-            memtable_probes,
-            table_probes,
-            block_reads,
-            bloom_negatives,
-            snapshots_created,
-            table_cache_hits,
-            table_cache_misses,
-            block_cache_hits,
-            block_cache_misses,
-            block_cache_evictions,
-            block_cache_inserted_bytes,
-            gc_files_deleted,
-            gc_logs_deleted,
-            gc_delete_failures,
-            recovery_torn_batches,
-            checkpoints_created,
-            checkpoint_files_linked,
-            checkpoint_files_copied,
-            replica_records_applied,
-        )
-    }
-
-    /// Combines two snapshots taken from different engine instances (one per
-    /// shard): every additive counter sums, while the high-water marks
-    /// (`write_group_max_size`, `wal_pipeline_max_depth`) take the maximum —
-    /// the deepest pipeline of any shard, not a meaningless sum of maxima.
-    pub fn merge(&self, other: &StatSnapshot) -> StatSnapshot {
-        macro_rules! add {
-            ($($field:ident),* $(,)?) => {
-                StatSnapshot {
-                    write_group_max_size: self.write_group_max_size.max(other.write_group_max_size),
-                    wal_pipeline_max_depth: self
-                        .wal_pipeline_max_depth
-                        .max(other.wal_pipeline_max_depth),
-                    $($field: self.$field.saturating_add(other.$field)),*
-                }
-            };
-        }
-        add!(
-            user_writes,
-            user_deletes,
-            user_reads,
-            user_read_hits,
-            user_bytes_written,
-            wal_bytes_written,
-            wal_appends,
-            wal_syncs,
-            wal_rotations,
-            write_groups,
-            write_group_batches,
-            wal_syncs_amortized,
-            wal_syncs_overlapped,
-            wal_append_us,
-            wal_sync_wait_us,
-            flush_count,
-            small_flush_skips,
-            bytes_flushed,
-            logical_bytes_flushed,
-            entries_flushed,
-            hot_entries_retained,
-            flush_micros,
-            compaction_count,
-            compactions_deferred,
-            bytes_compacted_read,
-            bytes_compacted_written,
-            entries_compacted,
-            entries_dropped,
-            compaction_micros,
-            memtable_probes,
-            table_probes,
-            block_reads,
-            bloom_negatives,
-            snapshots_created,
-            table_cache_hits,
-            table_cache_misses,
-            block_cache_hits,
-            block_cache_misses,
-            block_cache_evictions,
-            block_cache_inserted_bytes,
-            gc_files_deleted,
-            gc_logs_deleted,
-            gc_delete_failures,
-            recovery_torn_batches,
-            checkpoints_created,
-            checkpoint_files_linked,
-            checkpoint_files_copied,
-            replica_records_applied,
-        )
-    }
-
     /// System-wide write amplification as defined in the paper:
     /// `(bytes_flushed + bytes_compacted) / bytes_flushed`.
     ///
@@ -729,6 +443,68 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+
+    /// How a counter aggregates, as its table row declares it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Kind {
+        Sum,
+        Max,
+    }
+
+    /// One row of the counter table, as the `counters!` macro emits it.
+    pub(super) struct CounterRow {
+        pub(super) name: &'static str,
+        pub(super) kind: Kind,
+        pub(super) record: fn(&Stats, u64),
+        pub(super) get: fn(&Stats) -> u64,
+        pub(super) field: fn(&mut StatSnapshot) -> &mut u64,
+    }
+
+    /// A snapshot in which only `row`'s counter is non-zero.
+    fn only(row: &CounterRow, value: u64) -> StatSnapshot {
+        let mut snap = StatSnapshot::default();
+        *(row.field)(&mut snap) = value;
+        snap
+    }
+
+    /// Walks every table row and checks the generated recorder, getter,
+    /// `snapshot`, `delta_since`, `merge` and `absorb` against the row's kind,
+    /// so a new counter is covered without editing this test.
+    #[test]
+    fn every_counter_row_follows_its_kind() {
+        let mut names: Vec<&str> = COUNTER_ROWS.iter().map(|row| row.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), COUNTER_ROWS.len(), "counter names are unique");
+
+        for row in COUNTER_ROWS {
+            // `pick(sum, max)`: the value this row's kind must produce.
+            let pick = |sum: u64, max: u64| if row.kind == Kind::Sum { sum } else { max };
+            let name = row.name;
+
+            let stats = Stats::new();
+            (row.record)(&stats, 7);
+            (row.record)(&stats, 3);
+            assert_eq!((row.get)(&stats), pick(10, 7), "{name}: recorder and getter");
+            let earlier = stats.snapshot();
+            assert_eq!(earlier, only(row, pick(10, 7)), "{name}: snapshot sets only its field");
+
+            (row.record)(&stats, 2);
+            let later = stats.snapshot();
+            assert_eq!(later.delta_since(&earlier), only(row, pick(2, 7)), "{name}: delta");
+            assert_eq!(only(row, 0).delta_since(&earlier), only(row, 0), "{name}: delta floor");
+
+            assert_eq!(only(row, 4).merge(&only(row, 6)), only(row, pick(10, 6)), "{name}: merge");
+            let top = only(row, u64::MAX);
+            assert_eq!(top.merge(&only(row, 1)), top, "{name}: merge saturates");
+
+            let total = Stats::new();
+            (row.record)(&total, 5);
+            total.absorb(&stats);
+            assert_eq!(total.snapshot(), only(row, pick(17, 7)), "{name}: absorb");
+            assert_eq!((row.get)(&stats), pick(12, 7), "{name}: absorb leaves the source");
+        }
+    }
 
     #[test]
     fn counters_accumulate() {

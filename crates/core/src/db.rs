@@ -18,7 +18,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
@@ -78,6 +78,12 @@ pub(crate) struct ImmutableMemtable {
     /// The commit log that was active while this memtable absorbed writes.
     pub(crate) wal_id: u64,
 }
+
+/// Background attempts that may fail during one blocking flush or compaction
+/// wait before the wait returns the last error instead of polling forever.
+/// Large enough that a transient fault the worker's retries get past (the
+/// recovery tests inject up to three failures in a row) still completes.
+const MAX_BACKGROUND_FAILURES: u64 = 5;
 
 /// Messages sent to the background worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -271,6 +277,9 @@ pub(crate) struct DbInner {
     pub(crate) last_seqno: AtomicU64,
     pub(crate) shutdown: AtomicBool,
     pub(crate) work_tx: Sender<WorkItem>,
+    /// The last failed background flush or compaction, reported by a blocking
+    /// wait that gives up on the worker (see [`DbInner::wait_for_worker`]).
+    last_background_error: Mutex<Option<String>>,
 }
 
 impl std::fmt::Debug for DbInner {
@@ -488,6 +497,7 @@ impl Shard {
             last_seqno: AtomicU64::new(last_seqno),
             shutdown: AtomicBool::new(false),
             work_tx,
+            last_background_error: Mutex::new(None),
         });
 
         // Delete whatever a previous incarnation left behind: replayed stray logs,
@@ -1039,6 +1049,7 @@ impl Db {
 
     /// Forces the active memtable to be sealed and flushed, then waits for every
     /// pending flush to complete. Primarily useful in tests and benchmarks.
+    /// Returns [`Error::Background`] if flushes keep failing.
     pub fn flush(&self) -> Result<()> {
         for shard in &self.shards {
             shard.inner.force_rotate()?;
@@ -1051,21 +1062,15 @@ impl Db {
 
     /// Blocks until no compaction work is pending on any shard (used by
     /// benchmarks to measure steady-state sizes), then runs a
-    /// garbage-collection pass.
+    /// garbage-collection pass. Returns [`Error::Background`] if flushes or
+    /// compactions keep failing.
     pub fn wait_for_compactions(&self) -> Result<()> {
         for shard in &self.shards {
-            shard.inner.wait_for_pending_flushes()?;
-            loop {
-                if shard.inner.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                if !shard.inner.compaction_needed() {
-                    shard.inner.collect_garbage();
-                    break;
-                }
-                let _ = shard.inner.work_tx.send(WorkItem::Compact);
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
+            let inner = &shard.inner;
+            inner.wait_for_pending_flushes()?;
+            inner.wait_for_worker(WorkItem::Compact, Duration::from_millis(5), || {
+                !inner.compaction_needed()
+            })?;
         }
         Ok(())
     }
@@ -1450,18 +1455,50 @@ impl DbInner {
 
     /// Blocks until the immutable-memtable queue is empty, then collects any files
     /// the flushes retired.
-    pub(crate) fn wait_for_pending_flushes(&self) -> Result<()> {
+    fn wait_for_pending_flushes(&self) -> Result<()> {
+        self.wait_for_worker(WorkItem::Flush, Duration::from_millis(2), || {
+            self.imm.read().is_empty()
+        })
+    }
+
+    /// Polls until `done` holds (then collects garbage) or the engine shuts
+    /// down, nudging the background worker with `item` between polls. The
+    /// worker retries failed attempts forever, but a caller blocked here must
+    /// not wait forever: once [`MAX_BACKGROUND_FAILURES`] attempts have failed
+    /// during this wait, it returns [`Error::Background`] with the last error.
+    fn wait_for_worker(
+        &self,
+        item: WorkItem,
+        poll: Duration,
+        done: impl Fn() -> bool,
+    ) -> Result<()> {
+        let failures_before = self.stats.background_errors();
         loop {
-            if self.imm.read().is_empty() {
+            if done() {
                 self.collect_garbage();
                 return Ok(());
             }
             if self.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            let _ = self.work_tx.send(WorkItem::Flush);
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            let failures = self.stats.background_errors() - failures_before;
+            if failures >= MAX_BACKGROUND_FAILURES {
+                let last = self.last_background_error.lock().clone().unwrap_or_default();
+                return Err(Error::Background(format!(
+                    "{failures} background attempts failed while waiting; last: {last}"
+                )));
+            }
+            let _ = self.work_tx.send(item);
+            std::thread::sleep(poll);
         }
+    }
+
+    /// Counts one failed background attempt and keeps its error for
+    /// [`DbInner::wait_for_worker`] to report.
+    fn note_background_error(&self, job: &str, error: &Error) {
+        eprintln!("triad: background {job} error: {error}");
+        self.stats.add_background_errors(1);
+        *self.last_background_error.lock() = Some(format!("{job}: {error}"));
     }
 
     /// Pins the current version: the returned guard keeps every file the version
@@ -1732,7 +1769,7 @@ fn background_worker(inner: Arc<DbInner>, rx: Receiver<WorkItem>) {
                 if let Err(e) = inner.flush_pending_memtables() {
                     // Background errors are recorded but do not crash the process;
                     // the next flush attempt will retry.
-                    eprintln!("triad: background flush error: {e}");
+                    inner.note_background_error("flush", &e);
                 }
                 loop {
                     if inner.shutdown.load(Ordering::SeqCst) {
@@ -1742,7 +1779,7 @@ fn background_worker(inner: Arc<DbInner>, rx: Receiver<WorkItem>) {
                         Ok(true) => continue,
                         Ok(false) => break,
                         Err(e) => {
-                            eprintln!("triad: background compaction error: {e}");
+                            inner.note_background_error("compaction", &e);
                             break;
                         }
                     }

@@ -248,7 +248,9 @@ pub struct Options {
     pub group_commit: GroupCommitConfig,
     /// Whether background I/O runs (Figure 2 uses `Disabled`).
     pub background_io: BackgroundIoMode,
-    /// Number of background compaction threads.
+    /// Currently ignored: nothing reads it. Each shard runs exactly one
+    /// background worker, which does all of that shard's flushes and
+    /// compactions.
     pub compaction_threads: usize,
     /// TRIAD technique configuration.
     pub triad: TriadConfig,

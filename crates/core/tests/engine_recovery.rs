@@ -270,6 +270,63 @@ fn injected_compaction_failures_do_not_corrupt_data() {
     db.close().unwrap();
 }
 
+/// Persistent background failures must surface from the blocking waits as an
+/// error instead of hanging them, and must not lose acknowledged writes.
+#[test]
+fn persistent_flush_failure_fails_flush_instead_of_hanging() {
+    let dir = temp_dir("flush-persistent-failure");
+    let options = small_single_shard();
+    let failpoints = FailpointRegistry::new();
+    failpoints.arm("flush.start", FailpointAction::ReturnError);
+    {
+        let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
+        for i in 0..500u64 {
+            db.put(key_for(i), value_for(i, 1)).unwrap();
+        }
+        let started = std::time::Instant::now();
+        let result = db.flush();
+        assert!(result.is_err(), "flush must report the failing worker, got {result:?}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(2), "flush gave up too late");
+        assert!(db.stats().background_errors >= 3);
+        db.close().unwrap();
+    }
+    let db = Db::open(&dir, options).unwrap();
+    for i in 0..500u64 {
+        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)), "key {i} lost");
+    }
+    db.close().unwrap();
+}
+
+#[test]
+fn persistent_compaction_failure_fails_the_wait_instead_of_hanging() {
+    let dir = temp_dir("compaction-persistent-failure");
+    let options = small_single_shard();
+    let failpoints = FailpointRegistry::new();
+    failpoints.arm("compaction.start", FailpointAction::ReturnError);
+    {
+        let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
+        // One L0 file per round: enough to reach the compaction trigger.
+        for version in 1..=options.l0_compaction_trigger as u64 {
+            for i in 0..100u64 {
+                db.put(key_for(i), value_for(i, version)).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        let started = std::time::Instant::now();
+        let result = db.wait_for_compactions();
+        assert!(result.is_err(), "the wait must report the failing worker, got {result:?}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(2), "the wait gave up too late");
+        assert!(db.stats().background_errors >= 3);
+        db.close().unwrap();
+    }
+    let db = Db::open(&dir, options.clone()).unwrap();
+    let latest = options.l0_compaction_trigger as u64;
+    for i in 0..100u64 {
+        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, latest)), "key {i} lost");
+    }
+    db.close().unwrap();
+}
+
 /// Injects a failure in the exact crash window of the group-commit pipeline —
 /// after the group's WAL append (and fsync) but before any memtable insert — and
 /// asserts the two invariants the pipeline promises: no acknowledged write is
