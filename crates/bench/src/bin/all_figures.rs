@@ -2,7 +2,7 @@
 
 use triad_bench::experiments::{
     fig10_breakdown, fig11_wa_ra, fig2_background_io, fig7_profiles, fig9a_production,
-    fig9d_io_time, grid, scenarios, summary, write_scaling,
+    fig9d_io_time, grid, summary, write_scaling,
 };
 use triad_bench::Scale;
 
@@ -21,6 +21,5 @@ fn main() {
     fig11_wa_ra::run_read_amplification(scale).expect("figure 11 RA");
     summary::run(scale).expect("summary");
     write_scaling::run(scale).expect("write scaling");
-    scenarios::run(scale).expect("scenario suite");
     println!("\nAll figures regenerated.");
 }

@@ -1,18 +1,15 @@
 //! Figure 9A: throughput and write amplification on the production workloads.
 //!
-//! Since the scenario suite landed this figure is a thin wrapper over the
-//! shared scenario runner: each production profile becomes a closed-loop,
-//! write-only [`Scenario`] (via [`Scenario::production`]) and runs through
-//! the same [`scenarios::run_scenario`] path the open-loop suite uses, so
-//! production numbers and scenario numbers come from one code path.
+//! Each production profile runs write-only through the closed-loop
+//! [`run_experiment`] runner with 8 client threads, once on the RocksDB-like
+//! baseline and once with every TRIAD technique enabled.
 
 use triad_core::TriadConfig;
-use triad_workload::{ProductionProfile, ProductionWorkload, Scenario};
+use triad_workload::{OperationMix, ProductionProfile, ProductionWorkload};
 
-use crate::experiments::scenarios::{self, ScenarioRunConfig};
 use crate::experiments::{bench_options, fig7_profiles::scale_down_factor, ops_per_thread};
 use crate::report::{print_table, Table};
-use crate::runner::Scale;
+use crate::runner::{run_experiment, ExperimentConfig, Scale};
 
 /// Runs RocksDB-baseline and TRIAD on each production-like workload profile.
 pub fn run(scale: Scale) -> triad_common::Result<Table> {
@@ -31,31 +28,27 @@ pub fn run(scale: Scale) -> triad_common::Result<Table> {
         let profile = ProductionProfile::new(workload, factor);
         // The production workloads are metadata update streams; drive them write-only
         // as the paper's throughput numbers are for applying the workload.
-        let scenario = Scenario::production(&profile);
-        let ops = (ops_per_thread(scale).min(profile.num_updates / 8 + 1)) * threads as u64;
+        let spec = profile.to_spec(OperationMix::new(0.0, 1.0, 0.0));
+        let ops = ops_per_thread(scale).min(profile.num_updates / 8 + 1);
 
-        let run_one = |triad: TriadConfig| -> triad_common::Result<_> {
-            let config = ScenarioRunConfig {
-                options: bench_options(scale, triad),
-                threads,
-                ops,
-                seed: 0xf19a,
-                queue_capacity: 1,
-                snapshot_refresh_every: 1,
-                drain_background: true,
-            };
-            scenarios::run_scenario(&scenario, &config)
+        let run_one = |label: &str, triad: TriadConfig| {
+            let config = ExperimentConfig::new(label, bench_options(scale, triad), spec.clone())
+                .with_threads(threads)
+                .with_ops_per_thread(ops);
+            run_experiment(&config)
         };
-        let baseline = run_one(TriadConfig::baseline())?;
-        let triad = run_one(TriadConfig::all_enabled())?;
+        let baseline = run_one("RocksDB", TriadConfig::baseline())?;
+        let triad = run_one("TRIAD", TriadConfig::all_enabled())?;
+        let (baseline_wa, triad_wa) =
+            (baseline.stats.write_amplification(), triad.stats.write_amplification());
         table.add_row(vec![
             profile.workload.label().to_string(),
             format!("{:.1}", baseline.kops),
             format!("{:.1}", triad.kops),
             format!("{:.0}%", (triad.kops / baseline.kops.max(1e-9) - 1.0) * 100.0),
-            format!("{:.2}", baseline.write_amplification),
-            format!("{:.2}", triad.write_amplification),
-            format!("{:.2}x", baseline.write_amplification / triad.write_amplification.max(1e-9)),
+            format!("{baseline_wa:.2}"),
+            format!("{triad_wa:.2}"),
+            format!("{:.2}x", baseline_wa / triad_wa.max(1e-9)),
         ]);
     }
     print_table(

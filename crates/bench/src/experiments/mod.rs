@@ -11,8 +11,6 @@ pub mod fig7_profiles;
 pub mod fig9a_production;
 pub mod fig9d_io_time;
 pub mod grid;
-pub mod replica_lag;
-pub mod scenarios;
 pub mod summary;
 pub mod write_scaling;
 

@@ -194,23 +194,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> triad_common::Result<Experim
     }
     let stats = db.stats().delta_since(&before);
     let files_per_level = db.files_per_level();
-    // Facade stats are merged across shards; the per-shard breakdown is
-    // opt-in because it is noisy in multi-experiment sweeps.
-    if db.shard_count() > 1 && std::env::var_os("TRIAD_BENCH_PER_SHARD").is_some() {
-        for (index, shard) in db.shard_stats().iter().enumerate() {
-            eprintln!(
-                "[{}] shard {index}: user_writes={} user_reads={} wal_bytes={} flushed={} \
-                 compacted={} wal_syncs={}",
-                config.label,
-                shard.user_writes,
-                shard.user_reads,
-                shard.wal_bytes_written,
-                shard.bytes_flushed,
-                shard.bytes_compacted_written,
-                shard.wal_syncs
-            );
-        }
-    }
     db.close()?;
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -1336,8 +1336,8 @@ impl DbInner {
             && self.options.background_io == BackgroundIoMode::Enabled
         {
             self.failpoints.check("rotate.small_flush_skip")?;
-            let new_id = self.versions.lock().allocate_file_number();
-            let mut new_writer = LogWriter::create(log_file_path(&self.path, new_id), new_id)?;
+            let mut new_writer = self.create_log()?;
+            let new_id = new_writer.id();
             let encoder = &mut wal.encoder;
             encoder.clear();
             let mut rewrites: Vec<(Vec<u8>, SeqNo, u64)> = Vec::new();
@@ -1362,61 +1362,72 @@ impl DbInner {
             // boundary for the durability watermark.
             new_writer.sync()?;
             let old_id = wal.id;
-            let old_writer = std::mem::replace(&mut wal.writer, new_writer);
-            wal.id = new_id;
-            wal.writes_since_sync = 0;
-            drop(old_writer);
+            drop(self.swap_log(wal, new_writer));
             // The old log's bytes are moot (deleted below, fresh values rewritten
             // durably into the new log) and the pipeline is drained, so the
             // watermark can retire everything appended so far and switch to the
             // new log.
             self.watermark.note_rotation(new_id);
-            self.wal_size_hint.store(wal.writer.size(), Ordering::Relaxed);
             // The old log was never sealed into an immutable memtable and backs no
             // table, so nothing can reference it: safe to delete inline.
             self.remove_file_counted(&log_file_path(&self.path, old_id), true);
             self.stats.add_small_flush_skips(1);
-            self.stats.add_wal_rotations(1);
             return Ok(());
         }
 
         // Figure 2 mode: discard the full memtable instead of flushing it.
         if self.options.background_io == BackgroundIoMode::Disabled {
-            let new_id = self.versions.lock().allocate_file_number();
-            let new_writer = LogWriter::create(log_file_path(&self.path, new_id), new_id)?;
+            let new_writer = self.create_log()?;
             let old_id = wal.id;
-            let old_writer = std::mem::replace(&mut wal.writer, new_writer);
-            wal.id = new_id;
-            wal.writes_since_sync = 0;
-            drop(old_writer);
-            self.watermark.note_rotation(new_id);
-            self.wal_size_hint.store(0, Ordering::Relaxed);
+            drop(self.swap_log(wal, new_writer));
+            self.watermark.note_rotation(wal.id);
             self.remove_file_counted(&log_file_path(&self.path, old_id), true);
             *self.mem.write() = self.fresh_memtable();
-            self.stats.add_wal_rotations(1);
             return Ok(());
         }
 
         // Regular rotation: seal the log and the memtable, hand both to the flusher.
         self.failpoints.check("rotate.seal")?;
-        let new_id = self.versions.lock().allocate_file_number();
-        let new_writer = LogWriter::create(log_file_path(&self.path, new_id), new_id)?;
-        let old_id = wal.id;
-        let old_writer = std::mem::replace(&mut wal.writer, new_writer);
-        wal.id = new_id;
+        let old_id = self.seal_log(wal)?;
+        self.queue_flush(Arc::clone(mem), old_id);
+        Ok(())
+    }
+
+    /// Allocates a file number and creates an empty commit log under it.
+    fn create_log(&self) -> Result<LogWriter> {
+        let id = self.versions.lock().allocate_file_number();
+        LogWriter::create(log_file_path(&self.path, id), id)
+    }
+
+    /// Makes `new_writer` the active log and returns the outgoing writer, which
+    /// the caller syncs, seals or drops before calling
+    /// [`DurabilityWatermark::note_rotation`](crate::durability::DurabilityWatermark::note_rotation).
+    /// Every rotation goes through here, so `wal_rotations` counts each one.
+    fn swap_log(&self, wal: &mut WalState, new_writer: LogWriter) -> LogWriter {
+        wal.id = new_writer.id();
         wal.writes_since_sync = 0;
+        self.wal_size_hint.store(new_writer.size(), Ordering::Relaxed);
+        self.stats.add_wal_rotations(1);
+        std::mem::replace(&mut wal.writer, new_writer)
+    }
+
+    /// Rotates to a fresh log and seals the outgoing one; returns its id.
+    fn seal_log(&self, wal: &mut WalState) -> Result<u64> {
+        let new_writer = self.create_log()?;
+        let old_id = wal.id;
         // Sealing fsyncs the outgoing log: with the pipeline drained, this is the
         // durable boundary — every byte ever appended is now durable.
-        old_writer.seal()?;
-        self.watermark.note_rotation(new_id);
-        self.wal_size_hint.store(0, Ordering::Relaxed);
+        self.swap_log(wal, new_writer).seal()?;
+        self.watermark.note_rotation(wal.id);
+        Ok(old_id)
+    }
 
-        let sealed = Arc::new(ImmutableMemtable { memtable: Arc::clone(mem), wal_id: old_id });
-        self.imm.write().push(sealed);
+    /// Queues `mem`, backed by the sealed log `wal_id`, for the flusher and
+    /// installs a fresh active memtable.
+    fn queue_flush(&self, mem: Arc<Memtable>, wal_id: u64) {
+        self.imm.write().push(Arc::new(ImmutableMemtable { memtable: mem, wal_id }));
         *self.mem.write() = self.fresh_memtable();
-        self.stats.add_wal_rotations(1);
         let _ = self.work_tx.send(WorkItem::Flush);
-        Ok(())
     }
 
     /// Seals the current memtable even if it is not full (used by `Db::flush`).
@@ -1432,24 +1443,13 @@ impl DbInner {
             return Ok(());
         }
         // Bypass the small-flush rule: an explicit flush should always persist.
-        let new_id = self.versions.lock().allocate_file_number();
-        let new_writer = LogWriter::create(log_file_path(&self.path, new_id), new_id)?;
-        let old_id = wal.id;
-        let old_writer = std::mem::replace(&mut wal.writer, new_writer);
-        wal.id = new_id;
-        wal.writes_since_sync = 0;
-        old_writer.seal()?;
-        self.watermark.note_rotation(new_id);
-        self.wal_size_hint.store(0, Ordering::Relaxed);
+        let old_id = self.seal_log(&mut wal)?;
         if self.options.background_io == BackgroundIoMode::Disabled {
             self.remove_file_counted(&log_file_path(&self.path, old_id), true);
             *self.mem.write() = self.fresh_memtable();
             return Ok(());
         }
-        let sealed = Arc::new(ImmutableMemtable { memtable: Arc::clone(&mem), wal_id: old_id });
-        self.imm.write().push(sealed);
-        *self.mem.write() = self.fresh_memtable();
-        let _ = self.work_tx.send(WorkItem::Flush);
+        self.queue_flush(mem, old_id);
         Ok(())
     }
 

@@ -259,10 +259,7 @@ pub struct Options {
     /// Byte budget of the shared block cache (decoded data blocks, one cache
     /// across all keyspace shards). `0` disables the cache entirely; the
     /// default is `memtable_size.div_ceil(10) * 3` — roughly 30% of the
-    /// memory component, the lfkv-style buffer-pool sizing rule. The
-    /// `TRIAD_BLOCK_CACHE` environment variable (plain bytes or a
-    /// `KiB`/`MiB`/`GiB` suffix) overrides it, which is how CI sweeps cache
-    /// sizes without rebuilding.
+    /// memory component, the lfkv-style buffer-pool sizing rule.
     pub block_cache: usize,
     /// Worker threads in the readahead I/O pool scan and compaction iterators
     /// use to prefetch the next data block. `0` disables readahead; the pool
@@ -275,22 +272,6 @@ pub struct Options {
 /// `memtable_size.div_ceil(10) * 3` (≈ 30% of the memory component).
 pub(crate) fn default_block_cache(memtable_size: usize) -> usize {
     memtable_size.div_ceil(10) * 3
-}
-
-/// The `TRIAD_BLOCK_CACHE` override, if set and parseable: plain bytes
-/// (`"1048576"`) or a binary-suffixed size (`"16MiB"`).
-fn block_cache_from_env() -> Option<usize> {
-    parse_byte_size(std::env::var("TRIAD_BLOCK_CACHE").ok()?.trim())
-}
-
-fn parse_byte_size(raw: &str) -> Option<usize> {
-    for (suffix, shift) in [("GiB", 30u32), ("MiB", 20), ("KiB", 10)] {
-        if let Some(number) = raw.strip_suffix(suffix) {
-            let number: usize = number.trim().parse().ok()?;
-            return number.checked_mul(1usize << shift);
-        }
-    }
-    raw.parse().ok()
 }
 
 impl Default for Options {
@@ -312,8 +293,7 @@ impl Default for Options {
             compaction_threads: 1,
             triad: TriadConfig::baseline(),
             shards: ShardConfig::default(),
-            block_cache: block_cache_from_env()
-                .unwrap_or_else(|| default_block_cache(memtable_size)),
+            block_cache: default_block_cache(memtable_size),
             io_threads: 2,
         }
     }
@@ -346,10 +326,8 @@ impl Options {
             // sharded suite runs override this via `TRIAD_SHARDS`.
             shards: ShardConfig { count: ShardConfig::from_env().unwrap_or(1) },
             // `..Options::default()` would size the cache for the 4 MiB
-            // default memtable; recompute for the tiny one. The
-            // TRIAD_BLOCK_CACHE override still wins.
-            block_cache: block_cache_from_env()
-                .unwrap_or_else(|| default_block_cache(memtable_size)),
+            // default memtable; recompute for the tiny one.
+            block_cache: default_block_cache(memtable_size),
             ..Options::default()
         }
     }
@@ -423,24 +401,11 @@ mod tests {
         assert_eq!(default_block_cache(4 * 1024 * 1024), 1_258_293, "4MiB/10 rounded up, x3");
         assert_eq!(default_block_cache(100), 30);
         assert_eq!(default_block_cache(101), 33);
-        if std::env::var("TRIAD_BLOCK_CACHE").is_err() {
-            let default = Options::default();
-            assert_eq!(default.block_cache, default_block_cache(default.memtable_size));
-            let small = Options::small_for_tests();
-            assert_eq!(small.block_cache, default_block_cache(small.memtable_size));
-            assert!(small.block_cache < default.block_cache);
-        }
-    }
-
-    #[test]
-    fn byte_sizes_parse_with_and_without_suffixes() {
-        assert_eq!(parse_byte_size("1048576"), Some(1 << 20));
-        assert_eq!(parse_byte_size("16MiB"), Some(16 << 20));
-        assert_eq!(parse_byte_size("2 GiB"), Some(2 << 30));
-        assert_eq!(parse_byte_size("512KiB"), Some(512 << 10));
-        assert_eq!(parse_byte_size("0"), Some(0));
-        assert_eq!(parse_byte_size("lots"), None);
-        assert_eq!(parse_byte_size("12MB"), None, "only binary suffixes are accepted");
+        let default = Options::default();
+        assert_eq!(default.block_cache, default_block_cache(default.memtable_size));
+        let small = Options::small_for_tests();
+        assert_eq!(small.block_cache, default_block_cache(small.memtable_size));
+        assert!(small.block_cache < default.block_cache);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 mod common;
 
-use common::{key_for, open_small, value_for};
+use common::{key_for, open_small, single_shard, value_for};
 use triad_core::{Db, Options, SyncMode, WriteBatch, WriteOptions};
 
 #[test]
@@ -218,6 +218,18 @@ fn stats_reflect_user_traffic_and_write_amplification() {
     assert!(stats.write_amplification() >= 1.0);
     assert!(stats.background_time().as_micros() > 0);
     assert!(stats.read_amplification() >= 0.0);
+    db.close().unwrap();
+}
+
+#[test]
+fn explicit_flush_counts_its_log_rotation() {
+    let (db, _dir) = open_small("flush-rotation", single_shard);
+    for i in 0..10u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    let before = db.stats().wal_rotations;
+    db.flush().unwrap();
+    assert_eq!(db.stats().wal_rotations, before + 1, "one flush seals exactly one log");
     db.close().unwrap();
 }
 

@@ -22,17 +22,12 @@ pub mod dist;
 pub mod generator;
 pub mod mix;
 pub mod production;
-pub mod scenario;
 pub mod zipf;
 
 pub use dist::KeyDistribution;
 pub use generator::{Operation, WorkloadGenerator, WorkloadSpec};
 pub use mix::OperationMix;
 pub use production::{ProductionProfile, ProductionWorkload};
-pub use scenario::{
-    stream_checksum, ArrivalProcess, HotSetDrift, Scenario, ScenarioEvent, ScenarioMix, ScenarioOp,
-    ScenarioOpKind, ScenarioStream,
-};
 pub use zipf::Zipfian;
 
 /// Encodes a logical key index as a fixed-width key of `key_size` bytes.

@@ -1,15 +1,12 @@
 //! Property-based tests for the workload generators: Zipfian skew against the
 //! theoretical rank probabilities, operation-mix ratio convergence, and
-//! seed-determinism of both the classic generator and the scenario streams.
+//! seed-determinism of the workload generator.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use triad_workload::{
-    stream_checksum, KeyDistribution, OperationMix, Scenario, ScenarioMix, WorkloadGenerator,
-    WorkloadSpec, Zipfian,
-};
+use triad_workload::{KeyDistribution, OperationMix, WorkloadGenerator, WorkloadSpec, Zipfian};
 
 /// The generalized harmonic number `H_{n,theta}` — the Zipf normaliser.
 fn zeta(n: u64, theta: f64) -> f64 {
@@ -100,37 +97,7 @@ proptest! {
         );
     }
 
-    /// The five-way scenario mix converges the same way.
-    fn scenario_mix_ratios_converge(
-        get_w in 1u32..8,
-        put_w in 1u32..8,
-        scan_w in 0u32..4,
-        seed in any::<u64>(),
-    ) {
-        let total_w = (get_w + put_w + scan_w) as f64;
-        let mix = ScenarioMix::new(
-            get_w as f64 / total_w,
-            put_w as f64 / total_w,
-            scan_w as f64 / total_w,
-            0.0,
-            0.0,
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let samples = 20_000u64;
-        let mut gets = 0u64;
-        for _ in 0..samples {
-            if mix.sample(&mut rng) == triad_workload::ScenarioOpKind::Get {
-                gets += 1;
-            }
-        }
-        prop_assert!(
-            (gets as f64 / samples as f64 - mix.get).abs() < 0.03,
-            "get share {gets} / {samples} vs {:.3}", mix.get
-        );
-    }
-
-    /// Identical seeds produce identical op streams, for both the classic
-    /// generator and the scenario streams (checksum included).
+    /// Identical seeds produce identical op streams.
     fn identical_seeds_produce_identical_streams(
         seed in any::<u64>(),
         ops in 50u64..300,
@@ -144,15 +111,6 @@ proptest! {
         for _ in 0..ops {
             prop_assert_eq!(a.next_op(), b.next_op());
         }
-
-        let scenario = Scenario::ycsb('a', 1_000);
-        let first: Vec<_> = scenario.stream(seed, ops).collect();
-        let second: Vec<_> = scenario.stream(seed, ops).collect();
-        prop_assert_eq!(first, second);
-        prop_assert_eq!(
-            stream_checksum(&scenario, seed, ops),
-            stream_checksum(&scenario, seed, ops)
-        );
     }
 }
 
@@ -161,8 +119,6 @@ proptest! {
 /// a deterministic, debuggable failure rather than flake).
 #[test]
 fn different_seeds_diverge() {
-    let scenario = Scenario::ycsb('b', 2_000);
-    assert_ne!(stream_checksum(&scenario, 1, 400), stream_checksum(&scenario, 2, 400));
     let spec =
         WorkloadSpec::synthetic(KeyDistribution::zipfian(2_000, 0.9), OperationMix::balanced());
     let ops_a: Vec<_> = {
