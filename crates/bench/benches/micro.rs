@@ -1,5 +1,8 @@
 //! Criterion micro-benchmarks for the hot paths of the engine's substrates.
 
+// The benches delete their own scratch files, which no database owns.
+#![allow(clippy::disallowed_methods)]
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use triad_common::checksum;

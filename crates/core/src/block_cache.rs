@@ -31,10 +31,12 @@
 //! `read_block`. triad-lint's `block-cache-checksum` rule pins that call site
 //! inside a marked region of `reader.rs`.
 
-// lint:allow-file(no-std-sync-lock) the single-flight Flight pairs a Mutex
-// with a Condvar (waiters park until the loader publishes), which the
-// vendored parking_lot stand-in does not provide; these locks are private to
-// one flight and never nest with the ranked shard locks.
+// The single-flight Flight pairs a std Mutex with a Condvar (waiters park
+// until the loader publishes), which the vendored parking_lot stand-in does
+// not provide; these locks are private to one flight and never nest with the
+// ranked shard locks.
+#![allow(clippy::disallowed_types)]
+
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};

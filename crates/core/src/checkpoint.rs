@@ -244,6 +244,8 @@ fn prepare_target(dir: &Path) -> Result<()> {
 
 /// Removes the pending marker — the checkpoint's commit point: from here on
 /// the directory is a complete, openable database.
+// The marker belongs to the checkpoint directory, never to a live version.
+#[allow(clippy::disallowed_methods)]
 fn finalize_target(dir: &Path) -> Result<()> {
     let marker = dir.join(PENDING_MARKER);
     std::fs::remove_file(&marker)

@@ -31,10 +31,12 @@
 //! single core the spin burns a few hundred nanoseconds and then parks exactly
 //! as before.
 
-// lint:allow-file(no-std-sync-lock) every Mutex here pairs with a Condvar
-// (writer hand-off, insert barrier, publication wake-ups), which the vendored
-// parking_lot stand-in does not provide; these locks are module-internal and
-// their ordering is documented above.
+// Every std Mutex here pairs with a Condvar (writer hand-off, insert barrier,
+// publication wake-ups), which the vendored parking_lot stand-in does not
+// provide; these locks are module-internal and their ordering is documented
+// above.
+#![allow(clippy::disallowed_types)]
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};

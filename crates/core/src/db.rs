@@ -45,7 +45,7 @@ use crate::iterator::DbIterator;
 use crate::manifest::VersionSet;
 use crate::options::{BackgroundIoMode, Options};
 use crate::shard::{Shard, ShardRouter};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{capture_all_shards, Snapshot};
 use crate::table_cache::TableCache;
 use crate::version::{FileMetadata, Version, VersionEdit};
 
@@ -1018,11 +1018,9 @@ impl Db {
     /// in-flight cross-shard batches hold the router gate shared, the
     /// snapshot observes every such batch all-or-nothing.
     pub fn snapshot(&self) -> Snapshot {
-        if self.shards.len() == 1 {
-            Snapshot::open(&self.shards[0].inner)
-        } else {
-            Snapshot::open_multi(&self.shards, &self.router)
-        }
+        let (snapshot, _) = capture_all_shards(&self.shards, &self.router, |_, _, _| Ok(()))
+            .expect("snapshot capture with a no-op callback cannot fail");
+        snapshot
     }
 
     /// Returns an iterator over the live key/value pairs with user keys in
@@ -1030,21 +1028,14 @@ impl Db {
     ///
     /// The iterator pins the version it was created against, so the files it reads
     /// — including the commit logs backing CL-SSTables — outlive any concurrent
-    /// compaction for as long as the iterator exists. On a sharded database
-    /// the per-shard iterators are k-way merged (routing makes per-shard key
-    /// sets disjoint, so the merge needs no cross-shard dedup) over an
-    /// ephemeral shard-spanning snapshot, which is released as soon as the
-    /// iterator has pinned its sources.
+    /// compaction for as long as the iterator exists. The scan reads through
+    /// an ephemeral [`snapshot`](Db::snapshot), released as soon as the
+    /// iterator has pinned its sources, so it never observes half a write
+    /// batch — cross-shard batches included. On a sharded database the
+    /// per-shard sources are k-way merged (routing makes per-shard key sets
+    /// disjoint, so the merge needs no cross-shard dedup).
     pub fn scan_range(&self, start: Option<&[u8]>, end: Option<&[u8]>) -> Result<DbIterator> {
-        if self.shards.len() == 1 {
-            return DbIterator::with_bounds(
-                &self.shards[0].inner,
-                start.map(|s| s.to_vec()),
-                end.map(|e| e.to_vec()),
-            );
-        }
-        let snapshot = self.snapshot();
-        snapshot.scan_range(start, end)
+        self.snapshot().scan_range(start, end)
     }
 
     /// Forces the active memtable to be sealed and flushed, then waits for every
@@ -1536,15 +1527,14 @@ impl DbInner {
     /// hard error (corruption): garbage collection never deletes a file that a
     /// live version still references.
     ///
-    /// The markers below delimit the region CI grep-guards against seqno-bounded
-    /// probes: this is the read-*newest* fast path, and bounding it by a
-    /// just-loaded sequence number would reintroduce the missed-key race PR 2
-    /// fixed (the memtable keeps one slot per key, so "too new" means invisible,
-    /// not "an older version exists here"). Seqno-bounded reads live exclusively
-    /// on the snapshot path ([`crate::snapshot::Snapshot`]), where the retention
-    /// registry guarantees the bounded probe can always find its version.
+    /// This is the read-*newest* fast path: bounding it by a just-loaded
+    /// sequence number would reintroduce a missed-key race (the memtable keeps
+    /// one slot per key, so "too new" means invisible, not "an older version
+    /// exists here"); `engine_concurrency`'s reader/writer race test catches
+    /// such a bound. Seqno-bounded reads live exclusively on the snapshot path
+    /// ([`crate::snapshot::Snapshot`]), where the retention registry guarantees
+    /// the bounded probe can always find its version.
     pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        // HOT-READ-NEWEST-BEGIN (no seqno-bounded probes in this region)
         self.stats.add_user_reads(1);
         // Reads return the newest committed version, with no sequence-number
         // ceiling: the memtable keeps one slot per key and compaction's dedup
@@ -1588,7 +1578,6 @@ impl DbInner {
             }
         }
         Ok(None)
-        // HOT-READ-NEWEST-END
     }
 
     pub(crate) fn resolve_entry(&self, entry: Entry) -> Option<Vec<u8>> {
@@ -1632,6 +1621,9 @@ impl DbInner {
 
     /// Removes `path`, recording the outcome in the GC statistics. Returns `true`
     /// when the file is gone (deleted now, or already absent).
+    // The engine's one deletion path: GC, the recovery sweep and rotation's
+    // log discard pass it only files that no live version references.
+    #[allow(clippy::disallowed_methods)]
     fn remove_file_counted(&self, path: &Path, is_log: bool) -> bool {
         match std::fs::remove_file(path) {
             Ok(()) => {

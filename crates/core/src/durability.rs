@@ -24,10 +24,12 @@
 //! fsync (or delete) the outgoing log with the pipeline drained, then advance
 //! `durable` to the full appended watermark.
 
-// lint:allow-file(no-std-sync-lock) `sync_active` pairs with the `waiters`
-// Condvar (absent from the vendored parking_lot stand-in), and the fsync lock
-// needs try_lock's contended/uncontended distinction with a guard passable to
-// `drive_fsync`; all three locks stay private to this module.
+// The std Mutex `sync_active` pairs with the `waiters` Condvar (absent from
+// the vendored parking_lot stand-in), and the fsync lock needs try_lock's
+// contended/uncontended distinction with a guard passable to `drive_fsync`;
+// all three locks stay private to this module.
+#![allow(clippy::disallowed_types)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 

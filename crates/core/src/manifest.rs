@@ -85,6 +85,8 @@ impl VersionSet {
         next_file_number += 1;
         let manifest_path = dir.join(manifest_file_name(manifest_id));
         if manifest_path.exists() {
+            // A manifest is not a table or log, so no version references it.
+            #[allow(clippy::disallowed_methods)]
             std::fs::remove_file(&manifest_path)
                 .map_err(|e| Error::io(format!("removing stale {}", manifest_path.display()), e))?;
         }
@@ -164,6 +166,8 @@ impl VersionSet {
             if let Some(id_str) = name.strip_prefix("MANIFEST-") {
                 if let Ok(id) = id_str.parse::<u64>() {
                     if id != keep_id {
+                        // Superseded manifests are referenced by no version.
+                        #[allow(clippy::disallowed_methods)]
                         let _ = std::fs::remove_file(entry.path());
                     }
                 }
@@ -269,6 +273,7 @@ impl VersionSet {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests remove their own scratch files
 mod tests {
     use super::*;
     use crate::version::FileMetadata;

@@ -31,15 +31,16 @@
 //! On a sharded database the snapshot must be consistent across shards: a
 //! cross-shard batch (committed per shard, see
 //! [`Db::write`](crate::Db::write)) must be visible either on every shard it
-//! touched or on none. `Snapshot::open_multi` achieves this by taking the
+//! touched or on none. `capture_all_shards` achieves this by taking the
 //! router gate exclusively — in-flight cross-shard batches hold it shared —
-//! and then, inside the marked `SNAPSHOT-GATE` region, acquiring **every**
-//! shard's WAL lock and commit gate before capturing any shard's seqno.
-//! This is the only place in the engine where two shards' WAL locks may be
-//! held at once (enforced by `triad-lint`'s `multi-shard-wal-gate` rule and,
-//! dynamically, by the lock-rank checker's scoped equal-rank allowance).
-//! Lock order is global rank order: router gate (8), then the WAL locks
-//! (10, shard-index order), then the commit gates (20, shard-index order).
+//! and then acquiring **every** shard's WAL lock and commit gate before
+//! capturing any shard's seqno. This is the only place in the engine where
+//! two shards' WAL locks may be held at once: the debug lock-rank checker
+//! panics on equal-rank nesting outside the scoped allowance this function
+//! opens. Lock order is global rank order: router gate (8), then the WAL
+//! locks (10, shard-index order), then the commit gates (20, shard-index
+//! order). A single-shard database takes the same path, with an uncontended
+//! router gate; so does every live scan, through an ephemeral snapshot.
 //!
 //! Dropping the snapshot deregisters it per shard and, whenever that moves
 //! the registry's visibility bounds, sweeps the shard's memory components so
@@ -152,32 +153,6 @@ impl std::fmt::Debug for Snapshot {
 }
 
 impl Snapshot {
-    /// Captures a snapshot of a single-shard database. See the module docs
-    /// for the protocol.
-    pub(crate) fn open(db: &Arc<DbInner>) -> Snapshot {
-        let captured = {
-            // WAL lock then exclusive commit gate — the engine's global lock
-            // order. With both held the pipeline is drained: `last_seqno` is a
-            // group boundary and every write at or below it is fully applied.
-            let _wal = db.wal.lock();
-            let _gate = db.commit_gate.write();
-            SnapshotShard::capture_locked(db)
-        };
-        db.stats.add_snapshots_created(1);
-        let seqno = captured.seqno;
-        Snapshot { shards: vec![captured], routes: ShardRouter::new(1), seqno }
-    }
-
-    /// Captures a shard-spanning snapshot: every shard's pipeline is drained
-    /// and its commit-group-boundary seqno captured under one exclusive
-    /// router-gate hold, so cross-shard batches (which commit under a shared
-    /// hold) are observed all-or-nothing. See the module docs.
-    pub(crate) fn open_multi(shards: &[Shard], router: &RankedRwLock<()>) -> Snapshot {
-        let (snapshot, _) = capture_all_shards(shards, router, |_, _, _| Ok(()))
-            .expect("snapshot capture with a no-op callback cannot fail");
-        snapshot
-    }
-
     /// The snapshot's sequence number: the largest seqno whose effects are
     /// visible through this handle. Always a commit-group boundary; on a
     /// sharded database, the largest of the per-shard boundary seqnos.
@@ -221,12 +196,11 @@ impl Snapshot {
     /// Returns an iterator over the snapshot's live key/value pairs with user
     /// keys in `[start, end)`; either bound may be omitted.
     ///
-    /// Unlike the live [`Db::scan_range`](crate::Db::scan_range), no lock is
-    /// taken: each shard's snapshot seqno already sits on a commit-group
-    /// boundary, so the bounded view is batch-atomic by construction — a
-    /// concurrent group's writes all carry seqnos above the bound, and
-    /// anything it overwrites that the snapshot can see is preserved by the
-    /// retention registry. On a sharded database the per-shard sources are
+    /// No lock is taken: each shard's snapshot seqno already sits on a
+    /// commit-group boundary, so the bounded view is batch-atomic by
+    /// construction — a concurrent group's writes all carry seqnos above the
+    /// bound, and anything it overwrites that the snapshot can see is
+    /// preserved by the retention registry. On a sharded database the per-shard sources are
     /// k-way merged; routing makes the shards' key sets disjoint.
     pub fn scan_range(&self, start: Option<&[u8]>, end: Option<&[u8]>) -> Result<DbIterator> {
         DbIterator::with_snapshot_parts(
@@ -237,14 +211,14 @@ impl Snapshot {
     }
 }
 
-/// The shard-spanning capture protocol, generalized: drains every shard's
-/// pipeline under one exclusive router-gate hold (exactly as a shard-spanning
-/// snapshot does), captures a [`Snapshot`], and then — while **every** shard's
-/// WAL lock and commit gate are still held — runs `capture` once per shard
-/// with that shard's locked [`WalState`]. Checkpoint capture copies per-shard
-/// commit-log state here, and WAL shipping reads its segments here; both get
-/// a cut that can never split a write batch or a cross-shard batch, plus a
-/// [`Snapshot`] pinned at exactly the same cut.
+/// The snapshot capture protocol: drains every shard's pipeline under one
+/// exclusive router-gate hold, captures a [`Snapshot`], and then — while
+/// **every** shard's WAL lock and commit gate are still held — runs `capture`
+/// once per shard with that shard's locked [`WalState`].
+/// [`Db::snapshot`](crate::Db::snapshot) passes a no-op `capture`. Checkpoint
+/// capture copies per-shard commit-log state here, and WAL shipping reads its
+/// segments here; both get a cut that can never split a write batch or a
+/// cross-shard batch, plus a [`Snapshot`] pinned at exactly the same cut.
 ///
 /// On a callback error the already-captured snapshot drops (deregistering its
 /// retention and version pins) and the error propagates; the locks release
@@ -256,10 +230,10 @@ pub(crate) fn capture_all_shards<T>(
     mut capture: impl FnMut(usize, &Shard, &mut WalState) -> Result<T>,
 ) -> Result<(Snapshot, Vec<T>)> {
     let coord = router.write();
-    // SNAPSHOT-GATE-BEGIN: the one region allowed to hold several
-    // shards' WAL locks (and commit gates) at once. Acquisition is in
-    // shard-index order under a scoped equal-rank allowance; the
-    // locks are released together when the guards drop below.
+    // The one place allowed to hold several shards' WAL locks (and commit
+    // gates) at once. Acquisition is in shard-index order under a scoped
+    // equal-rank allowance; the locks are released together when the guards
+    // drop below.
     let mut wals = Vec::with_capacity(shards.len());
     {
         let _same_rank = triad_common::allow_equal_rank(lock_rank::WAL);
@@ -289,7 +263,6 @@ pub(crate) fn capture_all_shards<T>(
     }
     drop(gates);
     drop(wals);
-    // SNAPSHOT-GATE-END
     drop(coord);
     // One snapshot, one count: attribute it to shard 0 so the merged
     // stats see a single shard-spanning snapshot, not one per shard.

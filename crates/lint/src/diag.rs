@@ -1,4 +1,4 @@
-//! Diagnostics and their human/JSON renderings.
+//! Diagnostics and their human-readable rendering.
 
 use std::fmt;
 
@@ -18,68 +18,5 @@ pub struct Diagnostic {
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}: [{}] {}", self.path, self.line, self.rule, self.message)
-    }
-}
-
-/// Renders diagnostics as a single JSON document (no dependencies, so the
-/// encoder is hand-rolled; every dynamic string is escaped).
-pub fn to_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("{\n  \"violations\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            escape(d.rule),
-            escape(&d.path),
-            d.line,
-            escape(&d.message)
-        ));
-    }
-    if !diags.is_empty() {
-        out.push('\n');
-        out.push_str("  ");
-    }
-    out.push_str(&format!("],\n  \"count\": {}\n}}\n", diags.len()));
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_and_counts() {
-        let diags = vec![Diagnostic {
-            rule: "r",
-            path: "a\"b.rs".to_string(),
-            line: 3,
-            message: "uses \\ and \"quotes\"".to_string(),
-        }];
-        let json = to_json(&diags);
-        assert!(json.contains("\"count\": 1"));
-        assert!(json.contains("a\\\"b.rs"));
-        assert!(json.contains("uses \\\\ and \\\"quotes\\\""));
-    }
-
-    #[test]
-    fn empty_report_is_valid() {
-        assert_eq!(to_json(&[]), "{\n  \"violations\": [],\n  \"count\": 0\n}\n");
     }
 }

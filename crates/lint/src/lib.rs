@@ -1,21 +1,23 @@
 //! `triad-lint`: the workspace's in-tree invariant checker.
 //!
-//! The engine's correctness rests on invariants that used to live in prose
-//! and in fragile shell greps in CI: no fsync under the commit append
-//! lock, unbounded (`u64::MAX`) probes on the hot read path, no resurrection
-//! of the stale-version retry hack, a global lock acquisition order. This
-//! crate turns each of those into a versioned rule with file:line
-//! diagnostics, driven by a token-level Rust scanner ([`scanner`]) — no
-//! external dependencies, per the workspace's vendored-only constraint.
+//! Most of the workspace's source invariants are checked by rustc
+//! (`unsafe_code = "forbid"`), clippy (`crates/clippy.toml`), the debug
+//! lock-rank checker in `triad_common::lockrank`, or a test. This crate
+//! checks the few that none of those can see: no fsync inside the commit
+//! append stage, the rank order of the std-sync locks the dynamic checker
+//! misses, checksum-verified block-cache inserts, checkpoint filesystem
+//! mutation confined to one region, and failpoints that tests and engine
+//! agree on. Each is a versioned rule with file:line diagnostics, driven by
+//! a token-level Rust scanner ([`scanner`]) — no external dependencies, per
+//! the workspace's vendored-only constraint.
 //!
-//! Run it as `cargo run -p triad-lint` (add `--deny` to fail on violations,
-//! `--json` for machine-readable output, `--list-rules` to enumerate the rule
-//! set). CI runs the deny mode before the test suite; the rules are
-//! documented in docs/ARCHITECTURE.md ("Enforced invariants").
+//! Run it as `cargo run -p triad-lint`; it exits non-zero on any violation
+//! (`--list-rules` enumerates the rule set). The rules are documented in
+//! docs/ARCHITECTURE.md ("Enforced invariants").
 //!
-//! The static pass is paired with a dynamic backstop: the ranked lock
-//! wrappers in `triad_common::lockrank` assert the same acquisition order at
-//! runtime in debug builds, covering guard lifetimes the lexical model
+//! The static `lock-order` pass is paired with a dynamic backstop: the ranked
+//! lock wrappers in `triad_common::lockrank` assert the same acquisition order
+//! at runtime in debug builds, covering guard lifetimes the lexical model
 //! cannot see.
 
 #![forbid(unsafe_code)]
@@ -26,7 +28,7 @@ pub mod rules;
 pub mod scanner;
 pub mod walker;
 
-pub use diag::{to_json, Diagnostic};
+pub use diag::Diagnostic;
 pub use rules::{run_all, Rule, RULES};
 pub use scanner::SourceFile;
 

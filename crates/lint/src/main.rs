@@ -5,22 +5,18 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use triad_lint::{lint_root, to_json, RULES};
+use triad_lint::{lint_root, RULES};
 
-const USAGE: &str = "usage: triad-lint [--root DIR] [--deny] [--json] [--list-rules]
+const USAGE: &str = "usage: triad-lint [--root DIR] [--list-rules]
 
 Checks the workspace's source invariants (see docs/ARCHITECTURE.md,
-\"Enforced invariants\").
+\"Enforced invariants\") and exits non-zero when any is violated.
 
   --root DIR    workspace root to scan (default: current directory)
-  --deny        exit non-zero when any violation is found (the CI mode)
-  --json        emit the report as JSON instead of human-readable lines
   --list-rules  print every rule id with its summary and exit";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut deny = false;
-    let mut json = false;
     let mut list_rules = false;
 
     let mut args = std::env::args().skip(1);
@@ -33,8 +29,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--deny" => deny = true,
-            "--json" => json = true,
             "--list-rules" => list_rules = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -62,22 +56,14 @@ fn main() -> ExitCode {
         }
     };
 
-    if json {
-        print!("{}", to_json(&diags));
-    } else {
-        for d in &diags {
-            println!("{d}");
-        }
-        if diags.is_empty() {
-            println!("triad-lint: {} rules, no violations", RULES.len());
-        } else {
-            eprintln!("triad-lint: {} violation(s)", diags.len());
-        }
+    for d in &diags {
+        println!("{d}");
     }
-
-    if deny && !diags.is_empty() {
-        ExitCode::FAILURE
-    } else {
+    if diags.is_empty() {
+        println!("triad-lint: {} rules, no violations", RULES.len());
         ExitCode::SUCCESS
+    } else {
+        eprintln!("triad-lint: {} violation(s)", diags.len());
+        ExitCode::FAILURE
     }
 }

@@ -4,16 +4,11 @@
 //! (including raw and byte strings), char literals and lifetimes are handled
 //! precisely so rules never fire on commented-out or quoted code, but grammar
 //! above the token level (expressions, items) is left to each rule's own
-//! pattern matching. Three by-products of the scan feed the rules:
+//! pattern matching. Two by-products of the scan feed the rules:
 //!
-//! * **comments**, with line numbers — region markers and waivers live here;
+//! * **comments**, with line numbers — region markers live here;
 //! * a **test mask** covering every `#[cfg(test)] mod … { … }` body, so rules
-//!   about production code skip unit tests embedded in `src/` files;
-//! * **waivers** — `// lint:allow(rule-id) reason` suppresses a rule on that
-//!   line and the next, `// lint:allow-file(rule-id) reason` for the whole
-//!   file. A reason is required: a bare waiver is itself a violation.
-
-use std::collections::{HashMap, HashSet};
+//!   about production code skip unit tests embedded in `src/` files.
 
 /// What kind of lexeme a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,72 +70,19 @@ pub struct SourceFile {
     /// All comments in source order.
     pub comments: Vec<Comment>,
     test_mask: Vec<bool>,
-    line_waivers: HashMap<String, HashSet<u32>>,
-    file_waivers: HashSet<String>,
-    /// Lines carrying a `lint:allow` marker with no reason text after the
-    /// closing parenthesis.
-    pub bare_waiver_lines: Vec<u32>,
 }
 
 impl SourceFile {
-    /// Tokenizes `src`, computing the test mask and waiver tables.
+    /// Tokenizes `src` and computes the test mask.
     pub fn parse(path: &str, src: &str) -> SourceFile {
         let (tokens, comments) = tokenize(src);
         let test_mask = compute_test_mask(&tokens);
-        let mut file = SourceFile {
-            path: path.replace('\\', "/"),
-            tokens,
-            comments,
-            test_mask,
-            line_waivers: HashMap::new(),
-            file_waivers: HashSet::new(),
-            bare_waiver_lines: Vec::new(),
-        };
-        file.collect_waivers();
-        file
+        SourceFile { path: path.replace('\\', "/"), tokens, comments, test_mask }
     }
 
     /// Whether the token at `idx` sits inside a `#[cfg(test)] mod` body.
     pub fn is_test(&self, idx: usize) -> bool {
         self.test_mask.get(idx).copied().unwrap_or(false)
-    }
-
-    /// Whether `rule` is waived at `line` (line waiver on the same or the
-    /// preceding line, or a file-level waiver).
-    pub fn waived(&self, rule: &str, line: u32) -> bool {
-        if self.file_waivers.contains(rule) {
-            return true;
-        }
-        match self.line_waivers.get(rule) {
-            Some(lines) => lines.contains(&line) || lines.contains(&line.saturating_sub(1)),
-            None => false,
-        }
-    }
-
-    fn collect_waivers(&mut self) {
-        for comment in &self.comments {
-            for (marker, file_scope) in [("lint:allow-file(", true), ("lint:allow(", false)] {
-                let Some(start) = comment.text.find(marker) else { continue };
-                let rest = &comment.text[start + marker.len()..];
-                let Some(end) = rest.find(')') else { continue };
-                let has_reason = !rest[end + 1..].trim_matches(['*', '/', ' ']).is_empty();
-                if !has_reason {
-                    self.bare_waiver_lines.push(comment.line);
-                }
-                for rule in rest[..end].split(',') {
-                    let rule = rule.trim().to_string();
-                    if rule.is_empty() {
-                        continue;
-                    }
-                    if file_scope {
-                        self.file_waivers.insert(rule);
-                    } else {
-                        self.line_waivers.entry(rule).or_default().insert(comment.line);
-                    }
-                }
-                break; // `allow-file(` also contains `allow(`; match once.
-            }
-        }
     }
 }
 
@@ -379,7 +321,7 @@ fn is_cfg_test_attr(tokens: &[Token], i: usize) -> bool {
 }
 
 /// Index of the `}` matching the `{` at `open` (or the last token).
-pub fn matching_brace(tokens: &[Token], open: usize) -> usize {
+fn matching_brace(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0;
     for (i, t) in tokens.iter().enumerate().skip(open) {
         if t.is_punct("{") {
@@ -400,11 +342,8 @@ mod tests {
 
     #[test]
     fn comments_and_strings_do_not_produce_idents() {
-        let f = SourceFile::parse(
-            "x.rs",
-            "// retry_stale_version\nlet s = \"retry_stale_version\"; /* seal( */",
-        );
-        assert!(!f.tokens.iter().any(|t| t.is_ident("retry_stale_version")));
+        let f = SourceFile::parse("x.rs", "// sync_data\nlet s = \"sync_data\"; /* seal( */");
+        assert!(!f.tokens.iter().any(|t| t.is_ident("sync_data")));
         assert!(f.tokens.iter().any(|t| t.kind == TokenKind::Str));
         assert_eq!(f.comments.len(), 2);
     }
@@ -441,25 +380,5 @@ mod tests {
         assert!(!f.is_test(real));
         assert!(f.is_test(inner));
         assert!(!f.is_test(after));
-    }
-
-    #[test]
-    fn waivers_scope_to_line_and_file() {
-        let f = SourceFile::parse(
-            "x.rs",
-            "// lint:allow(rule-a) the next line is fine\nfn a() {}\nfn b() {}\n\
-             // lint:allow-file(rule-b) whole file is fine\n",
-        );
-        assert!(f.waived("rule-a", 1));
-        assert!(f.waived("rule-a", 2));
-        assert!(!f.waived("rule-a", 3));
-        assert!(f.waived("rule-b", 3));
-        assert!(f.bare_waiver_lines.is_empty());
-    }
-
-    #[test]
-    fn bare_waivers_are_recorded() {
-        let f = SourceFile::parse("x.rs", "// lint:allow(rule-a)\nfn a() {}");
-        assert_eq!(f.bare_waiver_lines, vec![1]);
     }
 }

@@ -26,10 +26,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod hotcold;
 
-pub use adaptive::{FlushObservation, HotKeyTuner};
 pub use hotcold::{separate_keys, HotColdPolicy, HotColdSplit};
 
 use std::collections::BTreeMap;
@@ -441,13 +439,10 @@ impl Memtable {
         all
     }
 
-    /// Returns the entries as the engine-wide [`Entry`] type, sorted by internal key.
-    pub fn snapshot_as_entries(&self) -> Vec<Entry> {
-        self.snapshot_entries().into_iter().map(|(key, entry)| entry.to_entry(&key)).collect()
-    }
-
-    /// Like [`snapshot_as_entries`](Memtable::snapshot_as_entries), but bounded
-    /// at `snapshot` (the seqno-bounded source a snapshot scan merges).
+    /// The newest version of each key visible at `snapshot` (see
+    /// [`snapshot_entries_at`](Memtable::snapshot_entries_at)) as the
+    /// engine-wide [`Entry`] type, sorted by internal key: the source a scan
+    /// merges.
     pub fn snapshot_as_entries_at(&self, snapshot: SeqNo) -> Vec<Entry> {
         self.snapshot_entries_at(snapshot)
             .into_iter()
@@ -620,7 +615,7 @@ mod tests {
         for window in snapshot.windows(2) {
             assert!(window[0].0 < window[1].0);
         }
-        let as_entries = memtable.snapshot_as_entries();
+        let as_entries = memtable.snapshot_as_entries_at(u64::MAX);
         assert_eq!(as_entries.len(), keys.len());
         for window in as_entries.windows(2) {
             assert!(window[0].key < window[1].key);

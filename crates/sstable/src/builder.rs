@@ -152,10 +152,10 @@ impl TableBuilder {
     }
 
     /// Abandons the table, removing the partially written file.
+    // A partially written table was never installed in any version, so GC
+    // cannot know about it; the builder owns the file until `finish`.
+    #[allow(clippy::disallowed_methods)]
     pub fn abandon(self) -> Result<()> {
-        // A partially written table was never installed in any version, so GC
-        // cannot know about it; the builder owns the file until `finish`.
-        // lint:allow(no-direct-remove-file) abandoned build, not a live file
         std::fs::remove_file(&self.path)
             .map_err(|e| Error::io(format!("removing abandoned table {}", self.path.display()), e))
     }
@@ -193,6 +193,7 @@ where
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests remove their own scratch files
 mod tests {
     use super::*;
     use crate::reader::Table;

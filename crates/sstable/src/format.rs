@@ -231,6 +231,7 @@ impl BlockFileReader {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests remove their own scratch files
 mod tests {
     use super::*;
 

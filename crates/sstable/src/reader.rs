@@ -302,6 +302,7 @@ impl Iterator for TableIterator {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests remove their own scratch files
 mod tests {
     use super::*;
     use crate::builder::{TableBuilder, TableBuilderOptions};
