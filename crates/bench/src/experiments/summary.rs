@@ -125,7 +125,7 @@ pub fn run(scale: Scale) -> triad_common::Result<(Table, Vec<Comparison>)> {
         "Group-commit pipeline during the TRIAD runs",
         &pipeline,
         "not a paper figure: repository-side instrumentation of the pipelined \
-         leader/follower write path (*sampled sums, 1 in 16 groups timed; see \
+         group-commit write path (*sampled sums, 1 in 16 groups timed; see \
          fig_write_scaling for the dedicated writer-scaling sweep)",
     );
     Ok((table, comparisons))

@@ -19,20 +19,17 @@
 //! or a missing JSON section into errors the binary exits non-zero on.
 //!
 //! Every point also records a per-commit latency histogram (p50/p99/p999, in
-//! microseconds, via `triad_common::LatencyHistogram`): the pipeline buys its
-//! throughput by parking followers behind a leader, and the histogram is where
-//! that trade shows up.
+//! microseconds, via `triad_common::LatencyHistogram`): under SyncEveryWrite
+//! the pipeline buys its fsync amortization by parking writers behind an
+//! in-flight fsync, and the histogram is where that trade shows up.
 //!
-//! Reading the NoSync side: group commit parallelizes memtable inserts across
-//! member threads, so its NoSync gains need real cores. On a single-core host
-//! the sweep instead charges the pipeline for its leader→follower hand-offs.
-//! The adaptive spin-then-park wake-up (followers poll a readiness flag briefly
-//! before touching the condvar) trims that hand-off on multi-core hosts; on one
-//! core the spin cannot succeed — the producer cannot run — so NoSync numbers
-//! there reflect scheduler wake-up cost, not the pipeline's multi-core
-//! behaviour. The durable sweep is meaningful on any host: an fsync blocks the
-//! leader, the scheduler runs the next one, and the overlap machinery does its
-//! work.
+//! Reading the NoSync side: no fsync is ever in flight, so no writer queues —
+//! every group holds one batch (`avg_group_batches` 1.000) and the writers
+//! serialize on the append lock, so NoSync kops measure the append stage and
+//! the memtable insert, not any hand-off. The `ungrouped` row is then the
+//! same path as `pipelined`. The durable sweep is where groups form: an fsync
+//! blocks its driver, writers arriving meanwhile queue, and its completion
+//! promotes one of them to append them all as one group.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -1,16 +1,17 @@
 //! The write path: how a batch commits.
 //!
 //! There is exactly one way: [`DbInner::write_batch`] joins the commit queue
-//! ([`committer`](crate::committer)); one writer leads a *commit group* through
-//! a short **append stage** under the WAL lock (drain, pre-assign seqnos,
-//! encode, one buffered append, OS flush) and hands leadership on the moment
-//! that lock is released; every member then **inserts** its own batch into the
-//! memtable — with the commit-log position of each record, the contract
-//! TRIAD-MEM and TRIAD-LOG build on — while the leader runs the **sync stage**
-//! against the durability watermark ([`durability`](crate::durability)); and
-//! the group **publishes** its seqno range in append order. Groups hold the
-//! commit gate shared from append to publication; rotation and snapshot
-//! capture take it exclusively to drain the pipeline.
+//! ([`committer`](crate::committer)), which hands the batch straight back to
+//! lead its own *commit group* unless an fsync is in flight. A leader runs a
+//! short **append stage** under the WAL lock (drain any queued followers,
+//! pre-assign seqnos, encode, one buffered append, OS flush); every member then
+//! **inserts** its own batch into the memtable — with the commit-log position
+//! of each record, the contract TRIAD-MEM and TRIAD-LOG build on — while the
+//! leader runs the **sync stage** against the durability watermark
+//! ([`durability`](crate::durability)); and the group **publishes** its seqno
+//! range in append order. Groups hold the commit gate shared from append to
+//! publication; rotation and snapshot capture take it exclusively to drain the
+//! pipeline.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -23,7 +24,7 @@ use triad_memtable::{LogPosition, Memtable};
 use triad_wal::LogSyncHandle;
 
 use crate::batch::{BatchOp, WriteBatch, WriteOptions};
-use crate::committer::{Direction, InsertBarrier, InsertTicket, WriterSlot};
+use crate::committer::{Direction, InsertBarrier, InsertTicket, Joined, WriterSlot};
 use crate::db::{DbInner, WalState};
 use crate::durability::SyncOutcome;
 use crate::options::SyncMode;
@@ -36,19 +37,19 @@ struct AppendPhase<'a> {
     mem: Arc<Memtable>,
     /// Id of the commit log the group went into.
     log_id: u64,
-    /// First sequence number of the group (slot 0's first operation).
+    /// First sequence number of the group (the leader's first operation).
     first_seqno: SeqNo,
     /// Last sequence number of the group — published once the group retires.
     group_end: SeqNo,
-    /// Per-slot absolute record offsets, parallel to the group vector.
-    slot_offsets: Vec<Vec<u64>>,
-    /// Whether this group must be fsynced before anyone acknowledges it.
-    need_sync: bool,
+    /// Commit-log position of every record, in group order: the leader's
+    /// records, then each follower's. Record `i` carries seqno `first_seqno + i`.
+    positions: Vec<LogPosition>,
+    /// Present exactly when the group must be fsynced before anyone
+    /// acknowledges it: fsyncs the appended-to log without the append lock.
+    sync: Option<LogSyncHandle>,
     /// The group's durability target: the cumulative appended watermark right
     /// after its append.
     sync_target: u64,
-    /// Fsyncs the appended-to log without the append lock.
-    sync_handle: LogSyncHandle,
     /// Total framed bytes appended for the group.
     wal_bytes: u64,
     /// Publication ticket; groups retire strictly in this order.
@@ -58,15 +59,34 @@ struct AppendPhase<'a> {
     gate: RankedRwLockReadGuard<'a, ()>,
 }
 
+/// Every batch of a group, the leader's first: the order the append stage
+/// encodes them in.
+fn members<'g>(
+    own: &'g WriteBatch,
+    followers: &'g [Arc<WriterSlot>],
+) -> impl Iterator<Item = &'g WriteBatch> {
+    std::iter::once(own).chain(followers.iter().map(|slot| &slot.batch))
+}
+
+/// Applies one group member's batch (seqnos from `first` on, at `positions`)
+/// to the memtable. Runs on the member's own thread, without the WAL lock;
+/// `insert_versioned` keeps a straggling older update of a key from
+/// clobbering a newer one applied by a faster member.
+fn insert_batch(mem: &Memtable, batch: &WriteBatch, first: SeqNo, positions: &[LogPosition]) {
+    for (seqno, (op, &position)) in (first..).zip(batch.ops.iter().zip(positions)) {
+        mem.insert_versioned(&op.key, &op.value, seqno, op.kind, position);
+    }
+}
+
 impl DbInner {
     /// Applies a batch: append to the commit log, insert into the active
     /// memtable, then decide whether a rotation is needed. Returns the sequence
     /// number of the batch's last operation.
     ///
-    /// Concurrent callers are combined into commit groups: one writer becomes
-    /// the leader and appends the whole group's records with a single buffered
-    /// WAL write, and every member then inserts its own batch into the sharded
-    /// memtable in parallel, outside the WAL lock (see the
+    /// A caller leads its own commit group unless an fsync is in flight; then
+    /// it queues, and one promoted writer appends everyone queued with a single
+    /// buffered WAL write, after which every member inserts its own batch into
+    /// the sharded memtable in parallel, outside the WAL lock (see the
     /// [`committer`](crate::committer) module).
     pub(crate) fn write_batch(&self, batch: WriteBatch, opts: WriteOptions) -> Result<SeqNo> {
         if self.shutdown.load(Ordering::SeqCst) {
@@ -77,18 +97,17 @@ impl DbInner {
         }
         self.failpoints.check("write.before_wal_append")?;
 
-        let (slot, is_leader) = self.committer.join(batch, opts);
-        if is_leader {
-            return self.lead_group(slot);
-        }
+        let slot = match self.committer.join(batch, opts) {
+            Joined::Lead(batch, opts) => return self.lead_group(&batch, opts),
+            Joined::Queued(slot) => slot,
+        };
         match slot.wait_for_direction() {
-            Direction::Lead => self.lead_group(slot),
+            Direction::Lead => self.lead_group(&slot.batch, slot.opts),
             Direction::Insert(ticket) => {
-                Self::apply_group_inserts(&slot, &ticket);
+                insert_batch(&ticket.mem, &slot.batch, ticket.first_seqno, &ticket.positions);
                 let end = ticket.first_seqno + slot.batch.ops.len() as u64 - 1;
-                let acked_on_insert = ticket.acked_on_insert;
                 ticket.barrier.arrive();
-                if acked_on_insert {
+                if ticket.acked_on_insert {
                     // No second park: the group owes no fsync, so a follower
                     // can only complete successfully from here (group-wide
                     // failures arrive as `Done` *instead of* a ticket). The
@@ -114,43 +133,46 @@ impl DbInner {
     }
 
     /// The append stage of a commit group — the only part under the
-    /// append (WAL) lock, and deliberately free of durable I/O: drain the queue,
-    /// pre-assign the seqno range, encode, append with one buffered write, flush
-    /// to the OS, record the durability target and take a pipeline membership on
-    /// the gate. The moment this returns, the next group's leader can append —
-    /// this group's fsync (if any) happens behind the released lock.
+    /// append (WAL) lock, and deliberately free of durable I/O: drain the queue
+    /// into `followers`, pre-assign the seqno range, encode, append with one
+    /// buffered write, flush to the OS, record the durability target and take
+    /// a pipeline membership on the gate. The moment this returns, the next
+    /// group's leader can append — this group's fsync (if any) happens behind
+    /// the released lock.
     ///
     /// The markers below delimit the region `triad-lint` guards against fsync
     /// calls (`append-stage-no-fsync`): holding the append lock across one
     /// would re-serialize the commit path.
-    fn append_phase<'a>(&'a self, group: &mut Vec<Arc<WriterSlot>>) -> Result<AppendPhase<'a>> {
-        let config = &self.options.group_commit;
+    fn append_phase<'a>(
+        &'a self,
+        own: &WriteBatch,
+        own_sync: bool,
+        followers: &mut Vec<Arc<WriterSlot>>,
+    ) -> Result<AppendPhase<'a>> {
         // PIPELINE-APPEND-STAGE-BEGIN (no durable-sync calls in this region)
         let mut wal = self.wal.lock();
-        self.committer.drain(group, config.max_group_batches, config.max_group_bytes);
+        *followers = self.committer.drain(own.approximate_size(), &self.options.group_commit);
         let mem = self.mem.read().clone();
         let first_seqno = wal.next_seqno;
 
         wal.encoder.clear();
-        let mut seqno = first_seqno;
-        let mut slot_offsets: Vec<Vec<u64>> = Vec::with_capacity(group.len());
-        for slot in group.iter() {
-            if let Some(stamp) = &slot.batch.stamp {
+        let mut positions = Vec::with_capacity(own.ops.len());
+        for batch in members(own, followers) {
+            if let Some(stamp) = &batch.stamp {
                 // The stamped record below is this shard's durable evidence of
                 // a cross-shard batch: keep its log on disk until every
                 // shard's slice graduates (see `stamps.rs`).
                 self.stamps.note_slice(self.shard_index, wal.id, stamp);
             }
-            let mut rel = Vec::with_capacity(slot.batch.ops.len());
-            for (op_index, BatchOp { kind, key, value }) in slot.batch.ops.iter().enumerate() {
+            for (op_index, BatchOp { kind, key, value }) in batch.ops.iter().enumerate() {
                 // A cross-shard slice's stamp rides on its first record only.
-                let stamp = if op_index == 0 { slot.batch.stamp } else { None };
-                rel.push(wal.encoder.add_parts_stamped(seqno, *kind, key, value, stamp)?);
-                seqno += 1;
+                let stamp = if op_index == 0 { batch.stamp } else { None };
+                let seqno = first_seqno + positions.len() as u64;
+                let offset = wal.encoder.add_parts_stamped(seqno, *kind, key, value, stamp)?;
+                positions.push(LogPosition { log_id: wal.id, offset });
             }
-            slot_offsets.push(rel);
         }
-        let group_end = seqno - 1;
+        let group_end = first_seqno + positions.len() as u64 - 1;
         let wal_bytes = wal.encoder.encoded_bytes();
         // Consume the range *before* attempting the append: a failed
         // `write_all` can still leave complete frames durable in the file, and
@@ -163,18 +185,16 @@ impl DbInner {
         wal.next_seqno = group_end + 1;
         let WalState { writer, encoder, .. } = &mut *wal;
         let start = writer.append_batch(encoder)?;
-        for rel in &mut slot_offsets {
-            for offset in rel.iter_mut() {
-                *offset += start;
-            }
+        for position in &mut positions {
+            position.offset += start;
         }
         // Push the frames to the OS now: a concurrent group's fsync covers every
         // byte the OS has, so ours can retire on another group's watermark
         // advance without any further I/O from this thread.
         wal.writer.flush()?;
 
-        wal.writes_since_sync += group_end + 1 - first_seqno;
-        let force_sync = group.iter().any(|slot| slot.opts.sync);
+        wal.writes_since_sync += positions.len() as u64;
+        let force_sync = own_sync || followers.iter().any(|slot| slot.opts.sync);
         let need_sync = match self.options.sync_mode {
             SyncMode::SyncEveryWrite => true,
             SyncMode::SyncEvery(n) => force_sync || wal.writes_since_sync >= n,
@@ -190,7 +210,7 @@ impl DbInner {
         let depth = self.pipeline_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.record_pipeline_depth(depth);
         let log_id = wal.id;
-        let sync_handle = wal.writer.sync_handle();
+        let sync = need_sync.then(|| wal.writer.sync_handle());
         // Pipeline membership before the append lock goes: an exclusive gate
         // acquisition (scan capture, rotation) means every in-flight group has
         // published. Never blocks here — every exclusive acquirer holds the WAL
@@ -203,80 +223,72 @@ impl DbInner {
             log_id,
             first_seqno,
             group_end,
-            slot_offsets,
-            need_sync,
+            positions,
+            sync,
             sync_target,
-            sync_handle,
             wal_bytes,
             group_index,
             gate,
         })
     }
 
-    /// Drives one commit group as its leader: short append stage, immediate
-    /// leadership hand-off, then parallel inserts, the durability watermark and
-    /// in-order publication — all without an engine-wide lock.
-    fn lead_group(&self, own: Arc<WriterSlot>) -> Result<SeqNo> {
-        let mut group: Vec<Arc<WriterSlot>> = vec![own];
+    /// Drives one commit group as its leader: short append stage, then
+    /// parallel inserts, the durability watermark and in-order publication —
+    /// all without an engine-wide lock. A group of one (no followers) touches
+    /// no hand-off machinery: no tickets, no barrier.
+    fn lead_group(&self, own: &WriteBatch, own_opts: WriteOptions) -> Result<SeqNo> {
+        let mut followers = Vec::new();
         let timed = self.stats.sample_timing();
         let append_started = timed.then(Instant::now);
-        let mut phase = match self.append_phase(&mut group) {
+        let appended = self.append_phase(own, own_opts.sync, &mut followers);
+        // The append lock is free: if the drain caps left writers queued (and
+        // no fsync will promote one), promote the next leader *now*, so it
+        // appends behind us while this group is still syncing, inserting and
+        // publishing — even when our append failed.
+        self.committer.handoff();
+        let phase = match appended {
             Ok(phase) => phase,
-            Err(e) => {
-                // Leadership must transfer even when the append failed, or
-                // every queued writer would park forever.
-                self.committer.handoff();
-                return self.fail_group(&group, e);
-            }
+            Err(e) => return self.fail_group(&followers, e),
         };
         if let Some(started) = append_started {
             self.stats.add_wal_append_us(started.elapsed().as_micros() as u64);
         }
-        // The append lock is free: hand leadership over *now*, so the next
-        // group's leader appends behind us while this group is still syncing,
-        // inserting and publishing. This is the overlap the pipeline exists for.
-        self.committer.handoff();
 
         // The crash windows the recovery tests probe. First: the group is
         // appended (and OS-flushed) but nothing has reached the memtable.
         if let Err(e) = self.failpoints.check("commit.after_group_wal_append") {
-            return self.abandon_group(phase, &group, e);
+            return self.abandon_group(phase, &followers, e);
         }
         // Second, for durable groups only: appended but not yet fsynced — the
         // window a machine crash may lose, which must never cover an acked write.
-        if phase.need_sync {
+        if phase.sync.is_some() {
             if let Err(e) = self.failpoints.check("commit.before_group_wal_sync") {
-                return self.abandon_group(phase, &group, e);
+                return self.abandon_group(phase, &followers, e);
             }
         }
 
-        // Insert phase: every member applies its own batch concurrently. NoSync
-        // members acknowledge themselves the moment their inserts land; members
-        // of a durable group park again for the post-fsync verdict.
-        let barrier = InsertBarrier::new(group.len());
-        let mut own_end = phase.group_end;
-        let mut next_first = phase.first_seqno;
-        let mut offsets = std::mem::take(&mut phase.slot_offsets).into_iter();
-        for (index, slot) in group.iter().enumerate() {
-            let first = next_first;
-            next_first += slot.batch.ops.len() as u64;
-            let ticket = InsertTicket {
-                log_id: phase.log_id,
-                first_seqno: first,
-                offsets: offsets.next().expect("one offset vector per slot"),
-                mem: Arc::clone(&phase.mem),
-                barrier: Arc::clone(&barrier),
-                acked_on_insert: !phase.need_sync,
-            };
-            if index == 0 {
-                // The leader's own batch, applied on this thread.
-                own_end = next_first - 1;
-                Self::apply_group_inserts(slot, &ticket);
-                ticket.barrier.arrive();
-            } else {
-                slot.begin_insert(ticket);
+        // Insert phase: the followers apply their batches concurrently with
+        // the leader's. NoSync followers acknowledge themselves the moment
+        // their inserts land; followers of a durable group park again for the
+        // post-fsync verdict.
+        let own_len = own.ops.len();
+        let barrier = (!followers.is_empty()).then(|| InsertBarrier::new(followers.len()));
+        if let Some(barrier) = &barrier {
+            let mut next = own_len;
+            for slot in &followers {
+                let records = next..next + slot.batch.ops.len();
+                next = records.end;
+                slot.deliver(Direction::Insert(InsertTicket {
+                    first_seqno: phase.first_seqno + records.start as u64,
+                    positions: phase.positions[records].to_vec(),
+                    mem: Arc::clone(&phase.mem),
+                    barrier: Arc::clone(barrier),
+                    acked_on_insert: phase.sync.is_none(),
+                }));
             }
         }
+        let own_end = phase.first_seqno + own_len as u64 - 1;
+        insert_batch(&phase.mem, own, phase.first_seqno, &phase.positions[..own_len]);
 
         // Durability stage, overlapping the followers' inserts — and, crucially,
         // the *next* group's append. Either the watermark already passed our end
@@ -284,21 +296,17 @@ impl DbInner {
         // case) or we queue for the fsync lock and issue one fsync that retires
         // every group appended so far.
         let mut sync_failure: Option<Error> = None;
-        if phase.need_sync {
+        if let Some(handle) = &phase.sync {
             let sync_started = timed.then(Instant::now);
-            match self.watermark.ensure_durable(
-                phase.log_id,
-                phase.sync_target,
-                &phase.sync_handle,
-                &self.committer,
-            ) {
+            let target = phase.sync_target;
+            match self.watermark.ensure_durable(phase.log_id, target, handle, &self.committer) {
                 Ok(SyncOutcome::Synced) => {
                     self.stats.add_wal_syncs(1);
-                    self.stats.add_wal_syncs_amortized(group.len() as u64 - 1);
+                    self.stats.add_wal_syncs_amortized(followers.len() as u64);
                 }
                 Ok(SyncOutcome::AlreadyDurable) => {
                     self.stats.add_wal_syncs_overlapped(1);
-                    self.stats.add_wal_syncs_amortized(group.len() as u64);
+                    self.stats.add_wal_syncs_amortized(followers.len() as u64 + 1);
                 }
                 Err(e) => sync_failure = Some(e),
             }
@@ -306,53 +314,35 @@ impl DbInner {
                 self.stats.add_wal_sync_wait_us(started.elapsed().as_micros() as u64);
             }
         }
-        barrier.wait_drained();
+        if let Some(barrier) = &barrier {
+            barrier.wait_drained();
+        }
 
         if let Some(e) = sync_failure {
             // The inserts are in the memtable but nothing was acknowledged or
             // published — the standard contract that an unacknowledged write may
             // or may not survive. The parked followers get the failure verdict.
-            return self.abandon_group(phase, &group, e);
+            return self.abandon_group(phase, &followers, e);
         }
 
         // Stats are recorded only for groups that made it past every failure
         // window: an abandoned group acknowledged nothing, so counting its
         // batches would inflate throughput counters and unbalance the
         // `wal_syncs + wal_syncs_amortized == batches` books.
-        self.record_group_stats(&group, phase.wal_bytes);
+        self.record_group_stats(own, &followers, phase.wal_bytes);
 
         // Durable-group followers parked after inserting; release them now that
         // the watermark has passed the whole group. A sync-required write is
         // never acknowledged before this point.
-        if phase.need_sync {
-            let mut first = phase.first_seqno;
-            for (index, slot) in group.iter().enumerate() {
-                let end = first + slot.batch.ops.len() as u64 - 1;
-                first = end + 1;
-                if index > 0 {
-                    slot.finish(Ok(end));
-                }
+        if phase.sync.is_some() {
+            let mut end = own_end;
+            for slot in &followers {
+                end += slot.batch.ops.len() as u64;
+                slot.deliver(Direction::Done(Ok(end)));
             }
         }
 
-        // Publication: strictly in append order, even when this group finished
-        // before an earlier one — `last_seqno` moves through contiguous group
-        // ranges only, so a published seqno never outruns the WAL-and-memtable
-        // prefix that backs it. Completion-based: if a predecessor is still in
-        // flight this just registers our group end and moves on (the
-        // predecessor applies it when it retires); nobody parks here. The gate
-        // membership is released afterwards, letting a draining rotation or
-        // scan capture proceed — by the time such a drain wins the gate, every
-        // membered group has completed, so the ready set is fully applied.
-        self.publisher.complete(phase.group_index, Some(phase.group_end), |group_end| {
-            self.last_seqno.store(group_end, Ordering::Release);
-        });
-        // Depth counts *physically* in-flight groups (appended, not yet done),
-        // so it decrements on completion — not on in-order retirement, which
-        // can lag arbitrarily behind a slow head-of-line group and would turn
-        // the metric into a publication-backlog gauge.
-        self.pipeline_depth.fetch_sub(1, Ordering::Relaxed);
-        drop(phase.gate);
+        self.retire(phase, true);
 
         // Rotation check, leader-side only. `rotate_locked` drains the pipeline
         // (exclusive gate) before sealing, so in-flight groups always finish
@@ -368,18 +358,11 @@ impl DbInner {
     fn abandon_group(
         &self,
         phase: AppendPhase<'_>,
-        group: &[Arc<WriterSlot>],
+        followers: &[Arc<WriterSlot>],
         error: Error,
     ) -> Result<SeqNo> {
-        // Retire our publication ticket without publishing, or every later
-        // group's seqno would wait forever on the gap. Draining may still apply
-        // *successors'* pending publications, so the closure publishes those.
-        self.publisher.complete(phase.group_index, None, |group_end| {
-            self.last_seqno.store(group_end, Ordering::Release);
-        });
-        self.pipeline_depth.fetch_sub(1, Ordering::Relaxed);
-        let need_sync = phase.need_sync;
-        drop(phase.gate);
+        let need_sync = phase.sync.is_some();
+        self.retire(phase, false);
         // The append stage reset `writes_since_sync` on the promise that this
         // group's sync stage would run; it never did. Re-arm the SyncEvery(n)
         // deadline so the next group syncs immediately — otherwise a transient
@@ -393,23 +376,28 @@ impl DbInner {
                 wal.writes_since_sync = wal.writes_since_sync.max(n);
             }
         }
-        self.fail_group(group, error)
+        self.fail_group(followers, error)
     }
 
-    /// Applies one group member's batch to the memtable. Runs on the member's own
-    /// thread, without the WAL lock; `insert_versioned` keeps a straggling older
-    /// update of a key from clobbering a newer one applied by a faster member.
-    fn apply_group_inserts(slot: &WriterSlot, ticket: &InsertTicket) {
-        let ops_with_offsets = slot.batch.ops.iter().zip(&ticket.offsets);
-        for (seqno, (op, offset)) in (ticket.first_seqno..).zip(ops_with_offsets) {
-            ticket.mem.insert_versioned(
-                &op.key,
-                &op.value,
-                seqno,
-                op.kind,
-                LogPosition { log_id: ticket.log_id, offset: *offset },
-            );
-        }
+    /// Publication, strictly in append order, then the end of the group's
+    /// pipeline membership. `last_seqno` moves through contiguous group ranges
+    /// only, so a published seqno never outruns the WAL-and-memtable prefix
+    /// that backs it; a group that completes before a predecessor just leaves
+    /// its end for that predecessor to apply, so nobody parks here. An
+    /// abandoned group (`published == false`) still retires its ticket, or
+    /// every later group would wait forever on the gap. Dropping the gate
+    /// membership lets a draining rotation or scan capture proceed — by then
+    /// every membered group has completed, so the ready set is fully applied.
+    fn retire(&self, phase: AppendPhase<'_>, published: bool) {
+        let group_end = published.then_some(phase.group_end);
+        self.publisher.complete(phase.group_index, group_end, |end| {
+            self.last_seqno.store(end, Ordering::Release);
+        });
+        // Depth counts *physically* in-flight groups, so it decrements on
+        // completion, not on in-order retirement (which can lag behind a slow
+        // head-of-line group).
+        self.pipeline_depth.fetch_sub(1, Ordering::Relaxed);
+        drop(phase.gate);
     }
 
     /// Leader-side rotation check: a lock-free pre-check against the memtable's
@@ -437,23 +425,24 @@ impl DbInner {
 
     /// Delivers a group-wide failure: followers get a wrapped copy, the leader
     /// (the caller) propagates the original.
-    fn fail_group(&self, group: &[Arc<WriterSlot>], error: Error) -> Result<SeqNo> {
-        for slot in group.iter().skip(1) {
-            slot.finish(Err(Error::Background(format!("group commit failed: {error}"))));
+    fn fail_group(&self, followers: &[Arc<WriterSlot>], error: Error) -> Result<SeqNo> {
+        for slot in followers {
+            let wrapped = Error::Background(format!("group commit failed: {error}"));
+            slot.deliver(Direction::Done(Err(wrapped)));
         }
         Err(error)
     }
 
     /// Batched per-group statistics: one add per counter for the whole group,
     /// after the WAL lock is gone.
-    fn record_group_stats(&self, group: &[Arc<WriterSlot>], wal_bytes: u64) {
+    fn record_group_stats(&self, own: &WriteBatch, followers: &[Arc<WriterSlot>], wal_bytes: u64) {
         let mut user_bytes = 0u64;
         let mut puts = 0u64;
         let mut deletes = 0u64;
         let mut records = 0u64;
-        for slot in group {
-            records += slot.batch.ops.len() as u64;
-            for BatchOp { kind, key, value } in &slot.batch.ops {
+        for batch in members(own, followers) {
+            records += batch.ops.len() as u64;
+            for BatchOp { kind, key, value } in &batch.ops {
                 user_bytes += (key.len() + value.len()) as u64;
                 match kind {
                     ValueKind::Put => puts += 1,
@@ -461,13 +450,14 @@ impl DbInner {
                 }
             }
         }
+        let batches = followers.len() as u64 + 1;
         self.stats.add_wal_appends(records);
         self.stats.add_wal_bytes_written(wal_bytes);
         self.stats.add_user_bytes_written(user_bytes);
         self.stats.add_user_writes(puts);
         self.stats.add_user_deletes(deletes);
         self.stats.add_write_groups(1);
-        self.stats.add_write_group_batches(group.len() as u64);
-        self.stats.record_write_group_size(group.len() as u64);
+        self.stats.add_write_group_batches(batches);
+        self.stats.record_write_group_size(batches);
     }
 }

@@ -1,35 +1,31 @@
-//! Leader/follower coordination for the group-commit write pipeline.
+//! Queueing and hand-off for the group-commit write pipeline.
 //!
-//! Concurrent [`write`](crate::Db::write) callers enqueue a [`WriterSlot`] here.
-//! The first writer to arrive while no leader is active becomes the **leader**:
-//! it drains the queue (up to the configured caps) into one *commit group*,
-//! performs a single batched WAL append for everyone and hands leadership to
-//! the next waiting writer the moment the append lock is released. Every group
-//! member — leader and followers alike — then applies its own batch to the
-//! sharded memtable in parallel, outside the WAL lock. A follower of a group
-//! that owes no fsync acknowledges itself the moment its inserts land (only
-//! group-wide failures, which arrive *instead of* a ticket, need the leader to
-//! deliver a result); a follower of a durable group parks a second time for
-//! the leader's post-fsync verdict. The leader publishes the group's seqno
-//! range once the group is appended, durable per the sync policy and inserted.
+//! A [`write`](crate::Db::write) caller leads its own *commit group* unless an
+//! fsync is in flight: concurrent leaders serialize on the WAL (append) lock,
+//! where seqnos, publication tickets and durability targets are assigned, so
+//! queueing behind an appending leader would add a park, a wake-up and a
+//! hand-off and batch nothing. A writer arriving during an fsync could not ride
+//! it, so it queues a [`WriterSlot`]; the fsync's completion
+//! ([`Committer::end_sync`]) promotes the oldest, and the next leader to take
+//! the append lock drains the queue (up to the caps) as its followers. Every
+//! member then inserts its own batch into the memtable in parallel, outside the
+//! WAL lock. A follower of a group that owes no fsync acknowledges itself once
+//! its inserts land (group-wide failures arrive *instead of* a ticket); a
+//! follower of a durable group parks again for the leader's post-fsync verdict.
 //!
-//! This module owns the queueing, hand-off and wake-up protocol; the actual WAL
-//! and memtable work lives in `commit.rs` (`DbInner::write_batch`). It also
-//! hosts the [`PublicationSequencer`] that retires in-flight groups in append
-//! order.
+//! This module owns the queueing, hand-off and wake-up protocol; the WAL and
+//! memtable work lives in `commit.rs` (`DbInner::write_batch`). It also hosts
+//! the [`PublicationSequencer`] that retires in-flight groups in append order.
 //!
 //! Lock ordering (deadlock freedom): the WAL mutex may be held while taking the
 //! commit queue or the commit gate; the queue lock may be held while taking a
 //! slot's state lock. Nothing ever waits on the WAL mutex while holding the
 //! gate, the queue or a slot lock.
 //!
-//! Wake-ups are *adaptive spin-then-park*: a parked writer first polls a cheap
-//! atomic readiness flag for a bounded number of spin iterations before falling
-//! back to a `Condvar` wait. Under a multi-core NoSync workload the direction
-//! usually arrives within the spin window, skipping the scheduler round-trip the
-//! `BENCH_write_scaling.json` sweep charged the pipeline for; on a
-//! single core the spin burns a few hundred nanoseconds and then parks exactly
-//! as before.
+//! Wake-ups are *adaptive spin-then-park*: a parked writer polls an atomic
+//! readiness flag for a bounded number of iterations before it waits on a
+//! `Condvar`, skipping the scheduler round-trip when another core delivers its
+//! direction within the spin window.
 
 // Every std Mutex here pairs with a Condvar (writer hand-off, insert barrier,
 // publication wake-ups), which the vendored parking_lot stand-in does not
@@ -43,9 +39,10 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use triad_common::types::SeqNo;
 use triad_common::Result;
-use triad_memtable::Memtable;
+use triad_memtable::{LogPosition, Memtable};
 
 use crate::batch::{WriteBatch, WriteOptions};
+use crate::options::GroupCommitConfig;
 
 /// Iterations a parked writer polls its readiness flag before `Condvar::wait`.
 /// Sized for "the leader is finishing up on another core right now"; anything
@@ -57,7 +54,7 @@ const BARRIER_SPIN_ITERS: u32 = 256;
 
 /// What a parked writer is told to do next.
 pub(crate) enum Direction {
-    /// Leadership was handed over: drive the next commit group.
+    /// Promoted: lead the next commit group.
     Lead,
     /// The group's WAL write is done: apply your own batch to the memtable,
     /// signal the barrier and return success (a ticket is only ever issued for
@@ -67,14 +64,12 @@ pub(crate) enum Direction {
     Done(Result<SeqNo>),
 }
 
-/// Everything a group member needs to apply its batch to the memtable.
+/// Everything a follower needs to apply its batch to the memtable.
 pub(crate) struct InsertTicket {
-    /// Id of the commit log the group was appended to.
-    pub(crate) log_id: u64,
     /// Sequence number of this member's first operation.
     pub(crate) first_seqno: SeqNo,
-    /// Absolute commit-log offset of each of this member's records, in op order.
-    pub(crate) offsets: Vec<u64>,
+    /// Commit-log position of each of this member's records, in op order.
+    pub(crate) positions: Vec<LogPosition>,
     /// The memory component that was active when the group committed.
     pub(crate) mem: Arc<Memtable>,
     /// Completion barrier the member must signal after inserting.
@@ -87,7 +82,7 @@ pub(crate) struct InsertTicket {
     pub(crate) acked_on_insert: bool,
 }
 
-/// Counts down the group members still applying their memtable inserts.
+/// Counts down the followers still applying their memtable inserts.
 ///
 /// The count lives in an atomic so the leader can spin on it briefly (the
 /// common case: followers finish within a microsecond of the leader) before
@@ -132,31 +127,16 @@ impl InsertBarrier {
     }
 }
 
-/// Per-slot progress through the commit protocol.
-enum SlotState {
-    /// Parked in the queue, waiting for a leader (or for promotion).
-    Waiting,
-    /// Promoted: this writer must become the next leader.
-    Lead,
-    /// WAL phase done; the ticket describes the member's memtable work.
-    Insert(InsertTicket),
-    /// The ticket has been taken; inserts are in flight.
-    Inserting,
-    /// Final result delivered by the leader.
-    Done(Result<SeqNo>),
-    /// The result has been consumed; terminal.
-    Finished,
-}
-
-/// One queued writer: its batch, its options and its progress.
+/// One queued writer: its batch, its options and the direction it waits for.
 pub(crate) struct WriterSlot {
     pub(crate) batch: WriteBatch,
     pub(crate) opts: WriteOptions,
-    state: Mutex<SlotState>,
+    /// The delivered, not yet consumed direction.
+    state: Mutex<Option<Direction>>,
     wake: Condvar,
-    /// Set (under the state lock) whenever a consumable direction is stored;
-    /// cleared when one is taken. Lets [`wait_for_direction`] poll without
-    /// touching the mutex during its spin phase.
+    /// Set (under the state lock) whenever a direction is stored; cleared when
+    /// one is taken. Lets [`wait_for_direction`] poll without touching the
+    /// mutex during its spin phase.
     ready: AtomicBool,
 }
 
@@ -165,39 +145,20 @@ impl WriterSlot {
         Arc::new(WriterSlot {
             batch,
             opts,
-            state: Mutex::new(SlotState::Waiting),
+            state: Mutex::new(None),
             wake: Condvar::new(),
             ready: AtomicBool::new(false),
         })
     }
 
     /// Consumes a pending direction, if any. Must run under the state lock.
-    fn take_direction(&self, state: &mut SlotState) -> Option<Direction> {
-        let direction = match state {
-            SlotState::Waiting | SlotState::Inserting => return None,
-            SlotState::Lead => Direction::Lead,
-            SlotState::Insert(_) => {
-                let SlotState::Insert(ticket) = std::mem::replace(state, SlotState::Inserting)
-                else {
-                    unreachable!("matched Insert above");
-                };
-                Direction::Insert(ticket)
-            }
-            SlotState::Done(_) => {
-                let SlotState::Done(result) = std::mem::replace(state, SlotState::Finished) else {
-                    unreachable!("matched Done above");
-                };
-                Direction::Done(result)
-            }
-            SlotState::Finished => {
-                unreachable!("a slot's result is consumed exactly once")
-            }
-        };
+    fn take_direction(&self, state: &mut Option<Direction>) -> Option<Direction> {
+        let direction = state.take()?;
         self.ready.store(false, Ordering::Relaxed);
         Some(direction)
     }
 
-    /// Waits until the leader (or a hand-off) tells this writer what to do:
+    /// Waits until a leader (or a promotion) tells this writer what to do:
     /// bounded spin on the readiness flag first, then park on the condvar.
     pub(crate) fn wait_for_direction(&self) -> Direction {
         for _ in 0..DIRECTION_SPIN_ITERS {
@@ -219,49 +180,50 @@ impl WriterSlot {
     }
 
     /// Stores a direction and wakes the (possibly parked) owner.
-    fn deliver(&self, new_state: SlotState) {
+    pub(crate) fn deliver(&self, direction: Direction) {
         let mut state = self.state.lock().expect("slot lock poisoned");
-        *state = new_state;
+        *state = Some(direction);
         self.ready.store(true, Ordering::Release);
         drop(state);
         self.wake.notify_one();
     }
+}
 
-    /// Leader→follower: the WAL phase succeeded, apply your inserts.
-    pub(crate) fn begin_insert(&self, ticket: InsertTicket) {
-        self.deliver(SlotState::Insert(ticket));
-    }
-
-    /// Leader→follower: final result (after `last_seqno` is published, on
-    /// success; immediately, on a group-wide failure).
-    pub(crate) fn finish(&self, result: Result<SeqNo>) {
-        self.deliver(SlotState::Done(result));
-    }
-
-    fn promote(&self) {
-        self.deliver(SlotState::Lead);
-    }
+/// How [`Committer::join`] placed a writer.
+pub(crate) enum Joined {
+    /// No fsync in flight: the caller leads a group with its own batch.
+    Lead(WriteBatch, WriteOptions),
+    /// Queued behind the in-flight fsync: wait on the slot for a direction.
+    Queued(Arc<WriterSlot>),
 }
 
 #[derive(Default)]
 struct CommitQueue {
     pending: VecDeque<Arc<WriterSlot>>,
-    /// `true` while some writer holds leadership (it may not be in `pending`).
-    leader_active: bool,
-    /// `true` while a commit group's fsync is in flight. Writers that
-    /// arrive in that window queue up instead of leading: their bytes could not
-    /// become durable before the *next* fsync anyway, so leading a tiny group
-    /// each would only multiply per-group overhead. When the fsync completes,
-    /// [`Committer::end_sync`] promotes one of them to lead a single large
-    /// group — restoring grouped-commit batching while the pipeline still
-    /// overlaps that group's append with the previous group's fsync.
+    /// `true` while a commit group's fsync is in flight — the only time a
+    /// writer queues (see the module docs). Set and cleared by
+    /// [`Committer::begin_sync`] / [`Committer::end_sync`].
     sync_in_flight: bool,
 }
 
-/// The pending-writers queue and leadership token.
+impl CommitQueue {
+    fn promote_front(&mut self) {
+        if let Some(next) = self.pending.pop_front() {
+            next.deliver(Direction::Lead);
+        }
+    }
+}
+
+/// The pending-writers queue.
 #[derive(Default)]
 pub(crate) struct Committer {
     queue: Mutex<CommitQueue>,
+    /// `false` exactly when no fsync is in flight and nobody is queued.
+    /// Written (Release) only under the queue lock, so an idle queue — the
+    /// common case — costs `join`, `drain` and `handoff` one Acquire load and
+    /// no lock. A stale `false` is harmless: a writer queues only under the
+    /// lock while an fsync is in flight, and that fsync's completion promotes.
+    busy: AtomicBool,
 }
 
 impl Committer {
@@ -269,76 +231,80 @@ impl Committer {
         Self::default()
     }
 
-    /// Registers a writer. Returns its slot and whether it is the leader: a
-    /// leader must call `lead` logic and then [`handoff`](Self::handoff); a
-    /// follower parks on [`WriterSlot::wait_for_direction`]. A writer arriving
-    /// while an fsync is in flight queues even without an active leader; the
-    /// fsync's completion promotes it (see [`end_sync`](Self::end_sync)).
-    pub(crate) fn join(&self, batch: WriteBatch, opts: WriteOptions) -> (Arc<WriterSlot>, bool) {
-        let slot = WriterSlot::new(batch, opts);
+    /// Runs `f` under the queue lock, then republishes the `busy` flag.
+    fn with_queue<R>(&self, f: impl FnOnce(&mut CommitQueue) -> R) -> R {
         let mut queue = self.queue.lock().expect("commit queue poisoned");
-        if queue.leader_active || queue.sync_in_flight {
-            queue.pending.push_back(Arc::clone(&slot));
-            (slot, false)
-        } else {
-            queue.leader_active = true;
-            (slot, true)
+        let result = f(&mut queue);
+        self.busy.store(queue.sync_in_flight || !queue.pending.is_empty(), Ordering::Release);
+        result
+    }
+
+    /// Registers a writer: queued while an fsync is in flight (its completion
+    /// promotes a queued writer, see [`end_sync`](Self::end_sync)), otherwise
+    /// handed back to lead its own group. A leader must call
+    /// [`handoff`](Self::handoff) once its append stage is over; a queued
+    /// writer parks on [`WriterSlot::wait_for_direction`].
+    pub(crate) fn join(&self, batch: WriteBatch, opts: WriteOptions) -> Joined {
+        if self.busy.load(Ordering::Acquire) {
+            let mut queue = self.queue.lock().expect("commit queue poisoned");
+            if queue.sync_in_flight {
+                // `busy` stays set: the fsync in flight already set it.
+                let slot = WriterSlot::new(batch, opts);
+                queue.pending.push_back(Arc::clone(&slot));
+                return Joined::Queued(slot);
+            }
         }
+        Joined::Lead(batch, opts)
     }
 
     /// Marks an fsync as in flight: writers arriving from now on
     /// accumulate in the queue instead of leading their own groups.
     pub(crate) fn begin_sync(&self) {
-        self.queue.lock().expect("commit queue poisoned").sync_in_flight = true;
+        self.with_queue(|queue| queue.sync_in_flight = true);
     }
 
-    /// Marks the fsync complete and, if the accumulation left queued
-    /// writers without a leader, promotes the oldest to lead them as one group.
+    /// Marks the fsync complete and promotes the oldest queued writer, if any,
+    /// to lead the writers that accumulated behind it as one group.
     pub(crate) fn end_sync(&self) {
-        let mut queue = self.queue.lock().expect("commit queue poisoned");
-        queue.sync_in_flight = false;
-        if !queue.leader_active {
-            if let Some(next) = queue.pending.pop_front() {
-                queue.leader_active = true;
-                next.promote();
-            }
-        }
+        self.with_queue(|queue| {
+            queue.sync_in_flight = false;
+            queue.promote_front();
+        });
     }
 
-    /// Moves queued writers into `group` until it reaches `max_batches` batches
-    /// or adding the next batch would push the summed key+value bytes past
-    /// `max_bytes`. The leader's own batch (already in `group`) always counts.
-    pub(crate) fn drain(
-        &self,
-        group: &mut Vec<Arc<WriterSlot>>,
-        max_batches: usize,
-        max_bytes: usize,
-    ) {
-        let mut queue = self.queue.lock().expect("commit queue poisoned");
-        let mut bytes: usize = group.iter().map(|slot| slot.batch.approximate_size()).sum();
-        while group.len() < max_batches {
-            let Some(front) = queue.pending.front() else { break };
-            let front_bytes = front.batch.approximate_size();
-            if bytes.saturating_add(front_bytes) > max_bytes {
-                break;
-            }
-            bytes += front_bytes;
-            let slot = queue.pending.pop_front().expect("front observed above");
-            group.push(slot);
+    /// Takes queued writers, oldest first, as the followers of a leader whose
+    /// own batch carries `own_bytes` key+value bytes: the group stops at
+    /// `caps.max_group_batches` batches (the leader's included) or before the
+    /// summed bytes would pass `caps.max_group_bytes`.
+    pub(crate) fn drain(&self, own_bytes: usize, caps: &GroupCommitConfig) -> Vec<Arc<WriterSlot>> {
+        let mut followers = Vec::new();
+        if !self.busy.load(Ordering::Acquire) {
+            return followers;
         }
+        self.with_queue(|queue| {
+            let mut bytes = own_bytes;
+            while followers.len() + 1 < caps.max_group_batches {
+                let Some(front) = queue.pending.front() else { break };
+                bytes = bytes.saturating_add(front.batch.approximate_size());
+                if bytes > caps.max_group_bytes {
+                    break;
+                }
+                followers.push(queue.pending.pop_front().expect("front observed above"));
+            }
+        });
+        followers
     }
 
-    /// Releases leadership: promotes the oldest waiting writer to leader, or
-    /// clears the leadership token if the queue is empty.
+    /// Ends a leader's append stage: if the drain caps left writers queued and
+    /// no fsync is in flight (whose completion would promote one), promotes
+    /// the oldest to lead the rest.
     pub(crate) fn handoff(&self) {
-        let mut queue = self.queue.lock().expect("commit queue poisoned");
-        if let Some(next) = queue.pending.pop_front() {
-            // Leadership transfers directly; `leader_active` stays set. The
-            // promoted writer re-drains the queue itself (including any writers
-            // that arrived since this drain).
-            next.promote();
-        } else {
-            queue.leader_active = false;
+        if self.busy.load(Ordering::Acquire) {
+            self.with_queue(|queue| {
+                if !queue.sync_in_flight {
+                    queue.promote_front();
+                }
+            });
         }
     }
 }
@@ -349,13 +315,12 @@ impl Committer {
 /// its memtable inserts (and even its fsync) while group N is still in flight.
 /// `last_seqno` must nevertheless move monotonically through contiguous group
 /// ranges, so every group takes a ticket (its *group index*, assigned under the
-/// append lock) and *completes* it when done: the completion is registered, and
-/// whichever thread is inside the sequencer drains every ready-in-order entry —
-/// applying each group's published seqno via the caller's closure. A completing
-/// group whose predecessors are still in flight just leaves its entry behind
-/// and moves on; the predecessor that arrives last applies it. A group that
-/// failed after its append completes with `None`, so a consumed-but-unpublished
-/// seqno range never wedges the pipeline.
+/// append lock) and *completes* it when done. The group that is next in order
+/// publishes in place and then applies every successor that completed ahead
+/// of it; a group whose predecessors are still in flight leaves its entry
+/// behind and moves on, and the predecessor that arrives last applies it. A
+/// group that failed after its append completes with `None`, so a
+/// consumed-but-unpublished seqno range never wedges the pipeline.
 #[derive(Debug, Default)]
 pub(crate) struct PublicationSequencer {
     state: Mutex<PublishState>,
@@ -376,9 +341,10 @@ impl PublicationSequencer {
     }
 
     /// Registers group `index` as complete (`seqno` = its group end, or `None`
-    /// if it failed) and drains every in-order ready entry, invoking `publish`
-    /// with each successively larger published seqno. Returns how many groups
-    /// retired in this call (0 when a predecessor is still in flight).
+    /// if it failed) and, if it is next in order, retires it and every ready
+    /// successor, invoking `publish` with each successively larger published
+    /// seqno. Returns how many groups retired in this call (0 when a
+    /// predecessor is still in flight).
     pub(crate) fn complete(
         &self,
         index: u64,
@@ -386,16 +352,20 @@ impl PublicationSequencer {
         mut publish: impl FnMut(SeqNo),
     ) -> u64 {
         let mut state = self.state.lock().expect("publication sequencer poisoned");
-        state.ready.insert(index, seqno);
+        if index != state.next {
+            state.ready.insert(index, seqno);
+            return 0;
+        }
         let mut retired = 0;
-        loop {
-            let next = state.next;
-            let Some(entry) = state.ready.remove(&next) else { break };
-            if let Some(group_end) = entry {
+        let mut entry = Some(seqno);
+        while let Some(seqno) = entry {
+            if let Some(group_end) = seqno {
                 publish(group_end);
             }
             state.next += 1;
             retired += 1;
+            let next = state.next;
+            entry = state.ready.remove(&next);
         }
         retired
     }
@@ -406,7 +376,7 @@ impl std::fmt::Debug for Committer {
         let queue = self.queue.lock().expect("commit queue poisoned");
         f.debug_struct("Committer")
             .field("pending", &queue.pending.len())
-            .field("leader_active", &queue.leader_active)
+            .field("sync_in_flight", &queue.sync_in_flight)
             .finish()
     }
 }
@@ -421,46 +391,89 @@ mod tests {
         batch
     }
 
+    fn queued(committer: &Committer, bytes: usize) -> Arc<WriterSlot> {
+        match committer.join(batch_of(bytes), WriteOptions::default()) {
+            Joined::Queued(slot) => slot,
+            Joined::Lead(..) => panic!("a writer arriving during an fsync must queue"),
+        }
+    }
+
+    fn leads(committer: &Committer) -> bool {
+        matches!(committer.join(batch_of(8), WriteOptions::default()), Joined::Lead(..))
+    }
+
+    fn caps(max_group_batches: usize, max_group_bytes: usize) -> GroupCommitConfig {
+        GroupCommitConfig { max_group_batches, max_group_bytes }
+    }
+
+    fn promoted(slot: &WriterSlot) -> bool {
+        slot.ready.load(Ordering::Acquire) && matches!(slot.wait_for_direction(), Direction::Lead)
+    }
+
     #[test]
-    fn first_joiner_leads_followers_queue() {
+    fn a_writer_arriving_while_another_leads_leads_too() {
+        // No fsync in flight: queueing could buy no batching, so every writer
+        // leads its own group and the leaders serialize on the append lock.
         let committer = Committer::new();
-        let (_leader, is_leader) = committer.join(batch_of(8), WriteOptions::default());
-        assert!(is_leader);
-        let (_follower, follows) = committer.join(batch_of(8), WriteOptions::default());
-        assert!(!follows);
+        assert!(leads(&committer));
+        assert!(leads(&committer), "a second writer must not queue behind a leader");
+        assert!(committer.drain(8, &caps(usize::MAX, usize::MAX)).is_empty());
+    }
+
+    #[test]
+    fn writers_arriving_during_an_fsync_queue_and_one_promotion_drains_them_all() {
+        let committer = Committer::new();
+        committer.begin_sync();
+        let slots: Vec<_> = (0..5).map(|_| queued(&committer, 10)).collect();
+        assert!(!slots.iter().any(|slot| slot.ready.load(Ordering::Acquire)));
+        committer.end_sync();
+        // The fsync's completion promotes the oldest, which drains the other
+        // four within the default caps.
+        assert!(promoted(&slots[0]));
+        let followers = committer.drain(10, &GroupCommitConfig::default());
+        assert_eq!(followers.len(), 4);
+        assert!(followers.iter().zip(&slots[1..]).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert!(!committer.busy.load(Ordering::Acquire), "the drained queue is idle again");
     }
 
     #[test]
     fn drain_respects_batch_and_byte_caps() {
         let committer = Committer::new();
-        let (leader, _) = committer.join(batch_of(10), WriteOptions::default());
+        committer.begin_sync();
         for _ in 0..5 {
-            committer.join(batch_of(10), WriteOptions::default());
+            queued(&committer, 10);
         }
-        let mut group = vec![leader];
-        committer.drain(&mut group, 3, usize::MAX);
-        assert_eq!(group.len(), 3, "batch cap limits the group");
-        let mut rest = vec![group.pop().unwrap()];
-        committer.drain(&mut rest, usize::MAX, 25);
-        // 10 bytes already in the group; only one more 10-byte batch fits under 25.
-        assert_eq!(rest.len(), 2, "byte cap limits the group");
+        assert_eq!(
+            committer.drain(10, &caps(3, usize::MAX)).len(),
+            2,
+            "batch cap counts the leader"
+        );
+        // 10 bytes of the leader's own; only one more 10-byte batch fits under 25.
+        assert_eq!(
+            committer.drain(10, &caps(usize::MAX, 25)).len(),
+            1,
+            "byte cap limits the group"
+        );
     }
 
     #[test]
     fn handoff_promotes_in_fifo_order_and_clears_when_idle() {
         let committer = Committer::new();
-        let (_leader, _) = committer.join(batch_of(4), WriteOptions::default());
-        let (second, _) = committer.join(batch_of(4), WriteOptions::default());
+        committer.begin_sync();
+        let (first, second) = (queued(&committer, 4), queued(&committer, 4));
+        // A leader ending its append stage during the fsync promotes nobody:
+        // the queued writers wait to form one group when it completes.
         committer.handoff();
-        // The second writer was promoted; its thread would observe Lead.
-        match second.wait_for_direction() {
-            Direction::Lead => {}
-            _ => panic!("expected promotion to leader"),
-        }
-        // Queue now empty: hand-off clears the token so the next joiner leads.
+        assert!(!first.ready.load(Ordering::Acquire));
+        committer.end_sync();
+        assert!(promoted(&first));
+        // The promoted leader's cap of one left the second queued with no
+        // fsync in flight: its hand-off promotes the next in line.
+        assert!(committer.drain(4, &caps(1, usize::MAX)).is_empty());
         committer.handoff();
-        let (_third, leads) = committer.join(batch_of(4), WriteOptions::default());
-        assert!(leads, "leadership token must clear when the queue drains");
+        assert!(promoted(&second));
+        assert!(!committer.busy.load(Ordering::Acquire), "the idle queue clears its flag");
+        assert!(leads(&committer));
     }
 
     #[test]
@@ -480,8 +493,8 @@ mod tests {
     fn spin_phase_picks_up_a_direction_delivered_before_the_wait() {
         // The direction arrives before wait_for_direction runs: the spin path
         // must consume it without ever parking (and without losing it).
-        let (slot, _) = Committer::new().join(batch_of(4), WriteOptions::default());
-        slot.finish(Ok(7));
+        let slot = WriterSlot::new(batch_of(4), WriteOptions::default());
+        slot.deliver(Direction::Done(Ok(7)));
         match slot.wait_for_direction() {
             Direction::Done(Ok(seqno)) => assert_eq!(seqno, 7),
             _ => panic!("expected the pre-delivered result"),
@@ -492,18 +505,15 @@ mod tests {
     fn a_slot_can_park_twice_for_insert_then_done() {
         // The durable-group path: an insert ticket first, the final result
         // second. The readiness flag must re-arm between the two directions.
-        let committer = Committer::new();
-        let (_leader, _) = committer.join(batch_of(4), WriteOptions::default());
-        let (slot, _) = committer.join(batch_of(4), WriteOptions::default());
+        let slot = WriterSlot::new(batch_of(4), WriteOptions::default());
         let barrier = InsertBarrier::new(1);
-        slot.begin_insert(InsertTicket {
-            log_id: 1,
+        slot.deliver(Direction::Insert(InsertTicket {
             first_seqno: 1,
-            offsets: vec![0],
+            positions: vec![LogPosition::default()],
             mem: Arc::new(Memtable::new()),
             barrier: Arc::clone(&barrier),
             acked_on_insert: false,
-        });
+        }));
         match slot.wait_for_direction() {
             Direction::Insert(ticket) => {
                 assert!(!ticket.acked_on_insert);
@@ -512,7 +522,7 @@ mod tests {
             _ => panic!("expected the insert ticket"),
         }
         barrier.wait_drained();
-        slot.finish(Ok(9));
+        slot.deliver(Direction::Done(Ok(9)));
         match slot.wait_for_direction() {
             Direction::Done(Ok(seqno)) => assert_eq!(seqno, 9),
             _ => panic!("expected the final result"),

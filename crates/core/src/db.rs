@@ -218,7 +218,8 @@ pub(crate) struct DbInner {
     /// its append stage), flush hot write-back, rotation, capture and close
     /// take it; encoding aside, no per-record work happens under it.
     pub(crate) wal: RankedMutex<WalState>,
-    /// The group-commit queue: leader election and writer hand-off.
+    /// The group-commit queue: writers park here only behind an in-flight
+    /// fsync, and its completion promotes one to lead them.
     pub(crate) committer: Committer,
     /// Retires commit groups in append order: `last_seqno` may only
     /// move through contiguous group ranges even when a later group's inserts

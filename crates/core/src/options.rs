@@ -24,16 +24,21 @@ pub enum SyncMode {
 
 /// Configuration of the group-commit write pipeline.
 ///
-/// Every write commits through one pipeline. Concurrent writers hand their
-/// batches to a *leader* that appends the whole group to the commit log with
-/// one buffered write in a short *append stage*, then all group members insert
-/// into the sharded memtable in parallel, outside the WAL lock. Durability is a
-/// decoupled *sync stage* tracked by a watermark: group N+1's leader appends
-/// the moment group N releases the append lock — while group N's fsync is still
-/// in flight — and one fsync retires every group it covered.
+/// Every write commits through one pipeline. A writer leads its own commit
+/// group, appending it to the commit log with one buffered write in a short
+/// *append stage*; concurrent leaders serialize on the append lock. Only
+/// writers that arrive while an fsync is in flight queue instead: the fsync's
+/// completion promotes one of them, and the next leader appends them all as
+/// one group whose members insert into the sharded memtable in parallel,
+/// outside the WAL lock. Durability is a decoupled *sync stage* tracked by a
+/// watermark: group N+1's leader appends the moment group N releases the
+/// append lock — while group N's fsync is still in flight — and one fsync
+/// retires every group it covered.
 ///
-/// The caps bound how much one leader may absorb before it commits, keeping
-/// tail latency in check under extreme fan-in.
+/// The caps bound only the writers accumulated behind an fsync: how many of
+/// them one leader may absorb before it commits, keeping tail latency in check
+/// under extreme fan-in. Without an fsync in flight every group holds exactly
+/// one batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommitConfig {
     /// Maximum number of write batches one commit group may carry. `1` makes

@@ -313,6 +313,46 @@ fn grouped_writers_amortize_fsyncs_under_sync_every_write() {
     db.close().unwrap();
 }
 
+/// Without an fsync in flight a writer never queues: each one leads its own
+/// commit group and concurrent leaders serialize on the append lock. So under
+/// `NoSync` every group carries exactly one batch, however the writers
+/// interleave — and every acknowledged put is still readable.
+#[test]
+fn nosync_writers_never_queue_and_every_acknowledged_put_reads_back() {
+    let threads = 4u64;
+    let puts_per_thread = 2_000u64;
+    let (db, _dir) = open_small("nosync-no-queue", |options| {
+        common::single_shard(options); // one commit queue for all four writers
+        options.sync_mode = SyncMode::NoSync;
+        options.l0_compaction_trigger = 2;
+    });
+    let db = Arc::new(db);
+    let mut handles = Vec::new();
+    for t in 0..threads {
+        let db = Arc::clone(&db);
+        handles.push(thread::spawn(move || {
+            let mut acked = std::collections::BTreeMap::new();
+            for i in 0..puts_per_thread {
+                let (key, value) = (key_for(t * 1_000_000 + i % 300), format!("t{t}-v{i}"));
+                db.put(&key, value.as_bytes()).unwrap();
+                acked.insert(key, value.into_bytes());
+            }
+            acked
+        }));
+    }
+    let acked: Vec<_> = handles.into_iter().map(|handle| handle.join().unwrap()).collect();
+
+    let stats = db.stats();
+    let batches = threads * puts_per_thread;
+    assert_eq!(stats.write_group_batches, batches, "every put rode in a commit group");
+    assert_eq!(stats.write_groups, batches, "no writer queued behind another's group");
+    assert_eq!(stats.write_group_max_size, 1);
+    for (key, value) in acked.iter().flatten() {
+        assert_eq!(db.get(key).unwrap().as_ref(), Some(value), "acknowledged put lost");
+    }
+    db.close().unwrap();
+}
+
 /// The pipelined commit's acceptance contract, observed end to end: with small
 /// commit groups and many synced writers, group N+1 must append while group N's
 /// fsync is in flight (pipeline depth > 1) and at least one group must retire on
