@@ -1,7 +1,7 @@
 //! Sweeps writer threads 1→16 under NoSync and SyncEveryWrite through the commit
-//! pipeline — at one and four shards, plus an `ungrouped` (`max_group_batches =
-//! 1`) in-run baseline row at one shard — and emits the perf-trajectory file
-//! `BENCH_write_scaling.json` with the baseline-free acceptance gate.
+//! pipeline — at one and four shards, every writer appending its own batch —
+//! and emits the perf-trajectory file `BENCH_write_scaling.json` with the
+//! baseline-free acceptance gate.
 //!
 //! Flags: `--full` for paper-scale op counts (default is a quick CI-scale run;
 //! `--quick` is accepted and is the default), `--out PATH` to redirect the JSON.

@@ -92,16 +92,13 @@ pub fn run(scale: Scale) -> triad_common::Result<(Table, Vec<Comparison>)> {
          less I/O, 77% less time in flushing and compaction on average",
     );
 
-    // The front-door write pipeline behind those numbers: how much the
-    // group-commit path amortized and overlapped per workload (TRIAD runs).
+    // The front-door write pipeline behind those numbers: how deep it ran and
+    // how many fsyncs it overlapped per workload (TRIAD runs).
     let mut pipeline = Table::new(&[
         "workload",
         "commit groups",
-        "avg batches/group",
-        "max group",
         "depth",
         "fsyncs",
-        "amortized",
         "overlapped",
         "append µs*",
         "sync wait µs*",
@@ -111,21 +108,18 @@ pub fn run(scale: Scale) -> triad_common::Result<(Table, Vec<Comparison>)> {
         pipeline.add_row(vec![
             comparison.workload.clone(),
             r.write_groups.to_string(),
-            format!("{:.2}", r.avg_write_group_batches()),
-            r.write_group_max_size.to_string(),
             r.wal_pipeline_max_depth.to_string(),
             r.wal_syncs.to_string(),
-            r.wal_syncs_amortized.to_string(),
             r.wal_syncs_overlapped.to_string(),
             r.wal_append_us.to_string(),
             r.wal_sync_wait_us.to_string(),
         ]);
     }
     print_table(
-        "Group-commit pipeline during the TRIAD runs",
+        "Commit pipeline during the TRIAD runs",
         &pipeline,
         "not a paper figure: repository-side instrumentation of the pipelined \
-         group-commit write path (*sampled sums, 1 in 16 groups timed; see \
+         write path (*sampled sums, 1 in 16 groups timed; see \
          fig_write_scaling for the dedicated writer-scaling sweep)",
     );
     Ok((table, comparisons))

@@ -2,34 +2,26 @@
 //!
 //! This is not a figure from the paper — it is the repository's own perf
 //! trajectory for the commit pipeline. The sweep runs a put-only workload at
-//! 1→16 writer threads under `SyncMode::NoSync` and `SyncMode::SyncEveryWrite`.
-//! Every write commits through the one pipeline (`pipelined` rows): the append
-//! stage releases the WAL lock before the sync stage runs, so group N+1 appends
-//! (and inserts) while group N's fsync is in flight, and one fsync retires every
-//! group it covered (`overlapped` counts groups that needed no fsync of their
-//! own). The single-shard grid adds one in-run baseline row per cell,
-//! `ungrouped`: the same pipeline with `max_group_batches = 1`, so every batch
-//! is its own commit group and nothing amortizes *inside* a group — what is
-//! left is the watermark's cross-group overlap.
+//! 1→16 writer threads under `SyncMode::NoSync` and `SyncMode::SyncEveryWrite`,
+//! at one and four shards. Every writer appends its own batch as its own
+//! commit group; writers serialize only on the short append stage, which
+//! releases the WAL lock before the sync stage runs. So group N+1 appends (and
+//! inserts) while group N's fsync is in flight, and one fsync retires every
+//! group appended before it ran (`overlapped` counts groups that needed no
+//! fsync of their own).
 //!
-//! The gate is baseline-free, evaluated on the `pipelined` row at 8 writers
-//! under `SyncEveryWrite`: < 1 fsync per acknowledged batch, demonstrable
-//! overlap (`overlapped > 0`), and every acknowledged batch accounted for by a
-//! commit group. [`validate`] turns a violated gate, a hole in the sweep grid
-//! or a missing JSON section into errors the binary exits non-zero on.
+//! The gate is baseline-free, evaluated at one shard and 8 writers under
+//! `SyncEveryWrite`: < 1 fsync per acknowledged batch, demonstrable overlap
+//! (`overlapped > 0`), and every acknowledged batch accounted for by a commit
+//! group. [`validate`] turns a violated gate, a hole in the sweep grid or a
+//! missing JSON section into errors the binary exits non-zero on.
 //!
 //! Every point also records a per-commit latency histogram (p50/p99/p999, in
 //! microseconds, via `triad_common::LatencyHistogram`): under SyncEveryWrite
-//! the pipeline buys its fsync amortization by parking writers behind an
-//! in-flight fsync, and the histogram is where that trade shows up.
-//!
-//! Reading the NoSync side: no fsync is ever in flight, so no writer queues —
-//! every group holds one batch (`avg_group_batches` 1.000) and the writers
-//! serialize on the append lock, so NoSync kops measure the append stage and
-//! the memtable insert, not any hand-off. The `ungrouped` row is then the
-//! same path as `pipelined`. The durable sweep is where groups form: an fsync
-//! blocks its driver, writers arriving meanwhile queue, and its completion
-//! promotes one of them to append them all as one group.
+//! a writer whose bytes missed the fsync in flight parks on the durability
+//! watermark until the next one, and the histogram is where that wait shows
+//! up. Under NoSync there is no fsync to wait on, so NoSync kops measure the
+//! append stage and the memtable insert.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,11 +32,6 @@ use triad_core::{Db, Options, ShardConfig, StatSnapshot, SyncMode};
 use crate::report::{print_table, Table};
 use crate::runner::Scale;
 
-/// Row label of the default configuration.
-const PIPELINED: &str = "pipelined";
-/// Row label of the `max_group_batches = 1` in-run baseline.
-const UNGROUPED: &str = "ungrouped";
-
 /// One measured configuration of the sweep.
 #[derive(Debug, Clone)]
 pub struct WriteScalingPoint {
@@ -54,8 +41,6 @@ pub struct WriteScalingPoint {
     pub threads: usize,
     /// Number of keyspace shards the database ran with.
     pub shards: usize,
-    /// `"pipelined"` (default group caps) or `"ungrouped"` (`max_group_batches = 1`).
-    pub pipeline: &'static str,
     /// Thousands of acknowledged single-put batches per second.
     pub kops: f64,
     /// Acknowledged write batches (every one a single put here).
@@ -76,7 +61,8 @@ pub struct WriteScalingPoint {
 pub const GATE_THREADS: usize = 8;
 
 impl WriteScalingPoint {
-    /// WAL fsyncs per acknowledged batch — group commit drives this below 1.
+    /// WAL fsyncs per acknowledged batch — the durability watermark drives
+    /// this below 1.
     pub fn fsyncs_per_batch(&self) -> f64 {
         self.stats.wal_syncs as f64 / self.acked_batches as f64
     }
@@ -138,54 +124,47 @@ pub fn thread_sweep() -> [usize; 5] {
     [1, 2, 4, 8, 16]
 }
 
-/// Shard counts the sweep covers. The `ungrouped` baseline runs at one shard
-/// only; the default configuration runs the whole threads × sync grid at
+/// Shard counts the sweep covers; the whole threads × sync grid runs at
 /// every count.
 pub fn shard_sweep() -> [usize; 2] {
     [1, 4]
 }
 
-fn bench_db_options(sync_mode: SyncMode, ungrouped: bool, shards: usize) -> Options {
+fn bench_db_options(sync_mode: SyncMode, shards: usize) -> Options {
     // The sweep measures the write *path*, not flush/compaction: keep the
     // memory component large enough that no rotation fires during a point.
-    let mut options = Options {
+    Options {
         memtable_size: 256 * 1024 * 1024,
         max_log_size: 512 * 1024 * 1024,
         sync_mode,
         shards: ShardConfig::with_count(shards),
         ..Options::default()
-    };
-    if ungrouped {
-        options.group_commit.max_group_batches = 1;
     }
-    options
 }
 
 fn run_point(
     scale: Scale,
     sync_mode: SyncMode,
     threads: usize,
-    ungrouped: bool,
     shards: usize,
 ) -> triad_common::Result<WriteScalingPoint> {
-    let pipeline = if ungrouped { UNGROUPED } else { PIPELINED };
     let ops_per_thread = match sync_mode {
         // An fsync costs ~100 µs on commodity SSD-backed filesystems; keep the
         // synced points short so the full sweep stays CI-friendly.
         SyncMode::SyncEveryWrite => scale.ops(400, 5_000),
         _ => scale.ops(10_000, 200_000),
     };
-    let label = format!("write-scaling-{}-{threads}t-{shards}s-{pipeline}", sync_label(sync_mode));
+    let label = format!("write-scaling-{}-{threads}t-{shards}s", sync_label(sync_mode));
     let dir = std::env::temp_dir().join(format!("triad-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let db = Arc::new(Db::open(&dir, bench_db_options(sync_mode, ungrouped, shards))?);
+    let db = Arc::new(Db::open(&dir, bench_db_options(sync_mode, shards))?);
 
     let before = db.stats();
     // Per-acknowledged-commit latency, recorded in nanoseconds by every writer
     // into one shared HDR-style histogram (recording is a relaxed fetch_add, so
-    // sharing does not serialize the writers). This is the pipeline trade the
-    // ROADMAP asks to quantify: the pipeline buys throughput by making
-    // some writers wait on a leader, which shows up here as tail latency.
+    // sharing does not serialize the writers). A synced writer whose bytes
+    // missed the fsync in flight waits for the next one, which shows up here
+    // as tail latency.
     let latency = Arc::new(LatencyHistogram::new());
     let started = Instant::now();
     let mut handles = Vec::new();
@@ -218,7 +197,6 @@ fn run_point(
         sync_mode: sync_label(sync_mode),
         threads,
         shards,
-        pipeline,
         kops: acked_batches as f64 / elapsed.as_secs_f64() / 1_000.0,
         acked_batches,
         stats,
@@ -238,10 +216,7 @@ pub fn run(
     for shards in shard_sweep() {
         for sync_mode in [SyncMode::NoSync, SyncMode::SyncEveryWrite] {
             for threads in thread_sweep() {
-                if shards == 1 {
-                    points.push(run_point(scale, sync_mode, threads, true, shards)?);
-                }
-                points.push(run_point(scale, sync_mode, threads, false, shards)?);
+                points.push(run_point(scale, sync_mode, threads, shards)?);
             }
         }
     }
@@ -250,15 +225,12 @@ pub fn run(
         "sync mode",
         "threads",
         "shards",
-        "pipeline",
         "kops",
         "p50 us",
         "p99 us",
         "p999 us",
         "fsyncs/batch",
         "groups",
-        "avg batches/group",
-        "max group",
         "overlapped",
         "depth",
     ]);
@@ -267,15 +239,12 @@ pub fn run(
             point.sync_mode.to_string(),
             point.threads.to_string(),
             point.shards.to_string(),
-            point.pipeline.to_string(),
             format!("{:.1}", point.kops),
             format!("{:.1}", point.p50_us),
             format!("{:.1}", point.p99_us),
             format!("{:.1}", point.p999_us),
             format!("{:.3}", point.fsyncs_per_batch()),
             point.stats.write_groups.to_string(),
-            format!("{:.2}", point.stats.avg_write_group_batches()),
-            point.stats.write_group_max_size.to_string(),
             point.stats.wal_syncs_overlapped.to_string(),
             point.stats.wal_pipeline_max_depth.to_string(),
         ]);
@@ -284,12 +253,7 @@ pub fn run(
     let find = |sync_mode: &str, threads: usize, shards: usize| {
         points
             .iter()
-            .find(|p| {
-                p.sync_mode == sync_mode
-                    && p.threads == threads
-                    && p.shards == shards
-                    && p.pipeline == PIPELINED
-            })
+            .find(|p| p.sync_mode == sync_mode && p.threads == threads && p.shards == shards)
             .expect("the sweep always covers its gate points")
             .clone()
     };
@@ -347,25 +311,19 @@ const REQUIRED_JSON_KEYS: [&str; 6] = [
 ];
 
 /// Checks the sweep and its rendered JSON: every row has a fed latency
-/// histogram, the sweep carries its `pipelined`, `ungrouped` and sharded rows,
-/// the gate holds and no JSON section is missing. Returns one message per
-/// violation; the binary exits non-zero when any come back.
+/// histogram, the sweep carries its sharded rows, the gate holds and no JSON
+/// section is missing. Returns one message per violation; the binary exits
+/// non-zero when any come back.
 pub fn validate(points: &[WriteScalingPoint], gate: &WriteScalingPoint, json: &str) -> Vec<String> {
     let mut errors = Vec::new();
     for p in points.iter().filter(|p| p.max_us <= 0.0) {
         errors.push(format!(
-            "{}/{} writers/{} shards/{}: latency histogram is empty",
-            p.sync_mode, p.threads, p.shards, p.pipeline
+            "{}/{} writers/{} shards: latency histogram is empty",
+            p.sync_mode, p.threads, p.shards
         ));
     }
-    for (row, present) in [
-        (PIPELINED, points.iter().any(|p| p.pipeline == PIPELINED)),
-        (UNGROUPED, points.iter().any(|p| p.pipeline == UNGROUPED)),
-        ("sharded", points.iter().any(|p| p.shards > 1)),
-    ] {
-        if !present {
-            errors.push(format!("the sweep has no {row} row"));
-        }
+    if !points.iter().any(|p| p.shards > 1) {
+        errors.push("the sweep has no sharded row".to_string());
     }
     if !gate.meets_gate() {
         errors.push(format!(
@@ -408,24 +366,20 @@ pub fn to_json(
     out.push_str("  \"results\": [\n");
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"sync_mode\": \"{}\", \"threads\": {}, \"shards\": {}, \"pipeline\": \"{}\", \
+            "    {{\"sync_mode\": \"{}\", \"threads\": {}, \"shards\": {}, \
              \"kops\": {:.2}, \"acked_batches\": {}, \"wal_syncs\": {}, \
              \"fsyncs_per_batch\": {:.4}, \"write_groups\": {}, \
-             \"avg_group_batches\": {:.3}, \"max_group_batches\": {}, \
              \"overlapped_syncs\": {}, \"pipeline_max_depth\": {}, \
              \"latency_us\": {{\"p50\": {:.1}, \"p99\": {:.1}, \"p999\": {:.1}, \
              \"max\": {:.1}}}}}{}\n",
             p.sync_mode,
             p.threads,
             p.shards,
-            p.pipeline,
             p.kops,
             p.acked_batches,
             p.stats.wal_syncs,
             p.fsyncs_per_batch(),
             p.stats.write_groups,
-            p.stats.avg_write_group_batches(),
-            p.stats.write_group_max_size,
             p.stats.wal_syncs_overlapped,
             p.stats.wal_pipeline_max_depth,
             p.p50_us,

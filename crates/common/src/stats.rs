@@ -161,18 +161,13 @@ counters! {
     /// Commit log rotations (new log installed).
     wal_rotations: Sum => add_wal_rotations;
 
-    // Group-commit pipeline.
-    /// Commit groups committed by the group-commit write pipeline (one
-    /// leader-driven WAL append + flush/sync per group).
+    // Commit groups.
+    /// Commit groups committed by the write path (one WAL append + flush per
+    /// group). Every group is one batch, so this equals `write_group_batches`.
     write_groups: Sum => add_write_groups;
     /// Write batches carried by a commit group (every acknowledged non-empty
-    /// batch rides in exactly one, per shard).
+    /// batch rides in exactly one, per shard). Equals `write_groups`.
     write_group_batches: Sum => add_write_group_batches;
-    /// Largest commit group observed, in batches — a high-water mark.
-    write_group_max_size: Max => record_write_group_size;
-    /// Fsyncs *avoided* by group commit: for a synced group of `k` batches,
-    /// `k - 1` batches became durable without their own fsync.
-    wal_syncs_amortized: Sum => add_wal_syncs_amortized;
 
     // Pipelined commit (append / sync stage decoupling).
     /// Commit groups that required durability but found the watermark already
@@ -185,7 +180,7 @@ counters! {
     /// direct evidence that group N+1 appended while group N was in flight.
     wal_pipeline_max_depth: Max => record_pipeline_depth;
     /// *Sampled* microseconds spent inside the append stage of the pipelined
-    /// commit (drain + encode + buffered append, under the append lock). One in
+    /// commit (encode + buffered append, under the append lock). One in
     /// [`TIMING_SAMPLE_EVERY`] groups is timed, so this is an observability
     /// signal, not a total.
     wal_append_us: Sum => add_wal_append_us;
@@ -380,18 +375,9 @@ impl StatSnapshot {
             / self.user_bytes_written as f64
     }
 
-    /// Average number of write batches per commit group; 1.0 means group commit
-    /// never found a second waiting writer (e.g. a single-threaded workload).
-    pub fn avg_write_group_batches(&self) -> f64 {
-        if self.write_groups == 0 {
-            return 0.0;
-        }
-        self.write_group_batches as f64 / self.write_groups as f64
-    }
-
-    /// Fsyncs issued per acknowledged grouped write batch. Under a concurrent
-    /// synced workload group commit drives this strictly below 1 — one fsync
-    /// covers every batch in the group.
+    /// Fsyncs issued per acknowledged write batch. Under a concurrent synced
+    /// workload the durability watermark drives this strictly below 1 — one
+    /// fsync covers every batch appended before it runs.
     pub fn fsyncs_per_grouped_batch(&self) -> f64 {
         if self.write_group_batches == 0 {
             return 0.0;
@@ -558,32 +544,21 @@ mod tests {
     #[test]
     fn group_commit_counters_and_derived_metrics() {
         let stats = Stats::new();
-        stats.add_write_groups(2);
+        stats.add_write_groups(10);
         stats.add_write_group_batches(10);
         stats.add_wal_syncs(2);
-        stats.add_wal_syncs_amortized(8);
-        stats.record_write_group_size(3);
-        stats.record_write_group_size(7);
-        stats.record_write_group_size(5);
-        assert_eq!(stats.write_group_max_size(), 7, "high-water mark keeps the max");
 
         let snap = stats.snapshot();
-        assert_eq!(snap.write_groups, 2);
+        assert_eq!(snap.write_groups, 10);
         assert_eq!(snap.write_group_batches, 10);
-        assert_eq!(snap.write_group_max_size, 7);
-        assert_eq!(snap.wal_syncs_amortized, 8);
-        assert!((snap.avg_write_group_batches() - 5.0).abs() < 1e-9);
         assert!((snap.fsyncs_per_grouped_batch() - 0.2).abs() < 1e-9);
-        assert_eq!(StatSnapshot::default().avg_write_group_batches(), 0.0);
         assert_eq!(StatSnapshot::default().fsyncs_per_grouped_batch(), 0.0);
 
-        // The delta subtracts counters but carries the high-water mark verbatim.
         stats.add_write_groups(1);
         stats.add_write_group_batches(1);
         let delta = stats.snapshot().delta_since(&snap);
         assert_eq!(delta.write_groups, 1);
         assert_eq!(delta.write_group_batches, 1);
-        assert_eq!(delta.write_group_max_size, 7);
     }
 
     #[test]
@@ -670,22 +645,19 @@ mod tests {
         let a = StatSnapshot {
             user_writes: 10,
             wal_syncs: 3,
-            write_group_max_size: 7,
             wal_pipeline_max_depth: 2,
             ..Default::default()
         };
         let b = StatSnapshot {
             user_writes: 5,
             wal_syncs: 4,
-            write_group_max_size: 4,
             wal_pipeline_max_depth: 6,
             ..Default::default()
         };
         let merged = a.merge(&b);
         assert_eq!(merged.user_writes, 15);
         assert_eq!(merged.wal_syncs, 7);
-        assert_eq!(merged.write_group_max_size, 7, "HWMs take the max, not the sum");
-        assert_eq!(merged.wal_pipeline_max_depth, 6);
+        assert_eq!(merged.wal_pipeline_max_depth, 6, "HWMs take the max, not the sum");
         // Merge with the identity element is the identity.
         assert_eq!(a.merge(&StatSnapshot::default()), a);
     }
@@ -694,13 +666,12 @@ mod tests {
     fn absorb_folds_counters_marks_and_histograms() {
         let total = Stats::new();
         total.add_user_writes(1);
-        total.record_write_group_size(2);
+        total.record_pipeline_depth(2);
         total.record_get_latency_ns(100);
 
         let shard = Stats::new();
         shard.add_user_writes(41);
         shard.add_wal_syncs(9);
-        shard.record_write_group_size(5);
         shard.record_pipeline_depth(3);
         shard.record_get_latency_ns(1_000_000);
         shard.record_scan_latency_ns(50_000);
@@ -708,8 +679,7 @@ mod tests {
         total.absorb(&shard);
         assert_eq!(total.user_writes(), 42);
         assert_eq!(total.wal_syncs(), 9);
-        assert_eq!(total.write_group_max_size(), 5);
-        assert_eq!(total.wal_pipeline_max_depth(), 3);
+        assert_eq!(total.wal_pipeline_max_depth(), 3, "absorb keeps the larger mark");
         assert_eq!(total.get_latency().count(), 2);
         assert_eq!(total.get_latency().max(), 1_000_000);
         assert_eq!(total.scan_latency().count(), 1);

@@ -39,7 +39,7 @@ use triad_wal::{
 
 use crate::batch::{WriteBatch, WriteOptions};
 use crate::block_cache::BlockCache;
-use crate::committer::{Committer, PublicationSequencer};
+use crate::commit::PublicationSequencer;
 use crate::durability::DurabilityWatermark;
 use crate::iterator::DbIterator;
 use crate::manifest::VersionSet;
@@ -214,13 +214,10 @@ pub(crate) struct DbInner {
     pub(crate) options: Options,
     pub(crate) stats: Arc<Stats>,
     pub(crate) failpoints: FailpointRegistry,
-    /// Guards the active commit log. Only the current commit-group leader (for
-    /// its append stage), flush hot write-back, rotation, capture and close
-    /// take it; encoding aside, no per-record work happens under it.
+    /// Guards the active commit log. Only a writer's append stage, flush hot
+    /// write-back, rotation, capture and close take it; encoding aside, no
+    /// per-record work happens under it.
     pub(crate) wal: RankedMutex<WalState>,
-    /// The group-commit queue: writers park here only behind an in-flight
-    /// fsync, and its completion promotes one to lead them.
-    pub(crate) committer: Committer,
     /// Retires commit groups in append order: `last_seqno` may only
     /// move through contiguous group ranges even when a later group's inserts
     /// (or fsync) finish first.
@@ -236,7 +233,7 @@ pub(crate) struct DbInner {
     pub(crate) wal_size_hint: AtomicU64,
     /// Held shared (after the WAL lock, never the other way) by every commit
     /// group from its WAL append until its publication. Scan captures, forced
-    /// rotations and the leader-side rotation take it exclusively to drain the
+    /// rotations and the writer-side rotation take it exclusively to drain the
     /// pipeline: a scan must never observe half a write batch, and a rotation
     /// must never seal a memtable a group is still inserting into (its entries
     /// would be flushed from an incomplete snapshot while the WAL records that
@@ -471,8 +468,7 @@ impl Shard {
                     next_group_index: 0,
                 },
             ),
-            committer: Committer::new(),
-            publisher: PublicationSequencer::new(),
+            publisher: PublicationSequencer::default(),
             watermark: DurabilityWatermark::new(wal_id),
             pipeline_depth: AtomicU64::new(0),
             wal_size_hint: AtomicU64::new(0),
@@ -1300,9 +1296,9 @@ impl DbInner {
     /// the caller (every caller holds a clone; re-reading `self.mem` here would
     /// be a second lock acquisition for the same value).
     ///
-    /// Only a commit-group leader (after its group retired) or a forced rotation
-    /// reaches this, so the TRIAD-MEM small-flush rewrite below never runs on a
-    /// follower thread and never races a group's in-flight inserts.
+    /// Only a writer (after its group retired) or a forced rotation reaches
+    /// this, and it drains the pipeline first, so the TRIAD-MEM small-flush
+    /// rewrite below never races a group's in-flight inserts.
     pub(crate) fn rotate_locked(
         &self,
         wal: &mut WalState,

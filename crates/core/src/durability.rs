@@ -36,8 +36,6 @@ use std::sync::Mutex;
 use triad_common::Result;
 use triad_wal::LogSyncHandle;
 
-use crate::committer::Committer;
-
 /// Upper bound on scheduler yields the fsync-er spends waiting for the append
 /// mark to go quiet before issuing the fsync (see `ensure_durable`). Bounds the
 /// extra latency a durable write can pay to ~a fraction of an fsync.
@@ -128,23 +126,20 @@ impl DurabilityWatermark {
     /// Runs with no engine lock held — this is the call the append lock must
     /// never be held across.
     ///
-    /// While the fsync is in flight the `committer` accumulates newly arriving
-    /// writers instead of letting each lead a tiny group: their bytes could not
-    /// ride this fsync anyway (it only covers what was OS-flushed before the
-    /// syscall), so they wait and form one large group the moment it completes.
+    /// A writer that arrives while an fsync is in flight appends at once and
+    /// parks here; the next fsync covers every such append.
     pub(crate) fn ensure_durable(
         &self,
         log_id: u64,
         target: u64,
         handle: &LogSyncHandle,
-        committer: &Committer,
     ) -> Result<SyncOutcome> {
         loop {
             if self.is_durable(target) {
                 return Ok(SyncOutcome::AlreadyDurable);
             }
             match self.fsync_lock.try_lock() {
-                Ok(guard) => return self.drive_fsync(log_id, target, handle, committer, guard),
+                Ok(guard) => return self.drive_fsync(log_id, target, handle, guard),
                 Err(std::sync::TryLockError::WouldBlock) => {
                     // Another group is driving the disk. Park until the
                     // watermark advances (one notify_all releases every covered
@@ -172,7 +167,6 @@ impl DurabilityWatermark {
         log_id: u64,
         target: u64,
         handle: &LogSyncHandle,
-        committer: &Committer,
         guard: std::sync::MutexGuard<'_, ()>,
     ) -> Result<SyncOutcome> {
         if self.is_durable(target) {
@@ -208,9 +202,7 @@ impl DurabilityWatermark {
         // cheap to tolerate), fall back to our own target — under-claiming is
         // always safe.
         let covered = if mark.log_id == log_id { mark.appended } else { target };
-        committer.begin_sync();
         let synced = handle.sync();
-        committer.end_sync();
         if synced.is_ok() {
             self.durable.fetch_max(covered, Ordering::AcqRel);
         }
@@ -275,14 +267,10 @@ mod tests {
 
         // The first group's fsync reads the freshest mark, so it covers the
         // second group as well…
-        let committer = Committer::new();
-        assert_eq!(
-            watermark.ensure_durable(1, first, &handle, &committer).unwrap(),
-            SyncOutcome::Synced
-        );
+        assert_eq!(watermark.ensure_durable(1, first, &handle).unwrap(), SyncOutcome::Synced);
         // …which then needs no fsync of its own.
         assert_eq!(
-            watermark.ensure_durable(1, second, &handle, &committer).unwrap(),
+            watermark.ensure_durable(1, second, &handle).unwrap(),
             SyncOutcome::AlreadyDurable
         );
     }

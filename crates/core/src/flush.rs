@@ -101,7 +101,7 @@ impl DbInner {
                 self.imm.read().iter().filter(|other| !Arc::ptr_eq(other, imm)).cloned().collect();
             // Frame every retained entry into the shared batch buffer first, then
             // append the lot with one buffered write — the same single-write
-            // discipline as the group-commit path, so a big hot set does not turn
+            // discipline as the commit path, so a big hot set does not turn
             // into thousands of small writes under the WAL lock.
             let mut retained: Vec<(Vec<u8>, MemEntry, u64)> = Vec::new();
             wal.encoder.clear();

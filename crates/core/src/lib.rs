@@ -40,7 +40,6 @@ pub mod batch;
 pub mod block_cache;
 mod checkpoint;
 mod commit;
-mod committer;
 mod compaction;
 mod db;
 mod durability;
@@ -59,9 +58,7 @@ pub use batch::{WriteBatch, WriteOptions};
 pub use block_cache::BlockCache;
 pub use db::Db;
 pub use iterator::DbIterator;
-pub use options::{
-    BackgroundIoMode, GroupCommitConfig, Options, ShardConfig, SyncMode, TriadConfig,
-};
+pub use options::{BackgroundIoMode, Options, ShardConfig, SyncMode, TriadConfig};
 pub use replica::Replica;
 pub use snapshot::Snapshot;
 pub use version::{FileMetadata, Version, VersionEdit};

@@ -22,43 +22,10 @@ pub enum SyncMode {
     SyncEvery(u64),
 }
 
-/// Configuration of the group-commit write pipeline.
-///
-/// Every write commits through one pipeline. A writer leads its own commit
-/// group, appending it to the commit log with one buffered write in a short
-/// *append stage*; concurrent leaders serialize on the append lock. Only
-/// writers that arrive while an fsync is in flight queue instead: the fsync's
-/// completion promotes one of them, and the next leader appends them all as
-/// one group whose members insert into the sharded memtable in parallel,
-/// outside the WAL lock. Durability is a decoupled *sync stage* tracked by a
-/// watermark: group N+1's leader appends the moment group N releases the
-/// append lock — while group N's fsync is still in flight — and one fsync
-/// retires every group it covered.
-///
-/// The caps bound only the writers accumulated behind an fsync: how many of
-/// them one leader may absorb before it commits, keeping tail latency in check
-/// under extreme fan-in. Without an fsync in flight every group holds exactly
-/// one batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupCommitConfig {
-    /// Maximum number of write batches one commit group may carry. `1` makes
-    /// every batch its own group (no fsync amortization inside a group).
-    pub max_group_batches: usize,
-    /// Maximum total key+value bytes one commit group may carry. The leader's own
-    /// batch always joins regardless, so oversized single batches still commit.
-    pub max_group_bytes: usize,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        GroupCommitConfig { max_group_batches: 64, max_group_bytes: 1024 * 1024 }
-    }
-}
-
 /// Keyspace sharding: how many fully independent LSM shards live behind one
 /// `Db` façade.
 ///
-/// Each shard owns its own commit log, leader/follower pipeline, memtable,
+/// Each shard owns its own commit log, commit pipeline, memtable,
 /// version set, GC queue and background worker, in its own subdirectory. A
 /// hash router sends every point op to exactly one shard, so the hot write
 /// path has no cross-shard coordination; scans k-way-merge per-shard
@@ -249,8 +216,6 @@ pub struct Options {
     pub bloom_bits_per_key: usize,
     /// Commit-log durability mode.
     pub sync_mode: SyncMode,
-    /// Group-commit write pipeline configuration.
-    pub group_commit: GroupCommitConfig,
     /// Whether background I/O runs (Figure 2 uses `Disabled`).
     pub background_io: BackgroundIoMode,
     /// Currently ignored: nothing reads it. Each shard runs exactly one
@@ -293,7 +258,6 @@ impl Default for Options {
             block_size: 4 * 1024,
             bloom_bits_per_key: 10,
             sync_mode: SyncMode::NoSync,
-            group_commit: GroupCommitConfig::default(),
             background_io: BackgroundIoMode::Enabled,
             compaction_threads: 1,
             triad: TriadConfig::baseline(),
@@ -366,12 +330,6 @@ impl Options {
         }
         if self.l0_compaction_trigger == 0 {
             return Err(Error::InvalidArgument("l0_compaction_trigger must be non-zero".into()));
-        }
-        if self.group_commit.max_group_batches == 0 {
-            return Err(Error::InvalidArgument("max_group_batches must be non-zero".into()));
-        }
-        if self.group_commit.max_group_bytes == 0 {
-            return Err(Error::InvalidArgument("max_group_bytes must be non-zero".into()));
         }
         if self.shards.count == 0 {
             return Err(Error::InvalidArgument("shards.count must be non-zero".into()));
@@ -471,21 +429,6 @@ mod tests {
 
         let options = Options { l0_compaction_trigger: 0, ..Options::default() };
         assert!(options.validate().is_err());
-
-        let mut options = Options::default();
-        options.group_commit.max_group_batches = 0;
-        assert!(options.validate().is_err());
-
-        let mut options = Options::default();
-        options.group_commit.max_group_bytes = 0;
-        assert!(options.validate().is_err());
-    }
-
-    #[test]
-    fn group_commit_defaults_are_bounded() {
-        let config = GroupCommitConfig::default();
-        assert!(config.max_group_batches >= 2, "a group must be able to amortize");
-        assert!(config.max_group_bytes >= 64 * 1024);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A sharded database is `Options::shards.count` fully independent LSM
 //! engines behind one [`crate::Db`] facade. Each shard owns its own WAL,
-//! leader/follower commit pipeline, memtable stack, version set, GC queue
+//! commit pipeline, memtable stack, version set, GC queue
 //! and background worker, rooted in a `shard-NNN/` subdirectory with its
 //! own manifest. Point operations hash to exactly one shard and touch no
 //! cross-shard state on the hot path; only shard-spanning snapshots (and

@@ -2,6 +2,7 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -126,29 +127,25 @@ fn readers_run_concurrently_with_writers_and_background_work() {
     db.close().unwrap();
 }
 
-/// The core group-commit contract, audited end to end: N threads interleave
+/// The core commit contract, audited end to end: N threads interleave
 /// multi-op batches; (a) every acknowledged batch owns a contiguous seqno range,
 /// the ranges are globally dense (no gaps, no duplicates) and per-thread ordered;
-/// (b) a reopened database recovers every acknowledged write. Run at the default
-/// group caps and *ungrouped* (`max_group_batches = 1` under `SyncEveryWrite`,
-/// the write-scaling bench's in-run baseline row), where additionally every
-/// group carries exactly one batch and the sync books still balance.
+/// (b) a reopened database recovers every acknowledged write. Run under
+/// `NoSync` and `SyncEveryWrite`; under both every batch is its own commit
+/// group, and under `SyncEveryWrite` the sync books balance.
 #[test]
 fn group_commit_seqnos_are_dense_ordered_and_recoverable() {
-    seqnos_are_dense_ordered_and_recoverable("group-seqnos", false);
-    seqnos_are_dense_ordered_and_recoverable("ungrouped-seqnos", true);
+    seqnos_are_dense_ordered_and_recoverable("nosync-seqnos", SyncMode::NoSync);
+    seqnos_are_dense_ordered_and_recoverable("synced-seqnos", SyncMode::SyncEveryWrite);
 }
 
-fn seqnos_are_dense_ordered_and_recoverable(name: &str, ungrouped: bool) {
+fn seqnos_are_dense_ordered_and_recoverable(name: &str, sync_mode: SyncMode) {
     let threads = 8u64;
     let batches_per_thread = 250u64;
     let (db, dir) = open_small(name, |options| {
         common::single_shard(options); // seqno density is a per-shard property
         options.l0_compaction_trigger = 2;
-        if ungrouped {
-            options.group_commit.max_group_batches = 1;
-            options.sync_mode = SyncMode::SyncEveryWrite;
-        }
+        options.sync_mode = sync_mode;
     });
     let options = db.options().clone();
     let db = Arc::new(db);
@@ -160,7 +157,7 @@ fn seqnos_are_dense_ordered_and_recoverable(name: &str, ungrouped: bool) {
         let db = Arc::clone(&db);
         handles.push(thread::spawn(move || {
             let mut acked: Vec<(u64, u64)> = Vec::new();
-            let mut expected: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = Default::default();
+            let mut expected: BTreeMap<Vec<u8>, Vec<u8>> = Default::default();
             for i in 0..batches_per_thread {
                 let len = 1 + (t + i) % 4;
                 let mut batch = WriteBatch::new();
@@ -177,7 +174,7 @@ fn seqnos_are_dense_ordered_and_recoverable(name: &str, ungrouped: bool) {
         }));
     }
     let mut all_ranges: Vec<(u64, u64)> = Vec::new();
-    let mut expected_values: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = Default::default();
+    let mut expected_values: BTreeMap<Vec<u8>, Vec<u8>> = Default::default();
     for handle in handles {
         let (acked, expected) = handle.join().unwrap();
         // (a) per-thread ordering: a thread's later batch commits with a larger
@@ -209,24 +206,17 @@ fn seqnos_are_dense_ordered_and_recoverable(name: &str, ungrouped: bool) {
     assert_eq!(db.last_seqno(), total_ops, "published last_seqno covers every acknowledged op");
 
     let stats = db.stats();
+    let batches = threads * batches_per_thread;
     assert_eq!(stats.user_writes, total_ops);
-    assert_eq!(
-        stats.write_group_batches,
-        threads * batches_per_thread,
-        "every acknowledged batch rode in exactly one commit group"
-    );
-    assert!(stats.write_groups >= 1);
-    assert!(stats.write_group_max_size >= 1);
-    if ungrouped {
-        let batches = threads * batches_per_thread;
-        assert_eq!(stats.write_group_max_size, 1, "a group cap of 1 admits no follower");
-        assert_eq!(stats.write_groups, batches, "every batch is its own commit group");
+    assert_eq!(stats.write_group_batches, batches, "every acknowledged batch rode in a group");
+    assert_eq!(stats.write_groups, batches, "every batch is its own commit group");
+    if sync_mode == SyncMode::SyncEveryWrite {
         assert_eq!(
-            stats.wal_syncs + stats.wal_syncs_amortized,
+            stats.wal_syncs + stats.wal_syncs_overlapped,
             batches,
-            "sync accounting must balance (syncs={}, amortized={})",
+            "sync accounting must balance (syncs={}, overlapped={})",
             stats.wal_syncs,
-            stats.wal_syncs_amortized
+            stats.wal_syncs_overlapped
         );
     }
 
@@ -250,79 +240,16 @@ fn seqnos_are_dense_ordered_and_recoverable(name: &str, ungrouped: bool) {
     db.close().unwrap();
 }
 
-/// Under a synced concurrent workload, group commit must acknowledge writes with
-/// strictly fewer fsyncs than batches: one fsync covers the whole group, and the
-/// amortization shows up in the dedicated counters.
-#[test]
-fn grouped_writers_amortize_fsyncs_under_sync_every_write() {
-    let threads = 8u64;
-    let batches_per_thread = 200u64;
-    let (db, _dir) = open_small("group-fsync-amortize", |options| {
-        options.sync_mode = SyncMode::SyncEveryWrite;
-        // Keep rotations out of the run so every fsync belongs to a commit group.
-        options.memtable_size = 64 * 1024 * 1024;
-        options.max_log_size = 64 * 1024 * 1024;
-    });
-    let db = Arc::new(db);
-    // Whether a group with more than one batch forms is up to thread timing; on
-    // a host where an fsync is nearly free the first round could conceivably
-    // group nothing. Re-run the workload (bounded) until grouping is observed —
-    // the accounting assertions below then hold deterministically.
-    let mut rounds = 0u64;
-    loop {
-        rounds += 1;
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let db = Arc::clone(&db);
-            handles.push(thread::spawn(move || {
-                for i in 0..batches_per_thread {
-                    db.put(key_for(t * 1_000 + i % 100), format!("v{i}").into_bytes()).unwrap();
-                }
-            }));
-        }
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        if db.stats().write_group_max_size >= 2 || rounds == 5 {
-            break;
-        }
-    }
-    let stats = db.stats();
-    let total_batches = threads * batches_per_thread * rounds;
-    assert_eq!(stats.write_group_batches, total_batches);
-    assert!(
-        stats.wal_syncs < total_batches,
-        "group commit must issue strictly fewer fsyncs ({}) than acknowledged batches ({})",
-        stats.wal_syncs,
-        total_batches
-    );
-    // With SyncEveryWrite every group syncs exactly once, so the books balance:
-    // syncs issued + syncs amortized away = batches acknowledged.
-    assert_eq!(
-        stats.wal_syncs + stats.wal_syncs_amortized,
-        total_batches,
-        "sync accounting must balance (syncs={}, amortized={})",
-        stats.wal_syncs,
-        stats.wal_syncs_amortized
-    );
-    assert!(
-        stats.write_group_max_size >= 2,
-        "at least one group must have carried more than one batch"
-    );
-    assert!(stats.fsyncs_per_grouped_batch() < 1.0);
-    db.close().unwrap();
-}
-
-/// Without an fsync in flight a writer never queues: each one leads its own
-/// commit group and concurrent leaders serialize on the append lock. So under
-/// `NoSync` every group carries exactly one batch, however the writers
-/// interleave — and every acknowledged put is still readable.
+/// Every writer appends its own batch as its own commit group, and concurrent
+/// writers serialize on the append lock. So under `NoSync` every group carries
+/// exactly one batch, however the writers interleave — and every acknowledged
+/// put is still readable.
 #[test]
 fn nosync_writers_never_queue_and_every_acknowledged_put_reads_back() {
     let threads = 4u64;
     let puts_per_thread = 2_000u64;
     let (db, _dir) = open_small("nosync-no-queue", |options| {
-        common::single_shard(options); // one commit queue for all four writers
+        common::single_shard(options); // one append lock for all four writers
         options.sync_mode = SyncMode::NoSync;
         options.l0_compaction_trigger = 2;
     });
@@ -331,7 +258,7 @@ fn nosync_writers_never_queue_and_every_acknowledged_put_reads_back() {
     for t in 0..threads {
         let db = Arc::clone(&db);
         handles.push(thread::spawn(move || {
-            let mut acked = std::collections::BTreeMap::new();
+            let mut acked = BTreeMap::new();
             for i in 0..puts_per_thread {
                 let (key, value) = (key_for(t * 1_000_000 + i % 300), format!("t{t}-v{i}"));
                 db.put(&key, value.as_bytes()).unwrap();
@@ -345,57 +272,67 @@ fn nosync_writers_never_queue_and_every_acknowledged_put_reads_back() {
     let stats = db.stats();
     let batches = threads * puts_per_thread;
     assert_eq!(stats.write_group_batches, batches, "every put rode in a commit group");
-    assert_eq!(stats.write_groups, batches, "no writer queued behind another's group");
-    assert_eq!(stats.write_group_max_size, 1);
+    assert_eq!(stats.write_groups, batches, "no writer's batch rode in another's group");
     for (key, value) in acked.iter().flatten() {
         assert_eq!(db.get(key).unwrap().as_ref(), Some(value), "acknowledged put lost");
     }
     db.close().unwrap();
 }
 
-/// The pipelined commit's acceptance contract, observed end to end: with small
-/// commit groups and many synced writers, group N+1 must append while group N's
-/// fsync is in flight (pipeline depth > 1) and at least one group must retire on
-/// a neighbour's fsync without issuing its own (`wal_syncs_overlapped`). The
-/// sync-accounting books must still balance, publication must stay in group
-/// order, and every acknowledged write must survive a reopen.
+/// Runs rounds of `threads` writers, `batches_per_thread` single puts each over
+/// per-thread key slices, until a group has retired on a neighbour's fsync
+/// (bounded: overlap needs two groups racing through append↔fsync at the right
+/// moment). Returns the number of rounds and every key's last acknowledged
+/// value.
+fn write_until_an_fsync_overlaps(
+    db: &Arc<Db>,
+    threads: u64,
+    batches_per_thread: u64,
+) -> (u64, BTreeMap<Vec<u8>, Vec<u8>>) {
+    let mut acked = BTreeMap::new();
+    for round in 1..=30u64 {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let db = Arc::clone(db);
+                thread::spawn(move || {
+                    let mut acked = BTreeMap::new();
+                    for i in 0..batches_per_thread {
+                        let (key, value) = (key_for(t * 1_000 + i % 64), format!("r{round}-{i}"));
+                        db.put(&key, value.as_bytes()).unwrap();
+                        acked.insert(key, value.into_bytes());
+                    }
+                    acked
+                })
+            })
+            .collect();
+        for handle in handles {
+            acked.extend(handle.join().unwrap());
+        }
+        if db.stats().wal_syncs_overlapped >= 1 || round == 30 {
+            return (round, acked);
+        }
+    }
+    unreachable!("the last round returns")
+}
+
+/// The pipelined commit's acceptance contract, observed end to end: with many
+/// synced writers, group N+1 must append while group N's fsync is in flight
+/// (pipeline depth > 1), at least one group must retire on a neighbour's fsync
+/// without issuing its own (`wal_syncs_overlapped`), fsyncs must amortize
+/// below one per batch, and publication must stay in group order.
 #[test]
 fn pipelined_sync_writers_overlap_fsyncs_and_publish_in_order() {
-    let threads = 8u64;
-    let batches_per_thread = 60u64;
-    let (db, dir) = open_small("pipelined-overlap", |options| {
+    let (threads, batches_per_thread) = (8u64, 60u64);
+    let (db, _dir) = open_small("pipelined-overlap", |options| {
         common::single_shard(options); // fsync counting assumes one commit log
         options.sync_mode = SyncMode::SyncEveryWrite;
-        // Small groups force several groups into flight at once instead of one
-        // group absorbing every writer; rotations stay out of the run.
-        options.group_commit.max_group_batches = 2;
+        // Keep rotations out of the run so every fsync belongs to a commit group.
         options.memtable_size = 64 * 1024 * 1024;
         options.max_log_size = 64 * 1024 * 1024;
     });
-    let options = db.options().clone();
     let db = Arc::new(db);
+    let (rounds, _) = write_until_an_fsync_overlaps(&db, threads, batches_per_thread);
 
-    // Overlap needs two groups racing through append↔fsync at the right moment;
-    // repeat the workload (bounded) until the counter proves it happened.
-    let mut rounds = 0u64;
-    loop {
-        rounds += 1;
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let db = Arc::clone(&db);
-            handles.push(thread::spawn(move || {
-                for i in 0..batches_per_thread {
-                    db.put(key_for(t * 1_000 + i % 64), format!("r{i}").into_bytes()).unwrap();
-                }
-            }));
-        }
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        if db.stats().wal_syncs_overlapped >= 1 || rounds == 30 {
-            break;
-        }
-    }
     let stats = db.stats();
     let total_batches = threads * batches_per_thread * rounds;
     assert_eq!(stats.write_group_batches, total_batches);
@@ -411,32 +348,54 @@ fn pipelined_sync_writers_overlap_fsyncs_and_publish_in_order() {
         "overlap requires at least two groups in flight, saw depth {}",
         stats.wal_pipeline_max_depth
     );
-    assert!(stats.wal_syncs < total_batches, "fsyncs must amortize across groups");
-    // Every sync-required batch either triggered the group fsync or rode one:
-    // syncs issued + syncs amortized away = batches acknowledged.
-    assert_eq!(
-        stats.wal_syncs + stats.wal_syncs_amortized,
-        total_batches,
-        "sync accounting must balance (syncs={}, amortized={}, overlapped={})",
-        stats.wal_syncs,
-        stats.wal_syncs_amortized,
-        stats.wal_syncs_overlapped
+    assert!(
+        stats.fsyncs_per_grouped_batch() < 1.0,
+        "fsyncs ({}) must amortize across the acknowledged batches ({total_batches})",
+        stats.wal_syncs
     );
     // Publication stayed in group order: after quiescing, the published seqno
     // covers exactly every acknowledged operation.
     assert_eq!(db.last_seqno(), total_batches, "last_seqno must cover all acked ops in order");
+    db.close().unwrap();
+}
 
-    // Acknowledged ⇒ fsynced: every key survives a reopen.
+/// A synced writer never queues behind another: it appends its own batch at
+/// once, even while an fsync is in flight, and parks only on the durability
+/// watermark. So under `SyncEveryWrite` every group is one batch, each batch
+/// either drove an fsync or rode a neighbour's, fsyncs still amortize, and
+/// acknowledged ⇒ fsynced: every acknowledged value survives a reopen.
+#[test]
+fn synced_writers_append_their_own_batches_and_share_fsyncs() {
+    let (threads, batches_per_thread) = (8u64, 60u64);
+    let (db, dir) = open_small("synced-own-batches", |options| {
+        common::single_shard(options); // fsync counting assumes one commit log
+        options.sync_mode = SyncMode::SyncEveryWrite;
+        options.memtable_size = 64 * 1024 * 1024;
+        options.max_log_size = 64 * 1024 * 1024;
+    });
+    let options = db.options().clone();
+    let db = Arc::new(db);
+    let (rounds, acked) = write_until_an_fsync_overlaps(&db, threads, batches_per_thread);
+
+    let stats = db.stats();
+    let batches = threads * batches_per_thread * rounds;
+    assert_eq!(stats.write_group_batches, batches);
+    assert_eq!(stats.write_groups, stats.write_group_batches, "every group is one batch");
+    assert!(stats.wal_syncs < batches, "fsyncs ({}) must amortize", stats.wal_syncs);
+    assert!(stats.wal_syncs_overlapped >= 1, "no group rode a neighbour's fsync");
+    assert_eq!(
+        stats.wal_syncs + stats.wal_syncs_overlapped,
+        batches,
+        "each batch drove an fsync or rode one (syncs={}, overlapped={})",
+        stats.wal_syncs,
+        stats.wal_syncs_overlapped
+    );
+
     db.close().unwrap();
     drop(db);
     let db = Db::open(&dir, options).unwrap();
-    for t in 0..threads {
-        for k in 0..64u64.min(batches_per_thread) {
-            assert!(
-                db.get(key_for(t * 1_000 + k)).unwrap().is_some(),
-                "acked key {t}/{k} lost across restart"
-            );
-        }
+    for (key, value) in &acked {
+        assert_eq!(db.get(key).unwrap().as_ref(), Some(value), "acked key lost across restart");
     }
     db.close().unwrap();
 }

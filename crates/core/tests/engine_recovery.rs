@@ -327,7 +327,7 @@ fn persistent_compaction_failure_fails_the_wait_instead_of_hanging() {
     db.close().unwrap();
 }
 
-/// Injects a failure in the exact crash window of the group-commit pipeline —
+/// Injects a failure in the exact crash window of the commit pipeline —
 /// after the group's WAL append (and fsync) but before any memtable insert — and
 /// asserts the two invariants the pipeline promises: no acknowledged write is
 /// ever lost, and no sequence number is ever issued twice (the failed group's

@@ -55,14 +55,13 @@ const ENGINE_CRATES: &[&str] = &[
 /// The declared lock ranks, by field name. Mirrors `lock_rank` in
 /// crates/core/src/db.rs, `VIEW_RANK` in crates/core/src/replica.rs,
 /// `SHARD_LOCK_RANK` in crates/memtable, and the std-sync locks in
-/// committer.rs/durability.rs; the table with rationale lives in
+/// durability.rs; the table with rationale lives in
 /// docs/ARCHITECTURE.md ("Enforced invariants").
 const LOCK_RANKS: &[(&str, u32)] = &[
     ("view", 2),
     ("gc", 5),
     ("router", 8),
     ("wal", 10),
-    ("queue", 15),
     ("commit_gate", 20),
     ("versions", 30),
     ("current_version", 35),

@@ -6,6 +6,6 @@
 fn append_stage(&self) {
     let start = wal.writer.append_batch(encoder);
     handle.sync();
-    self.watermark.ensure_durable(log_id, target, &handle, &self.committer);
+    self.watermark.ensure_durable(log_id, target, &handle);
 }
 // PIPELINE-APPEND-STAGE-END

@@ -245,15 +245,15 @@ impl Memtable {
     /// Inserts or overwrites `key` unless the memtable already holds a *newer*
     /// version of it.
     ///
-    /// The group-commit write path applies the batches of one commit group from
-    /// several threads concurrently, so two updates of the same key can reach the
-    /// memtable out of sequence-number order; the older one must not clobber the
-    /// newer. A skipped update still bumps the per-key update counter — the write
+    /// The write path applies concurrent commit groups from several threads
+    /// at once, so two updates of the same key can reach the memtable out of
+    /// sequence-number order; the older one must not clobber the newer. A
+    /// skipped update still bumps the per-key update counter — the write
     /// happened, and TRIAD-MEM's hotness signal counts writes, not winners (the
     /// serialized path bumps it too, by overwriting and being overwritten). A
-    /// skipped update is never a snapshot-visible version either: the seqnos
-    /// between it and the winner belong to the same commit group, and snapshot
-    /// seqnos always sit on group boundaries.
+    /// skipped update is never a snapshot-visible version either: snapshot
+    /// capture drains the commit pipeline first, so a snapshot seqno never
+    /// falls between two groups that were still in flight.
     ///
     /// Returns the new approximate size of the memtable in bytes.
     pub fn insert_versioned(

@@ -99,7 +99,7 @@ impl LogRecord {
 
     /// Serializes the record payload into `out`, appending to its current contents.
     ///
-    /// The group-commit path encodes many records back to back into one reusable
+    /// The commit path encodes many records back to back into one reusable
     /// buffer; this is the allocation-free building block it uses.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         encode_record_parts_stamped(out, self.seqno, self.kind, &self.key, &self.value, self.stamp);
@@ -153,7 +153,7 @@ impl LogRecord {
 /// Serializes a record payload from borrowed parts, appending to `out`.
 ///
 /// Byte-identical to [`LogRecord::encode`] for the same fields; lets the
-/// group-commit leader frame a writer's batch without first cloning every key
+/// commit path frame a writer's batch without first cloning every key
 /// and value into an owned [`LogRecord`].
 pub fn encode_record_parts(
     out: &mut Vec<u8>,

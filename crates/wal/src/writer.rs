@@ -25,11 +25,11 @@ fn frame_header(payload: &[u8]) -> Result<([u8; 4], [u8; 4])> {
 
 /// A reusable buffer that frames many [`LogRecord`]s for one batched append.
 ///
-/// The group-commit write path encodes a whole group of write batches into a
-/// single `BatchEncoder` and hands it to [`LogWriter::append_batch`], turning N
-/// small framed writes into one `write_all`. The internal buffers are retained
+/// The commit write path encodes every record of a write batch into a single
+/// `BatchEncoder` and hands it to [`LogWriter::append_batch`], turning N small
+/// framed writes into one `write_all`. The internal buffers are retained
 /// across [`clear`](BatchEncoder::clear) calls, so a long-lived encoder stops
-/// allocating once it has seen its largest group.
+/// allocating once it has seen its largest batch.
 #[derive(Debug, Default)]
 pub struct BatchEncoder {
     /// Fully framed bytes (CRC + length + payload per record), ready to write.
@@ -277,8 +277,8 @@ impl LogWriter {
     /// Appends every record framed in `batch` with a single buffered write.
     ///
     /// Returns the file offset at which the batch starts; record `i` of the batch
-    /// lives at `start + batch.relative_offsets()[i]`. This is the group-commit
-    /// fast path: one `write_all` for the whole group instead of one per record.
+    /// lives at `start + batch.relative_offsets()[i]`. This is the commit
+    /// fast path: one `write_all` for the whole batch instead of one per record.
     pub fn append_batch(&mut self, batch: &BatchEncoder) -> Result<u64> {
         self.check_usable()?;
         let start = self.offset;
