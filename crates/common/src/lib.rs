@@ -14,8 +14,7 @@
 //!   superseded versions MVCC snapshots can still see.
 //! * [`failpoint`] — a tiny failure-injection facility used by recovery tests.
 //! * [`lockrank`] — rank-checked lock wrappers that turn lock-order
-//!   violations into debug-build panics (the dynamic half of `triad-lint`'s
-//!   `lock-order` rule).
+//!   violations into debug-build panics.
 //!
 //! Nothing in this crate performs I/O or spawns threads; it is deliberately the
 //! leaf of the dependency graph.

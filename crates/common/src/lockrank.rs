@@ -1,9 +1,10 @@
-//! Rank-checked lock wrappers: the dynamic backstop behind `triad-lint`'s
-//! static `lock-order` rule.
+//! Rank-checked lock wrappers: the engine's lock-order checker.
 //!
 //! Every lock that participates in the engine's documented acquisition order
 //! (see docs/ARCHITECTURE.md, "Enforced invariants") is wrapped in a
-//! [`RankedMutex`] or [`RankedRwLock`] carrying a numeric rank and a name.
+//! [`RankedMutex`] or [`RankedRwLock`] carrying a numeric rank and a name;
+//! a ranked mutex that pairs with a condvar parks through
+//! [`RankedMutexGuard::wait`], so it stays checked too.
 //! Under `debug_assertions` a thread-local stack records the ranks this
 //! thread currently holds; acquiring a lock whose rank is not strictly
 //! greater than every held rank panics with both lock names, turning a
@@ -26,7 +27,7 @@
 //! external order (shard index). Lower-than-held acquisitions still panic
 //! inside the scope, so real inversions stay fatal.
 
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -244,6 +245,15 @@ impl<T> Deref for RankedMutexGuard<'_, T> {
 impl<T> DerefMut for RankedMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.guard
+    }
+}
+
+impl<T> RankedMutexGuard<'_, T> {
+    /// Parks on `condvar`, releasing the mutex until notified (parking_lot's
+    /// `Condvar::wait`). The rank stays registered while parked: a parked
+    /// thread acquires nothing, and it holds the lock again on return.
+    pub fn wait(&mut self, condvar: &Condvar) {
+        condvar.wait(&mut self.guard);
     }
 }
 
@@ -475,5 +485,26 @@ mod tests {
             });
         });
         assert_eq!(*g, 7);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock-rank violation")]
+    fn a_condvar_wait_keeps_the_rank_held() {
+        let low = RankedMutex::new(10, "low", ());
+        let flag = RankedMutex::new(20, "flag", false);
+        let ready = Condvar::new();
+        let mut set = flag.lock();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                *flag.lock() = true;
+                ready.notify_all();
+            });
+            while !*set {
+                set.wait(&ready);
+            }
+        });
+        // Woken with the lock re-acquired, so the rank is still held.
+        let _violation = low.lock();
     }
 }

@@ -25,26 +25,20 @@
 //!   evenly across the shards and is enforced per shard at insert time;
 //!   blocks larger than a whole shard budget are returned uncached.
 //!
-//! Only checksum-verified blocks may enter the cache: the single insertion
-//! path is the `load` closure [`Table`](triad_sstable::Table) passes through
-//! [`BlockFetch::get_or_load`], which decodes from the CRC32C-verified
-//! `read_block`. triad-lint's `block-cache-checksum` rule pins that call site
-//! inside a marked region of `reader.rs`.
-
-// The single-flight Flight pairs a std Mutex with a Condvar (waiters park
-// until the loader publishes), which the vendored parking_lot stand-in does
-// not provide; these locks are private to one flight and never nest with the
-// ranked shard locks.
-#![allow(clippy::disallowed_types)]
+//! Only checksum-verified blocks may enter the cache: the `load` closure of
+//! [`BlockFetch::get_or_load`] returns a [`VerifiedBlock`], which only
+//! `BlockFileReader::read_verified_block` — the CRC32C-checked read — can
+//! construct. A loader that skips the checksum does not compile.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
+use parking_lot::{Condvar, Mutex};
 use triad_common::lockrank::RankedMutex;
 use triad_common::{Result, Stats};
 use triad_sstable::block::Block;
-use triad_sstable::BlockFetch;
+use triad_sstable::{BlockFetch, VerifiedBlock};
 
 use crate::db::lock_rank;
 
@@ -61,7 +55,8 @@ type BlockKey = (u64, u64);
 type FlightResult = Option<Arc<Block>>;
 
 /// A single-flight rendezvous: the loader publishes exactly once, waiters
-/// park until then.
+/// park until then. Its lock is private to the flight and never nests with
+/// the ranked shard locks.
 struct Flight {
     done: Mutex<Option<FlightResult>>,
     ready: Condvar,
@@ -73,14 +68,14 @@ impl Flight {
     }
 
     fn publish(&self, result: FlightResult) {
-        *self.done.lock().expect("flight lock poisoned") = Some(result);
+        *self.done.lock() = Some(result);
         self.ready.notify_all();
     }
 
     fn wait(&self) -> FlightResult {
-        let mut done = self.done.lock().expect("flight lock poisoned");
+        let mut done = self.done.lock();
         while done.is_none() {
-            done = self.ready.wait(done).expect("flight lock poisoned");
+            self.ready.wait(&mut done);
         }
         done.clone().expect("checked above")
     }
@@ -249,7 +244,7 @@ impl BlockFetch for BlockCache {
         table_id: u64,
         offset: u64,
         stats: Option<&Stats>,
-        load: &dyn Fn() -> Result<Block>,
+        load: &dyn Fn() -> Result<VerifiedBlock>,
     ) -> Result<Arc<Block>> {
         let key = (table_id, offset);
         let index = Self::shard_index(&key);
@@ -292,7 +287,7 @@ impl BlockFetch for BlockCache {
             if let Some(stats) = stats {
                 stats.add_block_cache_misses(1);
             }
-            return load().map(Arc::new);
+            return load().map(|block| Arc::new(block.into_block()));
         }
 
         // Loader path: read outside any lock.
@@ -300,7 +295,7 @@ impl BlockFetch for BlockCache {
             stats.add_block_cache_misses(1);
         }
         let block = match load() {
-            Ok(block) => Arc::new(block),
+            Ok(block) => Arc::new(block.into_block()),
             Err(err) => {
                 let blocks = &self.shards[index];
                 let mut state = blocks.lock();
@@ -362,25 +357,62 @@ mod tests {
     use super::*;
     use triad_common::types::{InternalKey, ValueKind};
     use triad_sstable::block::BlockBuilder;
+    use triad_sstable::format::{BlockFileReader, BlockFileWriter, BlockHandle, Footer};
 
-    /// Builds a decoded block holding `n` entries of roughly `value_len`
-    /// bytes each.
-    fn sample_block(n: usize, value_len: usize) -> Block {
-        let mut builder = BlockBuilder::new();
-        for i in 0..n {
-            let key = InternalKey::new(format!("key-{i:06}").into_bytes(), 1, ValueKind::Put);
-            builder.add(&key.encode(), &vec![b'v'; value_len]);
+    /// Test blocks, loaded the one way the cache accepts them: through the
+    /// checksum-verified read of a block file that holds one block per
+    /// `(entries, value_len)` shape.
+    struct SampleBlocks {
+        dir: std::path::PathBuf,
+        reader: BlockFileReader,
+        handles: HashMap<(usize, usize), BlockHandle>,
+    }
+
+    impl Drop for SampleBlocks {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
         }
-        Block::new(builder.finish()).expect("valid block")
+    }
+
+    impl SampleBlocks {
+        fn new(name: &str, shapes: impl IntoIterator<Item = (usize, usize)>) -> SampleBlocks {
+            let dir = std::env::temp_dir()
+                .join(format!("triad-block-cache-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("blocks");
+            let mut writer = BlockFileWriter::create(&path).unwrap();
+            let mut handles = HashMap::new();
+            for (entries, value_len) in shapes {
+                handles.entry((entries, value_len)).or_insert_with(|| {
+                    let mut builder = BlockBuilder::new();
+                    for i in 0..entries {
+                        let key =
+                            InternalKey::new(format!("key-{i:06}").into_bytes(), 1, ValueKind::Put);
+                        builder.add(&key.encode(), &vec![b'v'; value_len]);
+                    }
+                    writer.write_block(&builder.finish()).unwrap()
+                });
+            }
+            let unused = BlockHandle::default();
+            writer.finish(&Footer { index: unused, bloom: unused, properties: unused }).unwrap();
+            SampleBlocks { reader: BlockFileReader::open(&path).unwrap(), dir, handles }
+        }
+
+        /// The block holding `entries` entries of `value_len`-byte values.
+        fn load(&self, entries: usize, value_len: usize) -> Result<VerifiedBlock> {
+            self.reader.read_verified_block(self.handles[&(entries, value_len)])
+        }
     }
 
     #[test]
     fn hits_and_misses_are_counted_per_probe() {
+        let blocks = SampleBlocks::new("hits", [(4, 16)]);
         let cache = BlockCache::new(1 << 20);
         let stats = Stats::new();
         let table = cache.allocate_table_id();
         for _ in 0..5 {
-            cache.get_or_load(table, 0, Some(&stats), &|| Ok(sample_block(4, 16))).unwrap();
+            cache.get_or_load(table, 0, Some(&stats), &|| blocks.load(4, 16)).unwrap();
         }
         assert_eq!(stats.block_cache_misses(), 1, "one load for five probes");
         assert_eq!(stats.block_cache_hits(), 4);
@@ -390,12 +422,13 @@ mod tests {
 
     #[test]
     fn distinct_tables_never_share_blocks() {
+        let blocks = SampleBlocks::new("distinct", [(1, 8), (2, 8)]);
         let cache = BlockCache::new(1 << 20);
         let a = cache.allocate_table_id();
         let b = cache.allocate_table_id();
         assert_ne!(a, b);
-        let block_a = cache.get_or_load(a, 0, None, &|| Ok(sample_block(1, 8))).unwrap();
-        let block_b = cache.get_or_load(b, 0, None, &|| Ok(sample_block(2, 8))).unwrap();
+        let block_a = cache.get_or_load(a, 0, None, &|| blocks.load(1, 8)).unwrap();
+        let block_b = cache.get_or_load(b, 0, None, &|| blocks.load(2, 8)).unwrap();
         assert_ne!(block_a.num_entries(), block_b.num_entries());
         assert_eq!(cache.block_count(), 2);
     }
@@ -403,12 +436,14 @@ mod tests {
     #[test]
     fn single_flight_under_eight_thread_same_block_hammering() {
         use std::sync::atomic::AtomicUsize;
+        let blocks = Arc::new(SampleBlocks::new("single-flight", [(4, 16)]));
         let cache = Arc::new(BlockCache::new(1 << 20));
         let loads = Arc::new(AtomicUsize::new(0));
         let table = cache.allocate_table_id();
         let barrier = Arc::new(std::sync::Barrier::new(8));
         let handles: Vec<_> = (0..8)
             .map(|_| {
+                let blocks = Arc::clone(&blocks);
                 let cache = Arc::clone(&cache);
                 let loads = Arc::clone(&loads);
                 let barrier = Arc::clone(&barrier);
@@ -420,7 +455,7 @@ mod tests {
                                 loads.fetch_add(1, Ordering::Relaxed);
                                 // A slow load widens the race window.
                                 std::thread::sleep(std::time::Duration::from_millis(1));
-                                Ok(sample_block(4, 16))
+                                blocks.load(4, 16)
                             })
                             .unwrap();
                         assert_eq!(block.num_entries(), 4);
@@ -440,13 +475,14 @@ mod tests {
 
     #[test]
     fn failed_loads_do_not_poison_the_slot() {
+        let blocks = SampleBlocks::new("failed-load", [(3, 8)]);
         let cache = BlockCache::new(1 << 20);
         let table = cache.allocate_table_id();
         let err = cache
             .get_or_load(table, 0, None, &|| Err(triad_common::Error::corruption("bad block")));
         assert!(err.is_err());
         // The next probe retries and succeeds.
-        let block = cache.get_or_load(table, 0, None, &|| Ok(sample_block(3, 8))).unwrap();
+        let block = cache.get_or_load(table, 0, None, &|| blocks.load(3, 8)).unwrap();
         assert_eq!(block.num_entries(), 3);
         assert_eq!(cache.block_count(), 1);
     }
@@ -456,6 +492,7 @@ mod tests {
         // Property-style sweep without the proptest harness: many (seeded)
         // interleavings of inserts across tables and offsets, with the
         // invariant checked after every single probe.
+        let blocks = SampleBlocks::new("churn", (64..576).map(|value_len| (8, value_len)));
         let budget = 64 * 1024;
         let cache = BlockCache::new(budget);
         let stats = Stats::new();
@@ -466,9 +503,7 @@ mod tests {
             let table = tables[(seed >> 33) as usize % tables.len()];
             let offset = (seed >> 17) % 256;
             let value_len = 64 + (seed % 512) as usize;
-            cache
-                .get_or_load(table, offset, Some(&stats), &|| Ok(sample_block(8, value_len)))
-                .unwrap();
+            cache.get_or_load(table, offset, Some(&stats), &|| blocks.load(8, value_len)).unwrap();
             // Per-shard budgets sum to at least the requested total; the
             // resident bytes must never exceed the enforced total.
             assert!(
@@ -484,9 +519,10 @@ mod tests {
 
     #[test]
     fn oversized_blocks_are_served_but_not_cached() {
+        let blocks = SampleBlocks::new("oversized", [(16, 128)]);
         let cache = BlockCache::new(CACHE_SHARDS); // 1 byte per shard.
         let table = cache.allocate_table_id();
-        let block = cache.get_or_load(table, 0, None, &|| Ok(sample_block(16, 128))).unwrap();
+        let block = cache.get_or_load(table, 0, None, &|| blocks.load(16, 128)).unwrap();
         assert!(block.num_entries() == 16);
         assert_eq!(cache.block_count(), 0, "a block larger than a shard budget is not retained");
         assert_eq!(cache.bytes_used(), 0);
@@ -494,22 +530,23 @@ mod tests {
 
     #[test]
     fn purge_table_drops_only_that_tables_blocks() {
+        let blocks = SampleBlocks::new("purge", [(4, 32)]);
         let cache = BlockCache::new(1 << 20);
         let stats = Stats::new();
         let victim = cache.allocate_table_id();
         let survivor = cache.allocate_table_id();
         for offset in 0..10 {
-            cache.get_or_load(victim, offset, Some(&stats), &|| Ok(sample_block(4, 32))).unwrap();
-            cache.get_or_load(survivor, offset, Some(&stats), &|| Ok(sample_block(4, 32))).unwrap();
+            cache.get_or_load(victim, offset, Some(&stats), &|| blocks.load(4, 32)).unwrap();
+            cache.get_or_load(survivor, offset, Some(&stats), &|| blocks.load(4, 32)).unwrap();
         }
         assert_eq!(cache.block_count(), 20);
         cache.purge_table(victim);
         assert_eq!(cache.block_count(), 10);
         // The survivor's blocks still hit; the victim's blocks reload.
         let misses_before = stats.block_cache_misses();
-        cache.get_or_load(survivor, 3, Some(&stats), &|| Ok(sample_block(4, 32))).unwrap();
+        cache.get_or_load(survivor, 3, Some(&stats), &|| blocks.load(4, 32)).unwrap();
         assert_eq!(stats.block_cache_misses(), misses_before);
-        cache.get_or_load(victim, 3, Some(&stats), &|| Ok(sample_block(4, 32))).unwrap();
+        cache.get_or_load(victim, 3, Some(&stats), &|| blocks.load(4, 32)).unwrap();
         assert_eq!(stats.block_cache_misses(), misses_before + 1);
     }
 
@@ -519,20 +556,21 @@ mod tests {
         // the shard, so use a budget small enough that each shard holds ~2
         // blocks and verify the *aggregate* behavior: a block probed twice
         // (referenced) survives churn longer than cold fill-ins.
+        let blocks = SampleBlocks::new("clock", [(4, 64)]);
         let cache = BlockCache::new(8 * 1024);
         let stats = Stats::new();
         let table = cache.allocate_table_id();
         // Make offset 0 hot.
-        cache.get_or_load(table, 0, Some(&stats), &|| Ok(sample_block(4, 64))).unwrap();
+        cache.get_or_load(table, 0, Some(&stats), &|| blocks.load(4, 64)).unwrap();
         for _ in 0..3 {
-            cache.get_or_load(table, 0, Some(&stats), &|| Ok(sample_block(4, 64))).unwrap();
+            cache.get_or_load(table, 0, Some(&stats), &|| blocks.load(4, 64)).unwrap();
         }
         // Stream cold blocks through.
         for offset in 1..40 {
-            cache.get_or_load(table, offset, Some(&stats), &|| Ok(sample_block(4, 64))).unwrap();
+            cache.get_or_load(table, offset, Some(&stats), &|| blocks.load(4, 64)).unwrap();
         }
         let misses_before = stats.block_cache_misses();
-        cache.get_or_load(table, 0, Some(&stats), &|| Ok(sample_block(4, 64))).unwrap();
+        cache.get_or_load(table, 0, Some(&stats), &|| blocks.load(4, 64)).unwrap();
         // Not a hard guarantee (the hot block's shard may have churned it
         // out after its second chance), but with 40 cold blocks spread over
         // 8 shards the referenced bit must have bought at least survival

@@ -19,16 +19,43 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
+use triad_common::failpoint::Failpoint;
 use triad_common::lockrank::RankedRwLockReadGuard;
 use triad_common::types::{SeqNo, ValueKind};
 use triad_common::{Error, Result};
 use triad_memtable::{LogPosition, Memtable};
-use triad_wal::LogSyncHandle;
+use triad_wal::{BatchEncoder, LogAppender, LogSyncHandle};
 
 use crate::batch::{BatchOp, WriteBatch, WriteOptions};
 use crate::db::{DbInner, WalState};
 use crate::durability::SyncOutcome;
 use crate::options::SyncMode;
+
+/// What the append stage may touch under the append lock: the active log's
+/// append half and the [`WalState`] bookkeeping the stage advances. The
+/// `LogWriter` itself is out of reach, so nothing in the stage can fsync.
+struct AppendStage<'a> {
+    log: LogAppender<'a>,
+    log_id: u64,
+    encoder: &'a mut BatchEncoder,
+    next_seqno: &'a mut SeqNo,
+    writes_since_sync: &'a mut u64,
+    next_group_index: &'a mut u64,
+}
+
+impl<'a> AppendStage<'a> {
+    fn of(wal: &'a mut WalState) -> Self {
+        let WalState { writer, id, writes_since_sync, next_seqno, encoder, next_group_index } = wal;
+        AppendStage {
+            log: writer.appender(),
+            log_id: *id,
+            encoder,
+            next_seqno,
+            writes_since_sync,
+            next_group_index,
+        }
+    }
+}
 
 /// The outcome of a commit group's append stage. The group is *not yet* as
 /// durable as the sync policy demands when this is handed out — durability is
@@ -47,7 +74,8 @@ struct AppendPhase<'a> {
     /// seqno `first_seqno + i`.
     positions: Vec<LogPosition>,
     /// Present exactly when the group must be fsynced before it is
-    /// acknowledged: fsyncs the appended-to log without the append lock.
+    /// acknowledged: fsyncs the appended-to log without the append lock. Set
+    /// by `write_batch` after the append stage, never inside it.
     sync: Option<LogSyncHandle>,
     /// The group's durability target: the cumulative appended watermark right
     /// after its append.
@@ -74,24 +102,32 @@ impl DbInner {
         if batch.is_empty() {
             return Ok(self.last_seqno.load(Ordering::Acquire));
         }
-        self.failpoints.check("write.before_wal_append")?;
+        self.failpoints.check(Failpoint::WriteBeforeWalAppend)?;
 
         let timed = self.stats.sample_timing();
         let append_started = timed.then(Instant::now);
-        let phase = self.append_phase(&batch, opts.sync)?;
+        let mut wal = self.wal.lock();
+        let (mut phase, need_sync) =
+            self.append_phase(AppendStage::of(&mut wal), &batch, opts.sync)?;
+        // The fsync itself runs behind the released append lock, through a
+        // handle shared with the writer.
+        if need_sync {
+            phase.sync = Some(wal.writer.sync_handle());
+        }
+        drop(wal);
         if let Some(started) = append_started {
             self.stats.add_wal_append_us(started.elapsed().as_micros() as u64);
         }
 
         // The crash windows the recovery tests probe. First: the group is
         // appended (and OS-flushed) but nothing has reached the memtable.
-        if let Err(e) = self.failpoints.check("commit.after_group_wal_append") {
+        if let Err(e) = self.failpoints.check(Failpoint::CommitAfterGroupWalAppend) {
             return self.abandon_group(phase, e);
         }
         // Second, for durable groups only: appended but not yet fsynced — the
         // window a machine crash may lose, which must never cover an acked write.
         if phase.sync.is_some() {
-            if let Err(e) = self.failpoints.check("commit.before_group_wal_sync") {
+            if let Err(e) = self.failpoints.check(Failpoint::CommitBeforeGroupWalSync) {
                 return self.abandon_group(phase, e);
             }
         }
@@ -145,35 +181,40 @@ impl DbInner {
     /// append (WAL) lock, and deliberately free of durable I/O: pre-assign the
     /// seqno range, encode, append with one buffered write, flush to the OS,
     /// record the durability target and take a pipeline membership on the
-    /// gate. The moment this returns, the next writer can append — this
-    /// group's fsync (if any) happens behind the released lock.
+    /// gate. The moment the caller drops the lock, the next writer can append
+    /// — this group's fsync (if any) happens behind it. Returns the phase and
+    /// whether the group owes an fsync.
     ///
-    /// The markers below delimit the region `triad-lint` guards against fsync
-    /// calls (`append-stage-no-fsync`): holding the append lock across one
-    /// would re-serialize the commit path.
-    fn append_phase<'a>(&'a self, batch: &WriteBatch, force_sync: bool) -> Result<AppendPhase<'a>> {
-        // PIPELINE-APPEND-STAGE-BEGIN (no durable-sync calls in this region)
-        let mut wal = self.wal.lock();
+    /// The stage sees the log only through its [`LogAppender`], which cannot
+    /// sync: holding the append lock across an fsync would re-serialize the
+    /// commit path, and here it does not compile.
+    fn append_phase<'a>(
+        &'a self,
+        mut stage: AppendStage<'_>,
+        batch: &WriteBatch,
+        force_sync: bool,
+    ) -> Result<(AppendPhase<'a>, bool)> {
+        let log_id = stage.log_id;
         let mem = self.mem.read().clone();
-        let first_seqno = wal.next_seqno;
+        let first_seqno = *stage.next_seqno;
 
         if let Some(stamp) = &batch.stamp {
             // The stamped record below is this shard's durable evidence of a
             // cross-shard batch: keep its log on disk until every shard's
             // slice graduates (see `stamps.rs`).
-            self.stamps.note_slice(self.shard_index, wal.id, stamp);
+            self.stamps.note_slice(self.shard_index, log_id, stamp);
         }
-        wal.encoder.clear();
+        stage.encoder.clear();
         let mut positions = Vec::with_capacity(batch.ops.len());
         for (op_index, BatchOp { kind, key, value }) in batch.ops.iter().enumerate() {
             // A cross-shard slice's stamp rides on its first record only.
             let stamp = if op_index == 0 { batch.stamp } else { None };
             let seqno = first_seqno + op_index as u64;
-            let offset = wal.encoder.add_parts_stamped(seqno, *kind, key, value, stamp)?;
-            positions.push(LogPosition { log_id: wal.id, offset });
+            let offset = stage.encoder.add_parts_stamped(seqno, *kind, key, value, stamp)?;
+            positions.push(LogPosition { log_id, offset });
         }
         let group_end = first_seqno + positions.len() as u64 - 1;
-        let wal_bytes = wal.encoder.encoded_bytes();
+        let wal_bytes = stage.encoder.encoded_bytes();
         // Consume the range *before* attempting the append: a failed
         // `write_all` can still leave complete frames durable in the file, and
         // re-issuing those seqnos to different data would let recovery (which
@@ -182,53 +223,49 @@ impl DbInner {
         // seqno space on failure is harmless. The writer additionally poisons
         // itself after a failed write, because its offset accounting is no
         // longer trustworthy.
-        wal.next_seqno = group_end + 1;
-        let WalState { writer, encoder, .. } = &mut *wal;
-        let start = writer.append_batch(encoder)?;
+        *stage.next_seqno = group_end + 1;
+        let start = stage.log.append_batch(stage.encoder)?;
         for position in &mut positions {
             position.offset += start;
         }
         // Push the frames to the OS now: a concurrent group's fsync covers every
         // byte the OS has, so ours can retire on another group's watermark
         // advance without any further I/O from this thread.
-        wal.writer.flush()?;
+        stage.log.flush()?;
 
-        wal.writes_since_sync += positions.len() as u64;
+        *stage.writes_since_sync += positions.len() as u64;
         let need_sync = match self.options.sync_mode {
             SyncMode::SyncEveryWrite => true,
-            SyncMode::SyncEvery(n) => force_sync || wal.writes_since_sync >= n,
+            SyncMode::SyncEvery(n) => force_sync || *stage.writes_since_sync >= n,
             SyncMode::NoSync => force_sync,
         };
         if need_sync {
-            wal.writes_since_sync = 0;
+            *stage.writes_since_sync = 0;
         }
-        let sync_target = self.watermark.record_append(wal.id, wal_bytes);
-        self.wal_size_hint.store(wal.writer.size(), Ordering::Relaxed);
-        let group_index = wal.next_group_index;
-        wal.next_group_index += 1;
+        let sync_target = self.watermark.record_append(log_id, wal_bytes);
+        self.wal_size_hint.store(stage.log.size(), Ordering::Relaxed);
+        let group_index = *stage.next_group_index;
+        *stage.next_group_index += 1;
         let depth = self.pipeline_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.record_pipeline_depth(depth);
-        let log_id = wal.id;
-        let sync = need_sync.then(|| wal.writer.sync_handle());
         // Pipeline membership before the append lock goes: an exclusive gate
         // acquisition (scan capture, rotation) means every in-flight group has
         // published. Never blocks here — every exclusive acquirer holds the WAL
-        // lock first, and we hold it.
+        // lock first, and the caller holds it.
         let gate = self.commit_gate.read();
-        drop(wal);
-        // PIPELINE-APPEND-STAGE-END
-        Ok(AppendPhase {
+        let phase = AppendPhase {
             mem,
             log_id,
             first_seqno,
             group_end,
             positions,
-            sync,
+            sync: None,
             sync_target,
             wal_bytes,
             group_index,
             gate,
-        })
+        };
+        Ok((phase, need_sync))
     }
 
     /// Abandons a group after its append stage: the seqno range and the

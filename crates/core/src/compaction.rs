@@ -10,6 +10,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use triad_common::failpoint::Failpoint;
 use triad_common::{Error, Result};
 use triad_hll::overlap_ratio;
 use triad_sstable::{
@@ -163,7 +164,7 @@ impl DbInner {
     /// and removes the obsolete files.
     pub(crate) fn run_compaction(&self, version: &Version, job: CompactionJob) -> Result<()> {
         let started = Instant::now();
-        self.failpoints.check("compaction.start")?;
+        self.failpoints.check(Failpoint::CompactionStart)?;
         let target_level = job.target_level();
         if target_level >= version.num_levels() {
             return Err(Error::InvalidArgument(format!(
@@ -227,7 +228,7 @@ impl DbInner {
             }
         }
 
-        self.failpoints.check("compaction.before_manifest")?;
+        self.failpoints.check(Failpoint::CompactionBeforeManifest)?;
         // Retire the inputs *before* installing the edit: the GC pass never deletes
         // a file the current version references, and enqueueing first means the
         // queue already covers the retirement once the new version is visible.

@@ -24,7 +24,7 @@ use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use triad_common::lockrank::{RankedMutex, RankedRwLock};
 
-use triad_common::failpoint::FailpointRegistry;
+use triad_common::failpoint::{Failpoint, FailpointRegistry};
 use triad_common::types::{Entry, SeqNo, ValueKind};
 use triad_common::{Error, Result, SnapshotRetention, StatSnapshot, Stats};
 use triad_memtable::{LogPosition, Memtable};
@@ -169,13 +169,17 @@ impl Drop for PinnedVersion {
 }
 
 /// Lock ranks for the engine's ranked locks. Acquisition must proceed in
-/// strictly increasing rank (checked dynamically in debug builds by
-/// `triad_common::lockrank`, statically by `triad-lint`'s `lock-order` rule).
-/// Ranks are spaced so new locks can slot in without renumbering; the
-/// memtable's shard locks sit above all of these at rank
-/// [`triad_memtable::SHARD_LOCK_RANK`] (70). The full table with rationale
-/// lives in docs/ARCHITECTURE.md, "Enforced invariants".
+/// strictly increasing rank (checked in debug builds by
+/// `triad_common::lockrank`). Ranks are spaced so new locks can slot in
+/// without renumbering; the memtable's shard locks sit between
+/// `BLOCK_CACHE` and `FSYNC` at rank [`triad_memtable::SHARD_LOCK_RANK`]
+/// (70), the one rank that lives in another crate. The full table with
+/// rationale lives in docs/ARCHITECTURE.md, "Enforced invariants".
 pub(crate) mod lock_rank {
+    /// The replica's rolling-view lock: below every engine lock, so a view
+    /// swap (which captures a snapshot and drops the old one) can acquire
+    /// anything it needs while the view is held.
+    pub const REPLICA_VIEW: u32 = 2;
     /// GC queue: held while inspecting the version set / WAL / imm list.
     pub const GC: u32 = 5;
     /// The cross-shard router gate: read-held by multi-shard batch writes,
@@ -206,6 +210,15 @@ pub(crate) mod lock_rank {
     /// miss opens a table whose block reads probe the cache) and below the
     /// memtable shard locks; block-cache shards never nest with each other.
     pub const BLOCK_CACHE: u32 = 65;
+    /// The durability watermark's fsync lock: one group drives the disk at a
+    /// time. Taken by a writer that still holds its commit-gate membership.
+    pub const FSYNC: u32 = 80;
+    /// The watermark's "fsync in flight" flag, paired with its waiters'
+    /// condvar; set and cleared while the fsync lock is held.
+    pub const SYNC_ACTIVE: u32 = 82;
+    /// The watermark's append mark: written under the WAL lock, read by the
+    /// fsync driver. A leaf.
+    pub const APPEND_MARK: u32 = 84;
 }
 
 /// Shared engine state.
@@ -930,7 +943,7 @@ impl Db {
             let committed = self.shards[index].inner.write_batch(slice, opts).and_then(|seqno| {
                 // The crash window the torn-batch recovery test probes: some
                 // shards' slices are durably committed, the rest never happen.
-                self.failpoints.check("db.after_shard_commit")?;
+                self.failpoints.check(Failpoint::DbAfterShardCommit)?;
                 Ok(seqno)
             });
             match committed {
@@ -1323,7 +1336,7 @@ impl DbInner {
             && mem_size < triad.flush_skip_threshold_bytes
             && self.options.background_io == BackgroundIoMode::Enabled
         {
-            self.failpoints.check("rotate.small_flush_skip")?;
+            self.failpoints.check(Failpoint::RotateSmallFlushSkip)?;
             let mut new_writer = self.create_log()?;
             let new_id = new_writer.id();
             let encoder = &mut wal.encoder;
@@ -1375,7 +1388,7 @@ impl DbInner {
         }
 
         // Regular rotation: seal the log and the memtable, hand both to the flusher.
-        self.failpoints.check("rotate.seal")?;
+        self.failpoints.check(Failpoint::RotateSeal)?;
         let old_id = self.seal_log(wal)?;
         self.queue_flush(Arc::clone(mem), old_id);
         Ok(())

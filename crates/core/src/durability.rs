@@ -24,17 +24,14 @@
 //! fsync (or delete) the outgoing log with the pipeline drained, then advance
 //! `durable` to the full appended watermark.
 
-// The std Mutex `sync_active` pairs with the `waiters` Condvar (absent from
-// the vendored parking_lot stand-in), and the fsync lock needs try_lock's
-// contended/uncontended distinction with a guard passable to `drive_fsync`;
-// all three locks stay private to this module.
-#![allow(clippy::disallowed_types)]
-
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
+use parking_lot::Condvar;
+use triad_common::lockrank::{RankedMutex, RankedMutexGuard};
 use triad_common::Result;
 use triad_wal::LogSyncHandle;
+
+use crate::db::lock_rank;
 
 /// Upper bound on scheduler yields the fsync-er spends waiting for the append
 /// mark to go quiet before issuing the fsync (see `ensure_durable`). Bounds the
@@ -72,26 +69,30 @@ pub(crate) struct DurabilityWatermark {
     /// Cumulative bytes appended + OS-flushed, and the log they went to.
     /// Written under the append lock; read lock-free by the sync stage via this
     /// dedicated mutex so fsyncs never need the append lock.
-    mark: Mutex<AppendMark>,
+    mark: RankedMutex<AppendMark>,
     /// Serializes fsyncs: exactly one group drives the disk at a time; the rest
     /// park on `waiters` and are released in bulk when the watermark advances —
     /// no futex hand-off chain through this mutex.
-    fsync_lock: Mutex<()>,
+    fsync_lock: RankedMutex<()>,
     /// `true` while an fsync is actually in flight; guarded state for `waiters`.
-    sync_active: Mutex<bool>,
+    sync_active: RankedMutex<bool>,
     /// Parks groups whose durability is owed to an in-flight fsync. One
     /// `notify_all` per watermark advance wakes every covered group at once.
-    waiters: std::sync::Condvar,
+    waiters: Condvar,
 }
 
 impl DurabilityWatermark {
     pub(crate) fn new(active_log_id: u64) -> Self {
         DurabilityWatermark {
             durable: AtomicU64::new(0),
-            mark: Mutex::new(AppendMark { log_id: active_log_id, appended: 0 }),
-            fsync_lock: Mutex::new(()),
-            sync_active: Mutex::new(false),
-            waiters: std::sync::Condvar::new(),
+            mark: RankedMutex::new(
+                lock_rank::APPEND_MARK,
+                "watermark.mark",
+                AppendMark { log_id: active_log_id, appended: 0 },
+            ),
+            fsync_lock: RankedMutex::new(lock_rank::FSYNC, "watermark.fsync_lock", ()),
+            sync_active: RankedMutex::new(lock_rank::SYNC_ACTIVE, "watermark.sync_active", false),
+            waiters: Condvar::new(),
         }
     }
 
@@ -99,7 +100,7 @@ impl DurabilityWatermark {
     /// new cumulative watermark — the caller's durability target. Must be called
     /// under the append lock, after the flush succeeded.
     pub(crate) fn record_append(&self, log_id: u64, bytes: u64) -> u64 {
-        let mut mark = self.mark.lock().expect("append mark poisoned");
+        let mut mark = self.mark.lock();
         mark.log_id = log_id;
         mark.appended += bytes;
         mark.appended
@@ -116,7 +117,7 @@ impl DurabilityWatermark {
     /// need to be, and future appends go to `new_log_id`. The caller must have
     /// drained the pipeline first, so no group still waits on the old log.
     pub(crate) fn note_rotation(&self, new_log_id: u64) {
-        let mut mark = self.mark.lock().expect("append mark poisoned");
+        let mut mark = self.mark.lock();
         mark.log_id = new_log_id;
         self.durable.fetch_max(mark.appended, Ordering::AcqRel);
     }
@@ -138,25 +139,20 @@ impl DurabilityWatermark {
             if self.is_durable(target) {
                 return Ok(SyncOutcome::AlreadyDurable);
             }
-            match self.fsync_lock.try_lock() {
-                Ok(guard) => return self.drive_fsync(log_id, target, handle, guard),
-                Err(std::sync::TryLockError::WouldBlock) => {
-                    // Another group is driving the disk. Park until the
-                    // watermark advances (one notify_all releases every covered
-                    // group at once) or the driver retires without covering us,
-                    // then re-evaluate.
-                    let mut active = self.sync_active.lock().expect("sync state poisoned");
-                    while *active && !self.is_durable(target) {
-                        active = self.waiters.wait(active).expect("sync state poisoned");
-                    }
-                    drop(active);
-                    // The driver may hold the fsync lock for an instant before
-                    // raising the active flag; yield instead of spinning on
-                    // that window.
-                    std::thread::yield_now();
-                }
-                Err(std::sync::TryLockError::Poisoned(_)) => panic!("fsync lock poisoned"),
+            if let Some(guard) = self.fsync_lock.try_lock() {
+                return self.drive_fsync(log_id, target, handle, guard);
             }
+            // Another group is driving the disk. Park until the watermark
+            // advances (one notify_all releases every covered group at once)
+            // or the driver retires without covering us, then re-evaluate.
+            let mut active = self.sync_active.lock();
+            while *active && !self.is_durable(target) {
+                active.wait(&self.waiters);
+            }
+            drop(active);
+            // The driver may hold the fsync lock for an instant before raising
+            // the active flag; yield instead of spinning on that window.
+            std::thread::yield_now();
         }
     }
 
@@ -167,12 +163,12 @@ impl DurabilityWatermark {
         log_id: u64,
         target: u64,
         handle: &LogSyncHandle,
-        guard: std::sync::MutexGuard<'_, ()>,
+        guard: RankedMutexGuard<'_, ()>,
     ) -> Result<SyncOutcome> {
         if self.is_durable(target) {
             return Ok(SyncOutcome::AlreadyDurable);
         }
-        *self.sync_active.lock().expect("sync state poisoned") = true;
+        *self.sync_active.lock() = true;
         // Adaptive sync batching: while appends are actively landing (groups
         // released by the previous fsync re-entering, or fresh writers racing
         // in), briefly yield so they finish, and let this one fsync cover them
@@ -180,11 +176,11 @@ impl DurabilityWatermark {
         // groups just missing every fsync and paying a second one — twice the
         // disk traffic for the same acknowledgements. The wait is bounded and
         // the common quiet case costs two yields.
-        let mut mark = *self.mark.lock().expect("append mark poisoned");
+        let mut mark = *self.mark.lock();
         let mut quiet = 0u32;
         for _ in 0..SYNC_QUIESCE_MAX_YIELDS {
             std::thread::yield_now();
-            let fresh = *self.mark.lock().expect("append mark poisoned");
+            let fresh = *self.mark.lock();
             if fresh.appended == mark.appended && fresh.log_id == mark.log_id {
                 quiet += 1;
                 if quiet >= SYNC_QUIESCE_QUIET {
@@ -216,9 +212,7 @@ impl DurabilityWatermark {
         // error the waiters wake too, find the watermark unmoved, and drive
         // (likely failing) fsyncs of their own — no one is left parked behind a
         // dead driver.
-        let mut active = self.sync_active.lock().expect("sync state poisoned");
-        *active = false;
-        drop(active);
+        *self.sync_active.lock() = false;
         self.waiters.notify_all();
         drop(guard);
         synced?;

@@ -19,6 +19,7 @@ use std::time::Instant;
 
 use crate::db::{DbInner, ImmutableMemtable, WalState};
 use crate::version::{FileMetadata, VersionEdit};
+use triad_common::failpoint::Failpoint;
 use triad_common::types::InternalKey;
 use triad_common::Result;
 use triad_memtable::{separate_keys, HotColdSplit, LogPosition, MemEntry};
@@ -51,7 +52,7 @@ impl DbInner {
     /// Flushes a single sealed memtable.
     fn flush_one(&self, imm: &Arc<ImmutableMemtable>) -> Result<()> {
         let started = Instant::now();
-        self.failpoints.check("flush.start")?;
+        self.failpoints.check(Failpoint::FlushStart)?;
         let triad = &self.options.triad;
         let entries = imm.memtable.snapshot_entries();
         if entries.is_empty() {
@@ -93,7 +94,7 @@ impl DbInner {
         // them, through the table this flush installs; the next compaction's dedup
         // discards them.
         if !hot.is_empty() {
-            self.failpoints.check("flush.hot_write_back")?;
+            self.failpoints.check(Failpoint::FlushHotWriteBack)?;
             let mut demoted: Vec<(Vec<u8>, MemEntry)> = Vec::new();
             let mut wal = self.wal.lock();
             let active_mem = self.mem.read().clone();
@@ -147,7 +148,7 @@ impl DbInner {
         // Persist the cold entries (if any).
         let mut added_file = None;
         if !cold.is_empty() {
-            self.failpoints.check("flush.before_table_write")?;
+            self.failpoints.check(Failpoint::FlushBeforeTableWrite)?;
             let use_cl_table = triad.log_enabled
                 && cold.iter().all(|(_, entry)| entry.log_position.log_id == imm.wal_id);
             added_file = Some(if use_cl_table {
@@ -163,7 +164,7 @@ impl DbInner {
         // is retired *before* the edit installs, so by the time the new version is
         // visible the GC queue already covers it (it is deleted once this memtable
         // leaves the pending queue).
-        self.failpoints.check("flush.before_manifest")?;
+        self.failpoints.check(Failpoint::FlushBeforeManifest)?;
         let keeps_log =
             added_file.as_ref().map(|f| f.backing_log_id == Some(imm.wal_id)).unwrap_or(false);
         if !keeps_log {

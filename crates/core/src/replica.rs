@@ -48,15 +48,10 @@ use triad_common::{Error, Result};
 use triad_memtable::LogPosition;
 use triad_wal::{parse_log_file_name, LogReader, LogRecord};
 
-use crate::db::{torn_batch_drops, Db, DbInner, WalState};
+use crate::db::{lock_rank, torn_batch_drops, Db, DbInner, WalState};
 use crate::iterator::DbIterator;
 use crate::options::Options;
 use crate::snapshot::{capture_all_shards, Snapshot};
-
-/// Lock rank of the replica's rolling-view lock: below every engine lock, so
-/// a view swap (which captures a snapshot and drops the old one) can acquire
-/// anything it needs while the view is held.
-const VIEW_RANK: u32 = 2;
 
 /// One shard's shipped segment: every commit-log record with
 /// `cursor < seqno <= target`, seqno-ascending, stamps preserved.
@@ -90,7 +85,7 @@ impl Replica {
     /// become the replication cursors.
     pub fn bootstrap(dir: impl AsRef<Path>, options: Options) -> Result<Replica> {
         let db = Db::open(dir, options)?;
-        let view = RankedRwLock::new(VIEW_RANK, "replica.view", db.snapshot());
+        let view = RankedRwLock::new(lock_rank::REPLICA_VIEW, "replica.view", db.snapshot());
         Ok(Replica { db, view })
     }
 

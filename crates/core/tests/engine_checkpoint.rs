@@ -7,11 +7,12 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use common::{disk_files, key_for, open_small, temp_dir, value_for};
-use triad_common::failpoint::{FailpointAction, FailpointRegistry};
+use triad_common::failpoint::{Failpoint, FailpointAction, FailpointRegistry};
 use triad_core::{Db, Error, Options, ShardConfig, WriteBatch, WriteOptions};
 
 fn scan_all(iter: triad_core::DbIterator) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -158,9 +159,9 @@ fn partial_checkpoint_is_detected_and_removable() {
         );
         std::fs::remove_dir_all(&ckpt_dir).unwrap();
     };
-    failpoints.arm("checkpoint.after_link", FailpointAction::ErrorTimes(1));
+    failpoints.arm(Failpoint::CheckpointAfterLink, FailpointAction::ErrorTimes(1));
     assert_partial_detected("after-link");
-    failpoints.arm("checkpoint.before_manifest", FailpointAction::ErrorTimes(1));
+    failpoints.arm(Failpoint::CheckpointBeforeManifest, FailpointAction::ErrorTimes(1));
     assert_partial_detected("before-manifest");
 
     // The primary is unaffected: reads intact, a clean checkpoint works, and
@@ -198,11 +199,11 @@ fn link_failure_falls_back_to_per_file_copies() {
         db.put(key_for(i), value_for(i, 1)).unwrap();
     }
 
-    failpoints.arm("checkpoint.link", FailpointAction::ReturnError);
+    failpoints.arm(Failpoint::CheckpointLink, FailpointAction::ReturnError);
     let ckpt_dir = temp_dir("ckpt-exdev-target");
     std::fs::remove_dir_all(&ckpt_dir).unwrap();
     let snapshot = db.checkpoint(&ckpt_dir).unwrap();
-    failpoints.disarm("checkpoint.link");
+    failpoints.disarm(Failpoint::CheckpointLink);
 
     let stats = db.stats();
     assert_eq!(stats.checkpoint_files_linked, 0, "no hard link may survive a link failure");
@@ -215,6 +216,62 @@ fn link_failure_falls_back_to_per_file_copies() {
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&ckpt_dir).ok();
+}
+
+/// A checkpoint writes only inside its own target: every file of a quiesced
+/// primary keeps its name and every byte through a clean checkpoint, one
+/// whose links all fall back to copies, and one dying at each failpoint.
+#[test]
+fn checkpoints_leave_the_primarys_files_untouched() {
+    let dir = temp_dir("ckpt-untouched");
+    let failpoints = FailpointRegistry::new();
+    let db =
+        Db::open_with_failpoints(&dir, Options::small_for_tests(), failpoints.clone()).unwrap();
+    for i in 0..300u64 {
+        db.put(key_for(i), value_for(i, 0)).unwrap();
+    }
+    db.flush().unwrap();
+    for i in 0..80u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.wait_for_compactions().unwrap();
+    let contents = || -> BTreeMap<String, Vec<u8>> {
+        disk_files(&dir)
+            .into_iter()
+            .map(|name| {
+                let bytes = std::fs::read(dir.join(&name)).unwrap();
+                (name, bytes)
+            })
+            .collect()
+    };
+    let before = contents();
+
+    let attempts = [
+        None,
+        Some(Failpoint::CheckpointLink),
+        Some(Failpoint::CheckpointAfterLink),
+        Some(Failpoint::CheckpointBeforeManifest),
+    ];
+    for (round, point) in attempts.into_iter().enumerate() {
+        if let Some(point) = point {
+            failpoints.arm(point, FailpointAction::ReturnError);
+        }
+        let target = temp_dir(&format!("ckpt-untouched-target-{round}"));
+        std::fs::remove_dir_all(&target).unwrap();
+        let outcome = db.checkpoint(&target).map(drop);
+        failpoints.clear();
+        let after = contents();
+        let changed: Vec<&String> = before
+            .keys()
+            .chain(after.keys())
+            .filter(|name| before.get(*name) != after.get(*name))
+            .collect();
+        assert!(changed.is_empty(), "checkpoint {point:?} ({outcome:?}) changed {changed:?}");
+        std::fs::remove_dir_all(&target).unwrap();
+    }
+
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A non-empty target directory is rejected up front with `InvalidArgument`

@@ -3,7 +3,7 @@
 mod common;
 
 use common::{key_for, temp_dir, value_for};
-use triad_common::failpoint::{FailpointAction, FailpointRegistry};
+use triad_common::failpoint::{Failpoint, FailpointAction, FailpointRegistry};
 use triad_core::{Db, Options, SyncMode, TriadConfig};
 
 fn reopen(dir: &std::path::Path, options: &Options) -> Db {
@@ -216,7 +216,7 @@ fn injected_flush_failures_do_not_lose_acknowledged_writes() {
     let failpoints = FailpointRegistry::new();
     // Every flush attempt fails while the failpoint is armed; data must stay safe in
     // the memtable + commit log.
-    failpoints.arm("flush.start", FailpointAction::ReturnError);
+    failpoints.arm(Failpoint::FlushStart, FailpointAction::ReturnError);
     {
         let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
         for i in 0..2_000u64 {
@@ -226,7 +226,10 @@ fn injected_flush_failures_do_not_lose_acknowledged_writes() {
         for i in (0..2_000u64).step_by(191) {
             assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)));
         }
-        assert!(failpoints.hits("flush.start") > 0, "the failpoint should have been exercised");
+        assert!(
+            failpoints.hits(Failpoint::FlushStart) > 0,
+            "the failpoint should have been exercised"
+        );
         assert_eq!(db.stats().flush_count, 0);
         db.close().unwrap();
     }
@@ -248,7 +251,7 @@ fn injected_compaction_failures_do_not_corrupt_data() {
     let mut options = small_single_shard();
     options.l0_compaction_trigger = 2;
     let failpoints = FailpointRegistry::new();
-    failpoints.arm("compaction.start", FailpointAction::ErrorTimes(3));
+    failpoints.arm(Failpoint::CompactionStart, FailpointAction::ErrorTimes(3));
     {
         let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
         for version in 1..=3u64 {
@@ -277,7 +280,7 @@ fn persistent_flush_failure_fails_flush_instead_of_hanging() {
     let dir = temp_dir("flush-persistent-failure");
     let options = small_single_shard();
     let failpoints = FailpointRegistry::new();
-    failpoints.arm("flush.start", FailpointAction::ReturnError);
+    failpoints.arm(Failpoint::FlushStart, FailpointAction::ReturnError);
     {
         let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
         for i in 0..500u64 {
@@ -302,7 +305,7 @@ fn persistent_compaction_failure_fails_the_wait_instead_of_hanging() {
     let dir = temp_dir("compaction-persistent-failure");
     let options = small_single_shard();
     let failpoints = FailpointRegistry::new();
-    failpoints.arm("compaction.start", FailpointAction::ReturnError);
+    failpoints.arm(Failpoint::CompactionStart, FailpointAction::ReturnError);
     {
         let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
         // One L0 file per round: enough to reach the compaction trigger.
@@ -351,13 +354,13 @@ fn crash_between_group_wal_append_and_memtable_insert_loses_nothing_acknowledged
         assert_eq!(seqno_before_failure, 5);
 
         // The next write dies between its WAL append and its memtable insert.
-        failpoints.arm("commit.after_group_wal_append", FailpointAction::ErrorTimes(1));
+        failpoints.arm(Failpoint::CommitAfterGroupWalAppend, FailpointAction::ErrorTimes(1));
         let err = db.put(&failed_key, b"never-acknowledged").unwrap_err();
         assert!(
             matches!(err, triad_core::Error::Injected(_)),
             "the injected failure must surface to the (un-acknowledged) writer: {err}"
         );
-        assert_eq!(failpoints.hits("commit.after_group_wal_append"), 1);
+        assert_eq!(failpoints.hits(Failpoint::CommitAfterGroupWalAppend), 1);
         // Nothing was published: the failed write is invisible...
         assert_eq!(db.last_seqno(), seqno_before_failure);
         assert_eq!(db.get(&failed_key).unwrap(), None, "a failed write must not be readable");
@@ -438,13 +441,13 @@ fn crash_between_pipelined_append_and_fsync_loses_nothing_acknowledged() {
 
         // The next write dies after its append but before its fsync: the exact
         // window the pipeline opened by taking the fsync off the append lock.
-        failpoints.arm("commit.before_group_wal_sync", FailpointAction::ErrorTimes(1));
+        failpoints.arm(Failpoint::CommitBeforeGroupWalSync, FailpointAction::ErrorTimes(1));
         let err = db.put(&failed_key, b"never-acknowledged").unwrap_err();
         assert!(
             matches!(err, triad_core::Error::Injected(_)),
             "the injected failure must surface to the unacknowledged writer: {err}"
         );
-        assert_eq!(failpoints.hits("commit.before_group_wal_sync"), 1);
+        assert_eq!(failpoints.hits(Failpoint::CommitBeforeGroupWalSync), 1);
         // Nothing acked, nothing published, nothing readable: the failed write
         // never reached the memtable and never got its fsync.
         assert_eq!(db.last_seqno(), seqno_before_failure);
@@ -499,6 +502,65 @@ fn crash_between_pipelined_append_and_fsync_loses_nothing_acknowledged() {
         .unwrap();
     assert_eq!(next, recovered + 1, "post-recovery seqnos continue densely");
     db.close().unwrap();
+}
+
+/// A `SyncEvery(n)` group that owed the fsync and failed before it re-arms
+/// the deadline, so the very next group syncs: one transient failure must not
+/// stretch the durability interval to 2n-1 writes. This is also the test that
+/// runs `abandon_group`'s re-arm, which takes the WAL lock only after the
+/// group released its commit-gate membership; the debug rank checker panics
+/// if that order is ever reversed.
+#[test]
+fn a_failed_sync_every_group_makes_the_next_group_sync() {
+    let dir = temp_dir("sync-every-rearm");
+    let mut options = small_single_shard();
+    options.sync_mode = SyncMode::SyncEvery(4);
+    let failpoints = FailpointRegistry::new();
+    let db = Db::open_with_failpoints(&dir, options, failpoints.clone()).unwrap();
+    for i in 0..3u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    let syncs = |db: &Db| {
+        let stats = db.stats();
+        stats.wal_syncs + stats.wal_syncs_overlapped
+    };
+    let before = syncs(&db);
+
+    // The fourth write owes the fsync and dies before it.
+    failpoints.arm(Failpoint::CommitBeforeGroupWalSync, FailpointAction::ErrorTimes(1));
+    assert!(db.put(key_for(3), value_for(3, 1)).is_err());
+    assert_eq!(failpoints.hits(Failpoint::CommitBeforeGroupWalSync), 1);
+    assert_eq!(syncs(&db), before);
+
+    db.put(key_for(4), value_for(4, 1)).unwrap();
+    assert_eq!(syncs(&db), before + 1, "the write after a failed sync must sync at once");
+    db.close().unwrap();
+}
+
+/// Every failpoint is checked at some engine call site and armed by some
+/// test: a failpoint no test arms is a crash window without coverage. (A test
+/// arming a failpoint the engine does not declare does not compile.)
+#[test]
+fn every_failpoint_is_checked_by_the_engine_and_armed_by_a_test() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    // Every `.rs` file directly under `dir`, whitespace removed so a call that
+    // rustfmt wraps across lines still matches.
+    let sources = |dir: &str| -> String {
+        let mut text = String::new();
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "rs") {
+                text.push_str(&std::fs::read_to_string(path).unwrap());
+            }
+        }
+        text.split_whitespace().collect()
+    };
+    let (engine, tests) = (sources("src"), sources("tests"));
+    for point in Failpoint::ALL {
+        let variant = format!("Failpoint::{point:?}");
+        assert!(engine.contains(&format!("check({variant})")), "no engine site checks {variant}");
+        assert!(tests.contains(&format!(".arm({variant},")), "no test arms {variant}");
+    }
 }
 
 #[test]
@@ -557,7 +619,7 @@ fn reopen_after_failed_compactions_sweeps_to_the_exact_live_set() {
         // before the manifest commit, orphaning table files on disk; the version
         // chain never references them.
         let failpoints = FailpointRegistry::new();
-        failpoints.arm("compaction.before_manifest", FailpointAction::ErrorTimes(2));
+        failpoints.arm(Failpoint::CompactionBeforeManifest, FailpointAction::ErrorTimes(2));
         let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
         for version in 1..=3u64 {
             for i in 0..400u64 {
@@ -566,7 +628,7 @@ fn reopen_after_failed_compactions_sweeps_to_the_exact_live_set() {
             db.flush().unwrap();
         }
         db.wait_for_compactions().unwrap();
-        assert!(failpoints.hits("compaction.before_manifest") >= 2);
+        assert!(failpoints.hits(Failpoint::CompactionBeforeManifest) >= 2);
         for i in (0..400u64).step_by(23) {
             assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 3)));
         }
@@ -684,13 +746,13 @@ fn injected_append_failures_reject_writes_without_losing_state() {
 
     // Every write is rejected before it reaches the WAL while the failpoint is
     // armed; already-acknowledged data stays readable.
-    failpoints.arm("write.before_wal_append", FailpointAction::ReturnError);
+    failpoints.arm(Failpoint::WriteBeforeWalAppend, FailpointAction::ReturnError);
     assert!(db.put(key_for(1), value_for(1, 1)).is_err());
-    assert!(failpoints.hits("write.before_wal_append") > 0);
+    assert!(failpoints.hits(Failpoint::WriteBeforeWalAppend) > 0);
     assert_eq!(db.get(key_for(0)).unwrap(), Some(value_for(0, 1)));
 
     // Disarming restores the write path with no residue.
-    failpoints.disarm("write.before_wal_append");
+    failpoints.disarm(Failpoint::WriteBeforeWalAppend);
     db.put(key_for(1), value_for(1, 2)).unwrap();
     assert_eq!(db.get(key_for(1)).unwrap(), Some(value_for(1, 2)));
     db.close().unwrap();
@@ -706,7 +768,7 @@ fn injected_rotation_seal_failures_surface_once_and_recover() {
     let dir = temp_dir("rotate-seal-failpoint");
     let options = small_single_shard();
     let failpoints = FailpointRegistry::new();
-    failpoints.arm("rotate.seal", FailpointAction::ErrorTimes(1));
+    failpoints.arm(Failpoint::RotateSeal, FailpointAction::ErrorTimes(1));
     let mut acked: Vec<u64> = Vec::new();
     {
         let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
@@ -721,7 +783,7 @@ fn injected_rotation_seal_failures_surface_once_and_recover() {
                 Err(_) => failures += 1,
             }
         }
-        assert!(failpoints.hits("rotate.seal") > 1, "rotation should have been retried");
+        assert!(failpoints.hits(Failpoint::RotateSeal) > 1, "rotation should have been retried");
         assert!(failures <= 1, "only the injected failure may surface, saw {failures}");
         for &i in acked.iter().step_by(101) {
             assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)));
@@ -748,7 +810,7 @@ fn injected_small_flush_skip_failures_keep_hot_data() {
     options.triad = TriadConfig::mem_only();
     options.triad.flush_skip_threshold_bytes = 512 * 1024;
     let failpoints = FailpointRegistry::new();
-    failpoints.arm("rotate.small_flush_skip", FailpointAction::ErrorTimes(1));
+    failpoints.arm(Failpoint::RotateSmallFlushSkip, FailpointAction::ErrorTimes(1));
     {
         let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
         // A small hot working set fills the log long before the memtable: every
@@ -761,7 +823,10 @@ fn injected_small_flush_skip_failures_keep_hot_data() {
                 failures += 1;
             }
         }
-        assert!(failpoints.hits("rotate.small_flush_skip") > 1, "skip path should be retried");
+        assert!(
+            failpoints.hits(Failpoint::RotateSmallFlushSkip) > 1,
+            "skip path should be retried"
+        );
         assert!(failures <= 1, "only the injected failure may surface, saw {failures}");
         assert!(db.stats().small_flush_skips > 0, "workload should exercise the skip path");
         assert_eq!(db.stats().flush_count, 0, "no table should be written for a hot working set");
@@ -797,14 +862,14 @@ fn injected_hot_write_back_failures_are_retried() {
     options.triad = TriadConfig::mem_only();
     options.triad.flush_skip_threshold_bytes = 0; // force real flushes
     let failpoints = FailpointRegistry::new();
-    failpoints.arm("flush.hot_write_back", FailpointAction::ErrorTimes(1));
+    failpoints.arm(Failpoint::FlushHotWriteBack, FailpointAction::ErrorTimes(1));
     {
         let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
         write_skewed_keyspace(&db);
         // The first flush attempt dies at the hot write-back; the background
         // worker retries and the flush completes.
         db.flush().unwrap();
-        assert!(failpoints.hits("flush.hot_write_back") > 0);
+        assert!(failpoints.hits(Failpoint::FlushHotWriteBack) > 0);
         assert!(db.stats().hot_entries_retained > 0, "hot entries should be written back");
         for i in 0..5u64 {
             assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 39)));
@@ -826,14 +891,14 @@ fn injected_table_write_failures_are_retried() {
     let dir = temp_dir("table-write-failpoint");
     let options = small_single_shard();
     let failpoints = FailpointRegistry::new();
-    failpoints.arm("flush.before_table_write", FailpointAction::ErrorTimes(1));
+    failpoints.arm(Failpoint::FlushBeforeTableWrite, FailpointAction::ErrorTimes(1));
     {
         let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
         for i in 0..500u64 {
             db.put(key_for(i), value_for(i, 1)).unwrap();
         }
         db.flush().unwrap();
-        assert!(failpoints.hits("flush.before_table_write") > 0);
+        assert!(failpoints.hits(Failpoint::FlushBeforeTableWrite) > 0);
         assert!(db.stats().flush_count > 0, "the retried flush should have completed");
         for i in (0..500u64).step_by(43) {
             assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)));
@@ -852,14 +917,14 @@ fn injected_manifest_failures_are_retried() {
     let dir = temp_dir("manifest-failpoint");
     let options = small_single_shard();
     let failpoints = FailpointRegistry::new();
-    failpoints.arm("flush.before_manifest", FailpointAction::ErrorTimes(1));
+    failpoints.arm(Failpoint::FlushBeforeManifest, FailpointAction::ErrorTimes(1));
     {
         let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
         for i in 0..500u64 {
             db.put(key_for(i), value_for(i, 2)).unwrap();
         }
         db.flush().unwrap();
-        assert!(failpoints.hits("flush.before_manifest") > 0);
+        assert!(failpoints.hits(Failpoint::FlushBeforeManifest) > 0);
         assert!(db.stats().flush_count > 0, "the retried flush should have completed");
         for i in (0..500u64).step_by(43) {
             assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 2)));
@@ -896,14 +961,14 @@ fn torn_cross_shard_batches_are_dropped_on_recovery() {
 
         // The torn batch: the failpoint lets exactly one shard's slice commit
         // durably, then kills the fan-out before the remaining shards see it.
-        failpoints.arm("db.after_shard_commit", FailpointAction::ErrorTimes(1));
+        failpoints.arm(Failpoint::DbAfterShardCommit, FailpointAction::ErrorTimes(1));
         let mut torn = WriteBatch::new();
         for i in 100..116u64 {
             torn.put(key_for(i), value_for(i, 7));
         }
         let err = db.write(torn, WriteOptions { sync: true }).unwrap_err();
         assert!(matches!(err, triad_core::Error::Injected(_)), "got {err:?}");
-        assert_eq!(failpoints.hits("db.after_shard_commit"), 1);
+        assert_eq!(failpoints.hits(Failpoint::DbAfterShardCommit), 1);
 
         // Writes after the tear keep flowing and must also survive.
         db.put(key_for(50), value_for(50, 1)).unwrap();

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::thread;
 
 use common::{assert_disk_matches_live_set, disk_files, key_for, open_small};
-use triad_common::failpoint::{FailpointAction, FailpointRegistry};
+use triad_common::failpoint::{Failpoint, FailpointAction, FailpointRegistry};
 use triad_core::{Db, Options, SyncMode, TriadConfig, WriteBatch, WriteOptions};
 
 fn churny(options: &mut Options) {
@@ -338,7 +338,7 @@ fn snapshot_in_the_pipelined_sync_window_never_sees_nondurable_data() {
         // The next write dies between its append stage and its fsync — the
         // window the pipeline opened. It is appended (and may survive a crash)
         // but never acknowledged, never published.
-        failpoints.arm("commit.before_group_wal_sync", FailpointAction::ErrorTimes(1));
+        failpoints.arm(Failpoint::CommitBeforeGroupWalSync, FailpointAction::ErrorTimes(1));
         let err = db.put(b"stable", b"never-acked-v2").unwrap_err();
         assert!(matches!(err, triad_core::Error::Injected(_)), "unexpected failure: {err}");
 

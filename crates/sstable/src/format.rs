@@ -12,6 +12,8 @@ use std::path::Path;
 use triad_common::checksum;
 use triad_common::{Error, Result};
 
+use crate::block::Block;
+
 /// Magic number identifying TRIAD table files ("TRIADSST" interpreted as bytes).
 pub const TABLE_MAGIC: u64 = 0x5452_4941_4453_5354;
 
@@ -149,6 +151,21 @@ impl BlockFileWriter {
     }
 }
 
+/// A data block decoded from bytes that passed [`BlockFileReader::read_block`]'s
+/// CRC32C check. Only [`BlockFileReader::read_verified_block`] constructs
+/// one, and the shared block cache ([`BlockFetch`](crate::BlockFetch))
+/// accepts nothing else: a cached block is served to every reader without
+/// re-verification, so an unverified insert would spread corruption.
+#[derive(Debug)]
+pub struct VerifiedBlock(Block);
+
+impl VerifiedBlock {
+    /// The decoded block.
+    pub fn into_block(self) -> Block {
+        self.0
+    }
+}
+
 /// A random-access reader over a block file.
 #[derive(Debug)]
 pub struct BlockFileReader {
@@ -215,6 +232,12 @@ impl BlockFileReader {
         }
         buf.truncate(size);
         Ok(buf)
+    }
+
+    /// Reads, checksum-verifies and decodes the data block at `handle`: the
+    /// only way to make a [`VerifiedBlock`].
+    pub fn read_verified_block(&self, handle: BlockHandle) -> Result<VerifiedBlock> {
+        Ok(VerifiedBlock(Block::new(self.read_block(handle)?)?))
     }
 
     /// Reads and validates the footer.

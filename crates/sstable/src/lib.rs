@@ -34,6 +34,7 @@ pub mod reader;
 pub use bloom::BloomFilter;
 pub use builder::{TableBuilder, TableBuilderOptions};
 pub use cl_table::{ClTable, ClTableBuilder};
+pub use format::VerifiedBlock;
 pub use iter::{bounded_to_seqno, DedupIterator, EntryIter, MergingIterator};
 pub use properties::{TableKind, TableProperties};
 pub use readahead::IoPool;
@@ -84,19 +85,19 @@ pub fn parse_table_file_name(name: &str) -> Option<(u64, TableKind)> {
 /// A provider of decoded data blocks for table readers — in practice the
 /// engine's shared block cache. `reader.rs` stays cache-agnostic: a [`Table`]
 /// opened with a [`FetchContext`] routes every data-block read through this
-/// trait, and the provider calls back into `load` (the checksum-verified
-/// decode path) only on a miss.
+/// trait, and the provider calls back into `load` only on a miss.
 pub trait BlockFetch: Send + Sync {
     /// Returns the block at `(table_id, offset)`, loading it via `load` on a
-    /// miss. `load` must decode from a checksum-verified read; concurrent
-    /// probes for the same key should coalesce into a single load. `stats`,
-    /// when present, receives the hit/miss accounting for this probe.
+    /// miss. `load` yields a [`VerifiedBlock`], so whatever a provider keeps
+    /// passed the CRC32C check; concurrent probes for the same key should
+    /// coalesce into a single load. `stats`, when present, receives the
+    /// hit/miss accounting for this probe.
     fn get_or_load(
         &self,
         table_id: u64,
         offset: u64,
         stats: Option<&Stats>,
-        load: &dyn Fn() -> Result<Block>,
+        load: &dyn Fn() -> Result<VerifiedBlock>,
     ) -> Result<Arc<Block>>;
 }
 

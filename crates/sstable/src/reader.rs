@@ -100,10 +100,6 @@ impl Table {
     }
 
     fn read_data_block(&self, handle: BlockHandle) -> Result<Arc<Block>> {
-        // BLOCK-CACHE-CHECKSUM-BEGIN: every block that can enter the shared
-        // cache is decoded inside this region, from `read_block` — the CRC32C-
-        // verified read path — so the cache never holds unverified bytes.
-        // (Enforced by triad-lint's `block-cache-checksum` rule.)
         if let Some(ctx) = &self.fetch {
             return ctx.fetch.get_or_load(
                 ctx.table_id,
@@ -113,11 +109,10 @@ impl Table {
                     if let Some(stats) = &self.stats {
                         stats.add_block_reads(1);
                     }
-                    Block::new(self.reader.read_block(handle)?)
+                    self.reader.read_verified_block(handle)
                 },
             );
         }
-        // BLOCK-CACHE-CHECKSUM-END
         {
             let cached = self.cached_block.lock();
             if let Some((offset, block)) = cached.as_ref() {
@@ -129,7 +124,7 @@ impl Table {
         if let Some(stats) = &self.stats {
             stats.add_block_reads(1);
         }
-        let block = Arc::new(Block::new(self.reader.read_block(handle)?)?);
+        let block = Arc::new(self.reader.read_verified_block(handle)?.into_block());
         *self.cached_block.lock() = Some((handle.offset, Arc::clone(&block)));
         Ok(block)
     }
@@ -419,7 +414,7 @@ mod tests {
 
     #[test]
     fn fetch_context_routes_block_reads_through_the_provider() {
-        use crate::BlockFetch;
+        use crate::{BlockFetch, VerifiedBlock};
         use std::collections::HashMap;
         use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -434,13 +429,13 @@ mod tests {
                 table_id: u64,
                 offset: u64,
                 _stats: Option<&Stats>,
-                load: &dyn Fn() -> Result<Block>,
+                load: &dyn Fn() -> Result<VerifiedBlock>,
             ) -> Result<Arc<Block>> {
                 if let Some(block) = self.slots.lock().get(&(table_id, offset)) {
                     return Ok(Arc::clone(block));
                 }
                 self.loads.fetch_add(1, Ordering::Relaxed);
-                let block = Arc::new(load()?);
+                let block = Arc::new(load()?.into_block());
                 self.slots.lock().insert((table_id, offset), Arc::clone(&block));
                 Ok(block)
             }

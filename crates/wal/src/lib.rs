@@ -34,7 +34,7 @@ mod writer;
 
 pub use reader::{decode_record_in_buffer, LogReader, RecoveredRecord, TailStatus};
 pub use record::{encode_record_parts, encode_record_parts_stamped, BatchStamp, LogRecord};
-pub use writer::{BatchEncoder, LogSyncHandle, LogWriter};
+pub use writer::{BatchEncoder, LogAppender, LogSyncHandle, LogWriter};
 
 use std::path::{Path, PathBuf};
 

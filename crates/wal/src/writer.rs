@@ -218,6 +218,12 @@ impl LogWriter {
         })
     }
 
+    /// Borrows the writer's append half: buffered appends and OS flushes, with
+    /// no way to fsync.
+    pub fn appender(&mut self) -> LogAppender<'_> {
+        LogAppender { writer: self }
+    }
+
     /// Returns a handle that can fsync this log without exclusive access to the
     /// writer. Only bytes already [`flush`](LogWriter::flush)ed to the OS are
     /// guaranteed to be covered by a sync issued through the handle.
@@ -338,6 +344,33 @@ impl LogWriter {
             .sync_data()
             .map_err(|e| Error::io(format!("sealing commit log {}", self.path.display()), e))?;
         Ok(self.offset)
+    }
+}
+
+/// The append half of a [`LogWriter`], from [`LogWriter::appender`]: it
+/// appends and flushes to the OS, and has no sync, seal or sync-handle
+/// method. The engine's commit append stage runs under the append lock and
+/// gets only this, so an fsync there — which would re-serialize every writer
+/// behind the disk — does not compile.
+#[derive(Debug)]
+pub struct LogAppender<'a> {
+    writer: &'a mut LogWriter,
+}
+
+impl LogAppender<'_> {
+    /// [`LogWriter::append_batch`].
+    pub fn append_batch(&mut self, batch: &BatchEncoder) -> Result<u64> {
+        self.writer.append_batch(batch)
+    }
+
+    /// [`LogWriter::flush`].
+    pub fn flush(&mut self) -> Result<()> {
+        self.writer.flush()
+    }
+
+    /// [`LogWriter::size`].
+    pub fn size(&self) -> u64 {
+        self.writer.size()
     }
 }
 
