@@ -132,13 +132,13 @@ impl DbInner {
             }
         }
 
-        // Insert phase, outside the WAL lock. `insert_versioned` keeps a
+        // Insert phase, outside the WAL lock. `Memtable::insert` keeps a
         // straggling older update of a key from clobbering a newer one that a
         // faster writer, appended later, applied first.
         for (seqno, (op, &position)) in
             (phase.first_seqno..).zip(batch.ops.iter().zip(&phase.positions))
         {
-            phase.mem.insert_versioned(&op.key, &op.value, seqno, op.kind, position);
+            phase.mem.insert(&op.key, &op.value, seqno, op.kind, position);
         }
 
         // Durability stage, overlapping the next group's append. Either the

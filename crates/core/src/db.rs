@@ -171,8 +171,8 @@ impl Drop for PinnedVersion {
 /// Lock ranks for the engine's ranked locks. Acquisition must proceed in
 /// strictly increasing rank (checked in debug builds by
 /// `triad_common::lockrank`). Ranks are spaced so new locks can slot in
-/// without renumbering; the memtable's shard locks sit between
-/// `BLOCK_CACHE` and `FSYNC` at rank [`triad_memtable::SHARD_LOCK_RANK`]
+/// without renumbering; each memtable's map lock sits between
+/// `BLOCK_CACHE` and `FSYNC` at rank [`triad_memtable::LOCK_RANK`]
 /// (70), the one rank that lives in another crate. The full table with
 /// rationale lives in docs/ARCHITECTURE.md, "Enforced invariants".
 pub(crate) mod lock_rank {
@@ -208,7 +208,7 @@ pub(crate) mod lock_rank {
     pub const TABLE_CACHE: u32 = 60;
     /// One shard of the shared block cache. Above `TABLE_CACHE` (a table-cache
     /// miss opens a table whose block reads probe the cache) and below the
-    /// memtable shard locks; block-cache shards never nest with each other.
+    /// memtable map locks; block-cache shards never nest with each other.
     pub const BLOCK_CACHE: u32 = 65;
     /// The durability watermark's fsync lock: one group drives the disk at a
     /// time. Taken by a writer that still holds its commit-gate membership.
@@ -1545,44 +1545,52 @@ impl DbInner {
     /// ([`crate::snapshot::Snapshot`]), where the retention registry guarantees
     /// the bounded probe can always find its version.
     pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.stats.add_user_reads(1);
-        // Reads return the newest committed version, with no sequence-number
-        // ceiling: the memtable keeps one slot per key and compaction's dedup
-        // keeps only the newest version, so a lookup bounded by a just-loaded
-        // sequence number could find *nothing* when a concurrent overwrite lands
-        // in the probe window — even though the key exists before and after.
-        // Observing the racing write instead is linearizable.
-        let snapshot = u64::MAX;
-
         // Capture the memory component coherently *before* probing anything: the
         // active memtable handle first, then the sealed list. Rotation pushes the
         // sealed memtable before swapping in a fresh active one, and a flush
         // re-installs hot entries into the (live) active memtable and publishes
         // its table in a new version before unlinking the sealed memtable — so
         // with this capture order, every live entry is present in a captured
-        // memtable or in the version pinned below.
+        // memtable or in the version the probe pins after they miss.
         let mem = self.mem.read().clone();
         let imm: Vec<Arc<ImmutableMemtable>> = self.imm.read().clone();
+        // Reads return the newest committed version, with no sequence-number
+        // ceiling: the memtable keeps one slot per key and compaction's dedup
+        // keeps only the newest version, so a lookup bounded by a just-loaded
+        // sequence number could find *nothing* when a concurrent overwrite lands
+        // in the probe window — even though the key exists before and after.
+        // Observing the racing write instead is linearizable.
+        self.probe(key, u64::MAX, &mem, &imm, || self.pin_current_version())
+    }
 
-        // 1. Active memtable.
-        self.stats.add_memtable_probes(1);
-        if let Some(entry) = mem.get(key, snapshot) {
-            return Ok(self.resolve_entry(entry));
-        }
-        // 2. Immutable memtables, newest first.
-        for sealed in imm.iter().rev() {
+    /// The point-lookup probe shared by [`DbInner::get`] and snapshot reads:
+    /// `mem`, then the sealed memtables `imm` newest first, then the disk
+    /// component level by level, every probe bounded by `seqno`. `version` is
+    /// called only when every memtable misses, so the live path pins a version
+    /// only for reads that reach the disk. Within L0 files are probed newest
+    /// first, and no older file can hold a newer visible version than a younger
+    /// file (flush order), so the first hit is the newest version at `seqno`.
+    pub(crate) fn probe<V: std::ops::Deref<Target = Version>>(
+        &self,
+        key: &[u8],
+        seqno: SeqNo,
+        mem: &Memtable,
+        imm: &[Arc<ImmutableMemtable>],
+        version: impl FnOnce() -> V,
+    ) -> Result<Option<Vec<u8>>> {
+        self.stats.add_user_reads(1);
+        for memtable in std::iter::once(mem).chain(imm.iter().rev().map(|m| &*m.memtable)) {
             self.stats.add_memtable_probes(1);
-            if let Some(entry) = sealed.memtable.get(key, snapshot) {
+            if let Some(entry) = memtable.get(key, seqno) {
                 return Ok(self.resolve_entry(entry));
             }
         }
-        // 3. The disk component, level by level, pinned for the whole descent.
-        let pinned = self.pin_current_version();
-        for level in 0..pinned.num_levels() {
-            for file in pinned.files_for_key(level, key) {
+        let version = version();
+        for level in 0..version.num_levels() {
+            for file in version.files_for_key(level, key) {
                 let table = self.table_cache.get_or_open(&file)?;
                 self.stats.add_table_probes(1);
-                if let Some(entry) = table.get(key, snapshot)? {
+                if let Some(entry) = table.get(key, seqno)? {
                     return Ok(self.resolve_entry(entry));
                 }
             }
@@ -1590,7 +1598,7 @@ impl DbInner {
         Ok(None)
     }
 
-    pub(crate) fn resolve_entry(&self, entry: Entry) -> Option<Vec<u8>> {
+    fn resolve_entry(&self, entry: Entry) -> Option<Vec<u8>> {
         match entry.key.kind {
             ValueKind::Put => {
                 self.stats.add_user_read_hits(1);

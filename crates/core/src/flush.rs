@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::db::{DbInner, ImmutableMemtable, WalState};
+use crate::options::SyncMode;
 use crate::version::{FileMetadata, VersionEdit};
 use triad_common::failpoint::Failpoint;
 use triad_common::types::InternalKey;
@@ -131,11 +132,22 @@ impl DbInner {
             self.stats.add_wal_bytes_written(encoder.encoded_bytes());
             self.stats.add_hot_entries_retained(retained.len() as u64);
             let log_id = *id;
+            let sync_write_back =
+                !retained.is_empty() && self.options.sync_mode != SyncMode::NoSync;
             for (key, mut entry, rel) in retained {
                 entry.log_position = LogPosition { log_id, offset: start + rel };
                 active_mem.insert_entry_if_older(&key, entry);
             }
             wal.writer.flush()?;
+            // Sync, not just flush, when writes are acknowledged durable: the
+            // sealed log retired below may hold the only durable copy of a
+            // sync-acknowledged hot key, and the write-back must be on disk
+            // before its predecessor goes (the small-flush skip's rotation
+            // syncs for the same reason).
+            if sync_write_back {
+                wal.writer.sync()?;
+                self.stats.add_wal_syncs(1);
+            }
             drop(wal);
             if !demoted.is_empty() {
                 // Table builders require ascending keys; demoted entries keep their

@@ -17,8 +17,8 @@
 //!    [`SnapshotRetention`](triad_common::SnapshotRetention) registry *before*
 //!    releasing the gate, so any later overwrite of a version the snapshot can
 //!    see preserves that version on the slot's prior list, where the
-//!    seqno-bounded probes ([`Memtable::get_at`],
-//!    [`Memtable::snapshot_entries_at`]) find it.
+//!    seqno-bounded probes ([`Memtable::get`],
+//!    [`Memtable::snapshot_as_entries_at`]) find it.
 //! 3. **The current [`Version`](crate::Version)** via an internal pin: every
 //!    table file, CL index and backing commit log the version references survives any
 //!    concurrent flush or compaction until the snapshot drops — garbage
@@ -91,37 +91,11 @@ impl SnapshotShard {
         SnapshotShard { db: Arc::clone(db), seqno, mem, imm, pin }
     }
 
-    /// Seqno-bounded point lookup within this shard's captured view.
+    /// Seqno-bounded point lookup within this shard's captured view: the
+    /// live read path's probe over the capture-time memtables and the pinned
+    /// version, bounded by the snapshot seqno.
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let db = &self.db;
-        db.stats.add_user_reads(1);
-
-        // 1. The memtable that was active at the snapshot point.
-        db.stats.add_memtable_probes(1);
-        if let Some(entry) = self.mem.get_at(key, self.seqno) {
-            return Ok(db.resolve_entry(entry));
-        }
-        // 2. The sealed memtables of the snapshot point, newest first.
-        for sealed in self.imm.iter().rev() {
-            db.stats.add_memtable_probes(1);
-            if let Some(entry) = sealed.memtable.get_at(key, self.seqno) {
-                return Ok(db.resolve_entry(entry));
-            }
-        }
-        // 3. The pinned version, level by level. Within L0 files are probed
-        // newest first, and no older file can hold a newer visible version
-        // than a younger file (flush order), so the first bounded hit is the
-        // newest version the snapshot can see.
-        for level in 0..self.pin.num_levels() {
-            for file in self.pin.files_for_key(level, key) {
-                let table = db.table_cache.get_or_open(&file)?;
-                db.stats.add_table_probes(1);
-                if let Some(entry) = table.get(key, self.seqno)? {
-                    return Ok(db.resolve_entry(entry));
-                }
-            }
-        }
-        Ok(None)
+        self.db.probe(key, self.seqno, &self.mem, &self.imm, || &*self.pin)
     }
 }
 
@@ -171,10 +145,10 @@ impl Snapshot {
     /// Returns the value `key` had at the snapshot point, or `None` if it did
     /// not exist (or was deleted) then.
     ///
-    /// The probe order mirrors the live read path — active memtable, sealed
-    /// memtables newest first, then the pinned version level by level — but
-    /// every probe is bounded by the owning shard's snapshot seqno and
-    /// consults retained prior versions. The capture-time components are
+    /// The probe is the live read path's — active memtable, sealed memtables
+    /// newest first, then the pinned version level by level — but every probe
+    /// is bounded by the owning shard's snapshot seqno, so the memtables
+    /// consult retained prior versions. The capture-time components are
     /// used, not the current ones: a memtable sealed, flushed and even
     /// garbage-collected since the snapshot was taken is still read here, in
     /// memory, through its `Arc`.
@@ -281,8 +255,8 @@ impl Drop for Snapshot {
                 // The visibility bounds moved: some retained priors may have
                 // just become unreachable, including on idle keys no future
                 // overwrite would ever prune. Sweep the shard's *current*
-                // memory components (lock order MEM < IMM < the memtable's
-                // internal shard locks); the components this snapshot captured
+                // memory components (lock order MEM < IMM < each memtable's
+                // map lock); the components this snapshot captured
                 // are either among them or dropped with this handle.
                 let mem = shard.db.mem.read().clone();
                 let imm: Vec<Arc<ImmutableMemtable>> = shard.db.imm.read().clone();

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use common::{assert_disk_matches_live_set, disk_files, key_for, open_small};
+use common::{assert_disk_matches_live_set, disk_files, key_for, open_small, single_shard};
 use triad_common::failpoint::{Failpoint, FailpointAction, FailpointRegistry};
 use triad_core::{Db, Options, SyncMode, TriadConfig, WriteBatch, WriteOptions};
 
@@ -463,6 +463,58 @@ fn retained_memory_stays_bounded_under_churn_with_a_live_snapshot() {
         db.put(key_for(i), b"final").unwrap();
     }
     assert_eq!(db.retained_prior_versions(), 0, "churn after the drop releases all priors");
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `Db::get` and `Snapshot::get` run one probe: memtable, sealed memtables
+/// newest first, then the version level by level. With nothing written since
+/// the snapshot, both return the same value for a key in each component and
+/// count the same reads and probes.
+#[test]
+fn live_and_snapshot_reads_share_one_probe() {
+    let dir = common::temp_dir("snapshot-shared-probe");
+    let mut options = Options::small_for_tests();
+    single_shard(&mut options);
+    options.triad = TriadConfig::baseline();
+    let failpoints = FailpointRegistry::new();
+    let db = Db::open_with_failpoints(&dir, options, failpoints.clone()).unwrap();
+
+    db.put(b"in-table", b"t").unwrap();
+    db.flush().unwrap();
+    // A failing flush leaves the sealed memtable pending.
+    failpoints.arm(Failpoint::FlushStart, FailpointAction::ReturnError);
+    db.put(b"in-sealed", b"s").unwrap();
+    assert!(db.flush().is_err(), "the armed flush must fail");
+    db.put(b"in-active", b"a").unwrap();
+
+    for (key, value, memtable_probes, table_probes) in [
+        (&b"in-active"[..], &b"a"[..], 1, 0),
+        (b"in-sealed", b"s", 2, 0),
+        (b"in-table", b"t", 2, 1),
+    ] {
+        let before = db.stats();
+        assert_eq!(db.get(key).unwrap().as_deref(), Some(value));
+        let live = db.stats();
+        let snapshot = db.snapshot();
+        assert_eq!(snapshot.get(key).unwrap().as_deref(), Some(value));
+        let after = db.stats();
+        let name = String::from_utf8_lossy(key);
+        for (path, from, to) in [("live", &before, &live), ("snapshot", &live, &after)] {
+            assert_eq!(to.user_reads - from.user_reads, 1, "{name}: {path} user_reads");
+            assert_eq!(
+                to.memtable_probes - from.memtable_probes,
+                memtable_probes,
+                "{name}: {path} memtable_probes"
+            );
+            assert_eq!(
+                to.table_probes - from.table_probes,
+                table_probes,
+                "{name}: {path} table_probes"
+            );
+        }
+    }
+    failpoints.disarm(Failpoint::FlushStart);
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

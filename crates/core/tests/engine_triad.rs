@@ -2,10 +2,10 @@
 
 mod common;
 
-use common::{key_for, open_small, temp_dir, value_for};
+use common::{key_for, open_small, single_shard, temp_dir, value_for};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use triad_core::{Db, Options, TriadConfig};
+use triad_core::{Db, HotColdPolicy, Options, SyncMode, TriadConfig};
 
 /// Applies a deterministic skewed update stream to `db`: 10% of the keys receive 90%
 /// of the updates. Returns the logically expected final state.
@@ -86,6 +86,45 @@ fn triad_mem_retains_hot_entries_in_memory() {
     let stats = db.stats();
     assert!(stats.hot_entries_retained > 0, "TRIAD-MEM must keep some hot entries in memory");
     db.close().unwrap();
+}
+
+/// TRIAD-MEM's hot write-back moves the newest copy of a hot key out of the
+/// sealed log, which the flush then retires. When writes are acknowledged
+/// durable, that copy must be fsynced first: the flush issues exactly one WAL
+/// fsync for its write-back, and none under `NoSync`.
+#[test]
+fn triad_mem_fsyncs_the_hot_write_back_when_writes_are_synced() {
+    for (name, mode, write_back_syncs) in
+        [("nosync", SyncMode::NoSync, 0), ("sync-every", SyncMode::SyncEveryWrite, 1)]
+    {
+        let (db, _dir) = open_small(&format!("hot-sync-{name}"), |options| {
+            single_shard(options);
+            options.sync_mode = mode;
+            options.triad = TriadConfig::mem_only();
+            options.triad.flush_skip_threshold_bytes = 0;
+            options.triad.hot_key_policy = HotColdPolicy::TopCount(2);
+            // Only the explicit flush below may rotate the log.
+            options.memtable_size = 16 << 20;
+            options.max_log_size = 16 << 20;
+        });
+        for i in 0..20u64 {
+            db.put(key_for(i), value_for(i, 0)).unwrap();
+        }
+        for version in 1..10u64 {
+            for i in 0..2u64 {
+                db.put(key_for(i), value_for(i, version)).unwrap();
+            }
+        }
+        let before = db.stats().wal_syncs;
+        db.flush().unwrap();
+        let stats = db.stats();
+        assert_eq!(stats.hot_entries_retained, 2, "{name}: both hot keys are written back");
+        assert_eq!(stats.wal_syncs - before, write_back_syncs, "{name}: write-back fsyncs");
+        for i in 0..2u64 {
+            assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 9)));
+        }
+        db.close().unwrap();
+    }
 }
 
 #[test]

@@ -16,12 +16,14 @@
 //! memtable reconciles the two through a [`SnapshotRetention`] registry: when an
 //! overwrite would shadow a version some open snapshot can still see, the shadowed
 //! version moves to the slot's *prior list* instead of being discarded, and
-//! seqno-bounded probes ([`Memtable::get_at`], [`Memtable::snapshot_entries_at`])
+//! seqno-bounded probes ([`Memtable::get`], [`Memtable::snapshot_as_entries_at`])
 //! consult it. With no snapshot open (the common case) the prior list stays empty
 //! and the write path pays a single relaxed atomic load.
 //!
-//! The table is sharded internally; point operations lock a single shard while
-//! snapshots for flushing lock all shards briefly and merge their sorted contents.
+//! The table is one ordered map behind one lock: point operations hold it for a
+//! single probe or update, and the copies taken for flushes and scans come out
+//! sorted without a merge. Write contention is spread by the engine's keyspace
+//! shards, each with its own memtable, not inside the memtable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +33,7 @@ pub mod hotcold;
 pub use hotcold::{separate_keys, HotColdPolicy, HotColdSplit};
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use triad_common::lockrank::RankedRwLock;
@@ -85,25 +87,29 @@ struct Slot {
     prior: Vec<MemEntry>,
 }
 
-/// Number of shards; a power of two so shard selection is a mask.
-const SHARD_COUNT: usize = 16;
+impl Slot {
+    /// The newest version visible at `snapshot`: the live one, else the newest
+    /// retained prior at or below it.
+    fn visible_at(&self, snapshot: SeqNo) -> Option<&MemEntry> {
+        if self.live.seqno <= snapshot {
+            return Some(&self.live);
+        }
+        self.prior.iter().rev().find(|entry| entry.seqno <= snapshot)
+    }
+}
 
-/// Rank of every shard lock in the engine-wide lock order (see
+/// Rank of the memtable's map lock in the engine-wide lock order (see
 /// `triad_common::lockrank` and docs/ARCHITECTURE.md): above all engine locks,
-/// because shard locks are leaves — nothing else is ever acquired while one is
-/// held, and multi-shard walks take one shard at a time. All shards share the
-/// rank, so holding two shard locks simultaneously panics in debug builds.
-pub const SHARD_LOCK_RANK: u32 = 70;
+/// because the map lock is a leaf — nothing else is ever acquired while it is
+/// held. Every memtable's lock shares the rank, so holding two memtables'
+/// locks at once panics in debug builds.
+pub const LOCK_RANK: u32 = 70;
 
-/// The memory component: a sorted, sharded map from user key to its version slot.
+/// The memory component: a sorted map from user key to its version slot.
 #[derive(Debug)]
 pub struct Memtable {
-    shards: Vec<RankedRwLock<BTreeMap<Vec<u8>, Slot>>>,
+    map: RankedRwLock<BTreeMap<Vec<u8>, Slot>>,
     approximate_size: AtomicUsize,
-    entry_count: AtomicUsize,
-    /// Total updates absorbed (including overwrites); used to compute the mean
-    /// update frequency for the hot/cold policy.
-    total_updates: AtomicU64,
     /// Which superseded versions open MVCC snapshots can still see. Shared with
     /// the engine's snapshot registry; a memtable created with [`Memtable::new`]
     /// gets a private, always-empty registry and never retains anything.
@@ -127,21 +133,13 @@ impl Memtable {
     /// overwrites preserve versions that registered snapshots can still see.
     pub fn with_retention(retention: Arc<SnapshotRetention>) -> Self {
         Memtable {
-            shards: (0..SHARD_COUNT)
-                .map(|_| RankedRwLock::new(SHARD_LOCK_RANK, "memtable.shard", BTreeMap::new()))
-                .collect(),
+            map: RankedRwLock::new(LOCK_RANK, "memtable.map", BTreeMap::new()),
             approximate_size: AtomicUsize::new(0),
-            entry_count: AtomicUsize::new(0),
-            total_updates: AtomicU64::new(0),
             retention,
         }
     }
 
-    fn shard_for(&self, key: &[u8]) -> usize {
-        (triad_hll::hash64(key) as usize) & (SHARD_COUNT - 1)
-    }
-
-    /// Called with the shard lock held, immediately before `slot.live` is
+    /// Called with the map lock held, immediately before `slot.live` is
     /// overwritten by a strictly newer version: preserves the live version on
     /// the prior list when an open snapshot can still see it.
     fn retain_shadowed(&self, key_len: usize, slot: &mut Slot) {
@@ -153,7 +151,7 @@ impl Memtable {
         }
     }
 
-    /// Called with the shard lock held, after `slot.live` was updated: drops
+    /// Called with the map lock held, after `slot.live` was updated: drops
     /// prior versions no open snapshot can read any more. A prior version `p`
     /// is readable iff some open snapshot `S` satisfies
     /// `p.seqno <= S < successor(p).seqno`; the check below is the conservative
@@ -196,10 +194,9 @@ impl Memtable {
         let size = entry.approximate_size(key.len());
         map.insert(key.to_vec(), Slot { live: entry, prior: Vec::new() });
         self.approximate_size.fetch_add(size, Ordering::Relaxed);
-        self.entry_count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Called with the shard lock held: replaces `slot.live` with `entry`,
+    /// Called with the map lock held: replaces `slot.live` with `entry`,
     /// retaining the shadowed version for open snapshots when `entry` is
     /// strictly newer, then pruning priors no snapshot can read. The single
     /// implementation of the retention protocol; every overwrite path above
@@ -213,7 +210,17 @@ impl Memtable {
     }
 
     /// Inserts or overwrites `key`, absorbing the update in place (superseded
-    /// versions visible to an open snapshot are preserved on the prior list).
+    /// versions visible to an open snapshot are preserved on the prior list),
+    /// unless the memtable already holds a *newer* version of it.
+    ///
+    /// The write path applies concurrent commit groups from several threads
+    /// at once, so two updates of the same key can reach the memtable out of
+    /// sequence-number order; the older one must not clobber the newer. A
+    /// skipped update still bumps the per-key update counter — the write
+    /// happened, and TRIAD-MEM's hotness signal counts writes, not winners. A
+    /// skipped update is never a snapshot-visible version either: snapshot
+    /// capture drains the commit pipeline first, so a snapshot seqno never
+    /// falls between two groups that were still in flight.
     ///
     /// Returns the new approximate size of the memtable in bytes.
     pub fn insert(
@@ -224,77 +231,20 @@ impl Memtable {
         kind: ValueKind,
         log_position: LogPosition,
     ) -> usize {
-        let shard = &self.shards[self.shard_for(key)];
-        let mut map = shard.write();
-        self.total_updates.fetch_add(1, Ordering::Relaxed);
-        match map.get_mut(key) {
-            Some(slot) => {
-                let updates = slot.live.updates.saturating_add(1);
-                let entry = MemEntry { value: value.to_vec(), seqno, kind, updates, log_position };
-                self.absorb_into_slot(key.len(), slot, entry);
-            }
-            None => {
-                let entry =
-                    MemEntry { value: value.to_vec(), seqno, kind, updates: 1, log_position };
-                self.insert_new_slot(&mut map, key, entry);
-            }
-        }
-        self.approximate_size.load(Ordering::Relaxed)
-    }
-
-    /// Inserts or overwrites `key` unless the memtable already holds a *newer*
-    /// version of it.
-    ///
-    /// The write path applies concurrent commit groups from several threads
-    /// at once, so two updates of the same key can reach the memtable out of
-    /// sequence-number order; the older one must not clobber the newer. A
-    /// skipped update still bumps the per-key update counter — the write
-    /// happened, and TRIAD-MEM's hotness signal counts writes, not winners (the
-    /// serialized path bumps it too, by overwriting and being overwritten). A
-    /// skipped update is never a snapshot-visible version either: snapshot
-    /// capture drains the commit pipeline first, so a snapshot seqno never
-    /// falls between two groups that were still in flight.
-    ///
-    /// Returns the new approximate size of the memtable in bytes.
-    pub fn insert_versioned(
-        &self,
-        key: &[u8],
-        value: &[u8],
-        seqno: SeqNo,
-        kind: ValueKind,
-        log_position: LogPosition,
-    ) -> usize {
-        let shard = &self.shards[self.shard_for(key)];
-        let mut map = shard.write();
-        self.total_updates.fetch_add(1, Ordering::Relaxed);
+        // Copy the value before taking the lock every reader and writer shares.
+        let mut entry = MemEntry { value: value.to_vec(), seqno, kind, updates: 1, log_position };
+        let mut map = self.map.write();
         match map.get_mut(key) {
             Some(slot) if slot.live.seqno > seqno => {
                 slot.live.updates = slot.live.updates.saturating_add(1);
             }
             Some(slot) => {
-                let updates = slot.live.updates.saturating_add(1);
-                let entry = MemEntry { value: value.to_vec(), seqno, kind, updates, log_position };
+                entry.updates = slot.live.updates.saturating_add(1);
                 self.absorb_into_slot(key.len(), slot, entry);
             }
-            None => {
-                let entry =
-                    MemEntry { value: value.to_vec(), seqno, kind, updates: 1, log_position };
-                self.insert_new_slot(&mut map, key, entry);
-            }
-        }
-        self.approximate_size.load(Ordering::Relaxed)
-    }
-
-    /// Re-inserts a complete [`MemEntry`] (used when TRIAD-MEM retains hot keys in
-    /// the new memtable after a flush), preserving its update counter.
-    pub fn insert_entry(&self, key: &[u8], entry: MemEntry) {
-        let shard = &self.shards[self.shard_for(key)];
-        let mut map = shard.write();
-        self.total_updates.fetch_add(u64::from(entry.updates), Ordering::Relaxed);
-        match map.get_mut(key) {
-            Some(slot) => self.absorb_into_slot(key.len(), slot, entry),
             None => self.insert_new_slot(&mut map, key, entry),
         }
+        self.approximate_size.load(Ordering::Relaxed)
     }
 
     /// Inserts `entry` only if the memtable holds no newer version of `key`.
@@ -304,8 +254,7 @@ impl Memtable {
     /// overwrite an update the application performed in the meantime. Returns `true`
     /// if the entry was installed.
     pub fn insert_entry_if_older(&self, key: &[u8], entry: MemEntry) -> bool {
-        let shard = &self.shards[self.shard_for(key)];
-        let mut map = shard.write();
+        let mut map = self.map.write();
         match map.get_mut(key) {
             Some(slot) if slot.live.seqno >= entry.seqno => false,
             Some(slot) => {
@@ -317,7 +266,6 @@ impl Memtable {
                 true
             }
             None => {
-                self.total_updates.fetch_add(u64::from(entry.updates), Ordering::Relaxed);
                 self.insert_new_slot(&mut map, key, entry);
                 true
             }
@@ -333,9 +281,7 @@ impl Memtable {
         expected_seqno: SeqNo,
         position: LogPosition,
     ) -> bool {
-        let shard = &self.shards[self.shard_for(key)];
-        let mut map = shard.write();
-        match map.get_mut(key) {
+        match self.map.write().get_mut(key) {
             Some(slot) if slot.live.seqno == expected_seqno => {
                 slot.live.log_position = position;
                 true
@@ -344,42 +290,20 @@ impl Memtable {
         }
     }
 
-    /// Returns the live (newest) version of `key` if its seqno is `<= snapshot`.
-    ///
-    /// This probe does *not* consult the prior-version list: it is the
-    /// read-newest fast path (callers pass `u64::MAX`). Snapshot reads use
-    /// [`get_at`](Memtable::get_at), which does.
-    pub fn get(&self, key: &[u8], snapshot: SeqNo) -> Option<Entry> {
-        let shard = &self.shards[self.shard_for(key)];
-        let map = shard.read();
-        map.get(key).and_then(|slot| {
-            if slot.live.seqno <= snapshot {
-                Some(slot.live.to_entry(key))
-            } else {
-                None
-            }
-        })
-    }
-
     /// Returns the newest version of `key` visible at `snapshot`, consulting
-    /// the retained prior versions. This is the snapshot read path: with the
-    /// snapshot registered in the shared [`SnapshotRetention`] before `snapshot`
-    /// was chosen, every version it can see is either the live one or preserved
-    /// on the prior list, so a bounded probe can never miss a key that existed
-    /// at the snapshot point.
-    pub fn get_at(&self, key: &[u8], snapshot: SeqNo) -> Option<Entry> {
-        let shard = &self.shards[self.shard_for(key)];
-        let map = shard.read();
-        let slot = map.get(key)?;
-        if slot.live.seqno <= snapshot {
-            return Some(slot.live.to_entry(key));
-        }
-        slot.prior.iter().rev().find(|entry| entry.seqno <= snapshot).map(|e| e.to_entry(key))
+    /// the retained prior versions when the live one is too new; `u64::MAX`
+    /// reads the live version. With a snapshot registered in the shared
+    /// [`SnapshotRetention`] before `snapshot` was chosen, every version it can
+    /// see is either the live one or preserved on the prior list, so a bounded
+    /// probe can never miss a key that existed at the snapshot point.
+    pub fn get(&self, key: &[u8], snapshot: SeqNo) -> Option<Entry> {
+        let map = self.map.read();
+        map.get(key)?.visible_at(snapshot).map(|entry| entry.to_entry(key))
     }
 
     /// Number of distinct keys currently held.
     pub fn len(&self) -> usize {
-        self.entry_count.load(Ordering::Relaxed)
+        self.map.read().len()
     }
 
     /// Returns `true` when no keys are held.
@@ -393,11 +317,6 @@ impl Memtable {
         self.approximate_size.load(Ordering::Relaxed)
     }
 
-    /// Total number of updates absorbed (including in-place overwrites).
-    pub fn total_updates(&self) -> u64 {
-        self.total_updates.load(Ordering::Relaxed)
-    }
-
     /// Takes a sorted snapshot of every `(key, live entry)` pair.
     ///
     /// Used by flushes; the memtable keeps serving reads while the snapshot is
@@ -406,54 +325,26 @@ impl Memtable {
     /// and open snapshots keep reading the retained versions through their own
     /// `Arc` of this memtable.
     pub fn snapshot_entries(&self) -> Vec<(Vec<u8>, MemEntry)> {
-        let mut all: Vec<(Vec<u8>, MemEntry)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let map = shard.read();
-            all.extend(map.iter().map(|(k, slot)| (k.clone(), slot.live.clone())));
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all
+        let map = self.map.read();
+        map.iter().map(|(key, slot)| (key.clone(), slot.live.clone())).collect()
     }
 
-    /// Takes a sorted snapshot of the newest version of each key visible at
-    /// `snapshot`, consulting retained prior versions. Keys whose oldest
-    /// retained version is still newer than `snapshot` are absent (they did not
-    /// exist at the snapshot point). Tombstones are included — the merge layers
-    /// above decide what a delete shadows.
-    pub fn snapshot_entries_at(&self, snapshot: SeqNo) -> Vec<(Vec<u8>, MemEntry)> {
-        let mut all: Vec<(Vec<u8>, MemEntry)> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.read();
-            for (key, slot) in map.iter() {
-                let visible = if slot.live.seqno <= snapshot {
-                    Some(&slot.live)
-                } else {
-                    slot.prior.iter().rev().find(|entry| entry.seqno <= snapshot)
-                };
-                if let Some(entry) = visible {
-                    all.push((key.clone(), entry.clone()));
-                }
-            }
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all
-    }
-
-    /// The newest version of each key visible at `snapshot` (see
-    /// [`snapshot_entries_at`](Memtable::snapshot_entries_at)) as the
-    /// engine-wide [`Entry`] type, sorted by internal key: the source a scan
-    /// merges.
+    /// The newest version of each key visible at `snapshot`, consulting
+    /// retained prior versions, as the engine-wide [`Entry`] type sorted by
+    /// internal key: the source a scan merges. Keys whose oldest retained
+    /// version is still newer than `snapshot` are absent (they did not exist at
+    /// the snapshot point). Tombstones are included — the merge layers above
+    /// decide what a delete shadows.
     pub fn snapshot_as_entries_at(&self, snapshot: SeqNo) -> Vec<Entry> {
-        self.snapshot_entries_at(snapshot)
-            .into_iter()
-            .map(|(key, entry)| entry.to_entry(&key))
+        let map = self.map.read();
+        map.iter()
+            .filter_map(|(key, slot)| slot.visible_at(snapshot).map(|entry| entry.to_entry(key)))
             .collect()
     }
 
     /// Returns the raw live [`MemEntry`] for `key`, regardless of snapshot.
     pub fn get_raw(&self, key: &[u8]) -> Option<MemEntry> {
-        let shard = &self.shards[self.shard_for(key)];
-        shard.read().get(key).map(|slot| slot.live.clone())
+        self.map.read().get(key).map(|slot| slot.live.clone())
     }
 
     /// Sweeps every slot's prior list against the current retention bounds,
@@ -463,36 +354,18 @@ impl Memtable {
     /// would otherwise be held until the slot's next overwrite or the flush.
     /// The engine calls this when a snapshot's deregistration moves the
     /// registry bounds, so release is prompt for idle keys too. Slots with an
-    /// empty prior list (the overwhelmingly common case) cost one branch; the
-    /// sweep takes one shard lock at a time.
+    /// empty prior list (the overwhelmingly common case) cost one branch.
     pub fn prune_retained(&self) {
-        for shard in &self.shards {
-            let mut map = shard.write();
-            for (key, slot) in map.iter_mut() {
-                self.prune_priors(key.len(), slot);
-            }
+        let mut map = self.map.write();
+        for (key, slot) in map.iter_mut() {
+            self.prune_priors(key.len(), slot);
         }
     }
 
     /// Total number of snapshot-retained prior versions currently held
     /// (diagnostics and tests).
     pub fn retained_versions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.read().values().map(|slot| slot.prior.len()).sum::<usize>())
-            .sum()
-    }
-
-    /// Largest sequence number stored, if any.
-    pub fn max_seqno(&self) -> Option<SeqNo> {
-        let mut max = None;
-        for shard in &self.shards {
-            let map = shard.read();
-            for slot in map.values() {
-                max = Some(max.map_or(slot.live.seqno, |m: SeqNo| m.max(slot.live.seqno)));
-            }
-        }
-        max
+        self.map.read().values().map(|slot| slot.prior.len()).sum()
     }
 }
 
@@ -538,25 +411,23 @@ mod tests {
         assert_eq!(raw.value, b"v9");
         assert_eq!(raw.seqno, 10);
         assert_eq!(raw.log_position, pos(1, 9 * 40), "log position tracks the newest record");
-        assert_eq!(memtable.total_updates(), 10);
         assert_eq!(memtable.retained_versions(), 0, "no snapshot open: nothing retained");
     }
 
     #[test]
-    fn insert_versioned_never_lets_an_older_update_win() {
+    fn insert_never_lets_an_older_update_win() {
         let memtable = Memtable::new();
-        memtable.insert_versioned(b"k", b"newer", 9, ValueKind::Put, pos(1, 80));
-        // The straggler of the same commit group arrives late: value ignored,
-        // hotness still counted.
-        memtable.insert_versioned(b"k", b"older", 5, ValueKind::Put, pos(1, 0));
+        memtable.insert(b"k", b"newer", 9, ValueKind::Put, pos(1, 80));
+        // The straggler of a concurrent commit group arrives late: value
+        // ignored, hotness still counted.
+        memtable.insert(b"k", b"older", 5, ValueKind::Put, pos(1, 0));
         let raw = memtable.get_raw(b"k").unwrap();
         assert_eq!(raw.value, b"newer");
         assert_eq!(raw.seqno, 9);
         assert_eq!(raw.log_position, pos(1, 80));
         assert_eq!(raw.updates, 2, "the losing update still counts as a write");
-        assert_eq!(memtable.total_updates(), 2);
-        // In order it behaves exactly like `insert`.
-        memtable.insert_versioned(b"k", b"newest", 12, ValueKind::Delete, pos(2, 0));
+        // In order the update is absorbed as usual.
+        memtable.insert(b"k", b"newest", 12, ValueKind::Delete, pos(2, 0));
         let raw = memtable.get_raw(b"k").unwrap();
         assert_eq!(raw.seqno, 12);
         assert_eq!(raw.kind, ValueKind::Delete);
@@ -620,37 +491,6 @@ mod tests {
         for window in as_entries.windows(2) {
             assert!(window[0].key < window[1].key);
         }
-    }
-
-    #[test]
-    fn insert_entry_preserves_update_counter() {
-        let memtable = Memtable::new();
-        let entry = MemEntry {
-            value: b"hot-value".to_vec(),
-            seqno: 77,
-            kind: ValueKind::Put,
-            updates: 42,
-            log_position: pos(3, 160),
-        };
-        memtable.insert_entry(b"hot", entry.clone());
-        let raw = memtable.get_raw(b"hot").unwrap();
-        assert_eq!(raw, entry);
-        assert_eq!(memtable.total_updates(), 42);
-        // Overwriting via insert_entry replaces the whole record.
-        let replacement = MemEntry { updates: 1, ..entry };
-        memtable.insert_entry(b"hot", replacement.clone());
-        assert_eq!(memtable.get_raw(b"hot").unwrap(), replacement);
-        assert_eq!(memtable.len(), 1);
-    }
-
-    #[test]
-    fn max_seqno_tracks_newest_update() {
-        let memtable = Memtable::new();
-        assert_eq!(memtable.max_seqno(), None);
-        memtable.insert(b"a", b"1", 5, ValueKind::Put, pos(1, 0));
-        memtable.insert(b"b", b"2", 17, ValueKind::Put, pos(1, 40));
-        memtable.insert(b"a", b"3", 20, ValueKind::Put, pos(1, 80));
-        assert_eq!(memtable.max_seqno(), Some(20));
     }
 
     #[test]
@@ -727,10 +567,9 @@ mod tests {
             handle.join().unwrap();
         }
         assert_eq!(memtable.len(), 100);
-        assert_eq!(memtable.total_updates(), 8_000);
         let snapshot = memtable.snapshot_entries();
-        let total_updates: u64 = snapshot.iter().map(|(_, e)| u64::from(e.updates)).sum();
-        assert_eq!(total_updates, 8_000, "every insert bumps exactly one entry's counter");
+        let updates: u64 = snapshot.iter().map(|(_, e)| u64::from(e.updates)).sum();
+        assert_eq!(updates, 8_000, "every insert bumps exactly one entry's counter");
     }
 
     // ---- Snapshot retention ----
@@ -749,11 +588,23 @@ mod tests {
         assert_eq!(memtable.retained_versions(), 1);
         // The live probe sees the newest version; the bounded probe the old one.
         assert_eq!(memtable.get(b"k", u64::MAX).unwrap().value, b"v2");
-        let at = memtable.get_at(b"k", 5).unwrap();
+        let at = memtable.get(b"k", 5).unwrap();
         assert_eq!(at.value, b"v1");
         assert_eq!(at.key.seqno, 5);
-        assert!(memtable.get_at(b"k", 4).is_none(), "nothing visible before seqno 5");
-        assert_eq!(memtable.get_at(b"k", 9).unwrap().value, b"v2");
+        assert!(memtable.get(b"k", 4).is_none(), "nothing visible before seqno 5");
+        assert_eq!(memtable.get(b"k", 9).unwrap().value, b"v2");
+    }
+
+    #[test]
+    fn unbounded_get_reads_the_live_version_while_a_prior_is_retained() {
+        let (memtable, retention) = retained_memtable();
+        memtable.insert(b"k", b"v1", 5, ValueKind::Put, pos(1, 0));
+        retention.register(5);
+        memtable.insert(b"k", b"v2", 9, ValueKind::Put, pos(1, 40));
+        assert_eq!(memtable.retained_versions(), 1);
+        let live = memtable.get(b"k", u64::MAX).unwrap();
+        assert_eq!(live.value, b"v2");
+        assert_eq!(live.key.seqno, 9);
     }
 
     #[test]
@@ -762,7 +613,7 @@ mod tests {
         memtable.insert(b"k", b"v1", 5, ValueKind::Put, pos(1, 0));
         memtable.insert(b"k", b"v2", 9, ValueKind::Put, pos(1, 40));
         assert_eq!(memtable.retained_versions(), 0);
-        assert!(memtable.get_at(b"k", 5).is_none(), "the shadowed version was discarded");
+        assert!(memtable.get(b"k", 5).is_none(), "the shadowed version was discarded");
     }
 
     #[test]
@@ -790,14 +641,14 @@ mod tests {
         memtable.insert(b"k", b"v2", 6, ValueKind::Put, pos(1, 40));
         retention.register(6);
         memtable.insert(b"k", b"v3", 9, ValueKind::Put, pos(1, 80));
-        assert_eq!(memtable.get_at(b"k", 2).unwrap().value, b"v1");
-        assert_eq!(memtable.get_at(b"k", 6).unwrap().value, b"v2");
-        assert_eq!(memtable.get_at(b"k", u64::MAX).unwrap().value, b"v3");
+        assert_eq!(memtable.get(b"k", 2).unwrap().value, b"v1");
+        assert_eq!(memtable.get(b"k", 6).unwrap().value, b"v2");
+        assert_eq!(memtable.get(b"k", u64::MAX).unwrap().value, b"v3");
         // Dropping the older snapshot lets v1 go on the next overwrite; v2 stays.
         retention.deregister(2);
         memtable.insert(b"k", b"v4", 12, ValueKind::Put, pos(1, 120));
-        assert!(memtable.get_at(b"k", 2).is_none());
-        assert_eq!(memtable.get_at(b"k", 6).unwrap().value, b"v2");
+        assert!(memtable.get(b"k", 2).is_none());
+        assert_eq!(memtable.get(b"k", 6).unwrap().value, b"v2");
         assert_eq!(memtable.retained_versions(), 1);
     }
 
@@ -809,27 +660,27 @@ mod tests {
         memtable.insert(b"k", b"", 7, ValueKind::Delete, pos(1, 40));
         retention.register(7);
         memtable.insert(b"k", b"v2", 11, ValueKind::Put, pos(1, 80));
-        assert_eq!(memtable.get_at(b"k", 3).unwrap().key.kind, ValueKind::Put);
-        assert_eq!(memtable.get_at(b"k", 7).unwrap().key.kind, ValueKind::Delete);
-        assert_eq!(memtable.get_at(b"k", 11).unwrap().value, b"v2");
+        assert_eq!(memtable.get(b"k", 3).unwrap().key.kind, ValueKind::Put);
+        assert_eq!(memtable.get(b"k", 7).unwrap().key.kind, ValueKind::Delete);
+        assert_eq!(memtable.get(b"k", 11).unwrap().value, b"v2");
     }
 
     #[test]
-    fn snapshot_entries_at_returns_the_bounded_view() {
+    fn snapshot_as_entries_at_returns_the_bounded_view() {
         let (memtable, retention) = retained_memtable();
         memtable.insert(b"a", b"a1", 1, ValueKind::Put, pos(1, 0));
         memtable.insert(b"b", b"b1", 2, ValueKind::Put, pos(1, 40));
         retention.register(2);
         memtable.insert(b"a", b"a2", 5, ValueKind::Put, pos(1, 80));
         memtable.insert(b"c", b"c1", 6, ValueKind::Put, pos(1, 120));
-        let at2 = memtable.snapshot_entries_at(2);
-        let keys: Vec<&[u8]> = at2.iter().map(|(k, _)| k.as_slice()).collect();
+        let at2 = memtable.snapshot_as_entries_at(2);
+        let keys: Vec<&[u8]> = at2.iter().map(|e| e.key.user_key.as_slice()).collect();
         assert_eq!(keys, vec![b"a".as_slice(), b"b"]);
-        assert_eq!(at2[0].1.value, b"a1", "snapshot view has the pre-overwrite value");
+        assert_eq!(at2[0].value, b"a1", "snapshot view has the pre-overwrite value");
         // A later bound sees everything at its newest version.
-        let now = memtable.snapshot_entries_at(u64::MAX);
+        let now = memtable.snapshot_as_entries_at(u64::MAX);
         assert_eq!(now.len(), 3);
-        assert_eq!(now[0].1.value, b"a2");
+        assert_eq!(now[0].value, b"a2");
         // The unbounded flush snapshot still carries only live versions.
         assert_eq!(memtable.snapshot_entries().len(), 3);
     }
@@ -862,7 +713,7 @@ mod tests {
         retention.deregister(2);
         memtable.prune_retained();
         assert_eq!(memtable.retained_versions(), 1, "snapshot 6 still needs v2");
-        assert_eq!(memtable.get_at(b"k", 6).unwrap().value, b"v2");
+        assert_eq!(memtable.get(b"k", 6).unwrap().value, b"v2");
         retention.deregister(6);
         memtable.prune_retained();
         assert_eq!(memtable.retained_versions(), 0);
