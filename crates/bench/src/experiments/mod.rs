@@ -77,8 +77,6 @@ pub fn bench_options(scale: Scale, triad: TriadConfig) -> Options {
         }
     }
     options.triad = triad;
-    // Scale TRIAD-MEM's small-flush threshold with the memtable.
-    options.triad.flush_skip_threshold_bytes = options.memtable_size / 2;
     options
 }
 
@@ -111,8 +109,8 @@ mod tests {
         let quick = bench_options(Scale::Quick, TriadConfig::baseline());
         let full = bench_options(Scale::Full, TriadConfig::all_enabled());
         assert!(quick.memtable_size < full.memtable_size);
-        assert!(full.triad.any_enabled());
-        assert!(!quick.triad.any_enabled());
+        assert_eq!(full.triad.label(), "TRIAD");
+        assert_eq!(quick.triad.label(), "RocksDB");
         quick.validate().unwrap();
         full.validate().unwrap();
     }

@@ -106,6 +106,10 @@ pub struct ExperimentResult {
     /// Engine counters over the run: the delta of [`Db::stats`] across the
     /// timed phase and, when enabled, the background drain.
     pub stats: StatSnapshot,
+    /// Engine counters over the setup phase (pre-population, its flush and
+    /// the compaction wait). TRIAD-DISK may defer setup's L0→L1 compaction
+    /// into the timed phase; this and `stats` together cover all the work.
+    pub setup_stats: StatSnapshot,
     /// Files per level after the run.
     pub files_per_level: Vec<usize>,
 }
@@ -204,6 +208,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> triad_common::Result<Experim
         elapsed,
         kops,
         stats,
+        setup_stats: before,
         files_per_level,
     })
 }
@@ -211,6 +216,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> triad_common::Result<Experim
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triad_core::TriadConfig;
     use triad_workload::{KeyDistribution, OperationMix};
 
     fn tiny_config(label: &str, options: Options) -> ExperimentConfig {
@@ -238,18 +244,22 @@ mod tests {
     fn triad_and_baseline_runs_both_complete() {
         let mut baseline = Options::small_for_tests();
         baseline.l0_compaction_trigger = 2;
-        let mut triad = Options::small_for_tests();
-        triad.l0_compaction_trigger = 2;
-        triad.triad.enable_all();
+        let triad = Options {
+            l0_compaction_trigger: 2,
+            triad: TriadConfig::all_enabled(),
+            ..Options::small_for_tests()
+        };
         let baseline_result = run_experiment(&tiny_config("runner-baseline", baseline)).unwrap();
         let triad_result = run_experiment(&tiny_config("runner-triad", triad)).unwrap();
         assert!(baseline_result.kops > 0.0);
         assert!(triad_result.kops > 0.0);
-        // Under heavy skew TRIAD must not write more background bytes than the baseline.
-        assert!(
-            triad_result.stats.background_bytes_written()
-                <= baseline_result.stats.background_bytes_written()
-        );
+        // Under heavy skew TRIAD must not write more background bytes than the
+        // baseline over the whole run: TRIAD-DISK can defer setup's L0→L1
+        // compaction into the timed phase, after the baseline paid for its own.
+        let total = |r: &ExperimentResult| {
+            r.setup_stats.background_bytes_written() + r.stats.background_bytes_written()
+        };
+        assert!(total(&triad_result) <= total(&baseline_result));
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::commit::PublicationSequencer;
 use crate::durability::DurabilityWatermark;
 use crate::iterator::DbIterator;
 use crate::manifest::VersionSet;
-use crate::options::{BackgroundIoMode, Options};
+use crate::options::Options;
 use crate::shard::{Shard, ShardRouter};
 use crate::snapshot::{capture_all_shards, Snapshot};
 use crate::table_cache::TableCache;
@@ -1326,16 +1326,14 @@ impl DbInner {
         // publication and release their gate membership; new groups cannot enter
         // because appending needs the WAL lock.
         let _drain = self.commit_gate.write();
-        let triad = &self.options.triad;
 
         // TRIAD-MEM's FLUSH_TH rule: the flush trigger fired (typically because the
         // log filled up with updates to hot keys) but the memtable itself is small.
         // Instead of flushing a tiny file, rewrite the fresh values into a new log
-        // and keep everything in memory (paper Algorithm 1, lines 14-20).
-        if triad.mem_enabled
-            && mem_size < triad.flush_skip_threshold_bytes
-            && self.options.background_io == BackgroundIoMode::Enabled
-        {
+        // and keep everything in memory (paper Algorithm 1, lines 14-20). FLUSH_TH
+        // is half the memtable budget, so a full memtable always flushes.
+        let flush_th = self.options.memtable_size / 2;
+        if self.options.triad.mem_enabled && mem_size < flush_th {
             self.failpoints.check(Failpoint::RotateSmallFlushSkip)?;
             let mut new_writer = self.create_log()?;
             let new_id = new_writer.id();
@@ -1373,17 +1371,6 @@ impl DbInner {
             // table, so nothing can reference it: safe to delete inline.
             self.remove_file_counted(&log_file_path(&self.path, old_id), true);
             self.stats.add_small_flush_skips(1);
-            return Ok(());
-        }
-
-        // Figure 2 mode: discard the full memtable instead of flushing it.
-        if self.options.background_io == BackgroundIoMode::Disabled {
-            let new_writer = self.create_log()?;
-            let old_id = wal.id;
-            drop(self.swap_log(wal, new_writer));
-            self.watermark.note_rotation(wal.id);
-            self.remove_file_counted(&log_file_path(&self.path, old_id), true);
-            *self.mem.write() = self.fresh_memtable();
             return Ok(());
         }
 
@@ -1445,11 +1432,6 @@ impl DbInner {
         }
         // Bypass the small-flush rule: an explicit flush should always persist.
         let old_id = self.seal_log(&mut wal)?;
-        if self.options.background_io == BackgroundIoMode::Disabled {
-            self.remove_file_counted(&log_file_path(&self.path, old_id), true);
-            *self.mem.write() = self.fresh_memtable();
-            return Ok(());
-        }
         self.queue_flush(mem, old_id);
         Ok(())
     }

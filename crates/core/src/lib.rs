@@ -21,11 +21,10 @@
 //! # Example
 //!
 //! ```
-//! use triad_core::{Db, Options};
+//! use triad_core::{Db, Options, TriadConfig};
 //!
 //! let dir = std::env::temp_dir().join(format!("triad-doc-{}", std::process::id()));
-//! let mut options = Options::small_for_tests();
-//! options.triad.enable_all();
+//! let options = Options { triad: TriadConfig::all_enabled(), ..Options::small_for_tests() };
 //! let db = Db::open(&dir, options).unwrap();
 //! db.put(b"hello", b"world").unwrap();
 //! assert_eq!(db.get(b"hello").unwrap().as_deref(), Some(&b"world"[..]));
@@ -58,7 +57,7 @@ pub use batch::{WriteBatch, WriteOptions};
 pub use block_cache::BlockCache;
 pub use db::Db;
 pub use iterator::DbIterator;
-pub use options::{BackgroundIoMode, Options, ShardConfig, SyncMode, TriadConfig};
+pub use options::{Options, ShardConfig, SyncMode, TriadConfig};
 pub use replica::Replica;
 pub use snapshot::Snapshot;
 pub use version::{FileMetadata, Version, VersionEdit};

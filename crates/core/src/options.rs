@@ -45,45 +45,19 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// One shard: today's single-instance engine.
-    pub fn single() -> Self {
-        ShardConfig { count: 1 }
-    }
-
     /// An explicit shard count.
     pub fn with_count(count: usize) -> Self {
         ShardConfig { count }
     }
-
-    /// The `TRIAD_SHARDS` override, if set and parseable.
-    fn from_env() -> Option<usize> {
-        std::env::var("TRIAD_SHARDS").ok()?.trim().parse().ok()
-    }
 }
 
 impl Default for ShardConfig {
-    /// `TRIAD_SHARDS` when set (how CI pins its shards=4 suite runs),
-    /// otherwise the host's available parallelism: one shard per core, which
-    /// is 1 — today's behavior — on a single-core host.
+    /// The host's available parallelism: one shard per core, which is 1 on a
+    /// single-core host.
     fn default() -> Self {
-        let count = Self::from_env()
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1));
-        ShardConfig { count: count.max(1) }
+        let count = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+        ShardConfig { count }
     }
-}
-
-/// Whether background flushing and compaction run at all.
-///
-/// `Disabled` reproduces the paper's Figure 2 experiment ("RocksDB No BG I/O"): when
-/// the memory component fills up it is discarded instead of flushed, and compaction
-/// never runs, so the measured throughput is an upper bound unburdened by background
-/// I/O.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackgroundIoMode {
-    /// Normal operation: flushes and compactions run in background threads.
-    Enabled,
-    /// Figure 2 mode: full memtables are discarded, compaction never runs.
-    Disabled,
 }
 
 /// Configuration of the three TRIAD techniques.
@@ -100,10 +74,6 @@ pub struct TriadConfig {
     /// Hot-key selection policy for TRIAD-MEM. The paper's default treats the top 1%
     /// of keys by update frequency as hot.
     pub hot_key_policy: HotColdPolicy,
-    /// TRIAD-MEM's `FLUSH_TH`: if a flush is triggered (typically by the commit log
-    /// filling up) while the memtable holds fewer than this many bytes, skip the
-    /// flush, rotate the log and keep everything in memory.
-    pub flush_skip_threshold_bytes: usize,
     /// TRIAD-DISK's overlap-ratio threshold below which L0→L1 compaction is deferred.
     /// The paper uses 0.4.
     pub overlap_ratio_threshold: f64,
@@ -121,7 +91,6 @@ impl TriadConfig {
             disk_enabled: false,
             log_enabled: false,
             hot_key_policy: HotColdPolicy::default(),
-            flush_skip_threshold_bytes: 2 * 1024 * 1024,
             overlap_ratio_threshold: 0.4,
             max_l0_files: 6,
         }
@@ -145,18 +114,6 @@ impl TriadConfig {
     /// Only TRIAD-LOG ("Commit Log Indexing Only" in Figure 10).
     pub fn log_only() -> Self {
         TriadConfig { log_enabled: true, ..Self::baseline() }
-    }
-
-    /// Enables all three techniques in place.
-    pub fn enable_all(&mut self) {
-        self.mem_enabled = true;
-        self.disk_enabled = true;
-        self.log_enabled = true;
-    }
-
-    /// Returns `true` if any technique is enabled.
-    pub fn any_enabled(&self) -> bool {
-        self.mem_enabled || self.disk_enabled || self.log_enabled
     }
 
     /// A short label such as `"TRIAD"`, `"RocksDB"` or `"TRIAD-MEM"`, used by the
@@ -195,7 +152,8 @@ impl Default for TriadConfig {
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Maximum size of the active memory component before a flush is triggered.
-    /// The paper's synthetic experiments use 4 MB.
+    /// The paper's synthetic experiments use 4 MB. Half of it is TRIAD-MEM's
+    /// `FLUSH_TH`: a rotation that finds the memtable smaller skips the flush.
     pub memtable_size: usize,
     /// Maximum size of the commit log before a flush (or, with TRIAD-MEM, a log
     /// rotation) is triggered even if the memtable still has room.
@@ -216,11 +174,10 @@ pub struct Options {
     pub bloom_bits_per_key: usize,
     /// Commit-log durability mode.
     pub sync_mode: SyncMode,
-    /// Whether background I/O runs (Figure 2 uses `Disabled`).
-    pub background_io: BackgroundIoMode,
     /// Currently ignored: nothing reads it. Each shard runs exactly one
     /// background worker, which does all of that shard's flushes and
-    /// compactions.
+    /// compactions. It stays only because the repo benchmark's pinned options
+    /// set it.
     pub compaction_threads: usize,
     /// TRIAD technique configuration.
     pub triad: TriadConfig,
@@ -258,7 +215,6 @@ impl Default for Options {
             block_size: 4 * 1024,
             bloom_bits_per_key: 10,
             sync_mode: SyncMode::NoSync,
-            background_io: BackgroundIoMode::Enabled,
             compaction_threads: 1,
             triad: TriadConfig::baseline(),
             shards: ShardConfig::default(),
@@ -269,11 +225,6 @@ impl Default for Options {
 }
 
 impl Options {
-    /// The paper's baseline ("RocksDB") configuration.
-    pub fn baseline() -> Self {
-        Options::default()
-    }
-
     /// The paper's full TRIAD configuration.
     pub fn triad() -> Self {
         Options { triad: TriadConfig::all_enabled(), ..Options::default() }
@@ -291,9 +242,8 @@ impl Options {
             block_size: 1024,
             // Most tests assert exact file layouts or seqno/fsync arithmetic
             // that only holds for a single engine instance, so the test
-            // options pin one shard regardless of host core count. CI's
-            // sharded suite runs override this via `TRIAD_SHARDS`.
-            shards: ShardConfig { count: ShardConfig::from_env().unwrap_or(1) },
+            // options pin one shard regardless of host core count.
+            shards: ShardConfig::with_count(1),
             // `..Options::default()` would size the cache for the 4 MiB
             // default memtable; recompute for the tiny one.
             block_cache: default_block_cache(memtable_size),
@@ -354,7 +304,7 @@ mod tests {
         assert_eq!(options.memtable_size, 4 * 1024 * 1024, "paper's synthetic memtable is 4MB");
         assert_eq!(options.triad.max_l0_files, 6, "paper uses at most 6 L0 files for TRIAD-DISK");
         assert!((options.triad.overlap_ratio_threshold - 0.4).abs() < 1e-9, "paper uses 0.4");
-        assert!(!options.triad.any_enabled(), "default is the RocksDB baseline");
+        assert_eq!(options.triad.label(), "RocksDB", "default is the RocksDB baseline");
         options.validate().unwrap();
     }
 
@@ -391,14 +341,6 @@ mod tests {
         two.mem_enabled = true;
         two.log_enabled = true;
         assert_eq!(two.label(), "TRIAD-MEM+LOG");
-    }
-
-    #[test]
-    fn enable_all_flips_every_flag() {
-        let mut config = TriadConfig::baseline();
-        assert!(!config.any_enabled());
-        config.enable_all();
-        assert!(config.mem_enabled && config.disk_enabled && config.log_enabled);
     }
 
     #[test]
@@ -442,7 +384,7 @@ mod tests {
     fn shard_defaults_track_the_host() {
         let config = ShardConfig::default();
         assert!(config.count >= 1, "the default shard count is never zero");
-        assert_eq!(ShardConfig::single().count, 1);
+        assert_eq!(Options::small_for_tests().shards.count, 1, "test options pin one shard");
         assert_eq!(ShardConfig::with_count(4).count, 4);
     }
 

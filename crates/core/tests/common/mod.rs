@@ -21,10 +21,25 @@ pub fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Opens a database with small test options in a fresh directory.
+/// [`Options::small_for_tests`] at the shard count `TRIAD_SHARDS` names, one
+/// shard when it is unset. CI reruns the sharded suites under `TRIAD_SHARDS=4`
+/// through this helper; the engine itself reads no environment.
+pub fn small_options() -> Options {
+    // The one environment read in the engine's tests: the shard-count override
+    // is a property of the test run, not of the library.
+    #[allow(clippy::disallowed_methods)]
+    let shards = std::env::var("TRIAD_SHARDS").ok().and_then(|count| count.trim().parse().ok());
+    let mut options = Options::small_for_tests();
+    if let Some(count) = shards {
+        options.shards = triad_core::ShardConfig::with_count(count);
+    }
+    options
+}
+
+/// Opens a database with [`small_options`] in a fresh directory.
 pub fn open_small(name: &str, mutate: impl FnOnce(&mut Options)) -> (Db, PathBuf) {
     let dir = temp_dir(name);
-    let mut options = Options::small_for_tests();
+    let mut options = small_options();
     mutate(&mut options);
     let db = Db::open(&dir, options).unwrap();
     (db, dir)
@@ -36,10 +51,10 @@ pub fn value_for(key: u64, version: u64) -> Vec<u8> {
 }
 
 /// Pins a test database to a single shard, regardless of the `TRIAD_SHARDS`
-/// environment override. For tests whose assertions are inherently
-/// single-shard: exact file counts, probe arithmetic, seqno density.
+/// override [`small_options`] applies. For tests whose assertions are
+/// inherently single-shard: exact file counts, probe arithmetic, seqno density.
 pub fn single_shard(options: &mut Options) {
-    options.shards = triad_core::ShardConfig::single();
+    options.shards = triad_core::ShardConfig::with_count(1);
 }
 
 /// Every file name currently present in the database directory, relative to

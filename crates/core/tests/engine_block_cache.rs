@@ -86,7 +86,6 @@ fn disabled_cache_reads_are_byte_identical_to_enabled() {
     db.close().unwrap();
 
     let mut options = triad_core::Options::small_for_tests();
-    common::single_shard(&mut options);
     options.block_cache = 1 << 20;
     let db = triad_core::Db::open(&dir, options).unwrap();
     for (i, expected) in disabled_reads.iter().enumerate() {

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use common::{disk_files, key_for, open_small, temp_dir, value_for};
 use triad_common::failpoint::{Failpoint, FailpointAction, FailpointRegistry};
-use triad_core::{Db, Error, Options, ShardConfig, WriteBatch, WriteOptions};
+use triad_core::{Db, Error, ShardConfig, WriteBatch, WriteOptions};
 
 fn scan_all(iter: triad_core::DbIterator) -> Vec<(Vec<u8>, Vec<u8>)> {
     iter.map(|r| r.unwrap()).collect()
@@ -60,7 +60,7 @@ fn checkpoint_under_concurrent_writers_matches_its_snapshot() {
     }
 
     assert!(db.stats().checkpoints_created >= 1);
-    let replica = Db::open(&ckpt_dir, Options::small_for_tests()).unwrap();
+    let replica = Db::open(&ckpt_dir, common::small_options()).unwrap();
     let got = scan_all(replica.scan().unwrap());
     assert_eq!(got, expected, "checkpoint contents diverge from the checkpoint's snapshot");
 
@@ -102,7 +102,7 @@ fn checkpoint_open_equivalence_on_quiesced_primary() {
         assert!(live.contains(&name), "checkpoint file {name} is not in the primary's live set");
     }
 
-    let replica = Db::open(&ckpt_dir, Options::small_for_tests()).unwrap();
+    let replica = Db::open(&ckpt_dir, common::small_options()).unwrap();
     common::assert_disk_matches_live_set(&replica, &ckpt_dir);
     for i in 0..300u64 {
         assert_eq!(
@@ -131,8 +131,7 @@ fn checkpoint_open_equivalence_on_quiesced_primary() {
 fn partial_checkpoint_is_detected_and_removable() {
     let dir = temp_dir("ckpt-partial");
     let failpoints = FailpointRegistry::new();
-    let db =
-        Db::open_with_failpoints(&dir, Options::small_for_tests(), failpoints.clone()).unwrap();
+    let db = Db::open_with_failpoints(&dir, common::small_options(), failpoints.clone()).unwrap();
     for i in 0..200u64 {
         db.put(key_for(i), value_for(i, 0)).unwrap();
     }
@@ -152,7 +151,7 @@ fn partial_checkpoint_is_detected_and_removable() {
             ckpt_dir.join("CHECKPOINT-PENDING").exists(),
             "a failed checkpoint must leave its pending marker behind ({stage})"
         );
-        let open_err = Db::open(&ckpt_dir, Options::small_for_tests()).unwrap_err();
+        let open_err = Db::open(&ckpt_dir, common::small_options()).unwrap_err();
         assert!(
             matches!(open_err, Error::Corruption { .. }),
             "opening a partial checkpoint must fail with corruption, got {open_err:?}"
@@ -172,7 +171,7 @@ fn partial_checkpoint_is_detected_and_removable() {
     let ckpt_dir = temp_dir("ckpt-partial-clean");
     std::fs::remove_dir_all(&ckpt_dir).unwrap();
     db.checkpoint(&ckpt_dir).unwrap();
-    let replica = Db::open(&ckpt_dir, Options::small_for_tests()).unwrap();
+    let replica = Db::open(&ckpt_dir, common::small_options()).unwrap();
     assert_eq!(replica.get(key_for(0)).unwrap(), Some(value_for(0, 1)));
     replica.close().unwrap();
     common::assert_disk_matches_live_set(&db, &dir);
@@ -189,8 +188,7 @@ fn partial_checkpoint_is_detected_and_removable() {
 fn link_failure_falls_back_to_per_file_copies() {
     let dir = temp_dir("ckpt-exdev");
     let failpoints = FailpointRegistry::new();
-    let db =
-        Db::open_with_failpoints(&dir, Options::small_for_tests(), failpoints.clone()).unwrap();
+    let db = Db::open_with_failpoints(&dir, common::small_options(), failpoints.clone()).unwrap();
     for i in 0..300u64 {
         db.put(key_for(i), value_for(i, 0)).unwrap();
     }
@@ -209,7 +207,7 @@ fn link_failure_falls_back_to_per_file_copies() {
     assert_eq!(stats.checkpoint_files_linked, 0, "no hard link may survive a link failure");
     assert!(stats.checkpoint_files_copied > 0, "the fallback must have copied files");
 
-    let replica = Db::open(&ckpt_dir, Options::small_for_tests()).unwrap();
+    let replica = Db::open(&ckpt_dir, common::small_options()).unwrap();
     assert_eq!(scan_all(replica.scan().unwrap()), scan_all(snapshot.scan().unwrap()));
 
     replica.close().unwrap();
@@ -225,8 +223,7 @@ fn link_failure_falls_back_to_per_file_copies() {
 fn checkpoints_leave_the_primarys_files_untouched() {
     let dir = temp_dir("ckpt-untouched");
     let failpoints = FailpointRegistry::new();
-    let db =
-        Db::open_with_failpoints(&dir, Options::small_for_tests(), failpoints.clone()).unwrap();
+    let db = Db::open_with_failpoints(&dir, common::small_options(), failpoints.clone()).unwrap();
     for i in 0..300u64 {
         db.put(key_for(i), value_for(i, 0)).unwrap();
     }
@@ -335,7 +332,7 @@ fn sharded_checkpoint_keeps_cross_shard_batches_atomic() {
     }
 
     assert!(ckpt_dir.join("SHARDS").exists(), "a sharded checkpoint must carry the SHARDS marker");
-    let replica = Db::open(&ckpt_dir, Options::small_for_tests()).unwrap();
+    let replica = Db::open(&ckpt_dir, common::small_options()).unwrap();
     assert_eq!(replica.shard_count(), 4, "the persisted shard count must win on open");
     for t in 0..4u64 {
         let rounds: Vec<Option<Vec<u8>>> =

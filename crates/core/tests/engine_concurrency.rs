@@ -433,9 +433,11 @@ fn scans_under_compaction_churn_never_hit_missing_files() {
         options.triad = TriadConfig::all_enabled();
         // Never defer L0 compaction and never absorb a rotation with the
         // small-flush rule, so the churn deterministically flushes and compacts
-        // (and therefore retires files) while the scans are running.
+        // (and therefore retires files) while the scans are running. Only a
+        // full memtable or the writers' explicit flushes rotate, and neither
+        // is ever skipped.
         options.triad.overlap_ratio_threshold = 0.0;
-        options.triad.flush_skip_threshold_bytes = 0;
+        options.max_log_size = 64 << 20;
     });
     let db = Arc::new(db);
     for i in 0..400u64 {
@@ -443,8 +445,9 @@ fn scans_under_compaction_churn_never_hit_missing_files() {
     }
     let stop = Arc::new(AtomicBool::new(false));
 
-    // Writers churn the key space hard enough to force flushes and compactions
-    // while scans and point reads run against pinned (and quickly stale) versions.
+    // Writers churn the key space and flush every 1 000 puts, forcing flushes
+    // and compactions at any shard count while scans and point reads run
+    // against pinned (and quickly stale) versions.
     let mut writers = Vec::new();
     for t in 0..2u64 {
         let db = Arc::clone(&db);
@@ -452,6 +455,9 @@ fn scans_under_compaction_churn_never_hit_missing_files() {
             for i in 0..4_000u64 {
                 let key = key_for((t * 31 + i * 7) % 400);
                 db.put(&key, format!("writer-{t}-{i}-{}", "p".repeat(80)).into_bytes()).unwrap();
+                if i % 1_000 == 999 {
+                    db.flush().unwrap();
+                }
             }
         }));
     }
@@ -505,6 +511,7 @@ fn scans_under_compaction_churn_never_hit_missing_files() {
     db.flush().unwrap();
     db.wait_for_compactions().unwrap();
     let stats = db.stats();
+    assert_eq!(stats.small_flush_skips, 0, "no rotation may take the small-flush path");
     assert!(stats.compaction_count >= 1, "the churn must have compacted");
     assert!(stats.gc_files_deleted >= 1, "compactions must have retired table files");
     assert_eq!(stats.gc_delete_failures, 0, "no deletion may fail on a healthy disk");

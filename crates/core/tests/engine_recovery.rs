@@ -1,4 +1,8 @@
 //! Durability and recovery: every acknowledged write must survive a reopen.
+//!
+//! These tests corrupt, truncate and inspect commit logs and manifests at the
+//! database root, so they run at `Options::small_for_tests()`'s single shard;
+//! the cross-shard tests set their shard count explicitly.
 
 mod common;
 
@@ -10,19 +14,10 @@ fn reopen(dir: &std::path::Path, options: &Options) -> Db {
     Db::open(dir, options.clone()).unwrap()
 }
 
-/// Recovery tests corrupt, truncate and inspect commit logs and manifests at
-/// the database root, so they always run single-shard regardless of the
-/// `TRIAD_SHARDS` override.
-fn small_single_shard() -> Options {
-    let mut options = Options::small_for_tests();
-    common::single_shard(&mut options);
-    options
-}
-
 #[test]
 fn unflushed_writes_are_recovered_from_the_commit_log() {
     let dir = temp_dir("wal-recovery");
-    let options = small_single_shard();
+    let options = Options::small_for_tests();
     {
         let db = Db::open(&dir, options.clone()).unwrap();
         for i in 0..50u64 {
@@ -46,7 +41,7 @@ fn unflushed_writes_are_recovered_from_the_commit_log() {
 #[test]
 fn flushed_and_compacted_state_is_recovered_from_the_manifest() {
     let dir = temp_dir("manifest-recovery");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     options.l0_compaction_trigger = 2;
     {
         let db = Db::open(&dir, options.clone()).unwrap();
@@ -83,7 +78,7 @@ fn flushed_and_compacted_state_is_recovered_from_the_manifest() {
 #[test]
 fn mixed_flushed_and_unflushed_state_is_recovered() {
     let dir = temp_dir("mixed-recovery");
-    let options = small_single_shard();
+    let options = Options::small_for_tests();
     {
         let db = Db::open(&dir, options.clone()).unwrap();
         for i in 0..300u64 {
@@ -111,7 +106,7 @@ fn mixed_flushed_and_unflushed_state_is_recovered() {
 #[test]
 fn triad_log_cl_sstables_survive_restart() {
     let dir = temp_dir("cl-recovery");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     options.triad = TriadConfig::log_only();
     // Keep compaction away so CL-SSTables stay on L0 across the restart.
     options.l0_compaction_trigger = 1_000;
@@ -149,7 +144,7 @@ fn triad_log_cl_sstables_survive_restart() {
 #[test]
 fn full_triad_configuration_recovers_a_skewed_workload() {
     let dir = temp_dir("triad-recovery");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     options.triad = TriadConfig::all_enabled();
     options.l0_compaction_trigger = 2;
     let mut expected = std::collections::BTreeMap::new();
@@ -176,7 +171,7 @@ fn full_triad_configuration_recovers_a_skewed_workload() {
 #[test]
 fn repeated_restarts_preserve_state() {
     let dir = temp_dir("repeated-restarts");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     options.triad = TriadConfig::all_enabled();
     options.l0_compaction_trigger = 2;
     let mut expected = std::collections::BTreeMap::new();
@@ -212,7 +207,7 @@ fn repeated_restarts_preserve_state() {
 #[test]
 fn injected_flush_failures_do_not_lose_acknowledged_writes() {
     let dir = temp_dir("flush-failpoint");
-    let options = small_single_shard();
+    let options = Options::small_for_tests();
     let failpoints = FailpointRegistry::new();
     // Every flush attempt fails while the failpoint is armed; data must stay safe in
     // the memtable + commit log.
@@ -248,7 +243,7 @@ fn injected_flush_failures_do_not_lose_acknowledged_writes() {
 #[test]
 fn injected_compaction_failures_do_not_corrupt_data() {
     let dir = temp_dir("compaction-failpoint");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     options.l0_compaction_trigger = 2;
     let failpoints = FailpointRegistry::new();
     failpoints.arm(Failpoint::CompactionStart, FailpointAction::ErrorTimes(3));
@@ -278,7 +273,7 @@ fn injected_compaction_failures_do_not_corrupt_data() {
 #[test]
 fn persistent_flush_failure_fails_flush_instead_of_hanging() {
     let dir = temp_dir("flush-persistent-failure");
-    let options = small_single_shard();
+    let options = Options::small_for_tests();
     let failpoints = FailpointRegistry::new();
     failpoints.arm(Failpoint::FlushStart, FailpointAction::ReturnError);
     {
@@ -303,7 +298,7 @@ fn persistent_flush_failure_fails_flush_instead_of_hanging() {
 #[test]
 fn persistent_compaction_failure_fails_the_wait_instead_of_hanging() {
     let dir = temp_dir("compaction-persistent-failure");
-    let options = small_single_shard();
+    let options = Options::small_for_tests();
     let failpoints = FailpointRegistry::new();
     failpoints.arm(Failpoint::CompactionStart, FailpointAction::ReturnError);
     {
@@ -339,7 +334,7 @@ fn persistent_compaction_failure_fails_the_wait_instead_of_hanging() {
 #[test]
 fn crash_between_group_wal_append_and_memtable_insert_loses_nothing_acknowledged() {
     let dir = temp_dir("group-commit-crash-window");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     // Acknowledged ⇒ fsynced, so the durability claim below is unconditional.
     options.sync_mode = SyncMode::SyncEveryWrite;
     let failpoints = FailpointRegistry::new();
@@ -426,7 +421,7 @@ fn crash_between_group_wal_append_and_memtable_insert_loses_nothing_acknowledged
 #[test]
 fn crash_between_pipelined_append_and_fsync_loses_nothing_acknowledged() {
     let dir = temp_dir("pipelined-crash-window");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     options.sync_mode = SyncMode::SyncEveryWrite;
     let failpoints = FailpointRegistry::new();
     let failed_key = key_for(5);
@@ -513,7 +508,7 @@ fn crash_between_pipelined_append_and_fsync_loses_nothing_acknowledged() {
 #[test]
 fn a_failed_sync_every_group_makes_the_next_group_sync() {
     let dir = temp_dir("sync-every-rearm");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     options.sync_mode = SyncMode::SyncEvery(4);
     let failpoints = FailpointRegistry::new();
     let db = Db::open_with_failpoints(&dir, options, failpoints.clone()).unwrap();
@@ -566,7 +561,7 @@ fn every_failpoint_is_checked_by_the_engine_and_armed_by_a_test() {
 #[test]
 fn recovery_tolerates_a_torn_commit_log_tail() {
     let dir = temp_dir("torn-log");
-    let options = small_single_shard();
+    let options = Options::small_for_tests();
     {
         let db = Db::open(&dir, options.clone()).unwrap();
         for i in 0..100u64 {
@@ -601,7 +596,7 @@ fn recovery_tolerates_a_torn_commit_log_tail() {
 #[test]
 fn reopening_an_empty_directory_is_fine() {
     let dir = temp_dir("empty-reopen");
-    let options = small_single_shard();
+    let options = Options::small_for_tests();
     for _ in 0..3 {
         let db = Db::open(&dir, options.clone()).unwrap();
         assert_eq!(db.get(b"anything").unwrap(), None);
@@ -612,7 +607,7 @@ fn reopening_an_empty_directory_is_fine() {
 #[test]
 fn reopen_after_failed_compactions_sweeps_to_the_exact_live_set() {
     let dir = temp_dir("gc-failpoint-sweep");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     options.l0_compaction_trigger = 2;
     {
         // The first two compaction attempts die after writing their outputs but
@@ -647,7 +642,7 @@ fn reopen_after_failed_compactions_sweeps_to_the_exact_live_set() {
 #[test]
 fn stale_commit_logs_resurrected_by_a_crash_are_not_replayed() {
     let dir = temp_dir("stale-log-crash");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     options.triad = TriadConfig::log_only();
     options.l0_compaction_trigger = 2;
     let stale_logs: Vec<(std::path::PathBuf, Vec<u8>)>;
@@ -704,7 +699,7 @@ fn stale_commit_logs_resurrected_by_a_crash_are_not_replayed() {
 #[test]
 fn flushes_that_write_no_file_still_advance_the_recovery_horizon() {
     let dir = temp_dir("no-file-flush-horizon");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     options.triad = TriadConfig::mem_only();
     // Every entry counts as hot, so a flush writes *no* table: the whole sealed
     // memtable is carried back into memory and the sealed log must be retired
@@ -739,7 +734,7 @@ fn flushes_that_write_no_file_still_advance_the_recovery_horizon() {
 #[test]
 fn injected_append_failures_reject_writes_without_losing_state() {
     let dir = temp_dir("append-failpoint");
-    let options = small_single_shard();
+    let options = Options::small_for_tests();
     let failpoints = FailpointRegistry::new();
     let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
     db.put(key_for(0), value_for(0, 1)).unwrap();
@@ -766,7 +761,7 @@ fn injected_append_failures_reject_writes_without_losing_state() {
 #[test]
 fn injected_rotation_seal_failures_surface_once_and_recover() {
     let dir = temp_dir("rotate-seal-failpoint");
-    let options = small_single_shard();
+    let options = Options::small_for_tests();
     let failpoints = FailpointRegistry::new();
     failpoints.arm(Failpoint::RotateSeal, FailpointAction::ErrorTimes(1));
     let mut acked: Vec<u64> = Vec::new();
@@ -804,11 +799,10 @@ fn injected_rotation_seal_failures_surface_once_and_recover() {
 #[test]
 fn injected_small_flush_skip_failures_keep_hot_data() {
     let dir = temp_dir("small-flush-skip-failpoint");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     options.memtable_size = 1024 * 1024;
     options.max_log_size = 32 * 1024;
     options.triad = TriadConfig::mem_only();
-    options.triad.flush_skip_threshold_bytes = 512 * 1024;
     let failpoints = FailpointRegistry::new();
     failpoints.arm(Failpoint::RotateSmallFlushSkip, FailpointAction::ErrorTimes(1));
     {
@@ -858,9 +852,10 @@ fn write_skewed_keyspace(db: &Db) {
 #[test]
 fn injected_hot_write_back_failures_are_retried() {
     let dir = temp_dir("hot-write-back-failpoint");
-    let mut options = small_single_shard();
+    let mut options = Options::small_for_tests();
     options.triad = TriadConfig::mem_only();
-    options.triad.flush_skip_threshold_bytes = 0; // force real flushes
+    // Only a full memtable or the explicit flush rotates: real flushes only.
+    options.max_log_size = 64 << 20;
     let failpoints = FailpointRegistry::new();
     failpoints.arm(Failpoint::FlushHotWriteBack, FailpointAction::ErrorTimes(1));
     {
@@ -889,7 +884,7 @@ fn injected_hot_write_back_failures_are_retried() {
 #[test]
 fn injected_table_write_failures_are_retried() {
     let dir = temp_dir("table-write-failpoint");
-    let options = small_single_shard();
+    let options = Options::small_for_tests();
     let failpoints = FailpointRegistry::new();
     failpoints.arm(Failpoint::FlushBeforeTableWrite, FailpointAction::ErrorTimes(1));
     {
@@ -915,7 +910,7 @@ fn injected_table_write_failures_are_retried() {
 #[test]
 fn injected_manifest_failures_are_retried() {
     let dir = temp_dir("manifest-failpoint");
-    let options = small_single_shard();
+    let options = Options::small_for_tests();
     let failpoints = FailpointRegistry::new();
     failpoints.arm(Failpoint::FlushBeforeManifest, FailpointAction::ErrorTimes(1));
     {

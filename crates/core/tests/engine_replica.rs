@@ -30,7 +30,7 @@ fn replica_bootstraps_from_checkpoint_and_catches_up() {
     let replica_dir = temp_dir("replica-basic-follower");
     std::fs::remove_dir_all(&replica_dir).unwrap();
     db.checkpoint(&replica_dir).unwrap();
-    let replica = Replica::bootstrap(&replica_dir, Options::small_for_tests()).unwrap();
+    let replica = Replica::bootstrap(&replica_dir, common::small_options()).unwrap();
 
     // The follower serves the bootstrap cut before any catch-up.
     assert_eq!(replica.get(key_for(0)).unwrap(), Some(value_for(0, 0)));
@@ -90,7 +90,7 @@ fn replica_catch_up_under_writer_churn_never_serves_a_torn_cut() {
     let replica_dir = temp_dir("replica-churn-follower");
     std::fs::remove_dir_all(&replica_dir).unwrap();
     db.checkpoint(&replica_dir).unwrap();
-    let replica = Replica::bootstrap(&replica_dir, Options::small_for_tests()).unwrap();
+    let replica = Replica::bootstrap(&replica_dir, common::small_options()).unwrap();
     assert_eq!(replica.db().shard_count(), 4);
 
     // Each writer commits a bounded number of rounds (keeping the log volume
@@ -163,7 +163,7 @@ fn replica_restart_resumes_catch_up_idempotently() {
     db.checkpoint(&replica_dir).unwrap();
 
     {
-        let replica = Replica::bootstrap(&replica_dir, Options::small_for_tests()).unwrap();
+        let replica = Replica::bootstrap(&replica_dir, common::small_options()).unwrap();
         for i in 0..100u64 {
             db.put(key_for(i), value_for(i, 1)).unwrap();
         }
@@ -175,7 +175,7 @@ fn replica_restart_resumes_catch_up_idempotently() {
     for i in 100..200u64 {
         db.put(key_for(i), value_for(i, 2)).unwrap();
     }
-    let replica = Replica::bootstrap(&replica_dir, Options::small_for_tests()).unwrap();
+    let replica = Replica::bootstrap(&replica_dir, common::small_options()).unwrap();
     // The pre-restart rounds survived the replica's own recovery.
     assert_eq!(replica.get(key_for(50)).unwrap(), Some(value_for(50, 1)));
     replica.catch_up(&db).unwrap();
@@ -205,9 +205,7 @@ fn wal_hold_retains_logs_until_the_replica_catches_up() {
     let replica_dir = temp_dir("replica-retention-follower");
     std::fs::remove_dir_all(&replica_dir).unwrap();
     db.checkpoint(&replica_dir).unwrap();
-    let mut replica_options = Options::small_for_tests();
-    common::single_shard(&mut replica_options);
-    let replica = Replica::bootstrap(&replica_dir, replica_options).unwrap();
+    let replica = Replica::bootstrap(&replica_dir, Options::small_for_tests()).unwrap();
 
     // Push enough data through rotations that, without the hold, old logs
     // would be flushed into tables and collected.

@@ -220,7 +220,7 @@ fn persisted_shard_count_wins_on_reopen() {
     // Reopening with a different requested count silently keeps the
     // persisted one; the effective count is visible through options().
     let mut options = Options::small_for_tests();
-    options.shards = ShardConfig::single();
+    options.shards = ShardConfig::with_count(1);
     let db = Db::open(&dir, options).unwrap();
     assert_eq!(db.shard_count(), 4);
     assert_eq!(db.options().shards.count, 4);
@@ -234,7 +234,7 @@ fn persisted_shard_count_wins_on_reopen() {
 fn unsharded_databases_cannot_be_reopened_sharded() {
     let dir = temp_dir("no-reshard");
     let mut options = Options::small_for_tests();
-    options.shards = ShardConfig::single();
+    options.shards = ShardConfig::with_count(1);
     let db = Db::open(&dir, options.clone()).unwrap();
     db.put(b"a", b"1").unwrap();
     db.close().unwrap();

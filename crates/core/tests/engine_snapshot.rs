@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use common::{assert_disk_matches_live_set, disk_files, key_for, open_small, single_shard};
+use common::{assert_disk_matches_live_set, disk_files, key_for, open_small};
 use triad_common::failpoint::{Failpoint, FailpointAction, FailpointRegistry};
 use triad_core::{Db, Options, SyncMode, TriadConfig, WriteBatch, WriteOptions};
 
@@ -17,9 +17,10 @@ fn churny(options: &mut Options) {
     options.triad = TriadConfig::all_enabled();
     // Never defer L0 compaction and never absorb a rotation with the
     // small-flush rule, so flushes and compactions deterministically retire
-    // files while snapshots hold their frozen views.
+    // files while snapshots hold their frozen views. Only a full memtable or
+    // an explicit flush rotates, and neither is ever skipped.
     options.triad.overlap_ratio_threshold = 0.0;
-    options.triad.flush_skip_threshold_bytes = 0;
+    options.max_log_size = 64 << 20;
 }
 
 #[test]
@@ -94,6 +95,7 @@ fn snapshot_freezes_reads_across_flush_and_compaction() {
     drop(snap);
     db.wait_for_compactions().unwrap();
     assert_disk_matches_live_set(&db, &dir);
+    assert_eq!(db.stats().small_flush_skips, 0, "no rotation may take the small-flush path");
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -114,9 +116,9 @@ fn long_lived_snapshot_survives_concurrent_churn() {
     for t in 0..3u64 {
         let db = Arc::clone(&db);
         writers.push(thread::spawn(move || {
-            // Heavy overwrite + delete churn with values fat enough to force
+            // Heavy overwrite + delete churn with a flush every 1 000 ops:
             // rotations, flushes and compactions (file retirement under the
-            // open snapshot).
+            // open snapshot) at any shard count.
             for i in 0..3_000u64 {
                 let key = key_for((t * 31 + i * 7) % KEYS);
                 if i % 13 == 0 {
@@ -124,6 +126,9 @@ fn long_lived_snapshot_survives_concurrent_churn() {
                 } else {
                     db.put(&key, format!("churn-{t}-{i}-{}", "x".repeat(120)).into_bytes())
                         .unwrap();
+                }
+                if i % 1_000 == 999 {
+                    db.flush().unwrap();
                 }
             }
         }));
@@ -177,6 +182,7 @@ fn long_lived_snapshot_survives_concurrent_churn() {
     db.flush().unwrap();
     db.wait_for_compactions().unwrap();
     assert_disk_matches_live_set(&db, &dir);
+    assert_eq!(db.stats().small_flush_skips, 0, "no rotation may take the small-flush path");
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -301,6 +307,7 @@ fn dropping_the_snapshot_releases_exactly_the_files_it_pinned() {
         without_snapshot.len() < with_snapshot.len(),
         "the snapshot was pinning retired files; its drop must release some"
     );
+    assert_eq!(db.stats().small_flush_skips, 0, "no rotation may take the small-flush path");
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -327,7 +334,7 @@ fn snapshot_of_an_empty_database_is_empty_and_stays_empty() {
 #[test]
 fn snapshot_in_the_pipelined_sync_window_never_sees_nondurable_data() {
     let dir = common::temp_dir("snapshot-crash-window");
-    let mut options = Options::small_for_tests();
+    let mut options = common::small_options();
     options.sync_mode = SyncMode::SyncEveryWrite;
     let failpoints = FailpointRegistry::new();
     {
@@ -475,7 +482,6 @@ fn retained_memory_stays_bounded_under_churn_with_a_live_snapshot() {
 fn live_and_snapshot_reads_share_one_probe() {
     let dir = common::temp_dir("snapshot-shared-probe");
     let mut options = Options::small_for_tests();
-    single_shard(&mut options);
     options.triad = TriadConfig::baseline();
     let failpoints = FailpointRegistry::new();
     let db = Db::open_with_failpoints(&dir, options, failpoints.clone()).unwrap();

@@ -79,12 +79,15 @@ fn every_triad_configuration_is_logically_equivalent_to_the_baseline() {
 fn triad_mem_retains_hot_entries_in_memory() {
     let (db, _dir) = open_small("triad-mem", |options| {
         options.triad = TriadConfig::mem_only();
-        options.triad.flush_skip_threshold_bytes = 0; // isolate the hot/cold split
+        // Isolate the hot/cold split: only a full memtable or the explicit
+        // flush rotates, so no rotation takes the small-flush path.
+        options.max_log_size = 64 << 20;
     });
     apply_skewed_workload(&db, 500, 8_000, 7);
     db.flush().unwrap();
     let stats = db.stats();
     assert!(stats.hot_entries_retained > 0, "TRIAD-MEM must keep some hot entries in memory");
+    assert_eq!(stats.small_flush_skips, 0, "every rotation must have been a real flush");
     db.close().unwrap();
 }
 
@@ -101,7 +104,6 @@ fn triad_mem_fsyncs_the_hot_write_back_when_writes_are_synced() {
             single_shard(options);
             options.sync_mode = mode;
             options.triad = TriadConfig::mem_only();
-            options.triad.flush_skip_threshold_bytes = 0;
             options.triad.hot_key_policy = HotColdPolicy::TopCount(2);
             // Only the explicit flush below may rotate the log.
             options.memtable_size = 16 << 20;
@@ -136,7 +138,6 @@ fn triad_mem_skips_small_flushes_when_the_log_fills_up() {
         options.memtable_size = 1024 * 1024;
         options.max_log_size = 32 * 1024;
         options.triad = TriadConfig::mem_only();
-        options.triad.flush_skip_threshold_bytes = 512 * 1024;
     });
     for version in 0..2_000u64 {
         let key = key_for(version % 10);
@@ -150,6 +151,34 @@ fn triad_mem_skips_small_flushes_when_the_log_fills_up() {
     for i in 0..10u64 {
         assert!(db.get(key_for(i)).unwrap().is_some());
     }
+    db.close().unwrap();
+}
+
+/// FLUSH_TH is half the memtable budget. Distinct keys fill the 64 KiB test
+/// memtable, so every rotation is a real flush. A threshold above the memtable
+/// budget would count the full memtable as small: each write past it would
+/// rewrite the whole memtable into a fresh log and never flush.
+#[test]
+fn triad_mem_flushes_a_full_memtable_instead_of_skipping() {
+    let dir = temp_dir("flush-th");
+    let options = Options { triad: TriadConfig::mem_only(), ..Options::small_for_tests() };
+    assert_eq!(options.shards.count, 1);
+    let db = Db::open(&dir, options).unwrap();
+    let mut user_bytes = 0u64;
+    for i in 0..4_000u64 {
+        let (key, value) = (key_for(i), value_for(i, 0));
+        user_bytes += (key.len() + value.len()) as u64;
+        db.put(&key, &value).unwrap();
+    }
+    db.wait_for_compactions().unwrap();
+    let stats = db.stats();
+    assert!(stats.flush_count > 0, "a full memtable must flush, got {stats:?}");
+    assert_eq!(stats.small_flush_skips, 0, "a full memtable is never small");
+    assert!(
+        stats.wal_bytes_written < 2 * user_bytes,
+        "the WAL wrote {} bytes for {user_bytes} user bytes",
+        stats.wal_bytes_written
+    );
     db.close().unwrap();
 }
 
@@ -311,26 +340,6 @@ fn full_triad_reduces_flush_bytes_under_skew() {
         "TRIAD should write fewer background bytes ({triad_bg}) than the baseline ({baseline_bg})"
     );
     assert!(triad.bytes_flushed < baseline.bytes_flushed);
-}
-
-#[test]
-fn background_io_disabled_mode_never_flushes() {
-    let dir = temp_dir("no-bg-io");
-    let mut options = Options::small_for_tests();
-    options.background_io = triad_core::BackgroundIoMode::Disabled;
-    let db = Db::open(&dir, options).unwrap();
-    for i in 0..3_000u64 {
-        db.put(key_for(i), value_for(i, 1)).unwrap();
-    }
-    let stats = db.stats();
-    assert_eq!(stats.flush_count, 0);
-    assert_eq!(stats.bytes_flushed, 0);
-    assert_eq!(stats.compaction_count, 0);
-    assert_eq!(db.files_per_level().iter().sum::<usize>(), 0);
-    // Recently written keys (still in the current memtable) remain readable.
-    db.put(b"recent", b"value").unwrap();
-    assert_eq!(db.get(b"recent").unwrap().as_deref(), Some(&b"value"[..]));
-    db.close().unwrap();
 }
 
 #[test]

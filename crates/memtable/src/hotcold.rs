@@ -2,14 +2,9 @@
 //!
 //! When the memory component is flushed, entries that are updated frequently ("hot")
 //! are kept in the new memtable while only the rarely-updated ("cold") entries go to
-//! disk. This module implements the selection policies the paper discusses:
-//!
-//! * the default *top-K* selection, where K is derived from a fraction of the
-//!   memtable (`PERC_HOT` in the paper's pseudocode, 1% by default in the evaluation);
-//! * the *above-mean-frequency* policy the paper reports to be effective across all
-//!   workloads;
-//! * quantile-based selection, mentioned among the methods the authors experimented
-//!   with.
+//! disk. Hot entries are the top K by update counter, where K is either a fraction
+//! of the memtable's entries (`PERC_HOT` in the paper's pseudocode, 1% by default in
+//! the evaluation) or a fixed count.
 
 use crate::MemEntry;
 
@@ -21,11 +16,6 @@ pub enum HotColdPolicy {
     TopFraction(f64),
     /// Keep at most `count` entries with the highest update counters.
     TopCount(usize),
-    /// Keep every entry whose update counter is strictly above the mean.
-    AboveMeanFrequency,
-    /// Keep entries whose update counter is at or above the `q`-quantile
-    /// (`q` in `[0, 1]`; e.g. 0.99 keeps roughly the top 1%).
-    Quantile(f64),
 }
 
 impl Default for HotColdPolicy {
@@ -67,15 +57,6 @@ pub fn separate_keys(entries: Vec<(Vec<u8>, MemEntry)>, policy: HotColdPolicy) -
             (entries.len() as f64 * fraction).round() as usize
         }
         HotColdPolicy::TopCount(count) => count.min(entries.len()),
-        HotColdPolicy::AboveMeanFrequency => {
-            let mean = entries.iter().map(|(_, e)| f64::from(e.updates)).sum::<f64>()
-                / entries.len() as f64;
-            entries.iter().filter(|(_, e)| f64::from(e.updates) > mean).count()
-        }
-        HotColdPolicy::Quantile(q) => {
-            let q = q.clamp(0.0, 1.0);
-            (entries.len() as f64 * (1.0 - q)).round() as usize
-        }
     };
     split_top_k(entries, hot_count)
 }
@@ -181,27 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn above_mean_policy_matches_manual_computation() {
-        let entries = skewed_entries();
-        let mean =
-            entries.iter().map(|(_, e)| f64::from(e.updates)).sum::<f64>() / entries.len() as f64;
-        let expected = entries.iter().filter(|(_, e)| f64::from(e.updates) > mean).count();
-        let split = separate_keys(entries, HotColdPolicy::AboveMeanFrequency);
-        assert_eq!(split.hot.len(), expected);
-        assert_eq!(split.hot.len(), 5, "only the 5 heavy hitters exceed the mean");
-    }
-
-    #[test]
-    fn quantile_policy_selects_the_tail() {
-        let split = separate_keys(skewed_entries(), HotColdPolicy::Quantile(0.95));
-        assert_eq!(split.hot.len(), 5);
-        let none = separate_keys(skewed_entries(), HotColdPolicy::Quantile(1.0));
-        assert!(none.hot.is_empty());
-        let all = separate_keys(skewed_entries(), HotColdPolicy::Quantile(0.0));
-        assert_eq!(all.hot.len(), 100);
-    }
-
-    #[test]
     fn hot_entries_have_their_counters_reset() {
         let split = separate_keys(skewed_entries(), HotColdPolicy::TopFraction(0.05));
         assert!(split.hot.iter().all(|(_, e)| e.updates == 0), "Algorithm 2 resets hotness");
@@ -238,17 +198,5 @@ mod tests {
         let split = separate_keys(skewed_entries(), HotColdPolicy::TopFraction(0.0));
         assert!(split.hot.is_empty());
         assert_eq!(split.cold.len(), 100);
-    }
-
-    #[test]
-    fn uniform_workload_keeps_little_in_memory_under_mean_policy() {
-        // With perfectly uniform update counts nothing is strictly above the mean, so
-        // everything is flushed — the desired behaviour for uniform workloads, where
-        // TRIAD-MEM is expected to contribute little (paper §5.4).
-        let entries: Vec<(Vec<u8>, MemEntry)> =
-            (0..50u32).map(|i| (format!("k{i:02}").into_bytes(), entry(4))).collect();
-        let split = separate_keys(entries, HotColdPolicy::AboveMeanFrequency);
-        assert!(split.hot.is_empty());
-        assert_eq!(split.cold.len(), 50);
     }
 }

@@ -16,9 +16,8 @@ fn main() -> triad::Result<()> {
     let dir = std::env::temp_dir().join(format!("triad-durability-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut options =
-        Options { memtable_size: 256 * 1024, max_log_size: 512 * 1024, ..Options::default() };
-    options.triad.enable_all();
+    let options =
+        Options { memtable_size: 256 * 1024, max_log_size: 512 * 1024, ..Options::triad() };
 
     // Phase 1: write two generations of data; the first is flushed, the second stays
     // in the memory component + commit log.

@@ -20,13 +20,12 @@ const NUM_OPERATIONS: u64 = 200_000;
 fn run(label: &str, triad: TriadConfig) -> triad::Result<()> {
     let dir = std::env::temp_dir().join(format!("triad-metadata-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut options = Options {
+    let options = Options {
         memtable_size: 1024 * 1024,
         max_log_size: 2 * 1024 * 1024,
         triad,
         ..Options::default()
     };
-    options.triad.flush_skip_threshold_bytes = options.memtable_size / 2;
     let db = Db::open(&dir, options)?;
 
     // 1% of the metadata objects receive 99% of the updates (the paper's WS1 profile),

@@ -13,9 +13,7 @@ fn main() -> triad::Result<()> {
 
     // Enable all three TRIAD techniques; `Options::default()` would instead give the
     // RocksDB-like baseline the paper compares against.
-    let mut options = Options::default();
-    options.triad.enable_all();
-    let db = Db::open(&dir, options)?;
+    let db = Db::open(&dir, Options::triad())?;
 
     // Point writes and reads.
     db.put(b"user:1:name", b"Ada Lovelace")?;

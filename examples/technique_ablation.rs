@@ -20,7 +20,7 @@ fn run_one(triad: TriadConfig) -> triad::Result<(String, StatSnapshot, f64)> {
     let label = triad.label();
     let dir = std::env::temp_dir().join(format!("triad-ablation-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut options = Options {
+    let options = Options {
         memtable_size: 512 * 1024,
         max_log_size: 1024 * 1024,
         l1_target_size: 4 * 1024 * 1024,
@@ -28,7 +28,6 @@ fn run_one(triad: TriadConfig) -> triad::Result<(String, StatSnapshot, f64)> {
         triad,
         ..Options::default()
     };
-    options.triad.flush_skip_threshold_bytes = options.memtable_size / 2;
     let db = Db::open(&dir, options)?;
 
     let spec = WorkloadSpec::synthetic(

@@ -10,9 +10,7 @@
 //! ```no_run
 //! use triad::{Db, Options};
 //!
-//! let mut options = Options::default();
-//! options.triad.enable_all();
-//! let db = Db::open("/tmp/triad-demo", options).unwrap();
+//! let db = Db::open("/tmp/triad-demo", Options::triad()).unwrap();
 //! db.put(b"user:1", b"alice").unwrap();
 //! assert_eq!(db.get(b"user:1").unwrap().as_deref(), Some(&b"alice"[..]));
 //! ```
@@ -25,8 +23,7 @@
 
 pub use triad_common::{Error, Result, StatSnapshot, Stats};
 pub use triad_core::{
-    BackgroundIoMode, Db, DbIterator, Options, Snapshot, SyncMode, TriadConfig, WriteBatch,
-    WriteOptions,
+    Db, DbIterator, Options, Snapshot, SyncMode, TriadConfig, WriteBatch, WriteOptions,
 };
 pub use triad_workload as workload;
 

@@ -14,8 +14,7 @@ fn quickstart_lifecycle_through_the_facade() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Open with all three TRIAD techniques enabled, as the quickstart does.
-    let mut options = Options::default();
-    options.triad.enable_all();
+    let options = Options::triad();
     let db = Db::open(&dir, options.clone()).unwrap();
 
     // Point writes, overwrites and deletes.

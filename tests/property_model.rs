@@ -46,6 +46,8 @@ fn config_strategy() -> impl Strategy<Value = TriadConfig> {
     ]
 }
 
+/// Tiny options at the shard count `TRIAD_SHARDS` names (CI runs this suite at
+/// 1, 2 and 4 shards), else at the engine's default.
 fn tiny_options(triad: TriadConfig) -> Options {
     let mut options = Options {
         memtable_size: 8 * 1024,
@@ -57,7 +59,9 @@ fn tiny_options(triad: TriadConfig) -> Options {
         triad,
         ..Options::default()
     };
-    options.triad.flush_skip_threshold_bytes = 4 * 1024;
+    if let Some(count) = std::env::var("TRIAD_SHARDS").ok().and_then(|n| n.trim().parse().ok()) {
+        options.shards.count = count;
+    }
     options
 }
 
