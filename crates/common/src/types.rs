@@ -83,11 +83,18 @@ impl InternalKey {
     /// The fixed-width 8-byte trailer keeps the encoding order-preserving for the
     /// trailer portion while the user key is compared as raw bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.user_key.len() + 8);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Replaces the contents of `out` with the [`encode`](Self::encode)d key,
+    /// so a caller encoding one key after another reuses one buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
         out.extend_from_slice(&self.user_key);
         let trailer = (self.seqno << 8) | u64::from(self.kind.as_u8());
         out.extend_from_slice(&trailer.to_be_bytes());
-        out
     }
 
     /// Parses an internal key from its [`encode`](Self::encode)d form.
@@ -136,6 +143,14 @@ pub fn compare_encoded_internal_keys(a: &[u8], b: &[u8]) -> Ordering {
         // Higher trailer (newer seqno) sorts first.
         tb.cmp(&ta)
     })
+}
+
+/// Borrows the user key and kind of an [`encode`](InternalKey::encode)d
+/// internal key; `None` if the bytes are not one.
+pub fn parse_encoded_internal_key(encoded: &[u8]) -> Option<(&[u8], ValueKind)> {
+    let (&tag, _) = encoded.split_last()?;
+    let user_key_len = encoded.len().checked_sub(8)?;
+    Some((&encoded[..user_key_len], ValueKind::from_u8(tag)?))
 }
 
 /// A key/value pair together with its versioning metadata, as produced by iterators.
@@ -193,6 +208,19 @@ mod tests {
     #[test]
     fn internal_key_decode_rejects_short_input() {
         assert!(InternalKey::decode(b"short").is_none());
+    }
+
+    #[test]
+    fn parse_encoded_internal_key_borrows_user_key_and_kind() {
+        let key = InternalKey::new(b"hello".to_vec(), 77, ValueKind::Delete);
+        let mut buf = b"stale bytes".to_vec();
+        key.encode_into(&mut buf);
+        assert_eq!(buf, key.encode(), "encode_into replaces the buffer's contents");
+        assert_eq!(parse_encoded_internal_key(&buf), Some((&b"hello"[..], ValueKind::Delete)));
+        assert_eq!(parse_encoded_internal_key(b"short"), None);
+        let mut bad_kind = buf.clone();
+        *bad_kind.last_mut().unwrap() = 7;
+        assert_eq!(parse_encoded_internal_key(&bad_kind), None);
     }
 
     #[test]

@@ -14,8 +14,8 @@ use triad_common::failpoint::Failpoint;
 use triad_common::{Error, Result};
 use triad_hll::overlap_ratio;
 use triad_sstable::{
-    sst_file_path, DedupIterator, EntryIter, MergingIterator, TableBuilder, TableBuilderOptions,
-    TableKind,
+    sst_file_path, BoxedCursor, DedupCursor, EntryCursor, MergingCursor, TableBuilder,
+    TableBuilderOptions, TableKind,
 };
 
 use crate::db::DbInner;
@@ -175,60 +175,46 @@ impl DbInner {
         // Sources must be ordered newest-first so the dedup keeps the latest version:
         // L0 files are already newest-first; upper-level files hold strictly older
         // data for any overlapping key.
-        let mut sources: Vec<EntryIter> = Vec::new();
+        let mut sources: Vec<BoxedCursor> = Vec::new();
         let mut bytes_read = 0u64;
         let mut input_entries = 0u64;
         for file in job.all_inputs() {
             let table = self.table_cache.get_or_open(file)?;
             bytes_read += file.size;
             input_entries += file.num_entries;
-            // Streaming (with sequential readahead when an I/O pool runs) keeps
-            // compaction's memory footprint at one block per input, not one table.
-            sources.push(table.entries_arc()?);
+            // A table input streams one block at a time, read once, CRC-checked
+            // and uncached; a CL-SSTable input is read whole (`ClTable::entries`).
+            sources.push(table.cursor()?);
         }
-        let merged = MergingIterator::new(sources)?;
         // Tombstones can be dropped only when nothing older can exist below the
         // output level.
         let drop_tombstones =
             ((target_level + 1)..version.num_levels()).all(|l| version.num_files(l) == 0);
-        let mut dedup = DedupIterator::new(Box::new(merged), drop_tombstones);
+        let mut merged = DedupCursor::new(MergingCursor::new(sources), drop_tombstones)?;
 
-        // Write the merged stream into new tables on the target level, splitting at
-        // the configured file size.
-        let table_options = TableBuilderOptions {
-            block_size: self.options.block_size,
-            bloom_bits_per_key: self.options.bloom_bits_per_key,
-        };
+        // Until the version edit is logged, nothing references the outputs: an
+        // error before then deletes every one of them, finished or in progress,
+        // so a failing compaction leaves no orphan behind for each retry.
         let mut outputs: Vec<FileMetadata> = Vec::new();
-        let mut bytes_written = 0u64;
-        let mut builder: Option<(u64, TableBuilder)> = None;
-        for entry in &mut dedup {
-            let entry = entry?;
-            if builder.is_none() {
-                let file_id = self.versions.lock().allocate_file_number();
-                let path = sst_file_path(&self.path, file_id);
-                builder = Some((file_id, TableBuilder::create(&path, table_options)?));
+        let mut active: Option<(u64, TableBuilder)> = None;
+        let written = self
+            .write_compaction_outputs(&mut merged, target_level, &mut outputs, &mut active)
+            .and_then(|bytes| {
+                self.failpoints.check(Failpoint::CompactionBeforeManifest).map(|()| bytes)
+            });
+        let bytes_written = match written {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                if let Some((_, builder)) = active {
+                    let _ = builder.abandon();
+                }
+                for output in &outputs {
+                    self.remove_file_counted(&sst_file_path(&self.path, output.id), false);
+                }
+                return Err(e);
             }
-            let (_, active) = builder.as_mut().expect("just created");
-            active.add_entry(&entry)?;
-            if active.estimated_size() >= self.options.target_file_size {
-                let (file_id, finished) = builder.take().expect("active builder");
-                let (props, size) = finished.finish()?;
-                bytes_written += size;
-                outputs.push(Self::output_metadata(file_id, target_level as u32, props, size));
-            }
-        }
-        if let Some((file_id, finished)) = builder.take() {
-            if finished.num_entries() > 0 {
-                let (props, size) = finished.finish()?;
-                bytes_written += size;
-                outputs.push(Self::output_metadata(file_id, target_level as u32, props, size));
-            } else {
-                finished.abandon()?;
-            }
-        }
+        };
 
-        self.failpoints.check(Failpoint::CompactionBeforeManifest)?;
         // Retire the inputs *before* installing the edit: the GC pass never deletes
         // a file the current version references, and enqueueing first means the
         // queue already covers the retirement once the new version is visible.
@@ -259,9 +245,49 @@ impl DbInner {
         self.stats.add_bytes_compacted_read(bytes_read);
         self.stats.add_bytes_compacted_written(bytes_written);
         self.stats.add_entries_compacted(input_entries);
-        self.stats.add_entries_dropped(dedup.dropped());
+        self.stats.add_entries_dropped(merged.dropped());
         self.stats.add_compaction_duration(started.elapsed());
         Ok(())
+    }
+
+    /// Writes the merged stream into new tables on `target_level`, splitting
+    /// at the configured file size. Finished tables go to `outputs`, the one
+    /// being written stays in `active`, so the caller can delete both if this
+    /// fails. Returns the bytes written.
+    fn write_compaction_outputs(
+        &self,
+        merged: &mut impl EntryCursor,
+        target_level: usize,
+        outputs: &mut Vec<FileMetadata>,
+        active: &mut Option<(u64, TableBuilder)>,
+    ) -> Result<u64> {
+        let table_options = TableBuilderOptions {
+            block_size: self.options.block_size,
+            bloom_bits_per_key: self.options.bloom_bits_per_key,
+        };
+        let mut bytes_written = 0u64;
+        while merged.valid() {
+            if active.is_none() {
+                let file_id = self.versions.lock().allocate_file_number();
+                let path = sst_file_path(&self.path, file_id);
+                *active = Some((file_id, TableBuilder::create(&path, table_options)?));
+            }
+            let (_, builder) = active.as_mut().expect("just created");
+            builder.add_encoded(merged.key(), merged.value())?;
+            if builder.estimated_size() >= self.options.target_file_size {
+                let (file_id, finished) = active.take().expect("active builder");
+                let (props, size) = finished.finish()?;
+                bytes_written += size;
+                outputs.push(Self::output_metadata(file_id, target_level as u32, props, size));
+            }
+            merged.advance()?;
+        }
+        if let Some((file_id, finished)) = active.take() {
+            let (props, size) = finished.finish()?;
+            bytes_written += size;
+            outputs.push(Self::output_metadata(file_id, target_level as u32, props, size));
+        }
+        Ok(bytes_written)
     }
 
     fn output_metadata(

@@ -1621,10 +1621,11 @@ impl DbInner {
 
     /// Removes `path`, recording the outcome in the GC statistics. Returns `true`
     /// when the file is gone (deleted now, or already absent).
-    // The engine's one deletion path: GC, the recovery sweep and rotation's
-    // log discard pass it only files that no live version references.
+    // The engine's one deletion path: GC, the recovery sweep, rotation's log
+    // discard and a failed compaction's cleanup of its own outputs pass it only
+    // files that no live version references.
     #[allow(clippy::disallowed_methods)]
-    fn remove_file_counted(&self, path: &Path, is_log: bool) -> bool {
+    pub(crate) fn remove_file_counted(&self, path: &Path, is_log: bool) -> bool {
         match std::fs::remove_file(path) {
             Ok(()) => {
                 if is_log {

@@ -3,9 +3,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use triad_common::types::{Entry, ValueKind};
-use triad_common::{Result, Stats};
-use triad_sstable::{bounded_to_seqno, DedupIterator, EntryIter, MergingIterator};
+use triad_common::types::{parse_encoded_internal_key, ValueKind};
+use triad_common::{Error, Result, Stats};
+use triad_sstable::iter::entries_to_iter;
+use triad_sstable::{
+    bounded_to_seqno, BoxedCursor, DedupCursor, EntryCursor, IterCursor, MergingCursor,
+};
 
 use crate::db::DbInner;
 use crate::snapshot::SnapshotShard;
@@ -20,7 +23,10 @@ use crate::snapshot::SnapshotShard;
 /// reads — tables, CL indexes and the commit logs backing them — survives any
 /// concurrent compaction until the iterator is dropped.
 pub struct DbIterator {
-    inner: DedupIterator,
+    inner: DedupCursor<MergingCursor>,
+    /// Whether `inner` still sits on the entry the last `next` returned (or
+    /// skipped), so the next call must advance it first.
+    consumed: bool,
     /// Inclusive lower bound on user keys, if any.
     start: Option<Vec<u8>>,
     /// Exclusive upper bound on user keys, if any.
@@ -70,27 +76,28 @@ impl DbIterator {
         end: Option<Vec<u8>>,
     ) -> Result<DbIterator> {
         let created = Instant::now();
-        let mut sources: Vec<EntryIter> = Vec::new();
+        let mut sources: Vec<BoxedCursor> = Vec::new();
         let mut pins = Vec::with_capacity(parts.len());
+        let source = |entries| -> Result<BoxedCursor> { Ok(Box::new(IterCursor::new(entries)?)) };
         for part in parts {
             let db: &Arc<DbInner> = &part.db;
-            sources.push(Box::new(part.mem.snapshot_as_entries_at(part.seqno).into_iter().map(Ok)));
+            sources.push(source(entries_to_iter(part.mem.snapshot_as_entries_at(part.seqno)))?);
             for sealed in part.imm.iter().rev() {
                 let entries = sealed.memtable.snapshot_as_entries_at(part.seqno);
-                sources.push(Box::new(entries.into_iter().map(Ok)));
+                sources.push(source(entries_to_iter(entries))?);
             }
             let pin = db.pin_version(Arc::clone(part.pin.version()));
             for level in 0..pin.num_levels() {
                 for file in &pin.levels[level] {
                     let table = db.table_cache.get_or_open(file)?;
-                    sources.push(bounded_to_seqno(table.entries_arc()?, part.seqno));
+                    sources.push(source(bounded_to_seqno(table.entries_arc()?, part.seqno))?);
                 }
             }
             pins.push(pin);
         }
-        let merged = MergingIterator::new(sources)?;
         Ok(DbIterator {
-            inner: DedupIterator::new(Box::new(merged), false),
+            inner: DedupCursor::new(MergingCursor::new(sources), false)?,
+            consumed: false,
             start,
             end,
             _pins: pins,
@@ -105,23 +112,35 @@ impl Iterator for DbIterator {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let entry: Entry = match self.inner.next()? {
-                Ok(entry) => entry,
-                Err(e) => return Some(Err(e)),
+            if std::mem::take(&mut self.consumed) {
+                if let Err(e) = self.inner.advance() {
+                    return Some(Err(e));
+                }
+            }
+            if !self.inner.valid() {
+                return None;
+            }
+            self.consumed = true;
+            // Bounds and kind are checked on the borrowed key; only an entry
+            // the iterator returns is copied out.
+            let Some((user_key, kind)) = parse_encoded_internal_key(self.inner.key()) else {
+                return Some(Err(Error::corruption("undecodable internal key in scan")));
             };
             if let Some(start) = &self.start {
-                if entry.key.user_key.as_slice() < start.as_slice() {
+                if user_key < start.as_slice() {
                     continue;
                 }
             }
             if let Some(end) = &self.end {
-                if entry.key.user_key.as_slice() >= end.as_slice() {
+                if user_key >= end.as_slice() {
                     // Sources are sorted, so nothing after this point can qualify.
                     return None;
                 }
             }
-            match entry.key.kind {
-                ValueKind::Put => return Some(Ok((entry.key.user_key, entry.value))),
+            match kind {
+                ValueKind::Put => {
+                    return Some(Ok((user_key.to_vec(), self.inner.value().to_vec())))
+                }
                 ValueKind::Delete => continue,
             }
         }

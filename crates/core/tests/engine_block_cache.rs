@@ -40,6 +40,94 @@ fn read_your_writes_survives_flush_compaction_and_gc() {
     db.close().unwrap();
 }
 
+/// Compaction reads its inputs once, CRC-verified, around the shared block
+/// cache: a compaction with no reads around it moves none of the cache's
+/// counters, and reads afterwards are still correct.
+#[test]
+fn compaction_does_not_fill_the_block_cache() {
+    let (db, _dir) = open_small("block-cache-compaction", |options| {
+        common::single_shard(options);
+        options.block_cache = 1 << 20;
+        options.l0_compaction_trigger = 2;
+    });
+    for version in 1..=3u64 {
+        for i in 0..400u64 {
+            db.put(key_for(i), value_for(i, version)).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    let before = db.stats();
+    db.wait_for_compactions().unwrap();
+    let after = db.stats();
+    assert!(after.compaction_count >= 1, "the flushes must have triggered a compaction");
+    // Compactions may have started before `before`, so check the counters
+    // from open: flushes read no data block either.
+    for (name, at_wait, at_end) in [
+        ("inserted bytes", before.block_cache_inserted_bytes, after.block_cache_inserted_bytes),
+        ("hits", before.block_cache_hits, after.block_cache_hits),
+        ("misses", before.block_cache_misses, after.block_cache_misses),
+    ] {
+        assert_eq!((at_wait, at_end), (0, 0), "compaction moved the block cache's {name}");
+    }
+    for i in 0..400u64 {
+        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 3)), "key {i}");
+    }
+    assert!(db.stats().block_cache_misses > 0, "reads afterwards go through the cache");
+    db.close().unwrap();
+}
+
+/// A corrupt block in a compaction input is caught by compaction's own
+/// CRC-checked read, even while a get has that block cached: the compaction
+/// fails, the version keeps its inputs, no output is left on disk, and every
+/// other block still reads back.
+#[test]
+fn a_corrupt_compaction_input_is_caught_on_the_uncached_path() {
+    let (db, dir) = open_small("block-cache-corrupt-input", |options| {
+        common::single_shard(options);
+        options.block_cache = 1 << 20;
+        options.l0_compaction_trigger = 2;
+    });
+    for i in 0..150u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.flush().unwrap();
+    let live_tables = || -> Vec<String> {
+        db.expected_live_files().into_iter().filter(|name| name.ends_with(".sst")).collect()
+    };
+    let first = live_tables();
+    assert_eq!(first.len(), 1, "one flushed table: {first:?}");
+    // Cache the block about to be corrupted: only an uncached read sees the damage.
+    assert_eq!(db.get(key_for(149)).unwrap(), Some(value_for(149, 1)));
+    // Flip a byte of the last data block, which ends where the index begins.
+    let path = dir.join(&first[0]);
+    let index =
+        triad_sstable::format::BlockFileReader::open(&path).unwrap().read_footer().unwrap().index;
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[index.offset as usize - 10] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+
+    // A second table of other keys reaches the trigger; the merge reads the
+    // first table's healthy blocks, writes outputs, then hits the corrupt one.
+    for i in 1_000..1_150u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.flush().unwrap();
+    let inputs = live_tables();
+    assert_eq!(inputs.len(), 2, "two flushed tables: {inputs:?}");
+    let error = db.wait_for_compactions().unwrap_err();
+    assert!(error.to_string().contains("checksum mismatch"), "{error}");
+    let stats = db.stats();
+    assert!(stats.background_errors >= 1);
+    assert_eq!(stats.compaction_count, 0);
+    assert_eq!(live_tables(), inputs, "the version keeps its inputs");
+    // No output of the failed attempts is left on disk.
+    common::assert_disk_matches_live_set(&db, &dir);
+    for i in (0..100u64).chain(1_000..1_150) {
+        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)), "key {i}");
+    }
+    db.close().unwrap();
+}
+
 /// A hot key re-read from disk many times must be served almost entirely from
 /// the cache: one miss per block, hits for everything after.
 #[test]

@@ -640,6 +640,36 @@ fn reopen_after_failed_compactions_sweeps_to_the_exact_live_set() {
 }
 
 #[test]
+fn failed_compactions_leave_no_orphans_before_reopen() {
+    let dir = temp_dir("failed-compaction-orphans");
+    let mut options = Options::small_for_tests();
+    options.l0_compaction_trigger = 2;
+    // The first two compaction attempts write their outputs and then fail
+    // before logging the version edit. Each must delete its own outputs: under
+    // a persistent error every retry writes new file numbers, so leaving them
+    // for the next open's sweep grows the leak with every attempt.
+    let failpoints = FailpointRegistry::new();
+    failpoints.arm(Failpoint::CompactionBeforeManifest, FailpointAction::ErrorTimes(2));
+    let db = Db::open_with_failpoints(&dir, options, failpoints.clone()).unwrap();
+    for version in 1..=3u64 {
+        for i in 0..400u64 {
+            db.put(key_for(i), value_for(i, version)).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    db.wait_for_compactions().unwrap();
+    assert!(failpoints.hits(Failpoint::CompactionBeforeManifest) >= 2);
+    assert!(db.stats().background_errors >= 2);
+    assert!(db.stats().compaction_count >= 1, "a later attempt must succeed");
+    // No reopen: the live process itself must hold exactly the live set.
+    common::assert_disk_matches_live_set(&db, &dir);
+    for i in (0..400u64).step_by(23) {
+        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 3)));
+    }
+    db.close().unwrap();
+}
+
+#[test]
 fn stale_commit_logs_resurrected_by_a_crash_are_not_replayed() {
     let dir = temp_dir("stale-log-crash");
     let mut options = Options::small_for_tests();

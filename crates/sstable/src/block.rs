@@ -13,6 +13,7 @@
 //! decoding the whole block.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use triad_common::types::compare_encoded_internal_keys;
 use triad_common::varint;
@@ -86,7 +87,8 @@ impl BlockBuilder {
 }
 
 /// A decoded, immutable block supporting binary search and iteration.
-#[derive(Debug, Clone)]
+/// The default block holds no entries.
+#[derive(Debug, Clone, Default)]
 pub struct Block {
     data: Vec<u8>,
     offsets: Vec<u32>,
@@ -138,6 +140,14 @@ impl Block {
 
     /// Returns the `(key, value)` pair at `index`.
     pub fn entry(&self, index: usize) -> Result<(&[u8], &[u8])> {
+        let (key, value) = self.entry_ranges(index)?;
+        Ok((&self.data[key], &self.data[value]))
+    }
+
+    /// Like [`entry`](Self::entry), but returns the key and value as byte
+    /// ranges of [`data`](Self::data), so a cursor can lend them later
+    /// without holding a borrow of the block.
+    pub fn entry_ranges(&self, index: usize) -> Result<(Range<usize>, Range<usize>)> {
         let start =
             *self.offsets.get(index).ok_or_else(|| {
                 Error::corruption(format!("block entry index {index} out of range"))
@@ -145,13 +155,21 @@ impl Block {
         let slice = &self.data[start..];
         let (key_len, read1) = varint::decode_u64(slice)?;
         let (value_len, read2) = varint::decode_u64(&slice[read1..])?;
-        let key_start = read1 + read2;
-        let key_end = key_start + key_len as usize;
-        let value_end = key_end + value_len as usize;
-        if value_end > slice.len() {
-            return Err(Error::corruption("block entry extends past block data"));
+        let key_start = start + read1 + read2;
+        let key_end = usize::try_from(key_len).ok().and_then(|len| key_start.checked_add(len));
+        let value_end = key_end
+            .zip(usize::try_from(value_len).ok())
+            .and_then(|(end, len)| end.checked_add(len))
+            .filter(|&end| end <= self.data.len());
+        match (key_end, value_end) {
+            (Some(key_end), Some(value_end)) => Ok((key_start..key_end, key_end..value_end)),
+            _ => Err(Error::corruption("block entry extends past block data")),
         }
-        Ok((&slice[key_start..key_end], &slice[key_end..value_end]))
+    }
+
+    /// The block's entry bytes, which [`entry_ranges`](Self::entry_ranges) index.
+    pub fn data(&self) -> &[u8] {
+        &self.data
     }
 
     /// Returns the index of the first entry whose key is `>= target` (encoded internal

@@ -1,7 +1,9 @@
 //! Building regular block-based SSTables.
 
+use std::cmp::Ordering;
 use std::path::{Path, PathBuf};
 
+use triad_common::types::{compare_encoded_internal_keys, parse_encoded_internal_key};
 use triad_common::types::{Entry, InternalKey, ValueKind};
 use triad_common::{Error, Result};
 use triad_hll::hash64;
@@ -40,7 +42,10 @@ pub struct TableBuilder {
     index_entries: Vec<(Vec<u8>, crate::format::BlockHandle)>,
     key_hashes: Vec<u64>,
     props: TableProperties,
-    last_key: Option<InternalKey>,
+    /// The last encoded key added; meaningful once an entry was added.
+    last_key: Vec<u8>,
+    /// Reused buffer [`add`](Self::add) encodes its key into.
+    key_buf: Vec<u8>,
 }
 
 impl TableBuilder {
@@ -56,7 +61,8 @@ impl TableBuilder {
             index_entries: Vec::new(),
             key_hashes: Vec::new(),
             props: TableProperties::new(TableKind::Block),
-            last_key: None,
+            last_key: Vec::new(),
+            key_buf: Vec::new(),
         })
     }
 
@@ -72,28 +78,45 @@ impl TableBuilder {
 
     /// Adds an entry. Keys must arrive in strictly increasing internal-key order.
     pub fn add(&mut self, key: &InternalKey, value: &[u8]) -> Result<()> {
-        if let Some(last) = &self.last_key {
-            if last >= key {
-                return Err(Error::InvalidArgument(format!(
-                    "table entries must be added in increasing order: {last:?} then {key:?}"
-                )));
-            }
+        let mut encoded = std::mem::take(&mut self.key_buf);
+        key.encode_into(&mut encoded);
+        let added = self.add_encoded(&encoded, value);
+        self.key_buf = encoded;
+        added
+    }
+
+    /// Adds an entry whose internal key is already
+    /// [encoded](InternalKey::encode), as a merge cursor lends it. Keys must
+    /// arrive in strictly increasing internal-key order.
+    pub fn add_encoded(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        let Some((user_key, kind)) = parse_encoded_internal_key(key) else {
+            return Err(Error::InvalidArgument(format!("not an encoded internal key: {key:?}")));
+        };
+        if self.props.num_entries > 0
+            && compare_encoded_internal_keys(&self.last_key, key) != Ordering::Less
+        {
+            return Err(Error::InvalidArgument(format!(
+                "table entries must be added in increasing order: {:?} then {:?}",
+                InternalKey::decode(&self.last_key),
+                InternalKey::decode(key)
+            )));
         }
-        let encoded = key.encode();
-        self.block.add(&encoded, value);
-        self.key_hashes.push(hash64(&key.user_key));
-        self.props.hll.add(&key.user_key);
+        self.block.add(key, value);
+        // One hash per user key feeds both the bloom filter and the sketch.
+        let hash = hash64(user_key);
+        self.key_hashes.push(hash);
+        self.props.hll.add_hash(hash);
         self.props.num_entries += 1;
-        if key.kind == ValueKind::Delete {
+        if kind == ValueKind::Delete {
             self.props.num_tombstones += 1;
         }
-        self.props.raw_key_bytes += key.user_key.len() as u64;
+        self.props.raw_key_bytes += user_key.len() as u64;
         self.props.raw_value_bytes += value.len() as u64;
         if self.props.smallest.is_none() {
-            self.props.smallest = Some(key.clone());
+            self.props.smallest = InternalKey::decode(key);
         }
-        self.props.largest = Some(key.clone());
-        self.last_key = Some(key.clone());
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
 
         if self.block.size_estimate() >= self.options.block_size {
             self.flush_data_block()?;
@@ -137,6 +160,9 @@ impl TableBuilder {
     /// footer, syncs the file and returns the final properties and file size.
     pub fn finish(mut self) -> Result<(TableProperties, u64)> {
         self.flush_data_block()?;
+        if self.props.num_entries > 0 {
+            self.props.largest = InternalKey::decode(&self.last_key);
+        }
         let mut index_builder = BlockBuilder::new();
         for (key, handle) in &self.index_entries {
             index_builder.add(key, &handle.encode());
@@ -297,6 +323,78 @@ mod tests {
             .expect("table built");
         assert_eq!(props.num_entries, 50);
         assert!(path.exists());
+    }
+
+    /// The fixed 1 000-entry table of the golden test: 500 user keys, each a
+    /// newer version (a tombstone for every fifth key) over an older put.
+    fn golden_entries() -> Vec<(InternalKey, Vec<u8>)> {
+        let mut entries = Vec::new();
+        for i in 0..500u64 {
+            let user_key = format!("golden-{i:05}").into_bytes();
+            let newer = if i % 5 == 0 {
+                (InternalKey::new(user_key.clone(), 1_000 + i, ValueKind::Delete), Vec::new())
+            } else {
+                let value = format!("new-{i}-{}", "n".repeat((i % 40) as usize));
+                (InternalKey::new(user_key.clone(), 1_000 + i, ValueKind::Put), value.into_bytes())
+            };
+            entries.push(newer);
+            let older = InternalKey::new(user_key, i + 1, ValueKind::Put);
+            entries.push((older, format!("old-{i}").into_bytes()));
+        }
+        entries
+    }
+
+    #[test]
+    fn golden_table_bytes_are_the_same_through_add_and_add_encoded() {
+        let build = |name: &str, encoded: bool| {
+            let path = temp_path(name);
+            let mut builder = TableBuilder::create(&path, TableBuilderOptions::default()).unwrap();
+            for (key, value) in golden_entries() {
+                if encoded {
+                    builder.add_encoded(&key.encode(), &value).unwrap();
+                } else {
+                    builder.add(&key, &value).unwrap();
+                }
+            }
+            let (props, size) = builder.finish().unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(size, bytes.len() as u64);
+            (props, bytes)
+        };
+        let (props, bytes) = build("golden-add.sst", false);
+        let (encoded_props, encoded_bytes) = build("golden-add-encoded.sst", true);
+        assert!(bytes == encoded_bytes, "add and add_encoded must write the same bytes");
+        assert_eq!(props, encoded_props, "smallest, largest, counts and HLL registers");
+        // The table format is on-disk state: these bytes must never change.
+        assert_eq!(bytes.len(), 46_331);
+        assert_eq!(triad_common::checksum::crc32c(&bytes), 0x4ab3_b802);
+        assert_eq!((props.num_entries, props.num_tombstones), (1_000, 100));
+        assert_eq!(
+            props.smallest,
+            Some(InternalKey::new(b"golden-00000".to_vec(), 1_000, ValueKind::Delete))
+        );
+        assert_eq!(
+            props.largest,
+            Some(InternalKey::new(b"golden-00499".to_vec(), 500, ValueKind::Put))
+        );
+    }
+
+    #[test]
+    fn add_encoded_rejects_malformed_and_out_of_order_keys() {
+        let path = temp_path("encoded-order.sst");
+        let mut builder = TableBuilder::create(&path, TableBuilderOptions::default()).unwrap();
+        assert!(builder.add_encoded(b"short", b"v").is_err(), "no 8-byte trailer");
+        let mut bad_kind = put_key(1, 1).encode();
+        *bad_kind.last_mut().unwrap() = 9;
+        assert!(builder.add_encoded(&bad_kind, b"v").is_err(), "unknown kind tag");
+        builder.add_encoded(&put_key(5, 2).encode(), b"v").unwrap();
+        assert!(builder.add_encoded(&put_key(5, 2).encode(), b"v").is_err(), "same key twice");
+        assert!(builder.add_encoded(&put_key(5, 3).encode(), b"v").is_err(), "newer after older");
+        assert!(builder.add_encoded(&put_key(4, 9).encode(), b"v").is_err(), "smaller user key");
+        builder.add_encoded(&put_key(5, 1).encode(), b"v").unwrap();
+        assert_eq!(builder.num_entries(), 2);
+        builder.abandon().unwrap();
+        assert!(!path.exists());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! locates the index, bloom and properties blocks and carries a magic number.
 
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
@@ -100,10 +100,14 @@ impl Footer {
     }
 }
 
-/// A file being written block by block.
+/// Size of the buffer a [`BlockFileWriter`] writes through: one `write(2)`
+/// per this many bytes instead of two per block (payload, then checksum).
+pub const WRITE_BUFFER_LEN: usize = 256 * 1024;
+
+/// A file being written block by block, through one [`WRITE_BUFFER_LEN`] buffer.
 #[derive(Debug)]
 pub struct BlockFileWriter {
-    file: File,
+    file: BufWriter<File>,
     offset: u64,
     path: std::path::PathBuf,
 }
@@ -117,10 +121,14 @@ impl BlockFileWriter {
             .create_new(true)
             .open(&path)
             .map_err(|e| Error::io(format!("creating table file {}", path.display()), e))?;
-        Ok(BlockFileWriter { file, offset: 0, path })
+        Ok(BlockFileWriter {
+            file: BufWriter::with_capacity(WRITE_BUFFER_LEN, file),
+            offset: 0,
+            path,
+        })
     }
 
-    /// Total bytes written so far.
+    /// Total bytes written so far, buffered bytes included.
     pub fn offset(&self) -> u64 {
         self.offset
     }
@@ -137,14 +145,17 @@ impl BlockFileWriter {
         Ok(handle)
     }
 
-    /// Writes the footer, syncs the file and returns its final size.
+    /// Writes the footer, flushes the buffer, syncs the file and returns its
+    /// final size.
     pub fn finish(mut self, footer: &Footer) -> Result<u64> {
         let encoded = footer.encode();
         self.file
             .write_all(&encoded)
+            .and_then(|_| self.file.flush())
             .map_err(|e| Error::io(format!("writing footer to {}", self.path.display()), e))?;
         self.offset += encoded.len() as u64;
         self.file
+            .get_ref()
             .sync_all()
             .map_err(|e| Error::io(format!("syncing table file {}", self.path.display()), e))?;
         Ok(self.offset)
@@ -306,6 +317,28 @@ mod tests {
         assert_eq!(reader.read_block(h2).unwrap(), b"second");
         let recovered_footer = reader.read_footer().unwrap();
         assert_eq!(recovered_footer, footer);
+    }
+
+    #[test]
+    fn blocks_spanning_many_write_buffers_round_trip() {
+        let path = temp_file("buffered.sst");
+        let mut writer = BlockFileWriter::create(&path).unwrap();
+        // Small blocks fill and flush the buffer many times over; one block is
+        // larger than the whole buffer.
+        let payloads: Vec<Vec<u8>> = (0..200u32)
+            .map(|i| vec![i as u8; if i == 100 { WRITE_BUFFER_LEN + 17 } else { 4093 }])
+            .collect();
+        let handles: Vec<BlockHandle> =
+            payloads.iter().map(|payload| writer.write_block(payload).unwrap()).collect();
+        let footer = Footer { index: handles[0], bloom: handles[1], properties: handles[2] };
+        let size = writer.finish(&footer).unwrap();
+        assert_eq!(size, std::fs::metadata(&path).unwrap().len());
+
+        let reader = BlockFileReader::open(&path).unwrap();
+        assert_eq!(reader.read_footer().unwrap(), footer);
+        for (handle, payload) in handles.iter().zip(&payloads) {
+            assert_eq!(&reader.read_block(*handle).unwrap(), payload);
+        }
     }
 
     #[test]

@@ -1,152 +1,246 @@
-//! Iterators over sorted entry streams.
+//! Cursors over sorted entry streams.
 //!
 //! Compaction and full scans consume multiple sorted sources (memtables, regular
-//! SSTables, CL-SSTables) and need a single stream in internal-key order. The
-//! [`MergingIterator`] performs the k-way merge; the [`DedupIterator`] collapses the
-//! stream down to the newest visible version of each user key and optionally drops
-//! tombstones when compacting into the bottom level.
+//! SSTables, CL-SSTables) and need a single stream in internal-key order. An
+//! [`EntryCursor`] *lends* its current entry — the encoded internal key and the
+//! value, borrowed from the source — so moving an entry through the merge costs
+//! no allocation. The [`MergingCursor`] performs the k-way merge; the
+//! [`DedupCursor`] collapses the stream down to the newest visible version of each
+//! user key and optionally drops tombstones when compacting into the bottom level.
+//! [`IterCursor`] lends the entries of an owned [`EntryIter`], which is how
+//! memtable copies, CL-SSTables and scans' table iterators join a merge.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-use triad_common::types::Entry;
-use triad_common::Result;
+use triad_common::types::{compare_encoded_internal_keys, parse_encoded_internal_key};
+use triad_common::types::{Entry, ValueKind};
+use triad_common::{Error, Result};
 
 /// A boxed stream of entries in internal-key order.
 pub type EntryIter = Box<dyn Iterator<Item = Result<Entry>> + Send>;
 
-/// An entry held in the merge heap, tagged with the index of its source.
-struct HeapItem {
-    entry: Entry,
-    source: usize,
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the smallest internal key is popped
-        // first. Ties between sources are broken by source index so that the source
-        // listed first (the newer one, by convention) wins deterministically.
-        other.entry.key.cmp(&self.entry.key).then_with(|| other.source.cmp(&self.source))
-    }
-}
-
-/// K-way merge of sorted entry streams.
+/// A position in a stream of entries sorted by internal key.
 ///
-/// Sources must individually be sorted by internal key. By convention callers list
-/// newer sources first (memtable before L0, L0 before L1, newest L0 file first); the
-/// merge is stable with respect to that order for identical internal keys.
-pub struct MergingIterator {
-    sources: Vec<EntryIter>,
-    heap: BinaryHeap<HeapItem>,
-    errored: bool,
+/// A new cursor sits on its first entry, if it has one. [`key`](Self::key) and
+/// [`value`](Self::value) borrow the current entry from the source and are only
+/// meaningful while [`valid`](Self::valid); the key is always a well-formed
+/// encoded internal key. An error from [`advance`](Self::advance) ends the
+/// stream: the caller stops there.
+pub trait EntryCursor: Send {
+    /// Returns `true` while the cursor is on an entry.
+    fn valid(&self) -> bool;
+
+    /// The current entry's [encoded](triad_common::types::InternalKey::encode)
+    /// internal key.
+    fn key(&self) -> &[u8];
+
+    /// The current entry's value. Empty for tombstones.
+    fn value(&self) -> &[u8];
+
+    /// Moves to the next entry; past the last one the cursor is no longer valid.
+    fn advance(&mut self) -> Result<()>;
 }
 
-impl MergingIterator {
-    /// Creates a merging iterator over `sources`.
-    pub fn new(sources: Vec<EntryIter>) -> Result<Self> {
-        let mut iter = MergingIterator { sources, heap: BinaryHeap::new(), errored: false };
-        for idx in 0..iter.sources.len() {
-            iter.advance_source(idx)?;
-        }
-        Ok(iter)
+/// A boxed cursor, as the sources of a [`MergingCursor`].
+pub type BoxedCursor = Box<dyn EntryCursor>;
+
+/// Lends the entries of an owned [`EntryIter`], encoding each key into one
+/// reused buffer.
+pub struct IterCursor {
+    inner: EntryIter,
+    entry: Option<Entry>,
+    key: Vec<u8>,
+}
+
+impl IterCursor {
+    /// Wraps `inner`, which must be sorted by internal key, and moves to its
+    /// first entry.
+    pub fn new(inner: EntryIter) -> Result<Self> {
+        let mut cursor = IterCursor { inner, entry: None, key: Vec::new() };
+        cursor.advance()?;
+        Ok(cursor)
+    }
+}
+
+impl EntryCursor for IterCursor {
+    fn valid(&self) -> bool {
+        self.entry.is_some()
     }
 
-    fn advance_source(&mut self, idx: usize) -> Result<()> {
-        if let Some(item) = self.sources[idx].next() {
-            let entry = item?;
-            self.heap.push(HeapItem { entry, source: idx });
+    fn key(&self) -> &[u8] {
+        &self.key
+    }
+
+    fn value(&self) -> &[u8] {
+        self.entry.as_ref().map_or(&[], |entry| &entry.value)
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        self.entry = None;
+        self.entry = self.inner.next().transpose()?;
+        if let Some(entry) = &self.entry {
+            entry.key.encode_into(&mut self.key);
         }
         Ok(())
     }
 }
 
-impl Iterator for MergingIterator {
-    type Item = Result<Entry>;
+/// K-way merge of sorted cursors.
+///
+/// Sources must individually be sorted by internal key. By convention callers list
+/// newer sources first (memtable before L0, L0 before L1, newest L0 file first); the
+/// merge is stable with respect to that order for identical internal keys.
+pub struct MergingCursor {
+    sources: Vec<BoxedCursor>,
+    /// Indices of the valid sources, as a binary min-heap ordered by
+    /// `(current key, source index)`.
+    heap: Vec<usize>,
+}
 
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.errored {
-            return None;
+impl MergingCursor {
+    /// Creates a merge over `sources`, each already on its first entry.
+    pub fn new(sources: Vec<BoxedCursor>) -> Self {
+        let heap = (0..sources.len()).filter(|&i| sources[i].valid()).collect();
+        let mut merge = MergingCursor { sources, heap };
+        for pos in (0..merge.heap.len() / 2).rev() {
+            merge.sift_down(pos);
         }
-        let HeapItem { entry, source } = self.heap.pop()?;
-        if let Err(e) = self.advance_source(source) {
-            self.errored = true;
-            return Some(Err(e));
+        merge
+    }
+
+    /// Whether source `a`'s entry comes before source `b`'s. Identical internal
+    /// keys go to the source listed first.
+    fn before(&self, a: usize, b: usize) -> bool {
+        match compare_encoded_internal_keys(self.sources[a].key(), self.sources[b].key()) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => a < b,
         }
-        Some(Ok(entry))
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        loop {
+            let left = 2 * pos + 1;
+            if left >= self.heap.len() {
+                return;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.before(self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !self.before(self.heap[child], self.heap[pos]) {
+                return;
+            }
+            self.heap.swap(pos, child);
+            pos = child;
+        }
     }
 }
 
-/// Collapses a stream sorted by internal key down to one entry per user key.
-///
-/// The input convention (newest version of a user key first) means the first entry
-/// seen for each user key is the survivor; older versions are counted as dropped.
-/// When `drop_tombstones` is set, surviving delete markers are removed as well —
-/// only safe when compacting into the lowest populated level.
-pub struct DedupIterator {
-    inner: EntryIter,
-    current_user_key: Option<Vec<u8>>,
-    drop_tombstones: bool,
-    dropped: u64,
-    errored: bool,
+impl EntryCursor for MergingCursor {
+    fn valid(&self) -> bool {
+        !self.heap.is_empty()
+    }
+
+    fn key(&self) -> &[u8] {
+        self.heap.first().map_or(&[], |&top| self.sources[top].key())
+    }
+
+    fn value(&self) -> &[u8] {
+        self.heap.first().map_or(&[], |&top| self.sources[top].value())
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        let Some(&top) = self.heap.first() else {
+            return Ok(());
+        };
+        if let Err(e) = self.sources[top].advance() {
+            self.heap.clear();
+            return Err(e);
+        }
+        if !self.sources[top].valid() {
+            self.heap.swap_remove(0);
+        }
+        self.sift_down(0);
+        Ok(())
+    }
 }
 
-impl DedupIterator {
-    /// Wraps `inner`, which must be sorted by internal key.
-    pub fn new(inner: EntryIter, drop_tombstones: bool) -> Self {
-        DedupIterator { inner, current_user_key: None, drop_tombstones, dropped: 0, errored: false }
+/// Collapses a cursor sorted by internal key down to one entry per user key.
+///
+/// The input convention (newest version of a user key first) means the first entry
+/// seen for each user key is the survivor; its user key is kept in one reused
+/// buffer, and older versions are counted as dropped. When `drop_tombstones` is
+/// set, surviving delete markers are removed as well — only safe when compacting
+/// into the lowest populated level.
+pub struct DedupCursor<C> {
+    inner: C,
+    /// User key of the last survivor (or dropped tombstone); empty before the first.
+    user_key: Vec<u8>,
+    drop_tombstones: bool,
+    dropped: u64,
+}
+
+impl<C: EntryCursor> DedupCursor<C> {
+    /// Wraps `inner`, which must be sorted by internal key, and moves to the
+    /// first survivor.
+    pub fn new(inner: C, drop_tombstones: bool) -> Result<Self> {
+        let mut dedup = DedupCursor { inner, user_key: Vec::new(), drop_tombstones, dropped: 0 };
+        dedup.skip_to_survivor(false)?;
+        Ok(dedup)
     }
 
     /// Number of entries dropped so far (older versions and, if enabled, tombstones).
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-}
 
-impl Iterator for DedupIterator {
-    type Item = Result<Entry>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.errored {
-            return None;
-        }
-        loop {
-            let entry = match self.inner.next()? {
-                Ok(entry) => entry,
-                Err(e) => {
-                    self.errored = true;
-                    return Some(Err(e));
-                }
-            };
-            let is_new_user_key = self
-                .current_user_key
-                .as_deref()
-                .map(|k| k != entry.key.user_key.as_slice())
-                .unwrap_or(true);
-            if !is_new_user_key {
+    /// Advances `inner` until it sits on a survivor or runs out. `seen` says
+    /// whether `user_key` holds a key whose older versions must be dropped.
+    fn skip_to_survivor(&mut self, mut seen: bool) -> Result<()> {
+        while self.inner.valid() {
+            let (user_key, kind) = parse_encoded_internal_key(self.inner.key())
+                .ok_or_else(|| Error::corruption("undecodable internal key in merge"))?;
+            if seen && user_key == self.user_key.as_slice() {
                 // An older version of a key we already emitted (or suppressed).
                 self.dropped += 1;
-                continue;
-            }
-            self.current_user_key = Some(entry.key.user_key.clone());
-            if self.drop_tombstones && entry.key.kind == triad_common::types::ValueKind::Delete {
+            } else {
+                self.user_key.clear();
+                self.user_key.extend_from_slice(user_key);
+                seen = true;
+                if !(self.drop_tombstones && kind == ValueKind::Delete) {
+                    return Ok(());
+                }
                 self.dropped += 1;
-                continue;
             }
-            return Some(Ok(entry));
+            self.inner.advance()?;
         }
+        Ok(())
+    }
+}
+
+impl<C: EntryCursor> EntryCursor for DedupCursor<C> {
+    fn valid(&self) -> bool {
+        self.inner.valid()
+    }
+
+    fn key(&self) -> &[u8] {
+        self.inner.key()
+    }
+
+    fn value(&self) -> &[u8] {
+        self.inner.value()
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        if !self.inner.valid() {
+            return Ok(());
+        }
+        self.inner.advance()?;
+        self.skip_to_survivor(true)
     }
 }
 
@@ -158,7 +252,7 @@ pub fn entries_to_iter(entries: Vec<Entry>) -> EntryIter {
 /// Restricts `inner` to entries whose sequence number is `<= max_seqno`.
 ///
 /// This is the table-side half of the snapshot read path: sources are bounded
-/// *before* the [`DedupIterator`] picks survivors, so the survivor for each
+/// *before* the [`DedupCursor`] picks survivors, so the survivor for each
 /// user key is the newest version visible at the snapshot, not the newest
 /// version outright. The hot (non-snapshot) read path never uses this — it
 /// reads newest, unbounded.
@@ -172,8 +266,7 @@ pub fn bounded_to_seqno(inner: EntryIter, max_seqno: u64) -> EntryIter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triad_common::types::{InternalKey, ValueKind};
-    use triad_common::Error;
+    use triad_common::types::InternalKey;
 
     fn put(key: &str, seqno: u64, value: &str) -> Entry {
         Entry::put(key.as_bytes().to_vec(), value.as_bytes().to_vec(), seqno)
@@ -188,14 +281,30 @@ mod tests {
         entries
     }
 
+    fn source(entries: Vec<Entry>) -> BoxedCursor {
+        Box::new(IterCursor::new(entries_to_iter(entries)).unwrap())
+    }
+
+    fn merge(sources: Vec<Vec<Entry>>) -> MergingCursor {
+        MergingCursor::new(sources.into_iter().map(source).collect())
+    }
+
+    /// Materializes every entry the cursor lends, stopping at the first error.
+    fn drain(cursor: &mut impl EntryCursor) -> Result<Vec<Entry>> {
+        let mut entries = Vec::new();
+        while cursor.valid() {
+            let key = InternalKey::decode(cursor.key()).expect("cursors lend encoded keys");
+            entries.push(Entry::new(key, cursor.value()));
+            cursor.advance()?;
+        }
+        Ok(entries)
+    }
+
     #[test]
     fn merge_of_disjoint_sources() {
         let a = sorted(vec![put("a", 1, "1"), put("c", 2, "3")]);
         let b = sorted(vec![put("b", 3, "2"), put("d", 4, "4")]);
-        let merged: Vec<Entry> = MergingIterator::new(vec![entries_to_iter(a), entries_to_iter(b)])
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
+        let merged = drain(&mut merge(vec![a, b])).unwrap();
         let keys: Vec<&[u8]> = merged.iter().map(|e| e.key.user_key.as_slice()).collect();
         assert_eq!(keys, vec![b"a".as_slice(), b"b", b"c", b"d"]);
     }
@@ -204,11 +313,7 @@ mod tests {
     fn merge_orders_versions_of_same_key_newest_first() {
         let newer = sorted(vec![put("k", 10, "new"), put("z", 11, "zz")]);
         let older = sorted(vec![put("k", 5, "old"), put("a", 6, "aa")]);
-        let merged: Vec<Entry> =
-            MergingIterator::new(vec![entries_to_iter(newer), entries_to_iter(older)])
-                .unwrap()
-                .map(|r| r.unwrap())
-                .collect();
+        let merged = drain(&mut merge(vec![newer, older])).unwrap();
         assert_eq!(merged.len(), 4);
         assert_eq!(merged[0].key.user_key, b"a");
         assert_eq!(merged[1].value, b"new", "seqno 10 sorts before seqno 5");
@@ -218,15 +323,10 @@ mod tests {
 
     #[test]
     fn merge_of_empty_sources() {
-        let merged: Vec<Entry> =
-            MergingIterator::new(vec![entries_to_iter(vec![]), entries_to_iter(vec![])])
-                .unwrap()
-                .map(|r| r.unwrap())
-                .collect();
-        assert!(merged.is_empty());
-        let no_sources: Vec<Entry> =
-            MergingIterator::new(vec![]).unwrap().map(|r| r.unwrap()).collect();
-        assert!(no_sources.is_empty());
+        let mut empty = merge(vec![vec![], vec![]]);
+        assert!(!empty.valid());
+        assert!(drain(&mut empty).unwrap().is_empty());
+        assert!(drain(&mut MergingCursor::new(Vec::new())).unwrap().is_empty());
     }
 
     #[test]
@@ -234,12 +334,13 @@ mod tests {
         let erroring: EntryIter = Box::new(
             vec![Ok(put("a", 1, "1")), Err(Error::corruption("broken source"))].into_iter(),
         );
-        let good = entries_to_iter(sorted(vec![put("b", 2, "2")]));
-        let mut iter = MergingIterator::new(vec![erroring, good]).unwrap();
-        // First item pops "a"; advancing the erroring source surfaces the error.
-        let results: Vec<Result<Entry>> = iter.by_ref().collect();
-        assert!(results.iter().any(|r| r.is_err()));
-        assert!(iter.next().is_none(), "iterator fuses after an error");
+        let good = source(sorted(vec![put("b", 2, "2")]));
+        let mut merged =
+            MergingCursor::new(vec![Box::new(IterCursor::new(erroring).unwrap()), good]);
+        // The merge lends "a"; advancing the erroring source surfaces the error.
+        assert_eq!(merged.key(), put("a", 1, "1").key.encode());
+        assert!(merged.advance().unwrap_err().is_corruption());
+        assert!(!merged.valid(), "an error ends the merged stream");
     }
 
     #[test]
@@ -250,8 +351,8 @@ mod tests {
             put("k", 1, "ancient"),
             put("x", 2, "xx"),
         ]);
-        let mut dedup = DedupIterator::new(entries_to_iter(stream), false);
-        let kept: Vec<Entry> = dedup.by_ref().map(|r| r.unwrap()).collect();
+        let mut dedup = DedupCursor::new(merge(vec![stream]), false).unwrap();
+        let kept = drain(&mut dedup).unwrap();
         assert_eq!(kept.len(), 2);
         assert_eq!(kept[0].value, b"new");
         assert_eq!(kept[1].key.user_key, b"x");
@@ -261,8 +362,7 @@ mod tests {
     #[test]
     fn dedup_keeps_tombstones_on_intermediate_levels() {
         let stream = sorted(vec![del("k", 10), put("k", 5, "old")]);
-        let kept: Vec<Entry> =
-            DedupIterator::new(entries_to_iter(stream), false).map(|r| r.unwrap()).collect();
+        let kept = drain(&mut DedupCursor::new(merge(vec![stream]), false).unwrap()).unwrap();
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].key.kind, ValueKind::Delete);
     }
@@ -270,8 +370,8 @@ mod tests {
     #[test]
     fn dedup_drops_tombstones_on_bottom_level() {
         let stream = sorted(vec![del("gone", 10), put("gone", 5, "old"), put("kept", 3, "v")]);
-        let mut dedup = DedupIterator::new(entries_to_iter(stream), true);
-        let kept: Vec<Entry> = dedup.by_ref().map(|r| r.unwrap()).collect();
+        let mut dedup = DedupCursor::new(merge(vec![stream]), true).unwrap();
+        let kept = drain(&mut dedup).unwrap();
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].key.user_key, b"kept");
         assert_eq!(dedup.dropped(), 2);
@@ -279,9 +379,9 @@ mod tests {
 
     #[test]
     fn dedup_of_empty_stream() {
-        let kept: Vec<Entry> =
-            DedupIterator::new(entries_to_iter(vec![]), true).map(|r| r.unwrap()).collect();
-        assert!(kept.is_empty());
+        let mut dedup = DedupCursor::new(merge(vec![vec![]]), true).unwrap();
+        assert!(drain(&mut dedup).unwrap().is_empty());
+        assert_eq!(dedup.dropped(), 0);
     }
 
     #[test]
@@ -289,9 +389,7 @@ mod tests {
         // Newer source (e.g. an L0 file) shadows the older one (an L1 file).
         let l0 = sorted(vec![put("a", 20, "a-new"), del("b", 21), put("c", 22, "c-new")]);
         let l1 = sorted(vec![put("a", 3, "a-old"), put("b", 4, "b-old"), put("d", 5, "d-old")]);
-        let merged = MergingIterator::new(vec![entries_to_iter(l0), entries_to_iter(l1)]).unwrap();
-        let compacted: Vec<Entry> =
-            DedupIterator::new(Box::new(merged), true).map(|r| r.unwrap()).collect();
+        let compacted = drain(&mut DedupCursor::new(merge(vec![l0, l1]), true).unwrap()).unwrap();
         let keys: Vec<&[u8]> = compacted.iter().map(|e| e.key.user_key.as_slice()).collect();
         assert_eq!(keys, vec![b"a".as_slice(), b"c", b"d"]);
         assert_eq!(compacted[0].value, b"a-new");
@@ -300,16 +398,21 @@ mod tests {
 
     #[test]
     fn heap_tie_break_prefers_earlier_source() {
-        // Two sources containing the exact same internal key (can only happen if a
-        // caller replays the same log twice); the earlier source must win the tie.
-        let a = vec![put("k", 7, "from-source-0")];
-        let b = vec![put("k", 7, "from-source-1")];
-        let merged: Vec<Entry> = MergingIterator::new(vec![entries_to_iter(a), entries_to_iter(b)])
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(merged[0].value, b"from-source-0");
-        assert_eq!(merged[1].value, b"from-source-1");
+        // Sources containing the exact same internal key (can only happen if a
+        // caller replays the same log twice); the earliest source must win the tie.
+        let sources = (0..5).map(|i| vec![put("k", 7, &format!("from-source-{i}"))]).collect();
+        let merged = drain(&mut merge(sources)).unwrap();
+        let values: Vec<&[u8]> = merged.iter().map(|e| e.value.as_slice()).collect();
+        assert_eq!(
+            values,
+            vec![
+                b"from-source-0".as_slice(),
+                b"from-source-1",
+                b"from-source-2",
+                b"from-source-3",
+                b"from-source-4"
+            ]
+        );
         let key = InternalKey::new(b"k".to_vec(), 7, ValueKind::Put);
         assert_eq!(merged[0].key, key);
     }

@@ -10,10 +10,11 @@
 //!   tables RocksDB writes on flush and compaction.
 //! * [`cl_table`] — the TRIAD-LOG *CL-SSTable*: a sorted key→offset index over a
 //!   sealed commit log, so flushes write only the index instead of re-writing values.
-//! * [`iter`] — the k-way merging iterator and the version-resolving iterator used by
+//! * [`iter`] — the entry cursors, k-way merge and version-resolving dedup shared by
 //!   compaction and scans.
 //! * [`readahead`] — the small I/O worker pool scan iterators use to prefetch the
 //!   next data block into the shared cache while the merge consumes the current one.
+//!   Compaction reads its inputs without it.
 //!
 //! All tables expose the same [`SortedTable`] interface so the engine's read path and
 //! compaction treat regular SSTables and CL-SSTables uniformly.
@@ -35,7 +36,9 @@ pub use bloom::BloomFilter;
 pub use builder::{TableBuilder, TableBuilderOptions};
 pub use cl_table::{ClTable, ClTableBuilder};
 pub use format::VerifiedBlock;
-pub use iter::{bounded_to_seqno, DedupIterator, EntryIter, MergingIterator};
+pub use iter::{
+    bounded_to_seqno, BoxedCursor, DedupCursor, EntryCursor, EntryIter, IterCursor, MergingCursor,
+};
 pub use properties::{TableKind, TableProperties};
 pub use readahead::IoPool;
 pub use reader::Table;
@@ -132,6 +135,14 @@ pub trait SortedTable: Send + Sync {
     /// table up front. The default falls back to the eager path.
     fn entries_arc(self: Arc<Self>) -> Result<EntryIter> {
         self.entries()
+    }
+
+    /// A cursor over every entry in internal-key order, for compaction: it
+    /// lends each entry instead of allocating one. The default adapts
+    /// [`entries_arc`](Self::entries_arc). A regular [`Table`] reads each data
+    /// block once, CRC-verified, without going through the shared block cache.
+    fn cursor(self: Arc<Self>) -> Result<BoxedCursor> {
+        Ok(Box::new(IterCursor::new(self.entries_arc()?)?))
     }
 
     /// The table's metadata.

@@ -1,17 +1,18 @@
 //! Reading regular block-based SSTables.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use triad_common::types::{Entry, InternalKey};
+use triad_common::types::{parse_encoded_internal_key, Entry, InternalKey};
 use triad_common::{Error, Result, Stats};
 
 use crate::block::Block;
 use crate::bloom::BloomFilter;
 use crate::format::{BlockFileReader, BlockHandle};
-use crate::iter::EntryIter;
+use crate::iter::{BoxedCursor, EntryCursor, EntryIter};
 use crate::properties::{TableKind, TableProperties};
 use crate::{FetchContext, SortedTable};
 
@@ -31,8 +32,8 @@ pub struct Table {
     /// The shared block cache, when the engine opened this table through one.
     /// `None` falls back to the single-slot cache below.
     fetch: Option<FetchContext>,
-    /// A tiny single-block cache: compaction and scans read blocks sequentially, and
-    /// point lookups often hit the same hot block repeatedly.
+    /// A tiny single-block cache: scans read blocks sequentially, and point
+    /// lookups often hit the same hot block repeatedly.
     cached_block: Mutex<Option<(u64, Arc<Block>)>>,
 }
 
@@ -231,12 +232,99 @@ impl SortedTable for Table {
         Ok(Box::new(self.iter_entries()))
     }
 
+    fn cursor(self: Arc<Self>) -> Result<BoxedCursor> {
+        Ok(Box::new(TableCursor::new(self)?))
+    }
+
     fn properties(&self) -> &TableProperties {
         &self.props
     }
 
     fn size_bytes(&self) -> u64 {
         self.file_size
+    }
+}
+
+/// The compaction cursor over a table: walks the index and reads each data
+/// block once, CRC-verified, straight from the file, then lends its entries.
+///
+/// These reads never go through the shared block cache or the readahead pool
+/// (RocksDB's `fill_cache = false`): a compaction touches every block of its
+/// inputs once, and caching them would only evict the blocks gets are using.
+/// They are not counted in `block_reads` either, which stays a get-path figure.
+struct TableCursor {
+    table: Arc<Table>,
+    /// Index position of the next data block to read.
+    next_block: usize,
+    block: Block,
+    pos: usize,
+    key: Range<usize>,
+    value: Range<usize>,
+}
+
+impl TableCursor {
+    fn new(table: Arc<Table>) -> Result<TableCursor> {
+        let mut cursor = TableCursor {
+            table,
+            next_block: 0,
+            block: Block::default(),
+            pos: 0,
+            key: 0..0,
+            value: 0..0,
+        };
+        cursor.settle()?;
+        Ok(cursor)
+    }
+
+    /// Moves onto entry `pos` of the current block, reading the following
+    /// blocks while the current one is exhausted.
+    fn settle(&mut self) -> Result<()> {
+        while self.pos >= self.block.num_entries() {
+            if self.next_block >= self.table.index.num_entries() {
+                return Ok(());
+            }
+            let (_, handle_bytes) = self.table.index.entry(self.next_block)?;
+            let handle = BlockHandle::decode(handle_bytes)?;
+            self.block = self.table.reader.read_verified_block(handle)?.into_block();
+            self.next_block += 1;
+            self.pos = 0;
+        }
+        let (key, value) = self.block.entry_ranges(self.pos)?;
+        if parse_encoded_internal_key(&self.block.data()[key.clone()]).is_none() {
+            return Err(Error::corruption_at(
+                "undecodable internal key in data block",
+                &self.table.path,
+            ));
+        }
+        self.key = key;
+        self.value = value;
+        Ok(())
+    }
+}
+
+impl EntryCursor for TableCursor {
+    fn valid(&self) -> bool {
+        self.pos < self.block.num_entries()
+    }
+
+    fn key(&self) -> &[u8] {
+        &self.block.data()[self.key.clone()]
+    }
+
+    fn value(&self) -> &[u8] {
+        &self.block.data()[self.value.clone()]
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        if !self.valid() {
+            return Ok(());
+        }
+        self.pos += 1;
+        let settled = self.settle();
+        if settled.is_err() {
+            self.block = Block::default();
+        }
+        settled
     }
 }
 
@@ -412,39 +500,46 @@ mod tests {
         assert_eq!(stats.block_reads(), 1, "repeated lookups of the same block hit the cache");
     }
 
+    /// A minimal in-memory [`BlockFetch`](crate::BlockFetch): caches forever,
+    /// counts loads.
+    struct MapCache {
+        slots: Mutex<std::collections::HashMap<(u64, u64), Arc<Block>>>,
+        loads: std::sync::atomic::AtomicU64,
+    }
+
+    impl MapCache {
+        fn new() -> Arc<MapCache> {
+            Arc::new(MapCache { slots: Mutex::default(), loads: Default::default() })
+        }
+
+        fn loads(&self) -> u64 {
+            self.loads.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl crate::BlockFetch for MapCache {
+        fn get_or_load(
+            &self,
+            table_id: u64,
+            offset: u64,
+            _stats: Option<&Stats>,
+            load: &dyn Fn() -> Result<crate::VerifiedBlock>,
+        ) -> Result<Arc<Block>> {
+            if let Some(block) = self.slots.lock().get(&(table_id, offset)) {
+                return Ok(Arc::clone(block));
+            }
+            self.loads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let block = Arc::new(load()?.into_block());
+            self.slots.lock().insert((table_id, offset), Arc::clone(&block));
+            Ok(block)
+        }
+    }
+
     #[test]
     fn fetch_context_routes_block_reads_through_the_provider() {
-        use crate::{BlockFetch, VerifiedBlock};
-        use std::collections::HashMap;
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        // A minimal in-memory BlockFetch: caches forever, counts loads.
-        struct MapCache {
-            slots: Mutex<HashMap<(u64, u64), Arc<Block>>>,
-            loads: AtomicU64,
-        }
-        impl BlockFetch for MapCache {
-            fn get_or_load(
-                &self,
-                table_id: u64,
-                offset: u64,
-                _stats: Option<&Stats>,
-                load: &dyn Fn() -> Result<VerifiedBlock>,
-            ) -> Result<Arc<Block>> {
-                if let Some(block) = self.slots.lock().get(&(table_id, offset)) {
-                    return Ok(Arc::clone(block));
-                }
-                self.loads.fetch_add(1, Ordering::Relaxed);
-                let block = Arc::new(load()?.into_block());
-                self.slots.lock().insert((table_id, offset), Arc::clone(&block));
-                Ok(block)
-            }
-        }
-
         let path = temp_path("fetch.sst");
         build_table(&path, 100, 64 * 1024);
-        let cache =
-            Arc::new(MapCache { slots: Mutex::new(HashMap::new()), loads: AtomicU64::new(0) });
+        let cache = MapCache::new();
         let ctx = FetchContext { table_id: 7, fetch: Arc::clone(&cache) as _, readahead: None };
         let table = Table::open_with_fetch(&path, None, Some(ctx)).unwrap();
         for _ in 0..10 {
@@ -453,9 +548,59 @@ mod tests {
                 b"value-42"
             );
         }
-        assert_eq!(cache.loads.load(Ordering::Relaxed), 1, "provider loads each block once");
+        assert_eq!(cache.loads(), 1, "provider loads each block once");
         // The private single-slot cache stays untouched when a provider is set.
         assert!(table.cached_block.lock().is_none());
+    }
+
+    #[test]
+    fn cursor_lends_every_entry_without_the_cache_or_the_block_counter() {
+        let path = temp_path("cursor.sst");
+        build_table(&path, 1_000, 256);
+        let expected: Vec<Entry> = Arc::new(Table::open(&path, None).unwrap())
+            .iter_entries()
+            .map(|r| r.unwrap())
+            .collect();
+
+        let stats = Arc::new(Stats::new());
+        let cache = MapCache::new();
+        let ctx = FetchContext { table_id: 1, fetch: Arc::clone(&cache) as _, readahead: None };
+        let table =
+            Arc::new(Table::open_with_fetch(&path, Some(Arc::clone(&stats)), Some(ctx)).unwrap());
+        let mut cursor = table.cursor().unwrap();
+        let mut lent = Vec::new();
+        while cursor.valid() {
+            lent.push(Entry::new(InternalKey::decode(cursor.key()).unwrap(), cursor.value()));
+            cursor.advance().unwrap();
+        }
+        assert_eq!(lent, expected);
+        assert_eq!(cache.loads(), 0, "compaction reads never fill the shared cache");
+        assert_eq!(stats.block_reads(), 0, "block_reads stays a get-path figure");
+    }
+
+    #[test]
+    fn cursor_detects_a_corrupt_data_block() {
+        let path = temp_path("cursor-corrupt.sst");
+        build_table(&path, 1_000, 256);
+        // Flip a byte of the last data block, which ends where the index begins.
+        let index = BlockFileReader::open(&path).unwrap().read_footer().unwrap().index;
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[index.offset as usize - 10] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let table = Arc::new(Table::open(&path, None).unwrap());
+        let mut cursor = table.cursor().unwrap();
+        let mut lent = 0;
+        let error = loop {
+            assert!(cursor.valid(), "the corrupt block must surface before the end");
+            lent += 1;
+            if let Err(e) = cursor.advance() {
+                break e;
+            }
+        };
+        assert!(error.is_corruption(), "{error}");
+        assert!(lent > 900, "blocks before the corrupt one are lent: {lent}");
+        assert!(!cursor.valid(), "an error ends the stream");
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Property-based tests for the on-disk substrates: commit log, SSTables, bloom
 //! filters, HyperLogLog and merge iterators.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use triad_common::types::{Entry, InternalKey, ValueKind};
 use triad_hll::HyperLogLog;
 use triad_sstable::{
-    BloomFilter, DedupIterator, MergingIterator, SortedTable, Table, TableBuilder,
-    TableBuilderOptions,
+    BloomFilter, BoxedCursor, DedupCursor, EntryCursor, IterCursor, MergingCursor, SortedTable,
+    Table, TableBuilder, TableBuilderOptions,
 };
 use triad_wal::{LogReader, LogRecord, LogWriter};
 
@@ -93,6 +95,14 @@ proptest! {
             prop_assert_eq!(&entry.key.user_key, key);
             prop_assert_eq!(&entry.value, value);
         }
+        // Compaction's cursor lends the same entries.
+        let mut cursor = std::sync::Arc::new(table).cursor().unwrap();
+        let mut lent = Vec::new();
+        while cursor.valid() {
+            lent.push(Entry::new(InternalKey::decode(cursor.key()).unwrap(), cursor.value()));
+            cursor.advance().unwrap();
+        }
+        prop_assert_eq!(lent, all);
         std::fs::remove_file(&path).ok();
     }
 
@@ -140,43 +150,72 @@ proptest! {
     }
 
     /// Merging sorted runs and deduplicating yields the newest version of every key —
-    /// the invariant compaction relies on.
+    /// the invariant compaction relies on — and, when tombstones are dropped,
+    /// exactly the keys whose newest version is a put.
     fn merge_dedup_keeps_the_newest_version(
         runs in proptest::collection::vec(
-            proptest::collection::btree_map(0u16..200, proptest::collection::vec(any::<u8>(), 0..16), 0..60),
+            proptest::collection::btree_map(
+                0u16..200,
+                (any::<bool>(), proptest::collection::vec(any::<u8>(), 0..16)),
+                0..60,
+            ),
             1..5,
-        )
+        ),
+        drop_tombstones in any::<bool>(),
     ) {
-        // Assign seqnos so that later runs are newer, then build per-run sorted entry lists.
-        let mut expected: std::collections::BTreeMap<u16, (u64, Vec<u8>)> = std::collections::BTreeMap::new();
+        // Assign seqnos so that later runs are newer, then build per-run sorted entry
+        // lists. A `true` flag makes the entry a tombstone.
+        let mut model: BTreeMap<u16, (u64, Option<Vec<u8>>)> = BTreeMap::new();
         let mut sources: Vec<Vec<Entry>> = Vec::new();
         let mut seqno = 0u64;
         for run in &runs {
             let mut entries = Vec::new();
-            for (key, value) in run {
+            for (key, (is_delete, value)) in run {
                 seqno += 1;
-                entries.push(Entry::put(format!("k{key:05}").into_bytes(), value.clone(), seqno));
-                let newer = expected.get(key).map(|(s, _)| *s < seqno).unwrap_or(true);
-                if newer {
-                    expected.insert(*key, (seqno, value.clone()));
-                }
+                let user_key = format!("k{key:05}").into_bytes();
+                let (entry, version) = if *is_delete {
+                    (Entry::delete(user_key, seqno), None)
+                } else {
+                    (Entry::put(user_key, value.clone(), seqno), Some(value.clone()))
+                };
+                entries.push(entry);
+                model.insert(*key, (seqno, version));
             }
             entries.sort_by(|a, b| a.key.cmp(&b.key));
             sources.push(entries);
         }
         // Newest runs must be listed first for the dedup convention.
         sources.reverse();
-        let iters: Vec<_> = sources
+        let cursors: Vec<BoxedCursor> = sources
             .into_iter()
-            .map(|entries| Box::new(entries.into_iter().map(Ok)) as triad_sstable::EntryIter)
+            .map(|entries| {
+                let iter: triad_sstable::EntryIter = Box::new(entries.into_iter().map(Ok));
+                Box::new(IterCursor::new(iter).unwrap()) as BoxedCursor
+            })
             .collect();
-        let merged = MergingIterator::new(iters).unwrap();
-        let result: Vec<Entry> = DedupIterator::new(Box::new(merged), false).map(|r| r.unwrap()).collect();
+        let mut dedup = DedupCursor::new(MergingCursor::new(cursors), drop_tombstones).unwrap();
+        let mut result = Vec::new();
+        while dedup.valid() {
+            result.push(Entry::new(InternalKey::decode(dedup.key()).unwrap(), dedup.value()));
+            dedup.advance().unwrap();
+        }
+        let expected: Vec<_> = model
+            .iter()
+            .filter(|(_, (_, version))| !drop_tombstones || version.is_some())
+            .collect();
         prop_assert_eq!(result.len(), expected.len());
-        for (entry, (key, (seqno, value))) in result.iter().zip(expected.iter()) {
+        for (entry, (key, (seqno, version))) in result.iter().zip(expected) {
             prop_assert_eq!(&entry.key.user_key, &format!("k{key:05}").into_bytes());
             prop_assert_eq!(entry.key.seqno, *seqno);
-            prop_assert_eq!(&entry.value, value);
+            match version {
+                Some(value) => {
+                    prop_assert_eq!(entry.key.kind, ValueKind::Put);
+                    prop_assert_eq!(&entry.value, value);
+                }
+                None => prop_assert_eq!(entry.key.kind, ValueKind::Delete),
+            }
         }
+        let total: usize = runs.iter().map(|run| run.len()).sum();
+        prop_assert_eq!(dedup.dropped() as usize, total - result.len());
     }
 }
