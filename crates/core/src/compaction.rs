@@ -229,6 +229,14 @@ impl DbInner {
         {
             let mut versions = self.versions.lock();
             let new_version = versions.log_and_apply(edit)?;
+            // Record the counters before the new version is visible: a waiter
+            // that sees no compaction needed must also see this one counted.
+            self.stats.add_compaction_count(1);
+            self.stats.add_bytes_compacted_read(bytes_read);
+            self.stats.add_bytes_compacted_written(bytes_written);
+            self.stats.add_entries_compacted(input_entries);
+            self.stats.add_entries_dropped(merged.dropped());
+            self.stats.add_compaction_duration(started.elapsed());
             *self.current_version.write() = new_version;
         }
 
@@ -241,12 +249,6 @@ impl DbInner {
             let _ = self.table_cache.get_or_open(output);
         }
 
-        self.stats.add_compaction_count(1);
-        self.stats.add_bytes_compacted_read(bytes_read);
-        self.stats.add_bytes_compacted_written(bytes_written);
-        self.stats.add_entries_compacted(input_entries);
-        self.stats.add_entries_dropped(merged.dropped());
-        self.stats.add_compaction_duration(started.elapsed());
         Ok(())
     }
 

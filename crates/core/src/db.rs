@@ -1040,8 +1040,12 @@ impl Db {
     /// — including the commit logs backing CL-SSTables — outlive any concurrent
     /// compaction for as long as the iterator exists. The scan reads through
     /// an ephemeral [`snapshot`](Db::snapshot), released as soon as the
-    /// iterator has pinned its sources, so it never observes half a write
-    /// batch — cross-shard batches included. On a sharded database the
+    /// iterator has pinned its sources and registered its own snapshot
+    /// retention, so it never observes half a write batch — cross-shard
+    /// batches included — and, like an open snapshot, keeps the versions
+    /// later writes overwrite in memory until it is dropped. Every source
+    /// starts at `start` and streams; files outside the range are never
+    /// opened. On a sharded database the
     /// per-shard sources are k-way merged (routing makes per-shard key sets
     /// disjoint, so the merge needs no cross-shard dedup).
     pub fn scan_range(&self, start: Option<&[u8]>, end: Option<&[u8]>) -> Result<DbIterator> {

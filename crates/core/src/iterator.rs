@@ -1,36 +1,49 @@
-//! Full-database scans.
+//! Database scans.
 
+use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Instant;
 
-use triad_common::types::{parse_encoded_internal_key, ValueKind};
+use triad_common::types::{parse_encoded_internal_key, Entry, SeqNo, ValueKind};
 use triad_common::{Error, Result, Stats};
-use triad_sstable::iter::entries_to_iter;
-use triad_sstable::{
-    bounded_to_seqno, BoxedCursor, DedupCursor, EntryCursor, IterCursor, MergingCursor,
-};
+use triad_memtable::Memtable;
+use triad_sstable::{BoundedCursor, BoxedCursor, DedupCursor, EntryCursor, MergingCursor};
 
 use crate::db::DbInner;
-use crate::snapshot::SnapshotShard;
+use crate::snapshot::{release_retention, SnapshotShard};
+use crate::version::FileMetadata;
 
-/// An iterator over every live key/value pair in the database, in key order.
+/// How many visible keys a scan copies out of a memtable per read-lock hold.
+const MEMTABLE_CHUNK: usize = 64;
+
+/// An iterator over the live key/value pairs of a key range, in key order.
 ///
-/// The iterator reads a snapshot's view, materialised at creation time: per
-/// shard, the memtables and the version captured at one commit-group
-/// boundary. Every key live at that boundary is observed exactly once, at its
-/// newest version there; writes issued after it are not reflected. The
-/// versions are *pinned* for the iterator's whole lifetime, so every file it
-/// reads — tables, CL indexes and the commit logs backing them — survives any
-/// concurrent compaction until the iterator is dropped.
+/// The iterator reads a snapshot's view: per shard, the memtables and the
+/// version captured at one commit-group boundary. Every key live at that
+/// boundary is observed exactly once, at its newest version there; writes
+/// issued after it are not reflected. Every source starts at the range's
+/// start key and streams from there: memtables are read in short chunks, and
+/// files are opened only when the scan reaches them. So the view must stay
+/// readable for the iterator's whole lifetime:
+///
+/// * the versions are *pinned*, so every file it reads — tables, CL indexes
+///   and the commit logs backing them — survives any concurrent compaction
+///   until the iterator is dropped;
+/// * the iterator holds its own registration in each shard's snapshot
+///   retention registry, so the memtables keep every version it can see when
+///   later writes overwrite them. Like an open [`Snapshot`](crate::Snapshot),
+///   a long-lived iterator therefore retains overwritten versions in memory
+///   until it is dropped.
 pub struct DbIterator {
     inner: DedupCursor<MergingCursor>,
     /// Whether `inner` still sits on the entry the last `next` returned (or
     /// skipped), so the next call must advance it first.
     consumed: bool,
-    /// Inclusive lower bound on user keys, if any.
-    start: Option<Vec<u8>>,
     /// Exclusive upper bound on user keys, if any.
     end: Option<Vec<u8>>,
+    /// One retention registration per shard, at that shard's snapshot seqno,
+    /// released on drop.
+    registrations: Vec<(Arc<DbInner>, SeqNo)>,
     /// Keeps the captured files safe from garbage collection until drop —
     /// one pinned version per shard the iterator reads.
     _pins: Vec<crate::db::PinnedVersion>,
@@ -46,60 +59,93 @@ pub struct DbIterator {
 
 impl Drop for DbIterator {
     fn drop(&mut self) {
+        for (db, seqno) in &self.registrations {
+            release_retention(db, *seqno);
+        }
         self.stats.record_scan_latency_ns(self.created.elapsed().as_nanos() as u64);
     }
 }
 
 impl DbIterator {
-    /// Creates an iterator over a snapshot's captured components — one
-    /// [`SnapshotShard`] per engine shard — each source bounded at its own
-    /// shard's snapshot sequence number.
+    /// Creates an iterator over the user keys in `[start, end)` of a
+    /// snapshot's captured components — one [`SnapshotShard`] per engine
+    /// shard — each source bounded at its own shard's snapshot sequence
+    /// number.
     ///
     /// No lock is taken here: each shard's snapshot seqno sits on a
     /// commit-group boundary, so bounding that shard's sources at it yields a
     /// batch-atomic view by construction — a concurrent group's writes all
     /// carry seqnos above the bound, and any version the snapshot can see
-    /// that such a write shadows is preserved on the memtable's prior list
-    /// (the snapshot registered itself before the bound was chosen). Table sources are bounded *before* the dedup stage,
-    /// so the survivor per user key is the newest version visible at the
-    /// snapshot. The versions are the ones the snapshot pinned — never the
-    /// current ones, whose compactions may already have deduped away versions
-    /// the snapshot still needs. Hash routing makes the shards' key sets
-    /// disjoint, so the k-way merge needs no cross-shard conflict resolution.
+    /// that such a write shadows is preserved on the memtable's prior list.
+    /// Table sources are bounded *before* the dedup stage, so the survivor
+    /// per user key is the newest version visible at the snapshot. The
+    /// versions are the ones the snapshot pinned — never the current ones,
+    /// whose compactions may already have deduped away versions the snapshot
+    /// still needs. Hash routing makes the shards' key sets disjoint, so the
+    /// k-way merge needs no cross-shard conflict resolution.
     ///
-    /// The iterator takes its own version pins, so the snapshot handle may be
+    /// Files wholly outside `[start, end)` are never opened. Each level below
+    /// L0 is one concatenating source that opens its next file only when the
+    /// current one is exhausted.
+    ///
+    /// The iterator takes its own version pins and retention registrations
+    /// while the snapshot still holds its own, so the snapshot handle may be
     /// dropped as soon as this returns (the ephemeral snapshot behind a live
-    /// [`Db::scan_range`](crate::Db::scan_range) does exactly that).
+    /// [`Db::scan_range`](crate::Db::scan_range) does exactly that) without
+    /// any retention bound moving.
     pub(crate) fn with_snapshot_parts(
         parts: &[SnapshotShard],
-        start: Option<Vec<u8>>,
-        end: Option<Vec<u8>>,
+        start: Option<&[u8]>,
+        end: Option<&[u8]>,
     ) -> Result<DbIterator> {
         let created = Instant::now();
+        let start = start.unwrap_or_default();
         let mut sources: Vec<BoxedCursor> = Vec::new();
         let mut pins = Vec::with_capacity(parts.len());
-        let source = |entries| -> Result<BoxedCursor> { Ok(Box::new(IterCursor::new(entries)?)) };
         for part in parts {
-            let db: &Arc<DbInner> = &part.db;
-            sources.push(source(entries_to_iter(part.mem.snapshot_as_entries_at(part.seqno)))?);
-            for sealed in part.imm.iter().rev() {
-                let entries = sealed.memtable.snapshot_as_entries_at(part.seqno);
-                sources.push(source(entries_to_iter(entries))?);
+            let memtables =
+                std::iter::once(&part.mem).chain(part.imm.iter().rev().map(|m| &m.memtable));
+            for memtable in memtables {
+                let cursor = MemtableCursor::new(Arc::clone(memtable), part.seqno, start);
+                sources.push(Box::new(cursor));
             }
-            let pin = db.pin_version(Arc::clone(part.pin.version()));
-            for level in 0..pin.num_levels() {
-                for file in &pin.levels[level] {
-                    let table = db.table_cache.get_or_open(file)?;
-                    sources.push(source(bounded_to_seqno(table.entries_arc()?, part.seqno))?);
+            let pin = part.db.pin_version(Arc::clone(part.pin.version()));
+            // L0 files overlap, so each is its own sorted run, newest first;
+            // a deeper level is one run of disjoint files in key order.
+            let in_range = |file: &&Arc<FileMetadata>| {
+                file.largest.user_key.as_slice() >= start
+                    && end.map_or(true, |end| file.smallest.user_key.as_slice() < end)
+            };
+            let mut runs: Vec<Vec<Arc<FileMetadata>>> =
+                pin.levels[0].iter().filter(in_range).map(|file| vec![Arc::clone(file)]).collect();
+            for files in &pin.levels[1..] {
+                let first = files.partition_point(|f| f.largest.user_key.as_slice() < start);
+                let last = end.map_or(files.len(), |end| {
+                    files.partition_point(|f| f.smallest.user_key.as_slice() < end)
+                });
+                if first < last {
+                    runs.push(files[first..last].to_vec());
                 }
+            }
+            for run in runs {
+                let run = RunCursor::new(Arc::clone(&part.db), run, start)?;
+                sources.push(Box::new(BoundedCursor::new(run, part.seqno)?));
             }
             pins.push(pin);
         }
+        let inner = DedupCursor::new(MergingCursor::new(sources), false)?;
+        let registrations = parts
+            .iter()
+            .map(|part| {
+                part.db.retention.register(part.seqno);
+                (Arc::clone(&part.db), part.seqno)
+            })
+            .collect();
         Ok(DbIterator {
-            inner: DedupCursor::new(MergingCursor::new(sources), false)?,
+            inner,
             consumed: false,
-            start,
-            end,
+            end: end.map(<[u8]>::to_vec),
+            registrations,
             _pins: pins,
             stats: Arc::clone(&parts[0].db.stats),
             created,
@@ -121,16 +167,12 @@ impl Iterator for DbIterator {
                 return None;
             }
             self.consumed = true;
-            // Bounds and kind are checked on the borrowed key; only an entry
-            // the iterator returns is copied out.
+            // Bound and kind are checked on the borrowed key; only an entry
+            // the iterator returns is copied out. Every source starts at the
+            // start key, so nothing below it ever arrives here.
             let Some((user_key, kind)) = parse_encoded_internal_key(self.inner.key()) else {
                 return Some(Err(Error::corruption("undecodable internal key in scan")));
             };
-            if let Some(start) = &self.start {
-                if user_key < start.as_slice() {
-                    continue;
-                }
-            }
             if let Some(end) = &self.end {
                 if user_key >= end.as_slice() {
                     // Sources are sorted, so nothing after this point can qualify.
@@ -144,5 +186,140 @@ impl Iterator for DbIterator {
                 ValueKind::Delete => continue,
             }
         }
+    }
+}
+
+/// A scan's source over one memtable: the keys visible at the snapshot seqno,
+/// copied [`MEMTABLE_CHUNK`] at a time, each chunk under one short read-lock
+/// hold that resumes after the previous chunk's last key.
+///
+/// The chunks are read after the snapshot was taken, while writers keep
+/// overwriting the memtable; the iterator's retention registration keeps
+/// every version visible at the seqno on the slots' prior lists.
+struct MemtableCursor {
+    memtable: Arc<Memtable>,
+    seqno: SeqNo,
+    /// The rest of the current chunk, in key order.
+    chunk: std::vec::IntoIter<Entry>,
+    /// Whether the memtable may hold visible keys after the current chunk.
+    more: bool,
+    entry: Option<Entry>,
+    key: Vec<u8>,
+}
+
+impl MemtableCursor {
+    fn new(memtable: Arc<Memtable>, seqno: SeqNo, start: &[u8]) -> MemtableCursor {
+        let chunk = memtable.range_at(Bound::Included(start), seqno, MEMTABLE_CHUNK);
+        let more = chunk.len() == MEMTABLE_CHUNK;
+        let mut cursor = MemtableCursor {
+            memtable,
+            seqno,
+            chunk: chunk.into_iter(),
+            more,
+            entry: None,
+            key: Vec::new(),
+        };
+        cursor.step();
+        cursor
+    }
+
+    /// Moves to the next entry, reading the next chunk when this one is used up.
+    fn step(&mut self) {
+        let mut next = self.chunk.next();
+        if next.is_none() && self.more {
+            if let Some(last) = &self.entry {
+                let lower = Bound::Excluded(last.key.user_key.as_slice());
+                let chunk = self.memtable.range_at(lower, self.seqno, MEMTABLE_CHUNK);
+                self.more = chunk.len() == MEMTABLE_CHUNK;
+                self.chunk = chunk.into_iter();
+                next = self.chunk.next();
+            }
+        }
+        self.entry = next;
+        if let Some(entry) = &self.entry {
+            entry.key.encode_into(&mut self.key);
+        }
+    }
+}
+
+impl EntryCursor for MemtableCursor {
+    fn valid(&self) -> bool {
+        self.entry.is_some()
+    }
+
+    fn key(&self) -> &[u8] {
+        &self.key
+    }
+
+    fn value(&self) -> &[u8] {
+        self.entry.as_ref().map_or(&[], |entry| &entry.value)
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        if self.entry.is_some() {
+            self.step();
+        }
+        Ok(())
+    }
+}
+
+/// A scan's source over one sorted run of files: one L0 file, or the files of
+/// a deeper level that overlap the scan's range, in key order. Like LevelDB's
+/// two-level iterator it opens the next file only when the current one is
+/// exhausted, so a short scan touches one or two files of a level.
+struct RunCursor {
+    db: Arc<DbInner>,
+    files: std::vec::IntoIter<Arc<FileMetadata>>,
+    current: Option<BoxedCursor>,
+}
+
+impl RunCursor {
+    /// Opens the run's first file at `start` and moves to the first entry.
+    fn new(db: Arc<DbInner>, files: Vec<Arc<FileMetadata>>, start: &[u8]) -> Result<RunCursor> {
+        let mut run = RunCursor { db, files: files.into_iter(), current: None };
+        if let Some(file) = run.files.next() {
+            run.current = Some(run.db.table_cache.get_or_open(&file)?.scan_cursor(start)?);
+        }
+        run.skip_exhausted()?;
+        Ok(run)
+    }
+
+    /// Opens the following files while the current one has no entry left.
+    fn skip_exhausted(&mut self) -> Result<()> {
+        while self.current.as_ref().is_some_and(|cursor| !cursor.valid()) {
+            self.current = match self.files.next() {
+                Some(file) => Some(self.db.table_cache.get_or_open(&file)?.scan_cursor(&[])?),
+                None => None,
+            };
+        }
+        Ok(())
+    }
+}
+
+impl EntryCursor for RunCursor {
+    fn valid(&self) -> bool {
+        self.current.as_ref().is_some_and(|cursor| cursor.valid())
+    }
+
+    fn key(&self) -> &[u8] {
+        self.current.as_ref().map_or(&[], |cursor| cursor.key())
+    }
+
+    fn value(&self) -> &[u8] {
+        self.current.as_ref().map_or(&[], |cursor| cursor.value())
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        let Some(cursor) = self.current.as_mut() else {
+            return Ok(());
+        };
+        if !cursor.valid() {
+            return Ok(());
+        }
+        let moved = cursor.advance().and_then(|()| self.skip_exhausted());
+        if moved.is_err() {
+            self.current = None;
+        }
+        moved
     }
 }

@@ -17,8 +17,10 @@
 //!    [`SnapshotRetention`](triad_common::SnapshotRetention) registry *before*
 //!    releasing the gate, so any later overwrite of a version the snapshot can
 //!    see preserves that version on the slot's prior list, where the
-//!    seqno-bounded probes ([`Memtable::get`],
-//!    [`Memtable::snapshot_as_entries_at`]) find it.
+//!    seqno-bounded reads ([`Memtable::get`], [`Memtable::range_at`]) find
+//!    it. A scan reads its memtables in chunks long after the capture, so the
+//!    scan's iterator registers itself as well, at the same seqno, and keeps
+//!    the registration until it is dropped.
 //! 3. **The current [`Version`](crate::Version)** via an internal pin: every
 //!    table file, CL index and backing commit log the version references survives any
 //!    concurrent flush or compaction until the snapshot drops — garbage
@@ -177,11 +179,7 @@ impl Snapshot {
     /// preserved by the retention registry. On a sharded database the per-shard sources are
     /// k-way merged; routing makes the shards' key sets disjoint.
     pub fn scan_range(&self, start: Option<&[u8]>, end: Option<&[u8]>) -> Result<DbIterator> {
-        DbIterator::with_snapshot_parts(
-            &self.shards,
-            start.map(|s| s.to_vec()),
-            end.map(|e| e.to_vec()),
-        )
+        DbIterator::with_snapshot_parts(&self.shards, start, end)
     }
 }
 
@@ -251,20 +249,26 @@ impl Drop for Snapshot {
         // release the memtables and the version pins; each pin's drop nudges
         // its shard's garbage collector if files are waiting.
         for shard in &self.shards {
-            if shard.db.retention.deregister(shard.seqno) {
-                // The visibility bounds moved: some retained priors may have
-                // just become unreachable, including on idle keys no future
-                // overwrite would ever prune. Sweep the shard's *current*
-                // memory components (lock order MEM < IMM < each memtable's
-                // map lock); the components this snapshot captured
-                // are either among them or dropped with this handle.
-                let mem = shard.db.mem.read().clone();
-                let imm: Vec<Arc<ImmutableMemtable>> = shard.db.imm.read().clone();
-                mem.prune_retained();
-                for sealed in &imm {
-                    sealed.memtable.prune_retained();
-                }
-            }
+            release_retention(&shard.db, shard.seqno);
+        }
+    }
+}
+
+/// Releases one retention registration of `seqno` on `db`, as a dropped
+/// [`Snapshot`] or [`DbIterator`] does.
+///
+/// When that moves the registry's visibility bounds, some retained priors may
+/// have just become unreachable, including on idle keys no future overwrite
+/// would ever prune, so the shard's *current* memory components are swept
+/// (lock order MEM < IMM < each memtable's map lock). The components the
+/// releaser captured are either among them or dropped with it.
+pub(crate) fn release_retention(db: &DbInner, seqno: SeqNo) {
+    if db.retention.deregister(seqno) {
+        let mem = db.mem.read().clone();
+        let imm: Vec<Arc<ImmutableMemtable>> = db.imm.read().clone();
+        mem.prune_retained();
+        for sealed in &imm {
+            sealed.memtable.prune_retained();
         }
     }
 }

@@ -5,6 +5,7 @@
 mod common;
 
 use common::{key_for, open_small, value_for};
+use triad_core::Db;
 
 /// Reads stay correct — and serve the newest version — while tables come and
 /// go underneath the cache: flushes create them, compactions replace them and
@@ -207,4 +208,114 @@ fn scans_are_correct_with_tiny_and_disabled_caches() {
         assert_eq!(seen, 250, "scan must visit every key with budget {budget}");
         db.close().unwrap();
     }
+}
+
+/// Reopens `db` so its table cache starts empty.
+fn reopen(db: Db, dir: &std::path::Path) -> Db {
+    let options = db.options().clone();
+    db.close().unwrap();
+    drop(db);
+    Db::open(dir, options).unwrap()
+}
+
+/// How many table handles the scans since `before` asked the table cache for.
+fn tables_touched(db: &Db, before: &triad_common::StatSnapshot) -> u64 {
+    let after = db.stats();
+    after.table_cache_hits + after.table_cache_misses
+        - before.table_cache_hits
+        - before.table_cache_misses
+}
+
+/// A scan never opens a file wholly outside its `[start, end)` range.
+#[test]
+fn a_scan_opens_only_the_files_its_range_overlaps() {
+    let (db, dir) = open_small("block-cache-prune-l0", |options| {
+        common::single_shard(options);
+        options.l0_compaction_trigger = 100;
+    });
+    for range in [0..100u64, 100..200] {
+        for i in range {
+            db.put(key_for(i), value_for(i, 1)).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    assert_eq!(db.files_per_level()[0], 2, "two disjoint L0 tables");
+    let db = reopen(db, &dir);
+
+    let before = db.stats();
+    let scanned: Vec<Vec<u8>> =
+        db.scan_range(Some(&key_for(150)), None).unwrap().map(|r| r.unwrap().0).collect();
+    assert_eq!(scanned, (150..200).map(key_for).collect::<Vec<_>>());
+    assert_eq!(db.stats().table_cache_misses - before.table_cache_misses, 1);
+    assert_eq!(tables_touched(&db, &before), 1, "the table below the start is never opened");
+
+    let before = db.stats();
+    let scanned: Vec<Vec<u8>> = db
+        .scan_range(Some(&key_for(10)), Some(&key_for(20)))
+        .unwrap()
+        .map(|r| r.unwrap().0)
+        .collect();
+    assert_eq!(scanned, (10..20).map(key_for).collect::<Vec<_>>());
+    assert_eq!(tables_touched(&db, &before), 1, "the table above the end is never opened");
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A level below L0 is one concatenating source: a short scan opens the file
+/// holding its start key and at most the one after it, and every start —
+/// on a key, between keys, on a file boundary — lands where it should.
+#[test]
+fn a_short_scan_opens_at_most_two_files_of_a_level() {
+    const KEYS: u64 = 1_000;
+    let (db, dir) = open_small("block-cache-prune-level", |options| {
+        common::single_shard(options);
+        options.l0_compaction_trigger = 1;
+        options.target_file_size = 4 * 1024;
+        // Keep every file on L1, so each file a scan touches is one of L1's.
+        options.l1_target_size = 64 << 20;
+    });
+    for i in 0..KEYS {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_for_compactions().unwrap();
+    let files = db.files_per_level();
+    assert_eq!(files[0], 0, "everything was compacted out of L0: {files:?}");
+    assert!(files[1] >= 10, "L1 holds many files: {files:?}");
+    assert_eq!(files[1..].iter().sum::<usize>(), files[1], "nothing below L1: {files:?}");
+    let db = reopen(db, &dir);
+
+    for start in (0..KEYS).step_by(37) {
+        let before = db.stats();
+        let scanned: Vec<Vec<u8>> = db
+            .scan_range(Some(&key_for(start)), None)
+            .unwrap()
+            .take(10)
+            .map(|r| r.unwrap().0)
+            .collect();
+        assert_eq!(scanned, (start..KEYS.min(start + 10)).map(key_for).collect::<Vec<_>>());
+        let touched = tables_touched(&db, &before);
+        assert!(touched <= 2, "a 10-entry scan from {start} touched {touched} files");
+    }
+
+    for start in 0..KEYS {
+        let expected: Vec<Vec<u8>> = (start..KEYS.min(start + 3)).map(key_for).collect();
+        let on_key: Vec<Vec<u8>> = db
+            .scan_range(Some(&key_for(start)), None)
+            .unwrap()
+            .take(3)
+            .map(|r| r.unwrap().0)
+            .collect();
+        assert_eq!(on_key, expected, "scan from key {start}");
+        let mut between = key_for(start);
+        between.push(b'x');
+        let bounded: Vec<Vec<u8>> = db
+            .scan_range(Some(&between), Some(&key_for(start + 3)))
+            .unwrap()
+            .map(|r| r.unwrap().0)
+            .collect();
+        assert_eq!(bounded, expected[1..], "scan from between {start} and the next key");
+    }
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }

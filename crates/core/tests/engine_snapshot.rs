@@ -428,6 +428,41 @@ fn stale_prior_of_an_idle_key_is_released_when_the_snapshot_drops() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A live scan reads its memtables in chunks long after the ephemeral
+/// snapshot behind [`Db::scan_range`] was dropped. Its iterator holds its own
+/// retention registration, so overwrites made while it is open keep the
+/// versions it can see.
+#[test]
+fn a_live_scan_keeps_its_capture_after_its_snapshot_is_gone() {
+    const KEYS: u64 = 1_000;
+    let (db, dir) = open_small("scan-keeps-capture", |options| {
+        // Nothing rotates: every version stays in the active memtables.
+        options.memtable_size = 64 << 20;
+        options.max_log_size = 64 << 20;
+    });
+    for i in 0..KEYS {
+        db.put(key_for(i), format!("old-{i}").into_bytes()).unwrap();
+    }
+    let mut scan = db.scan_range(None, None).unwrap();
+    let first = scan.next().unwrap().unwrap();
+    assert_eq!(first, (key_for(0), b"old-0".to_vec()));
+    for i in 0..KEYS {
+        db.put(key_for(i), format!("new-{i}").into_bytes()).unwrap();
+    }
+    let mut seen = vec![first];
+    seen.extend(scan.by_ref().map(Result::unwrap));
+    let expected: Vec<(Vec<u8>, Vec<u8>)> =
+        (0..KEYS).map(|i| (key_for(i), format!("old-{i}").into_bytes())).collect();
+    assert_eq!(seen.len(), expected.len(), "every key of the capture is scanned");
+    assert_eq!(seen, expected, "each key at its value when the scan opened");
+    assert!(db.retained_prior_versions() > 0, "the open scan retains the old versions");
+    drop(scan);
+    assert_eq!(db.retained_prior_versions(), 0, "dropping the scan releases them");
+    assert_eq!(db.get(key_for(7)).unwrap(), Some(b"new-7".to_vec()));
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn retained_memory_stays_bounded_under_churn_with_a_live_snapshot() {
     // One open snapshot can pin at most one prior version per overwritten

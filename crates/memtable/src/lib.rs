@@ -16,13 +16,12 @@
 //! memtable reconciles the two through a [`SnapshotRetention`] registry: when an
 //! overwrite would shadow a version some open snapshot can still see, the shadowed
 //! version moves to the slot's *prior list* instead of being discarded, and
-//! seqno-bounded probes ([`Memtable::get`], [`Memtable::snapshot_as_entries_at`])
-//! consult it. With no snapshot open (the common case) the prior list stays empty
+//! seqno-bounded reads ([`Memtable::get`], [`Memtable::range_at`]) consult it. With no snapshot open (the common case) the prior list stays empty
 //! and the write path pays a single relaxed atomic load.
 //!
 //! The table is one ordered map behind one lock: point operations hold it for a
-//! single probe or update, and the copies taken for flushes and scans come out
-//! sorted without a merge. Write contention is spread by the engine's keyspace
+//! single probe or update, a flush's copy comes out sorted without a merge, and
+//! a scan seeks into it and copies one short chunk per lock hold. Write contention is spread by the engine's keyspace
 //! shards, each with its own memtable, not inside the memtable.
 
 #![forbid(unsafe_code)]
@@ -33,6 +32,7 @@ pub mod hotcold;
 pub use hotcold::{separate_keys, HotColdPolicy, HotColdSplit};
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -329,16 +329,20 @@ impl Memtable {
         map.iter().map(|(key, slot)| (key.clone(), slot.live.clone())).collect()
     }
 
-    /// The newest version of each key visible at `snapshot`, consulting
-    /// retained prior versions, as the engine-wide [`Entry`] type sorted by
-    /// internal key: the source a scan merges. Keys whose oldest retained
-    /// version is still newer than `snapshot` are absent (they did not exist at
-    /// the snapshot point). Tombstones are included — the merge layers above
-    /// decide what a delete shadows.
-    pub fn snapshot_as_entries_at(&self, snapshot: SeqNo) -> Vec<Entry> {
+    /// Up to `limit` keys from `lower` on, each at its newest version visible
+    /// at `snapshot` (consulting retained prior versions), as the engine-wide
+    /// [`Entry`] type sorted by internal key: one chunk of the source a scan
+    /// merges. Keys whose oldest retained version is still newer than
+    /// `snapshot` are skipped and do not count towards `limit` (they did not
+    /// exist at the snapshot point). Tombstones are included — the merge
+    /// layers above decide what a delete shadows. A scan reads the next chunk
+    /// from `Excluded(last key)`; fewer than `limit` entries means it has
+    /// reached the end.
+    pub fn range_at(&self, lower: Bound<&[u8]>, snapshot: SeqNo, limit: usize) -> Vec<Entry> {
         let map = self.map.read();
-        map.iter()
+        map.range::<[u8], _>((lower, Bound::Unbounded))
             .filter_map(|(key, slot)| slot.visible_at(snapshot).map(|entry| entry.to_entry(key)))
+            .take(limit)
             .collect()
     }
 
@@ -486,7 +490,7 @@ mod tests {
         for window in snapshot.windows(2) {
             assert!(window[0].0 < window[1].0);
         }
-        let as_entries = memtable.snapshot_as_entries_at(u64::MAX);
+        let as_entries = memtable.range_at(Bound::Unbounded, u64::MAX, usize::MAX);
         assert_eq!(as_entries.len(), keys.len());
         for window in as_entries.windows(2) {
             assert!(window[0].key < window[1].key);
@@ -666,23 +670,101 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_as_entries_at_returns_the_bounded_view() {
+    fn range_at_returns_the_bounded_view() {
         let (memtable, retention) = retained_memtable();
         memtable.insert(b"a", b"a1", 1, ValueKind::Put, pos(1, 0));
         memtable.insert(b"b", b"b1", 2, ValueKind::Put, pos(1, 40));
         retention.register(2);
         memtable.insert(b"a", b"a2", 5, ValueKind::Put, pos(1, 80));
         memtable.insert(b"c", b"c1", 6, ValueKind::Put, pos(1, 120));
-        let at2 = memtable.snapshot_as_entries_at(2);
+        let at2 = memtable.range_at(Bound::Unbounded, 2, usize::MAX);
         let keys: Vec<&[u8]> = at2.iter().map(|e| e.key.user_key.as_slice()).collect();
         assert_eq!(keys, vec![b"a".as_slice(), b"b"]);
         assert_eq!(at2[0].value, b"a1", "snapshot view has the pre-overwrite value");
         // A later bound sees everything at its newest version.
-        let now = memtable.snapshot_as_entries_at(u64::MAX);
+        let now = memtable.range_at(Bound::Unbounded, u64::MAX, usize::MAX);
         assert_eq!(now.len(), 3);
         assert_eq!(now[0].value, b"a2");
+        // The lower bound seeks: inclusive on a key, exclusive past it.
+        let from_b = memtable.range_at(Bound::Included(b"b"), u64::MAX, usize::MAX);
+        assert_eq!(from_b.len(), 2);
+        assert_eq!(from_b[0].key.user_key, b"b");
+        let after_b = memtable.range_at(Bound::Excluded(b"b"), u64::MAX, usize::MAX);
+        assert_eq!(after_b.len(), 1);
+        assert_eq!(after_b[0].key.user_key, b"c");
         // The unbounded flush snapshot still carries only live versions.
         assert_eq!(memtable.snapshot_entries().len(), 3);
+    }
+
+    /// Reads every key visible at `snapshot` the way a scan does: chunks of
+    /// `limit`, each resuming after the last key of the one before.
+    fn read_in_chunks(memtable: &Memtable, snapshot: SeqNo, limit: usize) -> Vec<Vec<Entry>> {
+        let mut chunks: Vec<Vec<Entry>> = Vec::new();
+        loop {
+            let chunk = match chunks.last().and_then(|chunk| chunk.last()) {
+                None => memtable.range_at(Bound::Unbounded, snapshot, limit),
+                Some(last) => {
+                    memtable.range_at(Bound::Excluded(&last.key.user_key), snapshot, limit)
+                }
+            };
+            let done = chunk.len() < limit;
+            chunks.push(chunk);
+            if done {
+                return chunks;
+            }
+        }
+    }
+
+    #[test]
+    fn range_at_resumes_across_chunk_boundaries() {
+        for keys in [63usize, 64, 65, 128, 129] {
+            let memtable = Memtable::new();
+            for i in 0..keys {
+                let key = format!("key-{i:04}");
+                memtable.insert(key.as_bytes(), b"v", i as u64 + 1, ValueKind::Put, pos(1, 0));
+            }
+            let chunks = read_in_chunks(&memtable, u64::MAX, 64);
+            let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
+            let mut expected = vec![64; keys / 64];
+            expected.push(keys % 64);
+            assert_eq!(sizes, expected, "{keys} keys");
+            let read: Vec<Entry> = chunks.into_iter().flatten().collect();
+            assert_eq!(read.len(), keys);
+            for (i, entry) in read.iter().enumerate() {
+                assert_eq!(entry.key.user_key, format!("key-{i:04}").as_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn range_at_chunks_read_retained_priors_and_skip_invisible_keys() {
+        let (memtable, retention) = retained_memtable();
+        for i in 0..128u64 {
+            let key = format!("key-{i:04}");
+            memtable.insert(key.as_bytes(), b"old", i + 1, ValueKind::Put, pos(1, 0));
+        }
+        retention.register(128);
+        // Overwrite every key and add keys the snapshot cannot see, one
+        // between each pair of old keys.
+        for i in 0..128u64 {
+            let key = format!("key-{i:04}");
+            memtable.insert(key.as_bytes(), b"new", 200 + i, ValueKind::Put, pos(1, 0));
+            let later = format!("key-{i:04}-later");
+            memtable.insert(later.as_bytes(), b"new", 400 + i, ValueKind::Put, pos(1, 0));
+        }
+        let chunks = read_in_chunks(&memtable, 128, 64);
+        let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
+        assert_eq!(sizes, vec![64, 64, 0], "invisible keys do not count towards a chunk");
+        for (i, entry) in chunks.iter().flatten().enumerate() {
+            assert_eq!(entry.key.user_key, format!("key-{i:04}").as_bytes());
+            assert_eq!(entry.value, b"old", "the retained prior is read");
+            assert_eq!(entry.key.seqno, i as u64 + 1);
+        }
+        // The live view sees every key at its newest version.
+        let live: Vec<Entry> =
+            read_in_chunks(&memtable, u64::MAX, 64).into_iter().flatten().collect();
+        assert_eq!(live.len(), 256);
+        assert!(live.iter().all(|entry| entry.value == b"new"));
     }
 
     #[test]

@@ -14,13 +14,13 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use triad_common::types::{Entry, InternalKey, ValueKind};
+use triad_common::types::{parse_encoded_internal_key, Entry, InternalKey, ValueKind};
 use triad_common::varint;
 use triad_common::{Error, Result, Stats};
 use triad_wal::LogReader;
 
 use crate::builder::{TableBuilder, TableBuilderOptions};
-use crate::iter::EntryIter;
+use crate::iter::{BoxedCursor, EntryCursor, EntryIter};
 use crate::properties::{TableKind, TableProperties};
 use crate::reader::Table;
 use crate::SortedTable;
@@ -84,7 +84,7 @@ impl ClTableBuilder {
 
 /// An open CL-SSTable: a sorted offset index plus the sealed commit log it references.
 pub struct ClTable {
-    index: Table,
+    index: Arc<Table>,
     log: LogReader,
     props: TableProperties,
     index_size: u64,
@@ -119,7 +119,7 @@ impl ClTable {
         stats: Option<Arc<Stats>>,
         fetch: Option<crate::FetchContext>,
     ) -> Result<ClTable> {
-        let index = Table::open_with_fetch(index_path.as_ref(), stats, fetch)?;
+        let index = Arc::new(Table::open_with_fetch(index_path.as_ref(), stats, fetch)?);
         let mut props = index.properties().clone();
         if props.kind != TableKind::CommitLogIndex {
             return Err(Error::corruption_at(
@@ -154,41 +154,58 @@ impl ClTable {
         self.log.len()
     }
 
-    fn resolve(&self, index_entry: Entry) -> Result<Entry> {
+    /// The value of the index entry for `user_key` of `kind`, whose index
+    /// value `log_offset` is the varint offset of its record in the log. A
+    /// put's record is read with its CRC checked, and it must hold the key the
+    /// index says.
+    fn resolve_value(
+        &self,
+        user_key: &[u8],
+        kind: ValueKind,
+        log_offset: &[u8],
+    ) -> Result<Vec<u8>> {
         // Tombstones carry no value; no need to touch the log.
-        if index_entry.key.kind == ValueKind::Delete {
-            return Ok(Entry::new(index_entry.key, Vec::new()));
+        if kind == ValueKind::Delete {
+            return Ok(Vec::new());
         }
-        let (offset, _) = varint::decode_u64(&index_entry.value)?;
+        let (offset, _) = varint::decode_u64(log_offset)?;
         let record = self.log.read_at(offset)?;
-        if record.key != index_entry.key.user_key {
-            return Err(Error::corruption_at(
-                format!(
-                    "CL-SSTable index points at offset {offset} holding a different key ({} vs {})",
-                    String::from_utf8_lossy(&record.key),
-                    String::from_utf8_lossy(&index_entry.key.user_key)
-                ),
-                self.log.path(),
-            ));
+        self.check_record_key(&record.key, user_key, offset)?;
+        Ok(record.value)
+    }
+
+    /// The index→log corruption check: the record at `offset` must belong to
+    /// `user_key`.
+    fn check_record_key(&self, record_key: &[u8], user_key: &[u8], offset: u64) -> Result<()> {
+        if record_key == user_key {
+            return Ok(());
         }
-        Ok(Entry::new(index_entry.key, record.value))
+        Err(Error::corruption_at(
+            format!(
+                "CL-SSTable index points at offset {offset} holding a different key ({} vs {})",
+                String::from_utf8_lossy(record_key),
+                String::from_utf8_lossy(user_key)
+            ),
+            self.log.path(),
+        ))
     }
 }
 
 impl SortedTable for ClTable {
     fn get(&self, user_key: &[u8], snapshot: u64) -> Result<Option<Entry>> {
-        match self.index.get_entry(user_key, snapshot)? {
-            Some(index_entry) => Ok(Some(self.resolve(index_entry)?)),
-            None => Ok(None),
-        }
+        let Some(index_entry) = self.index.get_entry(user_key, snapshot)? else {
+            return Ok(None);
+        };
+        let value = self.resolve_value(user_key, index_entry.key.kind, &index_entry.value)?;
+        Ok(Some(Entry::new(index_entry.key, value)))
     }
 
     fn entries(&self) -> Result<EntryIter> {
-        // Bulk iteration (compaction, full scans) reads the sealed log once into
-        // memory and resolves offsets from the buffer; issuing one positioned read
-        // per entry would dominate compaction time.
+        // Compaction reads the sealed log once into memory and resolves
+        // offsets from the buffer; one positioned read per entry would
+        // dominate compaction time.
         let buffer = self.log.read_to_buffer()?;
-        let index_entries = SortedTable::entries(&self.index)?;
+        let index_entries = SortedTable::entries(self.index.as_ref())?;
         let mut resolved = Vec::new();
         for item in index_entries {
             let index_entry = item?;
@@ -198,15 +215,17 @@ impl SortedTable for ClTable {
             }
             let (offset, _) = varint::decode_u64(&index_entry.value)?;
             let record = triad_wal::decode_record_in_buffer(&buffer, offset)?;
-            if record.key != index_entry.key.user_key {
-                return Err(Error::corruption_at(
-                    format!("CL-SSTable index points at offset {offset} holding a different key"),
-                    self.log.path(),
-                ));
-            }
+            self.check_record_key(&record.key, &index_entry.key.user_key, offset)?;
             resolved.push(Entry::new(index_entry.key, record.value));
         }
         Ok(Box::new(resolved.into_iter().map(Ok)))
+    }
+
+    fn scan_cursor(self: Arc<Self>, start: &[u8]) -> Result<BoxedCursor> {
+        let index = Arc::clone(&self.index).scan_cursor(start)?;
+        let mut cursor = ClCursor { table: self, index, value: Vec::new(), failed: false };
+        cursor.resolve()?;
+        Ok(Box::new(cursor))
     }
 
     fn properties(&self) -> &TableProperties {
@@ -216,6 +235,54 @@ impl SortedTable for ClTable {
     fn size_bytes(&self) -> u64 {
         // The bytes this table occupies on disk beyond what the WAL already wrote.
         self.index_size
+    }
+}
+
+/// A scan cursor over a CL-SSTable: walks the index table's scan cursor and
+/// reads each put's value from the backing log as the cursor reaches it, so
+/// a short scan reads only the records of the entries it reaches.
+struct ClCursor {
+    table: Arc<ClTable>,
+    index: BoxedCursor,
+    /// The current entry's value; empty for tombstones.
+    value: Vec<u8>,
+    /// Set by an error, which ends the stream.
+    failed: bool,
+}
+
+impl ClCursor {
+    /// Reads the value of the index entry the cursor is on.
+    fn resolve(&mut self) -> Result<()> {
+        if !self.index.valid() {
+            return Ok(());
+        }
+        let (user_key, kind) = parse_encoded_internal_key(self.index.key())
+            .ok_or_else(|| Error::corruption("undecodable internal key in CL-SSTable index"))?;
+        self.value = self.table.resolve_value(user_key, kind, self.index.value())?;
+        Ok(())
+    }
+}
+
+impl EntryCursor for ClCursor {
+    fn valid(&self) -> bool {
+        !self.failed && self.index.valid()
+    }
+
+    fn key(&self) -> &[u8] {
+        self.index.key()
+    }
+
+    fn value(&self) -> &[u8] {
+        &self.value
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        if !self.valid() {
+            return Ok(());
+        }
+        let moved = self.index.advance().and_then(|()| self.resolve());
+        self.failed = moved.is_err();
+        moved
     }
 }
 
@@ -334,6 +401,37 @@ mod tests {
         }
     }
 
+    /// Every entry a cursor lends, from where it stands to its end.
+    fn drain(mut cursor: BoxedCursor) -> Result<Vec<Entry>> {
+        let mut lent = Vec::new();
+        while cursor.valid() {
+            lent.push(Entry::new(InternalKey::decode(cursor.key()).unwrap(), cursor.value()));
+            cursor.advance()?;
+        }
+        Ok(lent)
+    }
+
+    #[test]
+    fn scan_cursor_resolves_values_per_entry_and_keeps_tombstones() {
+        let dir = temp_dir("scan-cursor");
+        let (index_path, log_path) = build_cl_table(&dir, 100);
+        let table = Arc::new(ClTable::open(&index_path, &log_path, None).unwrap());
+        let eager: Vec<Entry> = table.entries().unwrap().map(|r| r.unwrap()).collect();
+        let scanned = drain(Arc::clone(&table).scan_cursor(b"").unwrap()).unwrap();
+        assert_eq!(scanned, eager, "the scan cursor lends what the eager read returns");
+        let tombstones = scanned.iter().filter(|e| e.key.kind == ValueKind::Delete).count();
+        assert_eq!(tombstones, 10);
+        assert!(scanned.iter().all(|e| (e.key.kind == ValueKind::Delete) == e.value.is_empty()));
+
+        // Seeking onto a tombstone lands on it; between keys on the next one.
+        let from_deleted = drain(Arc::clone(&table).scan_cursor(b"key-00050").unwrap()).unwrap();
+        assert_eq!(from_deleted, eager[50..]);
+        assert_eq!(from_deleted[0].key.kind, ValueKind::Delete);
+        let between = drain(Arc::clone(&table).scan_cursor(b"key-00050x").unwrap()).unwrap();
+        assert_eq!(between, eager[51..]);
+        assert!(drain(Arc::clone(&table).scan_cursor(b"key-99999").unwrap()).unwrap().is_empty());
+    }
+
     #[test]
     fn properties_record_the_backing_log() {
         let dir = temp_dir("props");
@@ -376,9 +474,18 @@ mod tests {
         builder.add(&InternalKey::new(b"bbb".to_vec(), 2, ValueKind::Put), offset_a, 2).unwrap();
         builder.finish().unwrap();
 
-        let table = ClTable::open(&index_path, &log_path, None).unwrap();
+        let table = Arc::new(ClTable::open(&index_path, &log_path, None).unwrap());
         assert_eq!(table.get(b"aaa", u64::MAX).unwrap().unwrap().value, b"va");
         let err = table.get(b"bbb", u64::MAX).unwrap_err();
         assert!(err.is_corruption());
+
+        // A scan lends "aaa", then stops at "bbb" with the same corruption.
+        let mut cursor = Arc::clone(&table).scan_cursor(b"").unwrap();
+        assert_eq!(cursor.value(), b"va");
+        let err = cursor.advance().unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert!(!cursor.valid(), "an error ends the scan");
+        // A scan that starts on the bad entry fails to open.
+        assert!(Arc::clone(&table).scan_cursor(b"bbb").err().unwrap().is_corruption());
     }
 }

@@ -7,13 +7,14 @@
 //! no allocation. The [`MergingCursor`] performs the k-way merge; the
 //! [`DedupCursor`] collapses the stream down to the newest visible version of each
 //! user key and optionally drops tombstones when compacting into the bottom level.
-//! [`IterCursor`] lends the entries of an owned [`EntryIter`], which is how
-//! memtable copies, CL-SSTables and scans' table iterators join a merge.
+//! [`BoundedCursor`] hides the versions newer than a snapshot. [`IterCursor`]
+//! lends the entries of an owned [`EntryIter`], which is how a CL-SSTable
+//! joins a compaction.
 
 use std::cmp::Ordering;
 
 use triad_common::types::{compare_encoded_internal_keys, parse_encoded_internal_key};
-use triad_common::types::{Entry, ValueKind};
+use triad_common::types::{Entry, InternalKey, SeqNo, ValueKind};
 use triad_common::{Error, Result};
 
 /// A boxed stream of entries in internal-key order.
@@ -249,24 +250,90 @@ pub fn entries_to_iter(entries: Vec<Entry>) -> EntryIter {
     Box::new(entries.into_iter().map(Ok))
 }
 
-/// Restricts `inner` to entries whose sequence number is `<= max_seqno`.
+/// Lends only the entries of `inner` whose sequence number is `<= max_seqno`.
 ///
 /// This is the table-side half of the snapshot read path: sources are bounded
 /// *before* the [`DedupCursor`] picks survivors, so the survivor for each
 /// user key is the newest version visible at the snapshot, not the newest
 /// version outright. The hot (non-snapshot) read path never uses this — it
 /// reads newest, unbounded.
-pub fn bounded_to_seqno(inner: EntryIter, max_seqno: u64) -> EntryIter {
-    Box::new(inner.filter(move |item| match item {
-        Ok(entry) => entry.key.seqno <= max_seqno,
-        Err(_) => true,
+pub struct BoundedCursor<C> {
+    inner: C,
+    max_seqno: SeqNo,
+}
+
+impl<C: EntryCursor> BoundedCursor<C> {
+    /// Wraps `inner` and moves to its first entry at or below `max_seqno`.
+    pub fn new(inner: C, max_seqno: SeqNo) -> Result<Self> {
+        let mut bounded = BoundedCursor { inner, max_seqno };
+        bounded.skip_invisible()?;
+        Ok(bounded)
+    }
+
+    fn skip_invisible(&mut self) -> Result<()> {
+        while self.inner.valid() && encoded_seqno(self.inner.key()) > self.max_seqno {
+            self.inner.advance()?;
+        }
+        Ok(())
+    }
+}
+
+impl<C: EntryCursor> EntryCursor for BoundedCursor<C> {
+    fn valid(&self) -> bool {
+        self.inner.valid()
+    }
+
+    fn key(&self) -> &[u8] {
+        self.inner.key()
+    }
+
+    fn value(&self) -> &[u8] {
+        self.inner.value()
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        if !self.inner.valid() {
+            return Ok(());
+        }
+        self.inner.advance()?;
+        self.skip_invisible()
+    }
+}
+
+/// The sequence number in the trailer of an encoded internal key, which a
+/// cursor always lends well-formed.
+fn encoded_seqno(key: &[u8]) -> SeqNo {
+    let trailer = &key[key.len() - 8..];
+    u64::from_be_bytes(trailer.try_into().expect("8-byte trailer")) >> 8
+}
+
+/// The entries `cursor` lends, copied out one by one; the stream ends after
+/// the first error.
+pub(crate) fn cursor_entries(cursor: BoxedCursor) -> EntryIter {
+    let mut cursor = Some(cursor);
+    let mut started = false;
+    Box::new(std::iter::from_fn(move || {
+        let current = cursor.as_mut()?;
+        if std::mem::replace(&mut started, true) {
+            if let Err(e) = current.advance() {
+                cursor = None;
+                return Some(Err(e));
+            }
+        }
+        if !current.valid() {
+            return None;
+        }
+        Some(
+            InternalKey::decode(current.key())
+                .map(|key| Entry::new(key, current.value()))
+                .ok_or_else(|| Error::corruption("undecodable internal key in cursor")),
+        )
     }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triad_common::types::InternalKey;
 
     fn put(key: &str, seqno: u64, value: &str) -> Entry {
         Entry::put(key.as_bytes().to_vec(), value.as_bytes().to_vec(), seqno)
@@ -394,6 +461,27 @@ mod tests {
         assert_eq!(keys, vec![b"a".as_slice(), b"c", b"d"]);
         assert_eq!(compacted[0].value, b"a-new");
         assert_eq!(compacted[2].value, b"d-old");
+    }
+
+    #[test]
+    fn bounded_cursor_hides_versions_above_the_bound() {
+        let stream = sorted(vec![
+            put("a", 9, "a9"),
+            put("b", 3, "b3"),
+            put("b", 8, "b8"),
+            del("c", 7),
+            put("c", 2, "c2"),
+            put("d", 12, "d12"),
+        ]);
+        let bounded = BoundedCursor::new(IterCursor::new(entries_to_iter(stream)).unwrap(), 7);
+        let bounded = bounded.unwrap();
+        let mut dedup = DedupCursor::new(bounded, false).unwrap();
+        let kept = drain(&mut dedup).unwrap();
+        let seen: Vec<(&[u8], u64)> =
+            kept.iter().map(|e| (e.key.user_key.as_slice(), e.key.seqno)).collect();
+        assert_eq!(seen, vec![(b"b".as_slice(), 3), (b"c", 7)], "the bound runs before dedup");
+        let newer = IterCursor::new(entries_to_iter(vec![put("x", 5, "x")])).unwrap();
+        assert!(!BoundedCursor::new(newer, 4).unwrap().valid());
     }
 
     #[test]

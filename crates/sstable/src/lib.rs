@@ -10,9 +10,9 @@
 //!   tables RocksDB writes on flush and compaction.
 //! * [`cl_table`] — the TRIAD-LOG *CL-SSTable*: a sorted key→offset index over a
 //!   sealed commit log, so flushes write only the index instead of re-writing values.
-//! * [`iter`] — the entry cursors, k-way merge and version-resolving dedup shared by
-//!   compaction and scans.
-//! * [`readahead`] — the small I/O worker pool scan iterators use to prefetch the
+//! * [`iter`] — the entry cursors, k-way merge, version-resolving dedup and
+//!   snapshot bound shared by compaction and scans.
+//! * [`readahead`] — the small I/O worker pool scan cursors use to prefetch the
 //!   next data block into the shared cache while the merge consumes the current one.
 //!   Compaction reads its inputs without it.
 //!
@@ -37,7 +37,7 @@ pub use builder::{TableBuilder, TableBuilderOptions};
 pub use cl_table::{ClTable, ClTableBuilder};
 pub use format::VerifiedBlock;
 pub use iter::{
-    bounded_to_seqno, BoxedCursor, DedupCursor, EntryCursor, EntryIter, IterCursor, MergingCursor,
+    BoundedCursor, BoxedCursor, DedupCursor, EntryCursor, EntryIter, IterCursor, MergingCursor,
 };
 pub use properties::{TableKind, TableProperties};
 pub use readahead::IoPool;
@@ -114,7 +114,7 @@ pub struct FetchContext {
     pub table_id: u64,
     /// The shared block cache.
     pub fetch: Arc<dyn BlockFetch>,
-    /// Worker pool that scan iterators use to prefetch the next data block.
+    /// Worker pool that scan cursors use to prefetch the next data block.
     /// `None` disables readahead; point lookups never use it.
     pub readahead: Option<Arc<IoPool>>,
 }
@@ -129,21 +129,22 @@ pub trait SortedTable: Send + Sync {
     /// Returns an iterator over every entry in internal-key order.
     fn entries(&self) -> Result<EntryIter>;
 
-    /// Like [`entries`](Self::entries), but takes the table by `Arc` so
-    /// implementations can return an iterator that streams blocks on demand
-    /// (and prefetches ahead of the merge) instead of materializing the whole
-    /// table up front. The default falls back to the eager path.
-    fn entries_arc(self: Arc<Self>) -> Result<EntryIter> {
-        self.entries()
-    }
-
     /// A cursor over every entry in internal-key order, for compaction: it
     /// lends each entry instead of allocating one. The default adapts
-    /// [`entries_arc`](Self::entries_arc). A regular [`Table`] reads each data
-    /// block once, CRC-verified, without going through the shared block cache.
+    /// [`entries`](Self::entries), which CL-SSTables keep. A regular [`Table`]
+    /// reads each data block once, CRC-verified, without going through the
+    /// shared block cache.
     fn cursor(self: Arc<Self>) -> Result<BoxedCursor> {
-        Ok(Box::new(IterCursor::new(self.entries_arc()?)?))
+        Ok(Box::new(IterCursor::new(self.entries()?)?))
     }
+
+    /// A cursor for scans, on the first entry whose internal key is
+    /// `>= (start, MAX_SEQNO)` — the newest version of the first user key at or
+    /// after `start`; an empty `start` lands on the first entry. It streams
+    /// from there: a regular [`Table`] reads data blocks through its block
+    /// cache, a [`ClTable`] reads each value from its commit log as the cursor
+    /// reaches it.
+    fn scan_cursor(self: Arc<Self>, start: &[u8]) -> Result<BoxedCursor>;
 
     /// The table's metadata.
     fn properties(&self) -> &TableProperties;

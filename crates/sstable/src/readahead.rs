@@ -1,14 +1,15 @@
 //! A small fixed-size I/O worker pool for sequential readahead.
 //!
-//! Scan and compaction iterators walk a table's data blocks in order, so the
-//! next block each iterator needs is known one step in advance. When a table
-//! is opened with a [`FetchContext`](crate::FetchContext) whose `readahead`
-//! pool is set, [`TableIterator`](crate::reader::TableIterator) hands the
-//! *next* block's read to this pool while the merge consumes the current one,
-//! overlapping disk (or page-cache syscall) latency with merging. Prefetched
-//! blocks land in the shared block cache through the same single-flight
-//! [`BlockFetch`](crate::BlockFetch) path as foreground reads, so a prefetch
-//! and a foreground probe for the same block still do one read between them.
+//! A scan cursor walks a table's data blocks in order, so the next block it
+//! needs is known one step in advance. When a table is opened with a
+//! [`FetchContext`](crate::FetchContext) whose `readahead` pool is set, the
+//! table's [scan cursor](crate::SortedTable::scan_cursor), once it has read a
+//! block to its end, hands the *next* block's read to this pool while the
+//! merge consumes the current one, overlapping disk (or page-cache syscall)
+//! latency with merging. Prefetched blocks land in the shared block cache
+//! through the same single-flight [`BlockFetch`](crate::BlockFetch) path as
+//! foreground reads, so a prefetch and a foreground probe for the same block
+//! still do one read between them.
 //!
 //! Jobs are best-effort: they run soon, in submission order, and any I/O
 //! error is swallowed (the foreground read will surface it). The vendored

@@ -6,13 +6,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use triad_common::types::{parse_encoded_internal_key, Entry, InternalKey};
+use triad_common::types::{parse_encoded_internal_key, Entry, InternalKey, MAX_SEQNO};
 use triad_common::{Error, Result, Stats};
 
 use crate::block::Block;
 use crate::bloom::BloomFilter;
 use crate::format::{BlockFileReader, BlockHandle};
-use crate::iter::{BoxedCursor, EntryCursor, EntryIter};
+use crate::iter::{cursor_entries, BoxedCursor, EntryCursor, EntryIter};
 use crate::properties::{TableKind, TableProperties};
 use crate::{FetchContext, SortedTable};
 
@@ -190,14 +190,12 @@ impl Table {
         Ok(Some(Entry::new(key, value.to_vec())))
     }
 
-    /// Returns an iterator over every entry of the table in internal-key order.
-    pub fn iter_entries(self: &Arc<Self>) -> TableIterator {
-        TableIterator {
-            table: Arc::clone(self),
-            index_pos: 0,
-            block: None,
-            block_pos: 0,
-            errored: false,
+    /// Returns an iterator over every entry of the table in internal-key order,
+    /// read block by block through the table's scan cursor.
+    pub fn iter_entries(self: &Arc<Self>) -> EntryIter {
+        match Arc::clone(self).scan_cursor(&[]) {
+            Ok(cursor) => cursor_entries(cursor),
+            Err(e) => Box::new(std::iter::once(Err(e))),
         }
     }
 }
@@ -226,14 +224,12 @@ impl SortedTable for Table {
         Ok(Box::new(all.into_iter().map(Ok)))
     }
 
-    fn entries_arc(self: Arc<Self>) -> Result<EntryIter> {
-        // Streams one block at a time (prefetching the next through the I/O
-        // pool when the table has one) instead of materializing the table.
-        Ok(Box::new(self.iter_entries()))
+    fn cursor(self: Arc<Self>) -> Result<BoxedCursor> {
+        Ok(Box::new(TableCursor::new(self, BlockSource::Uncached, &[])?))
     }
 
-    fn cursor(self: Arc<Self>) -> Result<BoxedCursor> {
-        Ok(Box::new(TableCursor::new(self)?))
+    fn scan_cursor(self: Arc<Self>, start: &[u8]) -> Result<BoxedCursor> {
+        Ok(Box::new(TableCursor::new(self, BlockSource::Cached, start)?))
     }
 
     fn properties(&self) -> &TableProperties {
@@ -245,35 +241,75 @@ impl SortedTable for Table {
     }
 }
 
-/// The compaction cursor over a table: walks the index and reads each data
-/// block once, CRC-verified, straight from the file, then lends its entries.
-///
-/// These reads never go through the shared block cache or the readahead pool
-/// (RocksDB's `fill_cache = false`): a compaction touches every block of its
-/// inputs once, and caching them would only evict the blocks gets are using.
-/// They are not counted in `block_reads` either, which stays a get-path figure.
+/// Where a [`TableCursor`] reads its data blocks from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BlockSource {
+    /// Compaction: each block once, CRC-verified, straight from the file,
+    /// never through the shared block cache or the readahead pool (RocksDB's
+    /// `fill_cache = false`). A compaction touches every block of its inputs
+    /// once, and caching them would only evict the blocks gets are using.
+    /// These reads are not counted in `block_reads`, which stays a read-path
+    /// figure.
+    Uncached,
+    /// Scans: through the shared block cache (or the single-slot cache of a
+    /// table opened without one). Once a scan has read a block to its end, it
+    /// prefetches the block after the one it moves to.
+    Cached,
+}
+
+/// The one cursor over a table's entries, for compaction and scans alike: it
+/// walks the index from a seek position and lends the entries of one data
+/// block at a time.
 struct TableCursor {
     table: Arc<Table>,
+    source: BlockSource,
     /// Index position of the next data block to read.
     next_block: usize,
-    block: Block,
+    block: Arc<Block>,
     pos: usize,
     key: Range<usize>,
     value: Range<usize>,
 }
 
 impl TableCursor {
-    fn new(table: Arc<Table>) -> Result<TableCursor> {
+    /// Opens a cursor on the first entry whose internal key is
+    /// `>= (start, MAX_SEQNO)`: the newest version of the first user key at or
+    /// after `start`. An empty `start` lands on the table's first entry.
+    fn new(table: Arc<Table>, source: BlockSource, start: &[u8]) -> Result<TableCursor> {
         let mut cursor = TableCursor {
             table,
+            source,
             next_block: 0,
-            block: Block::default(),
+            block: Arc::default(),
             pos: 0,
             key: 0..0,
             value: 0..0,
         };
+        if !start.is_empty() {
+            let target = InternalKey::for_lookup(start, MAX_SEQNO).encode();
+            cursor.next_block = cursor.table.index.seek(&target)?;
+            if cursor.next_block < cursor.table.index.num_entries() {
+                cursor.read_next_block()?;
+                cursor.pos = cursor.block.seek(&target)?;
+            }
+        }
         cursor.settle()?;
         Ok(cursor)
+    }
+
+    /// Reads the data block at index position `next_block` and moves onto it.
+    fn read_next_block(&mut self) -> Result<()> {
+        let (_, handle_bytes) = self.table.index.entry(self.next_block)?;
+        let handle = BlockHandle::decode(handle_bytes)?;
+        self.block = match self.source {
+            BlockSource::Uncached => {
+                Arc::new(self.table.reader.read_verified_block(handle)?.into_block())
+            }
+            BlockSource::Cached => self.table.read_data_block(handle)?,
+        };
+        self.next_block += 1;
+        self.pos = 0;
+        Ok(())
     }
 
     /// Moves onto entry `pos` of the current block, reading the following
@@ -283,11 +319,14 @@ impl TableCursor {
             if self.next_block >= self.table.index.num_entries() {
                 return Ok(());
             }
-            let (_, handle_bytes) = self.table.index.entry(self.next_block)?;
-            let handle = BlockHandle::decode(handle_bytes)?;
-            self.block = self.table.reader.read_verified_block(handle)?.into_block();
-            self.next_block += 1;
-            self.pos = 0;
+            // A scan that read a block to its end reads sequentially: overlap
+            // the following block's read with consuming this one. A short scan
+            // that stays in the block it sought to prefetches nothing.
+            let sequential = !self.block.is_empty();
+            self.read_next_block()?;
+            if sequential && self.source == BlockSource::Cached {
+                self.table.prefetch(self.next_block);
+            }
         }
         let (key, value) = self.block.entry_ranges(self.pos)?;
         if parse_encoded_internal_key(&self.block.data()[key.clone()]).is_none() {
@@ -322,65 +361,9 @@ impl EntryCursor for TableCursor {
         self.pos += 1;
         let settled = self.settle();
         if settled.is_err() {
-            self.block = Block::default();
+            self.block = Arc::default();
         }
         settled
-    }
-}
-
-/// Streaming iterator over a table's entries; loads one data block at a time.
-pub struct TableIterator {
-    table: Arc<Table>,
-    index_pos: usize,
-    block: Option<Arc<Block>>,
-    block_pos: usize,
-    errored: bool,
-}
-
-impl TableIterator {
-    fn next_entry(&mut self) -> Result<Option<Entry>> {
-        loop {
-            if let Some(block) = &self.block {
-                if self.block_pos < block.num_entries() {
-                    let (key_bytes, value) = block.entry(self.block_pos)?;
-                    let key = InternalKey::decode(key_bytes).ok_or_else(|| {
-                        Error::corruption("undecodable internal key in data block")
-                    })?;
-                    let entry = Entry::new(key, value.to_vec());
-                    self.block_pos += 1;
-                    return Ok(Some(entry));
-                }
-                self.block = None;
-                self.block_pos = 0;
-            }
-            if self.index_pos >= self.table.index.num_entries() {
-                return Ok(None);
-            }
-            let (_, handle_bytes) = self.table.index.entry(self.index_pos)?;
-            let handle = BlockHandle::decode(handle_bytes)?;
-            self.block = Some(self.table.read_data_block(handle)?);
-            self.index_pos += 1;
-            // Overlap the *next* block's I/O with consuming this one.
-            self.table.prefetch(self.index_pos);
-        }
-    }
-}
-
-impl Iterator for TableIterator {
-    type Item = Result<Entry>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.errored {
-            return None;
-        }
-        match self.next_entry() {
-            Ok(Some(entry)) => Some(Ok(entry)),
-            Ok(None) => None,
-            Err(e) => {
-                self.errored = true;
-                Some(Err(e))
-            }
-        }
     }
 }
 
@@ -579,6 +562,20 @@ mod tests {
     }
 
     #[test]
+    fn scan_cursor_reads_through_the_cache() {
+        let path = temp_path("scan-cache.sst");
+        build_table(&path, 1_000, 256);
+        let cache = MapCache::new();
+        let ctx = FetchContext { table_id: 1, fetch: Arc::clone(&cache) as _, readahead: None };
+        let table = Arc::new(Table::open_with_fetch(&path, None, Some(ctx)).unwrap());
+        let blocks = table.index.num_entries() as u64;
+        assert_eq!(drain(Arc::clone(&table).scan_cursor(b"").unwrap()).len(), 1_000);
+        assert_eq!(cache.loads(), blocks, "a full scan loads every block into the cache once");
+        assert_eq!(drain(Arc::clone(&table).scan_cursor(b"key-000990").unwrap()).len(), 10);
+        assert_eq!(cache.loads(), blocks, "a second scan is served from the cache");
+    }
+
+    #[test]
     fn cursor_detects_a_corrupt_data_block() {
         let path = temp_path("cursor-corrupt.sst");
         build_table(&path, 1_000, 256);
@@ -601,6 +598,71 @@ mod tests {
         assert!(error.is_corruption(), "{error}");
         assert!(lent > 900, "blocks before the corrupt one are lent: {lent}");
         assert!(!cursor.valid(), "an error ends the stream");
+    }
+
+    /// Every entry a cursor lends, from where it stands to its end.
+    fn drain(mut cursor: BoxedCursor) -> Vec<Entry> {
+        let mut lent = Vec::new();
+        while cursor.valid() {
+            lent.push(Entry::new(InternalKey::decode(cursor.key()).unwrap(), cursor.value()));
+            cursor.advance().unwrap();
+        }
+        lent
+    }
+
+    #[test]
+    fn scan_cursor_seeks_to_the_start_key() {
+        let path = temp_path("seek.sst");
+        // Small blocks: 1 000 entries span many of them.
+        build_table(&path, 1_000, 256);
+        let table = Arc::new(Table::open(&path, None).unwrap());
+        let all: Vec<Entry> = table.iter_entries().map(|r| r.unwrap()).collect();
+        let from = |start: &[u8]| drain(Arc::clone(&table).scan_cursor(start).unwrap());
+
+        assert_eq!(from(b""), all, "an empty start reads everything");
+        assert_eq!(from(b"a"), all, "a start before the first key reads everything");
+        assert_eq!(from(b"key-000500"), all[500..], "a start on a key lands on it");
+        assert_eq!(from(b"key-000500x"), all[501..], "a start between keys lands on the next");
+        assert!(from(b"key-001000").is_empty(), "a start past the last key reads nothing");
+        assert!(from(b"zzz").is_empty());
+
+        // A start on the first key of every block: the seek crosses block
+        // boundaries and lands on the block's first entry, not the end of
+        // the block before.
+        let mut block_starts = 0;
+        for index_pos in 1..table.index.num_entries() {
+            let (last_key, _) = table.index.entry(index_pos - 1).unwrap();
+            let last = InternalKey::decode(last_key).unwrap();
+            let next = all.iter().position(|entry| entry.key == last).unwrap() + 1;
+            let lent = from(&all[next].key.user_key);
+            assert_eq!(lent.len(), all.len() - next);
+            assert_eq!(lent[0], all[next]);
+            block_starts += 1;
+        }
+        assert!(block_starts > 10, "the table spans many blocks: {block_starts}");
+    }
+
+    #[test]
+    fn scan_cursor_lands_on_the_newest_version() {
+        let path = temp_path("seek-versions.sst");
+        let mut builder = TableBuilder::create(
+            &path,
+            TableBuilderOptions { block_size: 64, bloom_bits_per_key: 10 },
+        )
+        .unwrap();
+        let key =
+            |user: &str, seqno| InternalKey::new(user.as_bytes().to_vec(), seqno, ValueKind::Put);
+        builder.add(&key("a", 1), b"a1").unwrap();
+        for seqno in (10..40).rev() {
+            builder.add(&key("k", seqno), format!("k{seqno}").as_bytes()).unwrap();
+        }
+        builder.add(&key("z", 2), b"z2").unwrap();
+        builder.finish().unwrap();
+        let table = Arc::new(Table::open(&path, None).unwrap());
+        let lent = drain(Arc::clone(&table).scan_cursor(b"k").unwrap());
+        assert_eq!(lent.len(), 31, "every version of k, then z");
+        assert_eq!(lent[0].key, key("k", 39), "the newest version of k comes first");
+        assert_eq!(lent[30].key, key("z", 2));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests: the engine behaves like a `BTreeMap` under arbitrary
 //! operation sequences, for every TRIAD configuration, including across a restart —
 //! and every open MVCC snapshot behaves like the *versioned* reference model
-//! (key → list of `(clock, value)`) frozen at the moment the snapshot was taken.
+//! (key → list of `(clock, value)`) frozen at the moment the snapshot was taken,
+//! for full scans and for range scans with arbitrary bounds alike.
 //!
 //! The versioned model runs on its own logical clock, one tick per committed
 //! write. Engine seqnos cannot play that role: on a sharded database they are
@@ -184,6 +185,65 @@ impl VersionedModel {
 /// An open snapshot and the model clock at which it was taken.
 type ClockedSnapshot = (Snapshot, u64);
 
+/// A scan bound: none, on a key, between two keys, before the first key or
+/// past the last one.
+fn range_bound_strategy() -> impl Strategy<Value = Option<Vec<u8>>> {
+    prop_oneof![
+        1 => Just(None),
+        3 => (0u16..210).prop_map(|key| Some(key_bytes(key))),
+        3 => (0u16..210).prop_map(|key| {
+            let mut between = key_bytes(key);
+            between.push(b'x');
+            Some(between)
+        }),
+        1 => Just(Some(Vec::new())),
+        1 => Just(Some(b"pkey".to_vec())),
+        1 => Just(Some(b"zzz".to_vec())),
+    ]
+}
+
+type Range = (Option<Vec<u8>>, Option<Vec<u8>>);
+
+/// Random `[start, end)` ranges plus the edge cases every run checks: the
+/// whole keyspace, from before the first key, from past the last, and
+/// `start >= end`.
+fn ranges_strategy() -> impl Strategy<Value = Vec<Range>> {
+    proptest::collection::vec((range_bound_strategy(), range_bound_strategy()), 6..7).prop_map(
+        |mut ranges| {
+            ranges.extend([
+                (None, None),
+                (Some(b"pkey".to_vec()), Some(key_bytes(3))),
+                (Some(b"zzz".to_vec()), None),
+                (Some(key_bytes(50)), Some(key_bytes(10))),
+                (Some(key_bytes(7)), Some(key_bytes(7))),
+            ]);
+            ranges
+        },
+    )
+}
+
+/// Checks `scan_range` over each of `ranges` against `listing`, the model's
+/// full listing at the view's time.
+fn assert_range_scans_match(
+    what: &str,
+    scan_range: impl Fn(Option<&[u8]>, Option<&[u8]>) -> triad::Result<triad::DbIterator>,
+    listing: &[(Vec<u8>, Vec<u8>)],
+    ranges: &[Range],
+) {
+    for (start, end) in ranges {
+        let (start, end) = (start.as_deref(), end.as_deref());
+        let scanned: Vec<(Vec<u8>, Vec<u8>)> =
+            scan_range(start, end).unwrap().map(|r| r.unwrap()).collect();
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = listing
+            .iter()
+            .filter(|(key, _)| start.map_or(true, |s| key.as_slice() >= s))
+            .filter(|(key, _)| end.map_or(true, |e| key.as_slice() < e))
+            .cloned()
+            .collect();
+        assert_eq!(scanned, expected, "{what} scan_range({start:?}, {end:?}) mismatch");
+    }
+}
+
 /// Checks one snapshot's point reads and scan against the model at the time
 /// the snapshot was taken.
 fn assert_snapshot_matches_model(
@@ -273,6 +333,7 @@ proptest! {
     fn snapshots_match_versioned_model(
         ops in proptest::collection::vec(versioned_op_strategy(), 1..120),
         triad in config_strategy(),
+        ranges in ranges_strategy(),
     ) {
         let dir = unique_dir("mvcc");
         let db = Db::open(&dir, tiny_options(triad)).unwrap();
@@ -286,6 +347,10 @@ proptest! {
         db.wait_for_compactions().unwrap();
         for snap in snapshots.iter() {
             assert_snapshot_matches_model(snap, &model, true);
+            let (snap, at) = snap;
+            let what = format!("snapshot@{at}");
+            let listing = model.listing_at(*at);
+            assert_range_scans_match(&what, |s, e| snap.scan_range(s, e), &listing, &ranges);
         }
         // The live view equals the model's newest versions (sanity: retention
         // never leaks old versions into unbounded reads).
@@ -295,6 +360,8 @@ proptest! {
         }
         let live: Vec<(Vec<u8>, Vec<u8>)> = db.scan().unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(live, model.listing_at(u64::MAX), "live scan mismatch");
+        let listing = model.listing_at(u64::MAX);
+        assert_range_scans_match("live", |s, e| db.scan_range(s, e), &listing, &ranges);
         // Dropping every snapshot releases the pinned files to GC.
         snapshots.clear();
         db.wait_for_compactions().unwrap();
