@@ -1,5 +1,5 @@
 //! The shared block cache: a sharded CLOCK cache of checksummed, decoded
-//! data blocks.
+//! data blocks and of the commit-log chunks CL-SSTable scans read.
 //!
 //! One cache serves the whole database — every keyspace shard's tables read
 //! through it — and shards *internally* (by key hash, independently of the
@@ -11,7 +11,10 @@
 //!   per-keyspace-shard namespace (two shards both have a file 7), so the
 //!   cache allocates its own globally unique table ids
 //!   ([`BlockCache::allocate_table_id`]); the table cache records the mapping
-//!   and purges a table's blocks when GC evicts it.
+//!   and purges a table's blocks when GC evicts it. A CL-SSTable's log
+//!   chunks are keyed under the same table id, at their log offset with a
+//!   tag bit set (`LOG_CHUNK_TAG`), so they never meet its index blocks and
+//!   the same purge drops both.
 //! * **Eviction** — second-chance FIFO (CLOCK): a hit sets the slot's
 //!   reference bit; when an insert pushes a shard over its byte budget the
 //!   clock hand pops the ring front, re-queues referenced slots with the bit
@@ -25,10 +28,15 @@
 //!   evenly across the shards and is enforced per shard at insert time;
 //!   blocks larger than a whole shard budget are returned uncached.
 //!
-//! Only checksum-verified blocks may enter the cache: the `load` closure of
+//! A slot holds one of two kinds, and neither serves an unchecked byte.
+//! A data block enters only checksum-verified: the `load` closure of
 //! [`BlockFetch::get_or_load`] returns a [`VerifiedBlock`], which only
 //! `BlockFileReader::read_verified_block` — the CRC32C-checked read — can
-//! construct. A loader that skips the checksum does not compile.
+//! construct. A log chunk ([`BlockFetch::get_or_load_chunk`]) is checksummed
+//! per record, not as a whole, so it is cached as read; its bytes can be read
+//! only through `LogChunk::record_at`, which CRC-checks each record as it
+//! decodes it. A loader that skips the checksum, or a reader that skips the
+//! decoder, does not compile.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,9 +44,10 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 use triad_common::lockrank::RankedMutex;
-use triad_common::{Result, Stats};
+use triad_common::{Error, Result, Stats};
 use triad_sstable::block::Block;
 use triad_sstable::{BlockFetch, VerifiedBlock};
+use triad_wal::LogChunk;
 
 use crate::db::lock_rank;
 
@@ -47,12 +56,51 @@ use crate::db::lock_rank;
 /// the handful of reader threads a single host drives.
 const CACHE_SHARDS: usize = 8;
 
-/// A block's identity in the cache: (cache table id, block offset).
+/// A block's identity in the cache: (cache table id, block offset). A log
+/// chunk's offset carries [`LOG_CHUNK_TAG`].
 type BlockKey = (u64, u64);
 
-/// The result a flight publishes: `Some(block)` on a successful load,
+/// Set on the offset half of a log chunk's key. Block offsets are file
+/// offsets, far below it.
+const LOG_CHUNK_TAG: u64 = 1 << 63;
+
+/// What a slot holds: a verified data block or a commit-log chunk.
+#[derive(Clone)]
+enum Resident {
+    Block(Arc<Block>),
+    Chunk(Arc<LogChunk>),
+}
+
+impl Resident {
+    /// The bytes this entry charges against the budget.
+    fn charge(&self) -> usize {
+        match self {
+            Resident::Block(block) => block.size_bytes(),
+            Resident::Chunk(chunk) => chunk.len(),
+        }
+    }
+
+    /// The block this is. A chunk here means a corrupt block handle whose
+    /// offset reached into the tagged key space.
+    fn into_block(self) -> Result<Arc<Block>> {
+        match self {
+            Resident::Block(block) => Ok(block),
+            Resident::Chunk(_) => Err(Error::corruption("block offset names a cached log chunk")),
+        }
+    }
+
+    /// The chunk this is.
+    fn into_chunk(self) -> Result<Arc<LogChunk>> {
+        match self {
+            Resident::Chunk(chunk) => Ok(chunk),
+            Resident::Block(_) => Err(Error::corruption("log chunk key names a cached block")),
+        }
+    }
+}
+
+/// The result a flight publishes: `Some(entry)` on a successful load,
 /// `None` when the load failed or the table was purged mid-flight.
-type FlightResult = Option<Arc<Block>>;
+type FlightResult = Option<Resident>;
 
 /// A single-flight rendezvous: the loader publishes exactly once, waiters
 /// park until then. Its lock is private to the flight and never nests with
@@ -81,9 +129,9 @@ impl Flight {
     }
 }
 
-/// One cache slot: a resident block, or a load in flight.
+/// One cache slot: a resident block or chunk, or a load in flight.
 enum Slot {
-    Ready { block: Arc<Block>, charge: usize, referenced: bool },
+    Ready { entry: Resident, charge: usize, referenced: bool },
     Loading(Arc<Flight>),
 }
 
@@ -121,9 +169,9 @@ impl CacheShard {
     }
 }
 
-/// The shared, sharded CLOCK cache of decoded data blocks. See the module
-/// docs for the design; constructed once per [`crate::Db`] and handed to
-/// every keyspace shard's table cache.
+/// The shared, sharded CLOCK cache of decoded data blocks and log chunks.
+/// See the module docs for the design; constructed once per [`crate::Db`]
+/// and handed to every keyspace shard's table cache.
 pub struct BlockCache {
     shards: Vec<RankedMutex<CacheShard>>,
     /// Per-shard byte budget (total budget / CACHE_SHARDS, at least 1).
@@ -187,7 +235,7 @@ impl BlockCache {
             .sum()
     }
 
-    /// Number of resident (`Ready`) blocks.
+    /// Number of resident (`Ready`) blocks and log chunks.
     pub fn block_count(&self) -> usize {
         self.shards
             .iter()
@@ -208,10 +256,10 @@ impl BlockCache {
         self.shard_budget * CACHE_SHARDS
     }
 
-    /// Drops every block belonging to `table_id` — called when GC evicts the
-    /// table so a recycled file id can never resurrect stale blocks. Loads
-    /// still in flight are told to publish `None`; their waiters re-read
-    /// directly and their loaders skip the insert.
+    /// Drops every block and log chunk belonging to `table_id` — called when
+    /// GC evicts the table so a recycled file id can never resurrect stale
+    /// blocks. Loads still in flight are told to publish `None`; their
+    /// waiters re-read directly and their loaders skip the insert.
     pub fn purge_table(&self, table_id: u64) {
         for shard in &self.shards {
             let flights: Vec<Arc<Flight>> = {
@@ -246,7 +294,32 @@ impl BlockFetch for BlockCache {
         stats: Option<&Stats>,
         load: &dyn Fn() -> Result<VerifiedBlock>,
     ) -> Result<Arc<Block>> {
-        let key = (table_id, offset);
+        let load = || load().map(|block| Resident::Block(Arc::new(block.into_block())));
+        self.probe((table_id, offset), stats, &load)?.into_block()
+    }
+
+    fn get_or_load_chunk(
+        &self,
+        table_id: u64,
+        offset: u64,
+        stats: Option<&Stats>,
+        load: &dyn Fn() -> Result<LogChunk>,
+    ) -> Result<Arc<LogChunk>> {
+        let load = || load().map(|chunk| Resident::Chunk(Arc::new(chunk)));
+        self.probe((table_id, offset | LOG_CHUNK_TAG), stats, &load)?.into_chunk()
+    }
+}
+
+impl BlockCache {
+    /// Returns the entry at `key`, loading it via `load` on a miss: the one
+    /// probe behind blocks and log chunks alike, so both count as block-cache
+    /// hits and misses.
+    fn probe(
+        &self,
+        key: BlockKey,
+        stats: Option<&Stats>,
+        load: &dyn Fn() -> Result<Resident>,
+    ) -> Result<Resident> {
         let index = Self::shard_index(&key);
 
         // Fast path / flight registration, under the shard lock.
@@ -254,14 +327,14 @@ impl BlockFetch for BlockCache {
             let blocks = &self.shards[index];
             let mut state = blocks.lock();
             match state.slots.get_mut(&key) {
-                Some(Slot::Ready { block, referenced, .. }) => {
+                Some(Slot::Ready { entry, referenced, .. }) => {
                     *referenced = true;
-                    let block = Arc::clone(block);
+                    let entry = entry.clone();
                     drop(state);
                     if let Some(stats) = stats {
                         stats.add_block_cache_hits(1);
                     }
-                    return Ok(block);
+                    return Ok(entry);
                 }
                 Some(Slot::Loading(flight)) => (Arc::clone(flight), false),
                 None => {
@@ -276,26 +349,26 @@ impl BlockFetch for BlockCache {
             // Someone else is reading this block right now; park until they
             // publish. A successful flight counts as a hit — one disk read
             // served every parked probe, which is the whole point.
-            if let Some(block) = flight.wait() {
+            if let Some(entry) = flight.wait() {
                 if let Some(stats) = stats {
                     stats.add_block_cache_hits(1);
                 }
-                return Ok(block);
+                return Ok(entry);
             }
             // The load failed (or the table was purged mid-flight): fall back
             // to a direct, uncached read so one loser cannot fail everyone.
             if let Some(stats) = stats {
                 stats.add_block_cache_misses(1);
             }
-            return load().map(|block| Arc::new(block.into_block()));
+            return load();
         }
 
         // Loader path: read outside any lock.
         if let Some(stats) = stats {
             stats.add_block_cache_misses(1);
         }
-        let block = match load() {
-            Ok(block) => Arc::new(block.into_block()),
+        let entry = match load() {
+            Ok(entry) => entry,
             Err(err) => {
                 let blocks = &self.shards[index];
                 let mut state = blocks.lock();
@@ -310,7 +383,7 @@ impl BlockFetch for BlockCache {
             }
         };
 
-        let charge = block.size_bytes();
+        let charge = entry.charge();
         let mut evicted = 0;
         let mut inserted = false;
         {
@@ -324,14 +397,14 @@ impl BlockFetch for BlockCache {
                 if charge <= self.shard_budget {
                     state.slots.insert(
                         key,
-                        Slot::Ready { block: Arc::clone(&block), charge, referenced: false },
+                        Slot::Ready { entry: entry.clone(), charge, referenced: false },
                     );
                     state.ring.push_back(key);
                     state.bytes += charge;
                     evicted = state.evict_to_budget(self.shard_budget);
                     inserted = true;
                 } else {
-                    // Oversized: serve it, but never let one block own the
+                    // Oversized: serve it, but never let one entry own the
                     // whole shard.
                     state.slots.remove(&key);
                 }
@@ -347,8 +420,8 @@ impl BlockFetch for BlockCache {
                 stats.add_block_cache_evictions(evicted);
             }
         }
-        flight.publish(Some(Arc::clone(&block)));
-        Ok(block)
+        flight.publish(Some(entry.clone()));
+        Ok(entry)
     }
 }
 
@@ -548,6 +621,32 @@ mod tests {
         assert_eq!(stats.block_cache_misses(), misses_before);
         cache.get_or_load(victim, 3, Some(&stats), &|| blocks.load(4, 32)).unwrap();
         assert_eq!(stats.block_cache_misses(), misses_before + 1);
+    }
+
+    #[test]
+    fn log_chunks_are_keyed_apart_from_blocks_and_purged_with_them() {
+        let blocks = SampleBlocks::new("chunks", [(4, 16)]);
+        let log_path = blocks.dir.join("000001.log");
+        let mut writer = triad_wal::LogWriter::create(&log_path, 1).unwrap();
+        writer.append(&triad_wal::LogRecord::put(1, b"k".to_vec(), vec![b'v'; 300])).unwrap();
+        writer.seal().unwrap();
+        let log = triad_wal::LogReader::open(&log_path).unwrap();
+        let cache = BlockCache::new(1 << 20);
+        let stats = Stats::new();
+        let table = cache.allocate_table_id();
+        let block = cache.get_or_load(table, 0, Some(&stats), &|| blocks.load(4, 16)).unwrap();
+        let load_chunk = || log.read_range(0, 4096);
+        let chunk = cache.get_or_load_chunk(table, 0, Some(&stats), &load_chunk).unwrap();
+        assert_eq!(block.num_entries(), 4);
+        assert_eq!((chunk.start(), chunk.len() as u64), (0, log.len()));
+        assert_eq!(stats.block_cache_misses(), 2, "offset 0 of each kind is its own entry");
+        cache.get_or_load_chunk(table, 0, Some(&stats), &load_chunk).unwrap();
+        cache.get_or_load(table, 0, Some(&stats), &|| blocks.load(4, 16)).unwrap();
+        assert_eq!(stats.block_cache_hits(), 2, "each kind hits its own entry");
+        assert_eq!(cache.block_count(), 2);
+        assert_eq!(cache.bytes_used(), block.size_bytes() + chunk.len());
+        cache.purge_table(table);
+        assert_eq!((cache.block_count(), cache.bytes_used()), (0, 0), "one purge drops both");
     }
 
     #[test]

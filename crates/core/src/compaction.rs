@@ -183,7 +183,8 @@ impl DbInner {
             bytes_read += file.size;
             input_entries += file.num_entries;
             // A table input streams one block at a time, read once, CRC-checked
-            // and uncached; a CL-SSTable input is read whole (`ClTable::entries`).
+            // and uncached; a CL-SSTable input walks its index the same way and
+            // reads its backing log once, whole.
             sources.push(table.cursor()?);
         }
         // Tombstones can be dropped only when nothing older can exist below the

@@ -13,7 +13,12 @@ use crate::db::DbInner;
 use crate::snapshot::{release_retention, SnapshotShard};
 use crate::version::FileMetadata;
 
-/// How many visible keys a scan copies out of a memtable per read-lock hold.
+/// How many visible keys a scan copies out of a memtable in its first
+/// read-lock hold. Each later hold copies twice as many as the one before, up
+/// to [`MEMTABLE_CHUNK`], so a short scan copies little past where it stops.
+const FIRST_MEMTABLE_CHUNK: usize = 8;
+
+/// The most visible keys a scan copies out of a memtable per read-lock hold.
 const MEMTABLE_CHUNK: usize = 64;
 
 /// An iterator over the live key/value pairs of a key range, in key order.
@@ -190,8 +195,9 @@ impl Iterator for DbIterator {
 }
 
 /// A scan's source over one memtable: the keys visible at the snapshot seqno,
-/// copied [`MEMTABLE_CHUNK`] at a time, each chunk under one short read-lock
-/// hold that resumes after the previous chunk's last key.
+/// copied in chunks of [`FIRST_MEMTABLE_CHUNK`] doubling up to
+/// [`MEMTABLE_CHUNK`] keys, each chunk under one short read-lock hold that
+/// resumes after the previous chunk's last key.
 ///
 /// The chunks are read after the snapshot was taken, while writers keep
 /// overwriting the memtable; the iterator's retention registration keeps
@@ -201,6 +207,8 @@ struct MemtableCursor {
     seqno: SeqNo,
     /// The rest of the current chunk, in key order.
     chunk: std::vec::IntoIter<Entry>,
+    /// How many keys the current chunk asked for.
+    limit: usize,
     /// Whether the memtable may hold visible keys after the current chunk.
     more: bool,
     entry: Option<Entry>,
@@ -209,12 +217,14 @@ struct MemtableCursor {
 
 impl MemtableCursor {
     fn new(memtable: Arc<Memtable>, seqno: SeqNo, start: &[u8]) -> MemtableCursor {
-        let chunk = memtable.range_at(Bound::Included(start), seqno, MEMTABLE_CHUNK);
-        let more = chunk.len() == MEMTABLE_CHUNK;
+        let limit = FIRST_MEMTABLE_CHUNK;
+        let chunk = memtable.range_at(Bound::Included(start), seqno, limit);
+        let more = chunk.len() == limit;
         let mut cursor = MemtableCursor {
             memtable,
             seqno,
             chunk: chunk.into_iter(),
+            limit,
             more,
             entry: None,
             key: Vec::new(),
@@ -228,9 +238,10 @@ impl MemtableCursor {
         let mut next = self.chunk.next();
         if next.is_none() && self.more {
             if let Some(last) = &self.entry {
+                self.limit = (self.limit * 2).min(MEMTABLE_CHUNK);
                 let lower = Bound::Excluded(last.key.user_key.as_slice());
-                let chunk = self.memtable.range_at(lower, self.seqno, MEMTABLE_CHUNK);
-                self.more = chunk.len() == MEMTABLE_CHUNK;
+                let chunk = self.memtable.range_at(lower, self.seqno, self.limit);
+                self.more = chunk.len() == self.limit;
                 self.chunk = chunk.into_iter();
                 next = self.chunk.next();
             }
@@ -321,5 +332,58 @@ impl EntryCursor for RunCursor {
             self.current = None;
         }
         moved
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use triad_common::retention::SnapshotRetention;
+    use triad_common::types::InternalKey;
+    use triad_memtable::LogPosition;
+
+    /// Every entry a cursor lends, from where it stands to its end.
+    fn drain(mut cursor: MemtableCursor) -> Vec<Entry> {
+        let mut lent = Vec::new();
+        while cursor.valid() {
+            lent.push(Entry::new(InternalKey::decode(cursor.key()).unwrap(), cursor.value()));
+            cursor.advance().unwrap();
+        }
+        lent
+    }
+
+    #[test]
+    fn memtable_cursor_yields_every_visible_key_once_across_growing_chunks() {
+        let pos = LogPosition { log_id: 1, offset: 0 };
+        // Chunks of 8, 16, 32, 64, 64 keys end after 8, 24, 56, 120 and 184.
+        for visible in [7u64, 8, 9, 24, 25, 56, 57, 120, 121, 184, 185] {
+            let retention = Arc::new(SnapshotRetention::new());
+            let memtable = Arc::new(Memtable::with_retention(Arc::clone(&retention)));
+            for i in 0..visible {
+                let key = format!("key-{i:04}");
+                memtable.insert(key.as_bytes(), b"old", i + 1, ValueKind::Put, pos);
+            }
+            let seqno = visible;
+            retention.register(seqno);
+            // Overwrite every key, and add a key the snapshot cannot see
+            // after each one: the cursor reads the retained priors and skips
+            // the invisible keys.
+            for i in 0..visible {
+                let key = format!("key-{i:04}");
+                memtable.insert(key.as_bytes(), b"new", 1_000 + i, ValueKind::Put, pos);
+                let later = format!("key-{i:04}-later");
+                memtable.insert(later.as_bytes(), b"new", 2_000 + i, ValueKind::Put, pos);
+            }
+            let lent = drain(MemtableCursor::new(Arc::clone(&memtable), seqno, b""));
+            let keys: Vec<String> =
+                lent.iter().map(|e| String::from_utf8(e.key.user_key.clone()).unwrap()).collect();
+            let expected: Vec<String> = (0..visible).map(|i| format!("key-{i:04}")).collect();
+            assert_eq!(keys, expected, "{visible} visible keys");
+            assert!(lent.iter().all(|e| e.value == b"old" && e.key.seqno <= seqno));
+            // From a start key in the middle, the rest of them.
+            let from = drain(MemtableCursor::new(memtable, seqno, b"key-0003x"));
+            assert_eq!(from.len() as u64, visible.saturating_sub(4), "{visible} visible keys");
+        }
     }
 }

@@ -175,7 +175,8 @@ mod tests {
     use super::*;
     use triad_common::types::{InternalKey, ValueKind};
     use triad_hll::HyperLogLog;
-    use triad_sstable::{TableBuilder, TableBuilderOptions};
+    use triad_sstable::{ClTableBuilder, TableBuilder, TableBuilderOptions};
+    use triad_wal::{LogRecord, LogWriter};
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir =
@@ -202,6 +203,81 @@ mod tests {
             hll: HyperLogLog::new(),
             backing_log_id: None,
         }
+    }
+
+    /// A CL-SSTable `id` over commit log `log_id` holding `n` puts whose
+    /// values of 100 to 600 bytes straddle the log's chunk boundaries.
+    fn build_cl(dir: &std::path::Path, id: u64, log_id: u64, n: u64) -> FileMetadata {
+        let mut writer = LogWriter::create(log_file_path(dir, log_id), log_id).unwrap();
+        let mut builder = ClTableBuilder::create(
+            cl_index_file_path(dir, id),
+            TableBuilderOptions::default(),
+            log_id,
+        )
+        .unwrap();
+        for i in 0..n {
+            let key = format!("key-{i:05}").into_bytes();
+            let value = vec![b'v'; 100 + (i as usize * 37) % 501];
+            let offset = writer.append(&LogRecord::put(i + 1, key.clone(), value.clone())).unwrap();
+            let ikey = InternalKey::new(key, i + 1, ValueKind::Put);
+            builder.add(&ikey, offset, value.len() as u64).unwrap();
+        }
+        writer.seal().unwrap();
+        let (props, size) = builder.finish().unwrap();
+        FileMetadata {
+            id,
+            level: 0,
+            kind: TableKind::CommitLogIndex,
+            size,
+            num_entries: props.num_entries,
+            smallest: props.smallest.clone().unwrap(),
+            largest: props.largest.clone().unwrap(),
+            hll: HyperLogLog::new(),
+            backing_log_id: Some(log_id),
+        }
+    }
+
+    /// Reads `count` entries of `table` from `start`.
+    fn scan(table: &TableRef, start: &[u8], count: usize) -> usize {
+        let mut cursor = Arc::clone(table).scan_cursor(start).unwrap();
+        let mut read = 0;
+        while cursor.valid() && read < count {
+            read += 1;
+            cursor.advance().unwrap();
+        }
+        read
+    }
+
+    #[test]
+    fn a_second_scan_of_a_cl_table_adds_no_cache_misses() {
+        let dir = temp_dir("cl-second-scan");
+        let stats = Arc::new(Stats::new());
+        let blocks = Arc::new(BlockCache::new(1 << 20));
+        let cache =
+            TableCache::new(dir.clone(), Arc::clone(&stats), Some(Arc::clone(&blocks)), None);
+        let table = cache.get_or_open(&build_cl(&dir, 8, 3, 600)).unwrap();
+        assert_eq!(scan(&table, b"key-00200", 100), 100);
+        let misses = stats.block_cache_misses();
+        assert!(misses > 1, "the scan loaded index blocks and log chunks");
+        assert_eq!(scan(&table, b"key-00200", 100), 100);
+        assert_eq!(stats.block_cache_misses(), misses, "the second scan is served from the cache");
+        // Only the index blocks' loads count as block reads, not the chunks'.
+        assert!(stats.block_reads() < misses, "{} block reads", stats.block_reads());
+    }
+
+    #[test]
+    fn evict_of_a_cl_table_purges_its_index_blocks_and_log_chunks() {
+        let dir = temp_dir("cl-evict");
+        let stats = Arc::new(Stats::new());
+        let blocks = Arc::new(BlockCache::new(1 << 20));
+        let cache =
+            TableCache::new(dir.clone(), Arc::clone(&stats), Some(Arc::clone(&blocks)), None);
+        let table = cache.get_or_open(&build_cl(&dir, 9, 4, 600)).unwrap();
+        assert_eq!(scan(&table, b"", usize::MAX), 600);
+        assert!(blocks.block_count() > 10, "the scan cached index blocks and log chunks");
+        cache.evict(9);
+        assert_eq!(blocks.block_count(), 0, "evicting the table purges both kinds");
+        assert_eq!(blocks.bytes_used(), 0);
     }
 
     fn plain_cache(dir: PathBuf, stats: Arc<Stats>) -> TableCache {

@@ -5,7 +5,7 @@
 mod common;
 
 use common::{key_for, open_small, value_for};
-use triad_core::Db;
+use triad_core::{Db, TriadConfig};
 
 /// Reads stay correct — and serve the newest version — while tables come and
 /// go underneath the cache: flushes create them, compactions replace them and
@@ -43,38 +43,46 @@ fn read_your_writes_survives_flush_compaction_and_gc() {
 
 /// Compaction reads its inputs once, CRC-verified, around the shared block
 /// cache: a compaction with no reads around it moves none of the cache's
-/// counters, and reads afterwards are still correct.
+/// counters, and reads afterwards are still correct. With TRIAD-LOG on, the
+/// inputs are CL-SSTables, whose index and backing log stay out of the cache
+/// too.
 #[test]
 fn compaction_does_not_fill_the_block_cache() {
-    let (db, _dir) = open_small("block-cache-compaction", |options| {
-        common::single_shard(options);
-        options.block_cache = 1 << 20;
-        options.l0_compaction_trigger = 2;
-    });
-    for version in 1..=3u64 {
-        for i in 0..400u64 {
-            db.put(key_for(i), value_for(i, version)).unwrap();
+    for (name, triad) in [("baseline", TriadConfig::baseline()), ("log", TriadConfig::log_only())] {
+        let (db, _dir) = open_small("block-cache-compaction", |options| {
+            common::single_shard(options);
+            options.block_cache = 1 << 20;
+            options.l0_compaction_trigger = 2;
+            options.triad = triad;
+        });
+        for version in 1..=3u64 {
+            for i in 0..400u64 {
+                db.put(key_for(i), value_for(i, version)).unwrap();
+            }
+            db.flush().unwrap();
         }
-        db.flush().unwrap();
+        let before = db.stats();
+        db.wait_for_compactions().unwrap();
+        let after = db.stats();
+        assert!(
+            after.compaction_count >= 1,
+            "{name}: the flushes must have triggered a compaction"
+        );
+        // Compactions may have started before `before`, so check the counters
+        // from open: flushes read no data block either.
+        for (counter, at_wait, at_end) in [
+            ("inserted bytes", before.block_cache_inserted_bytes, after.block_cache_inserted_bytes),
+            ("hits", before.block_cache_hits, after.block_cache_hits),
+            ("misses", before.block_cache_misses, after.block_cache_misses),
+        ] {
+            assert_eq!((at_wait, at_end), (0, 0), "{name}: compaction moved the cache's {counter}");
+        }
+        for i in 0..400u64 {
+            assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 3)), "{name}: key {i}");
+        }
+        assert!(db.stats().block_cache_misses > 0, "{name}: reads afterwards go through the cache");
+        db.close().unwrap();
     }
-    let before = db.stats();
-    db.wait_for_compactions().unwrap();
-    let after = db.stats();
-    assert!(after.compaction_count >= 1, "the flushes must have triggered a compaction");
-    // Compactions may have started before `before`, so check the counters
-    // from open: flushes read no data block either.
-    for (name, at_wait, at_end) in [
-        ("inserted bytes", before.block_cache_inserted_bytes, after.block_cache_inserted_bytes),
-        ("hits", before.block_cache_hits, after.block_cache_hits),
-        ("misses", before.block_cache_misses, after.block_cache_misses),
-    ] {
-        assert_eq!((at_wait, at_end), (0, 0), "compaction moved the block cache's {name}");
-    }
-    for i in 0..400u64 {
-        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 3)), "key {i}");
-    }
-    assert!(db.stats().block_cache_misses > 0, "reads afterwards go through the cache");
-    db.close().unwrap();
 }
 
 /// A corrupt block in a compaction input is caught by compaction's own
@@ -206,6 +214,43 @@ fn scans_are_correct_with_tiny_and_disabled_caches() {
             seen += 1;
         }
         assert_eq!(seen, 250, "scan must visit every key with budget {budget}");
+        db.close().unwrap();
+    }
+}
+
+/// A scan of CL-SSTables reads their values from commit-log chunks through
+/// the block cache: a repeated scan is served from the cache, and scans
+/// return the same entries with a cache that holds them all, one too small
+/// to hold a chunk, and none.
+#[test]
+fn cl_scans_are_served_from_cached_log_chunks() {
+    for (name, budget) in [("cached", 1 << 20), ("tiny", 512), ("off", 0)] {
+        let (db, _dir) = open_small(&format!("block-cache-cl-scan-{name}"), |options| {
+            options.triad = TriadConfig::log_only();
+            options.block_cache = budget;
+            options.l0_compaction_trigger = 100;
+        });
+        for i in 0..600u64 {
+            db.put(key_for(i), value_for(i, 1)).unwrap();
+        }
+        db.flush().unwrap();
+        assert!(db.files_per_level()[0] > 0, "{name}: the flush wrote CL-SSTables");
+        let scan = || -> Vec<(Vec<u8>, Vec<u8>)> {
+            let iter = db.scan_range(Some(&key_for(150)), None).unwrap();
+            iter.take(100).map(|entry| entry.unwrap()).collect()
+        };
+        let expected: Vec<(Vec<u8>, Vec<u8>)> =
+            (150..250).map(|i| (key_for(i), value_for(i, 1))).collect();
+        assert_eq!(scan(), expected, "{name}");
+        let misses = db.stats().block_cache_misses;
+        assert_eq!(scan(), expected, "{name}");
+        if name == "cached" {
+            assert!(misses > 0, "the first scan loaded chunks");
+            assert_eq!(db.stats().block_cache_misses, misses, "the second scan hit every chunk");
+        }
+        let all: Vec<(Vec<u8>, Vec<u8>)> = db.scan().unwrap().map(|entry| entry.unwrap()).collect();
+        assert_eq!(all.len(), 600, "{name}");
+        assert!(all.iter().enumerate().all(|(i, entry)| entry.0 == key_for(i as u64)));
         db.close().unwrap();
     }
 }

@@ -14,16 +14,17 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use triad_common::types::{parse_encoded_internal_key, Entry, InternalKey, ValueKind};
 use triad_common::varint;
 use triad_common::{Error, Result, Stats};
-use triad_wal::LogReader;
+use triad_wal::{LogChunk, LogReader};
 
 use crate::builder::{TableBuilder, TableBuilderOptions};
-use crate::iter::{BoxedCursor, EntryCursor, EntryIter};
+use crate::iter::{BoxedCursor, EntryCursor};
 use crate::properties::{TableKind, TableProperties};
 use crate::reader::Table;
-use crate::SortedTable;
+use crate::{FetchContext, SortedTable};
 
 /// Builds the index file of a CL-SSTable.
 #[derive(Debug)]
@@ -82,12 +83,24 @@ impl ClTableBuilder {
     }
 }
 
+/// Size of the chunks a CL-SSTable scan reads its backing log in, aligned to
+/// multiples of it: the default data-block size, so a log chunk and a data
+/// block cost the block cache alike.
+pub const LOG_CHUNK_LEN: usize = 4 * 1024;
+
 /// An open CL-SSTable: a sorted offset index plus the sealed commit log it references.
 pub struct ClTable {
     index: Arc<Table>,
     log: LogReader,
     props: TableProperties,
     index_size: u64,
+    stats: Option<Arc<Stats>>,
+    /// The shared block cache, when the engine opened this table through
+    /// one: scans read log chunks through it. `None` falls back to the
+    /// single-slot chunk below.
+    fetch: Option<FetchContext>,
+    /// The last log chunk a scan read, when there is no shared cache.
+    cached_chunk: Mutex<Option<Arc<LogChunk>>>,
 }
 
 impl std::fmt::Debug for ClTable {
@@ -110,28 +123,28 @@ impl ClTable {
         ClTable::open_with_fetch(index_path, log_path, stats, None)
     }
 
-    /// Opens the CL-SSTable with an optional [`FetchContext`](crate::FetchContext) for the *index*
-    /// table's data blocks (the value payloads live in the commit log and are
-    /// read positioned; only the index goes through the block cache).
+    /// Opens the CL-SSTable with an optional [`FetchContext`]: the index
+    /// table's data blocks and the scans' log chunks then go through the
+    /// shared block cache, both under the context's table id. Point lookups
+    /// read each value with one positioned read of the log.
     pub fn open_with_fetch(
         index_path: impl AsRef<Path>,
         log_path: impl AsRef<Path>,
         stats: Option<Arc<Stats>>,
-        fetch: Option<crate::FetchContext>,
+        fetch: Option<FetchContext>,
     ) -> Result<ClTable> {
-        let index = Arc::new(Table::open_with_fetch(index_path.as_ref(), stats, fetch)?);
-        let mut props = index.properties().clone();
+        let index =
+            Arc::new(Table::open_with_fetch(index_path.as_ref(), stats.clone(), fetch.clone())?);
+        let props = index.properties().clone();
         if props.kind != TableKind::CommitLogIndex {
             return Err(Error::corruption_at(
                 "expected a CL-SSTable index file",
                 index_path.as_ref(),
             ));
         }
-        // Keep the CL kind but expose combined metadata to the engine.
-        props.kind = TableKind::CommitLogIndex;
         let log = LogReader::open(log_path.as_ref())?;
         let index_size = index.file_size();
-        Ok(ClTable { index, log, props, index_size })
+        Ok(ClTable { index, log, props, index_size, stats, fetch, cached_chunk: Mutex::new(None) })
     }
 
     /// The path of the backing commit log.
@@ -154,24 +167,19 @@ impl ClTable {
         self.log.len()
     }
 
-    /// The value of the index entry for `user_key` of `kind`, whose index
-    /// value `log_offset` is the varint offset of its record in the log. A
-    /// put's record is read with its CRC checked, and it must hold the key the
-    /// index says.
-    fn resolve_value(
-        &self,
-        user_key: &[u8],
-        kind: ValueKind,
-        log_offset: &[u8],
-    ) -> Result<Vec<u8>> {
-        // Tombstones carry no value; no need to touch the log.
-        if kind == ValueKind::Delete {
-            return Ok(Vec::new());
+    /// The [`LOG_CHUNK_LEN`]-byte chunk of the log that starts at `start`,
+    /// through the shared block cache or the single-slot chunk.
+    fn log_chunk(&self, start: u64) -> Result<Arc<LogChunk>> {
+        let load = || self.log.read_range(start, LOG_CHUNK_LEN);
+        if let Some(ctx) = &self.fetch {
+            return ctx.fetch.get_or_load_chunk(ctx.table_id, start, self.stats.as_deref(), &load);
         }
-        let (offset, _) = varint::decode_u64(log_offset)?;
-        let record = self.log.read_at(offset)?;
-        self.check_record_key(&record.key, user_key, offset)?;
-        Ok(record.value)
+        if let Some(chunk) = self.cached_chunk.lock().as_ref().filter(|c| c.start() == start) {
+            return Ok(Arc::clone(chunk));
+        }
+        let chunk = Arc::new(load()?);
+        *self.cached_chunk.lock() = Some(Arc::clone(&chunk));
+        Ok(chunk)
     }
 
     /// The index→log corruption check: the record at `offset` must belong to
@@ -196,36 +204,30 @@ impl SortedTable for ClTable {
         let Some(index_entry) = self.index.get_entry(user_key, snapshot)? else {
             return Ok(None);
         };
-        let value = self.resolve_value(user_key, index_entry.key.kind, &index_entry.value)?;
-        Ok(Some(Entry::new(index_entry.key, value)))
+        // Tombstones carry no value; no need to touch the log. A put's record
+        // is read with its CRC checked, and it must hold the key the index says.
+        if index_entry.key.kind == ValueKind::Delete {
+            return Ok(Some(Entry::new(index_entry.key, Vec::new())));
+        }
+        let (offset, _) = varint::decode_u64(&index_entry.value)?;
+        let record = self.log.read_at(offset)?;
+        self.check_record_key(&record.key, user_key, offset)?;
+        Ok(Some(Entry::new(index_entry.key, record.value)))
     }
 
-    fn entries(&self) -> Result<EntryIter> {
-        // Compaction reads the sealed log once into memory and resolves
-        // offsets from the buffer; one positioned read per entry would
-        // dominate compaction time.
-        let buffer = self.log.read_to_buffer()?;
-        let index_entries = SortedTable::entries(self.index.as_ref())?;
-        let mut resolved = Vec::new();
-        for item in index_entries {
-            let index_entry = item?;
-            if index_entry.key.kind == ValueKind::Delete {
-                resolved.push(Entry::new(index_entry.key, Vec::new()));
-                continue;
-            }
-            let (offset, _) = varint::decode_u64(&index_entry.value)?;
-            let record = triad_wal::decode_record_in_buffer(&buffer, offset)?;
-            self.check_record_key(&record.key, &index_entry.key.user_key, offset)?;
-            resolved.push(Entry::new(index_entry.key, record.value));
-        }
-        Ok(Box::new(resolved.into_iter().map(Ok)))
+    fn cursor(self: Arc<Self>) -> Result<BoxedCursor> {
+        // Compaction reads the sealed log once, whole and around the block
+        // cache; one read per entry would dominate compaction time.
+        let len = usize::try_from(self.log.len())
+            .map_err(|_| Error::corruption_at("commit log overflows usize", self.log.path()))?;
+        let log = Arc::new(self.log.read_range(0, len)?);
+        let index = Arc::clone(&self.index).cursor()?;
+        Ok(Box::new(ClCursor::new(self, index, LogSource::Whole, Some(log))?))
     }
 
     fn scan_cursor(self: Arc<Self>, start: &[u8]) -> Result<BoxedCursor> {
         let index = Arc::clone(&self.index).scan_cursor(start)?;
-        let mut cursor = ClCursor { table: self, index, value: Vec::new(), failed: false };
-        cursor.resolve()?;
-        Ok(Box::new(cursor))
+        Ok(Box::new(ClCursor::new(self, index, LogSource::Chunks, None)?))
     }
 
     fn properties(&self) -> &TableProperties {
@@ -238,12 +240,31 @@ impl SortedTable for ClTable {
     }
 }
 
-/// A scan cursor over a CL-SSTable: walks the index table's scan cursor and
-/// reads each put's value from the backing log as the cursor reaches it, so
-/// a short scan reads only the records of the entries it reaches.
+/// Where a [`ClCursor`] reads the backing log from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LogSource {
+    /// Compaction: the whole log, read once when the cursor opens, never
+    /// through the shared block cache.
+    Whole,
+    /// Scans: [`LOG_CHUNK_LEN`]-byte aligned chunks through the block cache
+    /// (or the table's single-slot chunk), read as the cursor reaches them.
+    Chunks,
+}
+
+/// The one cursor over a CL-SSTable, for compaction and scans alike: it
+/// walks an index cursor and reads each put's value from the backing log as
+/// the cursor reaches the entry. Each record is CRC-checked as it is decoded
+/// and must hold the key the index says; the value is copied into one reused
+/// buffer, so an entry costs no allocation.
 struct ClCursor {
     table: Arc<ClTable>,
     index: BoxedCursor,
+    source: LogSource,
+    /// The log chunk holding the last record read: the whole log for
+    /// compaction.
+    chunk: Option<Arc<LogChunk>>,
+    /// Where a record that straddles two chunks is reassembled.
+    stitch: Vec<u8>,
     /// The current entry's value; empty for tombstones.
     value: Vec<u8>,
     /// Set by an error, which ends the stream.
@@ -251,14 +272,51 @@ struct ClCursor {
 }
 
 impl ClCursor {
+    fn new(
+        table: Arc<ClTable>,
+        index: BoxedCursor,
+        source: LogSource,
+        chunk: Option<Arc<LogChunk>>,
+    ) -> Result<ClCursor> {
+        let mut cursor = ClCursor {
+            table,
+            index,
+            source,
+            chunk,
+            stitch: Vec::new(),
+            value: Vec::new(),
+            failed: false,
+        };
+        cursor.resolve()?;
+        Ok(cursor)
+    }
+
     /// Reads the value of the index entry the cursor is on.
     fn resolve(&mut self) -> Result<()> {
+        self.value.clear();
         if !self.index.valid() {
             return Ok(());
         }
         let (user_key, kind) = parse_encoded_internal_key(self.index.key())
             .ok_or_else(|| Error::corruption("undecodable internal key in CL-SSTable index"))?;
-        self.value = self.table.resolve_value(user_key, kind, self.index.value())?;
+        if kind == ValueKind::Delete {
+            return Ok(());
+        }
+        let (offset, _) = varint::decode_u64(self.index.value())?;
+        let table = &self.table;
+        let holds = |chunk: &Arc<LogChunk>| chunk.start() <= offset && offset < chunk.end();
+        let chunk = match self.chunk.take() {
+            Some(chunk) if self.source == LogSource::Whole || holds(&chunk) => chunk,
+            _ => {
+                let len = LOG_CHUNK_LEN as u64;
+                table.log_chunk(offset / len * len)?
+            }
+        };
+        let chunk = self.chunk.insert(chunk);
+        let record =
+            chunk.record_at(offset, &mut self.stitch, &mut |start| table.log_chunk(start))?;
+        table.check_record_key(record.key, user_key, offset)?;
+        self.value.extend_from_slice(record.value);
         Ok(())
     }
 }
@@ -289,6 +347,7 @@ impl EntryCursor for ClCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::MapCache;
     use triad_wal::{LogRecord, LogWriter};
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -303,6 +362,17 @@ mod tests {
     /// then a CL-SSTable index over the *latest* state, mimicking what a TRIAD-LOG
     /// flush does.
     fn build_cl_table(dir: &Path, n: u64) -> (PathBuf, PathBuf) {
+        // Values are padded to 100 bytes, mirroring the paper's small-key /
+        // larger-value workloads where TRIAD-LOG pays off.
+        build_cl_table_sized(dir, n, |_| 100)
+    }
+
+    /// [`build_cl_table`] with the value of key `i` `value_len(i)` bytes long.
+    fn build_cl_table_sized(
+        dir: &Path,
+        n: u64,
+        value_len: impl Fn(u64) -> usize,
+    ) -> (PathBuf, PathBuf) {
         let log_path = triad_wal::log_file_path(dir, 1);
         let mut writer = LogWriter::create(&log_path, 1).unwrap();
         let mut latest: std::collections::BTreeMap<Vec<u8>, (u64, u64, ValueKind, u64)> =
@@ -311,10 +381,8 @@ mod tests {
         for i in 0..n {
             seqno += 1;
             let key = format!("key-{i:05}").into_bytes();
-            // Values are padded to 100 bytes, mirroring the paper's small-key /
-            // larger-value workloads where TRIAD-LOG pays off.
             let mut value = format!("value-{i}").into_bytes();
-            value.resize(100, b'x');
+            value.resize(value_len(i), b'x');
             let record = LogRecord::put(seqno, key.clone(), value.clone());
             let offset = writer.append(&record).unwrap();
             latest.insert(key, (seqno, offset, ValueKind::Put, value.len() as u64));
@@ -337,6 +405,17 @@ mod tests {
         }
         builder.finish().unwrap();
         (index_path, log_path)
+    }
+
+    /// Values of 100 to 600 bytes: records straddle every chunk boundary.
+    fn straddling_value_len(i: u64) -> usize {
+        100 + (i as usize * 37) % 501
+    }
+
+    /// Opens the table through `cache`, as the engine's table cache does.
+    fn open_cached(index_path: &Path, log_path: &Path, cache: &Arc<MapCache>) -> Arc<ClTable> {
+        let ctx = FetchContext { table_id: 1, fetch: Arc::clone(cache) as _, readahead: None };
+        Arc::new(ClTable::open_with_fetch(index_path, log_path, None, Some(ctx)).unwrap())
     }
 
     #[test]
@@ -378,8 +457,8 @@ mod tests {
     fn entries_iterate_in_key_order_with_resolved_values() {
         let dir = temp_dir("entries");
         let (index_path, log_path) = build_cl_table(&dir, 100);
-        let table = ClTable::open(&index_path, &log_path, None).unwrap();
-        let entries: Vec<Entry> = table.entries().unwrap().map(|r| r.unwrap()).collect();
+        let table = Arc::new(ClTable::open(&index_path, &log_path, None).unwrap());
+        let entries = drain(table.cursor().unwrap()).unwrap();
         assert_eq!(entries.len(), 100);
         for window in entries.windows(2) {
             assert!(window[0].key < window[1].key);
@@ -416,9 +495,9 @@ mod tests {
         let dir = temp_dir("scan-cursor");
         let (index_path, log_path) = build_cl_table(&dir, 100);
         let table = Arc::new(ClTable::open(&index_path, &log_path, None).unwrap());
-        let eager: Vec<Entry> = table.entries().unwrap().map(|r| r.unwrap()).collect();
+        let eager = drain(Arc::clone(&table).cursor().unwrap()).unwrap();
         let scanned = drain(Arc::clone(&table).scan_cursor(b"").unwrap()).unwrap();
-        assert_eq!(scanned, eager, "the scan cursor lends what the eager read returns");
+        assert_eq!(scanned, eager, "the scan cursor lends what the compaction cursor does");
         let tombstones = scanned.iter().filter(|e| e.key.kind == ValueKind::Delete).count();
         assert_eq!(tombstones, 10);
         assert!(scanned.iter().all(|e| (e.key.kind == ValueKind::Delete) == e.value.is_empty()));
@@ -487,5 +566,131 @@ mod tests {
         assert!(!cursor.valid(), "an error ends the scan");
         // A scan that starts on the bad entry fails to open.
         assert!(Arc::clone(&table).scan_cursor(b"bbb").err().unwrap().is_corruption());
+    }
+
+    #[test]
+    fn offsets_at_or_past_the_end_of_the_log_are_corruption() {
+        let dir = temp_dir("offset-past-end");
+        let log_path = triad_wal::log_file_path(&dir, 3);
+        let mut writer = LogWriter::create(&log_path, 3).unwrap();
+        writer.append(&LogRecord::put(1, b"aaa".to_vec(), b"va".to_vec())).unwrap();
+        writer.seal().unwrap();
+        let log_len = std::fs::metadata(&log_path).unwrap().len();
+        for (i, offset) in [log_len, log_len + 100, u64::MAX - 3, u64::MAX].into_iter().enumerate()
+        {
+            let index_path = crate::cl_index_file_path(&dir, 10 + i as u64);
+            let mut builder =
+                ClTableBuilder::create(&index_path, TableBuilderOptions::default(), 3).unwrap();
+            builder.add(&InternalKey::new(b"aaa".to_vec(), 1, ValueKind::Put), offset, 2).unwrap();
+            builder.finish().unwrap();
+            let table = Arc::new(ClTable::open(&index_path, &log_path, None).unwrap());
+            assert!(table.get(b"aaa", u64::MAX).unwrap_err().is_corruption(), "get at {offset}");
+            let scan = Arc::clone(&table).scan_cursor(b"").err().unwrap();
+            assert!(scan.is_corruption(), "scan at {offset}: {scan}");
+            let cached = open_cached(&index_path, &log_path, &MapCache::new());
+            assert!(cached.scan_cursor(b"").err().unwrap().is_corruption(), "cached at {offset}");
+            let compaction = table.cursor().err().unwrap();
+            assert!(compaction.is_corruption(), "compaction at {offset}: {compaction}");
+        }
+    }
+
+    #[test]
+    fn scans_read_records_across_chunk_boundaries_like_compaction() {
+        let dir = temp_dir("chunk-boundaries");
+        let (index_path, log_path) = build_cl_table_sized(&dir, 400, straddling_value_len);
+        let table = Arc::new(ClTable::open(&index_path, &log_path, None).unwrap());
+        assert!(table.log_size() > 20 * LOG_CHUNK_LEN as u64, "the log spans many chunks");
+        let compacted = drain(Arc::clone(&table).cursor().unwrap()).unwrap();
+        assert_eq!(compacted.len(), 400);
+        for entry in compacted.iter().filter(|entry| entry.key.kind == ValueKind::Put) {
+            let i: u64 = std::str::from_utf8(&entry.key.user_key[4..]).unwrap().parse().unwrap();
+            assert_eq!(entry.value.len(), straddling_value_len(i));
+            assert!(entry.value.starts_with(format!("value-{i}").as_bytes()));
+        }
+        // The single-slot path (no cache) and the shared cache lend the same.
+        let one_slot = drain(Arc::clone(&table).scan_cursor(b"").unwrap()).unwrap();
+        assert_eq!(one_slot, compacted);
+        let cache = MapCache::new();
+        let cached = open_cached(&index_path, &log_path, &cache);
+        assert_eq!(drain(Arc::clone(&cached).scan_cursor(b"").unwrap()).unwrap(), compacted);
+        let chunks = table.log_size().div_ceil(LOG_CHUNK_LEN as u64) as usize;
+        assert_eq!(cache.chunk_count(), chunks, "a full scan reads every chunk once");
+        // A scan from every key lands on it, stitched record or not.
+        for (i, entry) in compacted.iter().enumerate().step_by(7) {
+            let from = drain(Arc::clone(&cached).scan_cursor(&entry.key.user_key).unwrap());
+            assert_eq!(from.unwrap(), compacted[i..]);
+        }
+    }
+
+    #[test]
+    fn a_second_scan_of_a_range_loads_nothing() {
+        let dir = temp_dir("second-scan");
+        let (index_path, log_path) = build_cl_table_sized(&dir, 400, straddling_value_len);
+        let cache = MapCache::new();
+        let table = open_cached(&index_path, &log_path, &cache);
+        let scan = |start: &[u8]| {
+            let mut cursor = Arc::clone(&table).scan_cursor(start).unwrap();
+            for _ in 0..100 {
+                cursor.advance().unwrap();
+            }
+        };
+        scan(b"key-00123");
+        let loads = cache.loads();
+        assert!(loads > 0);
+        scan(b"key-00123");
+        assert_eq!(cache.loads(), loads, "the second scan is served from the cache");
+    }
+
+    #[test]
+    fn a_record_corrupted_after_its_chunk_is_cached_fails_the_scan() {
+        let dir = temp_dir("corrupt-cached");
+        let (index_path, log_path) = build_cl_table_sized(&dir, 400, straddling_value_len);
+        let cache = MapCache::new();
+        let table = open_cached(&index_path, &log_path, &cache);
+        let all = drain(Arc::clone(&table).scan_cursor(b"").unwrap()).unwrap();
+        let offsets: Vec<u64> = triad_wal::LogReader::open(&log_path)
+            .unwrap()
+            .iter()
+            .unwrap()
+            .map(|record| record.unwrap().offset)
+            .collect();
+        let chunk = LOG_CHUNK_LEN as u64;
+        let ends_in_its_chunk = |i: usize| offsets[i] / chunk == (offsets[i + 1] - 1) / chunk;
+        // One put inside a chunk and one that straddles two (every tenth
+        // key's index entry is a tombstone, which reads no record).
+        let put = |i: &usize| i % 10 != 0;
+        let inside = (100..).filter(put).find(|&i| ends_in_its_chunk(i)).unwrap();
+        let straddling = (100..).filter(put).find(|&i| !ends_in_its_chunk(i)).unwrap();
+        for victim in [inside, straddling] {
+            // Flip a byte of the victim's value in a copy of the log, and
+            // swap the copy's bytes in for the cached chunks: the cache now
+            // holds a bad record that passed no check when it was loaded.
+            let copy = dir.join(format!("copy-{victim}.log"));
+            let mut bytes = std::fs::read(&log_path).unwrap();
+            bytes[offsets[victim + 1] as usize - 3] ^= 0x10;
+            std::fs::write(&copy, &bytes).unwrap();
+            let reader = triad_wal::LogReader::open(&copy).unwrap();
+            cache.replace_chunks(|start| reader.read_range(start, LOG_CHUNK_LEN));
+            let loads = cache.loads();
+
+            let key = format!("key-{victim:05}");
+            let at = all.iter().position(|entry| entry.key.user_key == key.as_bytes()).unwrap();
+            let mut cursor = Arc::clone(&table).scan_cursor(&all[at - 5].key.user_key).unwrap();
+            let mut lent = 0;
+            let err = loop {
+                assert!(cursor.valid(), "record {victim}: the bad record must surface");
+                lent += 1;
+                if let Err(e) = cursor.advance() {
+                    break e;
+                }
+            };
+            assert!(err.is_corruption(), "record {victim}: {err}");
+            assert_eq!(lent, 5, "record {victim}: the entries before it are lent");
+            assert_eq!(cache.loads(), loads, "the bad record came from the cache");
+            let cursor = Arc::clone(&table).scan_cursor(key.as_bytes());
+            assert!(cursor.err().unwrap().is_corruption(), "a scan starting on it fails to open");
+            cache.replace_chunks(|start| table.log.read_range(start, LOG_CHUNK_LEN));
+        }
+        assert_eq!(drain(Arc::clone(&table).scan_cursor(b"").unwrap()).unwrap(), all);
     }
 }

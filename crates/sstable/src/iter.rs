@@ -8,8 +8,7 @@
 //! [`DedupCursor`] collapses the stream down to the newest visible version of each
 //! user key and optionally drops tombstones when compacting into the bottom level.
 //! [`BoundedCursor`] hides the versions newer than a snapshot. [`IterCursor`]
-//! lends the entries of an owned [`EntryIter`], which is how a CL-SSTable
-//! joins a compaction.
+//! lends the entries of an owned [`EntryIter`].
 
 use std::cmp::Ordering;
 

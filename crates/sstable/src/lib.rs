@@ -31,10 +31,12 @@ pub mod iter;
 pub mod properties;
 pub mod readahead;
 pub mod reader;
+#[cfg(test)]
+mod test_util;
 
 pub use bloom::BloomFilter;
 pub use builder::{TableBuilder, TableBuilderOptions};
-pub use cl_table::{ClTable, ClTableBuilder};
+pub use cl_table::{ClTable, ClTableBuilder, LOG_CHUNK_LEN};
 pub use format::VerifiedBlock;
 pub use iter::{
     BoundedCursor, BoxedCursor, DedupCursor, EntryCursor, EntryIter, IterCursor, MergingCursor,
@@ -49,6 +51,7 @@ use std::sync::Arc;
 use block::Block;
 use triad_common::types::Entry;
 use triad_common::{Result, Stats};
+use triad_wal::LogChunk;
 
 /// Returns the canonical file name for SSTable `id`, e.g. `000042.sst`.
 pub fn sst_file_name(id: u64) -> String {
@@ -85,16 +88,18 @@ pub fn parse_table_file_name(name: &str) -> Option<(u64, TableKind)> {
     None
 }
 
-/// A provider of decoded data blocks for table readers — in practice the
-/// engine's shared block cache. `reader.rs` stays cache-agnostic: a [`Table`]
-/// opened with a [`FetchContext`] routes every data-block read through this
-/// trait, and the provider calls back into `load` only on a miss.
+/// A provider of decoded data blocks and commit-log chunks for table readers
+/// — in practice the engine's shared block cache. `reader.rs` and
+/// `cl_table.rs` stay cache-agnostic: a table opened with a [`FetchContext`]
+/// routes its scans' and gets' data-block reads, and a CL-SSTable its scans'
+/// log reads, through this trait, and the provider calls back into `load`
+/// only on a miss. Concurrent probes for the same key should coalesce into a
+/// single load; `stats`, when present, receives the hit/miss accounting for
+/// the probe.
 pub trait BlockFetch: Send + Sync {
     /// Returns the block at `(table_id, offset)`, loading it via `load` on a
     /// miss. `load` yields a [`VerifiedBlock`], so whatever a provider keeps
-    /// passed the CRC32C check; concurrent probes for the same key should
-    /// coalesce into a single load. `stats`, when present, receives the
-    /// hit/miss accounting for this probe.
+    /// passed the CRC32C check.
     fn get_or_load(
         &self,
         table_id: u64,
@@ -102,6 +107,19 @@ pub trait BlockFetch: Send + Sync {
         stats: Option<&Stats>,
         load: &dyn Fn() -> Result<VerifiedBlock>,
     ) -> Result<Arc<Block>>;
+
+    /// Returns the chunk of CL-SSTable `table_id`'s backing log that starts
+    /// at log offset `offset`, loading it via `load` on a miss. Chunks are
+    /// keyed apart from the same table's blocks. A [`LogChunk`] is not
+    /// verified as a whole: its bytes can be read only through
+    /// [`LogChunk::record_at`], which CRC-checks every record it decodes.
+    fn get_or_load_chunk(
+        &self,
+        table_id: u64,
+        offset: u64,
+        stats: Option<&Stats>,
+        load: &dyn Fn() -> Result<LogChunk>,
+    ) -> Result<Arc<LogChunk>>;
 }
 
 /// Everything a table reader needs to serve block reads through a shared
@@ -126,24 +144,19 @@ pub trait SortedTable: Send + Sync {
     /// contains one. The returned entry may be a tombstone.
     fn get(&self, user_key: &[u8], snapshot: u64) -> Result<Option<Entry>>;
 
-    /// Returns an iterator over every entry in internal-key order.
-    fn entries(&self) -> Result<EntryIter>;
-
     /// A cursor over every entry in internal-key order, for compaction: it
-    /// lends each entry instead of allocating one. The default adapts
-    /// [`entries`](Self::entries), which CL-SSTables keep. A regular [`Table`]
-    /// reads each data block once, CRC-verified, without going through the
-    /// shared block cache.
-    fn cursor(self: Arc<Self>) -> Result<BoxedCursor> {
-        Ok(Box::new(IterCursor::new(self.entries()?)?))
-    }
+    /// lends each entry instead of allocating one, and never goes through the
+    /// shared block cache. A regular [`Table`] reads each data block once,
+    /// CRC-verified; a [`ClTable`] walks its index the same way and reads its
+    /// backing log once, whole.
+    fn cursor(self: Arc<Self>) -> Result<BoxedCursor>;
 
     /// A cursor for scans, on the first entry whose internal key is
     /// `>= (start, MAX_SEQNO)` — the newest version of the first user key at or
     /// after `start`; an empty `start` lands on the first entry. It streams
     /// from there: a regular [`Table`] reads data blocks through its block
-    /// cache, a [`ClTable`] reads each value from its commit log as the cursor
-    /// reaches it.
+    /// cache, a [`ClTable`] reads each value from fixed-size chunks of its
+    /// commit log, also through the block cache, as the cursor reaches it.
     fn scan_cursor(self: Arc<Self>, start: &[u8]) -> Result<BoxedCursor>;
 
     /// The table's metadata.

@@ -205,25 +205,6 @@ impl SortedTable for Table {
         self.get_entry(user_key, snapshot)
     }
 
-    fn entries(&self) -> Result<EntryIter> {
-        // `entries` needs an owned iterator; re-open the table cheaply by cloning the
-        // Arc when called through `TableRef`. For a bare `&Table` we construct a
-        // temporary Arc-less path: read blocks eagerly.
-        let mut all = Vec::with_capacity(self.props.num_entries as usize);
-        for index_pos in 0..self.index.num_entries() {
-            let (_, handle_bytes) = self.index.entry(index_pos)?;
-            let handle = BlockHandle::decode(handle_bytes)?;
-            let block = self.read_data_block(handle)?;
-            for item in block.iter() {
-                let (key_bytes, value) = item?;
-                let key = InternalKey::decode(key_bytes)
-                    .ok_or_else(|| Error::corruption_at("undecodable internal key", &self.path))?;
-                all.push(Entry::new(key, value.to_vec()));
-            }
-        }
-        Ok(Box::new(all.into_iter().map(Ok)))
-    }
-
     fn cursor(self: Arc<Self>) -> Result<BoxedCursor> {
         Ok(Box::new(TableCursor::new(self, BlockSource::Uncached, &[])?))
     }
@@ -372,6 +353,7 @@ impl EntryCursor for TableCursor {
 mod tests {
     use super::*;
     use crate::builder::{TableBuilder, TableBuilderOptions};
+    use crate::test_util::MapCache;
     use triad_common::types::ValueKind;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -444,11 +426,6 @@ mod tests {
         }
         assert_eq!(entries[0].key.user_key, b"key-000000");
         assert_eq!(entries[999].key.user_key, b"key-000999");
-
-        // The trait-object path returns the same entries.
-        let via_trait: Vec<Entry> =
-            SortedTable::entries(table.as_ref()).unwrap().map(|r| r.unwrap()).collect();
-        assert_eq!(via_trait, entries);
     }
 
     #[test]
@@ -481,41 +458,6 @@ mod tests {
             table.get_entry(b"key-000042", u64::MAX).unwrap().unwrap();
         }
         assert_eq!(stats.block_reads(), 1, "repeated lookups of the same block hit the cache");
-    }
-
-    /// A minimal in-memory [`BlockFetch`](crate::BlockFetch): caches forever,
-    /// counts loads.
-    struct MapCache {
-        slots: Mutex<std::collections::HashMap<(u64, u64), Arc<Block>>>,
-        loads: std::sync::atomic::AtomicU64,
-    }
-
-    impl MapCache {
-        fn new() -> Arc<MapCache> {
-            Arc::new(MapCache { slots: Mutex::default(), loads: Default::default() })
-        }
-
-        fn loads(&self) -> u64 {
-            self.loads.load(std::sync::atomic::Ordering::Relaxed)
-        }
-    }
-
-    impl crate::BlockFetch for MapCache {
-        fn get_or_load(
-            &self,
-            table_id: u64,
-            offset: u64,
-            _stats: Option<&Stats>,
-            load: &dyn Fn() -> Result<crate::VerifiedBlock>,
-        ) -> Result<Arc<Block>> {
-            if let Some(block) = self.slots.lock().get(&(table_id, offset)) {
-                return Ok(Arc::clone(block));
-            }
-            self.loads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let block = Arc::new(load()?.into_block());
-            self.slots.lock().insert((table_id, offset), Arc::clone(&block));
-            Ok(block)
-        }
     }
 
     #[test]

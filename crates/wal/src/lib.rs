@@ -9,7 +9,10 @@
 //!
 //! To support that, the log is *offset addressable*: [`LogWriter::append`] returns
 //! the byte offset of the record it wrote, and [`LogReader::read_at`] fetches a
-//! single record back by offset.
+//! single record back by offset. Scans read a sealed log in [`LogChunk`]s
+//! instead ([`LogReader::read_range`]), which a cache can share: a chunk's
+//! bytes are read only through [`LogChunk::record_at`], which CRC-checks each
+//! record it decodes.
 //!
 //! ## On-disk format
 //!
@@ -32,8 +35,10 @@ mod reader;
 mod record;
 mod writer;
 
-pub use reader::{decode_record_in_buffer, LogReader, RecoveredRecord, TailStatus};
-pub use record::{encode_record_parts, encode_record_parts_stamped, BatchStamp, LogRecord};
+pub use reader::{LogChunk, LogReader, RecoveredRecord, TailStatus};
+pub use record::{
+    encode_record_parts, encode_record_parts_stamped, BatchStamp, LogRecord, RecordRef,
+};
 pub use writer::{BatchEncoder, LogAppender, LogSyncHandle, LogWriter};
 
 use std::path::{Path, PathBuf};

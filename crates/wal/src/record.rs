@@ -116,8 +116,40 @@ impl LogRecord {
             + self.stamp.map_or(0, |stamp| stamp.encoded_len())
     }
 
-    /// Parses a record payload produced by [`encode`](Self::encode).
+    /// Parses a record payload produced by [`encode`](Self::encode): the
+    /// parse of [`RecordRef`], with the key and value copied out.
     pub fn decode(payload: &[u8]) -> Result<LogRecord> {
+        RecordRef::parse(payload).map(|record| record.to_record())
+    }
+
+    /// Logical size of the update as seen by the application (key + value bytes).
+    pub fn user_bytes(&self) -> u64 {
+        (self.key.len() + self.value.len()) as u64
+    }
+}
+
+/// A record decoded in place: the key and value borrow the bytes it was
+/// decoded from. The commit log's CRC-checked chunk decoder,
+/// [`LogChunk::record_at`](crate::LogChunk::record_at), returns one, so a
+/// reader that only needs the value copies nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// The sequence number assigned to the update.
+    pub seqno: SeqNo,
+    /// Whether the update is a put or a delete.
+    pub kind: ValueKind,
+    /// The user key.
+    pub key: &'a [u8],
+    /// The value; empty for deletes.
+    pub value: &'a [u8],
+    /// Cross-shard batch provenance; see [`LogRecord::stamp`].
+    pub stamp: Option<BatchStamp>,
+}
+
+impl<'a> RecordRef<'a> {
+    /// Parses a record payload (the bytes after the CRC/length framing). The
+    /// one payload parser: [`LogRecord::decode`] calls it too.
+    pub(crate) fn parse(payload: &'a [u8]) -> Result<RecordRef<'a>> {
         let (seqno, mut pos) = varint::decode_u64(payload)?;
         let kind_byte = *payload
             .get(pos)
@@ -141,12 +173,18 @@ impl LogRecord {
             }
             Some(stamp)
         };
-        Ok(LogRecord { seqno, kind, key: key.to_vec(), value: value.to_vec(), stamp })
+        Ok(RecordRef { seqno, kind, key, value, stamp })
     }
 
-    /// Logical size of the update as seen by the application (key + value bytes).
-    pub fn user_bytes(&self) -> u64 {
-        (self.key.len() + self.value.len()) as u64
+    /// The record with its key and value copied out.
+    pub fn to_record(&self) -> LogRecord {
+        LogRecord {
+            seqno: self.seqno,
+            kind: self.kind,
+            key: self.key.to_vec(),
+            value: self.value.to_vec(),
+            stamp: self.stamp,
+        }
     }
 }
 

@@ -79,7 +79,7 @@ proptest! {
         let (props, _) = builder.finish().unwrap();
         prop_assert_eq!(props.num_entries, map.len() as u64);
 
-        let table = Table::open(&path, None).unwrap();
+        let table = std::sync::Arc::new(Table::open(&path, None).unwrap());
         for (key, value) in &map {
             let entry = table.get_entry(key, u64::MAX).unwrap().expect("present key");
             prop_assert_eq!(&entry.value, value);
@@ -89,14 +89,14 @@ proptest! {
         if !map.contains_key(&absent) {
             prop_assert!(table.get_entry(&absent, u64::MAX).unwrap().is_none());
         }
-        let all: Vec<Entry> = SortedTable::entries(&table).unwrap().map(|r| r.unwrap()).collect();
+        let all: Vec<Entry> = table.iter_entries().map(|r| r.unwrap()).collect();
         prop_assert_eq!(all.len(), map.len());
         for (entry, (key, value)) in all.iter().zip(map.iter()) {
             prop_assert_eq!(&entry.key.user_key, key);
             prop_assert_eq!(&entry.value, value);
         }
         // Compaction's cursor lends the same entries.
-        let mut cursor = std::sync::Arc::new(table).cursor().unwrap();
+        let mut cursor = table.cursor().unwrap();
         let mut lent = Vec::new();
         while cursor.valid() {
             lent.push(Entry::new(InternalKey::decode(cursor.key()).unwrap(), cursor.value()));

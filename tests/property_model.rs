@@ -47,9 +47,19 @@ fn config_strategy() -> impl Strategy<Value = TriadConfig> {
     ]
 }
 
+/// A block cache of one 4 KiB commit-log chunk per cache shard (the cache
+/// has 8): a scan of CL-SSTables evicts its own chunks as it goes.
+const SMALL_BLOCK_CACHE: usize = 8 * triad_sstable::LOG_CHUNK_LEN;
+
+/// The default block-cache budget, or one small enough that scans evict
+/// cached blocks and log chunks midway.
+fn block_cache_strategy() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(Options::default().block_cache), Just(SMALL_BLOCK_CACHE)]
+}
+
 /// Tiny options at the shard count `TRIAD_SHARDS` names (CI runs this suite at
 /// 1, 2 and 4 shards), else at the engine's default.
-fn tiny_options(triad: TriadConfig) -> Options {
+fn tiny_options(triad: TriadConfig, block_cache: usize) -> Options {
     let mut options = Options {
         memtable_size: 8 * 1024,
         max_log_size: 16 * 1024,
@@ -58,6 +68,7 @@ fn tiny_options(triad: TriadConfig) -> Options {
         block_size: 512,
         l0_compaction_trigger: 2,
         triad,
+        block_cache,
         ..Options::default()
     };
     if let Some(count) = std::env::var("TRIAD_SHARDS").ok().and_then(|n| n.trim().parse().ok()) {
@@ -316,9 +327,13 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, max_shrink_iters: 200, .. ProptestConfig::default() })]
 
     /// Arbitrary operation sequences behave exactly like a sorted map.
-    fn engine_matches_btreemap(ops in proptest::collection::vec(op_strategy(), 1..250), triad in config_strategy()) {
+    fn engine_matches_btreemap(
+        ops in proptest::collection::vec(op_strategy(), 1..250),
+        triad in config_strategy(),
+        block_cache in block_cache_strategy(),
+    ) {
         let dir = unique_dir("model");
-        let db = Db::open(&dir, tiny_options(triad)).unwrap();
+        let db = Db::open(&dir, tiny_options(triad, block_cache)).unwrap();
         let mut model = BTreeMap::new();
         apply_ops(&db, &ops, &mut model);
         assert_matches_model(&db, &model);
@@ -334,9 +349,10 @@ proptest! {
         ops in proptest::collection::vec(versioned_op_strategy(), 1..120),
         triad in config_strategy(),
         ranges in ranges_strategy(),
+        block_cache in block_cache_strategy(),
     ) {
         let dir = unique_dir("mvcc");
-        let db = Db::open(&dir, tiny_options(triad)).unwrap();
+        let db = Db::open(&dir, tiny_options(triad, block_cache)).unwrap();
         let mut model = VersionedModel::default();
         let mut snapshots: Vec<ClockedSnapshot> = Vec::new();
         apply_versioned_ops(&db, &ops, &mut model, &mut snapshots);
@@ -374,9 +390,10 @@ proptest! {
         before in proptest::collection::vec(op_strategy(), 1..150),
         after in proptest::collection::vec(op_strategy(), 0..80),
         triad in config_strategy(),
+        block_cache in block_cache_strategy(),
     ) {
         let dir = unique_dir("restart");
-        let options = tiny_options(triad);
+        let options = tiny_options(triad, block_cache);
         let mut model = BTreeMap::new();
         {
             let db = Db::open(&dir, options.clone()).unwrap();
