@@ -45,49 +45,27 @@ impl CompactionJob {
 }
 
 impl DbInner {
-    /// Returns `true` if the current version needs compaction work.
-    pub(crate) fn compaction_needed(&self) -> bool {
-        let version = self.current_version.read().clone();
-        if self.l0_should_compact(&version) {
-            return true;
-        }
-        for level in 1..version.num_levels().saturating_sub(1) {
-            if version.level_size(level) > self.options.level_target_size(level) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Decides whether L0 should be compacted right now, applying TRIAD-DISK's
-    /// deferral when enabled.
-    fn l0_should_compact(&self, version: &Version) -> bool {
+    /// Picks the compaction `version` needs most: L0 first, then the first
+    /// deeper level over its size target. The second value is `true` when
+    /// TRIAD-DISK deferred an L0 compaction on the way. Pure: nothing is
+    /// counted here (the background worker counts deferrals).
+    pub(crate) fn pick_compaction(&self, version: &Version) -> (Option<CompactionJob>, bool) {
         let l0_count = version.num_files(0);
-        if l0_count == 0 {
-            return false;
+        if l0_count < self.options.l0_compaction_trigger {
+            return (self.pick_size_compaction(version), false);
         }
         let triad = &self.options.triad;
-        if !triad.disk_enabled {
-            return l0_count >= self.options.l0_compaction_trigger;
-        }
-        if l0_count < self.options.l0_compaction_trigger {
-            return false;
-        }
-        // Hard cap: never let L0 grow past max_l0_files.
-        if l0_count >= triad.max_l0_files {
-            return true;
-        }
-        match self.l0_overlap_ratio(version) {
-            Ok(estimate) => {
-                if estimate.ratio >= triad.overlap_ratio_threshold {
-                    true
-                } else {
-                    self.stats.add_compactions_deferred(1);
-                    false
-                }
-            }
-            // If the sketches are unusable for some reason, fall back to the baseline.
-            Err(_) => l0_count >= self.options.l0_compaction_trigger,
+        // TRIAD-DISK defers while the overlap is low, unless L0 has hit its
+        // hard cap. Unusable sketches fall back to the baseline trigger.
+        let defer = triad.disk_enabled
+            && l0_count < triad.max_l0_files
+            && self
+                .l0_overlap_ratio(version)
+                .is_ok_and(|estimate| estimate.ratio < triad.overlap_ratio_threshold);
+        if defer {
+            (self.pick_size_compaction(version), true)
+        } else {
+            (Some(self.pick_l0_compaction(version)), false)
         }
     }
 
@@ -107,27 +85,6 @@ impl DbInner {
             .chain(l1.iter().map(|f| (&f.hll, f.num_entries)))
             .collect();
         overlap_ratio(files)
-    }
-
-    /// Picks and runs at most one compaction. Returns `true` if one ran.
-    pub(crate) fn maybe_compact(&self) -> Result<bool> {
-        let version = self.current_version.read().clone();
-        let job = if self.l0_should_compact(&version) {
-            Some(self.pick_l0_compaction(&version))
-        } else {
-            self.pick_size_compaction(&version)
-        };
-        match job {
-            Some(job) => {
-                self.run_compaction(&version, job)?;
-                // Our own reference to the pre-compaction version would otherwise
-                // keep the input files alive through the collection pass.
-                drop(version);
-                self.collect_garbage();
-                Ok(true)
-            }
-            None => Ok(false),
-        }
     }
 
     fn pick_l0_compaction(&self, version: &Version) -> CompactionJob {
@@ -160,9 +117,10 @@ impl DbInner {
         None
     }
 
-    /// Runs `job`: merges the inputs, writes the outputs, applies the version edit
-    /// and removes the obsolete files.
-    pub(crate) fn run_compaction(&self, version: &Version, job: CompactionJob) -> Result<()> {
+    /// Runs `job`, picked on `version`: merges the inputs, writes the outputs,
+    /// applies the version edit and retires the inputs. `version` is dropped
+    /// before the edit installs, so it never keeps the inputs from collection.
+    pub(crate) fn run_compaction(&self, version: Arc<Version>, job: CompactionJob) -> Result<()> {
         let started = Instant::now();
         self.failpoints.check(Failpoint::CompactionStart)?;
         let target_level = job.target_level();
@@ -171,6 +129,11 @@ impl DbInner {
                 "compaction target level {target_level} exceeds configured levels"
             )));
         }
+        // Tombstones can be dropped only when nothing older can exist below the
+        // output level.
+        let drop_tombstones =
+            ((target_level + 1)..version.num_levels()).all(|l| version.num_files(l) == 0);
+        drop(version);
 
         // Sources must be ordered newest-first so the dedup keeps the latest version:
         // L0 files are already newest-first; upper-level files hold strictly older
@@ -187,10 +150,6 @@ impl DbInner {
             // reads its backing log once, whole.
             sources.push(table.cursor()?);
         }
-        // Tombstones can be dropped only when nothing older can exist below the
-        // output level.
-        let drop_tombstones =
-            ((target_level + 1)..version.num_levels()).all(|l| version.num_files(l) == 0);
         let mut merged = DedupCursor::new(MergingCursor::new(sources), drop_tombstones)?;
 
         // Until the version edit is logged, nothing references the outputs: an

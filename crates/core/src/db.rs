@@ -1,6 +1,6 @@
-//! The database engine: recovery, the `Db` facade, rotation, the read path,
-//! garbage collection and background scheduling. The write path — how a batch
-//! commits — lives in `commit.rs`.
+//! The database engine: recovery, the `Db` facade, rotation, the read path and
+//! garbage collection. The write path — how a batch commits — lives in
+//! `commit.rs`, background scheduling in `background.rs`.
 //!
 //! # File lifetime
 //!
@@ -18,9 +18,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use triad_common::lockrank::{RankedMutex, RankedRwLock};
 
@@ -34,9 +33,10 @@ use triad_sstable::{
 };
 use triad_wal::{
     log_file_name, log_file_path, parse_log_file_name, BatchEncoder, BatchStamp, LogReader,
-    LogRecord, LogWriter,
+    LogRecord, LogWriter, TailStatus,
 };
 
+use crate::background::{background_worker, Wakeup};
 use crate::batch::{WriteBatch, WriteOptions};
 use crate::block_cache::BlockCache;
 use crate::commit::PublicationSequencer;
@@ -79,25 +79,6 @@ pub(crate) struct ImmutableMemtable {
     pub(crate) wal_id: u64,
 }
 
-/// Background attempts that may fail during one blocking flush or compaction
-/// wait before the wait returns the last error instead of polling forever.
-/// Large enough that a transient fault the worker's retries get past (the
-/// recovery tests inject up to three failures in a row) still completes.
-const MAX_BACKGROUND_FAILURES: u64 = 5;
-
-/// Messages sent to the background worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WorkItem {
-    /// One or more immutable memtables are waiting to be flushed.
-    Flush,
-    /// Re-evaluate whether a compaction is needed.
-    Compact,
-    /// A retired version lost its last pin; run a garbage-collection pass.
-    Gc,
-    /// Stop the worker.
-    Shutdown,
-}
-
 /// What the garbage collector needs to locate a retired table file on disk.
 #[derive(Debug)]
 struct RetiredTable {
@@ -124,14 +105,12 @@ struct GcQueue {
 /// While the pin is alive every file the version references — tables, CL indexes
 /// and backing commit logs — is protected from garbage collection, because the
 /// version stays upgradeable in the [`VersionSet`]'s live registry. Dropping a
-/// pin while files await collection nudges the background worker to run a pass.
+/// pin while files await collection wakes the background worker to run a pass.
 pub(crate) struct PinnedVersion {
     /// `Some` until dropped; an `Option` so `Drop` can release the reference
     /// *before* signalling the collector.
     version: Option<Arc<Version>>,
-    work_tx: Sender<WorkItem>,
-    /// Mirrors "the GC queue is non-empty" (see [`DbInner::gc_pending`]).
-    gc_pending: Arc<AtomicBool>,
+    wakeup: Arc<Wakeup>,
 }
 
 impl PinnedVersion {
@@ -153,16 +132,16 @@ impl Drop for PinnedVersion {
     fn drop(&mut self) {
         if let Some(version) = self.version.take() {
             drop(version);
-            // Nudge the collector whenever files are awaiting deletion: this pin
+            // Wake the collector whenever files are awaiting deletion: this pin
             // may have been what kept them alive, and an idle database would
             // otherwise hold them until close. The flag is almost always false
             // (the queue drains on the pass right after each retirement), so the
-            // common read path sends nothing; spurious nudges are one cheap
-            // empty pass. Deciding via `Arc::strong_count` instead would race:
-            // two pins of the same retired version dropped concurrently would
-            // each see the other's reference and neither would signal.
-            if self.gc_pending.load(Ordering::Relaxed) {
-                let _ = self.work_tx.send(WorkItem::Gc);
+            // common read path signals nothing; a spurious signal is one cheap
+            // pass. Deciding via `Arc::strong_count` instead would race: two
+            // pins of the same retired version dropped concurrently would each
+            // see the other's reference and neither would signal.
+            if self.wakeup.gc_pending.load(Ordering::Relaxed) {
+                self.wakeup.signal();
             }
         }
     }
@@ -219,6 +198,10 @@ pub(crate) mod lock_rank {
     /// The watermark's append mark: written under the WAL lock, read by the
     /// fsync driver. A leaf.
     pub const APPEND_MARK: u32 = 84;
+    /// The background worker's wakeup (`background.rs`). A leaf above every
+    /// engine lock: rotation signals it under the WAL lock and commit gate,
+    /// and a version pin may drop under anything.
+    pub const WAKEUP: u32 = 90;
 }
 
 /// Shared engine state.
@@ -266,9 +249,6 @@ pub(crate) struct DbInner {
     pub(crate) retention: Arc<SnapshotRetention>,
     /// Files retired from the version chain, awaiting garbage collection.
     gc: RankedMutex<GcQueue>,
-    /// `true` while the GC queue is non-empty; lets dropping readers decide
-    /// whether a collection nudge is worth sending without taking the queue lock.
-    gc_pending: Arc<AtomicBool>,
     pub(crate) table_cache: TableCache,
     /// WAL-shipping retention floor: commit logs with `id >= ship_floor` are
     /// exempt from garbage collection, so a read replica that last caught up
@@ -287,10 +267,11 @@ pub(crate) struct DbInner {
     /// Largest sequence number whose effects are visible to readers.
     pub(crate) last_seqno: AtomicU64,
     pub(crate) shutdown: AtomicBool,
-    pub(crate) work_tx: Sender<WorkItem>,
+    /// Wakes the background worker and the threads waiting on it.
+    pub(crate) wakeup: Arc<Wakeup>,
     /// The last failed background flush or compaction, reported by a blocking
-    /// wait that gives up on the worker (see [`DbInner::wait_for_worker`]).
-    last_background_error: Mutex<Option<String>>,
+    /// wait that gives up on the worker (see `background.rs`).
+    pub(crate) last_background_error: Mutex<Option<String>>,
 }
 
 impl std::fmt::Debug for DbInner {
@@ -360,12 +341,13 @@ impl ShardRecovery {
     /// These records are never replayed (the version chain already owns
     /// them); they exist purely so torn-batch detection can tell a batch
     /// whose slice graduated into an SSTable from one that never committed.
-    /// Best-effort by design: an unreadable log contributes nothing, and
-    /// detection falls back to its conservative stray-only verdict.
-    fn read_stamp_evidence(&self) -> Vec<LogRecord> {
+    /// Best-effort by design: a log that cannot be read contributes nothing,
+    /// and detection falls back to its conservative stray-only verdict. A
+    /// corrupt log fails the open.
+    fn read_stamp_evidence(&self) -> Result<Vec<LogRecord>> {
         let stray: HashSet<u64> = self.stray_logs.iter().map(|(id, _)| *id).collect();
         let mut evidence = Vec::new();
-        let Ok(entries) = std::fs::read_dir(&self.path) else { return evidence };
+        let Ok(entries) = std::fs::read_dir(&self.path) else { return Ok(evidence) };
         let mut ids: Vec<u64> = entries
             .flatten()
             .filter_map(|entry| parse_log_file_name(&entry.file_name().to_string_lossy()))
@@ -373,15 +355,35 @@ impl ShardRecovery {
             .collect();
         ids.sort_unstable();
         for id in ids {
-            let Ok(reader) = LogReader::open(log_file_path(&self.path, id)) else { continue };
-            let Ok((records, _tail)) = reader.recover() else { continue };
-            let records: Vec<LogRecord> = records.into_iter().map(|r| r.record).collect();
+            let records = match read_log_records(&self.path, id) {
+                Ok(records) => records,
+                Err(error) if error.is_corruption() => return Err(error),
+                Err(_) => continue,
+            };
             if records.iter().any(|record| record.stamp.is_some()) {
                 evidence.extend(records);
             }
         }
-        evidence
+        Ok(evidence)
     }
+}
+
+/// Reads every record of commit log `id` in `dir`. A torn tail is dropped:
+/// a crash can tear any log that was not yet synced, including one a
+/// rotation has already left behind (the new log is created before the old
+/// one is synced, and the small-flush rewrite never syncs it), and a torn
+/// record was never acknowledged as durable. A bad record with an intact
+/// record after it is corruption and fails with the file and the offset.
+fn read_log_records(dir: &Path, id: u64) -> Result<Vec<LogRecord>> {
+    let path = log_file_path(dir, id);
+    let (records, tail) = LogReader::open(&path)?.recover()?;
+    if let TailStatus::Corrupt(offset) = tail {
+        return Err(Error::corruption_at(
+            format!("commit log: corrupt record at offset {offset}, with intact records after it"),
+            &path,
+        ));
+    }
+    Ok(records.into_iter().map(|r| r.record).collect())
 }
 
 impl Shard {
@@ -415,9 +417,7 @@ impl Shard {
         stray_ids.sort_unstable();
         let mut stray_logs = Vec::with_capacity(stray_ids.len());
         for id in stray_ids {
-            let reader = LogReader::open(log_file_path(&path, id))?;
-            let (records, _tail) = reader.recover()?;
-            stray_logs.push((id, records.into_iter().map(|r| r.record).collect()));
+            stray_logs.push((id, read_log_records(&path, id)?));
         }
         Ok(ShardRecovery { path, versions, stray_logs })
     }
@@ -461,7 +461,6 @@ impl Shard {
         let wal_writer = LogWriter::create(log_file_path(&path, wal_id), wal_id)?;
         let current_version = versions.current();
 
-        let (work_tx, work_rx) = crossbeam_channel::unbounded();
         let retention = Arc::new(SnapshotRetention::new());
         let inner = Arc::new(DbInner {
             table_cache: TableCache::new(path.clone(), Arc::clone(&stats), block_cache, io_pool),
@@ -500,13 +499,12 @@ impl Shard {
             ),
             retention,
             gc: RankedMutex::new(lock_rank::GC, "db.gc", GcQueue::default()),
-            gc_pending: Arc::new(AtomicBool::new(false)),
             ship_floor: AtomicU64::new(u64::MAX),
             stamps,
             shard_index: index,
             last_seqno: AtomicU64::new(last_seqno),
             shutdown: AtomicBool::new(false),
-            work_tx,
+            wakeup: Arc::new(Wakeup::new()),
             last_background_error: Mutex::new(None),
         });
 
@@ -519,7 +517,7 @@ impl Shard {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name(format!("triad-background-{index}"))
-                .spawn(move || background_worker(inner, work_rx))
+                .spawn(move || background_worker(inner))
                 .map_err(|e| Error::io("spawning background worker", e))?
         };
 
@@ -532,7 +530,7 @@ impl Shard {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return Ok(());
         }
-        let _ = self.inner.work_tx.send(WorkItem::Shutdown);
+        self.inner.wakeup.signal();
         if let Some(handle) = self.worker.lock().take() {
             let _ = handle.join();
         }
@@ -774,8 +772,10 @@ impl Db {
                 // and re-judge before dropping anything acknowledged. The
                 // merged drop sets may name evidence-log seqnos; harmless —
                 // only stray-log replay consults them.
-                let evidence: Vec<Vec<LogRecord>> =
-                    recoveries.iter().map(ShardRecovery::read_stamp_evidence).collect();
+                let evidence = recoveries
+                    .iter()
+                    .map(ShardRecovery::read_stamp_evidence)
+                    .collect::<Result<Vec<_>>>()?;
                 let merged: Vec<Vec<&LogRecord>> = recoveries
                     .iter()
                     .zip(&evidence)
@@ -1071,11 +1071,7 @@ impl Db {
     /// compactions keep failing.
     pub fn wait_for_compactions(&self) -> Result<()> {
         for shard in &self.shards {
-            let inner = &shard.inner;
-            inner.wait_for_pending_flushes()?;
-            inner.wait_for_worker(WorkItem::Compact, Duration::from_millis(5), || {
-                !inner.compaction_needed()
-            })?;
+            shard.inner.wait_for_compactions()?;
         }
         Ok(())
     }
@@ -1133,6 +1129,15 @@ impl Db {
             self.shards.iter().flat_map(|shard| shard.inner.table_cache.cached_ids()).collect();
         ids.sort_unstable();
         ids
+    }
+
+    /// Blocks until every readahead prefetch that scans have queued so far
+    /// has run, so the block-cache counters read next include its probes
+    /// (exposed for tests and diagnostics). Every shard shares one pool.
+    pub fn wait_for_readahead(&self) {
+        if let Some(pool) = &self.shards[0].inner.table_cache.io_pool {
+            pool.wait_idle();
+        }
     }
 
     /// A snapshot of the engine statistics, merged across shards: counters
@@ -1419,7 +1424,7 @@ impl DbInner {
     fn queue_flush(&self, mem: Arc<Memtable>, wal_id: u64) {
         self.imm.write().push(Arc::new(ImmutableMemtable { memtable: mem, wal_id }));
         *self.mem.write() = self.fresh_memtable();
-        let _ = self.work_tx.send(WorkItem::Flush);
+        self.wakeup.signal();
     }
 
     /// Seals the current memtable even if it is not full (used by `Db::flush`).
@@ -1440,54 +1445,6 @@ impl DbInner {
         Ok(())
     }
 
-    /// Blocks until the immutable-memtable queue is empty, then collects any files
-    /// the flushes retired.
-    fn wait_for_pending_flushes(&self) -> Result<()> {
-        self.wait_for_worker(WorkItem::Flush, Duration::from_millis(2), || {
-            self.imm.read().is_empty()
-        })
-    }
-
-    /// Polls until `done` holds (then collects garbage) or the engine shuts
-    /// down, nudging the background worker with `item` between polls. The
-    /// worker retries failed attempts forever, but a caller blocked here must
-    /// not wait forever: once [`MAX_BACKGROUND_FAILURES`] attempts have failed
-    /// during this wait, it returns [`Error::Background`] with the last error.
-    fn wait_for_worker(
-        &self,
-        item: WorkItem,
-        poll: Duration,
-        done: impl Fn() -> bool,
-    ) -> Result<()> {
-        let failures_before = self.stats.background_errors();
-        loop {
-            if done() {
-                self.collect_garbage();
-                return Ok(());
-            }
-            if self.shutdown.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            let failures = self.stats.background_errors() - failures_before;
-            if failures >= MAX_BACKGROUND_FAILURES {
-                let last = self.last_background_error.lock().clone().unwrap_or_default();
-                return Err(Error::Background(format!(
-                    "{failures} background attempts failed while waiting; last: {last}"
-                )));
-            }
-            let _ = self.work_tx.send(item);
-            std::thread::sleep(poll);
-        }
-    }
-
-    /// Counts one failed background attempt and keeps its error for
-    /// [`DbInner::wait_for_worker`] to report.
-    fn note_background_error(&self, job: &str, error: &Error) {
-        eprintln!("triad: background {job} error: {error}");
-        self.stats.add_background_errors(1);
-        *self.last_background_error.lock() = Some(format!("{job}: {error}"));
-    }
-
     /// Pins the current version: the returned guard keeps every file the version
     /// references safe from garbage collection until it is dropped.
     pub(crate) fn pin_current_version(&self) -> PinnedVersion {
@@ -1506,11 +1463,7 @@ impl DbInner {
     /// Pins an explicit version (used by snapshot iterators, which must read the
     /// version their snapshot captured, not whatever is current now).
     pub(crate) fn pin_version(&self, version: Arc<Version>) -> PinnedVersion {
-        PinnedVersion {
-            version: Some(version),
-            work_tx: self.work_tx.clone(),
-            gc_pending: Arc::clone(&self.gc_pending),
-        }
+        PinnedVersion { version: Some(version), wakeup: Arc::clone(&self.wakeup) }
     }
 
     /// A fresh active memtable wired to this engine's snapshot registry, so its
@@ -1610,7 +1563,7 @@ impl DbInner {
             );
         }
         if !gc.tables.is_empty() || !gc.logs.is_empty() {
-            self.gc_pending.store(true, Ordering::Relaxed);
+            self.wakeup.gc_pending.store(true, Ordering::Relaxed);
         }
     }
 
@@ -1620,7 +1573,7 @@ impl DbInner {
     pub(crate) fn retire_log(&self, log_id: u64) {
         let mut gc = self.gc.lock();
         gc.logs.insert(log_id);
-        self.gc_pending.store(true, Ordering::Relaxed);
+        self.wakeup.gc_pending.store(true, Ordering::Relaxed);
     }
 
     /// Removes `path`, recording the outcome in the GC statistics. Returns `true`
@@ -1660,7 +1613,7 @@ impl DbInner {
     pub(crate) fn collect_garbage(&self) -> bool {
         let mut gc = self.gc.lock();
         if gc.tables.is_empty() && gc.logs.is_empty() {
-            self.gc_pending.store(false, Ordering::Relaxed);
+            self.wakeup.gc_pending.store(false, Ordering::Relaxed);
             return true;
         }
         let live_versions = self.versions.lock().live_versions();
@@ -1719,7 +1672,7 @@ impl DbInner {
         let drained = gc.tables.is_empty() && gc.logs.is_empty();
         // Safe to update while still holding the queue lock: a concurrent enqueue
         // sets the flag under this same lock, so it cannot be lost.
-        self.gc_pending.store(!drained, Ordering::Relaxed);
+        self.wakeup.gc_pending.store(!drained, Ordering::Relaxed);
         drained
     }
 
@@ -1749,45 +1702,5 @@ impl DbInner {
             }
         }
         Ok(())
-    }
-}
-
-/// The background thread: drains flush requests, then runs compactions until the
-/// tree satisfies its shape invariants.
-fn background_worker(inner: Arc<DbInner>, rx: Receiver<WorkItem>) {
-    while let Ok(item) = rx.recv() {
-        match item {
-            WorkItem::Shutdown => break,
-            WorkItem::Gc => {
-                // A retired version lost its last pin; its files may be collectable.
-                inner.collect_garbage();
-            }
-            WorkItem::Flush | WorkItem::Compact => {
-                if let Err(e) = inner.flush_pending_memtables() {
-                    // Background errors are recorded but do not crash the process;
-                    // the next flush attempt will retry.
-                    inner.note_background_error("flush", &e);
-                }
-                loop {
-                    if inner.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match inner.maybe_compact() {
-                        Ok(true) => continue,
-                        Ok(false) => break,
-                        Err(e) => {
-                            inner.note_background_error("compaction", &e);
-                            break;
-                        }
-                    }
-                }
-                inner.collect_garbage();
-            }
-        }
-        if inner.shutdown.load(Ordering::SeqCst) {
-            // Drain any remaining flushes so close() does not lose sealed memtables.
-            let _ = inner.flush_pending_memtables();
-            break;
-        }
     }
 }

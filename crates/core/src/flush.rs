@@ -29,18 +29,12 @@ use triad_sstable::{
 };
 
 impl DbInner {
-    /// Flushes every sealed memtable, oldest first, collecting each one's retired
-    /// commit log once the memtable has left the pending queue.
-    pub(crate) fn flush_pending_memtables(&self) -> Result<()> {
-        loop {
-            let next = { self.imm.read().first().cloned() };
-            let Some(imm) = next else {
-                return Ok(());
-            };
-            self.flush_one(&imm)?;
-            self.imm.write().retain(|m| !Arc::ptr_eq(m, &imm));
-            self.collect_garbage();
-        }
+    /// Flushes one sealed memtable and takes it off the pending queue. The
+    /// caller collects its retired commit log.
+    pub(crate) fn flush_memtable(&self, imm: &Arc<ImmutableMemtable>) -> Result<()> {
+        self.flush_one(imm)?;
+        self.imm.write().retain(|m| !Arc::ptr_eq(m, imm));
+        Ok(())
     }
 
     fn table_builder_options(&self) -> TableBuilderOptions {

@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod background;
 pub mod batch;
 pub mod block_cache;
 mod checkpoint;

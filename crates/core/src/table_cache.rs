@@ -48,7 +48,7 @@ pub struct TableCache {
     /// instance serves every keyspace shard's table cache.
     block_cache: Option<Arc<BlockCache>>,
     /// The shared readahead pool, handed to each opened table's fetch context.
-    io_pool: Option<Arc<IoPool>>,
+    pub(crate) io_pool: Option<Arc<IoPool>>,
     tables: RankedMutex<HashMap<u64, OpenTable>>,
 }
 

@@ -78,20 +78,15 @@ pub fn disk_files(dir: &std::path::Path) -> std::collections::BTreeSet<String> {
     names
 }
 
-/// Asserts that, once garbage collection converges, the files on disk are exactly
+/// Asserts that, after a garbage-collection pass, the files on disk are exactly
 /// the set the live version (plus WAL, manifest and `CURRENT`) accounts for — no
 /// leaked obsolete files, no prematurely deleted live ones.
 ///
-/// The background worker may briefly hold a reference to a retired version after
-/// `wait_for_compactions` returns, so the check polls until the listing settles.
+/// Exact once background work has settled (after `wait_for_compactions`, or a
+/// flush that triggers no compaction): the worker drops its version before it
+/// installs the next, so nothing it holds keeps a retired file alive.
 pub fn assert_disk_matches_live_set(db: &Db, dir: &std::path::Path) {
-    for _ in 0..500 {
-        db.collect_garbage();
-        if disk_files(dir) == db.expected_live_files() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    db.collect_garbage();
     assert_eq!(
         disk_files(dir),
         db.expected_live_files(),

@@ -570,16 +570,11 @@ fn recovery_tolerates_a_torn_commit_log_tail() {
         db.close().unwrap();
     }
     // Simulate a crash mid-append by chopping bytes off the newest commit log.
-    let mut logs: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().map(|e| e == "log").unwrap_or(false))
-        .collect();
-    logs.sort();
+    let logs = commit_logs(&dir);
     let newest = logs.last().expect("at least one commit log");
     let len = std::fs::metadata(newest).unwrap().len();
     assert!(len > 10);
-    std::fs::OpenOptions::new().write(true).open(newest).unwrap().set_len(len - 7).unwrap();
+    set_len(newest, len - 7);
 
     let db = Db::open(&dir, options).unwrap();
     // All but possibly the very last record must be intact.
@@ -591,6 +586,87 @@ fn recovery_tolerates_a_torn_commit_log_tail() {
         );
     }
     db.close().unwrap();
+}
+
+/// Every commit log in `dir`, oldest first.
+fn commit_logs(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut logs: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().map(|e| e == "log").unwrap_or(false))
+        .collect();
+    logs.sort();
+    logs
+}
+
+/// Truncates (or extends) the file at `path` to `len` bytes.
+fn set_len(path: &std::path::Path, len: u64) {
+    std::fs::OpenOptions::new().write(true).open(path).unwrap().set_len(len).unwrap();
+}
+
+/// Opens `dir` expecting a corruption error that names `log`.
+fn assert_open_fails_naming(dir: &std::path::Path, options: Options, log: &std::path::Path) {
+    let error = Db::open(dir, options).unwrap_err();
+    assert!(error.is_corruption(), "expected corruption, got {error:?}");
+    let name = log.file_name().unwrap().to_string_lossy().into_owned();
+    let message = error.to_string();
+    assert!(message.contains(&name) && message.contains("offset"), "{message}");
+}
+
+/// One flipped bit in the middle of a log is not a torn tail: the records
+/// after it were acknowledged as durable and are intact, so the open must
+/// fail rather than silently drop them.
+#[test]
+fn a_corrupt_record_mid_log_fails_the_open() {
+    let dir = temp_dir("corrupt-mid-log");
+    let mut options = Options::small_for_tests();
+    options.sync_mode = SyncMode::SyncEveryWrite;
+    let db = Db::open(&dir, options.clone()).unwrap();
+    for i in 0..100u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.close().unwrap();
+    let log = commit_logs(&dir).pop().expect("a commit log");
+    let mut bytes = std::fs::read(&log).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x10;
+    std::fs::write(&log, &bytes).unwrap();
+    assert_open_fails_naming(&dir, options, &log);
+}
+
+/// A rotation creates the next log before it syncs the outgoing one (and the
+/// TRIAD-MEM small-flush rewrite never syncs it), so a crash in that window
+/// leaves a torn older log beside an empty or partly written successor. The
+/// torn record was never acknowledged as durable: the open drops it and
+/// keeps everything before it.
+#[test]
+fn a_torn_older_log_next_to_its_successor_opens() {
+    // The successor as the crash left it: created but empty, or cut mid-record.
+    for successor_len in [0, 10] {
+        let dir = temp_dir("torn-older-log");
+        let options = Options::small_for_tests();
+        let failpoints = FailpointRegistry::new();
+        let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
+        for i in 0..10u64 {
+            db.put(key_for(i), value_for(i, 1)).unwrap();
+        }
+        // A sealed log whose flush never succeeds stays stray behind the next.
+        failpoints.arm(Failpoint::FlushStart, FailpointAction::ReturnError);
+        assert!(db.flush().is_err());
+        db.put(key_for(10), value_for(10, 1)).unwrap();
+        db.close().unwrap();
+        let logs = commit_logs(&dir);
+        assert_eq!(logs.len(), 2, "one sealed and one active log: {logs:?}");
+        set_len(&logs[0], std::fs::metadata(&logs[0]).unwrap().len() - 7);
+        set_len(&logs[1], successor_len);
+
+        let db = Db::open(&dir, options).unwrap();
+        for i in 0..9u64 {
+            assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)), "key {i} lost");
+        }
+        assert_eq!(db.get(key_for(9)).unwrap(), None, "the torn record is dropped");
+        db.close().unwrap();
+    }
 }
 
 #[test]
@@ -1055,12 +1131,7 @@ fn acknowledged_cross_shard_batch_survives_one_shards_flush() {
         for &i in &on_shard_0[1..] {
             db.put(key_for(i), value_for(i, 1)).unwrap();
         }
-        for _ in 0..500 {
-            if db.stats().flush_count >= 1 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
+        db.wait_for_compactions().unwrap();
         assert!(db.stats().flush_count >= 1, "filler never triggered shard 0's flush");
         // The retired log now holds the only stamped copy of shard 0's slice;
         // retention must keep it on disk (and account for it) through GC.

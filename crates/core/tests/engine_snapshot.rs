@@ -276,13 +276,6 @@ fn dropping_the_snapshot_releases_exactly_the_files_it_pinned() {
     // While the snapshot is open, the expected live set includes its pinned
     // version's files, and the directory must match exactly that (no premature
     // deletion of pinned files, no leaks beyond them).
-    for _ in 0..500 {
-        db.collect_garbage();
-        if disk_files(&dir) == db.expected_live_files() {
-            break;
-        }
-        thread::sleep(std::time::Duration::from_millis(10));
-    }
     let with_snapshot = db.expected_live_files();
     assert_eq!(disk_files(&dir), with_snapshot, "pinned files must stay on disk");
     // The snapshot still reads its frozen world from those files.

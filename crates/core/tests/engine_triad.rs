@@ -270,6 +270,35 @@ fn triad_disk_defers_compactions_and_tolerates_more_l0_files() {
     );
 }
 
+/// Only the background worker counts a deferral, once per version it defers
+/// on: waits that merely ask whether a compaction is due count nothing.
+#[test]
+fn waiting_on_a_deferred_l0_does_not_count_more_deferrals() {
+    let (db, _dir) = open_small("disk-deferral-count", |options| {
+        options.l0_compaction_trigger = 2;
+        options.triad = TriadConfig::disk_only();
+        options.triad.max_l0_files = 8;
+        options.triad.overlap_ratio_threshold = 0.4;
+    });
+    // One small L0 file per flush, each of its own key range: seven files,
+    // under the cap of eight, with low overlap.
+    for batch in 0..7u64 {
+        for i in 0..200u64 {
+            db.put(key_for(batch * 10_000 + i), value_for(i, batch)).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    db.wait_for_compactions().unwrap();
+    let before = db.stats();
+    assert!(before.compactions_deferred > 0, "disjoint L0 files must be deferred");
+    assert_eq!(before.compaction_count, 0);
+    for _ in 0..10 {
+        db.wait_for_compactions().unwrap();
+    }
+    assert_eq!(db.stats().compactions_deferred, before.compactions_deferred);
+    db.close().unwrap();
+}
+
 #[test]
 fn triad_disk_still_compacts_when_overlap_is_high() {
     let (db, _dir) = open_small("disk-overlap", |options| {

@@ -648,12 +648,8 @@ mod tests {
         let cache = MapCache::new();
         let table = open_cached(&index_path, &log_path, &cache);
         let all = drain(Arc::clone(&table).scan_cursor(b"").unwrap()).unwrap();
-        let offsets: Vec<u64> = triad_wal::LogReader::open(&log_path)
-            .unwrap()
-            .iter()
-            .unwrap()
-            .map(|record| record.unwrap().offset)
-            .collect();
+        let (records, _) = triad_wal::LogReader::open(&log_path).unwrap().recover().unwrap();
+        let offsets: Vec<u64> = records.iter().map(|record| record.offset).collect();
         let chunk = LOG_CHUNK_LEN as u64;
         let ends_in_its_chunk = |i: usize| offsets[i] / chunk == (offsets[i + 1] - 1) / chunk;
         // One put inside a chunk and one that straddles two (every tenth

@@ -12,8 +12,7 @@
 //! still do one read between them.
 //!
 //! Jobs are best-effort: they run soon, in submission order, and any I/O
-//! error is swallowed (the foreground read will surface it). The vendored
-//! crossbeam-channel stand-in is not a dependency of this crate, so the pool
+//! error is swallowed (the foreground read will surface it). The pool
 //! distributes work over a `std::sync::mpsc` channel whose receiver the
 //! workers share behind a `parking_lot::Mutex` — a worker holds the lock only
 //! to dequeue, never while running a job.
@@ -22,7 +21,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 /// A prefetch task. Boxed so callers can capture whatever table handle and
 /// block coordinates they need.
@@ -36,6 +35,9 @@ type Job = Box<dyn FnOnce() + Send>;
 pub struct IoPool {
     sender: Mutex<Option<mpsc::Sender<Job>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Jobs queued or running, and the condvar a worker notifies when the
+    /// count drops to zero ([`IoPool::wait_idle`]).
+    pending: Arc<(Mutex<usize>, Condvar)>,
 }
 
 impl IoPool {
@@ -43,9 +45,11 @@ impl IoPool {
     pub fn new(threads: usize) -> IoPool {
         let (sender, receiver) = mpsc::channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
+        let pending = Arc::new((Mutex::new(0usize), Condvar::new()));
         let workers = (0..threads.max(1))
             .map(|index| {
                 let receiver = Arc::clone(&receiver);
+                let pending = Arc::clone(&pending);
                 std::thread::Builder::new()
                     .name(format!("triad-io-{index}"))
                     .spawn(move || loop {
@@ -57,7 +61,15 @@ impl IoPool {
                             guard.recv()
                         };
                         match job {
-                            Ok(job) => job(),
+                            Ok(job) => {
+                                job();
+                                let (count, idle) = &*pending;
+                                let mut count = count.lock();
+                                *count -= 1;
+                                if *count == 0 {
+                                    idle.notify_all();
+                                }
+                            }
                             // Channel closed: the pool is shutting down.
                             Err(_) => return,
                         }
@@ -65,14 +77,26 @@ impl IoPool {
                     .expect("spawn io pool worker")
             })
             .collect();
-        IoPool { sender: Mutex::new(Some(sender)), workers: Mutex::new(workers) }
+        IoPool { sender: Mutex::new(Some(sender)), workers: Mutex::new(workers), pending }
     }
 
     /// Enqueues a job. Silently ignored if the pool is already shutting down
     /// — readahead is an optimization, never a correctness dependency.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
         if let Some(sender) = self.sender.lock().as_ref() {
-            let _ = sender.send(Box::new(job));
+            *self.pending.0.lock() += 1;
+            if sender.send(Box::new(job)).is_err() {
+                *self.pending.0.lock() -= 1;
+            }
+        }
+    }
+
+    /// Blocks until every job spawned so far has run.
+    pub fn wait_idle(&self) {
+        let (count, idle) = &*self.pending;
+        let mut count = count.lock();
+        while *count > 0 {
+            idle.wait(&mut count);
         }
     }
 }
@@ -97,15 +121,22 @@ mod tests {
     fn jobs_run_and_drop_joins_cleanly() {
         let counter = Arc::new(AtomicUsize::new(0));
         let pool = IoPool::new(3);
-        for _ in 0..64 {
-            let counter = Arc::clone(&counter);
-            pool.spawn(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
+        pool.wait_idle();
+        for round in 1..=2 {
+            for _ in 0..64 {
+                let counter = Arc::clone(&counter);
+                pool.spawn(move || {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            if round == 1 {
+                pool.wait_idle();
+                assert_eq!(counter.load(Ordering::Relaxed), 64);
+            }
         }
         // Drop closes the queue only after every queued job has been drained.
         drop(pool);
-        assert_eq!(counter.load(Ordering::Relaxed), 64);
+        assert_eq!(counter.load(Ordering::Relaxed), 128);
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //!
 //! The CRC covers the length field and the payload, so a torn write at the tail of
 //! the file is detected and recovery stops cleanly at the last intact record.
+//! A bad record with an intact record after it is reported as corruption
+//! instead ([`TailStatus::Corrupt`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

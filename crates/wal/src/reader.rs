@@ -1,7 +1,6 @@
 //! Reading commit logs: sequential recovery scans and random access by offset.
 
 use std::fs::File;
-use std::io::Read;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -21,15 +20,19 @@ pub struct RecoveredRecord {
     pub record: LogRecord,
 }
 
-/// Outcome of scanning to the end of a log file.
+/// Outcome of scanning to the end of a log file. Both unclean outcomes carry
+/// the offset of the first unreadable record, where the recovered records end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TailStatus {
     /// The file ended exactly at a record boundary.
     Clean,
-    /// The file ended with a torn or corrupt record that was ignored.
-    ///
-    /// The payload is the offset at which valid data ends.
-    Truncated(u64),
+    /// The file ends in an unreadable record with no intact record after it:
+    /// what a crash in the middle of an append leaves behind.
+    Torn(u64),
+    /// An unreadable record with an intact record after it: damage inside
+    /// the log, which no torn append can cause. The records after it were
+    /// not recovered.
+    Corrupt(u64),
 }
 
 /// The (unmasked) CRC and the payload length a record header holds.
@@ -276,108 +279,31 @@ impl LogReader {
         Ok(LogChunk { start: offset, log_len: self.len, bytes })
     }
 
-    /// Iterates over every intact record in the log in write order.
-    ///
-    /// The iterator stops silently at the first torn/corrupt record, mirroring how
-    /// LSM stores recover from a crash mid-append; use [`LogReader::recover`] to also
-    /// learn whether the tail was clean.
-    pub fn iter(&self) -> Result<LogIterator> {
-        let file = File::open(&self.path)
-            .map_err(|e| Error::io(format!("opening commit log {}", self.path.display()), e))?;
-        Ok(LogIterator {
-            reader: std::io::BufReader::new(file),
-            path: self.path.clone(),
-            offset: 0,
-            len: self.len,
-            done: false,
-            tail: TailStatus::Clean,
-        })
-    }
-
-    /// Scans the whole log, returning every intact record and the tail status.
+    /// Reads the whole log and returns every intact record in write order,
+    /// with how the log ends. At the first unreadable record it resyncs: if
+    /// an intact record starts anywhere after it the log is corrupt,
+    /// otherwise the tail is torn.
     pub fn recover(&self) -> Result<(Vec<RecoveredRecord>, TailStatus)> {
-        let mut iter = self.iter()?;
+        let len = usize::try_from(self.len)
+            .map_err(|_| Error::corruption_at("log larger than memory", &self.path))?;
+        let mut bytes = vec![0u8; len];
+        self.file
+            .read_exact_at(&mut bytes, 0)
+            .map_err(|e| Error::io(format!("reading commit log {}", self.path.display()), e))?;
         let mut records = Vec::new();
-        for item in &mut iter {
-            records.push(item?);
+        let mut offset = 0;
+        while offset < len {
+            let Ok(record) = decode_record_in_buffer(&bytes, offset as u64) else {
+                let resynced =
+                    (offset + 1..len).any(|at| decode_record_in_buffer(&bytes, at as u64).is_ok());
+                let at = offset as u64;
+                let tail = if resynced { TailStatus::Corrupt(at) } else { TailStatus::Torn(at) };
+                return Ok((records, tail));
+            };
+            records.push(RecoveredRecord { offset: offset as u64, record: record.to_record() });
+            offset += RECORD_HEADER_LEN + split_header(&bytes[offset..]).1 as usize;
         }
-        Ok((records, iter.tail_status()))
-    }
-}
-
-/// Sequential iterator over the records of a log file.
-#[derive(Debug)]
-pub struct LogIterator {
-    reader: std::io::BufReader<File>,
-    path: PathBuf,
-    offset: u64,
-    len: u64,
-    done: bool,
-    tail: TailStatus,
-}
-
-impl LogIterator {
-    /// The tail status observed so far; meaningful once iteration has finished.
-    pub fn tail_status(&self) -> TailStatus {
-        self.tail
-    }
-
-    fn read_next(&mut self) -> Result<Option<RecoveredRecord>> {
-        if self.done || self.offset >= self.len {
-            self.done = true;
-            return Ok(None);
-        }
-        let start = self.offset;
-        if self.len - start < RECORD_HEADER_LEN as u64 {
-            self.tail = TailStatus::Truncated(start);
-            self.done = true;
-            return Ok(None);
-        }
-        let mut header = [0u8; RECORD_HEADER_LEN];
-        self.reader.read_exact(&mut header).map_err(|e| {
-            Error::io(format!("reading header at {start} in {}", self.path.display()), e)
-        })?;
-        let payload_len = u64::from(split_header(&header).1);
-        if start + RECORD_HEADER_LEN as u64 + payload_len > self.len {
-            // Torn append: the process crashed while writing this record.
-            self.tail = TailStatus::Truncated(start);
-            self.done = true;
-            return Ok(None);
-        }
-        let mut payload = vec![0u8; payload_len as usize];
-        self.reader.read_exact(&mut payload).map_err(|e| {
-            Error::io(format!("reading payload at {start} in {}", self.path.display()), e)
-        })?;
-        if !crc_matches(&header, &payload) {
-            self.tail = TailStatus::Truncated(start);
-            self.done = true;
-            return Ok(None);
-        }
-        let record = match LogRecord::decode(&payload) {
-            Ok(record) => record,
-            Err(_) => {
-                self.tail = TailStatus::Truncated(start);
-                self.done = true;
-                return Ok(None);
-            }
-        };
-        self.offset = start + RECORD_HEADER_LEN as u64 + payload_len;
-        Ok(Some(RecoveredRecord { offset: start, record }))
-    }
-}
-
-impl Iterator for LogIterator {
-    type Item = Result<RecoveredRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.read_next() {
-            Ok(Some(item)) => Some(Ok(item)),
-            Ok(None) => None,
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
+        Ok((records, TailStatus::Clean))
     }
 }
 
@@ -454,7 +380,20 @@ mod tests {
         let reader = LogReader::open(&path).unwrap();
         let (records, tail) = reader.recover().unwrap();
         assert_eq!(records.len(), 9, "the torn record must be dropped");
-        assert!(matches!(tail, TailStatus::Truncated(_)));
+        assert!(matches!(tail, TailStatus::Torn(_)));
+    }
+
+    #[test]
+    fn a_bad_last_record_is_a_torn_tail() {
+        let dir = temp_dir("bad-last");
+        let path = log_file_path(&dir, 0);
+        let offsets = write_records(&path, 10);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[offsets[9] as usize + RECORD_HEADER_LEN + 2] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let (records, tail) = LogReader::open(&path).unwrap().recover().unwrap();
+        assert_eq!(records.len(), 9);
+        assert_eq!(tail, TailStatus::Torn(offsets[9]));
     }
 
     #[test]
@@ -468,10 +407,11 @@ mod tests {
         bytes[target] ^= 0xff;
         std::fs::OpenOptions::new().write(true).open(&path).unwrap().write_all(&bytes).unwrap();
 
+        // Intact records follow the bad one: corruption, not a torn tail.
         let reader = LogReader::open(&path).unwrap();
         let (records, tail) = reader.recover().unwrap();
         assert_eq!(records.len(), 5);
-        assert!(matches!(tail, TailStatus::Truncated(offset) if offset == offsets[5]));
+        assert_eq!(tail, TailStatus::Corrupt(offsets[5]));
     }
 
     #[test]

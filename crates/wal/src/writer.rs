@@ -486,7 +486,7 @@ mod tests {
         for (record, offset) in records.iter().zip(&batch_offsets) {
             assert_eq!(&reader.read_at(*offset).unwrap(), record);
         }
-        let recovered: Vec<_> = reader.iter().unwrap().collect::<Result<Vec<_>>>().unwrap();
+        let (recovered, _) = reader.recover().unwrap();
         assert_eq!(recovered.len(), records.len());
     }
 
@@ -525,7 +525,7 @@ mod tests {
         // appending the next group while this fsync is in flight.
         handle.sync().unwrap();
         let reader = LogReader::open(&path).unwrap();
-        let recovered: Vec<_> = reader.iter().unwrap().collect::<Result<Vec<_>>>().unwrap();
+        let (recovered, _) = reader.recover().unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].record, record);
         // The handle stays valid (and harmless) after the writer is gone.
@@ -542,7 +542,7 @@ mod tests {
         writer.append_payload(&record.encode()).unwrap();
         writer.sync().unwrap();
         let reader = LogReader::open(&path).unwrap();
-        let recovered: Vec<_> = reader.iter().unwrap().collect::<Result<Vec<_>>>().unwrap();
+        let (recovered, _) = reader.recover().unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].record, record);
     }
