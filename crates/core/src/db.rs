@@ -28,8 +28,8 @@ use triad_common::types::{Entry, SeqNo, ValueKind};
 use triad_common::{Error, Result, SnapshotRetention, StatSnapshot, Stats};
 use triad_memtable::{LogPosition, Memtable};
 use triad_sstable::{
-    cl_index_file_path, parse_table_file_name, sst_file_path, IoPool, TableBuilder,
-    TableBuilderOptions, TableKind,
+    cl_index_file_path, parse_table_file_name, sst_file_path, TableBuilder, TableBuilderOptions,
+    TableKind,
 };
 use triad_wal::{
     log_file_name, log_file_path, parse_log_file_name, BatchEncoder, BatchStamp, LogReader,
@@ -432,7 +432,6 @@ impl Shard {
         failpoints: FailpointRegistry,
         index: usize,
         block_cache: Option<Arc<BlockCache>>,
-        io_pool: Option<Arc<IoPool>>,
         stamps: Arc<crate::stamps::StampRetention>,
         drops: &HashSet<SeqNo>,
         torn_batches: u64,
@@ -463,7 +462,7 @@ impl Shard {
 
         let retention = Arc::new(SnapshotRetention::new());
         let inner = Arc::new(DbInner {
-            table_cache: TableCache::new(path.clone(), Arc::clone(&stats), block_cache, io_pool),
+            table_cache: TableCache::new(path.clone(), Arc::clone(&stats), block_cache),
             path,
             options,
             stats,
@@ -725,14 +724,11 @@ impl Db {
             crate::shard::write_marker(&path, count)?;
         }
 
-        // One block cache (and one readahead pool) serves every keyspace
-        // shard: the cache shards internally by block key, independently of
-        // keyspace sharding, so the byte budget is global rather than
-        // multiplied by the shard count.
+        // One block cache serves every keyspace shard: the cache shards
+        // internally by block key, independently of keyspace sharding, so the
+        // byte budget is global rather than multiplied by the shard count.
         let block_cache =
             (options.block_cache > 0).then(|| Arc::new(BlockCache::new(options.block_cache)));
-        let io_pool = (block_cache.is_some() && options.io_threads > 0)
-            .then(|| Arc::new(IoPool::new(options.io_threads)));
 
         // Phase one: recover every shard's manifest and read (without
         // replaying) its stray commit logs.
@@ -806,7 +802,6 @@ impl Db {
                 failpoints.clone(),
                 index,
                 block_cache.clone(),
-                io_pool.clone(),
                 Arc::clone(&stamps),
                 &drops[index],
                 if index == 0 { torn_batches } else { 0 },
@@ -1036,18 +1031,17 @@ impl Db {
     /// Returns an iterator over the live key/value pairs with user keys in
     /// `[start, end)`; either bound may be omitted.
     ///
-    /// The iterator pins the version it was created against, so the files it reads
-    /// — including the commit logs backing CL-SSTables — outlive any concurrent
-    /// compaction for as long as the iterator exists. The scan reads through
-    /// an ephemeral [`snapshot`](Db::snapshot), released as soon as the
-    /// iterator has pinned its sources and registered its own snapshot
-    /// retention, so it never observes half a write batch — cross-shard
-    /// batches included — and, like an open snapshot, keeps the versions
-    /// later writes overwrite in memory until it is dropped. Every source
-    /// starts at `start` and streams; files outside the range are never
-    /// opened. On a sharded database the
-    /// per-shard sources are k-way merged (routing makes per-shard key sets
-    /// disjoint, so the merge needs no cross-shard dedup).
+    /// The scan reads through an ephemeral [`snapshot`](Db::snapshot) whose
+    /// capture the iterator shares, so the capture outlives the snapshot
+    /// handle for as long as the iterator exists. Its pinned versions keep
+    /// the files it reads — including the commit logs backing CL-SSTables —
+    /// safe from any concurrent compaction; it never observes half a write
+    /// batch — cross-shard batches included — and, like an open snapshot, it
+    /// keeps the versions later writes overwrite in memory until it is
+    /// dropped. Every source starts at `start` and streams; files outside the
+    /// range are never opened. On a sharded database the per-shard sources
+    /// are k-way merged (routing makes per-shard key sets disjoint, so the
+    /// merge needs no cross-shard dedup).
     pub fn scan_range(&self, start: Option<&[u8]>, end: Option<&[u8]>) -> Result<DbIterator> {
         self.snapshot().scan_range(start, end)
     }
@@ -1129,15 +1123,6 @@ impl Db {
             self.shards.iter().flat_map(|shard| shard.inner.table_cache.cached_ids()).collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// Blocks until every readahead prefetch that scans have queued so far
-    /// has run, so the block-cache counters read next include its probes
-    /// (exposed for tests and diagnostics). Every shard shares one pool.
-    pub fn wait_for_readahead(&self) {
-        if let Some(pool) = &self.shards[0].inner.table_cache.io_pool {
-            pool.wait_idle();
-        }
     }
 
     /// A snapshot of the engine statistics, merged across shards: counters
@@ -1448,7 +1433,8 @@ impl DbInner {
     /// Pins the current version: the returned guard keeps every file the version
     /// references safe from garbage collection until it is dropped.
     pub(crate) fn pin_current_version(&self) -> PinnedVersion {
-        self.pin_version(self.current_version.read().clone())
+        let version = self.current_version.read().clone();
+        PinnedVersion { version: Some(version), wakeup: Arc::clone(&self.wakeup) }
     }
 
     /// Lowers this shard's shipping floor to its active commit log so the
@@ -1458,12 +1444,6 @@ impl DbInner {
     pub(crate) fn arm_ship_floor(&self) {
         let active = self.wal.lock().id;
         let _ = self.ship_floor.fetch_min(active, Ordering::AcqRel);
-    }
-
-    /// Pins an explicit version (used by snapshot iterators, which must read the
-    /// version their snapshot captured, not whatever is current now).
-    pub(crate) fn pin_version(&self, version: Arc<Version>) -> PinnedVersion {
-        PinnedVersion { version: Some(version), wakeup: Arc::clone(&self.wakeup) }
     }
 
     /// A fresh active memtable wired to this engine's snapshot registry, so its

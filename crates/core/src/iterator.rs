@@ -1,16 +1,18 @@
-//! Database scans.
+//! Database scans. A scan reads through a snapshot and shares that
+//! snapshot's one capture: it takes no version pins or retention
+//! registrations of its own.
 
 use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Instant;
 
 use triad_common::types::{parse_encoded_internal_key, Entry, SeqNo, ValueKind};
-use triad_common::{Error, Result, Stats};
+use triad_common::{Error, Result};
 use triad_memtable::Memtable;
 use triad_sstable::{BoundedCursor, BoxedCursor, DedupCursor, EntryCursor, MergingCursor};
 
 use crate::db::DbInner;
-use crate::snapshot::{release_retention, SnapshotShard};
+use crate::snapshot::SnapshotShard;
 use crate::version::FileMetadata;
 
 /// How many visible keys a scan copies out of a memtable in its first
@@ -29,15 +31,16 @@ const MEMTABLE_CHUNK: usize = 64;
 /// issued after it are not reflected. Every source starts at the range's
 /// start key and streams from there: memtables are read in short chunks, and
 /// files are opened only when the scan reaches them. So the view must stay
-/// readable for the iterator's whole lifetime:
+/// readable for the iterator's whole lifetime, and the iterator shares the
+/// snapshot's capture to keep it so:
 ///
-/// * the versions are *pinned*, so every file it reads — tables, CL indexes
-///   and the commit logs backing them — survives any concurrent compaction
-///   until the iterator is dropped;
-/// * the iterator holds its own registration in each shard's snapshot
-///   retention registry, so the memtables keep every version it can see when
-///   later writes overwrite them. Like an open [`Snapshot`](crate::Snapshot),
-///   a long-lived iterator therefore retains overwritten versions in memory
+/// * the captured versions are *pinned*, so every file it reads — tables, CL
+///   indexes and the commit logs backing them — survives any concurrent
+///   compaction until the capture is released;
+/// * the capture holds a registration in each shard's snapshot retention
+///   registry, so the memtables keep every version it can see when later
+///   writes overwrite them. Like an open [`Snapshot`](crate::Snapshot), a
+///   long-lived iterator therefore retains overwritten versions in memory
 ///   until it is dropped.
 pub struct DbIterator {
     inner: DedupCursor<MergingCursor>,
@@ -46,15 +49,9 @@ pub struct DbIterator {
     consumed: bool,
     /// Exclusive upper bound on user keys, if any.
     end: Option<Vec<u8>>,
-    /// One retention registration per shard, at that shard's snapshot seqno,
-    /// released on drop.
-    registrations: Vec<(Arc<DbInner>, SeqNo)>,
-    /// Keeps the captured files safe from garbage collection until drop —
-    /// one pinned version per shard the iterator reads.
-    _pins: Vec<crate::db::PinnedVersion>,
-    /// Shared statistics registry; the drop impl records this iterator's
-    /// lifetime into the scan-latency histogram.
-    stats: Arc<Stats>,
+    /// The snapshot's capture, shared with its handle: the capture is
+    /// released when the last of them drops.
+    view: Arc<[SnapshotShard]>,
     /// When the iterator was created. The recorded "scan latency" is the
     /// whole lifetime — tree capture through drop — which for a
     /// construct-iterate-drop scan (every bench and most callers) is exactly
@@ -64,10 +61,8 @@ pub struct DbIterator {
 
 impl Drop for DbIterator {
     fn drop(&mut self) {
-        for (db, seqno) in &self.registrations {
-            release_retention(db, *seqno);
-        }
-        self.stats.record_scan_latency_ns(self.created.elapsed().as_nanos() as u64);
+        let stats = &self.view[0].db.stats;
+        stats.record_scan_latency_ns(self.created.elapsed().as_nanos() as u64);
     }
 }
 
@@ -93,37 +88,37 @@ impl DbIterator {
     /// L0 is one concatenating source that opens its next file only when the
     /// current one is exhausted.
     ///
-    /// The iterator takes its own version pins and retention registrations
-    /// while the snapshot still holds its own, so the snapshot handle may be
-    /// dropped as soon as this returns (the ephemeral snapshot behind a live
-    /// [`Db::scan_range`](crate::Db::scan_range) does exactly that) without
-    /// any retention bound moving.
+    /// The iterator keeps `view`, the snapshot's capture, so the snapshot
+    /// handle may be dropped as soon as this returns (the ephemeral snapshot
+    /// behind a live [`Db::scan_range`](crate::Db::scan_range) does exactly
+    /// that) without any retention bound moving.
     pub(crate) fn with_snapshot_parts(
-        parts: &[SnapshotShard],
+        view: Arc<[SnapshotShard]>,
         start: Option<&[u8]>,
         end: Option<&[u8]>,
     ) -> Result<DbIterator> {
         let created = Instant::now();
         let start = start.unwrap_or_default();
         let mut sources: Vec<BoxedCursor> = Vec::new();
-        let mut pins = Vec::with_capacity(parts.len());
-        for part in parts {
+        for part in view.iter() {
             let memtables =
                 std::iter::once(&part.mem).chain(part.imm.iter().rev().map(|m| &m.memtable));
             for memtable in memtables {
                 let cursor = MemtableCursor::new(Arc::clone(memtable), part.seqno, start);
                 sources.push(Box::new(cursor));
             }
-            let pin = part.db.pin_version(Arc::clone(part.pin.version()));
             // L0 files overlap, so each is its own sorted run, newest first;
             // a deeper level is one run of disjoint files in key order.
             let in_range = |file: &&Arc<FileMetadata>| {
                 file.largest.user_key.as_slice() >= start
                     && end.map_or(true, |end| file.smallest.user_key.as_slice() < end)
             };
-            let mut runs: Vec<Vec<Arc<FileMetadata>>> =
-                pin.levels[0].iter().filter(in_range).map(|file| vec![Arc::clone(file)]).collect();
-            for files in &pin.levels[1..] {
+            let mut runs: Vec<Vec<Arc<FileMetadata>>> = part.pin.levels[0]
+                .iter()
+                .filter(in_range)
+                .map(|file| vec![Arc::clone(file)])
+                .collect();
+            for files in &part.pin.levels[1..] {
                 let first = files.partition_point(|f| f.largest.user_key.as_slice() < start);
                 let last = end.map_or(files.len(), |end| {
                     files.partition_point(|f| f.smallest.user_key.as_slice() < end)
@@ -136,25 +131,9 @@ impl DbIterator {
                 let run = RunCursor::new(Arc::clone(&part.db), run, start)?;
                 sources.push(Box::new(BoundedCursor::new(run, part.seqno)?));
             }
-            pins.push(pin);
         }
         let inner = DedupCursor::new(MergingCursor::new(sources), false)?;
-        let registrations = parts
-            .iter()
-            .map(|part| {
-                part.db.retention.register(part.seqno);
-                (Arc::clone(&part.db), part.seqno)
-            })
-            .collect();
-        Ok(DbIterator {
-            inner,
-            consumed: false,
-            end: end.map(<[u8]>::to_vec),
-            registrations,
-            _pins: pins,
-            stats: Arc::clone(&parts[0].db.stats),
-            created,
-        })
+        Ok(DbIterator { inner, consumed: false, end: end.map(<[u8]>::to_vec), view, created })
     }
 }
 

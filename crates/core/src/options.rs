@@ -188,10 +188,9 @@ pub struct Options {
     /// default is `memtable_size.div_ceil(10) * 3` — roughly 30% of the
     /// memory component, the lfkv-style buffer-pool sizing rule.
     pub block_cache: usize,
-    /// Worker threads in the readahead I/O pool scan and compaction iterators
-    /// use to prefetch the next data block. `0` disables readahead; the pool
-    /// only exists when the block cache is enabled (prefetched blocks land
-    /// *in* the cache).
+    /// Currently ignored: nothing reads it. Scans read their blocks on the
+    /// calling thread; no I/O helper threads run. It stays only because the
+    /// repo benchmark's pinned options set it.
     pub io_threads: usize,
 }
 
@@ -287,9 +286,6 @@ impl Options {
         if self.shards.count > 256 {
             return Err(Error::InvalidArgument("shards.count must be at most 256".into()));
         }
-        if self.io_threads > 64 {
-            return Err(Error::InvalidArgument("io_threads must be at most 64".into()));
-        }
         Ok(())
     }
 }
@@ -319,15 +315,6 @@ mod tests {
         let small = Options::small_for_tests();
         assert_eq!(small.block_cache, default_block_cache(small.memtable_size));
         assert!(small.block_cache < default.block_cache);
-    }
-
-    #[test]
-    fn io_thread_bounds_are_validated() {
-        // 0 just disables readahead.
-        let mut options = Options { io_threads: 0, ..Options::default() };
-        options.validate().unwrap();
-        options.io_threads = 65;
-        assert!(options.validate().is_err());
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //!    see preserves that version on the slot's prior list, where the
 //!    seqno-bounded reads ([`Memtable::get`], [`Memtable::range_at`]) find
 //!    it. A scan reads its memtables in chunks long after the capture, so the
-//!    scan's iterator registers itself as well, at the same seqno, and keeps
-//!    the registration until it is dropped.
+//!    scan's iterator shares the snapshot's one capture and keeps it, and with
+//!    it the registration, alive until the iterator is dropped too.
 //! 3. **The current [`Version`](crate::Version)** via an internal pin: every
 //!    table file, CL index and backing commit log the version references survives any
-//!    concurrent flush or compaction until the snapshot drops — garbage
+//!    concurrent flush or compaction until the capture is released — garbage
 //!    collection consults the live-version registry, and a pinned version is
 //!    live. Compaction may dedup older versions out of *new* files, but the
 //!    snapshot never reads those; it reads the files of the version it pinned.
@@ -44,12 +44,13 @@
 //! order). A single-shard database takes the same path, with an uncontended
 //! router gate; so does every live scan, through an ephemeral snapshot.
 //!
-//! Dropping the snapshot deregisters it per shard and, whenever that moves
-//! the registry's visibility bounds, sweeps the shard's memory components so
-//! retained versions nobody can read are released promptly — even on idle
-//! keys that are never overwritten again. It also releases the version pins,
-//! nudging each shard's collector to reclaim whatever only the snapshot was
-//! keeping.
+//! The capture is released when its last holder drops: the snapshot handle
+//! or any iterator opened on it. Each shard's view then deregisters its seqno
+//! and, whenever that moves the registry's visibility bounds, sweeps the
+//! shard's memory components so retained versions nobody can read are
+//! released promptly — even on idle keys that are never overwritten again.
+//! It also releases its version pin, nudging the shard's collector to reclaim
+//! whatever only the snapshot was keeping.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -64,7 +65,8 @@ use crate::iterator::DbIterator;
 use crate::shard::{Shard, ShardRouter};
 
 /// One shard's frozen view: the capture-time seqno, memory components and
-/// pinned version of a single engine shard.
+/// pinned version of a single engine shard. Dropping it releases the shard's
+/// part of the capture.
 pub(crate) struct SnapshotShard {
     pub(crate) db: Arc<DbInner>,
     pub(crate) seqno: SeqNo,
@@ -101,6 +103,27 @@ impl SnapshotShard {
     }
 }
 
+impl Drop for SnapshotShard {
+    fn drop(&mut self) {
+        // Deregistration first: subsequent overwrites stop retaining for this
+        // seqno. When that moves the registry's visibility bounds, retained
+        // priors may have just become unreachable, including on idle keys no
+        // future overwrite would ever prune, so the shard's *current* memory
+        // components are swept (lock order MEM < IMM < each memtable's map
+        // lock); the captured ones are either among them or dropped with this
+        // view. The field drops that follow release the version pin, which
+        // nudges the shard's garbage collector if files are waiting.
+        if self.db.retention.deregister(self.seqno) {
+            let mem = self.db.mem.read().clone();
+            let imm: Vec<Arc<ImmutableMemtable>> = self.db.imm.read().clone();
+            mem.prune_retained();
+            for sealed in &imm {
+                sealed.memtable.prune_retained();
+            }
+        }
+    }
+}
+
 /// A frozen, consistent view of the database at a commit-group boundary
 /// (one boundary per shard on a sharded database).
 ///
@@ -110,8 +133,10 @@ impl SnapshotShard {
 /// of write traffic, at the cost of pinning the files and superseded in-memory
 /// versions it can still see.
 pub struct Snapshot {
-    /// One frozen view per engine shard, shard-index order.
-    shards: Vec<SnapshotShard>,
+    /// One frozen view per engine shard, shard-index order. Every iterator
+    /// opened on the snapshot shares it, so it is released when the last of
+    /// them, or the handle, drops.
+    shards: Arc<[SnapshotShard]>,
     /// Key → shard routing, mirroring the database's own router.
     routes: ShardRouter,
     /// The largest per-shard snapshot seqno (equals the single shard's seqno
@@ -178,8 +203,11 @@ impl Snapshot {
     /// bound, and anything it overwrites that the snapshot can see is
     /// preserved by the retention registry. On a sharded database the per-shard sources are
     /// k-way merged; routing makes the shards' key sets disjoint.
+    ///
+    /// The iterator shares the snapshot's capture, so it stays valid after
+    /// the snapshot handle is dropped.
     pub fn scan_range(&self, start: Option<&[u8]>, end: Option<&[u8]>) -> Result<DbIterator> {
-        DbIterator::with_snapshot_parts(&self.shards, start, end)
+        DbIterator::with_snapshot_parts(Arc::clone(&self.shards), start, end)
     }
 }
 
@@ -192,10 +220,10 @@ impl Snapshot {
 /// segments here; both get a cut that can never split a write batch or a
 /// cross-shard batch, plus a [`Snapshot`] pinned at exactly the same cut.
 ///
-/// On a callback error the already-captured snapshot drops (deregistering its
-/// retention and version pins) and the error propagates; the locks release
-/// either way when the function returns. Works unchanged on a single-shard
-/// database, where the router gate is simply uncontended.
+/// On a callback error the already-captured snapshot drops (releasing its
+/// retention registrations and version pins) and the error propagates; the
+/// locks release either way when the function returns. Works unchanged on a
+/// single-shard database, where the router gate is simply uncontended.
 pub(crate) fn capture_all_shards<T>(
     shards: &[Shard],
     router: &RankedRwLock<()>,
@@ -226,9 +254,10 @@ pub(crate) fn capture_all_shards<T>(
     }
     let seqno = captured.iter().map(|shard| shard.seqno).max().unwrap_or(0);
     // Assemble the snapshot *before* the fallible callbacks: an early return
-    // below drops it, and `Snapshot::drop` runs the full release protocol
-    // (deregistration, retention sweep, pin release) for the captured shards.
-    let snapshot = Snapshot { shards: captured, routes: ShardRouter::new(shards.len()), seqno };
+    // below drops it, and each captured shard's drop runs the full release
+    // protocol (deregistration, retention sweep, pin release).
+    let snapshot =
+        Snapshot { shards: captured.into(), routes: ShardRouter::new(shards.len()), seqno };
     let mut extras = Vec::with_capacity(shards.len());
     for (index, (shard, wal)) in shards.iter().zip(wals.iter_mut()).enumerate() {
         extras.push(capture(index, shard, wal)?);
@@ -240,35 +269,4 @@ pub(crate) fn capture_all_shards<T>(
     // stats see a single shard-spanning snapshot, not one per shard.
     shards[0].inner.stats.add_snapshots_created(1);
     Ok((snapshot, extras))
-}
-
-impl Drop for Snapshot {
-    fn drop(&mut self) {
-        // Deregistration first: subsequent overwrites stop retaining for this
-        // seqno and prune what only it could read. The field drops that follow
-        // release the memtables and the version pins; each pin's drop nudges
-        // its shard's garbage collector if files are waiting.
-        for shard in &self.shards {
-            release_retention(&shard.db, shard.seqno);
-        }
-    }
-}
-
-/// Releases one retention registration of `seqno` on `db`, as a dropped
-/// [`Snapshot`] or [`DbIterator`] does.
-///
-/// When that moves the registry's visibility bounds, some retained priors may
-/// have just become unreachable, including on idle keys no future overwrite
-/// would ever prune, so the shard's *current* memory components are swept
-/// (lock order MEM < IMM < each memtable's map lock). The components the
-/// releaser captured are either among them or dropped with it.
-pub(crate) fn release_retention(db: &DbInner, seqno: SeqNo) {
-    if db.retention.deregister(seqno) {
-        let mem = db.mem.read().clone();
-        let imm: Vec<Arc<ImmutableMemtable>> = db.imm.read().clone();
-        mem.prune_retained();
-        for sealed in &imm {
-            sealed.memtable.prune_retained();
-        }
-    }
 }

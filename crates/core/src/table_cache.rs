@@ -24,7 +24,7 @@ use std::sync::Arc;
 use triad_common::lockrank::RankedMutex;
 use triad_common::{Error, Result, Stats};
 use triad_sstable::{
-    cl_index_file_path, sst_file_path, BlockFetch, ClTable, FetchContext, IoPool, Table, TableKind,
+    cl_index_file_path, sst_file_path, BlockFetch, ClTable, FetchContext, Table, TableKind,
     TableRef,
 };
 use triad_wal::log_file_path;
@@ -47,8 +47,6 @@ pub struct TableCache {
     /// The shared block cache, if enabled (`Options::block_cache > 0`). One
     /// instance serves every keyspace shard's table cache.
     block_cache: Option<Arc<BlockCache>>,
-    /// The shared readahead pool, handed to each opened table's fetch context.
-    pub(crate) io_pool: Option<Arc<IoPool>>,
     tables: RankedMutex<HashMap<u64, OpenTable>>,
 }
 
@@ -62,20 +60,13 @@ impl std::fmt::Debug for TableCache {
 }
 
 impl TableCache {
-    /// Creates an empty cache for tables living in `dir`. `block_cache` and
-    /// `io_pool`, when present, are threaded into every table this cache
-    /// opens.
-    pub fn new(
-        dir: PathBuf,
-        stats: Arc<Stats>,
-        block_cache: Option<Arc<BlockCache>>,
-        io_pool: Option<Arc<IoPool>>,
-    ) -> Self {
+    /// Creates an empty cache for tables living in `dir`. `block_cache`, when
+    /// present, is threaded into every table this cache opens.
+    pub fn new(dir: PathBuf, stats: Arc<Stats>, block_cache: Option<Arc<BlockCache>>) -> Self {
         TableCache {
             dir,
             stats,
             block_cache,
-            io_pool,
             tables: RankedMutex::new(
                 crate::db::lock_rank::TABLE_CACHE,
                 "table_cache.tables",
@@ -99,7 +90,6 @@ impl TableCache {
         let fetch = self.block_cache.as_ref().map(|cache| FetchContext {
             table_id: cache.allocate_table_id(),
             fetch: Arc::clone(cache) as Arc<dyn BlockFetch>,
-            readahead: self.io_pool.clone(),
         });
         let cache_table_id = fetch.as_ref().map(|ctx| ctx.table_id);
         let table: TableRef = match file.kind {
@@ -253,8 +243,7 @@ mod tests {
         let dir = temp_dir("cl-second-scan");
         let stats = Arc::new(Stats::new());
         let blocks = Arc::new(BlockCache::new(1 << 20));
-        let cache =
-            TableCache::new(dir.clone(), Arc::clone(&stats), Some(Arc::clone(&blocks)), None);
+        let cache = TableCache::new(dir.clone(), Arc::clone(&stats), Some(Arc::clone(&blocks)));
         let table = cache.get_or_open(&build_cl(&dir, 8, 3, 600)).unwrap();
         assert_eq!(scan(&table, b"key-00200", 100), 100);
         let misses = stats.block_cache_misses();
@@ -270,8 +259,7 @@ mod tests {
         let dir = temp_dir("cl-evict");
         let stats = Arc::new(Stats::new());
         let blocks = Arc::new(BlockCache::new(1 << 20));
-        let cache =
-            TableCache::new(dir.clone(), Arc::clone(&stats), Some(Arc::clone(&blocks)), None);
+        let cache = TableCache::new(dir.clone(), Arc::clone(&stats), Some(Arc::clone(&blocks)));
         let table = cache.get_or_open(&build_cl(&dir, 9, 4, 600)).unwrap();
         assert_eq!(scan(&table, b"", usize::MAX), 600);
         assert!(blocks.block_count() > 10, "the scan cached index blocks and log chunks");
@@ -281,7 +269,7 @@ mod tests {
     }
 
     fn plain_cache(dir: PathBuf, stats: Arc<Stats>) -> TableCache {
-        TableCache::new(dir, stats, None, None)
+        TableCache::new(dir, stats, None)
     }
 
     #[test]
@@ -331,8 +319,7 @@ mod tests {
         let dir = temp_dir("evict-purges-blocks");
         let stats = Arc::new(Stats::new());
         let blocks = Arc::new(BlockCache::new(1 << 20));
-        let cache =
-            TableCache::new(dir.clone(), Arc::clone(&stats), Some(Arc::clone(&blocks)), None);
+        let cache = TableCache::new(dir.clone(), Arc::clone(&stats), Some(Arc::clone(&blocks)));
         let meta = build_sst(&dir, 5);
         let table = cache.get_or_open(&meta).unwrap();
         table.get(b"key", u64::MAX).unwrap().unwrap();

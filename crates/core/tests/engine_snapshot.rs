@@ -421,39 +421,57 @@ fn stale_prior_of_an_idle_key_is_released_when_the_snapshot_drops() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A live scan reads its memtables in chunks long after the ephemeral
-/// snapshot behind [`Db::scan_range`] was dropped. Its iterator holds its own
-/// retention registration, so overwrites made while it is open keep the
-/// versions it can see.
+/// A scan reads its memtables in chunks long after it opens, so its iterator
+/// shares its snapshot's capture: overwrites made while any holder of the
+/// capture is alive keep the versions it can see, and the last holder's drop
+/// releases them. Three holders are checked: a live [`Db::scan_range`], whose
+/// ephemeral snapshot is gone as soon as it returns; a snapshot dropped before
+/// its iterator; and a snapshot that outlives its iterator.
 #[test]
 fn a_live_scan_keeps_its_capture_after_its_snapshot_is_gone() {
     const KEYS: u64 = 1_000;
-    let (db, dir) = open_small("scan-keeps-capture", |options| {
-        // Nothing rotates: every version stays in the active memtables.
-        options.memtable_size = 64 << 20;
-        options.max_log_size = 64 << 20;
-    });
-    for i in 0..KEYS {
-        db.put(key_for(i), format!("old-{i}").into_bytes()).unwrap();
-    }
-    let mut scan = db.scan_range(None, None).unwrap();
-    let first = scan.next().unwrap().unwrap();
-    assert_eq!(first, (key_for(0), b"old-0".to_vec()));
-    for i in 0..KEYS {
-        db.put(key_for(i), format!("new-{i}").into_bytes()).unwrap();
-    }
-    let mut seen = vec![first];
-    seen.extend(scan.by_ref().map(Result::unwrap));
-    let expected: Vec<(Vec<u8>, Vec<u8>)> =
+    let old: Vec<(Vec<u8>, Vec<u8>)> =
         (0..KEYS).map(|i| (key_for(i), format!("old-{i}").into_bytes())).collect();
-    assert_eq!(seen.len(), expected.len(), "every key of the capture is scanned");
-    assert_eq!(seen, expected, "each key at its value when the scan opened");
-    assert!(db.retained_prior_versions() > 0, "the open scan retains the old versions");
-    drop(scan);
-    assert_eq!(db.retained_prior_versions(), 0, "dropping the scan releases them");
-    assert_eq!(db.get(key_for(7)).unwrap(), Some(b"new-7".to_vec()));
-    db.close().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
+    for case in ["live-scan", "snapshot-dropped-first", "snapshot-outlives-scan"] {
+        let (db, dir) = open_small(&format!("scan-keeps-capture-{case}"), |options| {
+            // Nothing rotates: every version stays in the active memtables.
+            options.memtable_size = 64 << 20;
+            options.max_log_size = 64 << 20;
+        });
+        for (key, value) in &old {
+            db.put(key, value).unwrap();
+        }
+        let mut snapshot = (case != "live-scan").then(|| db.snapshot());
+        let mut scan = match &snapshot {
+            Some(snapshot) => snapshot.scan_range(None, None),
+            None => db.scan_range(None, None),
+        }
+        .unwrap();
+        let first = scan.next().unwrap().unwrap();
+        assert_eq!(first, old[0], "{case}");
+        if case == "snapshot-dropped-first" {
+            snapshot = None;
+        }
+        for i in 0..KEYS {
+            db.put(key_for(i), format!("new-{i}").into_bytes()).unwrap();
+        }
+        assert!(db.retained_prior_versions() > 0, "{case}: the open scan retains the old versions");
+        let mut seen = vec![first];
+        seen.extend(scan.by_ref().map(Result::unwrap));
+        assert_eq!(seen, old, "{case}: each key at its value when the scan opened");
+        assert!(db.retained_prior_versions() > 0, "{case}: an exhausted scan still retains them");
+        drop(scan);
+        if let Some(snapshot) = snapshot {
+            assert!(db.retained_prior_versions() > 0, "{case}: the snapshot still retains them");
+            let again: Vec<_> = snapshot.scan().unwrap().map(Result::unwrap).collect();
+            assert_eq!(again, old, "{case}: the snapshot still reads the old versions");
+            drop(snapshot);
+        }
+        assert_eq!(db.retained_prior_versions(), 0, "{case}: the last holder's drop releases them");
+        assert_eq!(db.get(key_for(7)).unwrap(), Some(b"new-7".to_vec()), "{case}");
+        db.close().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

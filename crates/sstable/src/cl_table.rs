@@ -414,7 +414,7 @@ mod tests {
 
     /// Opens the table through `cache`, as the engine's table cache does.
     fn open_cached(index_path: &Path, log_path: &Path, cache: &Arc<MapCache>) -> Arc<ClTable> {
-        let ctx = FetchContext { table_id: 1, fetch: Arc::clone(cache) as _, readahead: None };
+        let ctx = FetchContext { table_id: 1, fetch: Arc::clone(cache) as _ };
         Arc::new(ClTable::open_with_fetch(index_path, log_path, None, Some(ctx)).unwrap())
     }
 

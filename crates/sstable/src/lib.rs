@@ -12,9 +12,6 @@
 //!   sealed commit log, so flushes write only the index instead of re-writing values.
 //! * [`iter`] — the entry cursors, k-way merge, version-resolving dedup and
 //!   snapshot bound shared by compaction and scans.
-//! * [`readahead`] — the small I/O worker pool scan cursors use to prefetch the
-//!   next data block into the shared cache while the merge consumes the current one.
-//!   Compaction reads its inputs without it.
 //!
 //! All tables expose the same [`SortedTable`] interface so the engine's read path and
 //! compaction treat regular SSTables and CL-SSTables uniformly.
@@ -29,7 +26,6 @@ pub mod cl_table;
 pub mod format;
 pub mod iter;
 pub mod properties;
-pub mod readahead;
 pub mod reader;
 #[cfg(test)]
 mod test_util;
@@ -42,7 +38,6 @@ pub use iter::{
     BoundedCursor, BoxedCursor, DedupCursor, EntryCursor, EntryIter, IterCursor, MergingCursor,
 };
 pub use properties::{TableKind, TableProperties};
-pub use readahead::IoPool;
 pub use reader::Table;
 
 use std::path::{Path, PathBuf};
@@ -123,8 +118,7 @@ pub trait BlockFetch: Send + Sync {
 }
 
 /// Everything a table reader needs to serve block reads through a shared
-/// cache: its identity in the cache keyspace, the cache itself, and an
-/// optional I/O pool for sequential readahead during scans.
+/// cache: its identity in the cache keyspace and the cache itself.
 #[derive(Clone)]
 pub struct FetchContext {
     /// The table's globally unique id in the cache keyspace. Engine file ids
@@ -132,9 +126,6 @@ pub struct FetchContext {
     pub table_id: u64,
     /// The shared block cache.
     pub fetch: Arc<dyn BlockFetch>,
-    /// Worker pool that scan cursors use to prefetch the next data block.
-    /// `None` disables readahead; point lookups never use it.
-    pub readahead: Option<Arc<IoPool>>,
 }
 
 /// The uniform interface that the engine's read path and compaction use for any

@@ -55,8 +55,8 @@ impl Table {
     }
 
     /// Opens the table with an optional [`FetchContext`]: data-block reads go
-    /// through the shared block cache (and scans may prefetch via its I/O
-    /// pool) instead of this table's private single-slot cache.
+    /// through the shared block cache instead of this table's private
+    /// single-slot cache.
     pub fn open_with_fetch(
         path: impl AsRef<Path>,
         stats: Option<Arc<Stats>>,
@@ -130,31 +130,6 @@ impl Table {
         Ok(block)
     }
 
-    /// Best-effort readahead of the data block at index position `index_pos`:
-    /// hands the read to the fetch context's I/O pool, which populates the
-    /// shared cache through the same single-flight path as foreground reads.
-    /// A no-op without a cache or a pool (the single-slot fallback would be
-    /// *hurt* by a prefetch clobbering the block the iterator is consuming).
-    fn prefetch(self: &Arc<Self>, index_pos: usize) {
-        let Some(ctx) = &self.fetch else { return };
-        let Some(pool) = &ctx.readahead else { return };
-        if index_pos >= self.index.num_entries() {
-            return;
-        }
-        let handle = match self.index.entry(index_pos) {
-            Ok((_, handle_bytes)) => match BlockHandle::decode(handle_bytes) {
-                Ok(handle) => handle,
-                Err(_) => return,
-            },
-            Err(_) => return,
-        };
-        let table = Arc::clone(self);
-        pool.spawn(move || {
-            // Errors surface on the foreground read that actually needs the block.
-            let _ = table.read_data_block(handle);
-        });
-    }
-
     /// Looks up the freshest version of `user_key` visible at `snapshot`.
     ///
     /// Returns tombstones as well as puts; the caller decides how to interpret them.
@@ -223,18 +198,17 @@ impl SortedTable for Table {
 }
 
 /// Where a [`TableCursor`] reads its data blocks from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum BlockSource {
     /// Compaction: each block once, CRC-verified, straight from the file,
-    /// never through the shared block cache or the readahead pool (RocksDB's
-    /// `fill_cache = false`). A compaction touches every block of its inputs
-    /// once, and caching them would only evict the blocks gets are using.
+    /// never through the shared block cache (RocksDB's `fill_cache = false`).
+    /// A compaction touches every block of its inputs once, and caching them
+    /// would only evict the blocks gets are using.
     /// These reads are not counted in `block_reads`, which stays a read-path
     /// figure.
     Uncached,
     /// Scans: through the shared block cache (or the single-slot cache of a
-    /// table opened without one). Once a scan has read a block to its end, it
-    /// prefetches the block after the one it moves to.
+    /// table opened without one).
     Cached,
 }
 
@@ -300,14 +274,7 @@ impl TableCursor {
             if self.next_block >= self.table.index.num_entries() {
                 return Ok(());
             }
-            // A scan that read a block to its end reads sequentially: overlap
-            // the following block's read with consuming this one. A short scan
-            // that stays in the block it sought to prefetches nothing.
-            let sequential = !self.block.is_empty();
             self.read_next_block()?;
-            if sequential && self.source == BlockSource::Cached {
-                self.table.prefetch(self.next_block);
-            }
         }
         let (key, value) = self.block.entry_ranges(self.pos)?;
         if parse_encoded_internal_key(&self.block.data()[key.clone()]).is_none() {
@@ -465,7 +432,7 @@ mod tests {
         let path = temp_path("fetch.sst");
         build_table(&path, 100, 64 * 1024);
         let cache = MapCache::new();
-        let ctx = FetchContext { table_id: 7, fetch: Arc::clone(&cache) as _, readahead: None };
+        let ctx = FetchContext { table_id: 7, fetch: Arc::clone(&cache) as _ };
         let table = Table::open_with_fetch(&path, None, Some(ctx)).unwrap();
         for _ in 0..10 {
             assert_eq!(
@@ -489,7 +456,7 @@ mod tests {
 
         let stats = Arc::new(Stats::new());
         let cache = MapCache::new();
-        let ctx = FetchContext { table_id: 1, fetch: Arc::clone(&cache) as _, readahead: None };
+        let ctx = FetchContext { table_id: 1, fetch: Arc::clone(&cache) as _ };
         let table =
             Arc::new(Table::open_with_fetch(&path, Some(Arc::clone(&stats)), Some(ctx)).unwrap());
         let mut cursor = table.cursor().unwrap();
@@ -508,7 +475,7 @@ mod tests {
         let path = temp_path("scan-cache.sst");
         build_table(&path, 1_000, 256);
         let cache = MapCache::new();
-        let ctx = FetchContext { table_id: 1, fetch: Arc::clone(&cache) as _, readahead: None };
+        let ctx = FetchContext { table_id: 1, fetch: Arc::clone(&cache) as _ };
         let table = Arc::new(Table::open_with_fetch(&path, None, Some(ctx)).unwrap());
         let blocks = table.index.num_entries() as u64;
         assert_eq!(drain(Arc::clone(&table).scan_cursor(b"").unwrap()).len(), 1_000);
