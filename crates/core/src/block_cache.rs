@@ -1,5 +1,5 @@
-//! The shared block cache: a sharded CLOCK cache of checksummed, decoded
-//! data blocks and of the commit-log chunks CL-SSTable scans read.
+//! The shared block cache: a sharded CLOCK cache of decoded, verified
+//! blocks — regular tables' data blocks and CL-SSTables' resolved blocks.
 //!
 //! One cache serves the whole database — every keyspace shard's tables read
 //! through it — and shards *internally* (by key hash, independently of the
@@ -11,10 +11,10 @@
 //!   per-keyspace-shard namespace (two shards both have a file 7), so the
 //!   cache allocates its own globally unique table ids
 //!   ([`BlockCache::allocate_table_id`]); the table cache records the mapping
-//!   and purges a table's blocks when GC evicts it. A CL-SSTable's log
-//!   chunks are keyed under the same table id, at their log offset with a
-//!   tag bit set (`LOG_CHUNK_TAG`), so they never meet its index blocks and
-//!   the same purge drops both.
+//!   and purges a table's blocks when GC evicts it. A CL-SSTable keys its
+//!   resolved blocks under the same table id, at their index block's offset
+//!   with a tag bit set, so they never meet its index blocks and the same
+//!   purge drops both; the cache itself knows nothing of the tag.
 //! * **Eviction** — second-chance FIFO (CLOCK): a hit sets the slot's
 //!   reference bit; when an insert pushes a shard over its byte budget the
 //!   clock hand pops the ring front, re-queues referenced slots with the bit
@@ -28,15 +28,12 @@
 //!   evenly across the shards and is enforced per shard at insert time;
 //!   blocks larger than a whole shard budget are returned uncached.
 //!
-//! A slot holds one of two kinds, and neither serves an unchecked byte.
-//! A data block enters only checksum-verified: the `load` closure of
-//! [`BlockFetch::get_or_load`] returns a [`VerifiedBlock`], which only
-//! `BlockFileReader::read_verified_block` — the CRC32C-checked read — can
-//! construct. A log chunk ([`BlockFetch::get_or_load_chunk`]) is checksummed
-//! per record, not as a whole, so it is cached as read; its bytes can be read
-//! only through `LogChunk::record_at`, which CRC-checks each record as it
-//! decodes it. A loader that skips the checksum, or a reader that skips the
-//! decoder, does not compile.
+//! A slot holds one kind of entry, and it serves no unchecked byte: the
+//! `load` closure of [`BlockFetch::get_or_load`] returns a [`VerifiedBlock`].
+//! Outside `triad-sstable` only `BlockFileReader::read_verified_block` — the
+//! CRC32C-checked read — constructs one; inside it, `ClTable`'s resolved-block
+//! loader does too, from records that passed their CRC and index→log key
+//! checks. A loader that skips the check does not compile.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,10 +41,9 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 use triad_common::lockrank::RankedMutex;
-use triad_common::{Error, Result, Stats};
+use triad_common::{Result, Stats};
 use triad_sstable::block::Block;
 use triad_sstable::{BlockFetch, VerifiedBlock};
-use triad_wal::LogChunk;
 
 use crate::db::lock_rank;
 
@@ -56,51 +52,12 @@ use crate::db::lock_rank;
 /// the handful of reader threads a single host drives.
 const CACHE_SHARDS: usize = 8;
 
-/// A block's identity in the cache: (cache table id, block offset). A log
-/// chunk's offset carries [`LOG_CHUNK_TAG`].
+/// A block's identity in the cache: (cache table id, block offset).
 type BlockKey = (u64, u64);
 
-/// Set on the offset half of a log chunk's key. Block offsets are file
-/// offsets, far below it.
-const LOG_CHUNK_TAG: u64 = 1 << 63;
-
-/// What a slot holds: a verified data block or a commit-log chunk.
-#[derive(Clone)]
-enum Resident {
-    Block(Arc<Block>),
-    Chunk(Arc<LogChunk>),
-}
-
-impl Resident {
-    /// The bytes this entry charges against the budget.
-    fn charge(&self) -> usize {
-        match self {
-            Resident::Block(block) => block.size_bytes(),
-            Resident::Chunk(chunk) => chunk.len(),
-        }
-    }
-
-    /// The block this is. A chunk here means a corrupt block handle whose
-    /// offset reached into the tagged key space.
-    fn into_block(self) -> Result<Arc<Block>> {
-        match self {
-            Resident::Block(block) => Ok(block),
-            Resident::Chunk(_) => Err(Error::corruption("block offset names a cached log chunk")),
-        }
-    }
-
-    /// The chunk this is.
-    fn into_chunk(self) -> Result<Arc<LogChunk>> {
-        match self {
-            Resident::Chunk(chunk) => Ok(chunk),
-            Resident::Block(_) => Err(Error::corruption("log chunk key names a cached block")),
-        }
-    }
-}
-
-/// The result a flight publishes: `Some(entry)` on a successful load,
+/// The result a flight publishes: `Some(block)` on a successful load,
 /// `None` when the load failed or the table was purged mid-flight.
-type FlightResult = Option<Resident>;
+type FlightResult = Option<Arc<Block>>;
 
 /// A single-flight rendezvous: the loader publishes exactly once, waiters
 /// park until then. Its lock is private to the flight and never nests with
@@ -129,9 +86,9 @@ impl Flight {
     }
 }
 
-/// One cache slot: a resident block or chunk, or a load in flight.
+/// One cache slot: a resident block, or a load in flight.
 enum Slot {
-    Ready { entry: Resident, charge: usize, referenced: bool },
+    Ready { block: Arc<Block>, charge: usize, referenced: bool },
     Loading(Arc<Flight>),
 }
 
@@ -169,7 +126,7 @@ impl CacheShard {
     }
 }
 
-/// The shared, sharded CLOCK cache of decoded data blocks and log chunks.
+/// The shared, sharded CLOCK cache of decoded, verified blocks.
 /// See the module docs for the design; constructed once per [`crate::Db`]
 /// and handed to every keyspace shard's table cache.
 pub struct BlockCache {
@@ -235,7 +192,7 @@ impl BlockCache {
             .sum()
     }
 
-    /// Number of resident (`Ready`) blocks and log chunks.
+    /// Number of resident (`Ready`) blocks.
     pub fn block_count(&self) -> usize {
         self.shards
             .iter()
@@ -256,7 +213,7 @@ impl BlockCache {
         self.shard_budget * CACHE_SHARDS
     }
 
-    /// Drops every block and log chunk belonging to `table_id` — called when
+    /// Drops every block belonging to `table_id` — called when
     /// GC evicts the table so a recycled file id can never resurrect stale
     /// blocks. Loads still in flight are told to publish `None`; their
     /// waiters re-read directly and their loaders skip the insert.
@@ -294,32 +251,8 @@ impl BlockFetch for BlockCache {
         stats: Option<&Stats>,
         load: &dyn Fn() -> Result<VerifiedBlock>,
     ) -> Result<Arc<Block>> {
-        let load = || load().map(|block| Resident::Block(Arc::new(block.into_block())));
-        self.probe((table_id, offset), stats, &load)?.into_block()
-    }
-
-    fn get_or_load_chunk(
-        &self,
-        table_id: u64,
-        offset: u64,
-        stats: Option<&Stats>,
-        load: &dyn Fn() -> Result<LogChunk>,
-    ) -> Result<Arc<LogChunk>> {
-        let load = || load().map(|chunk| Resident::Chunk(Arc::new(chunk)));
-        self.probe((table_id, offset | LOG_CHUNK_TAG), stats, &load)?.into_chunk()
-    }
-}
-
-impl BlockCache {
-    /// Returns the entry at `key`, loading it via `load` on a miss: the one
-    /// probe behind blocks and log chunks alike, so both count as block-cache
-    /// hits and misses.
-    fn probe(
-        &self,
-        key: BlockKey,
-        stats: Option<&Stats>,
-        load: &dyn Fn() -> Result<Resident>,
-    ) -> Result<Resident> {
+        let key = (table_id, offset);
+        let load = || load().map(|block| Arc::new(block.into_block()));
         let index = Self::shard_index(&key);
 
         // Fast path / flight registration, under the shard lock.
@@ -327,14 +260,14 @@ impl BlockCache {
             let blocks = &self.shards[index];
             let mut state = blocks.lock();
             match state.slots.get_mut(&key) {
-                Some(Slot::Ready { entry, referenced, .. }) => {
+                Some(Slot::Ready { block, referenced, .. }) => {
                     *referenced = true;
-                    let entry = entry.clone();
+                    let block = Arc::clone(block);
                     drop(state);
                     if let Some(stats) = stats {
                         stats.add_block_cache_hits(1);
                     }
-                    return Ok(entry);
+                    return Ok(block);
                 }
                 Some(Slot::Loading(flight)) => (Arc::clone(flight), false),
                 None => {
@@ -349,11 +282,11 @@ impl BlockCache {
             // Someone else is reading this block right now; park until they
             // publish. A successful flight counts as a hit — one disk read
             // served every parked probe, which is the whole point.
-            if let Some(entry) = flight.wait() {
+            if let Some(block) = flight.wait() {
                 if let Some(stats) = stats {
                     stats.add_block_cache_hits(1);
                 }
-                return Ok(entry);
+                return Ok(block);
             }
             // The load failed (or the table was purged mid-flight): fall back
             // to a direct, uncached read so one loser cannot fail everyone.
@@ -367,8 +300,8 @@ impl BlockCache {
         if let Some(stats) = stats {
             stats.add_block_cache_misses(1);
         }
-        let entry = match load() {
-            Ok(entry) => entry,
+        let block = match load() {
+            Ok(block) => block,
             Err(err) => {
                 let blocks = &self.shards[index];
                 let mut state = blocks.lock();
@@ -383,7 +316,7 @@ impl BlockCache {
             }
         };
 
-        let charge = entry.charge();
+        let charge = block.size_bytes();
         let mut evicted = 0;
         let mut inserted = false;
         {
@@ -397,14 +330,14 @@ impl BlockCache {
                 if charge <= self.shard_budget {
                     state.slots.insert(
                         key,
-                        Slot::Ready { entry: entry.clone(), charge, referenced: false },
+                        Slot::Ready { block: Arc::clone(&block), charge, referenced: false },
                     );
                     state.ring.push_back(key);
                     state.bytes += charge;
                     evicted = state.evict_to_budget(self.shard_budget);
                     inserted = true;
                 } else {
-                    // Oversized: serve it, but never let one entry own the
+                    // Oversized: serve it, but never let one block own the
                     // whole shard.
                     state.slots.remove(&key);
                 }
@@ -420,8 +353,8 @@ impl BlockCache {
                 stats.add_block_cache_evictions(evicted);
             }
         }
-        flight.publish(Some(entry.clone()));
-        Ok(entry)
+        flight.publish(Some(Arc::clone(&block)));
+        Ok(block)
     }
 }
 
@@ -621,32 +554,6 @@ mod tests {
         assert_eq!(stats.block_cache_misses(), misses_before);
         cache.get_or_load(victim, 3, Some(&stats), &|| blocks.load(4, 32)).unwrap();
         assert_eq!(stats.block_cache_misses(), misses_before + 1);
-    }
-
-    #[test]
-    fn log_chunks_are_keyed_apart_from_blocks_and_purged_with_them() {
-        let blocks = SampleBlocks::new("chunks", [(4, 16)]);
-        let log_path = blocks.dir.join("000001.log");
-        let mut writer = triad_wal::LogWriter::create(&log_path, 1).unwrap();
-        writer.append(&triad_wal::LogRecord::put(1, b"k".to_vec(), vec![b'v'; 300])).unwrap();
-        writer.seal().unwrap();
-        let log = triad_wal::LogReader::open(&log_path).unwrap();
-        let cache = BlockCache::new(1 << 20);
-        let stats = Stats::new();
-        let table = cache.allocate_table_id();
-        let block = cache.get_or_load(table, 0, Some(&stats), &|| blocks.load(4, 16)).unwrap();
-        let load_chunk = || log.read_range(0, 4096);
-        let chunk = cache.get_or_load_chunk(table, 0, Some(&stats), &load_chunk).unwrap();
-        assert_eq!(block.num_entries(), 4);
-        assert_eq!((chunk.start(), chunk.len() as u64), (0, log.len()));
-        assert_eq!(stats.block_cache_misses(), 2, "offset 0 of each kind is its own entry");
-        cache.get_or_load_chunk(table, 0, Some(&stats), &load_chunk).unwrap();
-        cache.get_or_load(table, 0, Some(&stats), &|| blocks.load(4, 16)).unwrap();
-        assert_eq!(stats.block_cache_hits(), 2, "each kind hits its own entry");
-        assert_eq!(cache.block_count(), 2);
-        assert_eq!(cache.bytes_used(), block.size_bytes() + chunk.len());
-        cache.purge_table(table);
-        assert_eq!((cache.block_count(), cache.bytes_used()), (0, 0), "one purge drops both");
     }
 
     #[test]

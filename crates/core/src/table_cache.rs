@@ -245,24 +245,30 @@ mod tests {
         let blocks = Arc::new(BlockCache::new(1 << 20));
         let cache = TableCache::new(dir.clone(), Arc::clone(&stats), Some(Arc::clone(&blocks)));
         let table = cache.get_or_open(&build_cl(&dir, 8, 3, 600)).unwrap();
-        assert_eq!(scan(&table, b"key-00200", 100), 100);
+        assert_eq!(scan(&table, b"key-00200", 300), 300);
         let misses = stats.block_cache_misses();
-        assert!(misses > 1, "the scan loaded index blocks and log chunks");
-        assert_eq!(scan(&table, b"key-00200", 100), 100);
+        assert!(misses > 1, "the scan loaded resolved blocks");
+        assert_eq!(scan(&table, b"key-00200", 300), 300);
         assert_eq!(stats.block_cache_misses(), misses, "the second scan is served from the cache");
-        // Only the index blocks' loads count as block reads, not the chunks'.
-        assert!(stats.block_reads() < misses, "{} block reads", stats.block_reads());
+        assert_eq!(blocks.block_count() as u64, misses, "only resolved blocks were cached");
+        // Each resolved block's load reads its one index block from disk.
+        assert_eq!(stats.block_reads(), misses);
     }
 
     #[test]
-    fn evict_of_a_cl_table_purges_its_index_blocks_and_log_chunks() {
+    fn evict_of_a_cl_table_purges_its_index_and_resolved_blocks() {
         let dir = temp_dir("cl-evict");
         let stats = Arc::new(Stats::new());
         let blocks = Arc::new(BlockCache::new(1 << 20));
         let cache = TableCache::new(dir.clone(), Arc::clone(&stats), Some(Arc::clone(&blocks)));
         let table = cache.get_or_open(&build_cl(&dir, 9, 4, 600)).unwrap();
         assert_eq!(scan(&table, b"", usize::MAX), 600);
-        assert!(blocks.block_count() > 10, "the scan cached index blocks and log chunks");
+        let resolved = blocks.block_count();
+        assert!(resolved > 2, "the scan cached the resolved blocks");
+        // A get reads the index block itself, keyed apart from its resolved
+        // block at the same offset.
+        assert!(table.get(b"key-00000", u64::MAX).unwrap().is_some());
+        assert_eq!(blocks.block_count(), resolved + 1);
         cache.evict(9);
         assert_eq!(blocks.block_count(), 0, "evicting the table purges both kinds");
         assert_eq!(blocks.bytes_used(), 0);

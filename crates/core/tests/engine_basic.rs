@@ -3,7 +3,7 @@
 mod common;
 
 use common::{key_for, open_small, single_shard, value_for};
-use triad_core::{Db, Options, SyncMode, WriteBatch, WriteOptions};
+use triad_core::{Db, Options, SyncMode, TriadConfig, WriteBatch, WriteOptions};
 
 #[test]
 fn put_get_delete_round_trip() {
@@ -339,4 +339,65 @@ fn a_single_read_counts_one_probe_per_consulted_component() {
     assert_eq!(delta.memtable_probes, 1);
     assert_eq!(delta.table_probes, 0);
     db.close().unwrap();
+}
+
+/// `Options::block_size` sets how finely tables are cut into blocks: halving
+/// it about doubles the resolved blocks a full scan of one CL-SSTable loads.
+#[test]
+fn block_size_sets_the_blocks_a_full_scan_loads() {
+    let blocks_loaded = |block_size: usize| {
+        let (db, dir) = open_small(&format!("block-size-{block_size}"), |options| {
+            single_shard(options);
+            options.triad = TriadConfig::log_only();
+            options.block_cache = 1 << 20;
+            options.block_size = block_size;
+            options.memtable_size = 1 << 20;
+            options.max_log_size = 2 << 20;
+        });
+        for i in 0..1_000u64 {
+            db.put(key_for(i), value_for(i, 1)).unwrap();
+        }
+        db.flush().unwrap();
+        assert_eq!(db.files_per_level()[0], 1, "one CL-SSTable");
+        let before = db.stats();
+        assert_eq!(db.scan().unwrap().count(), 1_000);
+        let loaded = db.stats().delta_since(&before).block_cache_misses;
+        db.close().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        loaded
+    };
+    let (coarse, fine) = (blocks_loaded(2048), blocks_loaded(1024));
+    assert!(coarse >= 5, "the table spans several blocks: {coarse}");
+    assert!(
+        (coarse * 16..=coarse * 24).contains(&(fine * 10)),
+        "half the block size loads about twice the blocks: {coarse} vs {fine}"
+    );
+}
+
+/// `Options::bloom_bits_per_key` sets the bloom filters' false-positive
+/// rate: with more bits per key, more gets of absent keys stop at the filter.
+#[test]
+fn more_bloom_bits_per_key_reject_more_absent_keys() {
+    let negatives = |bits: usize| {
+        let (db, dir) = open_small(&format!("bloom-bits-{bits}"), |options| {
+            single_shard(options);
+            options.bloom_bits_per_key = bits;
+        });
+        for i in 0..1_000u64 {
+            db.put(key_for(2 * i), value_for(2 * i, 1)).unwrap();
+        }
+        db.flush().unwrap();
+        let before = db.stats();
+        // Odd keys lie inside the table's key range but are absent.
+        for i in 0..1_000u64 {
+            assert_eq!(db.get(key_for(2 * i + 1)).unwrap(), None);
+        }
+        let rejected = db.stats().delta_since(&before).bloom_negatives;
+        db.close().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        rejected
+    };
+    let (few, many) = (negatives(2), negatives(10));
+    assert!(many > 950, "10 bits per key reject nearly every absent key: {many}");
+    assert!(few + 200 < many, "2 bits per key let far more through: {few} vs {many}");
 }

@@ -218,12 +218,12 @@ fn scans_are_correct_with_tiny_and_disabled_caches() {
     }
 }
 
-/// A scan of CL-SSTables reads their values from commit-log chunks through
-/// the block cache: a repeated scan is served from the cache, and scans
-/// return the same entries with a cache that holds them all, one too small
-/// to hold a chunk, and none.
+/// A scan of CL-SSTables reads resolved blocks, each index block with its
+/// values filled in from the commit log, through the block cache: a repeated
+/// scan is served from the cache, and scans return the same entries with a
+/// cache that holds them all, one too small to hold a block, and none.
 #[test]
-fn cl_scans_are_served_from_cached_log_chunks() {
+fn cl_scans_are_served_from_resolved_blocks() {
     for (name, budget) in [("cached", 1 << 20), ("tiny", 512), ("off", 0)] {
         let (db, _dir) = open_small(&format!("block-cache-cl-scan-{name}"), |options| {
             options.triad = TriadConfig::log_only();
@@ -245,8 +245,8 @@ fn cl_scans_are_served_from_cached_log_chunks() {
         let misses = db.stats().block_cache_misses;
         assert_eq!(scan(), expected, "{name}");
         if name == "cached" {
-            assert!(misses > 0, "the first scan loaded chunks");
-            assert_eq!(db.stats().block_cache_misses, misses, "the second scan hit every chunk");
+            assert!(misses > 0, "the first scan loaded resolved blocks");
+            assert_eq!(db.stats().block_cache_misses, misses, "the second scan hit every block");
         }
         let all: Vec<(Vec<u8>, Vec<u8>)> = db.scan().unwrap().map(|entry| entry.unwrap()).collect();
         assert_eq!(all.len(), 600, "{name}");

@@ -162,11 +162,16 @@ impl BlockFileWriter {
     }
 }
 
-/// A data block decoded from bytes that passed [`BlockFileReader::read_block`]'s
-/// CRC32C check. Only [`BlockFileReader::read_verified_block`] constructs
-/// one, and the shared block cache ([`BlockFetch`](crate::BlockFetch))
-/// accepts nothing else: a cached block is served to every reader without
-/// re-verification, so an unverified insert would spread corruption.
+/// A block whose every byte passed a check before it was decoded, the only
+/// kind the shared block cache ([`BlockFetch`](crate::BlockFetch)) accepts:
+/// a cached block is served to every reader without re-verification, so an
+/// unverified insert would spread corruption. Two paths construct one:
+///
+/// * [`BlockFileReader::read_verified_block`], a data block whose bytes
+///   passed [`BlockFileReader::read_block`]'s CRC32C check;
+/// * `ClTable::resolved_block`'s loader, a CL-SSTable index block (itself
+///   read verified) with each put's value filled in from a commit-log record
+///   that passed its CRC and the index→log key check.
 #[derive(Debug)]
 pub struct VerifiedBlock(Block);
 
@@ -174,6 +179,12 @@ impl VerifiedBlock {
     /// The decoded block.
     pub fn into_block(self) -> Block {
         self.0
+    }
+
+    /// Wraps a CL-SSTable's resolved block. Only `cl_table.rs` calls this,
+    /// after checking every record the block's values came from.
+    pub(crate) fn resolved(block: Block) -> VerifiedBlock {
+        VerifiedBlock(block)
     }
 }
 
@@ -246,7 +257,7 @@ impl BlockFileReader {
     }
 
     /// Reads, checksum-verifies and decodes the data block at `handle`: the
-    /// only way to make a [`VerifiedBlock`].
+    /// one way to make a [`VerifiedBlock`] from a table file's bytes.
     pub fn read_verified_block(&self, handle: BlockHandle) -> Result<VerifiedBlock> {
         Ok(VerifiedBlock(Block::new(self.read_block(handle)?)?))
     }

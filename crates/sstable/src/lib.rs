@@ -46,7 +46,6 @@ use std::sync::Arc;
 use block::Block;
 use triad_common::types::Entry;
 use triad_common::{Result, Stats};
-use triad_wal::LogChunk;
 
 /// Returns the canonical file name for SSTable `id`, e.g. `000042.sst`.
 pub fn sst_file_name(id: u64) -> String {
@@ -83,18 +82,20 @@ pub fn parse_table_file_name(name: &str) -> Option<(u64, TableKind)> {
     None
 }
 
-/// A provider of decoded data blocks and commit-log chunks for table readers
-/// — in practice the engine's shared block cache. `reader.rs` and
-/// `cl_table.rs` stay cache-agnostic: a table opened with a [`FetchContext`]
-/// routes its scans' and gets' data-block reads, and a CL-SSTable its scans'
-/// log reads, through this trait, and the provider calls back into `load`
-/// only on a miss. Concurrent probes for the same key should coalesce into a
-/// single load; `stats`, when present, receives the hit/miss accounting for
-/// the probe.
+/// A provider of decoded blocks for table readers — in practice the
+/// engine's shared block cache. `reader.rs` and `cl_table.rs` stay
+/// cache-agnostic: a table opened with a [`FetchContext`] routes its scans'
+/// and gets' data-block reads, and a CL-SSTable its scans' resolved blocks,
+/// through this trait, and the provider calls back into `load` only on a
+/// miss. Concurrent probes for the same key should coalesce into a single
+/// load; `stats`, when present, receives the hit/miss accounting for the
+/// probe.
 pub trait BlockFetch: Send + Sync {
     /// Returns the block at `(table_id, offset)`, loading it via `load` on a
     /// miss. `load` yields a [`VerifiedBlock`], so whatever a provider keeps
-    /// passed the CRC32C check.
+    /// passed the checks its loader makes: a data block its CRC32C, a
+    /// CL-SSTable's resolved block the CRC and index→log key check of every
+    /// record it holds.
     fn get_or_load(
         &self,
         table_id: u64,
@@ -102,19 +103,6 @@ pub trait BlockFetch: Send + Sync {
         stats: Option<&Stats>,
         load: &dyn Fn() -> Result<VerifiedBlock>,
     ) -> Result<Arc<Block>>;
-
-    /// Returns the chunk of CL-SSTable `table_id`'s backing log that starts
-    /// at log offset `offset`, loading it via `load` on a miss. Chunks are
-    /// keyed apart from the same table's blocks. A [`LogChunk`] is not
-    /// verified as a whole: its bytes can be read only through
-    /// [`LogChunk::record_at`], which CRC-checks every record it decodes.
-    fn get_or_load_chunk(
-        &self,
-        table_id: u64,
-        offset: u64,
-        stats: Option<&Stats>,
-        load: &dyn Fn() -> Result<LogChunk>,
-    ) -> Result<Arc<LogChunk>>;
 }
 
 /// Everything a table reader needs to serve block reads through a shared
@@ -145,9 +133,11 @@ pub trait SortedTable: Send + Sync {
     /// A cursor for scans, on the first entry whose internal key is
     /// `>= (start, MAX_SEQNO)` — the newest version of the first user key at or
     /// after `start`; an empty `start` lands on the first entry. It streams
-    /// from there: a regular [`Table`] reads data blocks through its block
-    /// cache, a [`ClTable`] reads each value from fixed-size chunks of its
-    /// commit log, also through the block cache, as the cursor reaches it.
+    /// from there, one data block at a time through the block cache, and both
+    /// kinds of table use the same cursor: a regular [`Table`] reads its data
+    /// blocks, a [`ClTable`] its *resolved blocks* — each index block with
+    /// every put's value read from the backing log, CRC- and key-checked once
+    /// when the block is built.
     fn scan_cursor(self: Arc<Self>, start: &[u8]) -> Result<BoxedCursor>;
 
     /// The table's metadata.

@@ -11,7 +11,8 @@ use triad_common::{Error, Result, Stats};
 
 use crate::block::Block;
 use crate::bloom::BloomFilter;
-use crate::format::{BlockFileReader, BlockHandle};
+use crate::cl_table::ClTable;
+use crate::format::{BlockFileReader, BlockHandle, VerifiedBlock};
 use crate::iter::{cursor_entries, BoxedCursor, EntryCursor, EntryIter};
 use crate::properties::{TableKind, TableProperties};
 use crate::{FetchContext, SortedTable};
@@ -100,7 +101,30 @@ impl Table {
         &self.path
     }
 
+    /// Reads the data block at `handle` around every cache, checksum-verified.
+    pub(crate) fn read_uncached_block(&self, handle: BlockHandle) -> Result<VerifiedBlock> {
+        self.reader.read_verified_block(handle)
+    }
+
+    /// A cursor from the first entry at or after `start` (see
+    /// [`SortedTable::scan_cursor`]) that reads its data blocks from `source`.
+    pub(crate) fn cursor_from(
+        self: Arc<Self>,
+        source: BlockSource,
+        start: &[u8],
+    ) -> Result<BoxedCursor> {
+        Ok(Box::new(TableCursor::new(self, source, start)?))
+    }
+
     fn read_data_block(&self, handle: BlockHandle) -> Result<Arc<Block>> {
+        // A handle past the file's end could alias another key of this
+        // table in the shared cache, such as a CL-SSTable's resolved block.
+        if handle.offset >= self.file_size {
+            return Err(Error::corruption_at(
+                format!("block handle {handle:?} starts past end of file"),
+                &self.path,
+            ));
+        }
         if let Some(ctx) = &self.fetch {
             return ctx.fetch.get_or_load(
                 ctx.table_id,
@@ -181,11 +205,11 @@ impl SortedTable for Table {
     }
 
     fn cursor(self: Arc<Self>) -> Result<BoxedCursor> {
-        Ok(Box::new(TableCursor::new(self, BlockSource::Uncached, &[])?))
+        self.cursor_from(BlockSource::Uncached, &[])
     }
 
     fn scan_cursor(self: Arc<Self>, start: &[u8]) -> Result<BoxedCursor> {
-        Ok(Box::new(TableCursor::new(self, BlockSource::Cached, start)?))
+        self.cursor_from(BlockSource::Cached, start)
     }
 
     fn properties(&self) -> &TableProperties {
@@ -198,8 +222,7 @@ impl SortedTable for Table {
 }
 
 /// Where a [`TableCursor`] reads its data blocks from.
-#[derive(Debug, Clone, Copy)]
-enum BlockSource {
+pub(crate) enum BlockSource {
     /// Compaction: each block once, CRC-verified, straight from the file,
     /// never through the shared block cache (RocksDB's `fill_cache = false`).
     /// A compaction touches every block of its inputs once, and caching them
@@ -210,11 +233,15 @@ enum BlockSource {
     /// Scans: through the shared block cache (or the single-slot cache of a
     /// table opened without one).
     Cached,
+    /// Scans of a CL-SSTable, whose index this table is: each index data
+    /// block's resolved block, with the values filled in from the log
+    /// ([`ClTable::resolved_block`]).
+    Resolved(Arc<ClTable>),
 }
 
-/// The one cursor over a table's entries, for compaction and scans alike: it
-/// walks the index from a seek position and lends the entries of one data
-/// block at a time.
+/// The one cursor over a table's entries, for compaction and scans of
+/// regular tables and CL-SSTables alike: it walks the index from a seek
+/// position and lends the entries of one data block at a time.
 struct TableCursor {
     table: Arc<Table>,
     source: BlockSource,
@@ -256,11 +283,10 @@ impl TableCursor {
     fn read_next_block(&mut self) -> Result<()> {
         let (_, handle_bytes) = self.table.index.entry(self.next_block)?;
         let handle = BlockHandle::decode(handle_bytes)?;
-        self.block = match self.source {
-            BlockSource::Uncached => {
-                Arc::new(self.table.reader.read_verified_block(handle)?.into_block())
-            }
+        self.block = match &self.source {
+            BlockSource::Uncached => Arc::new(self.table.read_uncached_block(handle)?.into_block()),
             BlockSource::Cached => self.table.read_data_block(handle)?,
+            BlockSource::Resolved(cl) => cl.resolved_block(handle)?,
         };
         self.next_block += 1;
         self.pos = 0;

@@ -6,16 +6,14 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use triad_common::{Result, Stats};
-use triad_wal::LogChunk;
 
 use crate::block::Block;
 use crate::{BlockFetch, VerifiedBlock};
 
-/// Caches every block and log chunk forever and counts loads.
+/// Caches every block forever and counts loads.
 #[derive(Default)]
 pub(crate) struct MapCache {
     blocks: Mutex<HashMap<(u64, u64), Arc<Block>>>,
-    chunks: Mutex<HashMap<(u64, u64), Arc<LogChunk>>>,
     loads: AtomicU64,
 }
 
@@ -24,22 +22,14 @@ impl MapCache {
         Arc::default()
     }
 
-    /// Loads so far, blocks and chunks alike.
+    /// Loads so far.
     pub(crate) fn loads(&self) -> u64 {
         self.loads.load(Ordering::Relaxed)
     }
 
-    /// Number of cached log chunks.
-    pub(crate) fn chunk_count(&self) -> usize {
-        self.chunks.lock().len()
-    }
-
-    /// Replaces every cached chunk with what `load` returns for its start
-    /// offset, as if the cached bytes had changed after they were loaded.
-    pub(crate) fn replace_chunks(&self, load: impl Fn(u64) -> Result<LogChunk>) {
-        for ((_, start), chunk) in self.chunks.lock().iter_mut() {
-            *chunk = Arc::new(load(*start).unwrap());
-        }
+    /// Number of cached blocks.
+    pub(crate) fn block_count(&self) -> usize {
+        self.blocks.lock().len()
     }
 }
 
@@ -58,21 +48,5 @@ impl BlockFetch for MapCache {
         let block = Arc::new(load()?.into_block());
         self.blocks.lock().insert((table_id, offset), Arc::clone(&block));
         Ok(block)
-    }
-
-    fn get_or_load_chunk(
-        &self,
-        table_id: u64,
-        offset: u64,
-        _stats: Option<&Stats>,
-        load: &dyn Fn() -> Result<LogChunk>,
-    ) -> Result<Arc<LogChunk>> {
-        if let Some(chunk) = self.chunks.lock().get(&(table_id, offset)) {
-            return Ok(Arc::clone(chunk));
-        }
-        self.loads.fetch_add(1, Ordering::Relaxed);
-        let chunk = Arc::new(load()?);
-        self.chunks.lock().insert((table_id, offset), Arc::clone(&chunk));
-        Ok(chunk)
     }
 }

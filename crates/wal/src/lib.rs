@@ -9,10 +9,10 @@
 //!
 //! To support that, the log is *offset addressable*: [`LogWriter::append`] returns
 //! the byte offset of the record it wrote, and [`LogReader::read_at`] fetches a
-//! single record back by offset. Scans read a sealed log in [`LogChunk`]s
-//! instead ([`LogReader::read_range`]), which a cache can share: a chunk's
-//! bytes are read only through [`LogChunk::record_at`], which CRC-checks each
-//! record it decodes.
+//! single record back by offset. Readers of many records read a sealed log
+//! in [`LogChunk`]s instead ([`LogReader::read_range`]): a chunk's bytes are
+//! read only through [`LogChunk::record_at`], which CRC-checks each record it
+//! decodes.
 //!
 //! ## On-disk format
 //!

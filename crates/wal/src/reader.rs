@@ -79,9 +79,8 @@ fn decode_record_in_buffer(buffer: &[u8], offset: u64) -> Result<RecordRef<'_>> 
 ///
 /// A log is checksummed per record, not per span, so a chunk's bytes are
 /// kept as read, unverified, and can be read only through
-/// [`record_at`](Self::record_at), which CRC-checks the record it returns.
-/// That makes a chunk safe to share through a cache: every reader checks
-/// each record it decodes.
+/// [`record_at`](Self::record_at), which CRC-checks the record it returns:
+/// every reader checks each record it decodes.
 #[derive(Debug)]
 pub struct LogChunk {
     /// Log offset of the chunk's first byte.

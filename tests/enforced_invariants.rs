@@ -61,3 +61,19 @@ fn documented_enforcers_exist() {
     }
     assert!(rows >= 10, "found {rows} enforced-invariant rows; did the table move?");
 }
+
+/// A resolved block is a `VerifiedBlock` only `cl_table.rs` builds, after
+/// every record's CRC and index→log key check: rustc keeps the tuple
+/// constructor private to `format.rs`, and this test keeps
+/// `VerifiedBlock::resolved`, visible crate-wide, to its one caller.
+#[test]
+fn resolved_blocks_are_built_only_by_the_cl_table() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("crates"), &mut files);
+    let callers: Vec<PathBuf> = files
+        .into_iter()
+        .filter(|path| std::fs::read_to_string(path).unwrap().contains("VerifiedBlock::resolved("))
+        .collect();
+    assert_eq!(callers, [root.join("crates/sstable/src/cl_table.rs")]);
+}

@@ -47,12 +47,13 @@ fn config_strategy() -> impl Strategy<Value = TriadConfig> {
     ]
 }
 
-/// A block cache of one 4 KiB commit-log chunk per cache shard (the cache
-/// has 8): a scan of CL-SSTables evicts its own chunks as it goes.
-const SMALL_BLOCK_CACHE: usize = 8 * triad_sstable::LOG_CHUNK_LEN;
+/// A block cache of 4 KiB per cache shard (the cache has 8), a few of
+/// these options' resolved blocks each: a scan of CL-SSTables evicts its own
+/// resolved blocks as it goes.
+const SMALL_BLOCK_CACHE: usize = 8 * 4 * 1024;
 
 /// The default block-cache budget, or one small enough that scans evict
-/// cached blocks and log chunks midway.
+/// cached data and resolved blocks midway.
 fn block_cache_strategy() -> impl Strategy<Value = usize> {
     prop_oneof![Just(Options::default().block_cache), Just(SMALL_BLOCK_CACHE)]
 }
