@@ -210,8 +210,12 @@ counters! {
     flush_micros: Sum => add_flush_micros;
 
     // Compaction.
-    /// Completed compactions.
+    /// Completed compactions that rewrote their inputs. The four counters
+    /// below it count rewrites only.
     compaction_count: Sum => add_compaction_count;
+    /// Compactions that moved their one input a level down with a manifest
+    /// edit, reading and writing no table bytes.
+    compaction_moves: Sum => add_compaction_moves;
     /// Compactions deferred by TRIAD-DISK.
     compactions_deferred: Sum => add_compactions_deferred;
     /// Bytes read by compactions.

@@ -42,6 +42,17 @@ impl CompactionJob {
     pub fn all_inputs(&self) -> impl Iterator<Item = &Arc<FileMetadata>> {
         self.inputs_lower.iter().chain(self.inputs_upper.iter())
     }
+
+    /// The file to move instead of rewrite: the job's one input, when it is a
+    /// regular table and nothing on the target level overlaps it. A rewrite
+    /// would copy it byte for byte. CL-SSTables never move: their values
+    /// live in the commit log until a rewrite puts them in a table.
+    fn movable_file(&self) -> Option<&Arc<FileMetadata>> {
+        match (self.inputs_lower.as_slice(), self.inputs_upper.is_empty()) {
+            ([file], true) if file.kind == TableKind::Block => Some(file),
+            _ => None,
+        }
+    }
 }
 
 impl DbInner {
@@ -120,6 +131,8 @@ impl DbInner {
     /// Runs `job`, picked on `version`: merges the inputs, writes the outputs,
     /// applies the version edit and retires the inputs. `version` is dropped
     /// before the edit installs, so it never keeps the inputs from collection.
+    /// A job with a [movable](CompactionJob::movable_file) input moves it
+    /// instead.
     pub(crate) fn run_compaction(&self, version: Arc<Version>, job: CompactionJob) -> Result<()> {
         let started = Instant::now();
         self.failpoints.check(Failpoint::CompactionStart)?;
@@ -128,6 +141,10 @@ impl DbInner {
             return Err(Error::InvalidArgument(format!(
                 "compaction target level {target_level} exceeds configured levels"
             )));
+        }
+        if let Some(file) = job.movable_file() {
+            drop(version);
+            return self.move_file(file, target_level);
         }
         // Tombstones can be dropped only when nothing older can exist below the
         // output level.
@@ -209,6 +226,27 @@ impl DbInner {
             let _ = self.table_cache.get_or_open(output);
         }
 
+        Ok(())
+    }
+
+    /// Moves `file` to `target_level` with one version edit that deletes it
+    /// and adds the same metadata one level down. Nothing is read, written or
+    /// retired, and the file keeps its id, so its table-cache handle and
+    /// cached blocks stay valid. Only `compaction_moves` counts it; the
+    /// rewrite counters stay rewrite-only. Tombstones in the file stay until
+    /// its next rewrite.
+    fn move_file(&self, file: &FileMetadata, target_level: usize) -> Result<()> {
+        self.failpoints.check(Failpoint::CompactionBeforeManifest)?;
+        let edit = VersionEdit {
+            deleted: vec![(file.level, file.id)],
+            added: vec![FileMetadata { level: target_level as u32, ..file.clone() }],
+            ..VersionEdit::default()
+        };
+        let mut versions = self.versions.lock();
+        let new_version = versions.log_and_apply(edit)?;
+        // Counted before the new version is visible, as for a rewrite.
+        self.stats.add_compaction_moves(1);
+        *self.current_version.write() = new_version;
         Ok(())
     }
 

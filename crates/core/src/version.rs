@@ -487,6 +487,28 @@ mod tests {
     }
 
     #[test]
+    fn a_move_edit_deletes_and_re_adds_one_id_a_level_down() {
+        let version = Version::empty(3)
+            .apply(&VersionEdit {
+                added: vec![file(1, 1, "a", "f"), file(2, 1, "g", "p"), file(3, 2, "q", "z")],
+                ..Default::default()
+            })
+            .unwrap();
+        let moved = FileMetadata { level: 2, ..version.levels[1][1].as_ref().clone() };
+        let edit = VersionEdit { deleted: vec![(1, 2)], added: vec![moved], ..Default::default() };
+        let decoded = VersionEdit::decode(&edit.encode()).unwrap();
+        assert_eq!(decoded, edit);
+
+        let next = version.apply(&decoded).unwrap();
+        let ids = |level: usize| next.levels[level].iter().map(|f| f.id).collect::<Vec<_>>();
+        assert_eq!((ids(1), ids(2)), (vec![1], vec![2, 3]));
+        let landed = &next.levels[2][0];
+        assert_eq!(landed.level, 2);
+        assert_eq!(**landed, FileMetadata { level: 2, ..file(2, 1, "g", "p") });
+        next.check_invariants().unwrap();
+    }
+
+    #[test]
     fn apply_rejects_bad_edits() {
         let version = Version::empty(2);
         let unknown_delete = VersionEdit { deleted: vec![(0, 99)], ..Default::default() };

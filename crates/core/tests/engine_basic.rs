@@ -401,3 +401,66 @@ fn more_bloom_bits_per_key_reject_more_absent_keys() {
     assert!(many > 950, "10 bits per key reject nearly every absent key: {many}");
     assert!(few + 200 < many, "2 bits per key let far more through: {few} vs {many}");
 }
+
+/// Files per level once `keys` sequential keys have been written and every
+/// compaction has run. TRIAD-LOG makes each flush a CL-SSTable, which a
+/// trigger of one compacts into L1 at once, cut into `target_file_size`
+/// tables (16 KiB unless `mutate` says otherwise); L1 holds 1 MiB.
+fn layout_after_loading(keys: u64, mutate: impl FnOnce(&mut Options)) -> Vec<usize> {
+    let (db, dir) = open_small("option-layout", |options| {
+        single_shard(options);
+        options.triad = TriadConfig::log_only();
+        options.l0_compaction_trigger = 1;
+        options.target_file_size = 16 * 1024;
+        options.l1_target_size = 1 << 20;
+        mutate(options);
+    });
+    for i in 0..keys {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_for_compactions().unwrap();
+    for i in 0..keys {
+        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)), "key {i}");
+    }
+    let files = db.files_per_level();
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    files
+}
+
+/// `Options::target_file_size` sets where a compaction cuts its output: the
+/// same ~56 KiB of keys lands on L1 as three 16 KiB tables or one 64 KiB one.
+#[test]
+fn target_file_size_sets_how_many_tables_a_compaction_writes() {
+    assert_eq!(layout_after_loading(300, |_| {})[..2], [0, 3]);
+    let one = layout_after_loading(300, |options| options.target_file_size = 64 * 1024);
+    assert_eq!(one[..2], [0, 1]);
+}
+
+/// `Options::l1_target_size` sets when L1 spills to L2: the same three
+/// tables stay on a 1 MiB L1, while a 32 KiB L1 keeps one and spills two.
+#[test]
+fn l1_target_size_sets_whether_l1_spills_to_l2() {
+    assert_eq!(layout_after_loading(300, |_| {})[1..3], [3, 0]);
+    let small = layout_after_loading(300, |options| options.l1_target_size = 32 * 1024);
+    assert_eq!(small[1..3], [1, 2]);
+}
+
+/// `Options::level_size_multiplier` sets how much more each level holds
+/// than the one above: with a 16 KiB L1, a multiplier of 100 keeps every
+/// spilled table on L2, while a multiplier of 2 pushes some on to L3.
+#[test]
+fn level_size_multiplier_sets_whether_l2_spills_to_l3() {
+    let load = |multiplier| {
+        layout_after_loading(1_200, |options| {
+            options.l1_target_size = 16 * 1024;
+            options.level_size_multiplier = multiplier;
+        })
+    };
+    let wide = load(100);
+    assert!(wide[2] > 0, "L1 spills to L2: {wide:?}");
+    assert_eq!(wide[3..].iter().sum::<usize>(), 0, "L2 holds it all: {wide:?}");
+    let narrow = load(2);
+    assert!(narrow[3..].iter().sum::<usize>() > 0, "L2 spills further: {narrow:?}");
+}

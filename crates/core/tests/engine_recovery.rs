@@ -6,9 +6,11 @@
 
 mod common;
 
+use std::collections::BTreeSet;
+
 use common::{key_for, temp_dir, value_for};
 use triad_common::failpoint::{Failpoint, FailpointAction, FailpointRegistry};
-use triad_core::{Db, Options, SyncMode, TriadConfig};
+use triad_core::{Db, Options, SyncMode, TriadConfig, Version, VersionEdit};
 
 fn reopen(dir: &std::path::Path, options: &Options) -> Db {
     Db::open(dir, options.clone()).unwrap()
@@ -1158,6 +1160,168 @@ fn acknowledged_cross_shard_batch_survives_one_shards_flush() {
         Some(value_for(on_shard_1, 9)),
         "acknowledged slice on the unflushed shard was dropped at recovery"
     );
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---- Moves: a compaction whose one regular input overlaps nothing below ----
+
+/// Every version edit in the live manifest of the database in `dir`, in log
+/// order: the snapshot edit written at open, then one per flush or
+/// compaction since.
+fn manifest_edits(dir: &std::path::Path) -> Vec<VersionEdit> {
+    let name = std::fs::read_to_string(dir.join("CURRENT")).unwrap();
+    let reader = triad_wal::LogReader::open(dir.join(name.trim())).unwrap();
+    let (records, _tail) = reader.recover().unwrap();
+    records.iter().map(|r| VersionEdit::decode(&r.record.value).unwrap()).collect()
+}
+
+/// The file ids on each level of the version `edits` replay to.
+fn replayed_levels(edits: &[VersionEdit]) -> Vec<BTreeSet<u64>> {
+    let mut version = Version::empty(Options::small_for_tests().num_levels);
+    for edit in edits {
+        version = version.apply(edit).unwrap();
+    }
+    version.levels.iter().map(|files| files.iter().map(|f| f.id).collect()).collect()
+}
+
+/// The id `edit` moves one level down, if it is a move: it deletes one file
+/// and adds the same id, with the same metadata, on the next level.
+fn moved_id(edit: &VersionEdit) -> Option<u64> {
+    match (edit.deleted.as_slice(), edit.added.as_slice()) {
+        ([(level, id)], [added]) if added.id == *id && added.level == level + 1 => Some(*id),
+        _ => None,
+    }
+}
+
+/// Every flush is compacted into L1 at once. TRIAD-LOG makes each L0 file a
+/// CL-SSTable, which never moves, so L0→L1 always rewrites into
+/// `target_file_size` tables; L1 spills to L2 past 64 KiB.
+fn move_options() -> Options {
+    let mut options = Options::small_for_tests();
+    options.triad = TriadConfig::log_only();
+    options.l0_compaction_trigger = 1;
+    options.target_file_size = 16 * 1024;
+    options.l1_target_size = 64 * 1024;
+    options
+}
+
+fn load(db: &Db, keys: std::ops::Range<u64>) {
+    for i in keys {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_for_compactions().unwrap();
+}
+
+/// Sequential keys: each flush lands past every file on L1 and L2, so when
+/// L1 spills, the file it picks overlaps nothing on L2 and moves.
+#[test]
+fn a_compaction_that_overlaps_nothing_below_moves_its_file() {
+    const FIRST: u64 = 300;
+    const SECOND: u64 = 100;
+    let dir = temp_dir("trivial-move");
+    let options = move_options();
+    let db = Db::open(&dir, options.clone()).unwrap();
+
+    // L1 fills to just under its target: every compaction so far rewrote.
+    load(&db, 0..FIRST);
+    let before = db.stats();
+    let l1_before = replayed_levels(&manifest_edits(&dir))[1].clone();
+    assert_eq!(before.compaction_moves, 0);
+    assert!(l1_before.len() >= 2, "L1 holds several tables: {l1_before:?}");
+    let iter = db.scan().unwrap();
+
+    // A smaller, higher key range tips L1 over its target.
+    load(&db, FIRST..FIRST + SECOND);
+    let after = db.stats();
+    let edits = manifest_edits(&dir);
+    let moved: Vec<u64> = edits.iter().filter_map(moved_id).collect();
+    assert!(after.compaction_moves > 0, "L1 spilled by a move");
+    assert_eq!(moved.len() as u64, after.compaction_moves, "one edit per move");
+    let levels = replayed_levels(&edits);
+    assert!(!levels[2].is_empty());
+    assert!(
+        levels[2].is_subset(&l1_before),
+        "L2 {:?} holds only ids from L1 {l1_before:?}",
+        levels[2]
+    );
+    assert!(moved.iter().all(|id| levels[2].contains(id) && l1_before.contains(id)));
+    // A move writes no table bytes: the rewrite counters add up over the
+    // edits that rewrote, and those never move a CL-SSTable.
+    let rewrites: Vec<&VersionEdit> =
+        edits.iter().filter(|e| !e.deleted.is_empty() && moved_id(e).is_none()).collect();
+    assert_eq!(after.compaction_count, rewrites.len() as u64);
+    let rewritten: u64 = rewrites.iter().flat_map(|e| &e.added).map(|f| f.size).sum();
+    assert_eq!(after.bytes_compacted_written, rewritten);
+    assert!(after.bytes_compacted_written > before.bytes_compacted_written);
+
+    // The iterator opened before the move reads the moved file's keys.
+    let scanned: Vec<Vec<u8>> = iter.map(|entry| entry.unwrap().0).collect();
+    assert_eq!(scanned, (0..FIRST).map(key_for).collect::<Vec<_>>());
+    for i in 0..FIRST + SECOND {
+        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)), "key {i}");
+    }
+    common::assert_disk_matches_live_set(&db, &dir);
+
+    // A checkpoint taken after the move opens with every key.
+    let ckpt_dir = temp_dir("trivial-move-ckpt");
+    std::fs::remove_dir_all(&ckpt_dir).unwrap();
+    drop(db.checkpoint(&ckpt_dir).unwrap());
+    let ckpt = Db::open(&ckpt_dir, options.clone()).unwrap();
+    for i in 0..FIRST + SECOND {
+        assert_eq!(ckpt.get(key_for(i)).unwrap(), Some(value_for(i, 1)), "checkpoint key {i}");
+    }
+    ckpt.close().unwrap();
+    std::fs::remove_dir_all(&ckpt_dir).ok();
+    db.close().unwrap();
+
+    // Reopen replays each move's delete + add of one id.
+    let db = reopen(&dir, &options);
+    assert_eq!(replayed_levels(&manifest_edits(&dir)), levels);
+    for i in 0..FIRST + SECOND {
+        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)), "reopened key {i}");
+    }
+    common::assert_disk_matches_live_set(&db, &dir);
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A move checks the same failpoints as a rewrite, and a failed move leaves
+/// the tree as it was. The reopen lowers L1's target under three tables
+/// written by rewrites, so the only work left is spilling L1 by moves.
+#[test]
+fn a_failed_move_is_retried_and_moves_only() {
+    let dir = temp_dir("trivial-move-failpoints");
+    let roomy = Options { l1_target_size: 1 << 20, ..move_options() };
+    let db = Db::open(&dir, roomy).unwrap();
+    load(&db, 0..300);
+    assert_eq!(db.files_per_level()[1..3], [3, 0]);
+    db.close().unwrap();
+
+    let options = Options { l1_target_size: 32 * 1024, ..move_options() };
+    let failpoints = FailpointRegistry::new();
+    failpoints.arm(Failpoint::CompactionStart, FailpointAction::ErrorTimes(1));
+    failpoints.arm(Failpoint::CompactionBeforeManifest, FailpointAction::ErrorTimes(1));
+    let db = Db::open_with_failpoints(&dir, options, failpoints.clone()).unwrap();
+    db.wait_for_compactions().unwrap();
+    // Four attempts start: one fails there, one fails before its edit, two
+    // move a file. A hit is counted on every check, failing or not.
+    assert_eq!(failpoints.hits(Failpoint::CompactionStart), 4);
+    assert_eq!(failpoints.hits(Failpoint::CompactionBeforeManifest), 3);
+    let stats = db.stats();
+    assert_eq!(stats.background_errors, 2);
+    assert_eq!(stats.compaction_moves, 2, "two of the three tables move to L2");
+    assert_eq!(
+        (stats.compaction_count, stats.bytes_compacted_read, stats.bytes_compacted_written),
+        (0, 0, 0),
+        "nothing was rewritten"
+    );
+    assert_eq!(db.files_per_level()[1..3], [1, 2]);
+    for i in 0..300u64 {
+        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)), "key {i}");
+    }
+    common::assert_disk_matches_live_set(&db, &dir);
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

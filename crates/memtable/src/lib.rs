@@ -31,7 +31,7 @@ pub mod hotcold;
 
 pub use hotcold::{separate_keys, HotColdPolicy, HotColdSplit};
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -98,6 +98,16 @@ impl Slot {
     }
 }
 
+/// The key → slot map, and the keys whose slot holds a prior version, kept
+/// under one lock so the two always agree.
+#[derive(Debug, Default)]
+struct SlotMap {
+    by_key: BTreeMap<Vec<u8>, Slot>,
+    /// Keys whose prior list is non-empty. Empty unless a snapshot was open
+    /// during an overwrite; a sweep visits only these.
+    with_priors: BTreeSet<Vec<u8>>,
+}
+
 /// Rank of the memtable's map lock in the engine-wide lock order (see
 /// `triad_common::lockrank` and docs/ARCHITECTURE.md): above all engine locks,
 /// because the map lock is a leaf — nothing else is ever acquired while it is
@@ -108,7 +118,7 @@ pub const LOCK_RANK: u32 = 70;
 /// The memory component: a sorted map from user key to its version slot.
 #[derive(Debug)]
 pub struct Memtable {
-    map: RankedRwLock<BTreeMap<Vec<u8>, Slot>>,
+    slots: RankedRwLock<SlotMap>,
     approximate_size: AtomicUsize,
     /// Which superseded versions open MVCC snapshots can still see. Shared with
     /// the engine's snapshot registry; a memtable created with [`Memtable::new`]
@@ -133,7 +143,7 @@ impl Memtable {
     /// overwrites preserve versions that registered snapshots can still see.
     pub fn with_retention(retention: Arc<SnapshotRetention>) -> Self {
         Memtable {
-            map: RankedRwLock::new(LOCK_RANK, "memtable.map", BTreeMap::new()),
+            slots: RankedRwLock::new(LOCK_RANK, "memtable.map", SlotMap::default()),
             approximate_size: AtomicUsize::new(0),
             retention,
         }
@@ -190,23 +200,40 @@ impl Memtable {
         }
     }
 
-    fn insert_new_slot(&self, map: &mut BTreeMap<Vec<u8>, Slot>, key: &[u8], entry: MemEntry) {
+    fn insert_new_slot(&self, map: &mut SlotMap, key: &[u8], entry: MemEntry) {
         let size = entry.approximate_size(key.len());
-        map.insert(key.to_vec(), Slot { live: entry, prior: Vec::new() });
+        map.by_key.insert(key.to_vec(), Slot { live: entry, prior: Vec::new() });
         self.approximate_size.fetch_add(size, Ordering::Relaxed);
     }
 
     /// Called with the map lock held: replaces `slot.live` with `entry`,
     /// retaining the shadowed version for open snapshots when `entry` is
-    /// strictly newer, then pruning priors no snapshot can read. The single
-    /// implementation of the retention protocol; every overwrite path above
-    /// the slot level goes through here.
-    fn absorb_into_slot(&self, key_len: usize, slot: &mut Slot, entry: MemEntry) {
+    /// strictly newer, then pruning priors no snapshot can read, and keeps
+    /// `key`'s place in `with_priors` in step. The single implementation of
+    /// the retention protocol; every overwrite path above the slot level goes
+    /// through here.
+    fn absorb_into_slot(
+        &self,
+        key: &[u8],
+        slot: &mut Slot,
+        entry: MemEntry,
+        with_priors: &mut BTreeSet<Vec<u8>>,
+    ) {
+        let had_priors = !slot.prior.is_empty();
         if entry.seqno > slot.live.seqno {
-            self.retain_shadowed(key_len, slot);
+            self.retain_shadowed(key.len(), slot);
         }
-        self.overwrite_live(key_len, slot, entry);
-        self.prune_priors(key_len, slot);
+        self.overwrite_live(key.len(), slot, entry);
+        self.prune_priors(key.len(), slot);
+        match (had_priors, slot.prior.is_empty()) {
+            (false, false) => {
+                with_priors.insert(key.to_vec());
+            }
+            (true, true) => {
+                with_priors.remove(key);
+            }
+            _ => {}
+        }
     }
 
     /// Inserts or overwrites `key`, absorbing the update in place (superseded
@@ -233,16 +260,17 @@ impl Memtable {
     ) -> usize {
         // Copy the value before taking the lock every reader and writer shares.
         let mut entry = MemEntry { value: value.to_vec(), seqno, kind, updates: 1, log_position };
-        let mut map = self.map.write();
-        match map.get_mut(key) {
+        let mut guard = self.slots.write();
+        let map = &mut *guard;
+        match map.by_key.get_mut(key) {
             Some(slot) if slot.live.seqno > seqno => {
                 slot.live.updates = slot.live.updates.saturating_add(1);
             }
             Some(slot) => {
                 entry.updates = slot.live.updates.saturating_add(1);
-                self.absorb_into_slot(key.len(), slot, entry);
+                self.absorb_into_slot(key, slot, entry, &mut map.with_priors);
             }
-            None => self.insert_new_slot(&mut map, key, entry),
+            None => self.insert_new_slot(map, key, entry),
         }
         self.approximate_size.load(Ordering::Relaxed)
     }
@@ -254,19 +282,20 @@ impl Memtable {
     /// overwrite an update the application performed in the meantime. Returns `true`
     /// if the entry was installed.
     pub fn insert_entry_if_older(&self, key: &[u8], entry: MemEntry) -> bool {
-        let mut map = self.map.write();
-        match map.get_mut(key) {
+        let mut guard = self.slots.write();
+        let map = &mut *guard;
+        match map.by_key.get_mut(key) {
             Some(slot) if slot.live.seqno >= entry.seqno => false,
             Some(slot) => {
                 // Preserve the update counter the newer writes accumulated plus the
                 // hotness the entry carried over.
                 let mut entry = entry;
                 entry.updates = slot.live.updates.saturating_add(entry.updates);
-                self.absorb_into_slot(key.len(), slot, entry);
+                self.absorb_into_slot(key, slot, entry, &mut map.with_priors);
                 true
             }
             None => {
-                self.insert_new_slot(&mut map, key, entry);
+                self.insert_new_slot(map, key, entry);
                 true
             }
         }
@@ -281,7 +310,7 @@ impl Memtable {
         expected_seqno: SeqNo,
         position: LogPosition,
     ) -> bool {
-        match self.map.write().get_mut(key) {
+        match self.slots.write().by_key.get_mut(key) {
             Some(slot) if slot.live.seqno == expected_seqno => {
                 slot.live.log_position = position;
                 true
@@ -297,13 +326,13 @@ impl Memtable {
     /// see is either the live one or preserved on the prior list, so a bounded
     /// probe can never miss a key that existed at the snapshot point.
     pub fn get(&self, key: &[u8], snapshot: SeqNo) -> Option<Entry> {
-        let map = self.map.read();
-        map.get(key)?.visible_at(snapshot).map(|entry| entry.to_entry(key))
+        let map = self.slots.read();
+        map.by_key.get(key)?.visible_at(snapshot).map(|entry| entry.to_entry(key))
     }
 
     /// Number of distinct keys currently held.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.slots.read().by_key.len()
     }
 
     /// Returns `true` when no keys are held.
@@ -325,8 +354,8 @@ impl Memtable {
     /// and open snapshots keep reading the retained versions through their own
     /// `Arc` of this memtable.
     pub fn snapshot_entries(&self) -> Vec<(Vec<u8>, MemEntry)> {
-        let map = self.map.read();
-        map.iter().map(|(key, slot)| (key.clone(), slot.live.clone())).collect()
+        let map = self.slots.read();
+        map.by_key.iter().map(|(key, slot)| (key.clone(), slot.live.clone())).collect()
     }
 
     /// Up to `limit` keys from `lower` on, each at its newest version visible
@@ -339,8 +368,9 @@ impl Memtable {
     /// from `Excluded(last key)`; fewer than `limit` entries means it has
     /// reached the end.
     pub fn range_at(&self, lower: Bound<&[u8]>, snapshot: SeqNo, limit: usize) -> Vec<Entry> {
-        let map = self.map.read();
-        map.range::<[u8], _>((lower, Bound::Unbounded))
+        let map = self.slots.read();
+        map.by_key
+            .range::<[u8], _>((lower, Bound::Unbounded))
             .filter_map(|(key, slot)| slot.visible_at(snapshot).map(|entry| entry.to_entry(key)))
             .take(limit)
             .collect()
@@ -348,28 +378,36 @@ impl Memtable {
 
     /// Returns the raw live [`MemEntry`] for `key`, regardless of snapshot.
     pub fn get_raw(&self, key: &[u8]) -> Option<MemEntry> {
-        self.map.read().get(key).map(|slot| slot.live.clone())
+        self.slots.read().by_key.get(key).map(|slot| slot.live.clone())
     }
 
-    /// Sweeps every slot's prior list against the current retention bounds,
+    /// Sweeps every prior list against the current retention bounds,
     /// dropping versions no open snapshot can read any more.
     ///
     /// Overwrites prune their own slot lazily, but an *idle* key's stale prior
     /// would otherwise be held until the slot's next overwrite or the flush.
     /// The engine calls this when a snapshot's deregistration moves the
-    /// registry bounds, so release is prompt for idle keys too. Slots with an
-    /// empty prior list (the overwhelmingly common case) cost one branch.
+    /// registry bounds, so release is prompt for idle keys too. Only the
+    /// slots that hold a prior are visited; with none (the overwhelmingly
+    /// common case) the sweep takes no write lock.
     pub fn prune_retained(&self) {
-        let mut map = self.map.write();
-        for (key, slot) in map.iter_mut() {
-            self.prune_priors(key.len(), slot);
+        if self.slots.read().with_priors.is_empty() {
+            return;
         }
+        let mut map = self.slots.write();
+        let SlotMap { by_key, with_priors } = &mut *map;
+        with_priors.retain(|key| {
+            by_key.get_mut(key).is_some_and(|slot| {
+                self.prune_priors(key.len(), slot);
+                !slot.prior.is_empty()
+            })
+        });
     }
 
     /// Total number of snapshot-retained prior versions currently held
     /// (diagnostics and tests).
     pub fn retained_versions(&self) -> usize {
-        self.map.read().values().map(|slot| slot.prior.len()).sum()
+        self.slots.read().by_key.values().map(|slot| slot.prior.len()).sum()
     }
 }
 
@@ -799,6 +837,78 @@ mod tests {
         retention.deregister(6);
         memtable.prune_retained();
         assert_eq!(memtable.retained_versions(), 0);
+    }
+
+    /// The keys a full walk finds holding a prior version.
+    fn keys_with_priors(memtable: &Memtable) -> BTreeSet<Vec<u8>> {
+        let map = memtable.slots.read();
+        map.by_key
+            .iter()
+            .filter(|(_, slot)| !slot.prior.is_empty())
+            .map(|(k, _)| k.clone())
+            .collect()
+    }
+
+    #[test]
+    fn tracked_prior_keys_match_a_full_walk_under_random_overwrites() {
+        let (memtable, retention) = retained_memtable();
+        let mut open: Vec<SeqNo> = Vec::new();
+        let mut seqno: SeqNo = 0;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for step in 0..20_000 {
+            match next(10) {
+                0 => {
+                    retention.register(seqno);
+                    open.push(seqno);
+                }
+                1 if !open.is_empty() => {
+                    // Half the time the sweep is left out, so overwrites
+                    // also prune a slot's last prior on their own.
+                    let closed = open.swap_remove(next(open.len() as u64) as usize);
+                    if retention.deregister(closed) && next(2) == 0 {
+                        memtable.prune_retained();
+                    }
+                }
+                2 => {
+                    // A TRIAD-MEM write-back of an older or newer version.
+                    let key = format!("k{:03}", next(64)).into_bytes();
+                    let entry = MemEntry {
+                        value: b"back".to_vec(),
+                        seqno: seqno.saturating_sub(next(4)),
+                        kind: ValueKind::Put,
+                        updates: 1,
+                        log_position: pos(1, 0),
+                    };
+                    memtable.insert_entry_if_older(&key, entry);
+                }
+                _ => {
+                    seqno += 1;
+                    let key = format!("k{:03}", next(64)).into_bytes();
+                    memtable.insert(&key, b"v", seqno, ValueKind::Put, pos(1, seqno));
+                }
+            }
+            let tracked = memtable.slots.read().with_priors.clone();
+            assert_eq!(
+                tracked,
+                keys_with_priors(&memtable),
+                "step {step}: the tracked keys diverge from a full walk"
+            );
+        }
+        assert!(memtable.retained_versions() > 0, "some overwrite must have retained a prior");
+        // With every snapshot closed, one sweep of the tracked keys empties
+        // every prior list, as a sweep of every slot would.
+        for closed in open.drain(..) {
+            retention.deregister(closed);
+        }
+        memtable.prune_retained();
+        assert_eq!(memtable.retained_versions(), 0);
+        assert!(memtable.slots.read().with_priors.is_empty());
     }
 
     #[test]
