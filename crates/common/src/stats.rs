@@ -210,8 +210,9 @@ counters! {
     flush_micros: Sum => add_flush_micros;
 
     // Compaction.
-    /// Completed compactions that rewrote their inputs. The four counters
-    /// below it count rewrites only.
+    /// Completed compactions that rewrote their inputs. Moves are counted
+    /// apart, in `compaction_moves`, and add nothing to the byte, entry and
+    /// time counters below.
     compaction_count: Sum => add_compaction_count;
     /// Compactions that moved their one input a level down with a manifest
     /// edit, reading and writing no table bytes.
