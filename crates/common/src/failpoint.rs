@@ -51,6 +51,9 @@ failpoints! {
     DbAfterShardCommit => "db.after_shard_commit";
     /// Before TRIAD-MEM rewrites a small memtable into a fresh log.
     RotateSmallFlushSkip => "rotate.small_flush_skip";
+    /// After a small-flush skip released its locks, before it fsyncs the new
+    /// log and retires the old one.
+    RotateSkipBeforeRetire => "rotate.skip_before_retire";
     /// Before a rotation seals the log and the memtable.
     RotateSeal => "rotate.seal";
     /// At the start of a flush.

@@ -160,6 +160,10 @@ counters! {
     wal_syncs: Sum => add_wal_syncs;
     /// Commit log rotations (new log installed).
     wal_rotations: Sum => add_wal_rotations;
+    /// Microseconds rotations held the commit gate exclusively — the time
+    /// every writer of the shard waits. Recorded by the small-flush skip, the
+    /// regular seal and `Db::flush`'s forced rotation.
+    rotation_gate_micros: Sum => add_rotation_gate_micros;
 
     // Commit groups.
     /// Commit groups committed by the write path (one WAL append + flush per

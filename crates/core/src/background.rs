@@ -3,8 +3,9 @@
 //! Each shard's worker thread runs the job [`DbInner::next_job`] picks, tells
 //! the waiters, and picks again. When a pass makes no progress it parks on
 //! the shard's [`Wakeup`] until asked again: by `queue_flush`, by a
-//! `PinnedVersion` dropped while files await collection, by a blocking wait
-//! (which is what retries a failed job, never a timer), or by close. The
+//! `PinnedVersion` dropped while files await collection, by a small-flush
+//! skip that retired its old log (`finish_skip`), by a blocking wait (which
+//! is what retries a failed job, never a timer), or by close. The
 //! worker installs every version and retires every file itself, so those
 //! need no signal.
 

@@ -317,7 +317,8 @@ impl DbInner {
     /// stage), then — only when a trigger fires — re-verification and rotation
     /// under the WAL lock (another writer may have rotated first). Keeping the
     /// common no-rotation case off the WAL lock matters because the next
-    /// writer is appending under it right now.
+    /// writer is appending under it right now. A small-flush skip's fsync and
+    /// retirement run after the lock is released.
     fn maybe_rotate(&self) -> Result<()> {
         if self.mem.read().approximate_size() < self.options.memtable_size
             && (self.wal_size_hint.load(Ordering::Relaxed) as usize) < self.options.max_log_size
@@ -327,10 +328,15 @@ impl DbInner {
         let mut wal = self.wal.lock();
         let mem = self.mem.read().clone();
         let mem_size = mem.approximate_size();
-        if mem_size >= self.options.memtable_size
-            || wal.writer.size() as usize >= self.options.max_log_size
+        if mem_size < self.options.memtable_size
+            && (wal.writer.size() as usize) < self.options.max_log_size
         {
-            self.rotate_locked(&mut wal, &mem, mem_size)?;
+            return Ok(());
+        }
+        let skipped = self.rotate_locked(&mut wal, &mem, mem_size)?;
+        drop(wal);
+        if let Some(skipped) = skipped {
+            self.finish_skip(skipped)?;
         }
         Ok(())
     }

@@ -21,19 +21,19 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use triad_common::lockrank::{RankedMutex, RankedRwLock};
+use triad_common::lockrank::{RankedMutex, RankedRwLock, RankedRwLockWriteGuard};
 
 use triad_common::failpoint::{Failpoint, FailpointRegistry};
 use triad_common::types::{Entry, SeqNo, ValueKind};
 use triad_common::{Error, Result, SnapshotRetention, StatSnapshot, Stats};
-use triad_memtable::{LogPosition, Memtable};
+use triad_memtable::Memtable;
 use triad_sstable::{
     cl_index_file_path, parse_table_file_name, sst_file_path, TableBuilder, TableBuilderOptions,
     TableKind,
 };
 use triad_wal::{
     log_file_name, log_file_path, parse_log_file_name, BatchEncoder, BatchStamp, LogReader,
-    LogRecord, LogWriter, TailStatus,
+    LogRecord, LogSyncHandle, LogWriter, TailStatus,
 };
 
 use crate::background::{background_worker, Wakeup};
@@ -77,6 +77,29 @@ pub(crate) struct ImmutableMemtable {
     pub(crate) memtable: Arc<Memtable>,
     /// The commit log that was active while this memtable absorbed writes.
     pub(crate) wal_id: u64,
+}
+
+/// The part of a small-flush skip left for after the WAL lock and the commit
+/// gate: the new log's rewrite is in the OS but not yet durable. See
+/// [`DbInner::finish_skip`].
+#[must_use = "a skip's old log is retired only by DbInner::finish_skip"]
+pub(crate) struct SkippedLog {
+    new_id: u64,
+    sync: LogSyncHandle,
+}
+
+/// The commit gate held exclusively by a rotation; dropping it records the
+/// hold in `rotation_gate_micros`.
+struct RotationGate<'a> {
+    _gate: RankedRwLockWriteGuard<'a, ()>,
+    since: Instant,
+    stats: &'a Stats,
+}
+
+impl Drop for RotationGate<'_> {
+    fn drop(&mut self) {
+        self.stats.add_rotation_gate_micros(self.since.elapsed().as_micros() as u64);
+    }
 }
 
 /// What the garbage collector needs to locate a retired table file on disk.
@@ -170,6 +193,9 @@ pub(crate) mod lock_rank {
     pub const WAL: u32 = 10;
     /// The commit gate: taken after the WAL lock, released out of order.
     pub const COMMIT_GATE: u32 = 20;
+    /// Old logs of small-flush skips not yet retired: pushed to under the
+    /// WAL lock and the gate, drained with no lock held. A leaf.
+    pub const UNRETIRED_LOGS: u32 = 25;
     /// The version set (manifest).
     pub const VERSIONS: u32 = 30;
     /// The cached current version (installed while `versions` is held).
@@ -249,6 +275,10 @@ pub(crate) struct DbInner {
     pub(crate) retention: Arc<SnapshotRetention>,
     /// Files retired from the version chain, awaiting garbage collection.
     gc: RankedMutex<GcQueue>,
+    /// Old logs of small-flush skips whose rewrite is not yet known durable:
+    /// kept on disk, and named by `expected_live_files`, until a skip's fsync
+    /// retires them (see [`DbInner::finish_skip`]).
+    unretired_logs: RankedMutex<Vec<u64>>,
     pub(crate) table_cache: TableCache,
     /// WAL-shipping retention floor: commit logs with `id >= ship_floor` are
     /// exempt from garbage collection, so a read replica that last caught up
@@ -371,8 +401,8 @@ impl ShardRecovery {
 /// Reads every record of commit log `id` in `dir`. A torn tail is dropped:
 /// a crash can tear any log that was not yet synced, including one a
 /// rotation has already left behind (the new log is created before the old
-/// one is synced, and the small-flush rewrite never syncs it), and a torn
-/// record was never acknowledged as durable. A bad record with an intact
+/// one is synced, and a small-flush skip never syncs the log it leaves), and
+/// a torn record was never acknowledged as durable. A bad record with an intact
 /// record after it is corruption and fails with the file and the offset.
 fn read_log_records(dir: &Path, id: u64) -> Result<Vec<LogRecord>> {
     let path = log_file_path(dir, id);
@@ -393,7 +423,7 @@ impl Shard {
         std::fs::create_dir_all(&path)
             .map_err(|e| Error::io(format!("creating database directory {}", path.display()), e))?;
 
-        let versions = VersionSet::recover(&path, options.num_levels)?;
+        let mut versions = VersionSet::recover(&path, options.num_levels)?;
 
         // Find commit logs that hold updates which never reached an SSTable: logs
         // at or past the recovered `log_number` horizon that no live CL-SSTable owns.
@@ -409,6 +439,7 @@ impl Shard {
         {
             let entry = entry.map_err(|e| Error::io("listing database directory", e))?;
             if let Some(id) = parse_log_file_name(&entry.file_name().to_string_lossy()) {
+                versions.skip_file_numbers_through(id);
                 if id >= recovery_horizon && !live_backing_logs.contains(&id) {
                     stray_ids.push(id);
                 }
@@ -498,6 +529,11 @@ impl Shard {
             ),
             retention,
             gc: RankedMutex::new(lock_rank::GC, "db.gc", GcQueue::default()),
+            unretired_logs: RankedMutex::new(
+                lock_rank::UNRETIRED_LOGS,
+                "db.unretired_logs",
+                Vec::new(),
+            ),
             ship_floor: AtomicU64::new(u64::MAX),
             stamps,
             shard_index: index,
@@ -1295,6 +1331,9 @@ impl DbInner {
         for log_id in self.stamps.retained_logs(self.shard_index) {
             names.insert(log_file_name(log_id));
         }
+        for &log_id in self.unretired_logs.lock().iter() {
+            names.insert(log_file_name(log_id));
+        }
         names
     }
 
@@ -1305,13 +1344,15 @@ impl DbInner {
     ///
     /// Only a writer (after its group retired) or a forced rotation reaches
     /// this, and it drains the pipeline first, so the TRIAD-MEM small-flush
-    /// rewrite below never races a group's in-flight inserts.
+    /// rewrite below never races a group's in-flight inserts. A skip returns
+    /// its unfinished half: the caller hands it to
+    /// [`finish_skip`](DbInner::finish_skip) once it has released the WAL lock.
     pub(crate) fn rotate_locked(
         &self,
         wal: &mut WalState,
         mem: &Arc<Memtable>,
         mem_size: usize,
-    ) -> Result<()> {
+    ) -> Result<Option<SkippedLog>> {
         // Drain the commit pipeline before touching the log or the memtable: no
         // in-flight group may still be inserting into the memtable being sealed
         // or awaiting durability on the log being retired. In-flight groups
@@ -1319,7 +1360,7 @@ impl DbInner {
         // handle, publication through the sequencer), so they always progress to
         // publication and release their gate membership; new groups cannot enter
         // because appending needs the WAL lock.
-        let _drain = self.commit_gate.write();
+        let _drain = self.drain_for_rotation();
 
         // TRIAD-MEM's FLUSH_TH rule: the flush trigger fired (typically because the
         // log filled up with updates to hot keys) but the memtable itself is small.
@@ -1329,50 +1370,90 @@ impl DbInner {
         let flush_th = self.options.memtable_size / 2;
         if self.options.triad.mem_enabled && mem_size < flush_th {
             self.failpoints.check(Failpoint::RotateSmallFlushSkip)?;
-            let mut new_writer = self.create_log()?;
-            let new_id = new_writer.id();
-            let encoder = &mut wal.encoder;
-            encoder.clear();
-            let mut rewrites: Vec<(Vec<u8>, SeqNo, u64)> = Vec::new();
-            for (key, entry) in mem.snapshot_entries() {
-                let rel = encoder.add_parts(entry.seqno, entry.kind, &key, &entry.value)?;
-                rewrites.push((key, entry.seqno, rel));
-            }
-            let start = new_writer.append_batch(encoder)?;
-            self.stats.add_wal_appends(rewrites.len() as u64);
-            self.stats.add_wal_bytes_written(encoder.encoded_bytes());
-            for (key, seqno, rel) in rewrites {
-                mem.update_log_position(
-                    &key,
-                    seqno,
-                    LogPosition { log_id: new_id, offset: start + rel },
-                );
-            }
-            // Sync, not just flush: the old log below may hold the only durable
-            // copy of sync-acknowledged keys, and it is about to be deleted. The
-            // rewrite must be on disk before its predecessor goes — this is also
-            // what entitles `note_rotation` to treat the rotation as a durable
-            // boundary for the durability watermark.
-            new_writer.sync()?;
-            let old_id = wal.id;
-            drop(self.swap_log(wal, new_writer));
-            // The old log's bytes are moot (deleted below, fresh values rewritten
-            // durably into the new log) and the pipeline is drained, so the
-            // watermark can retire everything appended so far and switch to the
-            // new log.
-            self.watermark.note_rotation(new_id);
-            // The old log was never sealed into an immutable memtable and backs no
-            // table, so nothing can reference it: safe to delete inline.
-            self.remove_file_counted(&log_file_path(&self.path, old_id), true);
-            self.stats.add_small_flush_skips(1);
-            return Ok(());
+            return self.skip_small_flush(wal, mem).map(Some);
         }
 
         // Regular rotation: seal the log and the memtable, hand both to the flusher.
         self.failpoints.check(Failpoint::RotateSeal)?;
         let old_id = self.seal_log(wal)?;
         self.queue_flush(Arc::clone(mem), old_id);
+        Ok(None)
+    }
+
+    /// The small-flush skip's in-memory half, under the WAL lock and the
+    /// drained gate: frame every live entry into the batch buffer under one
+    /// read lock of the memtable, append the batch to a fresh log with one
+    /// write, point the entries at it in one write-locked pass, and make it
+    /// the active log. Nothing here waits on the disk: the old log stays on
+    /// disk, still holding every acknowledged write, until
+    /// [`finish_skip`](DbInner::finish_skip) has made the rewrite durable.
+    fn skip_small_flush(&self, wal: &mut WalState, mem: &Memtable) -> Result<SkippedLog> {
+        let mut new_writer = self.create_log()?;
+        let new_id = new_writer.id();
+        let encoder = &mut wal.encoder;
+        encoder.clear();
+        let relocation = mem.encode_live(|key, entry| {
+            encoder.add_parts(entry.seqno, entry.kind, key, &entry.value)
+        })?;
+        let start = new_writer.append_batch(encoder)?;
+        // Pushed to the OS now, so the fsync through the handle below covers
+        // the rewrite, as does any commit group's fsync of the new log.
+        new_writer.flush()?;
+        self.stats.add_wal_appends(encoder.record_count() as u64);
+        self.stats.add_wal_bytes_written(encoder.encoded_bytes());
+        mem.relocate(relocation, new_id, start);
+        let old_id = wal.id;
+        // Named by `expected_live_files` from here until a skip's fsync retires it.
+        self.unretired_logs.lock().push(old_id);
+        let sync = new_writer.sync_handle();
+        drop(self.swap_log(wal, new_writer));
+        // The pipeline is drained and no group will ever wait on the old log
+        // again, so the watermark can retire everything appended so far and
+        // switch to the new log. The old log keeps every acknowledged byte
+        // until the rewrite is durable; a group that owes an fsync on the new
+        // log makes the rewrite durable with its own bytes. `writes_since_sync`
+        // is left as it was, so a `SyncEvery(n)` tick falls due on schedule.
+        self.watermark.note_rotation(new_id);
+        self.stats.add_small_flush_skips(1);
+        Ok(SkippedLog { new_id, sync })
+    }
+
+    /// The small-flush skip's disk half, run by the rotating thread after it
+    /// released the WAL lock and the gate: fsync the new log, then hand every
+    /// skip's old log below it to the collector, which still keeps one back
+    /// while it holds stamp evidence or the replication hold covers it. On a
+    /// failed fsync the old logs stay on disk and in `expected_live_files`;
+    /// the next skip whose fsync succeeds retires them, or the next open
+    /// replays and sweeps them.
+    pub(crate) fn finish_skip(&self, skipped: SkippedLog) -> Result<()> {
+        self.failpoints.check(Failpoint::RotateSkipBeforeRetire)?;
+        skipped.sync.sync()?;
+        // Every skip's old log below the new one is moot now: the new log holds
+        // a durable copy of every entry the memtable had when it was written,
+        // and a seal in between synced the log it sealed.
+        let retired: Vec<u64> = {
+            let mut unretired = self.unretired_logs.lock();
+            let (retired, kept) = unretired.iter().partition(|&&id| id < skipped.new_id);
+            *unretired = kept;
+            retired
+        };
+        if retired.is_empty() {
+            return Ok(());
+        }
+        for log_id in retired {
+            self.retire_log(log_id);
+        }
+        // No version install follows to run a GC pass; ask the worker for one.
+        self.wakeup.signal();
         Ok(())
+    }
+
+    /// Drains the commit pipeline for a rotation: the commit gate, held
+    /// exclusively until the returned guard drops, which records the hold in
+    /// `rotation_gate_micros`.
+    fn drain_for_rotation(&self) -> RotationGate<'_> {
+        let gate = self.commit_gate.write();
+        RotationGate { _gate: gate, since: Instant::now(), stats: &self.stats }
     }
 
     /// Allocates a file number and creates an empty commit log under it.
@@ -1387,7 +1468,6 @@ impl DbInner {
     /// Every rotation goes through here, so `wal_rotations` counts each one.
     fn swap_log(&self, wal: &mut WalState, new_writer: LogWriter) -> LogWriter {
         wal.id = new_writer.id();
-        wal.writes_since_sync = 0;
         self.wal_size_hint.store(new_writer.size(), Ordering::Relaxed);
         self.stats.add_wal_rotations(1);
         std::mem::replace(&mut wal.writer, new_writer)
@@ -1400,6 +1480,7 @@ impl DbInner {
         // Sealing fsyncs the outgoing log: with the pipeline drained, this is the
         // durable boundary — every byte ever appended is now durable.
         self.swap_log(wal, new_writer).seal()?;
+        wal.writes_since_sync = 0;
         self.watermark.note_rotation(wal.id);
         Ok(old_id)
     }
@@ -1419,7 +1500,7 @@ impl DbInner {
         // sealing mid-insert would flush an incomplete snapshot of a group while
         // the WAL records that back it are retired, and in-flight groups may
         // still owe the old log an fsync.
-        let _gate = self.commit_gate.write();
+        let _gate = self.drain_for_rotation();
         let mem = self.mem.read().clone();
         if mem.is_empty() {
             return Ok(());
@@ -1558,9 +1639,9 @@ impl DbInner {
 
     /// Removes `path`, recording the outcome in the GC statistics. Returns `true`
     /// when the file is gone (deleted now, or already absent).
-    // The engine's one deletion path: GC, the recovery sweep, rotation's log
-    // discard and a failed compaction's cleanup of its own outputs pass it only
-    // files that no live version references.
+    // The engine's one deletion path: GC, the recovery sweep and a failed
+    // compaction's cleanup of its own outputs pass it only files that no live
+    // version references.
     #[allow(clippy::disallowed_methods)]
     pub(crate) fn remove_file_counted(&self, path: &Path, is_log: bool) -> bool {
         match std::fs::remove_file(path) {

@@ -20,9 +20,11 @@
 //! many cumulative bytes have been appended *and flushed to the OS* for which
 //! log. An fsync issued afterwards on that same log's file covers at least
 //! those bytes, so advancing `durable` to the mark read just before the
-//! `sync_data` call never claims durability for an unsynced byte. Rotations
-//! fsync (or delete) the outgoing log with the pipeline drained, then advance
-//! `durable` to the full appended watermark.
+//! `sync_data` call never claims durability for an unsynced byte. A rotation
+//! drains the pipeline, so no group waits on the outgoing log again, and then
+//! advances `durable` to the full appended watermark: a seal has fsynced the
+//! outgoing log, and a small-flush skip keeps it on disk until its rewrite in
+//! the new log is fsynced.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -111,11 +113,12 @@ impl DurabilityWatermark {
         self.durable.load(Ordering::Acquire) >= target
     }
 
-    /// Called under the append lock after a rotation made the outgoing log's
-    /// bytes moot (sealed with an fsync, or deleted with its fresh values
-    /// rewritten): every previously appended byte is as durable as it will ever
-    /// need to be, and future appends go to `new_log_id`. The caller must have
-    /// drained the pipeline first, so no group still waits on the old log.
+    /// Called under the append lock after a rotation swapped logs (sealing
+    /// the outgoing one with an fsync, or rewriting its fresh values into the
+    /// new one and keeping it on disk until that rewrite is fsynced): every
+    /// previously appended byte is as durable as it will ever need to be, and
+    /// future appends go to `new_log_id`. The caller must have drained the
+    /// pipeline first, so no group still waits on the old log.
     pub(crate) fn note_rotation(&self, new_log_id: u64) {
         let mut mark = self.mark.lock();
         mark.log_id = new_log_id;

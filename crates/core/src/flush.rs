@@ -136,8 +136,8 @@ impl DbInner {
             // Sync, not just flush, when writes are acknowledged durable: the
             // sealed log retired below may hold the only durable copy of a
             // sync-acknowledged hot key, and the write-back must be on disk
-            // before its predecessor goes (the small-flush skip's rotation
-            // syncs for the same reason).
+            // before its predecessor goes (the small-flush skip fsyncs its
+            // rewrite before it retires the old log for the same reason).
             if sync_write_back {
                 wal.writer.sync()?;
                 self.stats.add_wal_syncs(1);

@@ -223,6 +223,13 @@ impl VersionSet {
         id
     }
 
+    /// Makes every later allocation exceed `id`. Commit logs take their
+    /// numbers without a manifest edit, so the recovered counter can trail
+    /// the logs on disk; the open skips past them before creating its own.
+    pub fn skip_file_numbers_through(&mut self, id: u64) {
+        self.next_file_number = self.next_file_number.max(id + 1);
+    }
+
     /// The next file number that would be allocated.
     pub fn next_file_number(&self) -> u64 {
         self.next_file_number

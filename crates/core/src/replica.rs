@@ -313,7 +313,11 @@ fn apply_replicated(inner: &DbInner, records: &[LogRecord]) -> Result<u64> {
     if mem_size >= inner.options.memtable_size
         || wal.writer.size() as usize >= inner.options.max_log_size
     {
-        inner.rotate_locked(&mut wal, &mem, mem_size)?;
+        let skipped = inner.rotate_locked(&mut wal, &mem, mem_size)?;
+        drop(wal);
+        if let Some(skipped) = skipped {
+            inner.finish_skip(skipped)?;
+        }
     }
     Ok(applied)
 }

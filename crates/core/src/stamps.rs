@@ -24,6 +24,14 @@
 //!   which logs still hold the last evidence of an unsettled batch and keeps
 //!   them on disk (checkpoints capture them for the same reason).
 //!
+//! Outside the startup sweep, every commit log leaves the disk through garbage
+//! collection, so every retirement honours the registry: a flushed memtable's sealed log, and also
+//! the log a TRIAD-MEM small-flush skip leaves behind. The skip rewrites the
+//! memtable's live entries into a new log without their stamps, so until the
+//! batch settles the old log is its only evidence on that shard. The skip
+//! hands it to the collector once the rewrite is fsynced, and the collector
+//! keeps it while the registry names it.
+//!
 //! A batch **settles** — and its logs are released — once every noted slice
 //! has graduated and either all `fanout` slices were noted (the batch
 //! committed everywhere) or the fan-out was abandoned (it never will). The

@@ -1092,6 +1092,17 @@ fn torn_cross_shard_batches_are_dropped_on_recovery() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Mirrors the engine's key -> shard routing (FNV-1a mod count), so a test
+/// can route its writes to one shard.
+fn shard_of(key: &[u8], count: u64) -> usize {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in key {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (hash % count) as usize
+}
+
 /// The inverse guarantee: a cross-shard batch that *was* fully acknowledged
 /// must survive a reopen even after one shard's slice graduated into an
 /// SSTable — the crash window where the slice's stamped WAL records have
@@ -1102,17 +1113,6 @@ fn torn_cross_shard_batches_are_dropped_on_recovery() {
 #[test]
 fn acknowledged_cross_shard_batch_survives_one_shards_flush() {
     use triad_core::{ShardConfig, WriteBatch, WriteOptions};
-
-    // Mirrors the engine's key -> shard routing (FNV-1a mod count), so the
-    // filler below can target shard 0 exclusively.
-    fn shard_of(key: &[u8], count: u64) -> usize {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for &byte in key {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (hash % count) as usize
-    }
 
     let dir = temp_dir("acked-batch-flush");
     let mut options = Options::small_for_tests();
@@ -1160,6 +1160,209 @@ fn acknowledged_cross_shard_batch_survives_one_shards_flush() {
         Some(value_for(on_shard_1, 9)),
         "acknowledged slice on the unflushed shard was dropped at recovery"
     );
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A small-flush skip must not delete a log that holds a cross-shard batch's
+/// stamp evidence. The skip rewrites shard 0's memtable into a new log, and
+/// the rewrite carries no stamps, so the old log is the only record that
+/// shard 0's slice committed. The skip hands the old log to the collector,
+/// which keeps it while the stamp registry names it. Deleting it would make
+/// the reopen judge the acknowledged batch torn and drop shard 1's slice.
+fn a_small_flush_skip_keeps_cross_shard_stamp_evidence(name: &str, triad: TriadConfig) {
+    use triad_core::{ShardConfig, WriteBatch, WriteOptions};
+
+    let dir = temp_dir(name);
+    let mut options = Options::small_for_tests();
+    options.shards = ShardConfig::with_count(2);
+    options.triad = triad;
+    options.memtable_size = 1024 * 1024;
+    options.max_log_size = 32 * 1024;
+    let hot: Vec<u64> = (0..100).filter(|i| shard_of(&key_for(*i), 2) == 0).take(5).collect();
+    let on_shard_1 = (100..200).find(|i| shard_of(&key_for(*i), 2) == 1).unwrap();
+    {
+        let db = Db::open(&dir, options.clone()).unwrap();
+        let mut batch = WriteBatch::new();
+        batch.put(key_for(hot[0]), value_for(hot[0], 0));
+        batch.put(key_for(on_shard_1), value_for(on_shard_1, 0));
+        db.write(batch, WriteOptions { sync: true }).unwrap();
+        for round in 1..=400u64 {
+            for &i in &hot {
+                db.put(key_for(i), value_for(i, round)).unwrap();
+            }
+        }
+        let stats = db.stats();
+        assert!(stats.small_flush_skips >= 2, "shard 0 never skipped: {stats:?}");
+        assert_eq!(stats.flush_count, 0, "a hot set this small never flushes");
+        // The stamped log is still on disk, named as live, next to the active one.
+        common::assert_disk_matches_live_set(&db, &dir);
+        let shard_0_logs = common::disk_files(&dir)
+            .into_iter()
+            .filter(|name| name.starts_with("shard-000/") && name.ends_with(".log"))
+            .count();
+        assert!(shard_0_logs >= 2, "shard 0 kept {shard_0_logs} log(s), not its stamp evidence");
+        db.close().unwrap();
+    }
+    let db = reopen(&dir, &options);
+    assert_eq!(db.stats().recovery_torn_batches, 0, "acknowledged batch misjudged as torn");
+    assert_eq!(
+        db.get(key_for(on_shard_1)).unwrap(),
+        Some(value_for(on_shard_1, 0)),
+        "shard 1's acknowledged slice was dropped at recovery"
+    );
+    for &i in &hot {
+        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 400)));
+    }
+    common::assert_disk_matches_live_set(&db, &dir);
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_small_flush_skip_keeps_cross_shard_stamp_evidence_mem_only() {
+    a_small_flush_skip_keeps_cross_shard_stamp_evidence("skip-stamps-mem", TriadConfig::mem_only());
+}
+
+#[test]
+fn a_small_flush_skip_keeps_cross_shard_stamp_evidence_all_enabled() {
+    a_small_flush_skip_keeps_cross_shard_stamp_evidence(
+        "skip-stamps-all",
+        TriadConfig::all_enabled(),
+    );
+}
+
+/// Options under which a few hot keys fill the log long before the memtable,
+/// so every rotation is a TRIAD-MEM small-flush skip.
+fn skip_options() -> Options {
+    let mut options = Options::small_for_tests();
+    options.memtable_size = 1024 * 1024;
+    options.max_log_size = 32 * 1024;
+    options.triad = TriadConfig::mem_only();
+    options
+}
+
+/// The log files in `names`.
+fn log_names(names: &BTreeSet<String>) -> BTreeSet<String> {
+    names.iter().filter(|name| name.ends_with(".log")).cloned().collect()
+}
+
+/// The crash window between a skip's swap and its fsync of the new log. The
+/// skip has released its locks and the new log's rewrite is not yet known
+/// durable, so the old log must still be on disk, named as live. Either a
+/// later skip whose fsync succeeds retires it (`keep_writing`), or the
+/// reopen replays it with the new log and sweeps both.
+fn a_skip_that_fails_before_its_fsync(name: &str, keep_writing: bool) {
+    let dir = temp_dir(name);
+    let mut options = skip_options();
+    options.sync_mode = SyncMode::SyncEveryWrite;
+    let failpoints = FailpointRegistry::new();
+    failpoints.arm(Failpoint::RotateSkipBeforeRetire, FailpointAction::ErrorTimes(1));
+    let mut acked = [None; 10];
+    // The put whose rotation failed: committed, but not acknowledged.
+    let mut failed = None;
+    {
+        let db = Db::open_with_failpoints(&dir, options.clone(), failpoints.clone()).unwrap();
+        let mut kept = BTreeSet::new();
+        for version in 0..2_000u64 {
+            let i = version % 10;
+            if db.put(key_for(i), value_for(i, version)).is_ok() {
+                acked[i as usize] = Some(version);
+                continue;
+            }
+            assert!(failed.is_none(), "only the injected failure may surface");
+            failed = Some((i, version));
+            // The old log and the new one are both on disk and live.
+            common::assert_disk_matches_live_set(&db, &dir);
+            kept = log_names(&db.expected_live_files());
+            assert_eq!(kept.len(), 2, "expected the old and the new log, got {kept:?}");
+            if !keep_writing {
+                break;
+            }
+        }
+        assert!(failed.is_some(), "no skip reached the failpoint");
+        assert_eq!(
+            u64::from(failpoints.hits(Failpoint::RotateSkipBeforeRetire)),
+            db.stats().small_flush_skips,
+            "every skip passes the failpoint once"
+        );
+        if keep_writing {
+            // A later skip's fsync retired the kept old log.
+            assert!(db.stats().small_flush_skips > 2, "later skips must have run");
+            common::assert_disk_matches_live_set(&db, &dir);
+            let live = log_names(&db.expected_live_files());
+            assert_eq!(live.len(), 1, "only the active log is left, got {live:?}");
+            assert!(kept.is_disjoint(&live), "the logs kept at the failure are retired by now");
+        }
+        db.close().unwrap();
+    }
+    let db = reopen(&dir, &options);
+    for (i, version) in acked.iter().enumerate() {
+        let i = i as u64;
+        let version = version.expect("every key was acknowledged");
+        let got = db.get(key_for(i)).unwrap();
+        let committed = failed.filter(|&(key, failed)| key == i && failed > version);
+        let expected = committed.map_or(version, |(_, failed)| failed);
+        assert_eq!(got, Some(value_for(i, expected)), "key {i} lost its last write");
+    }
+    common::assert_disk_matches_live_set(&db, &dir);
+    assert_eq!(log_names(&common::disk_files(&dir)).len(), 1, "a stray log survived the reopen");
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_skip_that_fails_before_its_fsync_keeps_the_old_log() {
+    a_skip_that_fails_before_its_fsync("skip-before-retire", true);
+    a_skip_that_fails_before_its_fsync("skip-before-retire-close", false);
+}
+
+/// Commit logs take file numbers without a manifest edit, so after skips the
+/// manifest's counter trails the active log's id. The open must still give
+/// its new log an id no file on disk has: with the counter alone, two skips
+/// made the reopen's new log collide with the active one and the open fail.
+#[test]
+fn reopen_after_any_number_of_skips_allocates_a_fresh_log_id() {
+    for skips in 1..=3u64 {
+        let dir = temp_dir("skips-then-reopen");
+        let options = skip_options();
+        let mut version = 0u64;
+        {
+            let db = Db::open(&dir, options.clone()).unwrap();
+            while db.stats().small_flush_skips < skips {
+                db.put(key_for(version % 10), value_for(version % 10, version)).unwrap();
+                version += 1;
+            }
+            db.close().unwrap();
+        }
+        let db = reopen(&dir, &options);
+        for i in version.saturating_sub(10)..version {
+            assert_eq!(db.get(key_for(i % 10)).unwrap(), Some(value_for(i % 10, i)), "{skips}");
+        }
+        common::assert_disk_matches_live_set(&db, &dir);
+        db.close().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A skip keeps the `SyncEvery(n)` count: the writes since the last fsync
+/// were rewritten into the new log, and the next due fsync covers them. A
+/// single writer therefore syncs exactly once every `n` writes.
+#[test]
+fn sync_every_n_keeps_its_count_across_small_flush_skips() {
+    let dir = temp_dir("skip-sync-every");
+    let mut options = skip_options();
+    options.sync_mode = SyncMode::SyncEvery(4);
+    let db = Db::open(&dir, options).unwrap();
+    let writes = 2_000u64;
+    for version in 0..writes {
+        let i = version % 10;
+        db.put(key_for(i), value_for(i, version)).unwrap();
+    }
+    let stats = db.stats();
+    assert!(stats.small_flush_skips > 2, "expected skips, got {stats:?}");
+    assert_eq!(stats.flush_count, 0, "every rotation must be a skip");
+    assert_eq!(stats.wal_syncs + stats.wal_syncs_overlapped, writes / 4);
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

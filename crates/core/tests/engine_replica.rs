@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use common::{key_for, open_small, temp_dir, value_for};
-use triad_core::{Options, Replica, ShardConfig, WriteBatch, WriteOptions};
+use triad_core::{Options, Replica, ShardConfig, TriadConfig, WriteBatch, WriteOptions};
 
 fn scan_all(iter: triad_core::DbIterator) -> Vec<(Vec<u8>, Vec<u8>)> {
     iter.map(|r| r.unwrap()).collect()
@@ -230,6 +230,57 @@ fn wal_hold_retains_logs_until_the_replica_catches_up() {
     db.release_wal_hold();
     common::assert_disk_matches_live_set(&db, &dir);
 
+    replica.close().unwrap();
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&replica_dir).ok();
+}
+
+/// TRIAD-MEM small-flush skips on both sides of WAL shipping. A primary skip
+/// hands its old log to the collector, which keeps it while the shipping hold
+/// covers it, so every record past the replica's cursor still ships, not just
+/// the rewrite's newest versions. The replica's apply loop takes skips of its
+/// own and fsyncs and retires after it releases its WAL lock.
+#[test]
+fn small_flush_skips_on_both_sides_still_ship_every_record() {
+    let hot = |options: &mut Options| {
+        options.memtable_size = 1024 * 1024;
+        options.max_log_size = 32 * 1024;
+        options.triad = TriadConfig::mem_only();
+    };
+    let (db, dir) = open_small("replica-skips", hot);
+    db.put(key_for(0), value_for(0, 0)).unwrap();
+    db.hold_wal_for_replication();
+    let replica_dir = temp_dir("replica-skips-follower");
+    std::fs::remove_dir_all(&replica_dir).unwrap();
+    db.checkpoint(&replica_dir).unwrap();
+    let mut replica_options = common::small_options();
+    hot(&mut replica_options);
+    let replica = Replica::bootstrap(&replica_dir, replica_options.clone()).unwrap();
+
+    for round in 1..=6u64 {
+        for version in 0..500u64 {
+            let i = version % 10;
+            db.put(key_for(i), value_for(i, round * 1_000 + version)).unwrap();
+        }
+        assert_eq!(replica.catch_up(&db).unwrap(), 500, "round {round} shipped a partial log");
+        for i in 0..10u64 {
+            assert_eq!(replica.get(key_for(i)).unwrap(), db.get(key_for(i)).unwrap(), "key {i}");
+        }
+    }
+    assert!(db.stats().small_flush_skips > 0, "the primary never skipped");
+    assert!(replica.db().stats().small_flush_skips > 0, "the replica never skipped");
+    assert_eq!(db.stats().flush_count + replica.db().stats().flush_count, 0);
+    db.release_wal_hold();
+    common::assert_disk_matches_live_set(&db, &dir);
+    common::assert_disk_matches_live_set(replica.db(), &replica_dir);
+    replica.close().unwrap();
+    drop(replica);
+
+    let replica = Replica::bootstrap(&replica_dir, replica_options).unwrap();
+    for i in 0..10u64 {
+        assert_eq!(replica.get(key_for(i)).unwrap(), db.get(key_for(i)).unwrap(), "key {i}");
+    }
     replica.close().unwrap();
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();

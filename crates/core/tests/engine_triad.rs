@@ -154,6 +154,88 @@ fn triad_mem_skips_small_flushes_when_the_log_fills_up() {
     db.close().unwrap();
 }
 
+/// A small-flush skip points every memtable entry at its rewrite in the new
+/// log. With TRIAD-LOG on, the next flush then finds every cold entry in the
+/// log it seals and indexes them into a CL-SSTable, and reads resolve the
+/// values through those positions. An entry left pointing at an older log
+/// would make the flush fall back to a regular SSTable.
+#[test]
+fn entries_a_skip_rewrote_are_flushed_into_a_cl_sstable() {
+    let (db, _dir) = open_small("skip-then-cl-flush", |options| {
+        single_shard(options);
+        options.memtable_size = 1024 * 1024;
+        options.max_log_size = 32 * 1024;
+        options.triad = TriadConfig::all_enabled();
+    });
+    // Written once before the skips, so afterwards only the rewrites hold them.
+    for i in 100..150u64 {
+        db.put(key_for(i), value_for(i, 0)).unwrap();
+    }
+    for version in 0..2_000u64 {
+        db.put(key_for(version % 10), value_for(version % 10, version)).unwrap();
+    }
+    assert!(db.stats().small_flush_skips > 2);
+    assert_eq!(db.stats().flush_count, 0);
+    db.flush().unwrap();
+    let stats = db.stats();
+    assert_eq!(stats.flush_count, 1);
+    assert!(
+        stats.logical_bytes_flushed > stats.bytes_flushed,
+        "the flush wrote a regular SSTable, not a CL-SSTable: {stats:?}"
+    );
+    let mut expected: Vec<(Vec<u8>, Vec<u8>)> = (100..150u64)
+        .map(|i| (key_for(i), value_for(i, 0)))
+        .chain((0..10u64).map(|i| (key_for(i), value_for(i, 1_990 + i))))
+        .collect();
+    expected.sort();
+    for (key, value) in &expected {
+        assert_eq!(db.get(key).unwrap().as_ref(), Some(value));
+    }
+    let scanned: Vec<(Vec<u8>, Vec<u8>)> = db.scan().unwrap().map(|item| item.unwrap()).collect();
+    assert_eq!(scanned, expected);
+    db.close().unwrap();
+}
+
+/// `rotation_gate_micros` counts the time rotations hold the commit gate:
+/// it grows with small-flush skips, with a regular seal and with the forced
+/// rotation of `Db::flush`.
+#[test]
+fn rotation_gate_micros_grows_with_every_kind_of_rotation() {
+    let (db, _dir) = open_small("rotation-gate", |options| {
+        single_shard(options);
+        options.memtable_size = 1024 * 1024;
+        options.max_log_size = 32 * 1024;
+        options.triad = TriadConfig::mem_only();
+    });
+    let gate = |db: &Db| db.stats().rotation_gate_micros;
+    assert_eq!(gate(&db), 0);
+    for version in 0..2_000u64 {
+        db.put(key_for(version % 10), value_for(version % 10, version)).unwrap();
+    }
+    let after_skips = gate(&db);
+    assert!(db.stats().small_flush_skips > 2);
+    assert!(after_skips > 0, "skips held the gate for no time");
+    db.flush().unwrap();
+    let after_flush = gate(&db);
+    assert!(after_flush > after_skips, "the forced rotation was not counted");
+    // Large distinct values fill the memtable past FLUSH_TH until a rotation
+    // seals. One put rotates at most once, so the put that seals adds the
+    // seal's hold alone.
+    let seals = |db: &Db| db.stats().wal_rotations - db.stats().small_flush_skips;
+    let sealed = seals(&db);
+    let mut i = 10u64;
+    loop {
+        let before = gate(&db);
+        db.put(key_for(i), vec![b'x'; 100 * 1024]).unwrap();
+        i += 1;
+        if seals(&db) > sealed {
+            assert!(gate(&db) > before, "the seal was not counted");
+            break;
+        }
+    }
+    db.close().unwrap();
+}
+
 /// FLUSH_TH is half the memtable budget. Distinct keys fill the 64 KiB test
 /// memtable, so every rotation is a real flush. A threshold above the memtable
 /// budget would count the full memtable as small: each write past it would

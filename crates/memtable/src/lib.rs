@@ -108,6 +108,14 @@ struct SlotMap {
     with_priors: BTreeSet<Vec<u8>>,
 }
 
+/// Where [`Memtable::encode_live`] framed each live entry: its seqno and its
+/// offset within the batch, in key order. Consumed by [`Memtable::relocate`].
+#[derive(Debug)]
+#[must_use = "a relocation does nothing until Memtable::relocate applies it"]
+pub struct Relocation {
+    moves: Vec<(SeqNo, u64)>,
+}
+
 /// Rank of the memtable's map lock in the engine-wide lock order (see
 /// `triad_common::lockrank` and docs/ARCHITECTURE.md): above all engine locks,
 /// because the map lock is a leaf — nothing else is ever acquired while it is
@@ -301,21 +309,45 @@ impl Memtable {
         }
     }
 
-    /// Updates the commit-log position of `key` if its current version still has
-    /// sequence number `expected_seqno` (TRIAD's `CLUpdateOffset` during log
-    /// rotation). Returns `true` if the position was updated.
-    pub fn update_log_position(
+    /// Hands every live entry, in key order, to `encode` under one read lock
+    /// and without copying it; `encode` frames the entry into a batch and
+    /// returns the record's offset relative to the batch start. The returned
+    /// [`Relocation`] is what [`relocate`](Memtable::relocate) applies once
+    /// the batch sits in a log (TRIAD's `CLUpdateOffset` for a small-flush
+    /// rewrite).
+    pub fn encode_live<E>(
         &self,
-        key: &[u8],
-        expected_seqno: SeqNo,
-        position: LogPosition,
-    ) -> bool {
-        match self.slots.write().by_key.get_mut(key) {
-            Some(slot) if slot.live.seqno == expected_seqno => {
-                slot.live.log_position = position;
-                true
+        mut encode: impl FnMut(&[u8], &MemEntry) -> Result<u64, E>,
+    ) -> Result<Relocation, E> {
+        let map = self.slots.read();
+        let mut moves = Vec::with_capacity(map.by_key.len());
+        for (key, slot) in &map.by_key {
+            moves.push((slot.live.seqno, encode(key, &slot.live)?));
+        }
+        Ok(Relocation { moves })
+    }
+
+    /// Points every entry [`encode_live`](Memtable::encode_live) visited at
+    /// its record in log `log_id`, whose batch starts at byte `start`, in one
+    /// write-locked pass. A slot whose live version changed in between keeps
+    /// its own, newer position.
+    ///
+    /// # Panics
+    ///
+    /// If a key was added in between: the caller must hold off every insert
+    /// from the encode to the relocation (the engine holds its WAL lock, which
+    /// every insert path takes or waits behind).
+    pub fn relocate(&self, relocation: Relocation, log_id: u64, start: u64) {
+        let mut map = self.slots.write();
+        assert_eq!(
+            map.by_key.len(),
+            relocation.moves.len(),
+            "the memtable's key set changed between encode_live and relocate"
+        );
+        for (slot, (seqno, offset)) in map.by_key.values_mut().zip(relocation.moves) {
+            if slot.live.seqno == seqno {
+                slot.live.log_position = LogPosition { log_id, offset: start + offset };
             }
-            _ => false,
         }
     }
 
@@ -574,16 +606,45 @@ mod tests {
     }
 
     #[test]
-    fn update_log_position_only_applies_to_matching_seqno() {
+    fn relocate_points_live_entries_at_the_new_log_unless_they_moved_on() {
+        let (memtable, retention) = retained_memtable();
+        for (i, key) in [b"a", b"b", b"c"].iter().enumerate() {
+            memtable.insert(*key, b"v1", i as u64 + 1, ValueKind::Put, pos(1, i as u64 * 40));
+        }
+        retention.register(3);
+        memtable.insert(b"b", b"v2", 4, ValueKind::Put, pos(1, 120));
+        let mut visited = Vec::new();
+        let relocation = memtable
+            .encode_live(|key, entry| {
+                visited.push((key.to_vec(), entry.seqno));
+                Ok::<u64, ()>(visited.len() as u64 * 100)
+            })
+            .unwrap();
+        assert_eq!(
+            visited,
+            vec![(b"a".to_vec(), 1), (b"b".to_vec(), 4), (b"c".to_vec(), 3)],
+            "live versions only, in key order"
+        );
+        // "c" moves on between the encode and the relocation.
+        memtable.insert(b"c", b"v2", 5, ValueKind::Put, pos(1, 160));
+        memtable.relocate(relocation, 2, 1000);
+        assert_eq!(memtable.get_raw(b"a").unwrap().log_position, pos(2, 1100));
+        assert_eq!(memtable.get_raw(b"b").unwrap().log_position, pos(2, 1200));
+        assert_eq!(memtable.get_raw(b"c").unwrap().log_position, pos(1, 160));
+        // The priors the open snapshot retained are untouched.
+        assert_eq!(memtable.get(b"b", 3).unwrap().value, b"v1");
+        assert_eq!(memtable.get(b"c", 3).unwrap().value, b"v1");
+        assert_eq!(memtable.retained_versions(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "key set changed")]
+    fn relocate_refuses_a_key_set_that_changed() {
         let memtable = Memtable::new();
-        memtable.insert(b"k", b"v", 7, ValueKind::Put, pos(1, 100));
-        assert!(memtable.update_log_position(b"k", 7, pos(2, 0)));
-        assert_eq!(memtable.get_raw(b"k").unwrap().log_position, pos(2, 0));
-        // A stale expectation does nothing.
-        assert!(!memtable.update_log_position(b"k", 6, pos(3, 0)));
-        assert_eq!(memtable.get_raw(b"k").unwrap().log_position, pos(2, 0));
-        // Unknown keys do nothing.
-        assert!(!memtable.update_log_position(b"missing", 1, pos(3, 0)));
+        memtable.insert(b"a", b"v", 1, ValueKind::Put, pos(1, 0));
+        let relocation = memtable.encode_live(|_, _| Ok::<u64, ()>(0)).unwrap();
+        memtable.insert(b"b", b"v", 2, ValueKind::Put, pos(1, 40));
+        memtable.relocate(relocation, 2, 0);
     }
 
     #[test]

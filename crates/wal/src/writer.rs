@@ -34,8 +34,6 @@ fn frame_header(payload: &[u8]) -> Result<([u8; 4], [u8; 4])> {
 pub struct BatchEncoder {
     /// Fully framed bytes (CRC + length + payload per record), ready to write.
     framed: Vec<u8>,
-    /// Scratch space for one record's payload, reused between records.
-    scratch: Vec<u8>,
     /// Offset of each record's frame relative to the start of the buffer.
     offsets: Vec<u64>,
 }
@@ -83,23 +81,29 @@ impl BatchEncoder {
         value: &[u8],
         stamp: Option<crate::BatchStamp>,
     ) -> Result<u64> {
-        self.scratch.clear();
+        // The payload is encoded in place behind a placeholder header, which
+        // is filled in once the payload's length and CRC are known.
+        let start = self.framed.len();
+        self.framed.extend_from_slice(&[0; RECORD_HEADER_LEN]);
         crate::record::encode_record_parts_stamped(
-            &mut self.scratch,
+            &mut self.framed,
             seqno,
             kind,
             key,
             value,
             stamp,
         );
-        let (crc_bytes, len_bytes) = frame_header(&self.scratch)?;
-
-        let start = self.framed.len() as u64;
-        self.framed.extend_from_slice(&crc_bytes);
-        self.framed.extend_from_slice(&len_bytes);
-        self.framed.extend_from_slice(&self.scratch);
-        self.offsets.push(start);
-        Ok(start)
+        let (crc_bytes, len_bytes) = match frame_header(&self.framed[start + RECORD_HEADER_LEN..]) {
+            Ok(header) => header,
+            Err(error) => {
+                self.framed.truncate(start);
+                return Err(error);
+            }
+        };
+        self.framed[start..start + 4].copy_from_slice(&crc_bytes);
+        self.framed[start + 4..start + RECORD_HEADER_LEN].copy_from_slice(&len_bytes);
+        self.offsets.push(start as u64);
+        Ok(start as u64)
     }
 
     /// Number of records framed so far.
