@@ -257,14 +257,20 @@ counters! {
     // The shared block cache (one cache across all keyspace shards; each probe
     // charges the stats registry of the shard that issued it, so the per-shard
     // counters still sum to the cache-wide totals under `merge`).
-    /// Block-cache probes served from a cached decoded block (including probes
-    /// that joined an in-flight single-flight load).
+    /// Block-cache probes served from a cached decoded block or row (including
+    /// probes that joined an in-flight single-flight load). A get counts one
+    /// hit or one miss, however many slots it probed.
     block_cache_hits: Sum => add_block_cache_hits;
     /// Block-cache probes that had to read the block from disk.
     block_cache_misses: Sum => add_block_cache_misses;
+    /// The block-cache hits that a point get's cached row served: the entry
+    /// the table's last unbounded get of that key found, with no index seek
+    /// or block read.
+    block_cache_row_hits: Sum => add_block_cache_row_hits;
     /// Blocks evicted from the cache to stay under the byte budget.
     block_cache_evictions: Sum => add_block_cache_evictions;
-    /// Decoded bytes inserted into the block cache.
+    /// Bytes the block cache's inserts were charged: each block's decoded
+    /// bytes plus the cache's fixed per-slot overhead.
     block_cache_inserted_bytes: Sum => add_block_cache_inserted_bytes;
 
     // Garbage collection of obsolete files.
@@ -281,6 +287,10 @@ counters! {
     /// Cross-shard batches crash recovery found partially durable and dropped
     /// wholesale (torn-batch detection over the shards' stray logs).
     recovery_torn_batches: Sum => add_recovery_torn_batches;
+    /// Replayed commit logs whose torn tail, a record a crash cut off
+    /// mid-append, the open dropped. Such a record was never acknowledged
+    /// as durable.
+    recovery_torn_tails: Sum => add_recovery_torn_tails;
 
     // Checkpoints and replication.
     /// Crash-consistent checkpoints completed via `Db::checkpoint`.

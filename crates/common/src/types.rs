@@ -145,6 +145,20 @@ pub fn compare_encoded_internal_keys(a: &[u8], b: &[u8]) -> Ordering {
     })
 }
 
+/// Compares an *encoded* internal key with the lookup key
+/// [`InternalKey::for_lookup`]`(user_key, snapshot)` would encode, without
+/// building it: a point lookup seeks with this and allocates nothing.
+pub fn compare_encoded_to_lookup(encoded: &[u8], user_key: &[u8], snapshot: SeqNo) -> Ordering {
+    debug_assert!(encoded.len() >= 8, "encoded internal keys carry an 8-byte trailer");
+    let (user, trailer) = encoded.split_at(encoded.len() - 8);
+    user.cmp(user_key).then_with(|| {
+        let trailer = u64::from_be_bytes(trailer.try_into().expect("8-byte trailer"));
+        let lookup = (snapshot << 8) | u64::from(ValueKind::Put.as_u8());
+        // Higher trailer (newer seqno) sorts first.
+        lookup.cmp(&trailer)
+    })
+}
+
 /// Borrows the user key and kind of an [`encode`](InternalKey::encode)d
 /// internal key; `None` if the bytes are not one.
 pub fn parse_encoded_internal_key(encoded: &[u8]) -> Option<(&[u8], ValueKind)> {
@@ -246,6 +260,28 @@ mod tests {
                 let logical = x.cmp(y);
                 let encoded = compare_encoded_internal_keys(&x.encode(), &y.encode());
                 assert_eq!(logical, encoded, "mismatch comparing {x:?} and {y:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_comparison_matches_the_encoded_lookup_key() {
+        let keys = [
+            InternalKey::new(b"a".to_vec(), 7, ValueKind::Put),
+            InternalKey::new(b"k".to_vec(), 11, ValueKind::Put),
+            InternalKey::new(b"k".to_vec(), 10, ValueKind::Delete),
+            InternalKey::new(b"k".to_vec(), 10, ValueKind::Put),
+            InternalKey::new(b"k".to_vec(), 9, ValueKind::Put),
+            InternalKey::new(b"ka".to_vec(), 1, ValueKind::Put),
+        ];
+        for snapshot in [0, 9, 10, 11, MAX_SEQNO, u64::MAX] {
+            let lookup = InternalKey::for_lookup(b"k".to_vec(), snapshot).encode();
+            for key in &keys {
+                assert_eq!(
+                    compare_encoded_to_lookup(&key.encode(), b"k", snapshot),
+                    compare_encoded_internal_keys(&key.encode(), &lookup),
+                    "{key:?} against the lookup key at {snapshot}"
+                );
             }
         }
     }

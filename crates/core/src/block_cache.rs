@@ -1,41 +1,53 @@
 //! The shared block cache: a sharded CLOCK cache of decoded, verified
-//! blocks — regular tables' data blocks and CL-SSTables' resolved blocks.
+//! blocks — regular tables' data blocks, CL-SSTables' index and resolved
+//! blocks, and point gets' rows.
 //!
 //! One cache serves the whole database — every keyspace shard's tables read
 //! through it — and shards *internally* (by key hash, independently of the
 //! keyspace sharding) so concurrent probes rarely contend on one lock. Each
 //! cache shard is a [`RankedMutex`] at rank `lock_rank::BLOCK_CACHE` (65)
-//! guarding a `HashMap` of slots plus a CLOCK ring:
+//! guarding a slot map plus a CLOCK ring:
 //!
-//! * **Keying** — `(table_id, block_offset)`. Engine file ids are a
+//! * **Keying** — `(table_id, offset)`. Engine file ids are a
 //!   per-keyspace-shard namespace (two shards both have a file 7), so the
 //!   cache allocates its own globally unique table ids
 //!   ([`BlockCache::allocate_table_id`]); the table cache records the mapping
-//!   and purges a table's blocks when GC evicts it. A CL-SSTable keys its
-//!   resolved blocks under the same table id, at their index block's offset
-//!   with a tag bit set, so they never meet its index blocks and the same
-//!   purge drops both; the cache itself knows nothing of the tag.
+//!   and purges a table's entries when GC evicts it. A table keys its data
+//!   and index blocks at their file offsets, a CL-SSTable's resolved blocks
+//!   at their index block's offset with bit 63 set, and a point get's *row*
+//!   (the one entry the get found, as a one-entry block) at
+//!   `bit 62 | hash64(user_key) >> 2`; the cache itself knows nothing of the
+//!   tags. The slot map is keyed by table id first, so a purge drops one
+//!   table's map and visits none of the others' slots.
 //! * **Eviction** — second-chance FIFO (CLOCK): a hit sets the slot's
 //!   reference bit; when an insert pushes a shard over its byte budget the
 //!   clock hand pops the ring front, re-queues referenced slots with the bit
 //!   cleared and evicts the first unreferenced one. Scans streaming cold
 //!   blocks therefore cannot flush the hot set in one pass.
-//! * **Single-flight** — a miss installs a `Loading` slot before dropping the
-//!   shard lock; concurrent probes for the same block park on the flight's
-//!   Condvar instead of issuing duplicate reads. A failed or purged load
-//!   publishes `None` and waiters fall back to a direct uncached read.
+//! * **Single-flight** — a miss in [`BlockFetch::get_or_load`] installs a
+//!   `Loading` slot before dropping the shard lock; concurrent probes for the
+//!   same block park on the flight's Condvar instead of issuing duplicate
+//!   reads. A failed or purged load publishes `None` and waiters fall back to
+//!   a direct uncached read. Rows skip this: a get reads around the cache and
+//!   [`BlockFetch::insert`]s what it found.
 //! * **Budget** — the total byte budget ([`Options::block_cache`](crate::Options::block_cache)) divides
-//!   evenly across the shards and is enforced per shard at insert time;
-//!   blocks larger than a whole shard budget are returned uncached.
+//!   evenly across the shards and is enforced per shard at insert time.
+//!   Each slot is charged its block's decoded bytes plus a fixed per-slot
+//!   overhead, so a cache of a few hundred bytes per row stays as bounded as
+//!   one of 4 KiB blocks. A block whose charge exceeds a whole shard budget
+//!   is returned uncached.
 //!
-//! A slot holds one kind of entry, and it serves no unchecked byte: the
-//! `load` closure of [`BlockFetch::get_or_load`] returns a [`VerifiedBlock`].
-//! Outside `triad-sstable` only `BlockFileReader::read_verified_block` — the
-//! CRC32C-checked read — constructs one; inside it, `ClTable`'s resolved-block
-//! loader does too, from records that passed their CRC and index→log key
-//! checks. A loader that skips the check does not compile.
+//! A slot holds one kind of entry, and it serves no unchecked byte: both the
+//! `load` closure of [`BlockFetch::get_or_load`] and [`BlockFetch::insert`]
+//! take a [`VerifiedBlock`]. Outside `triad-sstable` only
+//! `BlockFileReader::read_verified_block` — the CRC32C-checked read —
+//! constructs one; inside it, `ClTable`'s resolved-block loader and the
+//! gets' rows do too, from records and entries that passed their checks. A
+//! loader that skips the check does not compile.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -51,9 +63,39 @@ use crate::db::lock_rank;
 /// shard count: the cache is shared database-wide, and 8 ways is plenty for
 /// the handful of reader threads a single host drives.
 const CACHE_SHARDS: usize = 8;
+const _: () = assert!(CACHE_SHARDS.is_power_of_two(), "shard_index takes the top bits");
 
-/// A block's identity in the cache: (cache table id, block offset).
+/// A slot's identity in the cache: (cache table id, offset).
 type BlockKey = (u64, u64);
+
+/// The multiplier of the cache's hashes (2^64 / golden ratio).
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Hashes the cache's `u64` map keys with one multiply. Table ids and
+/// offsets are not chosen by an adversary, so SipHash's flooding resistance
+/// would only add to every probe; the product's well-mixed high half is
+/// folded into the low bits the map indexes by.
+#[derive(Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(MIX);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A map keyed by table id or offset.
+type MixMap<V> = HashMap<u64, V, BuildHasherDefault<MixHasher>>;
 
 /// The result a flight publishes: `Some(block)` on a successful load,
 /// `None` when the load failed or the table was purged mid-flight.
@@ -92,37 +134,122 @@ enum Slot {
     Loading(Arc<Flight>),
 }
 
-/// One shard's state: the slot map, the CLOCK ring and the resident byte
-/// count. The ring may contain stale keys (purged or replaced); the hand
-/// skips them.
+/// What one resident slot costs beyond its block's decoded bytes: its slot
+/// map entry (offset and `Slot`) and its ring entry, each counted twice for
+/// the spare capacity a growing map and ring keep; the `Arc`'s two counts;
+/// the `Block` header; and a 16-byte allocator header for each of the
+/// block's two heap buffers.
+const SLOT_OVERHEAD: usize = 2 * (size_of::<u64>() + size_of::<Slot>() + size_of::<BlockKey>())
+    + 2 * size_of::<usize>()
+    + size_of::<Block>()
+    + 2 * 16;
+
+/// What `block` is charged against the byte budget.
+fn charge(block: &Block) -> usize {
+    block.size_bytes() + SLOT_OVERHEAD
+}
+
+/// One shard's state: the slot map, the CLOCK ring, the resident byte count
+/// and the resident slot count. The ring may contain stale keys (purged or
+/// replaced); the hand skips them, and a purge that leaves more stale keys
+/// than live ones drops them.
+#[derive(Default)]
 struct CacheShard {
-    slots: HashMap<BlockKey, Slot>,
+    /// Slots by cache table id, then offset.
+    tables: MixMap<MixMap<Slot>>,
     ring: VecDeque<BlockKey>,
     bytes: usize,
+    resident: usize,
 }
 
 impl CacheShard {
+    fn slot(&self, (table, offset): BlockKey) -> Option<&Slot> {
+        self.tables.get(&table)?.get(&offset)
+    }
+
+    fn slot_mut(&mut self, (table, offset): BlockKey) -> Option<&mut Slot> {
+        self.tables.get_mut(&table)?.get_mut(&offset)
+    }
+
+    /// Installs a `Loading` slot for `key`.
+    fn start_loading(&mut self, (table, offset): BlockKey, flight: Arc<Flight>) {
+        self.tables.entry(table).or_default().insert(offset, Slot::Loading(flight));
+    }
+
+    /// Removes `key`'s slot, releasing its charge if it was resident.
+    fn remove(&mut self, (table, offset): BlockKey) -> Option<Slot> {
+        let slots = self.tables.get_mut(&table)?;
+        let slot = slots.remove(&offset)?;
+        if slots.is_empty() {
+            self.tables.remove(&table);
+        }
+        if let Slot::Ready { charge, .. } = &slot {
+            self.bytes -= charge;
+            self.resident -= 1;
+        }
+        Some(slot)
+    }
+
+    /// Makes `block` resident at `key` in place of whatever slot is there,
+    /// then evicts down to `budget`. Returns the number of slots evicted.
+    fn install(&mut self, key: BlockKey, block: Arc<Block>, charge: usize, budget: usize) -> u64 {
+        // A resident slot is on the ring already; a loading one never is.
+        if !matches!(self.remove(key), Some(Slot::Ready { .. })) {
+            self.ring.push_back(key);
+        }
+        let slot = Slot::Ready { block, charge, referenced: false };
+        self.tables.entry(key.0).or_default().insert(key.1, slot);
+        self.bytes += charge;
+        self.resident += 1;
+        self.evict_to_budget(budget)
+    }
+
     /// Advances the clock hand until the shard fits its budget. Returns the
-    /// number of blocks evicted.
+    /// number of slots evicted.
     fn evict_to_budget(&mut self, budget: usize) -> u64 {
         let mut evicted = 0;
         while self.bytes > budget {
             let Some(key) = self.ring.pop_front() else { break };
             // A ring entry whose slot is gone or still loading is stale
             // (purged table, or a load never ringed): just drop it.
-            if let Some(Slot::Ready { referenced, charge, .. }) = self.slots.get_mut(&key) {
-                if *referenced {
-                    // Second chance: clear the bit and re-queue.
-                    *referenced = false;
-                    self.ring.push_back(key);
-                } else {
-                    self.bytes -= *charge;
-                    self.slots.remove(&key);
-                    evicted += 1;
-                }
+            let referenced = match self.slot_mut(key) {
+                Some(Slot::Ready { referenced, .. }) => std::mem::replace(referenced, false),
+                _ => continue,
+            };
+            if referenced {
+                // Second chance: the bit is cleared; re-queue.
+                self.ring.push_back(key);
+            } else {
+                self.remove(key);
+                evicted += 1;
             }
         }
         evicted
+    }
+
+    /// Drops every `table` slot. Returns the removed slots, to be dropped
+    /// outside the lock, and the flights to tell.
+    fn purge(&mut self, table: u64) -> Option<MixMap<Slot>> {
+        let slots = self.tables.remove(&table)?;
+        for slot in slots.values() {
+            if let Slot::Ready { charge, .. } = slot {
+                self.bytes -= charge;
+                self.resident -= 1;
+            }
+        }
+        // The purged slots' ring entries stay until the hand passes them. A
+        // shard under its budget never moves the hand, so drop them here
+        // once they outnumber the resident slots.
+        if self.ring.len() > 2 * self.resident + 16 {
+            let tables = &self.tables;
+            self.ring.retain(|(table, offset)| {
+                matches!(
+                    tables.get(table).and_then(|slots| slots.get(offset)),
+                    Some(Slot::Ready { .. })
+                )
+            });
+        }
+        Some(slots)
     }
 }
 
@@ -157,7 +284,7 @@ impl BlockCache {
                 RankedMutex::new(
                     lock_rank::BLOCK_CACHE,
                     "block_cache.blocks",
-                    CacheShard { slots: HashMap::new(), ring: VecDeque::new(), bytes: 0 },
+                    CacheShard::default(),
                 )
             })
             .collect();
@@ -170,42 +297,27 @@ impl BlockCache {
         self.next_table_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The shard owning `key` — FNV-1a over both halves, so tables larger
-    /// than the shard count still spread their blocks.
-    fn shard_index(key: &BlockKey) -> usize {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in key.0.to_le_bytes().into_iter().chain(key.1.to_le_bytes()) {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (hash % CACHE_SHARDS as u64) as usize
+    /// The shard owning `key`: the top bits of a multiplicative hash of both
+    /// halves, so tables larger than the shard count still spread their
+    /// blocks.
+    fn shard_index(&(table, offset): &BlockKey) -> usize {
+        let hash = (table.wrapping_mul(MIX) ^ offset).wrapping_mul(MIX);
+        (hash >> (64 - CACHE_SHARDS.trailing_zeros())) as usize
     }
 
-    /// Total decoded bytes currently resident.
+    fn shard(&self, key: &BlockKey) -> &RankedMutex<CacheShard> {
+        &self.shards[Self::shard_index(key)]
+    }
+
+    /// Total bytes currently charged: resident blocks' decoded bytes plus
+    /// their per-slot overhead.
     pub fn bytes_used(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let blocks = shard;
-                blocks.lock().bytes
-            })
-            .sum()
+        self.shards.iter().map(|shard| shard.lock().bytes).sum()
     }
 
-    /// Number of resident (`Ready`) blocks.
+    /// Number of resident (`Ready`) blocks, rows included.
     pub fn block_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let blocks = shard;
-                blocks
-                    .lock()
-                    .slots
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Ready { .. }))
-                    .count()
-            })
-            .sum()
+        self.shards.iter().map(|shard| shard.lock().resident).sum()
     }
 
     /// The cache-wide byte budget (the per-shard budget summed back up).
@@ -216,28 +328,16 @@ impl BlockCache {
     /// Drops every block belonging to `table_id` — called when
     /// GC evicts the table so a recycled file id can never resurrect stale
     /// blocks. Loads still in flight are told to publish `None`; their
-    /// waiters re-read directly and their loaders skip the insert.
+    /// waiters re-read directly and their loaders skip the insert. Visits
+    /// only the table's own slots.
     pub fn purge_table(&self, table_id: u64) {
         for shard in &self.shards {
-            let flights: Vec<Arc<Flight>> = {
-                let blocks = shard;
-                let mut state = blocks.lock();
-                let keys: Vec<BlockKey> =
-                    state.slots.keys().filter(|key| key.0 == table_id).copied().collect();
-                let mut flights = Vec::new();
-                for key in keys {
-                    match state.slots.remove(&key) {
-                        Some(Slot::Ready { charge, .. }) => state.bytes -= charge,
-                        Some(Slot::Loading(flight)) => flights.push(flight),
-                        None => {}
-                    }
+            let Some(slots) = shard.lock().purge(table_id) else { continue };
+            // Wake waiters and free the blocks outside the shard lock.
+            for slot in slots.into_values() {
+                if let Slot::Loading(flight) = slot {
+                    flight.publish(None);
                 }
-                state.ring.retain(|key| key.0 != table_id);
-                flights
-            };
-            // Wake waiters outside the shard lock.
-            for flight in flights {
-                flight.publish(None);
             }
         }
     }
@@ -253,13 +353,12 @@ impl BlockFetch for BlockCache {
     ) -> Result<Arc<Block>> {
         let key = (table_id, offset);
         let load = || load().map(|block| Arc::new(block.into_block()));
-        let index = Self::shard_index(&key);
+        let shard = self.shard(&key);
 
         // Fast path / flight registration, under the shard lock.
         let (flight, is_loader) = {
-            let blocks = &self.shards[index];
-            let mut state = blocks.lock();
-            match state.slots.get_mut(&key) {
+            let mut state = shard.lock();
+            match state.slot_mut(key) {
                 Some(Slot::Ready { block, referenced, .. }) => {
                     *referenced = true;
                     let block = Arc::clone(block);
@@ -272,7 +371,7 @@ impl BlockFetch for BlockCache {
                 Some(Slot::Loading(flight)) => (Arc::clone(flight), false),
                 None => {
                     let flight = Arc::new(Flight::new());
-                    state.slots.insert(key, Slot::Loading(Arc::clone(&flight)));
+                    state.start_loading(key, Arc::clone(&flight));
                     (flight, true)
                 }
             }
@@ -300,15 +399,14 @@ impl BlockFetch for BlockCache {
         if let Some(stats) = stats {
             stats.add_block_cache_misses(1);
         }
+        let ours = |state: &CacheShard| matches!(state.slot(key), Some(Slot::Loading(f)) if Arc::ptr_eq(f, &flight));
         let block = match load() {
             Ok(block) => block,
             Err(err) => {
-                let blocks = &self.shards[index];
-                let mut state = blocks.lock();
+                let mut state = shard.lock();
                 // Only remove our own flight; a purge may have raced us.
-                if matches!(state.slots.get(&key), Some(Slot::Loading(f)) if Arc::ptr_eq(f, &flight))
-                {
-                    state.slots.remove(&key);
+                if ours(&state) {
+                    state.remove(key);
                 }
                 drop(state);
                 flight.publish(None);
@@ -316,30 +414,19 @@ impl BlockFetch for BlockCache {
             }
         };
 
-        let charge = block.size_bytes();
+        let charge = charge(&block);
         let mut evicted = 0;
         let mut inserted = false;
         {
-            let blocks = &self.shards[index];
-            let mut state = blocks.lock();
-            let ours = matches!(
-                state.slots.get(&key),
-                Some(Slot::Loading(f)) if Arc::ptr_eq(f, &flight)
-            );
-            if ours {
+            let mut state = shard.lock();
+            if ours(&state) {
                 if charge <= self.shard_budget {
-                    state.slots.insert(
-                        key,
-                        Slot::Ready { block: Arc::clone(&block), charge, referenced: false },
-                    );
-                    state.ring.push_back(key);
-                    state.bytes += charge;
-                    evicted = state.evict_to_budget(self.shard_budget);
+                    evicted = state.install(key, Arc::clone(&block), charge, self.shard_budget);
                     inserted = true;
                 } else {
                     // Oversized: serve it, but never let one block own the
                     // whole shard.
-                    state.slots.remove(&key);
+                    state.remove(key);
                 }
             }
             // Not ours: a purge removed the flight — the table is gone from
@@ -355,6 +442,45 @@ impl BlockFetch for BlockCache {
         }
         flight.publish(Some(Arc::clone(&block)));
         Ok(block)
+    }
+
+    fn probe(&self, table_id: u64, offset: u64) -> Option<Arc<Block>> {
+        let key = (table_id, offset);
+        match self.shard(&key).lock().slot_mut(key) {
+            Some(Slot::Ready { block, referenced, .. }) => {
+                *referenced = true;
+                Some(Arc::clone(block))
+            }
+            _ => None,
+        }
+    }
+
+    fn has_room(&self, table_id: u64, offset: u64, block: &Block) -> bool {
+        let key = (table_id, offset);
+        self.shard(&key).lock().bytes + charge(block) <= self.shard_budget
+    }
+
+    fn insert(&self, table_id: u64, offset: u64, block: VerifiedBlock, stats: Option<&Stats>) {
+        let block = Arc::new(block.into_block());
+        let charge = charge(&block);
+        if charge > self.shard_budget {
+            return;
+        }
+        let key = (table_id, offset);
+        let evicted = {
+            let mut state = self.shard(&key).lock();
+            // A load in flight publishes its own block.
+            if matches!(state.slot(key), Some(Slot::Loading(_))) {
+                return;
+            }
+            state.install(key, block, charge, self.shard_budget)
+        };
+        if let Some(stats) = stats {
+            stats.add_block_cache_inserted_bytes(charge as u64);
+            if evicted > 0 {
+                stats.add_block_cache_evictions(evicted);
+            }
+        }
     }
 }
 
@@ -493,23 +619,64 @@ mod tests {
         assert_eq!(cache.block_count(), 1);
     }
 
+    impl BlockCache {
+        /// Checks every shard's books: `bytes` is the sum of its resident
+        /// slots' charges, `resident` their number, and no table map is
+        /// left empty.
+        fn assert_accounting(&self) {
+            for shard in &self.shards {
+                let state = shard.lock();
+                let charges: Vec<usize> = state
+                    .tables
+                    .values()
+                    .flat_map(|slots| slots.values())
+                    .filter_map(|slot| match slot {
+                        Slot::Ready { charge, .. } => Some(*charge),
+                        Slot::Loading(_) => None,
+                    })
+                    .collect();
+                assert_eq!(state.bytes, charges.iter().sum::<usize>());
+                assert_eq!(state.resident, charges.len());
+                assert!(state.tables.values().all(|slots| !slots.is_empty()));
+            }
+        }
+    }
+
+    /// A row's offset: the cache knows nothing of the tag, but keep the
+    /// tests' rows where the tables put them.
+    fn row_offset(n: u64) -> u64 {
+        (1 << 62) | n
+    }
+
     #[test]
     fn budget_is_never_exceeded_under_churn() {
         // Property-style sweep without the proptest harness: many (seeded)
-        // interleavings of inserts across tables and offsets, with the
-        // invariant checked after every single probe.
-        let blocks = SampleBlocks::new("churn", (64..576).map(|value_len| (8, value_len)));
+        // interleavings of block loads and row inserts across tables and
+        // offsets, with the invariant checked after every single probe.
+        let shapes = (64..576).map(|value_len| (8, value_len));
+        let blocks = SampleBlocks::new("churn", shapes.chain((16..300).map(|len| (1, len))));
         let budget = 64 * 1024;
         let cache = BlockCache::new(budget);
         let stats = Stats::new();
         let mut seed = 0x5eed_5eed_u64;
         let tables: Vec<u64> = (0..4).map(|_| cache.allocate_table_id()).collect();
-        for round in 0..2_000u64 {
+        for round in 0..4_000u64 {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let table = tables[(seed >> 33) as usize % tables.len()];
-            let offset = (seed >> 17) % 256;
-            let value_len = 64 + (seed % 512) as usize;
-            cache.get_or_load(table, offset, Some(&stats), &|| blocks.load(8, value_len)).unwrap();
+            if seed & (1 << 40) == 0 {
+                let offset = (seed >> 17) % 256;
+                let value_len = 64 + (seed % 512) as usize;
+                cache
+                    .get_or_load(table, offset, Some(&stats), &|| blocks.load(8, value_len))
+                    .unwrap();
+            } else {
+                // A get's row: probed, and inserted on a miss.
+                let offset = row_offset((seed >> 17) % 1024);
+                if cache.probe(table, offset).is_none() {
+                    let row = blocks.load(1, 16 + (seed % 284) as usize).unwrap();
+                    cache.insert(table, offset, row, Some(&stats));
+                }
+            }
             // Per-shard budgets sum to at least the requested total; the
             // resident bytes must never exceed the enforced total.
             assert!(
@@ -518,9 +685,95 @@ mod tests {
                 cache.bytes_used(),
                 cache.budget()
             );
+            if round % 500 == 0 {
+                cache.assert_accounting();
+            }
         }
+        cache.assert_accounting();
         assert!(stats.block_cache_evictions() > 0, "churn at 16x the budget must evict");
         assert!(stats.block_cache_hits() > 0, "re-probes of resident offsets must hit");
+    }
+
+    #[test]
+    fn rows_are_probed_and_replaced_without_a_load() {
+        let blocks = SampleBlocks::new("rows", [(1, 8), (1, 40)]);
+        let cache = BlockCache::new(1 << 20);
+        let stats = Stats::new();
+        let table = cache.allocate_table_id();
+        assert!(cache.probe(table, row_offset(7)).is_none());
+        cache.insert(table, row_offset(7), blocks.load(1, 8).unwrap(), Some(&stats));
+        let small = cache.bytes_used();
+        assert_eq!(small, stats.block_cache_inserted_bytes() as usize);
+        assert!(small > SLOT_OVERHEAD, "a slot is charged its bytes and its overhead");
+        assert_eq!(cache.probe(table, row_offset(7)).unwrap().num_entries(), 1);
+        // A later insert at the same offset replaces the row in place.
+        cache.insert(table, row_offset(7), blocks.load(1, 40).unwrap(), Some(&stats));
+        assert_eq!(cache.block_count(), 1);
+        assert_eq!(cache.bytes_used(), small + 32);
+        assert_eq!(
+            stats.block_cache_hits() + stats.block_cache_misses(),
+            0,
+            "probes count nothing"
+        );
+        cache.assert_accounting();
+    }
+
+    #[test]
+    fn there_is_room_for_a_block_until_inserting_it_would_evict() {
+        let blocks = SampleBlocks::new("room", [(16, 64)]);
+        let block = blocks.load(16, 64).unwrap().into_block();
+        // Each shard's budget holds exactly two such blocks.
+        let cache = BlockCache::new(2 * charge(&block) * CACHE_SHARDS);
+        let table = cache.allocate_table_id();
+        let mut offset = 0;
+        while cache.has_room(table, offset, &block) {
+            cache.insert(table, offset, blocks.load(16, 64).unwrap(), None);
+            offset += 1;
+        }
+        assert!(cache.block_count() >= 2, "{} blocks fit", cache.block_count());
+        // The shard that had no room evicts if the block goes in anyway.
+        let stats = Stats::new();
+        cache.insert(table, offset, blocks.load(16, 64).unwrap(), Some(&stats));
+        assert_eq!(stats.block_cache_evictions(), 1);
+        cache.assert_accounting();
+    }
+
+    #[test]
+    fn purging_a_table_keeps_every_other_tables_rows_and_exact_bytes() {
+        let blocks = SampleBlocks::new("purge-rows", [(1, 32), (4, 32)]);
+        let cache = BlockCache::new(64 << 20);
+        let victim = cache.allocate_table_id();
+        let survivor = cache.allocate_table_id();
+        for n in 0..10_000 {
+            cache.insert(survivor, row_offset(n), blocks.load(1, 32).unwrap(), None);
+        }
+        let survivor_bytes = cache.bytes_used();
+        for n in 0..1_000 {
+            cache.insert(victim, row_offset(n), blocks.load(1, 32).unwrap(), None);
+        }
+        cache.get_or_load(victim, 0, None, &|| blocks.load(4, 32)).unwrap();
+        assert_eq!(cache.block_count(), 11_001);
+
+        cache.purge_table(victim);
+        cache.assert_accounting();
+        assert_eq!(cache.bytes_used(), survivor_bytes);
+        assert_eq!(cache.block_count(), 10_000);
+        assert!((0..10_000).all(|n| cache.probe(survivor, row_offset(n)).is_some()));
+        assert!((0..1_000).all(|n| cache.probe(victim, row_offset(n)).is_none()));
+        assert!(cache.probe(victim, 0).is_none());
+        // A purge leaves its slots' ring entries to the clock hand, which a
+        // cache under its budget never moves, but never lets them outgrow
+        // the resident slots: churning tables through keeps the ring bounded.
+        for _ in 0..50 {
+            let table = cache.allocate_table_id();
+            for n in 0..1_000 {
+                cache.insert(table, row_offset(n), blocks.load(1, 32).unwrap(), None);
+            }
+            cache.purge_table(table);
+        }
+        cache.assert_accounting();
+        let ringed: usize = cache.shards.iter().map(|shard| shard.lock().ring.len()).sum();
+        assert!(ringed <= 2 * 10_000 + 16 * CACHE_SHARDS, "{ringed} ring entries");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 use triad_common::lockrank::{RankedMutex, RankedRwLock, RankedRwLockWriteGuard};
 
 use triad_common::failpoint::{Failpoint, FailpointRegistry};
-use triad_common::types::{Entry, SeqNo, ValueKind};
+use triad_common::types::{SeqNo, ValueKind};
 use triad_common::{Error, Result, SnapshotRetention, StatSnapshot, Stats};
 use triad_memtable::Memtable;
 use triad_sstable::{
@@ -362,6 +362,8 @@ struct ShardRecovery {
     versions: VersionSet,
     /// Stray commit logs in log-id order, each with its recovered records.
     stray_logs: Vec<(u64, Vec<LogRecord>)>,
+    /// How many of the stray logs ended in a torn tail that was dropped.
+    torn_tails: u64,
 }
 
 impl ShardRecovery {
@@ -386,7 +388,7 @@ impl ShardRecovery {
         ids.sort_unstable();
         for id in ids {
             let records = match read_log_records(&self.path, id) {
-                Ok(records) => records,
+                Ok((records, _)) => records,
                 Err(error) if error.is_corruption() => return Err(error),
                 Err(_) => continue,
             };
@@ -404,7 +406,8 @@ impl ShardRecovery {
 /// one is synced, and a small-flush skip never syncs the log it leaves), and
 /// a torn record was never acknowledged as durable. A bad record with an intact
 /// record after it is corruption and fails with the file and the offset.
-fn read_log_records(dir: &Path, id: u64) -> Result<Vec<LogRecord>> {
+/// Returns the records and whether a torn tail was dropped.
+fn read_log_records(dir: &Path, id: u64) -> Result<(Vec<LogRecord>, bool)> {
     let path = log_file_path(dir, id);
     let (records, tail) = LogReader::open(&path)?.recover()?;
     if let TailStatus::Corrupt(offset) = tail {
@@ -413,7 +416,8 @@ fn read_log_records(dir: &Path, id: u64) -> Result<Vec<LogRecord>> {
             &path,
         ));
     }
-    Ok(records.into_iter().map(|r| r.record).collect())
+    let torn = matches!(tail, TailStatus::Torn(_));
+    Ok((records.into_iter().map(|r| r.record).collect(), torn))
 }
 
 impl Shard {
@@ -447,10 +451,13 @@ impl Shard {
         }
         stray_ids.sort_unstable();
         let mut stray_logs = Vec::with_capacity(stray_ids.len());
+        let mut torn_tails = 0;
         for id in stray_ids {
-            stray_logs.push((id, read_log_records(&path, id)?));
+            let (records, torn) = read_log_records(&path, id)?;
+            torn_tails += u64::from(torn);
+            stray_logs.push((id, records));
         }
-        Ok(ShardRecovery { path, versions, stray_logs })
+        Ok(ShardRecovery { path, versions, stray_logs, torn_tails })
     }
 
     /// Second half of the open: replay the stray logs (skipping `drops`, the
@@ -467,9 +474,10 @@ impl Shard {
         drops: &HashSet<SeqNo>,
         torn_batches: u64,
     ) -> Result<Shard> {
-        let ShardRecovery { path, mut versions, stray_logs } = recovery;
+        let ShardRecovery { path, mut versions, stray_logs, torn_tails } = recovery;
         let stats = Arc::new(Stats::new());
         stats.add_recovery_torn_batches(torn_batches);
+        stats.add_recovery_torn_tails(torn_tails);
         let mut last_seqno = versions.last_seqno();
 
         // Replay each stray log as one L0 table, in log-id order, so newer logs
@@ -1582,7 +1590,7 @@ impl DbInner {
         for memtable in std::iter::once(mem).chain(imm.iter().rev().map(|m| &*m.memtable)) {
             self.stats.add_memtable_probes(1);
             if let Some(entry) = memtable.get(key, seqno) {
-                return Ok(self.resolve_entry(entry));
+                return Ok(self.resolve(entry.kind, entry.value));
             }
         }
         let version = version();
@@ -1591,18 +1599,20 @@ impl DbInner {
                 let table = self.table_cache.get_or_open(&file)?;
                 self.stats.add_table_probes(1);
                 if let Some(entry) = table.get(key, seqno)? {
-                    return Ok(self.resolve_entry(entry));
+                    return Ok(self.resolve(entry.key.kind, entry.value));
                 }
             }
         }
         Ok(None)
     }
 
-    fn resolve_entry(&self, entry: Entry) -> Option<Vec<u8>> {
-        match entry.key.kind {
+    /// What a get returns for the version it found: a put's value, or
+    /// nothing for a tombstone.
+    fn resolve(&self, kind: ValueKind, value: Vec<u8>) -> Option<Vec<u8>> {
+        match kind {
             ValueKind::Put => {
                 self.stats.add_user_read_hits(1);
-                Some(entry.value)
+                Some(value)
             }
             ValueKind::Delete => None,
         }

@@ -105,12 +105,12 @@ impl DbInner {
                 let shadowed_by_newer_imm = newer_imms.iter().any(|other| {
                     other
                         .memtable
-                        .get_raw(&key)
+                        .get(&key, u64::MAX)
                         .map(|newer| newer.seqno >= entry.seqno)
                         .unwrap_or(false)
                 });
                 let shadowed_by_active = active_mem
-                    .get_raw(&key)
+                    .get(&key, u64::MAX)
                     .map(|newer| newer.seqno >= entry.seqno)
                     .unwrap_or(false);
                 if shadowed_by_newer_imm || shadowed_by_active {

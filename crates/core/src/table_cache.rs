@@ -266,11 +266,11 @@ mod tests {
         let resolved = blocks.block_count();
         assert!(resolved > 2, "the scan cached the resolved blocks");
         // A get reads the index block itself, keyed apart from its resolved
-        // block at the same offset.
+        // block at the same offset, and caches the row it found.
         assert!(table.get(b"key-00000", u64::MAX).unwrap().is_some());
-        assert_eq!(blocks.block_count(), resolved + 1);
+        assert_eq!(blocks.block_count(), resolved + 2);
         cache.evict(9);
-        assert_eq!(blocks.block_count(), 0, "evicting the table purges both kinds");
+        assert_eq!(blocks.block_count(), 0, "evicting the table purges every kind");
         assert_eq!(blocks.bytes_used(), 0);
     }
 

@@ -31,8 +31,11 @@ fn read_your_writes_survives_flush_compaction_and_gc() {
     }
     db.wait_for_compactions().unwrap();
     db.collect_garbage();
-    for i in 0..400u64 {
-        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 3)), "key {i} after GC");
+    // Twice: the second pass reads what the first one cached.
+    for _ in 0..2 {
+        for i in 0..400u64 {
+            assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 3)), "key {i} after GC");
+        }
     }
     common::assert_disk_matches_live_set(&db, &dir);
     let stats = db.stats();
@@ -86,7 +89,7 @@ fn compaction_does_not_fill_the_block_cache() {
 }
 
 /// A corrupt block in a compaction input is caught by compaction's own
-/// CRC-checked read, even while a get has that block cached: the compaction
+/// CRC-checked read, even while a scan has that block cached: the compaction
 /// fails, the version keeps its inputs, no output is left on disk, and every
 /// other block still reads back.
 #[test]
@@ -105,8 +108,11 @@ fn a_corrupt_compaction_input_is_caught_on_the_uncached_path() {
     };
     let first = live_tables();
     assert_eq!(first.len(), 1, "one flushed table: {first:?}");
-    // Cache the block about to be corrupted: only an uncached read sees the damage.
-    assert_eq!(db.get(key_for(149)).unwrap(), Some(value_for(149, 1)));
+    // Cache the block about to be corrupted, with a scan (a get would cache
+    // only its row): only an uncached read sees the damage.
+    let scanned: Vec<_> =
+        db.scan_range(Some(&key_for(140)), None).unwrap().map(|entry| entry.unwrap()).collect();
+    assert_eq!(scanned.last(), Some(&(key_for(149), value_for(149, 1))));
     // Flip a byte of the last data block, which ends where the index begins.
     let path = dir.join(&first[0]);
     let index =
@@ -367,4 +373,153 @@ fn a_short_scan_opens_at_most_two_files_of_a_level() {
     }
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Baseline tables (no CL-SSTables), `block_size`-byte data blocks, a
+/// `budget`-byte cache, and everything flushed and compacted.
+fn loaded_tables(
+    name: &str,
+    keys: u64,
+    block_size: usize,
+    budget: usize,
+) -> (Db, std::path::PathBuf) {
+    let (db, dir) = open_small(name, |options| {
+        common::single_shard(options);
+        options.triad = TriadConfig::baseline();
+        options.block_size = block_size;
+        options.block_cache = budget;
+    });
+    for i in 0..keys {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_for_compactions().unwrap();
+    (db, dir)
+}
+
+/// Gets cache the entry they read, not the block around it. On tables six
+/// times the cache, a pass of gets, one per block, fills the cache with rows
+/// that all fit where the blocks would not, so a second pass over the same
+/// keys reads no block at all.
+#[test]
+fn a_second_pass_of_gets_reads_no_block_and_caches_no_block() {
+    const KEYS: u64 = 6_000;
+    let (db, dir) = loaded_tables("block-cache-rows", KEYS, 4096, 128 << 10);
+    let table_bytes: u64 = db
+        .expected_live_files()
+        .iter()
+        .filter(|name| name.ends_with(".sst"))
+        .map(|name| std::fs::metadata(dir.join(name)).unwrap().len())
+        .sum();
+    assert!(table_bytes > 6 * (128 << 10), "the tables dwarf the cache: {table_bytes}");
+    // One key per ~4 KiB block of ~140-byte entries.
+    let keys: Vec<u64> = (0..KEYS).step_by(29).collect();
+    let pass = || {
+        let before = db.stats();
+        for &i in &keys {
+            assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)), "key {i}");
+        }
+        db.stats().delta_since(&before)
+    };
+    let first = pass();
+    assert_eq!(first.block_reads, first.block_cache_misses);
+    assert!(first.block_reads >= keys.len() as u64, "every key was read from disk once");
+    let per_insert = first.block_cache_inserted_bytes / first.block_cache_misses;
+    assert!(per_insert < 1024, "gets cached {per_insert}-byte entries: blocks, not rows");
+    let second = pass();
+    assert_eq!(second.block_reads, 0, "the second pass reads every key from its row");
+    assert_eq!(second.block_cache_row_hits, second.table_probes);
+    assert_eq!(second.block_cache_inserted_bytes, 0);
+    db.close().unwrap();
+}
+
+/// A data block a scan brought into the cache serves a later get of a key
+/// in it, with no block read and no row inserted.
+#[test]
+fn a_block_a_scan_cached_serves_a_later_get() {
+    let (db, _dir) = loaded_tables("block-cache-scan-then-get", 2_000, 4096, 1 << 20);
+    let scanned = db.scan_range(Some(&key_for(1_000)), Some(&key_for(1_100))).unwrap().count();
+    assert_eq!(scanned, 100);
+    let before = db.stats();
+    assert_eq!(db.get(key_for(1_050)).unwrap(), Some(value_for(1_050, 1)));
+    let delta = db.stats().delta_since(&before);
+    assert_eq!(delta.block_reads, 0, "the scan's block served the get");
+    assert_eq!((delta.block_cache_hits, delta.block_cache_misses), (1, 0));
+    assert_eq!(delta.block_cache_row_hits, 0);
+    assert_eq!(delta.block_cache_inserted_bytes, 0, "a block hit caches no row");
+    db.close().unwrap();
+}
+
+/// A get whose data block fails its CRC fails with a corruption error and
+/// caches nothing, so the next get of the key fails the same way.
+#[test]
+fn a_corrupt_data_block_fails_the_get_and_caches_no_row() {
+    let (db, dir) = open_small("block-cache-corrupt-get", |options| {
+        common::single_shard(options);
+        options.triad = TriadConfig::baseline();
+        options.block_cache = 1 << 20;
+    });
+    for i in 0..150u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.flush().unwrap();
+    let tables: Vec<String> =
+        db.expected_live_files().into_iter().filter(|name| name.ends_with(".sst")).collect();
+    assert_eq!(tables.len(), 1, "one flushed table: {tables:?}");
+    // Flip a byte of the last data block, which ends where the index begins.
+    let path = dir.join(&tables[0]);
+    let index =
+        triad_sstable::format::BlockFileReader::open(&path).unwrap().read_footer().unwrap().index;
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[index.offset as usize - 10] ^= 0x40;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let before = db.stats();
+    for _ in 0..2 {
+        let error = db.get(key_for(149)).unwrap_err();
+        assert!(error.is_corruption(), "{error}");
+    }
+    let delta = db.stats().delta_since(&before);
+    assert_eq!(delta.block_cache_inserted_bytes, 0, "nothing of the corrupt block is cached");
+    assert_eq!(delta.block_cache_row_hits, 0);
+    assert_eq!(db.get(key_for(0)).unwrap(), Some(value_for(0, 1)), "other blocks still read");
+    db.close().unwrap();
+}
+
+/// A CL-SSTable get whose commit-log record fails its CRC fails with a
+/// corruption error and caches no row, so the next get fails the same way.
+#[test]
+fn a_corrupt_cl_record_fails_the_get_and_caches_no_row() {
+    let (db, dir) = open_small("block-cache-corrupt-cl-get", |options| {
+        common::single_shard(options);
+        options.triad = TriadConfig::log_only();
+        options.block_cache = 1 << 20;
+    });
+    for i in 0..100u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.flush().unwrap();
+    assert_eq!(db.files_per_level()[0], 1, "the flush wrote one CL-SSTable");
+    // Flip a byte inside key 37's value, in the log that backs the table.
+    let needle = b"value-37-1-";
+    let mut flipped = 0;
+    for name in common::disk_files(&dir).iter().filter(|name| name.ends_with(".log")) {
+        let path = dir.join(name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        if let Some(at) = bytes.windows(needle.len()).position(|window| window == needle) {
+            bytes[at + needle.len() + 20] ^= 0x10;
+            std::fs::write(&path, &bytes).unwrap();
+            flipped += 1;
+        }
+    }
+    assert_eq!(flipped, 1, "one log holds key 37's record");
+
+    let before = db.stats();
+    for _ in 0..2 {
+        let error = db.get(key_for(37)).unwrap_err();
+        assert!(error.is_corruption(), "{error}");
+    }
+    assert_eq!(db.stats().delta_since(&before).block_cache_row_hits, 0, "no row was cached");
+    assert_eq!(db.get(key_for(36)).unwrap(), Some(value_for(36, 1)), "other records still read");
+    db.close().unwrap();
 }

@@ -590,6 +590,39 @@ fn recovery_tolerates_a_torn_commit_log_tail() {
     db.close().unwrap();
 }
 
+/// The open counts each torn tail it drops: none for intact logs, one for a
+/// newest log cut mid-record, whose earlier records all come back.
+#[test]
+fn a_dropped_torn_tail_is_counted_at_open() {
+    let dir = temp_dir("torn-tail-count");
+    let options = Options::small_for_tests();
+    let db = Db::open(&dir, options.clone()).unwrap();
+    for i in 0..50u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.close().unwrap();
+    drop(db);
+
+    let db = Db::open(&dir, options.clone()).unwrap();
+    assert_eq!(db.stats().recovery_torn_tails, 0, "intact logs drop nothing");
+    for i in 50..100u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.close().unwrap();
+    drop(db);
+    let logs = commit_logs(&dir);
+    let newest = logs.last().expect("at least one commit log");
+    set_len(newest, std::fs::metadata(newest).unwrap().len() - 7);
+
+    let db = Db::open(&dir, options).unwrap();
+    assert_eq!(db.stats().recovery_torn_tails, 1, "the cut record was dropped and counted");
+    for i in 0..99u64 {
+        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)), "key {i}");
+    }
+    assert_eq!(db.get(key_for(99)).unwrap(), None, "the torn record is dropped");
+    db.close().unwrap();
+}
+
 /// Every commit log in `dir`, oldest first.
 fn commit_logs(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
     let mut logs: Vec<std::path::PathBuf> = std::fs::read_dir(dir)

@@ -570,3 +570,48 @@ fn live_and_snapshot_reads_share_one_probe() {
     db.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A get caches the row it found, which holds its table's newest version of
+/// the key. A snapshot opened before an overwrite keeps reading its old
+/// value through a flush and a compaction, after unbounded gets have cached
+/// the new rows, and is served none of them. It probes only the version it
+/// pinned, whose tables hold nothing newer than itself, so the row's own
+/// seqno check is tested where a bounded get can meet a newer row:
+/// `reader.rs` and `cl_table.rs`.
+#[test]
+fn a_snapshot_never_reads_a_row_newer_than_itself() {
+    const KEYS: u64 = 200;
+    let (db, dir) = open_small("snapshot-rows", |options| {
+        churny(options);
+        options.triad = TriadConfig::baseline();
+        options.block_cache = 1 << 20;
+    });
+    let value = |version: &str, i: u64| format!("{version}-{i}-{}", "x".repeat(100)).into_bytes();
+    for i in 0..KEYS {
+        db.put(key_for(i), value("old", i)).unwrap();
+    }
+    db.flush().unwrap();
+    let snap = db.snapshot();
+    for i in 0..KEYS {
+        db.put(key_for(i), value("new", i)).unwrap();
+    }
+    db.flush().unwrap();
+    db.wait_for_compactions().unwrap();
+    assert!(db.stats().compaction_count >= 1, "both versions were compacted together");
+
+    // Twice, so the second pass is served from the rows the first cached.
+    for _ in 0..2 {
+        for i in 0..KEYS {
+            assert_eq!(db.get(key_for(i)).unwrap(), Some(value("new", i)), "live key {i}");
+        }
+    }
+    assert!(db.stats().block_cache_row_hits >= KEYS, "the live reads cached their rows");
+    let before = db.stats();
+    for i in 0..KEYS {
+        assert_eq!(snap.get(key_for(i)).unwrap(), Some(value("old", i)), "snapshot key {i}");
+    }
+    assert_eq!(db.stats().delta_since(&before).block_cache_row_hits, 0);
+    drop(snap);
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -357,9 +357,12 @@ impl Memtable {
     /// [`SnapshotRetention`] before `snapshot` was chosen, every version it can
     /// see is either the live one or preserved on the prior list, so a bounded
     /// probe can never miss a key that existed at the snapshot point.
-    pub fn get(&self, key: &[u8], snapshot: SeqNo) -> Option<Entry> {
+    ///
+    /// The version is returned without its key, which the caller already
+    /// holds: a hit copies the value and nothing else.
+    pub fn get(&self, key: &[u8], snapshot: SeqNo) -> Option<MemEntry> {
         let map = self.slots.read();
-        map.by_key.get(key)?.visible_at(snapshot).map(|entry| entry.to_entry(key))
+        map.by_key.get(key)?.visible_at(snapshot).cloned()
     }
 
     /// Number of distinct keys currently held.
@@ -406,11 +409,6 @@ impl Memtable {
             .filter_map(|(key, slot)| slot.visible_at(snapshot).map(|entry| entry.to_entry(key)))
             .take(limit)
             .collect()
-    }
-
-    /// Returns the raw live [`MemEntry`] for `key`, regardless of snapshot.
-    pub fn get_raw(&self, key: &[u8]) -> Option<MemEntry> {
-        self.slots.read().by_key.get(key).map(|slot| slot.live.clone())
     }
 
     /// Sweeps every prior list against the current retention bounds,
@@ -463,7 +461,7 @@ mod tests {
         assert!(!memtable.is_empty());
         let entry = memtable.get(b"k1", u64::MAX).unwrap();
         assert_eq!(entry.value, b"v1");
-        assert_eq!(entry.key.seqno, 1);
+        assert_eq!(entry.seqno, 1);
         assert!(memtable.get(b"missing", u64::MAX).is_none());
     }
 
@@ -480,7 +478,7 @@ mod tests {
             );
         }
         assert_eq!(memtable.len(), 1, "in-place absorption keeps one slot per key");
-        let raw = memtable.get_raw(b"hot").unwrap();
+        let raw = memtable.get(b"hot", u64::MAX).unwrap();
         assert_eq!(raw.updates, 10);
         assert_eq!(raw.value, b"v9");
         assert_eq!(raw.seqno, 10);
@@ -495,14 +493,14 @@ mod tests {
         // The straggler of a concurrent commit group arrives late: value
         // ignored, hotness still counted.
         memtable.insert(b"k", b"older", 5, ValueKind::Put, pos(1, 0));
-        let raw = memtable.get_raw(b"k").unwrap();
+        let raw = memtable.get(b"k", u64::MAX).unwrap();
         assert_eq!(raw.value, b"newer");
         assert_eq!(raw.seqno, 9);
         assert_eq!(raw.log_position, pos(1, 80));
         assert_eq!(raw.updates, 2, "the losing update still counts as a write");
         // In order the update is absorbed as usual.
         memtable.insert(b"k", b"newest", 12, ValueKind::Delete, pos(2, 0));
-        let raw = memtable.get_raw(b"k").unwrap();
+        let raw = memtable.get(b"k", u64::MAX).unwrap();
         assert_eq!(raw.seqno, 12);
         assert_eq!(raw.kind, ValueKind::Delete);
         assert_eq!(raw.updates, 3);
@@ -523,7 +521,7 @@ mod tests {
         memtable.insert(b"k", b"v", 1, ValueKind::Put, pos(1, 0));
         memtable.insert(b"k", b"", 2, ValueKind::Delete, pos(1, 40));
         let entry = memtable.get(b"k", u64::MAX).unwrap();
-        assert_eq!(entry.key.kind, ValueKind::Delete);
+        assert_eq!(entry.kind, ValueKind::Delete);
         assert!(entry.value.is_empty());
         assert_eq!(memtable.len(), 1);
     }
@@ -589,7 +587,7 @@ mod tests {
             log_position: pos(2, 80),
         };
         assert!(memtable.insert_entry_if_older(b"k", fresher));
-        let raw = memtable.get_raw(b"k").unwrap();
+        let raw = memtable.get(b"k", u64::MAX).unwrap();
         assert_eq!(raw.value, b"fresher");
         assert_eq!(raw.updates, 4, "hotness carried over is combined with newer activity");
 
@@ -628,9 +626,9 @@ mod tests {
         // "c" moves on between the encode and the relocation.
         memtable.insert(b"c", b"v2", 5, ValueKind::Put, pos(1, 160));
         memtable.relocate(relocation, 2, 1000);
-        assert_eq!(memtable.get_raw(b"a").unwrap().log_position, pos(2, 1100));
-        assert_eq!(memtable.get_raw(b"b").unwrap().log_position, pos(2, 1200));
-        assert_eq!(memtable.get_raw(b"c").unwrap().log_position, pos(1, 160));
+        assert_eq!(memtable.get(b"a", u64::MAX).unwrap().log_position, pos(2, 1100));
+        assert_eq!(memtable.get(b"b", u64::MAX).unwrap().log_position, pos(2, 1200));
+        assert_eq!(memtable.get(b"c", u64::MAX).unwrap().log_position, pos(1, 160));
         // The priors the open snapshot retained are untouched.
         assert_eq!(memtable.get(b"b", 3).unwrap().value, b"v1");
         assert_eq!(memtable.get(b"c", 3).unwrap().value, b"v1");
@@ -693,7 +691,7 @@ mod tests {
         assert_eq!(memtable.get(b"k", u64::MAX).unwrap().value, b"v2");
         let at = memtable.get(b"k", 5).unwrap();
         assert_eq!(at.value, b"v1");
-        assert_eq!(at.key.seqno, 5);
+        assert_eq!(at.seqno, 5);
         assert!(memtable.get(b"k", 4).is_none(), "nothing visible before seqno 5");
         assert_eq!(memtable.get(b"k", 9).unwrap().value, b"v2");
     }
@@ -707,7 +705,7 @@ mod tests {
         assert_eq!(memtable.retained_versions(), 1);
         let live = memtable.get(b"k", u64::MAX).unwrap();
         assert_eq!(live.value, b"v2");
-        assert_eq!(live.key.seqno, 9);
+        assert_eq!(live.seqno, 9);
     }
 
     #[test]
@@ -763,8 +761,8 @@ mod tests {
         memtable.insert(b"k", b"", 7, ValueKind::Delete, pos(1, 40));
         retention.register(7);
         memtable.insert(b"k", b"v2", 11, ValueKind::Put, pos(1, 80));
-        assert_eq!(memtable.get(b"k", 3).unwrap().key.kind, ValueKind::Put);
-        assert_eq!(memtable.get(b"k", 7).unwrap().key.kind, ValueKind::Delete);
+        assert_eq!(memtable.get(b"k", 3).unwrap().kind, ValueKind::Put);
+        assert_eq!(memtable.get(b"k", 7).unwrap().kind, ValueKind::Delete);
         assert_eq!(memtable.get(b"k", 11).unwrap().value, b"v2");
     }
 

@@ -15,7 +15,7 @@
 use std::cmp::Ordering;
 use std::ops::Range;
 
-use triad_common::types::compare_encoded_internal_keys;
+use triad_common::types::{compare_encoded_internal_keys, compare_encoded_to_lookup, SeqNo};
 use triad_common::varint;
 use triad_common::{Error, Result};
 
@@ -175,12 +175,26 @@ impl Block {
     /// Returns the index of the first entry whose key is `>= target` (encoded internal
     /// key comparison), or `num_entries()` if every key is smaller.
     pub fn seek(&self, target: &[u8]) -> Result<usize> {
+        self.seek_by(|key| compare_encoded_internal_keys(key, target))
+    }
+
+    /// [`seek`](Self::seek) to the lookup key of `user_key` at `snapshot`
+    /// ([`InternalKey::for_lookup`](triad_common::InternalKey::for_lookup)):
+    /// the newest version of `user_key` visible at `snapshot`, found without
+    /// encoding the lookup key.
+    pub fn seek_lookup(&self, user_key: &[u8], snapshot: SeqNo) -> Result<usize> {
+        self.seek_by(|key| compare_encoded_to_lookup(key, user_key, snapshot))
+    }
+
+    /// The index of the first entry whose key `compare` does not order before
+    /// the target.
+    fn seek_by(&self, compare: impl Fn(&[u8]) -> Ordering) -> Result<usize> {
         let mut lo = 0usize;
         let mut hi = self.offsets.len();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let (key, _) = self.entry(mid)?;
-            match compare_encoded_internal_keys(key, target) {
+            match compare(key) {
                 Ordering::Less => lo = mid + 1,
                 _ => hi = mid,
             }

@@ -14,7 +14,10 @@
 //! A value is read from the log three ways, each with the record's CRC and
 //! the index→log key check:
 //!
-//! * a point lookup reads its one record with a positioned read;
+//! * a point lookup reads its one record with a positioned read, and an
+//!   unbounded one caches the entry it builds as a *row* (`row.rs`) while
+//!   the cache has room for it, so the next get of the key makes no index
+//!   seek and no read of the log;
 //! * compaction's cursor reads the whole log once, around the block cache;
 //! * a scan reads *resolved blocks*: for each index data block it enters,
 //!   the same entries with each put's value in place of its offset, built
@@ -39,7 +42,7 @@ use crate::format::{BlockHandle, VerifiedBlock};
 use crate::iter::{BoxedCursor, EntryCursor};
 use crate::properties::{TableKind, TableProperties};
 use crate::reader::{BlockSource, Table};
-use crate::{FetchContext, SortedTable};
+use crate::{row, FetchContext, SortedTable};
 
 /// Builds the index file of a CL-SSTable.
 #[derive(Debug)]
@@ -105,7 +108,7 @@ pub const LOG_CHUNK_LEN: usize = 4 * 1024;
 /// Set on the cache offset of a resolved block, which is keyed under the
 /// table's cache id at its index block's offset: it keeps the resolved block
 /// apart from the index block itself, which gets read through the cache.
-/// Table offsets are far below it.
+/// Table offsets are far below it, and rows set bit 62 only.
 const RESOLVED_TAG: u64 = 1 << 63;
 
 /// An open CL-SSTable: a sorted offset index plus the sealed commit log it references.
@@ -142,10 +145,10 @@ impl ClTable {
     }
 
     /// Opens the CL-SSTable with an optional [`FetchContext`]: the index
-    /// table's data blocks, which point lookups read, and the scans'
-    /// resolved blocks then go through the shared block cache, both under
-    /// the context's table id. Point lookups read each value with one
-    /// positioned read of the log.
+    /// table's data blocks, which point lookups read, the scans' resolved
+    /// blocks and the gets' rows then go through the shared block cache, all
+    /// under the context's table id. A point lookup that misses its row
+    /// reads the value with one positioned read of the log.
     pub fn open_with_fetch(
         index_path: impl AsRef<Path>,
         log_path: impl AsRef<Path>,
@@ -293,18 +296,32 @@ impl ClTable {
 
 impl SortedTable for ClTable {
     fn get(&self, user_key: &[u8], snapshot: u64) -> Result<Option<Entry>> {
-        let Some(index_entry) = self.index.get_entry(user_key, snapshot)? else {
+        let Some(hash) = self.index.filter(user_key) else { return Ok(None) };
+        if let Some(ctx) = &self.fetch {
+            if let Some(entry) = row::probe(ctx, hash, user_key, snapshot, self.stats.as_deref())? {
+                return Ok(Some(entry));
+            }
+        }
+        let Some(index_entry) = self.index.lookup(user_key, snapshot)? else {
             return Ok(None);
         };
         // Tombstones carry no value; no need to touch the log. A put's record
         // is read with its CRC checked, and it must hold the key the index says.
-        if index_entry.key.kind == ValueKind::Delete {
-            return Ok(Some(Entry::new(index_entry.key, Vec::new())));
+        let value = if index_entry.key.kind == ValueKind::Delete {
+            Vec::new()
+        } else {
+            let (offset, _) = varint::decode_u64(&index_entry.value)?;
+            let record = self.log.read_at(offset)?;
+            self.check_record_key(&record.key, user_key, offset)?;
+            record.value
+        };
+        if let Some(ctx) = self.fetch.as_ref().filter(|_| row::cacheable(snapshot)) {
+            let row = VerifiedBlock::row(&index_entry.key.encode(), &value);
+            if ctx.fetch.has_room(ctx.table_id, row::offset(hash), row.block()) {
+                ctx.fetch.insert(ctx.table_id, row::offset(hash), row, self.stats.as_deref());
+            }
         }
-        let (offset, _) = varint::decode_u64(&index_entry.value)?;
-        let record = self.log.read_at(offset)?;
-        self.check_record_key(&record.key, user_key, offset)?;
-        Ok(Some(Entry::new(index_entry.key, record.value)))
+        Ok(Some(Entry::new(index_entry.key, value)))
     }
 
     fn cursor(self: Arc<Self>) -> Result<BoxedCursor> {
@@ -409,6 +426,7 @@ impl EntryCursor for ClCursor {
 mod tests {
     use super::*;
     use crate::test_util::MapCache;
+    use crate::BlockFetch;
     use triad_wal::{LogRecord, LogWriter};
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -750,6 +768,107 @@ mod tests {
             std::fs::write(&log_path, &good).unwrap();
             assert_eq!(drain(Arc::clone(&table).scan_cursor(b"").unwrap()).unwrap(), model);
         }
+    }
+
+    /// Opens the table through `cache` as [`open_cached`] does, counting into `stats`.
+    fn open_counted(
+        index_path: &Path,
+        log_path: &Path,
+        cache: &Arc<MapCache>,
+    ) -> (ClTable, Arc<Stats>) {
+        let ctx = FetchContext { table_id: 1, fetch: Arc::clone(cache) as _ };
+        let stats = Arc::new(Stats::new());
+        let table =
+            ClTable::open_with_fetch(index_path, log_path, Some(Arc::clone(&stats)), Some(ctx));
+        (table.unwrap(), stats)
+    }
+
+    /// The cached row of `user_key` in table 1, if any.
+    fn row_of(cache: &MapCache, user_key: &[u8]) -> Option<Arc<Block>> {
+        cache.probe(1, row::offset(triad_hll::hash64(user_key)))
+    }
+
+    #[test]
+    fn gets_cache_rows_that_skip_the_index_and_the_log() {
+        let dir = temp_dir("rows");
+        let (index_path, log_path) = build_cl_table(&dir, 400);
+        let cache = MapCache::with_room();
+        let (table, stats) = open_counted(&index_path, &log_path, &cache);
+        let put = table.get(b"key-00005", u64::MAX).unwrap().unwrap();
+        let tombstone = table.get(b"key-00010", u64::MAX).unwrap().unwrap();
+        assert_eq!(tombstone.key.kind, ValueKind::Delete);
+        let loads = cache.loads();
+        assert_eq!(loads, 1, "both keys share one index block");
+        assert!(row_of(&cache, b"key-00005").is_some() && row_of(&cache, b"key-00010").is_some());
+
+        // Zeroing the log in place proves the second gets never read it.
+        let good = std::fs::read(&log_path).unwrap();
+        std::fs::write(&log_path, vec![0u8; good.len()]).unwrap();
+        assert_eq!(table.get(b"key-00005", u64::MAX).unwrap().unwrap(), put);
+        assert_eq!(table.get(b"key-00010", u64::MAX).unwrap().unwrap(), tombstone);
+        assert!(table.get(b"key-00006", u64::MAX).unwrap_err().is_corruption());
+        std::fs::write(&log_path, &good).unwrap();
+        assert_eq!(cache.loads(), loads, "a row hit seeks no index block");
+        assert_eq!(stats.block_cache_row_hits(), 2);
+        // A get bounded below the row's seqno goes back to the index.
+        assert!(table.get(b"key-00005", put.key.seqno - 1).unwrap().is_none());
+        assert_eq!(stats.block_cache_row_hits(), 2);
+    }
+
+    #[test]
+    fn a_full_cache_takes_no_cl_row() {
+        let dir = temp_dir("rows-full");
+        let (index_path, log_path) = build_cl_table(&dir, 200);
+        let cache = MapCache::new();
+        let (table, stats) = open_counted(&index_path, &log_path, &cache);
+        for _ in 0..2 {
+            let entry = table.get(b"key-00005", u64::MAX).unwrap().unwrap();
+            assert!(entry.value.starts_with(b"value-5"));
+        }
+        assert!(row_of(&cache, b"key-00005").is_none(), "a CL row never evicts");
+        assert_eq!((cache.block_count(), stats.block_cache_row_hits()), (1, 0));
+    }
+
+    #[test]
+    fn a_cl_row_holding_another_key_is_never_served() {
+        let dir = temp_dir("planted-row");
+        let (index_path, log_path) = build_cl_table(&dir, 200);
+        let cache = MapCache::with_room();
+        let (table, stats) = open_counted(&index_path, &log_path, &cache);
+        let other = InternalKey::new(b"key-00007".to_vec(), 8, ValueKind::Put);
+        let planted = VerifiedBlock::row(&other.encode(), b"value-7");
+        cache.insert(1, row::offset(triad_hll::hash64(b"key-00005")), planted, None);
+        for snapshot in [500, u64::MAX] {
+            let entry = table.get(b"key-00005", snapshot).unwrap().unwrap();
+            assert_eq!(entry.key.user_key, b"key-00005");
+            assert!(entry.value.starts_with(b"value-5"));
+        }
+        assert_eq!(stats.block_cache_row_hits(), 0);
+        let row = row_of(&cache, b"key-00005").unwrap();
+        let (key, _) = parse_encoded_internal_key(row.entry(0).unwrap().0).unwrap();
+        assert_eq!(key, b"key-00005", "the unbounded get replaced the planted row");
+    }
+
+    #[test]
+    fn a_corrupt_record_fails_the_get_and_caches_no_row() {
+        let dir = temp_dir("get-corrupt-record");
+        let (index_path, log_path) = build_cl_table(&dir, 200);
+        let (records, _) = LogReader::open(&log_path).unwrap().recover().unwrap();
+        let mut bytes = std::fs::read(&log_path).unwrap();
+        // Flip a byte near the end of key 33's record.
+        bytes[records[34].offset as usize - 3] ^= 0x10;
+        std::fs::write(&log_path, &bytes).unwrap();
+        let cache = MapCache::with_room();
+        let (table, _) = open_counted(&index_path, &log_path, &cache);
+        for _ in 0..2 {
+            let err = table.get(b"key-00033", u64::MAX).unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+        }
+        assert!(
+            row_of(&cache, b"key-00033").is_none(),
+            "a record that fails its check caches no row"
+        );
+        assert!(table.get(b"key-00034", u64::MAX).unwrap().unwrap().value.starts_with(b"value-34"));
     }
 
     /// The number of data blocks in the index file at `index_path`.

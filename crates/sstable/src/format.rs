@@ -12,7 +12,7 @@ use std::path::Path;
 use triad_common::checksum;
 use triad_common::{Error, Result};
 
-use crate::block::Block;
+use crate::block::{Block, BlockBuilder};
 
 /// Magic number identifying TRIAD table files ("TRIADSST" interpreted as bytes).
 pub const TABLE_MAGIC: u64 = 0x5452_4941_4453_5354;
@@ -165,13 +165,16 @@ impl BlockFileWriter {
 /// A block whose every byte passed a check before it was decoded, the only
 /// kind the shared block cache ([`BlockFetch`](crate::BlockFetch)) accepts:
 /// a cached block is served to every reader without re-verification, so an
-/// unverified insert would spread corruption. Two paths construct one:
+/// unverified insert would spread corruption. Three paths construct one:
 ///
 /// * [`BlockFileReader::read_verified_block`], a data block whose bytes
 ///   passed [`BlockFileReader::read_block`]'s CRC32C check;
 /// * `ClTable::resolved_block`'s loader, a CL-SSTable index block (itself
 ///   read verified) with each put's value filled in from a commit-log record
-///   that passed its CRC and the index→log key check.
+///   that passed its CRC and the index→log key check;
+/// * a point get's *row*, a one-entry block holding what the get found: an
+///   entry of a CRC-checked data block, or a CL-SSTable's index entry with
+///   the value of a record that passed its CRC and index→log key checks.
 #[derive(Debug)]
 pub struct VerifiedBlock(Block);
 
@@ -181,10 +184,24 @@ impl VerifiedBlock {
         self.0
     }
 
+    /// The decoded block, borrowed.
+    pub fn block(&self) -> &Block {
+        &self.0
+    }
+
     /// Wraps a CL-SSTable's resolved block. Only `cl_table.rs` calls this,
     /// after checking every record the block's values came from.
     pub(crate) fn resolved(block: Block) -> VerifiedBlock {
         VerifiedBlock(block)
+    }
+
+    /// A point get's row: the one entry `key` (an encoded internal key) →
+    /// `value`. Only `reader.rs` and `cl_table.rs` call this, with what a
+    /// verified read found.
+    pub(crate) fn row(key: &[u8], value: &[u8]) -> VerifiedBlock {
+        let mut builder = BlockBuilder::new();
+        builder.add(key, value);
+        VerifiedBlock(Block::new(builder.finish()).expect("a built block decodes"))
     }
 }
 

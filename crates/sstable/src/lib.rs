@@ -27,6 +27,7 @@ pub mod format;
 pub mod iter;
 pub mod properties;
 pub mod reader;
+mod row;
 #[cfg(test)]
 mod test_util;
 
@@ -85,11 +86,18 @@ pub fn parse_table_file_name(name: &str) -> Option<(u64, TableKind)> {
 /// A provider of decoded blocks for table readers — in practice the
 /// engine's shared block cache. `reader.rs` and `cl_table.rs` stay
 /// cache-agnostic: a table opened with a [`FetchContext`] routes its scans'
-/// and gets' data-block reads, and a CL-SSTable its scans' resolved blocks,
-/// through this trait, and the provider calls back into `load` only on a
-/// miss. Concurrent probes for the same key should coalesce into a single
-/// load; `stats`, when present, receives the hit/miss accounting for the
-/// probe.
+/// data-block reads, a CL-SSTable its scans' resolved blocks and its gets'
+/// index blocks, through [`get_or_load`](Self::get_or_load), and the
+/// provider calls back into `load` only on a miss. Concurrent probes for the
+/// same key should coalesce into a single load; `stats`, when present,
+/// receives the hit/miss accounting for the probe.
+///
+/// Point gets cache *rows* instead, one-entry blocks holding what a get
+/// found, through [`probe`](Self::probe) and [`insert`](Self::insert) (see
+/// `row.rs`). A regular table's get probes for its row, then for a resident
+/// data block, and on a double miss reads the block around the cache and
+/// inserts only the row. A CL-SSTable's get inserts its row only while the
+/// cache [has room](Self::has_room) for it.
 pub trait BlockFetch: Send + Sync {
     /// Returns the block at `(table_id, offset)`, loading it via `load` on a
     /// miss. `load` yields a [`VerifiedBlock`], so whatever a provider keeps
@@ -103,6 +111,18 @@ pub trait BlockFetch: Send + Sync {
         stats: Option<&Stats>,
         load: &dyn Fn() -> Result<VerifiedBlock>,
     ) -> Result<Arc<Block>>;
+
+    /// The block resident at `(table_id, offset)`, if any. Never loads and
+    /// counts nothing: the caller records the get's one cache outcome.
+    fn probe(&self, table_id: u64, offset: u64) -> Option<Arc<Block>>;
+
+    /// Whether inserting `block` at `(table_id, offset)` would evict
+    /// nothing.
+    fn has_room(&self, table_id: u64, offset: u64, block: &Block) -> bool;
+
+    /// Caches `block` at `(table_id, offset)`, replacing a resident one;
+    /// `stats`, when present, receives the inserted bytes and evictions.
+    fn insert(&self, table_id: u64, offset: u64, block: VerifiedBlock, stats: Option<&Stats>);
 }
 
 /// Everything a table reader needs to serve block reads through a shared

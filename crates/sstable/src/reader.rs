@@ -8,6 +8,7 @@ use parking_lot::Mutex;
 
 use triad_common::types::{parse_encoded_internal_key, Entry, InternalKey, MAX_SEQNO};
 use triad_common::{Error, Result, Stats};
+use triad_hll::hash64;
 
 use crate::block::Block;
 use crate::bloom::BloomFilter;
@@ -15,7 +16,7 @@ use crate::cl_table::ClTable;
 use crate::format::{BlockFileReader, BlockHandle, VerifiedBlock};
 use crate::iter::{cursor_entries, BoxedCursor, EntryCursor, EntryIter};
 use crate::properties::{TableKind, TableProperties};
-use crate::{FetchContext, SortedTable};
+use crate::{row, FetchContext, SortedTable};
 
 /// An open, immutable SSTable.
 ///
@@ -116,15 +117,21 @@ impl Table {
         Ok(Box::new(TableCursor::new(self, source, start)?))
     }
 
-    fn read_data_block(&self, handle: BlockHandle) -> Result<Arc<Block>> {
-        // A handle past the file's end could alias another key of this
-        // table in the shared cache, such as a CL-SSTable's resolved block.
+    /// Fails a handle that starts past the file's end: it could alias another
+    /// key of this table in the shared cache, such as a CL-SSTable's resolved
+    /// block or a row.
+    fn check_handle(&self, handle: BlockHandle) -> Result<()> {
         if handle.offset >= self.file_size {
             return Err(Error::corruption_at(
                 format!("block handle {handle:?} starts past end of file"),
                 &self.path,
             ));
         }
+        Ok(())
+    }
+
+    fn read_data_block(&self, handle: BlockHandle) -> Result<Arc<Block>> {
+        self.check_handle(handle)?;
         if let Some(ctx) = &self.fetch {
             return ctx.fetch.get_or_load(
                 ctx.table_id,
@@ -154,39 +161,122 @@ impl Table {
         Ok(block)
     }
 
-    /// Looks up the freshest version of `user_key` visible at `snapshot`.
-    ///
-    /// Returns tombstones as well as puts; the caller decides how to interpret them.
-    pub fn get_entry(&self, user_key: &[u8], snapshot: u64) -> Result<Option<Entry>> {
+    /// The table's key-range and bloom-filter check: `Some(hash64(user_key))`
+    /// when the table may hold `user_key`, `None` (counting a bloom negative
+    /// when the filter said so) when it cannot.
+    pub(crate) fn filter(&self, user_key: &[u8]) -> Option<u64> {
         if !self.props.may_contain_user_key(user_key) {
-            return Ok(None);
+            return None;
         }
-        if !self.bloom.may_contain(user_key) {
+        let hash = hash64(user_key);
+        if !self.bloom.may_contain_hash(hash) {
             if let Some(stats) = &self.stats {
                 stats.add_bloom_negatives(1);
             }
-            return Ok(None);
+            return None;
         }
-        let lookup = InternalKey::for_lookup(user_key.to_vec(), snapshot).encode();
-        let index_pos = self.index.seek(&lookup)?;
+        Some(hash)
+    }
+
+    /// The handle of the data block that holds `user_key`'s newest version
+    /// visible at `snapshot`, if any block can.
+    fn handle_for(&self, user_key: &[u8], snapshot: u64) -> Result<Option<BlockHandle>> {
+        let index_pos = self.index.seek_lookup(user_key, snapshot)?;
         if index_pos >= self.index.num_entries() {
             return Ok(None);
         }
         let (_, handle_bytes) = self.index.entry(index_pos)?;
         let handle = BlockHandle::decode(handle_bytes)?;
-        let block = self.read_data_block(handle)?;
-        let pos = block.seek(&lookup)?;
+        self.check_handle(handle)?;
+        Ok(Some(handle))
+    }
+
+    /// The position in `block` of `user_key`'s newest version visible at
+    /// `snapshot`, if the block holds one.
+    fn position_in(&self, block: &Block, user_key: &[u8], snapshot: u64) -> Result<Option<usize>> {
+        let pos = block.seek_lookup(user_key, snapshot)?;
         if pos >= block.num_entries() {
             return Ok(None);
         }
-        let (key_bytes, value) = block.entry(pos)?;
-        let key = InternalKey::decode(key_bytes).ok_or_else(|| {
+        let (key, _) = block.entry(pos)?;
+        let (found, _) = parse_encoded_internal_key(key).ok_or_else(|| {
             Error::corruption_at("undecodable internal key in data block", &self.path)
         })?;
-        if key.user_key != user_key {
+        Ok((found == user_key).then_some(pos))
+    }
+
+    /// `user_key`'s newest version in `block` visible at `snapshot`.
+    fn entry_in(&self, block: &Block, user_key: &[u8], snapshot: u64) -> Result<Option<Entry>> {
+        let Some(pos) = self.position_in(block, user_key, snapshot)? else { return Ok(None) };
+        self.entry_at(block, pos).map(Some)
+    }
+
+    /// The entry at `pos` of `block`.
+    fn entry_at(&self, block: &Block, pos: usize) -> Result<Entry> {
+        let (key, value) = block.entry(pos)?;
+        let key = InternalKey::decode(key).ok_or_else(|| {
+            Error::corruption_at("undecodable internal key in data block", &self.path)
+        })?;
+        Ok(Entry::new(key, value))
+    }
+
+    /// [`get_entry`](Self::get_entry) past the filter: the data block through
+    /// the cache's [`get_or_load`](crate::BlockFetch::get_or_load), or the
+    /// table's single-slot cache when it has no shared one.
+    pub(crate) fn lookup(&self, user_key: &[u8], snapshot: u64) -> Result<Option<Entry>> {
+        let Some(handle) = self.handle_for(user_key, snapshot)? else { return Ok(None) };
+        let block = self.read_data_block(handle)?;
+        self.entry_in(&block, user_key, snapshot)
+    }
+
+    /// Looks up the freshest version of `user_key` visible at `snapshot`.
+    ///
+    /// Returns tombstones as well as puts; the caller decides how to interpret them.
+    /// This is the raw lookup, through data blocks only: the cached rows of
+    /// [`SortedTable::get`] are for the engine's gets, and a CL-SSTable's
+    /// index lookups need offsets, which rows of resolved values do not hold.
+    pub fn get_entry(&self, user_key: &[u8], snapshot: u64) -> Result<Option<Entry>> {
+        if self.filter(user_key).is_none() {
             return Ok(None);
         }
-        Ok(Some(Entry::new(key, value.to_vec())))
+        self.lookup(user_key, snapshot)
+    }
+
+    /// A get through the shared cache: the key's row, else a resident data
+    /// block, else the block read around the cache, CRC-checked, with only
+    /// the row it yields inserted. Records one cache outcome: a row or block
+    /// hit, or one miss.
+    fn get_through_cache(
+        &self,
+        ctx: &FetchContext,
+        hash: u64,
+        user_key: &[u8],
+        snapshot: u64,
+    ) -> Result<Option<Entry>> {
+        let stats = self.stats.as_deref();
+        if let Some(entry) = row::probe(ctx, hash, user_key, snapshot, stats)? {
+            return Ok(Some(entry));
+        }
+        let Some(handle) = self.handle_for(user_key, snapshot)? else { return Ok(None) };
+        if let Some(block) = ctx.fetch.probe(ctx.table_id, handle.offset) {
+            if let Some(stats) = stats {
+                stats.add_block_cache_hits(1);
+            }
+            return self.entry_in(&block, user_key, snapshot);
+        }
+        if let Some(stats) = stats {
+            stats.add_block_cache_misses(1);
+            stats.add_block_reads(1);
+        }
+        let block = self.reader.read_verified_block(handle)?.into_block();
+        let Some(pos) = self.position_in(&block, user_key, snapshot)? else { return Ok(None) };
+        let entry = self.entry_at(&block, pos)?;
+        if row::cacheable(snapshot) {
+            let (key, value) = block.entry(pos)?;
+            let row = VerifiedBlock::row(key, value);
+            ctx.fetch.insert(ctx.table_id, row::offset(hash), row, stats);
+        }
+        Ok(Some(entry))
     }
 
     /// Returns an iterator over every entry of the table in internal-key order,
@@ -201,7 +291,11 @@ impl Table {
 
 impl SortedTable for Table {
     fn get(&self, user_key: &[u8], snapshot: u64) -> Result<Option<Entry>> {
-        self.get_entry(user_key, snapshot)
+        let Some(hash) = self.filter(user_key) else { return Ok(None) };
+        match &self.fetch {
+            Some(ctx) => self.get_through_cache(ctx, hash, user_key, snapshot),
+            None => self.lookup(user_key, snapshot),
+        }
     }
 
     fn cursor(self: Arc<Self>) -> Result<BoxedCursor> {
@@ -268,11 +362,10 @@ impl TableCursor {
             value: 0..0,
         };
         if !start.is_empty() {
-            let target = InternalKey::for_lookup(start, MAX_SEQNO).encode();
-            cursor.next_block = cursor.table.index.seek(&target)?;
+            cursor.next_block = cursor.table.index.seek_lookup(start, MAX_SEQNO)?;
             if cursor.next_block < cursor.table.index.num_entries() {
                 cursor.read_next_block()?;
-                cursor.pos = cursor.block.seek(&target)?;
+                cursor.pos = cursor.block.seek_lookup(start, MAX_SEQNO)?;
             }
         }
         cursor.settle()?;
@@ -347,6 +440,7 @@ mod tests {
     use super::*;
     use crate::builder::{TableBuilder, TableBuilderOptions};
     use crate::test_util::MapCache;
+    use crate::BlockFetch;
     use triad_common::types::ValueKind;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -469,6 +563,104 @@ mod tests {
         assert_eq!(cache.loads(), 1, "provider loads each block once");
         // The private single-slot cache stays untouched when a provider is set.
         assert!(table.cached_block.lock().is_none());
+    }
+
+    /// A table opened through `cache` under table id 7, counting into `stats`.
+    fn open_through(path: &Path, cache: &Arc<MapCache>, stats: &Arc<Stats>) -> Table {
+        let ctx = FetchContext { table_id: 7, fetch: Arc::clone(cache) as _ };
+        Table::open_with_fetch(path, Some(Arc::clone(stats)), Some(ctx)).unwrap()
+    }
+
+    /// The cached row of `user_key` in table 7, if any.
+    fn row_of(cache: &MapCache, user_key: &[u8]) -> Option<Arc<Block>> {
+        cache.probe(7, row::offset(hash64(user_key)))
+    }
+
+    #[test]
+    fn gets_cache_the_row_they_read_and_not_its_block() {
+        let path = temp_path("rows.sst");
+        build_table(&path, 500, 4096);
+        let (cache, stats) = (MapCache::new(), Arc::new(Stats::new()));
+        let table = open_through(&path, &cache, &stats);
+        let get = |key: &[u8], snapshot| SortedTable::get(&table, key, snapshot).unwrap();
+        assert_eq!(get(b"key-000123", u64::MAX).unwrap().value, b"value-123");
+        assert_eq!((stats.block_reads(), stats.block_cache_misses()), (1, 1));
+        assert_eq!(cache.block_count(), 1, "the row alone is cached");
+        assert_eq!(cache.loads(), 0, "a get never loads a block into the cache");
+        let row = row_of(&cache, b"key-000123").expect("the get cached its row");
+        assert_eq!(row.num_entries(), 1);
+
+        // The row serves the next get, and any get bounded at or above its seqno.
+        for snapshot in [u64::MAX, 124] {
+            let entry = get(b"key-000123", snapshot).unwrap();
+            assert_eq!((entry.key.seqno, entry.value.as_slice()), (124, &b"value-123"[..]));
+        }
+        assert_eq!(stats.block_cache_row_hits(), 2);
+        assert_eq!(stats.block_reads(), 1);
+        // Below it the row is skipped, and the bounded get caches nothing.
+        assert!(get(b"key-000123", 123).is_none());
+        assert_eq!(stats.block_reads(), 2);
+        assert_eq!(cache.block_count(), 1);
+        assert_eq!(stats.block_cache_hits(), 2);
+        assert_eq!(stats.block_cache_misses(), 2, "one outcome per get");
+        // A neighbour in the same block reads the block again, and caches its own row.
+        assert_eq!(get(b"key-000124", u64::MAX).unwrap().value, b"value-124");
+        assert_eq!((stats.block_reads(), cache.block_count()), (3, 2));
+    }
+
+    #[test]
+    fn a_resident_block_serves_a_get_without_a_read() {
+        let path = temp_path("resident-block.sst");
+        build_table(&path, 500, 4096);
+        let (cache, stats) = (MapCache::new(), Arc::new(Stats::new()));
+        let table = Arc::new(open_through(&path, &cache, &stats));
+        assert_eq!(drain(Arc::clone(&table).scan_cursor(b"key-000100").unwrap()).len(), 400);
+        let (reads, blocks) = (stats.block_reads(), cache.block_count());
+        assert_eq!(table.get(b"key-000123", u64::MAX).unwrap().unwrap().value, b"value-123");
+        assert_eq!(stats.block_reads(), reads, "the scan's block served the get");
+        assert_eq!(stats.block_cache_hits(), 1);
+        assert_eq!(cache.block_count(), blocks, "a block hit inserts no row");
+    }
+
+    #[test]
+    fn a_row_holding_another_key_is_never_served() {
+        let path = temp_path("planted-row.sst");
+        build_table(&path, 500, 4096);
+        let (cache, stats) = (MapCache::new(), Arc::new(Stats::new()));
+        let table = open_through(&path, &cache, &stats);
+        // Key B's row, planted where key A's row would be: a hash collision.
+        let b = InternalKey::new(b"key-000200".to_vec(), 201, ValueKind::Put);
+        let planted = VerifiedBlock::row(&b.encode(), b"value-200");
+        cache.insert(7, row::offset(hash64(b"key-000100")), planted, None);
+        // A bounded get, then an unbounded one, which replaces the row.
+        for snapshot in [500, u64::MAX] {
+            let entry = SortedTable::get(&table, b"key-000100", snapshot).unwrap().unwrap();
+            assert_eq!(entry.key.user_key, b"key-000100");
+            assert_eq!(entry.value, b"value-100");
+        }
+        assert_eq!(stats.block_cache_row_hits(), 0);
+        assert_eq!(row_of(&cache, b"key-000100").unwrap().entry(0).unwrap().1, b"value-100");
+    }
+
+    #[test]
+    fn a_corrupt_data_block_fails_the_get_and_caches_no_row() {
+        let path = temp_path("get-corrupt.sst");
+        build_table(&path, 1_000, 256);
+        let index = BlockFileReader::open(&path).unwrap().read_footer().unwrap().index;
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[index.offset as usize - 10] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        let (cache, stats) = (MapCache::new(), Arc::new(Stats::new()));
+        let table = open_through(&path, &cache, &stats);
+        for _ in 0..2 {
+            let err = SortedTable::get(&table, b"key-000999", u64::MAX).unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+        }
+        assert_eq!(cache.block_count(), 0, "nothing of the corrupt block is cached");
+        assert_eq!(
+            SortedTable::get(&table, b"key-000001", u64::MAX).unwrap().unwrap().value,
+            b"value-1"
+        );
     }
 
     #[test]

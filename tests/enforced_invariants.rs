@@ -77,3 +77,23 @@ fn resolved_blocks_are_built_only_by_the_cl_table() {
         .collect();
     assert_eq!(callers, [root.join("crates/sstable/src/cl_table.rs")]);
 }
+
+/// A get's row is a `VerifiedBlock` built only from what a verified read
+/// found: an entry of a CRC-checked data block (`reader.rs`), or a CL index
+/// entry with the value of a record that passed its CRC and index→log key
+/// checks (`cl_table.rs`). rustc keeps the tuple constructor private to
+/// `format.rs`, and this test keeps `VerifiedBlock::row`, visible
+/// crate-wide, to those two files.
+#[test]
+fn rows_are_built_only_by_verified_reads() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(&root.join("crates"), &mut files);
+    let mut callers: Vec<PathBuf> = files
+        .into_iter()
+        .filter(|path| std::fs::read_to_string(path).unwrap().contains("VerifiedBlock::row("))
+        .collect();
+    callers.sort();
+    let expected = ["crates/sstable/src/cl_table.rs", "crates/sstable/src/reader.rs"];
+    assert_eq!(callers, expected.map(|path| root.join(path)));
+}
