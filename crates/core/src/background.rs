@@ -148,7 +148,7 @@ impl DbInner {
             Err(error) => {
                 eprintln!("triad: background {name} error: {error}");
                 self.stats.add_background_errors(1);
-                *self.last_background_error.lock() = Some(format!("{name}: {error}"));
+                *self.last_background_error.lock() = Some((name, error));
                 false
             }
         }
@@ -168,7 +168,8 @@ impl DbInner {
     /// Blocks until `done` holds (and, with `settle`, the worker is idle),
     /// then runs a GC pass; returns early on shutdown. After
     /// [`MAX_BACKGROUND_FAILURES`] failed attempts during the wait it returns
-    /// [`Error::Background`] with the last error.
+    /// [`Error::Background`] with the last error, or [`Error::Corruption`]
+    /// naming the same file when the last error was corruption.
     fn wait_for(&self, settle: bool, done: impl Fn() -> bool) -> Result<()> {
         let failures_before = self.stats.background_errors();
         loop {
@@ -183,10 +184,19 @@ impl DbInner {
             }
             let failures = self.stats.background_errors() - failures_before;
             if failures >= MAX_BACKGROUND_FAILURES {
-                let last = self.last_background_error.lock().clone().unwrap_or_default();
-                return Err(Error::Background(format!(
-                    "{failures} background attempts failed while waiting; last: {last}"
-                )));
+                let last = self.last_background_error.lock();
+                let message = match &*last {
+                    Some((name, error)) => format!(
+                        "{failures} background attempts failed while waiting; last: {name}: {error}"
+                    ),
+                    None => format!("{failures} background attempts failed while waiting"),
+                };
+                return Err(match &*last {
+                    Some((_, Error::Corruption { path, .. })) => {
+                        Error::Corruption { message, path: path.clone() }
+                    }
+                    _ => Error::Background(message),
+                });
             }
             // Only an idle worker is asked (a busy one picks again anyway), so
             // each failure counted here is one attempt, and none is still

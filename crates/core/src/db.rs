@@ -299,9 +299,10 @@ pub(crate) struct DbInner {
     pub(crate) shutdown: AtomicBool,
     /// Wakes the background worker and the threads waiting on it.
     pub(crate) wakeup: Arc<Wakeup>,
-    /// The last failed background flush or compaction, reported by a blocking
-    /// wait that gives up on the worker (see `background.rs`).
-    pub(crate) last_background_error: Mutex<Option<String>>,
+    /// The last failed background flush or compaction, with the job's name,
+    /// reported by a blocking wait that gives up on the worker (see
+    /// `background.rs`).
+    pub(crate) last_background_error: Mutex<Option<(&'static str, Error)>>,
 }
 
 impl std::fmt::Debug for DbInner {
@@ -1092,7 +1093,8 @@ impl Db {
 
     /// Forces the active memtable to be sealed and flushed, then waits for every
     /// pending flush to complete. Primarily useful in tests and benchmarks.
-    /// Returns [`Error::Background`] if flushes keep failing.
+    /// Returns [`Error::Background`] if flushes keep failing, or
+    /// [`Error::Corruption`] if the last attempt found corruption.
     pub fn flush(&self) -> Result<()> {
         for shard in &self.shards {
             shard.inner.force_rotate()?;
@@ -1106,7 +1108,8 @@ impl Db {
     /// Blocks until no compaction work is pending on any shard (used by
     /// benchmarks to measure steady-state sizes), then runs a
     /// garbage-collection pass. Returns [`Error::Background`] if flushes or
-    /// compactions keep failing.
+    /// compactions keep failing, or [`Error::Corruption`] if the last attempt
+    /// found corruption: a corrupt input fails every retry.
     pub fn wait_for_compactions(&self) -> Result<()> {
         for shard in &self.shards {
             shard.inner.wait_for_compactions()?;

@@ -195,8 +195,8 @@ mod tests {
         }
     }
 
-    /// A CL-SSTable `id` over commit log `log_id` holding `n` puts whose
-    /// values of 100 to 600 bytes straddle the log's chunk boundaries.
+    /// A CL-SSTable `id` over commit log `log_id` holding `n` puts with
+    /// values of 100 to 600 bytes.
     fn build_cl(dir: &std::path::Path, id: u64, log_id: u64, n: u64) -> FileMetadata {
         let mut writer = LogWriter::create(log_file_path(dir, log_id), log_id).unwrap();
         let mut builder = ClTableBuilder::create(

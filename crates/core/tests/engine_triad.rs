@@ -534,3 +534,55 @@ fn pinned_scans_keep_cl_backing_logs_alive_until_dropped() {
     }
     db.close().unwrap();
 }
+
+#[test]
+fn a_corrupt_cl_record_fails_the_compaction_and_installs_nothing() {
+    let (db, dir) = open_small("cl-corrupt-compaction", |options| {
+        single_shard(options); // one shard's L0 and commit logs
+        options.triad = TriadConfig::log_only();
+        options.l0_compaction_trigger = 2;
+    });
+    for i in 0..100u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.flush().unwrap();
+    let cl_tables = || -> Vec<String> {
+        db.expected_live_files().into_iter().filter(|name| name.ends_with(".clidx")).collect()
+    };
+    assert_eq!(cl_tables().len(), 1, "the flush wrote one CL-SSTable");
+    // Flip a byte inside key 37's value, in the log that backs the table.
+    let needle = b"value-37-1-";
+    let mut flipped = 0;
+    for name in common::disk_files(&dir).iter().filter(|name| name.ends_with(".log")) {
+        let path = dir.join(name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        if let Some(at) = bytes.windows(needle.len()).position(|window| window == needle) {
+            bytes[at + needle.len() + 20] ^= 0x10;
+            std::fs::write(&path, &bytes).unwrap();
+            flipped += 1;
+        }
+    }
+    assert_eq!(flipped, 1, "one log holds key 37's record");
+
+    // A second CL-SSTable of other keys reaches the trigger; the compaction
+    // of both reads key 37's record and fails on every attempt.
+    for i in 1_000..1_100u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+    }
+    db.flush().unwrap();
+    let inputs = cl_tables();
+    assert_eq!(inputs.len(), 2, "two CL-SSTables: {inputs:?}");
+    let error = db.wait_for_compactions().unwrap_err();
+    assert!(error.is_corruption(), "{error}");
+    assert!(db.stats().background_errors >= 1);
+    assert_eq!(db.stats().compaction_count, 0);
+    assert_eq!(db.files_per_level()[0], 2, "both inputs stay on L0");
+    assert_eq!(cl_tables(), inputs, "the manifest still lists the inputs");
+    // No output of the failed attempts is left on disk.
+    common::assert_disk_matches_live_set(&db, &dir);
+    assert!(db.get(key_for(37)).unwrap_err().is_corruption());
+    for i in (0..100u64).filter(|&i| i != 37).chain(1_000..1_100) {
+        assert_eq!(db.get(key_for(i)).unwrap(), Some(value_for(i, 1)), "key {i}");
+    }
+    db.close().unwrap();
+}

@@ -33,7 +33,7 @@ mod test_util;
 
 pub use bloom::BloomFilter;
 pub use builder::{TableBuilder, TableBuilderOptions};
-pub use cl_table::{ClTable, ClTableBuilder, LOG_CHUNK_LEN};
+pub use cl_table::{ClTable, ClTableBuilder};
 pub use format::VerifiedBlock;
 pub use iter::{
     BoundedCursor, BoxedCursor, DedupCursor, EntryCursor, EntryIter, IterCursor, MergingCursor,
@@ -146,8 +146,9 @@ pub trait SortedTable: Send + Sync {
     /// A cursor over every entry in internal-key order, for compaction: it
     /// lends each entry instead of allocating one, and never goes through the
     /// shared block cache. A regular [`Table`] reads each data block once,
-    /// CRC-verified; a [`ClTable`] walks its index the same way and reads its
-    /// backing log once, whole.
+    /// CRC-verified; a [`ClTable`] walks its index the same way and reads
+    /// every put's value when the cursor opens, in ranged reads of its
+    /// backing log sorted by offset.
     fn cursor(self: Arc<Self>) -> Result<BoxedCursor>;
 
     /// A cursor for scans, on the first entry whose internal key is

@@ -9,10 +9,11 @@
 //!
 //! To support that, the log is *offset addressable*: [`LogWriter::append`] returns
 //! the byte offset of the record it wrote, and [`LogReader::read_at`] fetches a
-//! single record back by offset. Readers of many records read a sealed log
-//! in [`LogChunk`]s instead ([`LogReader::read_range`]): a chunk's bytes are
-//! read only through [`LogChunk::record_at`], which CRC-checks each record it
-//! decodes.
+//! single record back by offset. Readers of many records read ranges of a
+//! sealed log into a [`LogChunk`] instead ([`LogReader::read_range`]): a
+//! chunk's bytes are read only through [`LogChunk::record_at`], which
+//! CRC-checks each record that lies wholly in the chunk and declines one that
+//! does not, for the caller to read alone.
 //!
 //! ## On-disk format
 //!

@@ -3,7 +3,6 @@
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use triad_common::checksum;
 use triad_common::{Error, Result};
@@ -75,115 +74,38 @@ fn decode_record_in_buffer(buffer: &[u8], offset: u64) -> Result<RecordRef<'_>> 
     RecordRef::parse(payload)
 }
 
-/// A span of a sealed commit log, read by [`LogReader::read_range`].
+/// A span of a sealed commit log, read by [`LogReader::read_range`] into a
+/// buffer the chunk keeps from read to read.
 ///
 /// A log is checksummed per record, not per span, so a chunk's bytes are
 /// kept as read, unverified, and can be read only through
 /// [`record_at`](Self::record_at), which CRC-checks the record it returns:
 /// every reader checks each record it decodes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LogChunk {
     /// Log offset of the chunk's first byte.
     start: u64,
-    /// Length of the whole log, which bounds the end of every record.
-    log_len: u64,
     bytes: Vec<u8>,
 }
 
 impl LogChunk {
-    /// Log offset of the chunk's first byte.
-    pub fn start(&self) -> u64 {
-        self.start
-    }
-
-    /// Log offset just past the chunk's last byte.
-    pub fn end(&self) -> u64 {
-        self.start + self.bytes.len() as u64
-    }
-
-    /// Number of bytes the chunk holds.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Returns `true` when the chunk holds no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// Decodes the record at log offset `offset`, which must lie in this
-    /// chunk, with its CRC checked.
-    ///
-    /// A record that runs past the chunk's end is stitched: its bytes here
-    /// and the rest of it, from the chunks `next` returns for the start
-    /// offset of each following chunk, are copied into `stitch` and decoded
-    /// there. A record that would end past the end of the log is corruption,
-    /// as it is for [`LogReader::read_at`].
-    pub fn record_at<'a>(
-        &'a self,
-        offset: u64,
-        stitch: &'a mut Vec<u8>,
-        next: &mut dyn FnMut(u64) -> Result<Arc<LogChunk>>,
-    ) -> Result<RecordRef<'a>> {
-        let past_end = || {
-            Error::corruption(format!(
-                "record at offset {offset} extends past end of log ({} bytes)",
-                self.log_len
-            ))
+    /// Decodes the record at log offset `offset` with its CRC checked, if
+    /// the whole record lies in this chunk. `Ok(None)` says it does not: the
+    /// caller reads it alone with [`LogReader::read_at`], which also checks
+    /// it against the end of the log.
+    pub fn record_at(&self, offset: u64) -> Result<Option<RecordRef<'_>>> {
+        let Some(rel) = offset.checked_sub(self.start).and_then(|rel| usize::try_from(rel).ok())
+        else {
+            return Ok(None);
         };
-        let header_end = offset
-            .checked_add(RECORD_HEADER_LEN as u64)
-            .filter(|&end| end <= self.log_len)
-            .ok_or_else(past_end)?;
-        if offset < self.start || offset >= self.end() {
-            return Err(Error::corruption(format!(
-                "record offset {offset} lies outside the log chunk [{}, {})",
-                self.start,
-                self.end()
-            )));
+        let record_end = rel.checked_add(RECORD_HEADER_LEN).and_then(|header_end| {
+            let header = self.bytes.get(rel..header_end)?;
+            header_end.checked_add(split_header(header).1 as usize)
+        });
+        if !record_end.is_some_and(|end| end <= self.bytes.len()) {
+            return Ok(None);
         }
-        let rel = (offset - self.start) as usize;
-        let record_end = |header: &[u8]| {
-            let (_, len) = split_header(header);
-            header_end.checked_add(u64::from(len)).filter(|&end| end <= self.log_len)
-        };
-        if header_end <= self.end() {
-            let end = record_end(&self.bytes[rel..rel + RECORD_HEADER_LEN]).ok_or_else(past_end)?;
-            if end <= self.end() {
-                return decode_record_in_buffer(&self.bytes, rel as u64);
-            }
-        }
-        stitch.clear();
-        stitch.extend_from_slice(&self.bytes[rel..]);
-        // The chunk the stitch last copied from, which may hold the header's
-        // tail and the payload's head both.
-        let mut last: Option<Arc<LogChunk>> = None;
-        let mut fill_to = |want: u64, stitch: &mut Vec<u8>| -> Result<()> {
-            loop {
-                let at = offset + stitch.len() as u64;
-                if at >= want {
-                    return Ok(());
-                }
-                let chunk = match last.take().filter(|chunk| at < chunk.end()) {
-                    Some(chunk) => chunk,
-                    None => next(at)?,
-                };
-                if at < chunk.start || at >= chunk.end() {
-                    return Err(Error::corruption(format!(
-                        "log chunk at {} does not continue the record at {offset}",
-                        chunk.start
-                    )));
-                }
-                let from = (at - chunk.start) as usize;
-                let take = (want - at).min(chunk.end() - at) as usize;
-                stitch.extend_from_slice(&chunk.bytes[from..from + take]);
-                last = Some(chunk);
-            }
-        };
-        fill_to(header_end, stitch)?;
-        let end = record_end(&stitch[..RECORD_HEADER_LEN]).ok_or_else(past_end)?;
-        fill_to(end, stitch)?;
-        decode_record_in_buffer(stitch, 0)
+        decode_record_in_buffer(&self.bytes, rel as u64).map(Some)
     }
 }
 
@@ -262,20 +184,21 @@ impl LogReader {
         LogRecord::decode(&payload)
     }
 
-    /// Reads up to `len` bytes of the log from `offset`, fewer at its end, as
-    /// a [`LogChunk`]. An `offset` past the end of the log is corruption.
-    pub fn read_range(&self, offset: u64, len: usize) -> Result<LogChunk> {
+    /// Reads up to `len` bytes of the log from `offset`, fewer at its end,
+    /// into `chunk` in place of what it held. An `offset` past the end of the
+    /// log is corruption.
+    pub fn read_range(&self, offset: u64, len: usize, chunk: &mut LogChunk) -> Result<()> {
         let available = self.len.checked_sub(offset).ok_or_else(|| {
             Error::corruption_at(
                 format!("log range at offset {offset} starts past end of log"),
                 &self.path,
             )
         })?;
-        let mut bytes = vec![0u8; available.min(len as u64) as usize];
-        self.file.read_exact_at(&mut bytes, offset).map_err(|e| {
+        chunk.start = offset;
+        chunk.bytes.resize(available.min(len as u64) as usize, 0);
+        self.file.read_exact_at(&mut chunk.bytes, offset).map_err(|e| {
             Error::io(format!("reading log range at {offset} in {}", self.path.display()), e)
-        })?;
-        Ok(LogChunk { start: offset, log_len: self.len, bytes })
+        })
     }
 
     /// Reads the whole log and returns every intact record in write order,
@@ -491,59 +414,81 @@ mod tests {
         offsets
     }
 
-    /// Decodes the record at `offset` from `chunk_len`-byte chunks of `reader`.
-    fn record_from_chunks(reader: &LogReader, chunk_len: u64, offset: u64) -> Result<LogRecord> {
-        let chunk = |start: u64| reader.read_range(start, chunk_len as usize).map(Arc::new);
-        let first = chunk(offset / chunk_len * chunk_len)?;
-        let mut stitch = Vec::new();
-        let mut next = |start| chunk(start);
-        first.record_at(offset, &mut stitch, &mut next).map(|record| record.to_record())
+    /// The chunk of `reader` that holds `offset`, from `chunk_len`-byte chunks
+    /// aligned to multiples of it.
+    fn aligned_chunk(reader: &LogReader, chunk_len: u64, offset: u64) -> LogChunk {
+        let mut chunk = LogChunk::default();
+        reader.read_range(offset / chunk_len * chunk_len, chunk_len as usize, &mut chunk).unwrap();
+        chunk
     }
 
     #[test]
-    fn chunked_decode_stitches_records_across_chunk_boundaries() {
+    fn in_range_decode_matches_positioned_reads_and_declines_the_rest() {
         let dir = temp_dir("chunks");
         let path = log_file_path(&dir, 0);
         let offsets = write_varied_records(&path, 60);
         let reader = LogReader::open(&path).unwrap();
         // Chunks smaller than a header, than a record, and larger than both.
         for chunk_len in [5, 64, 300, 4096] {
-            let mut stitched = 0;
+            let (mut decoded, mut declined) = (0, 0);
             for &offset in &offsets {
                 let expected = reader.read_at(offset).unwrap();
-                assert_eq!(record_from_chunks(&reader, chunk_len, offset).unwrap(), expected);
+                let chunk = aligned_chunk(&reader, chunk_len, offset);
                 let end = offset + (RECORD_HEADER_LEN + expected.encoded_len()) as u64;
-                stitched += usize::from(offset / chunk_len != (end - 1) / chunk_len);
+                match chunk.record_at(offset).unwrap() {
+                    Some(record) => {
+                        assert!(end <= chunk.start + chunk_len, "chunk {chunk_len}: {offset}");
+                        assert_eq!(record.to_record(), expected);
+                        decoded += 1;
+                    }
+                    None => {
+                        assert!(end > chunk.start + chunk_len, "chunk {chunk_len}: {offset}");
+                        declined += 1;
+                    }
+                }
+                // A chunk that starts after the record does not hold it.
+                if offset + chunk_len < reader.len() {
+                    let after = aligned_chunk(&reader, chunk_len, offset + chunk_len);
+                    assert!(after.record_at(offset).unwrap().is_none());
+                }
             }
-            assert!(stitched > 0, "chunk length {chunk_len}: some record straddles a boundary");
+            assert!(declined > 0, "chunk {chunk_len}: some record runs past its chunk");
+            if chunk_len >= 300 {
+                assert!(decoded > 0, "chunk {chunk_len}: some record fits");
+            }
         }
     }
 
     #[test]
-    fn chunked_decode_checks_the_crc_and_the_log_bounds() {
+    fn in_range_decode_checks_the_crc_and_the_log_bounds() {
         let dir = temp_dir("chunks-corrupt");
         let path = log_file_path(&dir, 0);
         let offsets = write_varied_records(&path, 20);
         let mut bytes = std::fs::read(&path).unwrap();
-        // Flip a byte near the end of record 7's payload, past a 64-byte
-        // chunk boundary from its start.
+        // Flip a byte near the end of record 7's payload.
         bytes[offsets[8] as usize - 2] ^= 0x20;
+        // Give record 12 a length that runs past the end of the log.
+        let len_field = offsets[12] as usize + 4;
+        bytes[len_field..len_field + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let reader = LogReader::open(&path).unwrap();
-        for chunk_len in [64, 4096] {
-            assert!(record_from_chunks(&reader, chunk_len, offsets[7])
-                .unwrap_err()
-                .is_corruption());
-            assert!(record_from_chunks(&reader, chunk_len, offsets[6]).is_ok());
-            // Offsets at or past the end of the log: the same class as `read_at`.
-            let len = reader.len();
-            for offset in [len - 3, len, len + 100, u64::MAX - 3, u64::MAX] {
-                let err = record_from_chunks(&reader, chunk_len, offset).unwrap_err();
-                assert!(err.is_corruption(), "chunk {chunk_len}, offset {offset}: {err}");
-            }
+        let mut whole = LogChunk::default();
+        reader.read_range(0, bytes.len(), &mut whole).unwrap();
+        assert!(whole.record_at(offsets[7]).unwrap_err().is_corruption());
+        assert!(whole.record_at(offsets[6]).unwrap().is_some());
+        // A record that would end past the log is declined by the chunk and
+        // is corruption for the positioned read, as are offsets at or past
+        // the end of the log.
+        let len = reader.len();
+        for offset in [offsets[12], len - 3, len, len + 100, u64::MAX - 3, u64::MAX] {
+            assert!(whole.record_at(offset).unwrap().is_none(), "offset {offset}");
+            let err = reader.read_at(offset).unwrap_err();
+            assert!(err.is_corruption(), "offset {offset}: {err}");
         }
         // A range past the end of the log is corruption; one at its end is empty.
-        assert!(reader.read_range(reader.len() + 1, 10).unwrap_err().is_corruption());
-        assert!(reader.read_range(reader.len(), 10).unwrap().is_empty());
+        let mut chunk = LogChunk::default();
+        assert!(reader.read_range(len + 1, 10, &mut chunk).unwrap_err().is_corruption());
+        reader.read_range(len, 10, &mut chunk).unwrap();
+        assert!(chunk.bytes.is_empty() && chunk.record_at(len).unwrap().is_none());
     }
 }

@@ -129,7 +129,7 @@ impl LogRecord {
 }
 
 /// A record decoded in place: the key and value borrow the bytes it was
-/// decoded from. The commit log's CRC-checked chunk decoder,
+/// decoded from. The commit log's CRC-checked in-range decoder,
 /// [`LogChunk::record_at`](crate::LogChunk::record_at), returns one, so a
 /// reader that only needs the value copies nothing else.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
