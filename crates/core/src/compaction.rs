@@ -5,7 +5,12 @@
 //! `l0_compaction_trigger` files accumulate. TRIAD-DISK (paper §4.2) instead
 //! estimates, from the per-file HyperLogLog sketches, how many duplicate keys the
 //! candidate files share (the *overlap ratio*) and defers the compaction until the
-//! ratio reaches a threshold — unless L0 has hit its hard file cap.
+//! ratio reaches a threshold — unless L0 has hit its hard file cap, or the files
+//! share no keys. Files that share no keys, such as a bulk load's CL-SSTables,
+//! must each be rewritten into a table once whenever they compact, so deferring
+//! them saves nothing; waiting only lets a later flush that spans L1 pull all of
+//! L1 into one bigger job. Such an L0 compacts at the baseline trigger
+//! ([`CompactionJob::worth_deferring`]).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,6 +24,7 @@ use triad_sstable::{
 };
 
 use crate::db::DbInner;
+use crate::options::Options;
 use crate::version::{FileMetadata, Version, VersionEdit};
 
 /// A picked compaction: the input files and the level they compact into.
@@ -43,6 +49,26 @@ impl CompactionJob {
         self.inputs_lower.iter().chain(self.inputs_upper.iter())
     }
 
+    /// TRIAD-DISK's bet on an L0 job: wait while the overlap ratio of its
+    /// inputs is below `threshold`, so that a later merge drops more
+    /// duplicates. The bet cannot pay when the L0 files share no keys (the
+    /// ratio reads as zero) and the job rewrites no more L1 entries than L0
+    /// brings: every L0 entry must be rewritten once anyway, and waiting only
+    /// lets a later flush that spans L1 pull more of L1 into the job. When
+    /// the L1 inputs outweigh L0, the bet stands: waiting spreads their
+    /// rewrite over more L0 files, and a ratio diluted by L1's keys cannot
+    /// tell keys L0 shares with L1 from none. Unusable sketches never defer.
+    fn worth_deferring(&self, threshold: f64) -> bool {
+        let Ok(estimate) = overlap_ratio(self.all_inputs().map(|f| (&f.hll, f.num_entries))) else {
+            return false;
+        };
+        let entries =
+            |files: &[Arc<FileMetadata>]| files.iter().map(|f| f.num_entries).sum::<u64>();
+        let shares_no_keys =
+            estimate.is_zero() && entries(&self.inputs_upper) <= entries(&self.inputs_lower);
+        !shares_no_keys && estimate.ratio < threshold
+    }
+
     /// The file to move instead of rewrite: the job's one input, when it is a
     /// regular table and nothing on the target level overlaps it. A rewrite
     /// would copy it byte for byte. CL-SSTables never move: their values
@@ -63,69 +89,27 @@ impl DbInner {
     pub(crate) fn pick_compaction(&self, version: &Version) -> (Option<CompactionJob>, bool) {
         let l0_count = version.num_files(0);
         if l0_count < self.options.l0_compaction_trigger {
-            return (self.pick_size_compaction(version), false);
+            return (pick_size_compaction(version, &self.options), false);
         }
-        let triad = &self.options.triad;
-        // TRIAD-DISK defers while the overlap is low, unless L0 has hit its
-        // hard cap. Unusable sketches fall back to the baseline trigger.
-        let defer = triad.disk_enabled
-            && l0_count < triad.max_l0_files
-            && self
-                .l0_overlap_ratio(version)
-                .is_ok_and(|estimate| estimate.ratio < triad.overlap_ratio_threshold);
-        if defer {
-            (self.pick_size_compaction(version), true)
-        } else {
-            (Some(self.pick_l0_compaction(version)), false)
-        }
-    }
-
-    /// Computes the overlap ratio over all L0 files plus the L1 files their combined
-    /// key range overlaps (the configuration shown in the paper's Figure 5).
-    pub(crate) fn l0_overlap_ratio(&self, version: &Version) -> Result<triad_hll::OverlapEstimate> {
-        let l0 = &version.levels[0];
-        if l0.is_empty() {
-            return overlap_ratio(std::iter::empty());
-        }
-        let start = l0.iter().map(|f| f.smallest.user_key.clone()).min().unwrap_or_default();
-        let end = l0.iter().map(|f| f.largest.user_key.clone()).max().unwrap_or_default();
-        let l1 = version.overlapping_files(1, &start, &end);
-        let files: Vec<(&triad_hll::HyperLogLog, u64)> = l0
-            .iter()
-            .map(|f| (&f.hll, f.num_entries))
-            .chain(l1.iter().map(|f| (&f.hll, f.num_entries)))
-            .collect();
-        overlap_ratio(files)
-    }
-
-    fn pick_l0_compaction(&self, version: &Version) -> CompactionJob {
+        // All of L0 plus the L1 files its combined key range overlaps: the
+        // job, and the files whose overlap ratio TRIAD-DISK estimates (the
+        // configuration shown in the paper's Figure 5).
         let inputs_lower: Vec<Arc<FileMetadata>> = version.levels[0].clone();
         let start =
             inputs_lower.iter().map(|f| f.smallest.user_key.clone()).min().unwrap_or_default();
         let end = inputs_lower.iter().map(|f| f.largest.user_key.clone()).max().unwrap_or_default();
         let inputs_upper = version.overlapping_files(1, &start, &end);
-        CompactionJob { source_level: 0, inputs_lower, inputs_upper }
-    }
-
-    fn pick_size_compaction(&self, version: &Version) -> Option<CompactionJob> {
-        for level in 1..version.num_levels().saturating_sub(1) {
-            if version.level_size(level) <= self.options.level_target_size(level) {
-                continue;
-            }
-            // Pick the largest file on the level; a simple, deterministic heuristic.
-            let file = version.levels[level].iter().max_by_key(|f| f.size)?.clone();
-            let inputs_upper = version.overlapping_files(
-                level + 1,
-                &file.smallest.user_key,
-                &file.largest.user_key,
-            );
-            return Some(CompactionJob {
-                source_level: level,
-                inputs_lower: vec![file],
-                inputs_upper,
-            });
+        let job = CompactionJob { source_level: 0, inputs_lower, inputs_upper };
+        // TRIAD-DISK defers while the bet can pay, unless L0 has hit its hard cap.
+        let triad = &self.options.triad;
+        let defer = triad.disk_enabled
+            && l0_count < triad.max_l0_files
+            && job.worth_deferring(triad.overlap_ratio_threshold);
+        if defer {
+            (pick_size_compaction(version, &self.options), true)
+        } else {
+            (Some(job), false)
         }
-        None
     }
 
     /// Runs `job`, picked on `version`: merges the inputs, writes the outputs,
@@ -163,8 +147,9 @@ impl DbInner {
             bytes_read += file.size;
             input_entries += file.num_entries;
             // A table input streams one block at a time, read once, CRC-checked
-            // and uncached; a CL-SSTable input walks its index the same way and
-            // reads its backing log once, whole.
+            // and uncached; a CL-SSTable input reads its index and then its
+            // values from the backing log in coalesced ranges
+            // (`ClTable::read_values`).
             sources.push(table.cursor()?);
         }
         let mut merged = DedupCursor::new(MergingCursor::new(sources), drop_tombstones)?;
@@ -307,5 +292,96 @@ impl DbInner {
             hll: props.hll.clone(),
             backing_log_id: None,
         }
+    }
+}
+
+/// Picks a size compaction for the first level from L1 down that is over its
+/// size target: that level's largest file, with the files it overlaps one
+/// level down. Compaction cuts its outputs at `target_file_size`, so nearly
+/// every file below L0 ties on "largest", and `max_by_key` returns the last
+/// of the ties: the file with the highest keys. That is what moves a load's
+/// top files down first. Picking moves first, or the file with the least
+/// overlap below, cost `write_uniform` more space amplification than its
+/// benchmark bound allows.
+fn pick_size_compaction(version: &Version, options: &Options) -> Option<CompactionJob> {
+    for level in 1..version.num_levels().saturating_sub(1) {
+        if version.level_size(level) <= options.level_target_size(level) {
+            continue;
+        }
+        let file = version.levels[level].iter().max_by_key(|f| f.size)?.clone();
+        let inputs_upper =
+            version.overlapping_files(level + 1, &file.smallest.user_key, &file.largest.user_key);
+        return Some(CompactionJob { source_level: level, inputs_lower: vec![file], inputs_upper });
+    }
+    None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use triad_common::types::{InternalKey, ValueKind};
+    use triad_hll::HyperLogLog;
+
+    /// A 4 KiB table on `level` holding `keys`, which must be sorted.
+    fn file(id: u64, level: u32, keys: impl IntoIterator<Item = u64>) -> Arc<FileMetadata> {
+        let keys: Vec<u64> = keys.into_iter().collect();
+        let mut hll = HyperLogLog::new();
+        for key in &keys {
+            hll.add(&key.to_be_bytes());
+        }
+        let bound =
+            |key: u64, seqno| InternalKey::new(key.to_be_bytes().to_vec(), seqno, ValueKind::Put);
+        Arc::new(FileMetadata {
+            id,
+            level,
+            kind: TableKind::Block,
+            size: 4_096,
+            num_entries: keys.len() as u64,
+            smallest: bound(keys[0], 100),
+            largest: bound(keys[keys.len() - 1], 1),
+            hll,
+            backing_log_id: None,
+        })
+    }
+
+    fn l0_job(lower: Vec<Arc<FileMetadata>>, upper: Vec<Arc<FileMetadata>>) -> CompactionJob {
+        CompactionJob { source_level: 0, inputs_lower: lower, inputs_upper: upper }
+    }
+
+    #[test]
+    fn triad_disk_bets_only_where_waiting_can_pay() {
+        let disjoint = || (0..4u64).map(|f| file(f, 0, f * 1_000..f * 1_000 + 1_000)).collect();
+        // A load: L0 files that share no keys, over little or no L1.
+        assert!(!l0_job(disjoint(), vec![]).worth_deferring(0.4));
+        assert!(!l0_job(disjoint(), vec![file(9, 1, 4_000..6_000)]).worth_deferring(0.4));
+        // Each file repeats a fifth of the one before it: low overlap.
+        let overlapping = (0..4u64).map(|f| file(f, 0, f * 800..f * 800 + 1_000)).collect();
+        assert!(l0_job(overlapping, vec![]).worth_deferring(0.4));
+        // Updates to keys of a large L1: every L0 key is shared, but L1's
+        // keys dilute the ratio to ~0.03, within the sketch's noise of zero.
+        let updates = (0..4u64).map(|f| file(f, 0, (0..100u64).map(|k| k * 97 + f))).collect();
+        let l1 = vec![file(8, 1, 0..5_000), file(9, 1, 5_000..10_000)];
+        assert!(l0_job(updates, l1).worth_deferring(0.4));
+        // High overlap compacts.
+        let same = (0..4u64).map(|f| file(f, 0, 0..1_000)).collect();
+        assert!(!l0_job(same, vec![]).worth_deferring(0.4));
+    }
+
+    /// Files of one size tie on "largest", and the tie goes to the last file
+    /// of the level, which holds its highest keys.
+    #[test]
+    fn the_size_picker_takes_the_highest_key_file_among_equal_sizes() {
+        let mut version = Version::empty(3);
+        version.levels[1] = vec![file(1, 1, 0..10), file(2, 1, 10..20), file(3, 1, 20..30)];
+        version.levels[2] = vec![file(4, 2, 0..15), file(5, 2, 15..25), file(6, 2, 25..99)];
+        let options = Options { l1_target_size: 3 * 4_096 - 1, ..Options::default() };
+        let job = pick_size_compaction(&version, &options).expect("L1 is over its target");
+        assert_eq!(job.source_level, 1);
+        let ids = |files: &[Arc<FileMetadata>]| files.iter().map(|f| f.id).collect::<Vec<_>>();
+        assert_eq!(ids(&job.inputs_lower), [3]);
+        assert_eq!(ids(&job.inputs_upper), [5, 6]);
+
+        let options = Options { l1_target_size: 3 * 4_096, ..Options::default() };
+        assert!(pick_size_compaction(&version, &options).is_none(), "L1 is at its target");
     }
 }

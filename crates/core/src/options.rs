@@ -66,7 +66,10 @@ pub struct TriadConfig {
     /// TRIAD-MEM: keep hot keys in memory on flush (paper §4.1).
     pub mem_enabled: bool,
     /// TRIAD-DISK: defer L0→L1 compaction until the overlap ratio is large enough
-    /// (paper §4.2).
+    /// (paper §4.2). L0 files whose ratio cannot be told apart from zero
+    /// ([`triad_hll::OverlapEstimate::is_zero`]) share no keys, so nothing
+    /// is saved by waiting: they compact at `l0_compaction_trigger`, unless
+    /// the L1 files the job would rewrite hold more entries than L0.
     pub disk_enabled: bool,
     /// TRIAD-LOG: turn sealed commit logs into CL-SSTables instead of rewriting
     /// values at flush time (paper §4.3).
@@ -74,8 +77,8 @@ pub struct TriadConfig {
     /// Hot-key selection policy for TRIAD-MEM. The paper's default treats the top 1%
     /// of keys by update frequency as hot.
     pub hot_key_policy: HotColdPolicy,
-    /// TRIAD-DISK's overlap-ratio threshold below which L0→L1 compaction is deferred.
-    /// The paper uses 0.4.
+    /// TRIAD-DISK's overlap-ratio threshold below which L0→L1 compaction is deferred,
+    /// unless the ratio reads as zero. The paper uses 0.4.
     pub overlap_ratio_threshold: f64,
     /// TRIAD-DISK's hard cap on the number of L0 files; once reached, compaction
     /// proceeds regardless of the overlap ratio. The paper uses 6.

@@ -319,6 +319,17 @@ fn triad_log_writes_cl_sstables_and_flushes_fewer_bytes() {
     );
 }
 
+/// Writes flush `batch` of `len` keys. Each flush repeats the last fifth of the
+/// keys of the flush before it: L0 files that overlap a little, so TRIAD-DISK
+/// reads an overlap ratio (0.1 for two files) that is neither zero nor past
+/// its threshold, and defers.
+fn put_overlapping_batch(db: &Db, batch: u64, len: u64) {
+    let first = batch * (len - len / 5);
+    for key in first..first + len {
+        db.put(key_for(key), value_for(key, batch)).unwrap();
+    }
+}
+
 #[test]
 fn triad_disk_defers_compactions_and_tolerates_more_l0_files() {
     let run = |triad: TriadConfig, name: &str| -> (u64, u64) {
@@ -328,12 +339,9 @@ fn triad_disk_defers_compactions_and_tolerates_more_l0_files() {
             options.triad.max_l0_files = 8;
             options.triad.overlap_ratio_threshold = 0.4;
         });
-        // Disjoint key ranges per flush: very low overlap, so TRIAD-DISK should defer.
+        // Low but non-zero overlap per flush, so TRIAD-DISK should defer.
         for batch in 0..6u64 {
-            for i in 0..400u64 {
-                let key = key_for(batch * 10_000 + i);
-                db.put(&key, value_for(i, batch)).unwrap();
-            }
+            put_overlapping_batch(&db, batch, 400);
             db.flush().unwrap();
         }
         db.wait_for_compactions().unwrap();
@@ -362,17 +370,15 @@ fn waiting_on_a_deferred_l0_does_not_count_more_deferrals() {
         options.triad.max_l0_files = 8;
         options.triad.overlap_ratio_threshold = 0.4;
     });
-    // One small L0 file per flush, each of its own key range: seven files,
-    // under the cap of eight, with low overlap.
+    // One small L0 file per flush: seven files, under the cap of eight, with
+    // low but non-zero overlap.
     for batch in 0..7u64 {
-        for i in 0..200u64 {
-            db.put(key_for(batch * 10_000 + i), value_for(i, batch)).unwrap();
-        }
+        put_overlapping_batch(&db, batch, 200);
         db.flush().unwrap();
     }
     db.wait_for_compactions().unwrap();
     let before = db.stats();
-    assert!(before.compactions_deferred > 0, "disjoint L0 files must be deferred");
+    assert!(before.compactions_deferred > 0, "low-overlap L0 files must be deferred");
     assert_eq!(before.compaction_count, 0);
     for _ in 0..10 {
         db.wait_for_compactions().unwrap();
@@ -415,16 +421,50 @@ fn triad_disk_hard_cap_forces_compaction_regardless_of_overlap() {
         options.triad.max_l0_files = 3;
         options.triad.overlap_ratio_threshold = 0.99; // effectively never by ratio
     });
+    // Overlapping flushes: a disjoint L0 would compact at the trigger and
+    // never reach the cap.
     for batch in 0..5u64 {
-        for i in 0..300u64 {
-            db.put(key_for(batch * 10_000 + i), value_for(i, batch)).unwrap();
-        }
+        put_overlapping_batch(&db, batch, 300);
         db.flush().unwrap();
         db.wait_for_compactions().unwrap();
     }
     let files = db.files_per_level();
     assert!(files[0] < 5, "the hard cap must bound L0 growth, got {files:?}");
-    assert!(db.stats().compaction_count >= 1);
+    let stats = db.stats();
+    assert!(stats.compactions_deferred > 0, "L0 must have waited for the cap: {stats:?}");
+    assert!(stats.compaction_count >= 1);
+    db.close().unwrap();
+}
+
+/// L0 files that share no keys, such as sequential flushes of a load, gain
+/// nothing from waiting: each must be rewritten once anyway. TRIAD-DISK
+/// compacts them at the baseline trigger, counts no deferral, and
+/// `wait_for_compactions` leaves L0 below the trigger.
+#[test]
+fn triad_disk_compacts_disjoint_l0_files_at_the_trigger() {
+    let mut shards = 0;
+    let (db, _dir) = open_small("disk-disjoint", |options| {
+        shards = options.shards.count;
+        options.l0_compaction_trigger = 2;
+        options.triad = TriadConfig::disk_only();
+        options.triad.max_l0_files = 8;
+        options.triad.overlap_ratio_threshold = 0.4;
+    });
+    for batch in 0..6u64 {
+        for key in batch * 1_000..batch * 1_000 + 300 {
+            db.put(key_for(key), value_for(key, batch)).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    db.wait_for_compactions().unwrap();
+    let stats = db.stats();
+    assert_eq!(stats.compactions_deferred, 0, "disjoint L0 files were deferred: {stats:?}");
+    assert!(stats.compaction_count >= 1);
+    let files = db.files_per_level();
+    assert!(files[0] < 2 * shards, "a shard's L0 is left at the trigger: {files:?}");
+    for key in (0..6_000u64).filter(|key| key % 1_000 < 300).step_by(37) {
+        assert_eq!(db.get(key_for(key)).unwrap(), Some(value_for(key, key / 1_000)));
+    }
     db.close().unwrap();
 }
 

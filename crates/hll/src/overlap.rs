@@ -9,9 +9,12 @@
 //!
 //! A ratio near 0 means the files share almost no keys, so compacting them now would
 //! mostly rewrite bytes without discarding duplicates; a ratio near 1 means most keys
-//! are duplicated and compaction will shrink the data substantially.
+//! are duplicated and compaction will shrink the data substantially. A ratio within
+//! the sketches' noise of 0 ([`OverlapEstimate::is_zero`]) cannot be told apart
+//! from files that share no keys. Few keys shared among many read as zero too, as
+//! when small files update a large one.
 
-use crate::HyperLogLog;
+use crate::{HyperLogLog, DEFAULT_PRECISION};
 use triad_common::Result;
 
 /// The result of an overlap computation, retaining the intermediate estimates so
@@ -24,12 +27,25 @@ pub struct OverlapEstimate {
     pub total_keys: f64,
     /// The overlap ratio in `[0, 1]`.
     pub ratio: f64,
+    /// Precision of the sketches the unique count was estimated from.
+    pub precision: u8,
 }
 
 impl OverlapEstimate {
     /// Returns `true` when the ratio meets or exceeds `threshold`.
     pub fn exceeds(&self, threshold: f64) -> bool {
         self.ratio >= threshold
+    }
+
+    /// Returns `true` when the ratio cannot be told apart from zero: it lies
+    /// within three standard errors of the unique-key estimate, whose
+    /// relative standard error is `1.04 / √m` for `m = 2^precision`
+    /// registers (1.6 % at precision 12, so a bound of ~0.049). Near zero the
+    /// ratio's error is that relative error, so files that share no keys
+    /// read below the bound almost always.
+    pub fn is_zero(&self) -> bool {
+        let standard_error = 1.04 / f64::from(1u32 << self.precision).sqrt();
+        self.ratio < 3.0 * standard_error
     }
 }
 
@@ -48,15 +64,22 @@ where
         total_keys += keys;
         sketches.push(sketch);
     }
-    if sketches.is_empty() || total_keys == 0 {
-        return Ok(OverlapEstimate { estimated_unique: 0.0, total_keys: 0.0, ratio: 0.0 });
+    // Merging checks that every sketch shares the first one's precision.
+    let precision = sketches.first().map_or(DEFAULT_PRECISION, |sketch| sketch.precision());
+    if total_keys == 0 {
+        return Ok(OverlapEstimate {
+            estimated_unique: 0.0,
+            total_keys: 0.0,
+            ratio: 0.0,
+            precision,
+        });
     }
     let estimated_unique = HyperLogLog::merged_estimate(sketches.iter().copied())?;
     let total = total_keys as f64;
     // Estimation noise can push the unique estimate slightly above the true total;
     // clamp so the ratio stays within [0, 1].
     let ratio = (1.0 - estimated_unique / total).clamp(0.0, 1.0);
-    Ok(OverlapEstimate { estimated_unique, total_keys: total, ratio })
+    Ok(OverlapEstimate { estimated_unique, total_keys: total, ratio, precision })
 }
 
 #[cfg(test)]
@@ -85,6 +108,27 @@ mod tests {
         let (b, cb) = sketch_of_range(10_000..20_000);
         let estimate = overlap_ratio([(&a, ca), (&b, cb)]).unwrap();
         assert!(estimate.ratio < 0.05, "ratio {} should be near 0", estimate.ratio);
+    }
+
+    /// TRIAD-DISK does not defer files whose overlap reads as zero, so
+    /// disjoint files must read as zero and a ~10 % share of keys must not.
+    #[test]
+    fn disjoint_sketches_read_as_zero_and_a_tenth_shared_does_not() {
+        let files: Vec<(HyperLogLog, u64)> =
+            (0..6u64).map(|f| sketch_of_range(f * 4_000..(f + 1) * 4_000)).collect();
+        let disjoint = overlap_ratio(files.iter().map(|(hll, keys)| (hll, *keys))).unwrap();
+        assert_eq!(disjoint.precision, crate::DEFAULT_PRECISION);
+        assert!(disjoint.is_zero(), "disjoint files read ratio {}", disjoint.ratio);
+
+        // 2 000 of 20 000 keys are duplicates: a ratio of 0.1.
+        let (a, ca) = sketch_of_range(0..10_000);
+        let (b, cb) = sketch_of_range(8_000..18_000);
+        let shared = overlap_ratio([(&a, ca), (&b, cb)]).unwrap();
+        assert!(!shared.is_zero(), "a tenth shared read ratio {}", shared.ratio);
+
+        let (b, cb) = sketch_of_range(0..10_000);
+        assert!(!overlap_ratio([(&a, ca), (&b, cb)]).unwrap().is_zero());
+        assert!(overlap_ratio(std::iter::empty()).unwrap().is_zero());
     }
 
     #[test]
