@@ -7,25 +7,53 @@
 //! [`Stats`] instance; the benchmark harness snapshots it before and after a run and
 //! derives the figures reported in the paper.
 //!
+//! # Stripes
+//!
+//! Client threads and the background worker all record into the same
+//! registry, one or more counters per operation. A single copy of the
+//! counters would move its cache lines between cores on every one of those
+//! writes. So a registry keeps [`STRIPES`] cache-line-aligned copies of every
+//! counter, and each thread records into the stripe of a thread-local slot,
+//! assigned round-robin on the thread's first record. Reading a counter
+//! combines its stripes by the counter's kind; a read is therefore exact
+//! however many threads recorded, and after they have exited. The count is a
+//! constant, not an option: two threads share a stripe only when more than
+//! [`STRIPES`] recording threads exist, and sharing costs speed, never counts.
+//!
 //! # Adding a counter
 //!
 //! Every counter is declared once, as one row of the `counters!` table below:
 //! its doc comment, its name, its kind and the name of its recorder. A `Sum`
-//! counter accumulates (`fetch_add`); a `Max` counter is a high-water mark
-//! (`fetch_max`). The table generates the atomic field, the recorder, the
-//! getter, the [`StatSnapshot`] field, the counter's part of
-//! [`Stats::snapshot`], [`Stats::absorb`], [`StatSnapshot::delta_since`] and
-//! [`StatSnapshot::merge`], and the row the table-driven test walks. Adding a
-//! counter is one row plus its increment sites.
+//! counter accumulates (`fetch_add`, and its stripes add); a `Max` counter is a
+//! high-water mark (`fetch_max`, and the largest stripe wins). The table
+//! generates the atomic field, the recorder, the getter, the [`StatSnapshot`]
+//! field, the counter's part of [`Stats::snapshot`], [`Stats::absorb`],
+//! [`StatSnapshot::delta_since`] and [`StatSnapshot::merge`], and the row the
+//! table-driven test walks. Adding a counter is one row plus its increment
+//! sites.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
-
-use crate::hist::LatencyHistogram;
 
 /// One in this many commit groups is wall-clock timed for the sampled
 /// `wal_append_us` / `wal_sync_wait_us` counters (see [`Stats::sample_timing`]).
 pub const TIMING_SAMPLE_EVERY: u64 = 16;
+
+/// How many copies of the counters a [`Stats`] registry keeps (see the module
+/// docs). Sixteen covers the client threads of the benches and the background
+/// worker with room to spare, at 8 KiB per registry.
+pub const STRIPES: usize = 16;
+
+/// Hands out stripe slots round-robin, one per recording thread.
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's stripe, the same in every registry.
+    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    /// This thread's [`Stats::sample_timing`] tick.
+    static TIMING_TICK: Cell<u64> = const { Cell::new(0) };
+}
 
 /// The per-kind semantics of one counter: how a recorded value folds into the
 /// atomic, how a later snapshot relates to an earlier one, and how the
@@ -55,7 +83,7 @@ macro_rules! by_kind {
 /// `/// doc` `name: Kind => recorder;` (see the module docs).
 macro_rules! counters {
     ($($(#[$doc:meta])* $name:ident: $kind:ident => $record:ident;)*) => {
-        /// One relaxed atomic per counter.
+        /// One relaxed atomic per counter: one stripe's copy.
         #[derive(Debug, Default)]
         struct Counters {
             $($name: AtomicU64,)*
@@ -65,12 +93,14 @@ macro_rules! counters {
             $(
                 $(#[$doc])*
                 pub fn $record(&self, value: u64) {
-                    by_kind!($kind, record, self.counters.$name, value);
+                    by_kind!($kind, record, self.local().$name, value);
                 }
 
                 #[doc = concat!("Returns the current value of `", stringify!($name), "`.")]
                 pub fn $name(&self) -> u64 {
-                    self.counters.$name.load(Ordering::Relaxed)
+                    self.stripes.iter().fold(0, |total, stripe| {
+                        by_kind!($kind, merge, total, stripe.0.$name.load(Ordering::Relaxed))
+                    })
                 }
             )*
 
@@ -126,17 +156,15 @@ macro_rules! counters {
 /// [`Stats::snapshot`] and calling [`StatSnapshot::delta_since`].
 #[derive(Debug, Default)]
 pub struct Stats {
-    counters: Counters,
-    /// Round-robin tick deciding which commit groups get timed; not a metric
-    /// itself and deliberately absent from [`StatSnapshot`].
-    timing_tick: AtomicU64,
-    // Read-path latency distributions (nanoseconds). Cumulative histograms,
-    // not counters: they are read through [`Stats::get_latency`] /
-    // [`Stats::scan_latency`] and deliberately absent from [`StatSnapshot`],
-    // which stays a `Copy` bundle of scalars.
-    get_latency: LatencyHistogram,
-    scan_latency: LatencyHistogram,
+    /// One copy of every counter per stripe; a thread records into its own.
+    stripes: [Stripe; STRIPES],
 }
+
+/// One stripe's counters, alone on their cache lines: 128-byte alignment
+/// also keeps adjacent-line prefetching from pairing two stripes.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Stripe(Counters);
 
 counters! {
     // Logical (user-issued) traffic.
@@ -311,33 +339,21 @@ impl Stats {
         Self::default()
     }
 
-    /// Records one point-lookup latency, in nanoseconds. Used by the engine's
-    /// `Db::get` and snapshot reads; recording is one relaxed `fetch_add`.
-    pub fn record_get_latency_ns(&self, nanos: u64) {
-        self.get_latency.record(nanos);
+    /// The calling thread's stripe.
+    fn local(&self) -> &Counters {
+        &self.stripes[STRIPE.with(|index| *index)].0
     }
 
-    /// The cumulative point-lookup latency histogram (nanoseconds).
-    pub fn get_latency(&self) -> &LatencyHistogram {
-        &self.get_latency
-    }
-
-    /// Records one scan latency, in nanoseconds: the engine measures an
-    /// iterator's whole lifetime, construction (tree capture) through drop.
-    pub fn record_scan_latency_ns(&self, nanos: u64) {
-        self.scan_latency.record(nanos);
-    }
-
-    /// The cumulative scan latency histogram (nanoseconds).
-    pub fn scan_latency(&self) -> &LatencyHistogram {
-        &self.scan_latency
-    }
-
-    /// Returns `true` for one in [`TIMING_SAMPLE_EVERY`] calls; the write path
-    /// uses this to decide whether to time a commit group, keeping clock reads
-    /// off the common path.
+    /// Returns `true` for one in [`TIMING_SAMPLE_EVERY`] calls on the calling
+    /// thread; the write path uses this to decide whether to time a commit
+    /// group, keeping clock reads off the common path. The tick is the
+    /// thread's own, so sampling writes no shared memory.
     pub fn sample_timing(&self) -> bool {
-        self.timing_tick.fetch_add(1, Ordering::Relaxed) % TIMING_SAMPLE_EVERY == 0
+        TIMING_TICK.with(|tick| {
+            let now = tick.get();
+            tick.set(now.wrapping_add(1));
+            now % TIMING_SAMPLE_EVERY == 0
+        })
     }
 
     /// Convenience helper to record time spent flushing.
@@ -351,15 +367,12 @@ impl Stats {
     }
 
     /// Folds another registry into this one: every counter records the other's
-    /// value by its kind (`Sum` adds, `Max` keeps the maximum), and the
-    /// cumulative latency histograms merge bucket by bucket. The sharded `Db`
-    /// façade uses this to aggregate per-shard engine stats into one
+    /// value by its kind (`Sum` adds, `Max` keeps the maximum). The sharded
+    /// `Db` façade uses this to aggregate per-shard engine stats into one
     /// database-wide view; `other` keeps recording independently and is not
     /// modified.
     pub fn absorb(&self, other: &Stats) {
         self.record_snapshot(&other.snapshot());
-        self.get_latency.merge_from(other.get_latency());
-        self.scan_latency.merge_from(other.scan_latency());
     }
 }
 
@@ -463,6 +476,11 @@ mod tests {
         pub(super) record: fn(&Stats, u64),
         pub(super) get: fn(&Stats) -> u64,
         pub(super) field: fn(&mut StatSnapshot) -> &mut u64,
+    }
+
+    /// `row`'s counter in `snap`.
+    fn field_of(row: &CounterRow, mut snap: StatSnapshot) -> u64 {
+        *(row.field)(&mut snap)
     }
 
     /// A snapshot in which only `row`'s counter is non-zero.
@@ -623,40 +641,120 @@ mod tests {
         assert_eq!(snap.background_time_fraction(Duration::ZERO), 0.0);
     }
 
-    #[test]
-    fn concurrent_updates_do_not_lose_counts() {
-        let stats = Arc::new(Stats::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let stats = Arc::clone(&stats);
-            handles.push(thread::spawn(move || {
-                for _ in 0..10_000 {
-                    stats.add_table_probes(1);
-                }
-            }));
+    /// Records `round` into every counter, `times` times: each `Sum`
+    /// counter gains `round * times`, and each `Max` counter's mark reaches
+    /// `round`.
+    fn record_every_counter(stats: &Stats, round: u64, times: u64) {
+        for _ in 0..times {
+            for row in COUNTER_ROWS {
+                (row.record)(stats, round);
+            }
         }
+    }
+
+    /// The snapshot of a registry that `threads` threads, thread `t` recording
+    /// `t + 1` into every counter `times` times, must read.
+    fn expected_after(threads: u64, times: u64) -> StatSnapshot {
+        let mut snap = StatSnapshot::default();
+        for row in COUNTER_ROWS {
+            *(row.field)(&mut snap) = match row.kind {
+                Kind::Sum => times * threads * (threads + 1) / 2,
+                Kind::Max => threads,
+            };
+        }
+        snap
+    }
+
+    /// More recording threads than stripes, so every stripe takes records
+    /// and some take several threads' records at once.
+    const THREADS: u64 = 2 * STRIPES as u64 + 1;
+
+    /// Runs [`THREADS`] recording threads against `stats` and joins them.
+    fn record_from_threads(stats: &Arc<Stats>, times: u64) {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let stats = Arc::clone(stats);
+                thread::spawn(move || record_every_counter(&stats, t + 1, times))
+            })
+            .collect();
         for handle in handles {
             handle.join().expect("thread completes");
         }
-        assert_eq!(stats.table_probes(), 80_000);
     }
 
     #[test]
-    fn read_latency_histograms_accumulate_independently() {
-        let stats = Stats::new();
-        assert_eq!(stats.get_latency().count(), 0);
-        assert_eq!(stats.scan_latency().count(), 0);
-        for nanos in [500, 1_200, 90_000] {
-            stats.record_get_latency_ns(nanos);
+    fn concurrent_updates_do_not_lose_counts() {
+        let stats = Arc::new(Stats::new());
+        let writers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let stats = Arc::clone(&stats);
+                thread::spawn(move || record_every_counter(&stats, t + 1, 500))
+            })
+            .collect();
+        // Reads racing the writers see every counter grow, never shrink.
+        let mut last = StatSnapshot::default();
+        while writers.iter().any(|writer| !writer.is_finished()) {
+            let now = stats.snapshot();
+            for row in COUNTER_ROWS {
+                let (before, after) = (field_of(row, last), field_of(row, now));
+                assert!(after >= before, "{}: {before} then {after}", row.name);
+            }
+            last = now;
         }
-        stats.record_scan_latency_ns(2_000_000);
-        assert_eq!(stats.get_latency().count(), 3);
-        assert_eq!(stats.scan_latency().count(), 1);
-        assert_eq!(stats.get_latency().max(), 90_000);
-        assert!(stats.scan_latency().percentile(50.0) > 1_000_000);
-        // The histograms are cumulative and not part of the Copy snapshot.
-        let _snap: StatSnapshot = stats.snapshot();
-        assert_eq!(stats.get_latency().count(), 3);
+        for writer in writers {
+            writer.join().expect("thread completes");
+        }
+        assert_eq!(stats.snapshot(), expected_after(THREADS, 500));
+    }
+
+    #[test]
+    fn counts_stay_exact_after_the_recording_threads_exit() {
+        let stats = Arc::new(Stats::new());
+        record_from_threads(&stats, 100);
+        // Every recording thread is gone; its records live on in the stripes.
+        let expected = expected_after(THREADS, 100);
+        assert_eq!(stats.snapshot(), expected);
+        for row in COUNTER_ROWS {
+            assert_eq!((row.get)(&stats), field_of(row, expected), "{}", row.name);
+        }
+    }
+
+    #[test]
+    fn a_max_counter_reads_the_largest_mark_of_any_stripe() {
+        let stats = Stats::new();
+        stats.stripes[3].0.wal_pipeline_max_depth.store(9, Ordering::Relaxed);
+        stats.stripes[STRIPES - 1].0.wal_pipeline_max_depth.store(4, Ordering::Relaxed);
+        stats.stripes[5].0.user_writes.store(9, Ordering::Relaxed);
+        stats.stripes[STRIPES - 1].0.user_writes.store(4, Ordering::Relaxed);
+        assert_eq!(stats.wal_pipeline_max_depth(), 9, "a mark is the largest stripe's");
+        assert_eq!(stats.user_writes(), 13, "a sum adds its stripes");
+        // A smaller mark recorded on this thread's stripe moves nothing.
+        stats.record_pipeline_depth(2);
+        assert_eq!(stats.snapshot().wal_pipeline_max_depth, 9);
+    }
+
+    #[test]
+    fn absorb_and_merge_of_striped_registries_are_exact() {
+        let (a, b) = (Arc::new(Stats::new()), Arc::new(Stats::new()));
+        record_from_threads(&a, 20);
+        record_from_threads(&b, 30);
+        let merged = a.snapshot().merge(&b.snapshot());
+        let mut expected = expected_after(THREADS, 50);
+        assert_eq!(merged, expected);
+
+        let total = Stats::new();
+        total.absorb(&a);
+        total.absorb(&b);
+        assert_eq!(total.snapshot(), expected);
+        // The sources keep their own counts, and a later absorb adds on top.
+        assert_eq!(a.snapshot(), expected_after(THREADS, 20));
+        total.absorb(&a);
+        for row in COUNTER_ROWS {
+            if row.kind == Kind::Sum {
+                *(row.field)(&mut expected) += field_of(row, expected_after(THREADS, 20));
+            }
+        }
+        assert_eq!(total.snapshot(), expected);
     }
 
     #[test]
@@ -682,26 +780,20 @@ mod tests {
     }
 
     #[test]
-    fn absorb_folds_counters_marks_and_histograms() {
+    fn absorb_folds_counters_and_marks() {
         let total = Stats::new();
         total.add_user_writes(1);
         total.record_pipeline_depth(2);
-        total.record_get_latency_ns(100);
 
         let shard = Stats::new();
         shard.add_user_writes(41);
         shard.add_wal_syncs(9);
         shard.record_pipeline_depth(3);
-        shard.record_get_latency_ns(1_000_000);
-        shard.record_scan_latency_ns(50_000);
 
         total.absorb(&shard);
         assert_eq!(total.user_writes(), 42);
         assert_eq!(total.wal_syncs(), 9);
         assert_eq!(total.wal_pipeline_max_depth(), 3, "absorb keeps the larger mark");
-        assert_eq!(total.get_latency().count(), 2);
-        assert_eq!(total.get_latency().max(), 1_000_000);
-        assert_eq!(total.scan_latency().count(), 1);
         // The source registry is untouched and keeps recording.
         assert_eq!(shard.user_writes(), 41);
     }

@@ -134,11 +134,13 @@ impl DbInner {
 
         // Insert phase, outside the WAL lock. `Memtable::insert` keeps a
         // straggling older update of a key from clobbering a newer one that a
-        // faster writer, appended later, applied first.
+        // faster writer, appended later, applied first. Each insert returns
+        // the memtable's size after it; the last one feeds the rotation check.
+        let mut mem_size = 0;
         for (seqno, (op, &position)) in
             (phase.first_seqno..).zip(batch.ops.iter().zip(&phase.positions))
         {
-            phase.mem.insert(&op.key, &op.value, seqno, op.kind, position);
+            mem_size = phase.mem.insert(&op.key, &op.value, seqno, op.kind, position);
         }
 
         // Durability stage, overlapping the next group's append. Either the
@@ -173,7 +175,7 @@ impl DbInner {
         // `rotate_locked` drains the pipeline (exclusive gate) before sealing,
         // so in-flight groups always finish into the memtable they appended
         // against.
-        self.maybe_rotate()?;
+        self.maybe_rotate(mem_size)?;
         Ok(end)
     }
 
@@ -312,15 +314,17 @@ impl DbInner {
         drop(phase.gate);
     }
 
-    /// Writer-side rotation check: a lock-free pre-check against the
-    /// memtable's size and the `wal_size_hint` (maintained by the append
-    /// stage), then — only when a trigger fires — re-verification and rotation
-    /// under the WAL lock (another writer may have rotated first). Keeping the
-    /// common no-rotation case off the WAL lock matters because the next
-    /// writer is appending under it right now. A small-flush skip's fsync and
-    /// retirement run after the lock is released.
-    fn maybe_rotate(&self) -> Result<()> {
-        if self.mem.read().approximate_size() < self.options.memtable_size
+    /// Writer-side rotation check: a lock-free pre-check against
+    /// `inserted_size`, the size the group's last insert left its memtable
+    /// at, and the `wal_size_hint` (maintained by the append stage), then —
+    /// only when a trigger fires — re-verification against the active
+    /// memtable and rotation under the WAL lock (another writer may have
+    /// rotated first, so the group's memtable may already be sealed). Keeping
+    /// the common no-rotation case off every lock matters because the next
+    /// writer is appending under the WAL lock right now. A small-flush skip's
+    /// fsync and retirement run after the lock is released.
+    fn maybe_rotate(&self, inserted_size: usize) -> Result<()> {
+        if inserted_size < self.options.memtable_size
             && (self.wal_size_hint.load(Ordering::Relaxed) as usize) < self.options.max_log_size
         {
             return Ok(());

@@ -21,7 +21,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use triad_common::lockrank::{RankedMutex, RankedRwLock, RankedRwLockWriteGuard};
+use triad_common::lockrank::{
+    RankedMutex, RankedRwLock, RankedRwLockReadGuard, RankedRwLockWriteGuard,
+};
 
 use triad_common::failpoint::{Failpoint, FailpointRegistry};
 use triad_common::types::{SeqNo, ValueKind};
@@ -228,6 +230,47 @@ pub(crate) mod lock_rank {
     /// engine lock: rotation signals it under the WAL lock and commit gate,
     /// and a version pin may drop under anything.
     pub const WAKEUP: u32 = 90;
+}
+
+/// The live memory component as one get probes it: the active memtable's
+/// handle and the sealed list, read-locked in that order and held until the
+/// probe is done. [`LiveMemory::capture`] is the only way to build one, so
+/// the capture order is the only order a live get can probe in:
+///
+/// * the active handle first, then the sealed list. Rotation pushes the
+///   sealed memtable before swapping in a fresh active one, and a flush
+///   re-installs hot entries into the (live) active memtable and publishes
+///   its table in a new version before unlinking the sealed memtable. So
+///   every live entry is in a captured memtable or in the version the get
+///   pins after they all miss. Probing the active memtable before taking
+///   the sealed list's guard would let a whole flush run in between: the
+///   hot entries it wrote back land in the active memtable already probed,
+///   and the sealed memtable that held them is gone.
+/// * both guards before probing either, and both released before the
+///   version pin: [`probe`](LiveMemory::probe) consumes the capture, and
+///   `current_version` ([`lock_rank::CURRENT_VERSION`]) ranks below `mem`.
+///
+/// Holding the guards, rather than cloning the `Arc` and the `Vec`, keeps a
+/// get from writing reference counts that writers and the flusher share.
+struct LiveMemory<'a> {
+    db: &'a DbInner,
+    mem: RankedRwLockReadGuard<'a, Arc<Memtable>>,
+    imm: RankedRwLockReadGuard<'a, Vec<Arc<ImmutableMemtable>>>,
+}
+
+impl<'a> LiveMemory<'a> {
+    /// Read-locks `db`'s active memtable handle, then its sealed list.
+    fn capture(db: &'a DbInner) -> Self {
+        let mem = db.mem.read();
+        let imm = db.imm.read();
+        LiveMemory { db, mem, imm }
+    }
+
+    /// Probes the captured memtables for the newest version of `key` (see
+    /// [`DbInner::probe_memtables`]) and releases both guards.
+    fn probe(self, key: &[u8]) -> Option<Option<Vec<u8>>> {
+        self.db.probe_memtables(key, u64::MAX, &self.mem, &self.imm)
+    }
 }
 
 /// Shared engine state.
@@ -1029,17 +1072,9 @@ impl Db {
 
     /// Returns the current value of `key`, or `None` if it does not exist (or was
     /// deleted).
-    ///
-    /// Each call's wall-clock latency is recorded (in nanoseconds) into the
-    /// shared [`Stats::get_latency`] histogram, so tail latency of the read
-    /// path is observable without any harness-side clocking.
     pub fn get(&self, key: impl AsRef<[u8]>) -> Result<Option<Vec<u8>>> {
         let key = key.as_ref();
-        let shard = &self.shards[self.routes.route(key)];
-        let started = Instant::now();
-        let result = shard.inner.get(key);
-        shard.inner.stats.record_get_latency_ns(started.elapsed().as_nanos() as u64);
-        result
+        self.shards[self.routes.route(key)].inner.get(key)
     }
 
     /// Returns an iterator over every live key/value pair in key order.
@@ -1173,8 +1208,7 @@ impl Db {
     }
 
     /// A snapshot of the engine statistics, merged across shards: counters
-    /// sum, latency histograms merge bucket-wise, and group-size /
-    /// pipeline-depth high-water marks take the max.
+    /// sum, and pipeline-depth high-water marks take the max.
     pub fn stats(&self) -> StatSnapshot {
         let mut merged = self.shards[0].inner.stats.snapshot();
         for shard in &self.shards[1..] {
@@ -1544,7 +1578,9 @@ impl DbInner {
         Arc::new(Memtable::with_retention(Arc::clone(&self.retention)))
     }
 
-    /// Point lookup against the pinned current version. A missing table file is a
+    /// Point lookup: the live memory component under its guards (see
+    /// [`LiveMemory`] for why the capture order is what it is), then, if every
+    /// memtable misses, the pinned current version. A missing table file is a
     /// hard error (corruption): garbage collection never deletes a file that a
     /// live version still references.
     ///
@@ -1556,47 +1592,52 @@ impl DbInner {
     /// ([`crate::snapshot::Snapshot`]), where the retention registry guarantees
     /// the bounded probe can always find its version.
     pub(crate) fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        // Capture the memory component coherently *before* probing anything: the
-        // active memtable handle first, then the sealed list. Rotation pushes the
-        // sealed memtable before swapping in a fresh active one, and a flush
-        // re-installs hot entries into the (live) active memtable and publishes
-        // its table in a new version before unlinking the sealed memtable — so
-        // with this capture order, every live entry is present in a captured
-        // memtable or in the version the probe pins after they miss.
-        let mem = self.mem.read().clone();
-        let imm: Vec<Arc<ImmutableMemtable>> = self.imm.read().clone();
         // Reads return the newest committed version, with no sequence-number
         // ceiling: the memtable keeps one slot per key and compaction's dedup
         // keeps only the newest version, so a lookup bounded by a just-loaded
         // sequence number could find *nothing* when a concurrent overwrite lands
         // in the probe window — even though the key exists before and after.
-        // Observing the racing write instead is linearizable.
-        self.probe(key, u64::MAX, &mem, &imm, || self.pin_current_version())
+        // Observing the racing write instead is linearizable. The memtables'
+        // guards are gone by the time the version is pinned.
+        match LiveMemory::capture(self).probe(key) {
+            Some(found) => Ok(found),
+            None => self.probe_version(key, u64::MAX, &self.pin_current_version()),
+        }
     }
 
-    /// The point-lookup probe shared by [`DbInner::get`] and snapshot reads:
-    /// `mem`, then the sealed memtables `imm` newest first, then the disk
-    /// component level by level, every probe bounded by `seqno`. `version` is
-    /// called only when every memtable misses, so the live path pins a version
-    /// only for reads that reach the disk. Within L0 files are probed newest
-    /// first, and no older file can hold a newer visible version than a younger
-    /// file (flush order), so the first hit is the newest version at `seqno`.
-    pub(crate) fn probe<V: std::ops::Deref<Target = Version>>(
+    /// The memory half of a point lookup, shared by [`DbInner::get`] and
+    /// snapshot reads: `mem`, then the sealed memtables `imm` newest first,
+    /// every probe bounded by `seqno`. Returns what the first memtable that
+    /// holds a version of `key` says, or `None` when every memtable misses
+    /// and the lookup goes on to [`probe_version`](DbInner::probe_version).
+    /// It is the first step of every lookup, so it counts the read.
+    pub(crate) fn probe_memtables(
         &self,
         key: &[u8],
         seqno: SeqNo,
         mem: &Memtable,
         imm: &[Arc<ImmutableMemtable>],
-        version: impl FnOnce() -> V,
-    ) -> Result<Option<Vec<u8>>> {
+    ) -> Option<Option<Vec<u8>>> {
         self.stats.add_user_reads(1);
         for memtable in std::iter::once(mem).chain(imm.iter().rev().map(|m| &*m.memtable)) {
             self.stats.add_memtable_probes(1);
             if let Some(entry) = memtable.get(key, seqno) {
-                return Ok(self.resolve(entry.kind, entry.value));
+                return Some(self.resolve(entry.kind, entry.value));
             }
         }
-        let version = version();
+        None
+    }
+
+    /// The disk half of a point lookup: `version` level by level, every probe
+    /// bounded by `seqno`. Within L0 files are probed newest first, and no
+    /// older file can hold a newer visible version than a younger file (flush
+    /// order), so the first hit is the newest version at `seqno`.
+    pub(crate) fn probe_version(
+        &self,
+        key: &[u8],
+        seqno: SeqNo,
+        version: &Version,
+    ) -> Result<Option<Vec<u8>>> {
         for level in 0..version.num_levels() {
             for file in version.files_for_key(level, key) {
                 let table = self.table_cache.get_or_open(&file)?;

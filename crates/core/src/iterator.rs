@@ -4,7 +4,6 @@
 
 use std::ops::Bound;
 use std::sync::Arc;
-use std::time::Instant;
 
 use triad_common::types::{parse_encoded_internal_key, Entry, SeqNo, ValueKind};
 use triad_common::{Error, Result};
@@ -51,19 +50,7 @@ pub struct DbIterator {
     end: Option<Vec<u8>>,
     /// The snapshot's capture, shared with its handle: the capture is
     /// released when the last of them drops.
-    view: Arc<[SnapshotShard]>,
-    /// When the iterator was created. The recorded "scan latency" is the
-    /// whole lifetime — tree capture through drop — which for a
-    /// construct-iterate-drop scan (every bench and most callers) is exactly
-    /// the scan's wall-clock cost.
-    created: Instant,
-}
-
-impl Drop for DbIterator {
-    fn drop(&mut self) {
-        let stats = &self.view[0].db.stats;
-        stats.record_scan_latency_ns(self.created.elapsed().as_nanos() as u64);
-    }
+    _view: Arc<[SnapshotShard]>,
 }
 
 impl DbIterator {
@@ -97,7 +84,6 @@ impl DbIterator {
         start: Option<&[u8]>,
         end: Option<&[u8]>,
     ) -> Result<DbIterator> {
-        let created = Instant::now();
         let start = start.unwrap_or_default();
         let mut sources: Vec<BoxedCursor> = Vec::new();
         for part in view.iter() {
@@ -133,7 +119,7 @@ impl DbIterator {
             }
         }
         let inner = DedupCursor::new(MergingCursor::new(sources), false)?;
-        Ok(DbIterator { inner, consumed: false, end: end.map(<[u8]>::to_vec), view, created })
+        Ok(DbIterator { inner, consumed: false, end: end.map(<[u8]>::to_vec), _view: view })
     }
 }
 

@@ -99,7 +99,10 @@ impl SnapshotShard {
     /// live read path's probe over the capture-time memtables and the pinned
     /// version, bounded by the snapshot seqno.
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.db.probe(key, self.seqno, &self.mem, &self.imm, || &*self.pin)
+        match self.db.probe_memtables(key, self.seqno, &self.mem, &self.imm) {
+            Some(found) => Ok(found),
+            None => self.db.probe_version(key, self.seqno, &self.pin),
+        }
     }
 }
 
@@ -181,11 +184,7 @@ impl Snapshot {
     /// memory, through its `Arc`.
     pub fn get(&self, key: impl AsRef<[u8]>) -> Result<Option<Vec<u8>>> {
         let key = key.as_ref();
-        let shard = &self.shards[self.routes.route(key)];
-        let started = std::time::Instant::now();
-        let result = shard.get(key);
-        shard.db.stats.record_get_latency_ns(started.elapsed().as_nanos() as u64);
-        result
+        self.shards[self.routes.route(key)].get(key)
     }
 
     /// Returns an iterator over every key/value pair that was live at the

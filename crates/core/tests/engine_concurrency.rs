@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread;
 
 use common::{key_for, open_small};
-use triad_core::{Db, SyncMode, TriadConfig, WriteBatch, WriteOptions};
+use triad_core::{Db, HotColdPolicy, SyncMode, TriadConfig, WriteBatch, WriteOptions};
 
 fn concurrent_workload(db: Arc<Db>, threads: u64, ops_per_thread: u64) {
     let mut handles = Vec::new();
@@ -125,6 +125,72 @@ fn readers_run_concurrently_with_writers_and_background_work() {
         assert!(db.get(key_for(i)).unwrap().is_some());
     }
     db.close().unwrap();
+}
+
+/// A live get read-locks the active memtable's handle, then the sealed list,
+/// and probes neither before holding both. A TRIAD-MEM flush writes its hot
+/// entries back into the active memtable and only then unlinks the sealed
+/// memtable, so a get that probed the active memtable before it held the
+/// sealed list could miss a hot key on both sides of one flush, and find it
+/// on disk neither: hot entries are not flushed. One writer updates a small
+/// hot set and forces a flush, over and over, so every flush writes the whole
+/// set back, and the active memtable is empty from each rotation to its
+/// write-back. Readers outnumber the cores, so the scheduler parks some of
+/// them mid-get for longer than a flush takes. They get the hot set
+/// throughout, and no get may come back empty or with another key's value.
+#[test]
+fn gets_never_miss_hot_keys_a_flush_writes_back() {
+    const HOT: u64 = 8;
+    const READERS: usize = 8;
+    const ROUNDS: u64 = 150;
+    let (db, dir) = open_small("hot-write-back-gets", |options| {
+        options.memtable_size = 16 * 1024;
+        options.triad = TriadConfig::mem_only();
+        // Every key a flush sees is hot, so the hot set never reaches disk.
+        options.triad.hot_key_policy = HotColdPolicy::TopCount(HOT as usize);
+    });
+    let db = Arc::new(db);
+    let hot_value = |h: u64, round: u64| format!("hot-{h}-r{round}").into_bytes();
+    for h in 0..HOT {
+        db.put(key_for(h), hot_value(h, 0)).unwrap();
+    }
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let (db, stop) = (Arc::clone(&db), Arc::clone(&stop));
+            thread::spawn(move || {
+                let mut reads = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let h = reads % HOT;
+                    let value = db.get(key_for(h)).unwrap();
+                    let value = value.unwrap_or_else(|| panic!("hot key {h} missed"));
+                    let prefix = format!("hot-{h}-r");
+                    assert!(value.starts_with(prefix.as_bytes()), "hot key {h} read another value");
+                    reads += 1;
+                }
+                reads
+            })
+        })
+        .collect();
+    for round in 1..=ROUNDS {
+        for h in 0..HOT {
+            db.put(key_for(h), hot_value(h, round)).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    for handle in readers {
+        assert!(handle.join().unwrap() > 0, "readers should have run alongside the writer");
+    }
+    let stats = db.stats();
+    assert!(stats.hot_entries_retained >= ROUNDS * HOT, "too few write-backs: {stats:?}");
+    assert_eq!(stats.entries_flushed, 0, "the hot set reached disk: {stats:?}");
+    for h in 0..HOT {
+        assert_eq!(db.get(key_for(h)).unwrap(), Some(hot_value(h, ROUNDS)));
+    }
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The core commit contract, audited end to end: N threads interleave
