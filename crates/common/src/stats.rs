@@ -285,9 +285,8 @@ counters! {
     // The shared block cache (one cache across all keyspace shards; each probe
     // charges the stats registry of the shard that issued it, so the per-shard
     // counters still sum to the cache-wide totals under `merge`).
-    /// Block-cache probes served from a cached decoded block or row (including
-    /// probes that joined an in-flight single-flight load). A get counts one
-    /// hit or one miss, however many slots it probed.
+    /// Block-cache probes served from a cached decoded block or row. A get
+    /// counts one hit or one miss, however many slots it probed.
     block_cache_hits: Sum => add_block_cache_hits;
     /// Block-cache probes that had to read the block from disk.
     block_cache_misses: Sum => add_block_cache_misses;

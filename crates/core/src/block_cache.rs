@@ -24,12 +24,15 @@
 //!   clock hand pops the ring front, re-queues referenced slots with the bit
 //!   cleared and evicts the first unreferenced one. Scans streaming cold
 //!   blocks therefore cannot flush the hot set in one pass.
-//! * **Single-flight** — a miss in [`BlockFetch::get_or_load`] installs a
-//!   `Loading` slot before dropping the shard lock; concurrent probes for the
-//!   same block park on the flight's Condvar instead of issuing duplicate
-//!   reads. A failed or purged load publishes `None` and waiters fall back to
-//!   a direct uncached read. Rows skip this: a get reads around the cache and
-//!   [`BlockFetch::insert`]s what it found.
+//! * **One way in** — every entry enters through [`BlockFetch::insert`]. A
+//!   scan's block or a CL-SSTable's index block comes through
+//!   [`FetchContext::get_or_load`](triad_sstable::FetchContext::get_or_load):
+//!   probe, and on a miss read around the cache with the table's verified
+//!   loader, then insert. A point get reads around the cache the same way
+//!   and inserts the row it found. Misses are not coalesced: two readers
+//!   missing one block at once both read it, and the second insert replaces
+//!   the first. On the benchmark's four workloads, about one miss in two
+//!   thousand met another reader's load of the same block.
 //! * **Budget** — the total byte budget ([`Options::block_cache`](crate::Options::block_cache)) divides
 //!   evenly across the shards and is enforced per shard at insert time.
 //!   Each slot is charged its block's decoded bytes plus a fixed per-slot
@@ -37,9 +40,8 @@
 //!   one of 4 KiB blocks. A block whose charge exceeds a whole shard budget
 //!   is returned uncached.
 //!
-//! A slot holds one kind of entry, and it serves no unchecked byte: both the
-//! `load` closure of [`BlockFetch::get_or_load`] and [`BlockFetch::insert`]
-//! take a [`VerifiedBlock`]. Outside `triad-sstable` only
+//! A slot serves no unchecked byte: [`BlockFetch::insert`] takes a
+//! [`VerifiedBlock`]. Outside `triad-sstable` only
 //! `BlockFileReader::read_verified_block` — the CRC32C-checked read —
 //! constructs one; inside it, `ClTable`'s resolved-block loader and the
 //! gets' rows do too, from records and entries that passed their checks. A
@@ -51,9 +53,8 @@ use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
 use triad_common::lockrank::RankedMutex;
-use triad_common::{Result, Stats};
+use triad_common::Stats;
 use triad_sstable::block::Block;
 use triad_sstable::{BlockFetch, VerifiedBlock};
 
@@ -97,41 +98,11 @@ impl Hasher for MixHasher {
 /// A map keyed by table id or offset.
 type MixMap<V> = HashMap<u64, V, BuildHasherDefault<MixHasher>>;
 
-/// The result a flight publishes: `Some(block)` on a successful load,
-/// `None` when the load failed or the table was purged mid-flight.
-type FlightResult = Option<Arc<Block>>;
-
-/// A single-flight rendezvous: the loader publishes exactly once, waiters
-/// park until then. Its lock is private to the flight and never nests with
-/// the ranked shard locks.
-struct Flight {
-    done: Mutex<Option<FlightResult>>,
-    ready: Condvar,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight { done: Mutex::new(None), ready: Condvar::new() }
-    }
-
-    fn publish(&self, result: FlightResult) {
-        *self.done.lock() = Some(result);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> FlightResult {
-        let mut done = self.done.lock();
-        while done.is_none() {
-            self.ready.wait(&mut done);
-        }
-        done.clone().expect("checked above")
-    }
-}
-
-/// One cache slot: a resident block, or a load in flight.
-enum Slot {
-    Ready { block: Arc<Block>, charge: usize, referenced: bool },
-    Loading(Arc<Flight>),
+/// One resident cache slot.
+struct Slot {
+    block: Arc<Block>,
+    charge: usize,
+    referenced: bool,
 }
 
 /// What one resident slot costs beyond its block's decoded bytes: its slot
@@ -163,41 +134,30 @@ struct CacheShard {
 }
 
 impl CacheShard {
-    fn slot(&self, (table, offset): BlockKey) -> Option<&Slot> {
-        self.tables.get(&table)?.get(&offset)
-    }
-
     fn slot_mut(&mut self, (table, offset): BlockKey) -> Option<&mut Slot> {
         self.tables.get_mut(&table)?.get_mut(&offset)
     }
 
-    /// Installs a `Loading` slot for `key`.
-    fn start_loading(&mut self, (table, offset): BlockKey, flight: Arc<Flight>) {
-        self.tables.entry(table).or_default().insert(offset, Slot::Loading(flight));
-    }
-
-    /// Removes `key`'s slot, releasing its charge if it was resident.
+    /// Removes `key`'s slot, releasing its charge.
     fn remove(&mut self, (table, offset): BlockKey) -> Option<Slot> {
         let slots = self.tables.get_mut(&table)?;
         let slot = slots.remove(&offset)?;
         if slots.is_empty() {
             self.tables.remove(&table);
         }
-        if let Slot::Ready { charge, .. } = &slot {
-            self.bytes -= charge;
-            self.resident -= 1;
-        }
+        self.bytes -= slot.charge;
+        self.resident -= 1;
         Some(slot)
     }
 
-    /// Makes `block` resident at `key` in place of whatever slot is there,
-    /// then evicts down to `budget`. Returns the number of slots evicted.
+    /// Makes `block` resident at `key` in place of any resident slot, then
+    /// evicts down to `budget`. Returns the number of slots evicted.
     fn install(&mut self, key: BlockKey, block: Arc<Block>, charge: usize, budget: usize) -> u64 {
-        // A resident slot is on the ring already; a loading one never is.
-        if !matches!(self.remove(key), Some(Slot::Ready { .. })) {
+        // A replaced slot is on the ring already.
+        if self.remove(key).is_none() {
             self.ring.push_back(key);
         }
-        let slot = Slot::Ready { block, charge, referenced: false };
+        let slot = Slot { block, charge, referenced: false };
         self.tables.entry(key.0).or_default().insert(key.1, slot);
         self.bytes += charge;
         self.resident += 1;
@@ -210,13 +170,10 @@ impl CacheShard {
         let mut evicted = 0;
         while self.bytes > budget {
             let Some(key) = self.ring.pop_front() else { break };
-            // A ring entry whose slot is gone or still loading is stale
-            // (purged table, or a load never ringed): just drop it.
-            let referenced = match self.slot_mut(key) {
-                Some(Slot::Ready { referenced, .. }) => std::mem::replace(referenced, false),
-                _ => continue,
-            };
-            if referenced {
+            // A ring entry whose slot is gone is stale (a purged table): just
+            // drop it.
+            let Some(slot) = self.slot_mut(key) else { continue };
+            if std::mem::replace(&mut slot.referenced, false) {
                 // Second chance: the bit is cleared; re-queue.
                 self.ring.push_back(key);
             } else {
@@ -228,25 +185,18 @@ impl CacheShard {
     }
 
     /// Drops every `table` slot. Returns the removed slots, to be dropped
-    /// outside the lock, and the flights to tell.
+    /// outside the lock.
     fn purge(&mut self, table: u64) -> Option<MixMap<Slot>> {
         let slots = self.tables.remove(&table)?;
-        for slot in slots.values() {
-            if let Slot::Ready { charge, .. } = slot {
-                self.bytes -= charge;
-                self.resident -= 1;
-            }
-        }
+        self.bytes -= slots.values().map(|slot| slot.charge).sum::<usize>();
+        self.resident -= slots.len();
         // The purged slots' ring entries stay until the hand passes them. A
         // shard under its budget never moves the hand, so drop them here
         // once they outnumber the resident slots.
         if self.ring.len() > 2 * self.resident + 16 {
             let tables = &self.tables;
             self.ring.retain(|(table, offset)| {
-                matches!(
-                    tables.get(table).and_then(|slots| slots.get(offset)),
-                    Some(Slot::Ready { .. })
-                )
+                tables.get(table).is_some_and(|slots| slots.contains_key(offset))
             });
         }
         Some(slots)
@@ -325,134 +275,27 @@ impl BlockCache {
         self.shard_budget * CACHE_SHARDS
     }
 
-    /// Drops every block belonging to `table_id` — called when
-    /// GC evicts the table so a recycled file id can never resurrect stale
-    /// blocks. Loads still in flight are told to publish `None`; their
-    /// waiters re-read directly and their loaders skip the insert. Visits
-    /// only the table's own slots.
+    /// Drops every block belonging to `table_id` — called when GC evicts
+    /// the table so a recycled file id can never resurrect stale blocks.
+    /// Visits only the table's own slots. No read of the table can be under
+    /// way: GC evicts a table only once no live version references it, and
+    /// every reader pins its version for the whole read.
     pub fn purge_table(&self, table_id: u64) {
         for shard in &self.shards {
-            let Some(slots) = shard.lock().purge(table_id) else { continue };
-            // Wake waiters and free the blocks outside the shard lock.
-            for slot in slots.into_values() {
-                if let Slot::Loading(flight) = slot {
-                    flight.publish(None);
-                }
-            }
+            let slots = shard.lock().purge(table_id);
+            // Free the blocks outside the shard lock.
+            drop(slots);
         }
     }
 }
 
 impl BlockFetch for BlockCache {
-    fn get_or_load(
-        &self,
-        table_id: u64,
-        offset: u64,
-        stats: Option<&Stats>,
-        load: &dyn Fn() -> Result<VerifiedBlock>,
-    ) -> Result<Arc<Block>> {
-        let key = (table_id, offset);
-        let load = || load().map(|block| Arc::new(block.into_block()));
-        let shard = self.shard(&key);
-
-        // Fast path / flight registration, under the shard lock.
-        let (flight, is_loader) = {
-            let mut state = shard.lock();
-            match state.slot_mut(key) {
-                Some(Slot::Ready { block, referenced, .. }) => {
-                    *referenced = true;
-                    let block = Arc::clone(block);
-                    drop(state);
-                    if let Some(stats) = stats {
-                        stats.add_block_cache_hits(1);
-                    }
-                    return Ok(block);
-                }
-                Some(Slot::Loading(flight)) => (Arc::clone(flight), false),
-                None => {
-                    let flight = Arc::new(Flight::new());
-                    state.start_loading(key, Arc::clone(&flight));
-                    (flight, true)
-                }
-            }
-        };
-
-        if !is_loader {
-            // Someone else is reading this block right now; park until they
-            // publish. A successful flight counts as a hit — one disk read
-            // served every parked probe, which is the whole point.
-            if let Some(block) = flight.wait() {
-                if let Some(stats) = stats {
-                    stats.add_block_cache_hits(1);
-                }
-                return Ok(block);
-            }
-            // The load failed (or the table was purged mid-flight): fall back
-            // to a direct, uncached read so one loser cannot fail everyone.
-            if let Some(stats) = stats {
-                stats.add_block_cache_misses(1);
-            }
-            return load();
-        }
-
-        // Loader path: read outside any lock.
-        if let Some(stats) = stats {
-            stats.add_block_cache_misses(1);
-        }
-        let ours = |state: &CacheShard| matches!(state.slot(key), Some(Slot::Loading(f)) if Arc::ptr_eq(f, &flight));
-        let block = match load() {
-            Ok(block) => block,
-            Err(err) => {
-                let mut state = shard.lock();
-                // Only remove our own flight; a purge may have raced us.
-                if ours(&state) {
-                    state.remove(key);
-                }
-                drop(state);
-                flight.publish(None);
-                return Err(err);
-            }
-        };
-
-        let charge = charge(&block);
-        let mut evicted = 0;
-        let mut inserted = false;
-        {
-            let mut state = shard.lock();
-            if ours(&state) {
-                if charge <= self.shard_budget {
-                    evicted = state.install(key, Arc::clone(&block), charge, self.shard_budget);
-                    inserted = true;
-                } else {
-                    // Oversized: serve it, but never let one block own the
-                    // whole shard.
-                    state.remove(key);
-                }
-            }
-            // Not ours: a purge removed the flight — the table is gone from
-            // the version chain, so do not re-insert its blocks.
-        }
-        if let Some(stats) = stats {
-            if inserted {
-                stats.add_block_cache_inserted_bytes(charge as u64);
-            }
-            if evicted > 0 {
-                stats.add_block_cache_evictions(evicted);
-            }
-        }
-        flight.publish(Some(Arc::clone(&block)));
-        Ok(block)
-    }
-
     fn probe(&self, table_id: u64, offset: u64) -> Option<Arc<Block>> {
         let key = (table_id, offset);
-        match self.shard(&key).lock().slot_mut(key) {
-            Some(Slot::Ready { block, referenced, .. }) => {
-                *referenced = true;
-                Some(Arc::clone(block))
-            }
-            _ => None,
-        }
+        let mut state = self.shard(&key).lock();
+        let slot = state.slot_mut(key)?;
+        slot.referenced = true;
+        Some(Arc::clone(&slot.block))
     }
 
     fn has_room(&self, table_id: u64, offset: u64, block: &Block) -> bool {
@@ -460,27 +303,30 @@ impl BlockFetch for BlockCache {
         self.shard(&key).lock().bytes + charge(block) <= self.shard_budget
     }
 
-    fn insert(&self, table_id: u64, offset: u64, block: VerifiedBlock, stats: Option<&Stats>) {
+    fn insert(
+        &self,
+        table_id: u64,
+        offset: u64,
+        block: VerifiedBlock,
+        stats: Option<&Stats>,
+    ) -> Arc<Block> {
         let block = Arc::new(block.into_block());
         let charge = charge(&block);
         if charge > self.shard_budget {
-            return;
+            // Oversized: serve it, but never let one block own the whole
+            // shard.
+            return block;
         }
         let key = (table_id, offset);
-        let evicted = {
-            let mut state = self.shard(&key).lock();
-            // A load in flight publishes its own block.
-            if matches!(state.slot(key), Some(Slot::Loading(_))) {
-                return;
-            }
-            state.install(key, block, charge, self.shard_budget)
-        };
+        let evicted =
+            self.shard(&key).lock().install(key, Arc::clone(&block), charge, self.shard_budget);
         if let Some(stats) = stats {
             stats.add_block_cache_inserted_bytes(charge as u64);
             if evicted > 0 {
                 stats.add_block_cache_evictions(evicted);
             }
         }
+        block
     }
 }
 
@@ -488,8 +334,10 @@ impl BlockFetch for BlockCache {
 mod tests {
     use super::*;
     use triad_common::types::{InternalKey, ValueKind};
+    use triad_common::Result;
     use triad_sstable::block::BlockBuilder;
     use triad_sstable::format::{BlockFileReader, BlockFileWriter, BlockHandle, Footer};
+    use triad_sstable::FetchContext;
 
     /// Test blocks, loaded the one way the cache accepts them: through the
     /// checksum-verified read of a block file that holds one block per
@@ -540,11 +388,11 @@ mod tests {
     #[test]
     fn hits_and_misses_are_counted_per_probe() {
         let blocks = SampleBlocks::new("hits", [(4, 16)]);
-        let cache = BlockCache::new(1 << 20);
+        let cache = Arc::new(BlockCache::new(1 << 20));
         let stats = Stats::new();
         let table = cache.allocate_table_id();
         for _ in 0..5 {
-            cache.get_or_load(table, 0, Some(&stats), &|| blocks.load(4, 16)).unwrap();
+            ctx(&cache, table).get_or_load(0, Some(&stats), || blocks.load(4, 16)).unwrap();
         }
         assert_eq!(stats.block_cache_misses(), 1, "one load for five probes");
         assert_eq!(stats.block_cache_hits(), 4);
@@ -555,68 +403,79 @@ mod tests {
     #[test]
     fn distinct_tables_never_share_blocks() {
         let blocks = SampleBlocks::new("distinct", [(1, 8), (2, 8)]);
-        let cache = BlockCache::new(1 << 20);
+        let cache = Arc::new(BlockCache::new(1 << 20));
         let a = cache.allocate_table_id();
         let b = cache.allocate_table_id();
         assert_ne!(a, b);
-        let block_a = cache.get_or_load(a, 0, None, &|| blocks.load(1, 8)).unwrap();
-        let block_b = cache.get_or_load(b, 0, None, &|| blocks.load(2, 8)).unwrap();
+        let block_a = ctx(&cache, a).get_or_load(0, None, || blocks.load(1, 8)).unwrap();
+        let block_b = ctx(&cache, b).get_or_load(0, None, || blocks.load(2, 8)).unwrap();
         assert_ne!(block_a.num_entries(), block_b.num_entries());
         assert_eq!(cache.block_count(), 2);
     }
 
     #[test]
-    fn single_flight_under_eight_thread_same_block_hammering() {
+    fn concurrent_misses_of_one_block_all_read_it_and_keep_exact_books() {
         use std::sync::atomic::AtomicUsize;
-        let blocks = Arc::new(SampleBlocks::new("single-flight", [(4, 16)]));
+        use std::sync::Barrier;
+        let blocks = Arc::new(SampleBlocks::new("concurrent", [(4, 16), (1, 8)]));
         let cache = Arc::new(BlockCache::new(1 << 20));
-        let loads = Arc::new(AtomicUsize::new(0));
-        let table = cache.allocate_table_id();
-        let barrier = Arc::new(std::sync::Barrier::new(8));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let blocks = Arc::clone(&blocks);
-                let cache = Arc::clone(&cache);
-                let loads = Arc::clone(&loads);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    for _ in 0..50 {
-                        let block = cache
-                            .get_or_load(table, 42, None, &|| {
+        let (table, other) = (cache.allocate_table_id(), cache.allocate_table_id());
+        for n in 0..200 {
+            cache.insert(other, row_offset(n), blocks.load(1, 8).unwrap(), None);
+        }
+        let expected: Vec<Vec<u8>> = (0..4)
+            .map(|i| {
+                InternalKey::new(format!("key-{i:06}").into_bytes(), 1, ValueKind::Put).encode()
+            })
+            .collect();
+        let loads = AtomicUsize::new(0);
+        let (start, all_missed) = (Barrier::new(9), Barrier::new(8));
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    let ctx = ctx(&cache, table);
+                    start.wait();
+                    for read in 0..50 {
+                        let block = ctx
+                            .get_or_load(42, None, || {
                                 loads.fetch_add(1, Ordering::Relaxed);
-                                // A slow load widens the race window.
-                                std::thread::sleep(std::time::Duration::from_millis(1));
+                                if read == 0 {
+                                    // No thread inserts before every first
+                                    // probe has missed.
+                                    all_missed.wait();
+                                }
                                 blocks.load(4, 16)
                             })
                             .unwrap();
-                        assert_eq!(block.num_entries(), 4);
+                        for (pos, key) in expected.iter().enumerate() {
+                            assert_eq!(block.entry(pos).unwrap(), (&key[..], &[b'v'; 16][..]));
+                        }
                     }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        assert_eq!(
-            loads.load(Ordering::Relaxed),
-            1,
-            "400 concurrent probes of one block must do exactly one load"
-        );
+                });
+            }
+            // Another table's purge races the reads.
+            start.wait();
+            cache.purge_table(other);
+        });
+        assert_eq!(loads.load(Ordering::Relaxed), 8, "each first read loads, then all hit");
+        assert_eq!(cache.block_count(), 1);
+        cache.assert_accounting();
+        assert!((0..200).all(|n| cache.probe(other, row_offset(n)).is_none()));
     }
 
     #[test]
     fn failed_loads_do_not_poison_the_slot() {
         let blocks = SampleBlocks::new("failed-load", [(3, 8)]);
-        let cache = BlockCache::new(1 << 20);
-        let table = cache.allocate_table_id();
-        let err = cache
-            .get_or_load(table, 0, None, &|| Err(triad_common::Error::corruption("bad block")));
+        let cache = Arc::new(BlockCache::new(1 << 20));
+        let ctx = ctx(&cache, cache.allocate_table_id());
+        let err = ctx.get_or_load(0, None, || Err(triad_common::Error::corruption("bad block")));
         assert!(err.is_err());
+        assert_eq!(cache.block_count(), 0);
         // The next probe retries and succeeds.
-        let block = cache.get_or_load(table, 0, None, &|| blocks.load(3, 8)).unwrap();
+        let block = ctx.get_or_load(0, None, || blocks.load(3, 8)).unwrap();
         assert_eq!(block.num_entries(), 3);
         assert_eq!(cache.block_count(), 1);
+        cache.assert_accounting();
     }
 
     impl BlockCache {
@@ -630,16 +489,19 @@ mod tests {
                     .tables
                     .values()
                     .flat_map(|slots| slots.values())
-                    .filter_map(|slot| match slot {
-                        Slot::Ready { charge, .. } => Some(*charge),
-                        Slot::Loading(_) => None,
-                    })
+                    .map(|slot| slot.charge)
                     .collect();
                 assert_eq!(state.bytes, charges.iter().sum::<usize>());
                 assert_eq!(state.resident, charges.len());
                 assert!(state.tables.values().all(|slots| !slots.is_empty()));
             }
         }
+    }
+
+    /// `table_id`'s view of `cache`: blocks are loaded into the cache only
+    /// through it.
+    fn ctx(cache: &Arc<BlockCache>, table_id: u64) -> FetchContext {
+        FetchContext { table_id, fetch: Arc::clone(cache) as _ }
     }
 
     /// A row's offset: the cache knows nothing of the tag, but keep the
@@ -656,7 +518,7 @@ mod tests {
         let shapes = (64..576).map(|value_len| (8, value_len));
         let blocks = SampleBlocks::new("churn", shapes.chain((16..300).map(|len| (1, len))));
         let budget = 64 * 1024;
-        let cache = BlockCache::new(budget);
+        let cache = Arc::new(BlockCache::new(budget));
         let stats = Stats::new();
         let mut seed = 0x5eed_5eed_u64;
         let tables: Vec<u64> = (0..4).map(|_| cache.allocate_table_id()).collect();
@@ -666,8 +528,8 @@ mod tests {
             if seed & (1 << 40) == 0 {
                 let offset = (seed >> 17) % 256;
                 let value_len = 64 + (seed % 512) as usize;
-                cache
-                    .get_or_load(table, offset, Some(&stats), &|| blocks.load(8, value_len))
+                ctx(&cache, table)
+                    .get_or_load(offset, Some(&stats), || blocks.load(8, value_len))
                     .unwrap();
             } else {
                 // A get's row: probed, and inserted on a miss.
@@ -697,7 +559,7 @@ mod tests {
     #[test]
     fn rows_are_probed_and_replaced_without_a_load() {
         let blocks = SampleBlocks::new("rows", [(1, 8), (1, 40)]);
-        let cache = BlockCache::new(1 << 20);
+        let cache = Arc::new(BlockCache::new(1 << 20));
         let stats = Stats::new();
         let table = cache.allocate_table_id();
         assert!(cache.probe(table, row_offset(7)).is_none());
@@ -723,7 +585,7 @@ mod tests {
         let blocks = SampleBlocks::new("room", [(16, 64)]);
         let block = blocks.load(16, 64).unwrap().into_block();
         // Each shard's budget holds exactly two such blocks.
-        let cache = BlockCache::new(2 * charge(&block) * CACHE_SHARDS);
+        let cache = Arc::new(BlockCache::new(2 * charge(&block) * CACHE_SHARDS));
         let table = cache.allocate_table_id();
         let mut offset = 0;
         while cache.has_room(table, offset, &block) {
@@ -741,7 +603,7 @@ mod tests {
     #[test]
     fn purging_a_table_keeps_every_other_tables_rows_and_exact_bytes() {
         let blocks = SampleBlocks::new("purge-rows", [(1, 32), (4, 32)]);
-        let cache = BlockCache::new(64 << 20);
+        let cache = Arc::new(BlockCache::new(64 << 20));
         let victim = cache.allocate_table_id();
         let survivor = cache.allocate_table_id();
         for n in 0..10_000 {
@@ -751,7 +613,7 @@ mod tests {
         for n in 0..1_000 {
             cache.insert(victim, row_offset(n), blocks.load(1, 32).unwrap(), None);
         }
-        cache.get_or_load(victim, 0, None, &|| blocks.load(4, 32)).unwrap();
+        ctx(&cache, victim).get_or_load(0, None, || blocks.load(4, 32)).unwrap();
         assert_eq!(cache.block_count(), 11_001);
 
         cache.purge_table(victim);
@@ -779,9 +641,9 @@ mod tests {
     #[test]
     fn oversized_blocks_are_served_but_not_cached() {
         let blocks = SampleBlocks::new("oversized", [(16, 128)]);
-        let cache = BlockCache::new(CACHE_SHARDS); // 1 byte per shard.
+        let cache = Arc::new(BlockCache::new(CACHE_SHARDS)); // 1 byte per shard.
         let table = cache.allocate_table_id();
-        let block = cache.get_or_load(table, 0, None, &|| blocks.load(16, 128)).unwrap();
+        let block = ctx(&cache, table).get_or_load(0, None, || blocks.load(16, 128)).unwrap();
         assert!(block.num_entries() == 16);
         assert_eq!(cache.block_count(), 0, "a block larger than a shard budget is not retained");
         assert_eq!(cache.bytes_used(), 0);
@@ -790,22 +652,22 @@ mod tests {
     #[test]
     fn purge_table_drops_only_that_tables_blocks() {
         let blocks = SampleBlocks::new("purge", [(4, 32)]);
-        let cache = BlockCache::new(1 << 20);
+        let cache = Arc::new(BlockCache::new(1 << 20));
         let stats = Stats::new();
         let victim = cache.allocate_table_id();
         let survivor = cache.allocate_table_id();
         for offset in 0..10 {
-            cache.get_or_load(victim, offset, Some(&stats), &|| blocks.load(4, 32)).unwrap();
-            cache.get_or_load(survivor, offset, Some(&stats), &|| blocks.load(4, 32)).unwrap();
+            ctx(&cache, victim).get_or_load(offset, Some(&stats), || blocks.load(4, 32)).unwrap();
+            ctx(&cache, survivor).get_or_load(offset, Some(&stats), || blocks.load(4, 32)).unwrap();
         }
         assert_eq!(cache.block_count(), 20);
         cache.purge_table(victim);
         assert_eq!(cache.block_count(), 10);
         // The survivor's blocks still hit; the victim's blocks reload.
         let misses_before = stats.block_cache_misses();
-        cache.get_or_load(survivor, 3, Some(&stats), &|| blocks.load(4, 32)).unwrap();
+        ctx(&cache, survivor).get_or_load(3, Some(&stats), || blocks.load(4, 32)).unwrap();
         assert_eq!(stats.block_cache_misses(), misses_before);
-        cache.get_or_load(victim, 3, Some(&stats), &|| blocks.load(4, 32)).unwrap();
+        ctx(&cache, victim).get_or_load(3, Some(&stats), || blocks.load(4, 32)).unwrap();
         assert_eq!(stats.block_cache_misses(), misses_before + 1);
     }
 
@@ -816,20 +678,20 @@ mod tests {
         // blocks and verify the *aggregate* behavior: a block probed twice
         // (referenced) survives churn longer than cold fill-ins.
         let blocks = SampleBlocks::new("clock", [(4, 64)]);
-        let cache = BlockCache::new(8 * 1024);
+        let cache = Arc::new(BlockCache::new(8 * 1024));
         let stats = Stats::new();
         let table = cache.allocate_table_id();
         // Make offset 0 hot.
-        cache.get_or_load(table, 0, Some(&stats), &|| blocks.load(4, 64)).unwrap();
+        ctx(&cache, table).get_or_load(0, Some(&stats), || blocks.load(4, 64)).unwrap();
         for _ in 0..3 {
-            cache.get_or_load(table, 0, Some(&stats), &|| blocks.load(4, 64)).unwrap();
+            ctx(&cache, table).get_or_load(0, Some(&stats), || blocks.load(4, 64)).unwrap();
         }
         // Stream cold blocks through.
         for offset in 1..40 {
-            cache.get_or_load(table, offset, Some(&stats), &|| blocks.load(4, 64)).unwrap();
+            ctx(&cache, table).get_or_load(offset, Some(&stats), || blocks.load(4, 64)).unwrap();
         }
         let misses_before = stats.block_cache_misses();
-        cache.get_or_load(table, 0, Some(&stats), &|| blocks.load(4, 64)).unwrap();
+        ctx(&cache, table).get_or_load(0, Some(&stats), || blocks.load(4, 64)).unwrap();
         // Not a hard guarantee (the hot block's shard may have churned it
         // out after its second chance), but with 40 cold blocks spread over
         // 8 shards the referenced bit must have bought at least survival

@@ -261,6 +261,49 @@ fn cl_scans_are_served_from_resolved_blocks() {
     }
 }
 
+/// Scanners that miss the same cold resolved blocks at once each build them
+/// and insert them; every one still reads the model's entries and values.
+#[test]
+fn concurrent_scans_of_cold_resolved_blocks_see_the_model() {
+    let (db, _dir) = open_small("block-cache-cold-cl-scans", |options| {
+        options.triad = TriadConfig::log_only();
+        options.block_cache = 1 << 20;
+        options.l0_compaction_trigger = 100;
+    });
+    let mut model = std::collections::BTreeMap::new();
+    for i in 0..600u64 {
+        db.put(key_for(i), value_for(i, 1)).unwrap();
+        model.insert(key_for(i), value_for(i, 1));
+    }
+    for i in (0..600u64).step_by(3) {
+        db.put(key_for(i), value_for(i, 2)).unwrap();
+        model.insert(key_for(i), value_for(i, 2));
+    }
+    for i in (0..600u64).step_by(7) {
+        db.delete(key_for(i)).unwrap();
+        model.remove(&key_for(i));
+    }
+    db.flush().unwrap();
+    assert!(db.files_per_level()[0] > 0, "the flush wrote CL-SSTables");
+    let before = db.stats();
+    assert_eq!(before.block_cache_hits + before.block_cache_misses, 0, "no block is cached yet");
+    let expected: Vec<(Vec<u8>, Vec<u8>)> =
+        model.range(key_for(100)..).map(|(key, value)| (key.clone(), value.clone())).collect();
+    let barrier = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                barrier.wait();
+                let iter = db.scan_range(Some(&key_for(100)), None).unwrap();
+                let seen: Vec<(Vec<u8>, Vec<u8>)> = iter.map(|entry| entry.unwrap()).collect();
+                assert_eq!(seen, expected);
+            });
+        }
+    });
+    assert!(db.stats().block_cache_misses > 0, "the scans loaded resolved blocks");
+    db.close().unwrap();
+}
+
 /// Reopens `db` so its table cache starts empty.
 fn reopen(db: Db, dir: &std::path::Path) -> Db {
     let options = db.options().clone();

@@ -216,12 +216,7 @@ impl ClTable {
             self.resolve(handle)
         };
         match &self.fetch {
-            Some(ctx) => ctx.fetch.get_or_load(
-                ctx.table_id,
-                handle.offset | RESOLVED_TAG,
-                self.stats.as_deref(),
-                &load,
-            ),
+            Some(ctx) => ctx.get_or_load(handle.offset | RESOLVED_TAG, self.stats.as_deref(), load),
             None => Ok(Arc::new(load()?.into_block())),
         }
     }

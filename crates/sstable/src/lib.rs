@@ -87,42 +87,38 @@ pub fn parse_table_file_name(name: &str) -> Option<(u64, TableKind)> {
 /// engine's shared block cache. `reader.rs` and `cl_table.rs` stay
 /// cache-agnostic: a table opened with a [`FetchContext`] routes its scans'
 /// data-block reads, a CL-SSTable its scans' resolved blocks and its gets'
-/// index blocks, through [`get_or_load`](Self::get_or_load), and the
-/// provider calls back into `load` only on a miss. Concurrent probes for the
-/// same key should coalesce into a single load; `stats`, when present,
-/// receives the hit/miss accounting for the probe.
+/// index blocks, through [`FetchContext::get_or_load`], which
+/// [probes](Self::probe) and on a miss reads the block around the cache and
+/// [inserts](Self::insert) it.
 ///
 /// Point gets cache *rows* instead, one-entry blocks holding what a get
-/// found, through [`probe`](Self::probe) and [`insert`](Self::insert) (see
-/// `row.rs`). A regular table's get probes for its row, then for a resident
-/// data block, and on a double miss reads the block around the cache and
-/// inserts only the row. A CL-SSTable's get inserts its row only while the
-/// cache [has room](Self::has_room) for it.
+/// found (see `row.rs`). A regular table's get probes for its row, then for
+/// a resident data block, and on a double miss reads the block around the
+/// cache and inserts only the row. A CL-SSTable's get inserts its row only
+/// while the cache [has room](Self::has_room) for it.
 pub trait BlockFetch: Send + Sync {
-    /// Returns the block at `(table_id, offset)`, loading it via `load` on a
-    /// miss. `load` yields a [`VerifiedBlock`], so whatever a provider keeps
-    /// passed the checks its loader makes: a data block its CRC32C, a
-    /// CL-SSTable's resolved block the CRC and index→log key check of every
-    /// record it holds.
-    fn get_or_load(
-        &self,
-        table_id: u64,
-        offset: u64,
-        stats: Option<&Stats>,
-        load: &dyn Fn() -> Result<VerifiedBlock>,
-    ) -> Result<Arc<Block>>;
-
     /// The block resident at `(table_id, offset)`, if any. Never loads and
-    /// counts nothing: the caller records the get's one cache outcome.
+    /// counts nothing: the caller records the read's one cache outcome.
     fn probe(&self, table_id: u64, offset: u64) -> Option<Arc<Block>>;
 
     /// Whether inserting `block` at `(table_id, offset)` would evict
     /// nothing.
     fn has_room(&self, table_id: u64, offset: u64, block: &Block) -> bool;
 
-    /// Caches `block` at `(table_id, offset)`, replacing a resident one;
-    /// `stats`, when present, receives the inserted bytes and evictions.
-    fn insert(&self, table_id: u64, offset: u64, block: VerifiedBlock, stats: Option<&Stats>);
+    /// Caches `block` at `(table_id, offset)`, replacing a resident one, and
+    /// returns it, also when the provider declines to keep it. `block` is a
+    /// [`VerifiedBlock`], so whatever a provider keeps passed its loader's
+    /// checks: a data block its CRC32C, a CL-SSTable's resolved block the
+    /// CRC and index→log key check of every record it holds, a row those of
+    /// the read that found it. `stats`, when present, receives the inserted
+    /// bytes and evictions.
+    fn insert(
+        &self,
+        table_id: u64,
+        offset: u64,
+        block: VerifiedBlock,
+        stats: Option<&Stats>,
+    ) -> Arc<Block>;
 }
 
 /// Everything a table reader needs to serve block reads through a shared
@@ -134,6 +130,30 @@ pub struct FetchContext {
     pub table_id: u64,
     /// The shared block cache.
     pub fetch: Arc<dyn BlockFetch>,
+}
+
+impl FetchContext {
+    /// The table's block at `offset`: the resident one, else the one `load`
+    /// reads around the cache, inserted. Counts one block-cache hit or miss
+    /// into `stats`. Concurrent misses of one block are not coalesced: each
+    /// loads, and the last insert stays.
+    pub fn get_or_load(
+        &self,
+        offset: u64,
+        stats: Option<&Stats>,
+        load: impl FnOnce() -> Result<VerifiedBlock>,
+    ) -> Result<Arc<Block>> {
+        if let Some(block) = self.fetch.probe(self.table_id, offset) {
+            if let Some(stats) = stats {
+                stats.add_block_cache_hits(1);
+            }
+            return Ok(block);
+        }
+        if let Some(stats) = stats {
+            stats.add_block_cache_misses(1);
+        }
+        Ok(self.fetch.insert(self.table_id, offset, load()?, stats))
+    }
 }
 
 /// The uniform interface that the engine's read path and compaction use for any

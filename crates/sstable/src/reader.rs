@@ -133,17 +133,12 @@ impl Table {
     fn read_data_block(&self, handle: BlockHandle) -> Result<Arc<Block>> {
         self.check_handle(handle)?;
         if let Some(ctx) = &self.fetch {
-            return ctx.fetch.get_or_load(
-                ctx.table_id,
-                handle.offset,
-                self.stats.as_deref(),
-                &|| {
-                    if let Some(stats) = &self.stats {
-                        stats.add_block_reads(1);
-                    }
-                    self.reader.read_verified_block(handle)
-                },
-            );
+            return ctx.get_or_load(handle.offset, self.stats.as_deref(), || {
+                if let Some(stats) = &self.stats {
+                    stats.add_block_reads(1);
+                }
+                self.reader.read_verified_block(handle)
+            });
         }
         {
             let cached = self.cached_block.lock();
@@ -221,7 +216,7 @@ impl Table {
     }
 
     /// [`get_entry`](Self::get_entry) past the filter: the data block through
-    /// the cache's [`get_or_load`](crate::BlockFetch::get_or_load), or the
+    /// the cache's [`get_or_load`](FetchContext::get_or_load), or the
     /// table's single-slot cache when it has no shared one.
     pub(crate) fn lookup(&self, user_key: &[u8], snapshot: u64) -> Result<Option<Entry>> {
         let Some(handle) = self.handle_for(user_key, snapshot)? else { return Ok(None) };
@@ -563,6 +558,32 @@ mod tests {
         assert_eq!(cache.loads(), 1, "provider loads each block once");
         // The private single-slot cache stays untouched when a provider is set.
         assert!(table.cached_block.lock().is_none());
+    }
+
+    #[test]
+    fn get_or_load_loads_on_a_miss_only_and_caches_no_failed_load() {
+        let path = temp_path("get-or-load.sst");
+        build_table(&path, 100, 64 * 1024);
+        let table = Table::open(&path, None).unwrap();
+        let handle = table.handle_for(b"key-000042", u64::MAX).unwrap().unwrap();
+        let cache = MapCache::new();
+        let ctx = FetchContext { table_id: 7, fetch: Arc::clone(&cache) as _ };
+        let stats = Stats::new();
+        let failed = ctx.get_or_load(handle.offset, Some(&stats), || Err(Error::corruption("x")));
+        assert!(failed.is_err());
+        assert_eq!(cache.block_count(), 0, "a failed load inserts nothing");
+        let loads = std::cell::Cell::new(0);
+        for _ in 0..3 {
+            let block = ctx
+                .get_or_load(handle.offset, Some(&stats), || {
+                    loads.set(loads.get() + 1);
+                    table.read_uncached_block(handle)
+                })
+                .unwrap();
+            assert_eq!(block.num_entries(), 100);
+        }
+        assert_eq!((loads.get(), cache.loads()), (1, 1), "one load, then hits");
+        assert_eq!((stats.block_cache_misses(), stats.block_cache_hits()), (2, 2));
     }
 
     /// A table opened through `cache` under table id 7, counting into `stats`.

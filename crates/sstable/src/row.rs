@@ -27,7 +27,7 @@ use crate::FetchContext;
 /// Set on the cache offset of a row. Table offsets are far below it, and a
 /// CL-SSTable's resolved blocks set bit 63 ([`crate::cl_table`]), which a
 /// row offset never does.
-const ROW_TAG: u64 = 1 << 62;
+pub(crate) const ROW_TAG: u64 = 1 << 62;
 
 /// The cache offset of the row of the user key whose `hash64` is `hash`.
 pub(crate) fn offset(hash: u64) -> u64 {

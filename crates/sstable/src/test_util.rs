@@ -5,12 +5,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use triad_common::{Result, Stats};
+use triad_common::Stats;
 
 use crate::block::Block;
-use crate::{BlockFetch, VerifiedBlock};
+use crate::{row, BlockFetch, VerifiedBlock};
 
-/// Caches every block forever and counts loads. It reports room for a
+/// Caches every block forever and counts loads: inserts of anything but a
+/// row, which only a miss of the block makes. It reports room for a
 /// block only when made [`with_room`](MapCache::with_room): a CL-SSTable's
 /// get through [`new`](MapCache::new)'s caches no row, as in a full cache.
 #[derive(Default)]
@@ -42,22 +43,6 @@ impl MapCache {
 }
 
 impl BlockFetch for MapCache {
-    fn get_or_load(
-        &self,
-        table_id: u64,
-        offset: u64,
-        _stats: Option<&Stats>,
-        load: &dyn Fn() -> Result<VerifiedBlock>,
-    ) -> Result<Arc<Block>> {
-        if let Some(block) = self.blocks.lock().get(&(table_id, offset)) {
-            return Ok(Arc::clone(block));
-        }
-        self.loads.fetch_add(1, Ordering::Relaxed);
-        let block = Arc::new(load()?.into_block());
-        self.blocks.lock().insert((table_id, offset), Arc::clone(&block));
-        Ok(block)
-    }
-
     fn probe(&self, table_id: u64, offset: u64) -> Option<Arc<Block>> {
         self.blocks.lock().get(&(table_id, offset)).cloned()
     }
@@ -66,7 +51,18 @@ impl BlockFetch for MapCache {
         self.room
     }
 
-    fn insert(&self, table_id: u64, offset: u64, block: VerifiedBlock, _stats: Option<&Stats>) {
-        self.blocks.lock().insert((table_id, offset), Arc::new(block.into_block()));
+    fn insert(
+        &self,
+        table_id: u64,
+        offset: u64,
+        block: VerifiedBlock,
+        _stats: Option<&Stats>,
+    ) -> Arc<Block> {
+        if offset & row::ROW_TAG == 0 {
+            self.loads.fetch_add(1, Ordering::Relaxed);
+        }
+        let block = Arc::new(block.into_block());
+        self.blocks.lock().insert((table_id, offset), Arc::clone(&block));
+        block
     }
 }
